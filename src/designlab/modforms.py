@@ -209,9 +209,7 @@ class ModFormSpace:
     def __post_init__(self):
         assert len(self.basis) == self.dim
         for i, f in enumerate(self.basis):
-            lead = min(f.coeffs) if f.coeffs else None
-            assert f.offset24 % 24 == 0
-            assert lead is not None and lead + f.offset24 // 24 == i, \
+            assert not f.is_zero() and f.leading()[0] == i, \
                 "echelon basis must lead at exponents 0..dim-1"
 
 
@@ -295,7 +293,7 @@ def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult
     if f.offset24 % 24 != 0:
         raise OffsetError("candidate lives on a fractional exponent grid")
     e0 = f.offset24 // 24
-    if f.coeffs and e0 < 0:
+    if not f.is_zero() and e0 < 0:
         return FitResult(False, None, e0)
     top = e0 + f.prec          # exponents 0..top are all known
     if top + 1 < space.dim + margin:

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlab import OffsetError, PrecisionError, QSeries
+from designlab.modforms import eta, eta_quotient
 
 
 def brute_convolve(a, b, out_len):
@@ -16,6 +19,118 @@ def brute_convolve(a, b, out_len):
             if i + j < out_len:
                 out[i + j] += x * y
     return out
+
+
+def long_divide(f, g):
+    """Schoolbook long division over Fractions, the oracle for Newton div.
+
+    Solves g * h = f one coefficient at a time; normalisation keeps the
+    divisor's leading coefficient at index 0.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("zero divisor")
+    prec = min(f.prec, g.prec)
+    b = [g[j] for j in range(prec + 1)]
+    out = []
+    for n in range(prec + 1):
+        acc = f[n] - sum((b[j] * out[n - j] for j in range(1, n + 1)),
+                         Fraction(0))
+        out.append(acc / b[0])
+    return QSeries(f.offset24 - g.offset24, prec, dict(enumerate(out)))
+
+
+def partition_numbers(n):
+    """p(0..n) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k, total = 1, 0
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p[m] = total
+    return p
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+nonzero_fractions = fractions.filter(bool)
+
+
+@st.composite
+def rational_series(draw, lead=fractions):
+    prec = draw(st.integers(0, 24))
+    coeffs = {0: draw(lead)}
+    coeffs.update({i: draw(fractions) for i in range(1, prec + 1)})
+    return QSeries(draw(st.integers(-60, 60)), prec, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_series(), rational_series(lead=nonzero_fractions))
+def test_newton_div_matches_long_division(f, g):
+    # offsets are arbitrary multiples of 1/24, leading coefficients of the
+    # divisor any nonzero rational, and the numerator may be zero
+    h = f.div(g)
+    assert h == long_divide(f, g)
+    assert (h * g).agrees_with(f)
+    zero = QSeries(f.offset24, f.prec, {})
+    assert zero.div(g) == long_divide(zero, g) == QSeries.zero(h.prec)
+
+
+@pytest.mark.parametrize("lead", [Fraction(1), Fraction(-1), Fraction(2),
+                                  Fraction(-6, 5), Fraction(1, 7)])
+def test_newton_div_deep_non_unit_divisor(lead):
+    rng = random.Random(7)
+    g = QSeries(0, 150, {0: lead, **{i: Fraction(rng.randint(-5, 5),
+                                                 rng.randint(1, 3))
+                                     for i in range(1, 151)}})
+    f = eta(150)
+    assert f.div(g) == long_divide(f, g)
+
+
+def test_inverse_eta_gives_partition_numbers():
+    p = partition_numbers(2000)
+    assert p[100] == 190569292
+    inv = eta_quotient([(1, -1)], 2000)
+    assert inv.offset24 == -1
+    assert inv.prec == 2000
+    assert inv.int_list(2001) == p
+
+
+def test_division_by_vanishing_leading_block_fails():
+    f = QSeries.from_int_list(0, [1, 2, 3])
+    g = QSeries.from_int_list(3, [4, 5, 6])
+    with pytest.raises(ZeroDivisionError):
+        f.div(g - g)            # every known coefficient cancels
+    with pytest.raises(ZeroDivisionError):
+        f.div(QSeries(5, 0, {0: 0}))
+
+
+def test_scale_by_zero_keeps_offset():
+    e = eta(10)
+    z = e.scale(0)
+    assert z.is_zero()
+    assert z.offset24 == e.offset24 and z.prec == e.prec
+    assert e + z == e
+
+
+def test_zero_series_hash_agrees_with_eq():
+    a, b = QSeries(0, 5, {}), QSeries(24, 5, {})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    half = QSeries(0, 2, {0: Fraction(2, 4), 1: 1})
+    same = QSeries.from_int_list(0, [1, 2, 0]).scale(Fraction(1, 2))
+    assert half == same and hash(half) == hash(same)
+
+
+def test_coeffs_is_read_only_fraction_map():
+    f = QSeries(0, 3, {0: Fraction(1, 2), 2: 3})
+    assert dict(f.coeffs) == {0: Fraction(1, 2), 2: Fraction(3)}
+    assert isinstance(f[2], Fraction) and isinstance(f[1], Fraction)
+    with pytest.raises(TypeError):
+        f.coeffs[1] = Fraction(1)
 
 
 def test_kronecker_multiply_matches_schoolbook():
@@ -106,6 +221,9 @@ def test_json_shape_is_stable():
     f = QSeries.from_int_list(8, [1, -8])
     assert f.to_json() == (
         '{"offset24": 8, "prec": 1, "coeffs": [[0, "1/1"], [1, "-8/1"]]}')
+    g = QSeries(8, 3, {0: Fraction(1, 3), 2: Fraction(-7, 24), 3: 2})
+    assert g.to_json() == ('{"offset24": 8, "prec": 3, "coeffs": '
+                           '[[0, "1/3"], [2, "-7/24"], [3, "2/1"]]}')
 
 
 def test_scale_and_proportionality():
