@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
+from ._fixtures import user_fixture_path
 from ._parallel import default_workers
 from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
                     golay_g24, hamming_e8, shell, two_weight_design_check)
 from .errors import DesignLabError
 from .lattices import (Lattice, constant_poly, construction_a, determinant,
                        gram_from_text, harmonic_theta, is_even, lattice_a2,
-                       lattice_e8, lattice_zn, moment_design_test, shell_enum,
-                       spherical_T_design_report, theta_membership_check,
-                       zonal_harmonic_coords)
-from .modforms import echelon_rows, eisenstein, eta_quotient, mf_basis, mf_dim
+                       lattice_e8, lattice_zn, moment_design_test,
+                       prefix_strength, shell_enum, spherical_T_design_report,
+                       theta_membership_check, zonal_harmonic_coords)
+from .modforms import eta_quotient, mf_basis, mf_dim
 from .qseries import QSeries
 from .voa import remark4_series, strength_at
 
@@ -77,23 +76,10 @@ def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
     return "".join(out) + tail
 
 
-def _fixture_path(name: str) -> Path | None:
-    """Resolve a name to a file: a literal path, or DESIGNLAB_FIXTURES/name."""
-    p = Path(name)
-    if p.is_file():
-        return p
-    root = os.environ.get("DESIGNLAB_FIXTURES")
-    if root:
-        for cand in (Path(root) / name, Path(root) / f"{name}.txt"):
-            if cand.is_file():
-                return cand
-    return None
-
-
 def _resolve_code(name: str) -> BinaryCode:
     if name in _CODES:
         return _CODES[name]()
-    p = _fixture_path(name)
+    p = user_fixture_path(name)
     if p is None:
         raise UsageError(f"unknown code fixture {name!r} "
                          f"(known: {', '.join(sorted(_CODES))}, or a path)")
@@ -113,7 +99,7 @@ def _resolve_lattice(name: str) -> Lattice:
         return lattice_e8()
     if name.startswith("CA:"):
         return construction_a(_resolve_code(name[3:]), name)
-    p = _fixture_path(name)
+    p = user_fixture_path(name)
     if p is None:
         raise UsageError(f"unknown lattice {name!r} "
                          "(known: Zn, A2, E8, CA:<code>, or a path)")
@@ -126,8 +112,9 @@ def _parse_eta_spec(spec: str) -> list[tuple[int, int]]:
     out = []
     for part in spec.split(","):
         m = re.fullmatch(r"\s*(\d+):(-?\d+)\s*", part)
-        if not m:
-            raise UsageError(f"bad eta factor {part!r}; expected scale:power")
+        if not m or int(m.group(1)) == 0:
+            raise UsageError(f"bad eta factor {part!r}; expected scale:power "
+                             "with scale >= 1")
         out.append((int(m.group(1)), int(m.group(2))))
     return out
 
@@ -151,11 +138,22 @@ def _positive(value: int, what: str) -> int:
     return value
 
 
+def _parse_norm(text: str, allow_zero: bool = False) -> Fraction:
+    try:
+        norm = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--norm takes a rational number, got {text!r}")
+    if norm < 0 or (norm == 0 and not allow_zero):
+        raise UsageError("--norm must be "
+                         + ("nonnegative" if allow_zero else "positive"))
+    return norm
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_eta(cfg: RunConfig):
+def cmd_eta(cfg: RunConfig, out):
     a = cfg.args
     prec = _positive(a.prec, "--prec")
     series = eta_quotient(_parse_eta_spec(a.spec), prec)
@@ -166,7 +164,7 @@ def cmd_eta(cfg: RunConfig):
     return payload, text
 
 
-def cmd_code_design(cfg: RunConfig):
+def cmd_code_design(cfg: RunConfig, out):
     a = cfg.args
     code = _resolve_code(a.code)
     if (a.t is None) == (a.Tset is None):
@@ -176,6 +174,8 @@ def cmd_code_design(cfg: RunConfig):
             raise UsageError("--t needs --weight (single shell)")
         if not 0 < a.weight <= code.n:
             raise UsageError(f"--weight must lie in 1..{code.n}")
+        if a.t < 0:
+            raise UsageError("--t must be nonnegative")
         fam = shell(code, a.weight)
         if not fam.blocks:
             raise UsageError(f"{a.code} has no codewords of weight "
@@ -232,12 +232,10 @@ def cmd_code_design(cfg: RunConfig):
     return payload, text
 
 
-def cmd_lattice_design(cfg: RunConfig):
+def cmd_lattice_design(cfg: RunConfig, out):
     a = cfg.args
     lat = _resolve_lattice(a.lattice)
-    norm = Fraction(a.norm)
-    if norm <= 0:
-        raise UsageError("--norm must be positive")
+    norm = _parse_norm(a.norm)
     t = _positive(a.t, "--t")
     if a.criterion == "moment":
         rep = moment_design_test(shell_enum(lat, norm, workers=cfg.workers), t)
@@ -247,10 +245,7 @@ def cmd_lattice_design(cfg: RunConfig):
         rep = spherical_T_design_report(lat, norm, range(1, t + 1),
                                         workers=cfg.workers)
         per = {str(j): v for j, v in rep.verdicts.items()}
-        strength = 0
-        while strength < t and rep.verdicts[strength + 1]:
-            strength += 1
-        size = rep.size
+        strength, size = prefix_strength(rep.verdicts), rep.size
     else:
         return _lattice_design_theta(cfg, lat, norm, t)
     payload = {"schema": SCHEMA, "command": "lattice-design",
@@ -272,28 +267,6 @@ def _theta_directions(rank: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def _predict_coefficient(weight: int, with_e6: bool, coords,
-                         exponent: int) -> Fraction:
-    """Coefficient of q^exponent in the fitted form sum coords[i]*basis[i].
-
-    Rebuilds the exact space the fit used (the E6-multiple space when the
-    half-degree is odd); echelon bases are canonical, so coordinates found
-    at low precision stay valid at any higher precision.
-    """
-    need = max(exponent, mf_dim(weight) + 2)
-    if with_e6:
-        base = mf_basis(weight - 6, need)
-        e6 = eisenstein(6, need)
-        rows = echelon_rows([e6 * b for b in base.basis], need)
-    else:
-        rows = mf_basis(weight, need).basis
-    total = Fraction(0)
-    for c, g in zip(coords, rows):
-        if c:
-            total += c * g[exponent - g.offset24 // 24]
-    return total
-
-
 def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     """Per-degree verdicts via modular membership of weighted thetas.
 
@@ -310,21 +283,24 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
         raise UsageError("theta criterion needs an even unimodular lattice")
     if norm.denominator != 1 or int(norm) % 2:
         raise UsageError("theta criterion needs an even integer norm")
+    if a.prec_norm < 0:
+        raise UsageError("--prec-norm must be nonnegative")
     prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
     target = int(norm) // 2
     dirs = _theta_directions(lat.rank)
-    per: dict[str, bool] = {}
-    modes: dict[str, str] = {}
+    per: dict[int, bool] = {}
+    modes: dict[int, str] = {}
     for j in range(1, t + 1):
         if j % 2:
-            per[str(j)], modes[str(j)] = True, "antipodal"
+            per[j], modes[j] = True, "antipodal"
             continue
         weight = lat.rank // 2 + j
         if mf_dim(weight) - 1 == 0:
             # the weighted theta is cuspidal and the cusp space is zero,
             # for every harmonic of this degree
-            per[str(j)], modes[str(j)] = True, "cusp space zero"
+            per[j], modes[j] = True, "cusp space zero"
             continue
+        space = mf_basis(weight, max(target, mf_dim(weight) + 2))
         ok = True
         for u in dirs:
             rep = theta_membership_check(lat, zonal_harmonic_coords(lat, j, u),
@@ -333,31 +309,30 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
             if not rep.fit_ok:
                 raise DesignLabError("theta fit failed at degree "
                                      f"{j}: enumeration too shallow")
-            if _predict_coefficient(rep.weight, rep.with_e6_factor,
-                                    rep.coords, target) != 0:
+            form = space.element(rep.coords)
+            if form[target - form.offset24 // 24] != 0:
                 ok = False
                 break
-        per[str(j)] = ok
-        modes[str(j)] = (f"fit along {len(dirs)} directions" if ok
-                         else "nonzero fitted coefficient")
-    strength = 0
-    while strength < t and per[str(strength + 1)]:
-        strength += 1
+        per[j] = ok
+        modes[j] = (f"fit along {len(dirs)} directions" if ok
+                    else "nonzero fitted coefficient")
+    strength = prefix_strength(per)
     payload = {"schema": SCHEMA, "command": "lattice-design",
                "lattice": a.lattice, "norm": _frac(norm),
                "criterion": "theta", "prec_norm": prec_norm,
-               "directions_tested": len(dirs), "per_degree": per,
-               "modes": modes, "strength": strength}
+               "directions_tested": len(dirs),
+               "per_degree": {str(j): v for j, v in per.items()},
+               "modes": {str(j): m for j, m in modes.items()},
+               "strength": strength}
     text = [f"{a.lattice} norm {norm} (theta criterion, enumeration to norm "
             f"{prec_norm}): strength {strength}"]
     for j in range(2, t + 1, 2):
-        text.append(f"  degree {j}: "
-                    + ("pass" if per[str(j)] else "FAIL")
-                    + f" ({modes[str(j)]})")
+        text.append(f"  degree {j}: " + ("pass" if per[j] else "FAIL")
+                    + f" ({modes[j]})")
     return payload, text
 
 
-def cmd_theta(cfg: RunConfig):
+def cmd_theta(cfg: RunConfig, out):
     a = cfg.args
     lat = _resolve_lattice(a.lattice)
     prec = _positive(a.prec, "--prec")
@@ -430,7 +405,7 @@ def cmd_voa_strength(cfg: RunConfig, out) -> tuple[dict | None, list[str]]:
     return None, text
 
 
-def cmd_remark4(cfg: RunConfig):
+def cmd_remark4(cfg: RunConfig, out):
     a = cfg.args
     prec = _positive(a.prec, "--prec")
     rep = remark4_series(prec)
@@ -448,9 +423,7 @@ def cmd_remark4(cfg: RunConfig):
 def cmd_shell(cfg: RunConfig, out):
     a = cfg.args
     lat = _resolve_lattice(a.lattice)
-    norm = Fraction(a.norm)
-    if norm < 0:
-        raise UsageError("--norm must be nonnegative")
+    norm = _parse_norm(a.norm, allow_zero=True)
     sh = shell_enum(lat, norm, workers=cfg.workers)
     if cfg.fmt == "csv":
         for v in sh.vectors:
@@ -532,6 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
+             "lattice-design": cmd_lattice_design, "theta": cmd_theta,
+             "voa-strength": cmd_voa_strength, "remark4": cmd_remark4,
+             "shell": cmd_shell}
+
+
 def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
     workers = args.workers if args.workers > 0 else default_workers()
@@ -539,20 +518,7 @@ def main(argv=None, out=sys.stdout) -> int:
     try:
         if cfg.fmt == "csv" and cfg.command != "shell":
             raise UsageError("--format csv applies only to 'shell'")
-        if cfg.command == "eta":
-            payload, text = cmd_eta(cfg)
-        elif cfg.command == "code-design":
-            payload, text = cmd_code_design(cfg)
-        elif cfg.command == "lattice-design":
-            payload, text = cmd_lattice_design(cfg)
-        elif cfg.command == "theta":
-            payload, text = cmd_theta(cfg)
-        elif cfg.command == "voa-strength":
-            payload, text = cmd_voa_strength(cfg, out)
-        elif cfg.command == "remark4":
-            payload, text = cmd_remark4(cfg)
-        else:
-            payload, text = cmd_shell(cfg, out)
+        payload, text = _COMMANDS[cfg.command](cfg, out)
     except UsageError as exc:
         print(json.dumps({"schema": SCHEMA, "error":
                           {"type": "usage", "message": str(exc)}}),

@@ -26,8 +26,7 @@ from ._fixtures import fixture_path
 from ._parallel import parallel_map
 from .codes import BinaryCode, is_doubly_even, is_self_dual
 from .errors import CapExceededError
-from .modforms import (ModFormSpace, echelon_rows, eisenstein, fit_in_space,
-                       mf_basis, mf_dim)
+from .modforms import fit_in_space, mf_basis
 from .qseries import QSeries
 
 __all__ = [
@@ -35,7 +34,7 @@ __all__ = [
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
     "construction_a", "determinant", "is_even",
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP",
-    "sphere_moment", "MomentReport", "moment_design_test",
+    "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
     "laplacian", "is_harmonic", "zonal_coeffs", "zonal_harmonic",
     "zonal_harmonic_coords", "zonal_shell_sum", "constant_poly",
@@ -178,14 +177,24 @@ class Shell:
         return len(self.vectors)
 
 
-def _gram2_int(lat: Lattice) -> np.ndarray:
-    return np.array([[int(2 * x) for x in row] for row in lat.gram],
-                    dtype=np.int64)
+def _exact_operands(lat: Lattice, rows, right_max: int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate rows and the doubled Gram matrix G2 as arrays for the
+    products rows @ G2 @ y, |y| <= right_max (default: max |row entry|).
+    Those stay below n^2 * max|row| * max|G2| * max|y|: int64 when that
+    bound rules out overflow, Python ints otherwise."""
+    g2 = [[int(2 * x) for x in row] for row in lat.gram]
+    bound = lat.rank ** 2 * max(abs(x) for row in g2 for x in row)
+    arr = np.array(rows, dtype=np.int64)
+    m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    if bound * m * (m if right_max is None else right_max) < 2 ** 63:
+        return arr, np.array(g2, dtype=np.int64)
+    return arr.astype(object), np.array(g2, dtype=object)
 
 
-def _doubled_norms(lat: Lattice, arr: np.ndarray) -> np.ndarray:
-    g2 = _gram2_int(lat)
-    return (arr @ g2 * arr).sum(axis=1)
+def _doubled_norms(lat: Lattice, rows) -> list[int]:
+    arr, g2 = _exact_operands(lat, rows)
+    return (arr @ g2 * arr).sum(axis=1).tolist()
 
 
 def _search_candidates(gram, bound2: int, outer: range | list,
@@ -258,10 +267,8 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
         cands = _search_candidates(lat.gram, bound2, top_range, cap)
     if not cands:
         return {}
-    arr = np.array(cands, dtype=np.int64)
-    norms2 = _doubled_norms(lat, arr)
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for vec, w in zip(cands, norms2.tolist()):
+    for vec, w in zip(cands, _doubled_norms(lat, cands)):
         if 0 < w <= bound2:
             buckets.setdefault(w, []).append(vec)
     out = {}
@@ -319,8 +326,7 @@ def sphere_moment(n: int, k: int) -> Fraction:
 
 def _pair_histogram(shell: Shell) -> dict[int, int]:
     """Histogram of doubled pairwise inner products 2*(x.y) over X x X."""
-    arr = np.array(shell.vectors, dtype=np.int64)
-    g2 = _gram2_int(shell.lattice)
+    arr, g2 = _exact_operands(shell.lattice, shell.vectors)
     half = arr @ g2
     hist: dict[int, int] = {}
     chunk = max(1, 4_000_000 // max(1, len(arr)))
@@ -359,11 +365,17 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
         lhs = sum(cnt * w ** k for w, cnt in hist.items())   # sum (2 x.y)^k
         rhs = size * size * (2 * r2) ** k * sphere_moment(n, k)
         per_k[k] = lhs == rhs
-    strength = 0
-    while strength < t and per_k[strength + 1]:
-        strength += 1
+    strength = prefix_strength(per_k)
     failed = strength + 1 if strength < t else None
     return MomentReport(shell.norm, size, per_k, strength, failed)
+
+
+def prefix_strength(verdicts: dict[int, bool]) -> int:
+    """Largest s such that degrees 1..s all pass."""
+    s = 0
+    while verdicts.get(s + 1):
+        s += 1
+    return s
 
 
 @functools.lru_cache(maxsize=64)
@@ -624,9 +636,10 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     w = [Fraction(x) for x in direction]
     cs = zonal_coeffs(lat.rank, k, _gram_dot(lat, w, w))
     scale = math.lcm(*(x.denominator for x in w))
-    w_int = np.array([int(x * scale) for x in w], dtype=np.int64)
-    arr = np.array(shell.vectors, dtype=np.int64)
-    dots2 = arr @ _gram2_int(lat) @ w_int      # 2 * scale * (x.u)
+    w_int = [int(x * scale) for x in w]
+    arr, g2 = _exact_operands(lat, shell.vectors,
+                              max(abs(x) for x in w_int))
+    dots2 = arr @ g2 @ np.array(w_int, dtype=arr.dtype)   # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)
     r2 = shell.norm
     acc = Fraction(0)
@@ -713,35 +726,26 @@ class MembershipReport:
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
                            prec_norm: int = 8, cap: int = SHELL_CAP,
                            workers: int = 1) -> MembershipReport:
-    """Fit the modular-q theta into its predicted level-one space.
-
-    Weight n/2 + degree; an odd half-degree j = degree/2 routes through the
-    E6-multiple subspace.  The fit is overdetermined by every enumerated
-    coefficient beyond the space dimension.
+    """Fit the modular-q theta into M_k, k = n/2 + degree, in the echelon
+    basis ``mf_basis(k)``; ``mf_basis(k, prec).element(coords)`` extends
+    the fitted form to any precision.  ``with_e6_factor`` records
+    k = 2 (mod 4), where every monomial E4^a E6^b has b odd, so
+    M_k = E6 * M_{k-6}.  Every enumerated coefficient beyond the space
+    dimension cross-checks the fit.
     """
     if not is_even(lat) or determinant(lat) != 1:
         raise ValueError("membership prediction needs an even unimodular "
                          "lattice")
     if p.degree % 2:
         raise ValueError("harmonic degree must be even here")
-    j = p.degree // 2
     weight = lat.rank // 2 + p.degree
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
-    if j % 2 == 0:
-        space = mf_basis(weight, ltop)
-    else:
-        # weight = 2 (mod 4): every monomial carries E6, so the space is
-        # exactly E6 * M_{weight-6}; re-echelonize the products for the fit
-        base = mf_basis(weight - 6, ltop)
-        e6 = eisenstein(6, ltop)
-        rows = echelon_rows([e6 * b for b in base.basis], ltop)
-        space = ModFormSpace(weight, base.dim, ltop, rows)
-        assert space.dim == mf_dim(weight)
+    space = mf_basis(weight, ltop)
     margin = ltop + 1 - space.dim
     if margin < 1:
         raise ValueError("not enough theta coefficients for a meaningful fit")
     fit = fit_in_space(theta, space, margin=margin)
-    return MembershipReport(weight, j % 2 == 1, fit.ok,
+    return MembershipReport(weight, weight % 4 == 2, fit.ok,
                             fit.coords if fit.ok else None,
                             fit.mismatch_exponent)

@@ -212,6 +212,17 @@ class ModFormSpace:
             assert not f.is_zero() and f.leading()[0] == i, \
                 "echelon basis must lead at exponents 0..dim-1"
 
+    def element(self, coords) -> QSeries:
+        """sum coords[i] * basis[i] through q^prec.  Echelon bases are
+        canonical, so coordinates fitted at any precision fit here too."""
+        if len(coords) != self.dim:
+            raise ValueError(f"need {self.dim} coordinates, got {len(coords)}")
+        form = QSeries.zero(self.prec)
+        for c, g in zip(coords, self.basis):
+            if c:
+                form = form + g.scale(c)
+        return form
+
 
 def echelon_rows(rows: list[QSeries], prec: int) -> list[QSeries]:
     """Fully reduced row echelon form of the spanned series space.

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .errors import PrecisionError
 from .lattices import (HarmonicPolynomial, Lattice, determinant,
-                       harmonic_theta, is_even, to_modular_q,
-                       zonal_harmonic_coords)
-from .modforms import (eisenstein, eta_quotient, factorize, fit_in_space,
-                       mf_basis, mf_dim, ramanujan_tau, vanishing_indices)
+                       harmonic_theta, is_even, theta_membership_check,
+                       to_modular_q, zonal_harmonic_coords)
+from .modforms import (eisenstein, eta_quotient, factorize, mf_basis, mf_dim,
+                       ramanujan_tau, vanishing_indices)
 from .qseries import QSeries
 
 __all__ = [
@@ -110,11 +110,15 @@ def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
         raise ValueError("graded traces need an even unimodular lattice")
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     rank = lat.rank
-    eta_c = eta_quotient([(1, rank)], theta.prec + rank // 24 + 2)
-    trace = theta.div(eta_c)
+    trace = _over_eta_rank(theta, rank)
     base, rem = divmod(trace.offset24 + rank, 24)
     assert rem == 0, "trace offset must sit on the -c/24 grid"
     return TraceSeries(rank, trace, f"theta/eta^{rank}", index_base=base)
+
+
+def _over_eta_rank(form: QSeries, rank: int) -> QSeries:
+    """form / eta^rank, exact through the precision of ``form``."""
+    return form.div(eta_quotient([(1, rank)], form.prec + rank // 24 + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +352,14 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
                           workers: int = 1) -> ProportionalityCertificate:
     """Certify graded_trace(lat, zonal) = ratio * reference to >= 50 terms.
 
-    The enumerated theta coefficients overdetermine its coordinates in the
-    predicted weight-(rank/2 + degree) space (membership is guaranteed for
-    even unimodular lattices, and every extra coefficient cross-checks the
-    fit); the predicted form is
-    then extended symbolically to full precision and divided by eta^rank,
-    so the proportionality is certified far beyond enumeration range.
-    Directions yielding the zero series are skipped.
+    For each direction, ``theta_membership_check`` fits the zonal theta in
+    the predicted weight-(rank/2 + degree) space: the enumerated
+    coefficients overdetermine its coordinates (membership is guaranteed
+    for even unimodular lattices, and every extra coefficient cross-checks
+    the fit).  The fitted form is then rebuilt at full precision and
+    divided by eta^rank, so the proportionality is certified far beyond
+    enumeration range.  Directions whose coordinates all vanish have the
+    zero theta and are skipped.
     """
     rank = lat.rank
     weight = rank // 2 + degree
@@ -370,21 +375,13 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
     last_error = None
     for w in cands:
         p = zonal_harmonic_coords(lat, degree, w)
-        theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
-        if theta.is_zero():
-            continue
-        ltop = theta.offset24 // 24 + theta.prec
-        small = mf_basis(weight, ltop)
-        fit = fit_in_space(theta, small, margin=ltop + 1 - small.dim)
-        if not fit.ok:
+        rep = theta_membership_check(lat, p, prec_norm, cap, workers)
+        if not rep.fit_ok:
             raise AssertionError("theta escaped its predicted space: "
-                                 f"mismatch at {fit.mismatch_exponent}")
-        predicted = QSeries.zero(prec)
-        for x, g in zip(fit.coords, space.basis):
-            if x:
-                predicted = predicted + g.scale(x)
-        eta_c = eta_quotient([(1, rank)], prec + rank // 24 + 2)
-        trace = predicted.div(eta_c)
+                                 f"mismatch at {rep.mismatch_exponent}")
+        if not any(rep.coords):
+            continue                    # the zero theta
+        trace = _over_eta_rank(space.element(rep.coords), rank)
         if trace.offset24 != reference.series.offset24:
             raise AssertionError("trace sits on a different exponent grid "
                                  f"than {reference.source}")
@@ -397,7 +394,7 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
                 f"trace not proportional to {reference.source}")
             continue
         return ProportionalityCertificate(ratio, through + 1, tuple(w),
-                                          tuple(fit.coords))
+                                          rep.coords)
     if last_error:
         raise last_error
     raise ValueError("every candidate direction gave the zero theta")

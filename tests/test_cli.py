@@ -3,10 +3,15 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import designlab
+from designlab._fixtures import fixture_path
 from designlab.cli import main
+from designlab.codes import golay_g24
+from designlab.lattices import lattice_e8
 
 
 def run(argv):
@@ -56,6 +61,8 @@ def test_eta_bad_spec_rejected():
     assert code == 2
     code, _ = run(["eta", "--spec", "1:24", "--prec", "0"])
     assert code == 2
+    code, _ = run(["eta", "--spec", "0:1", "--prec", "5"])
+    assert code == 2
 
 
 # -- code-design -------------------------------------------------------
@@ -102,6 +109,9 @@ def test_code_design_usage_errors():
     # unknown fixture is rejected before any computation
     assert run(["code-design", "--code", "nosuch", "--weight", "4",
                 "--t", "1"])[0] == 2
+    # negative strength
+    assert run(["code-design", "--code", "hamming8", "--weight", "4",
+                "--t", "-1"])[0] == 2
 
 
 def test_code_fixture_by_path(tmp_path):
@@ -119,6 +129,23 @@ def test_code_fixture_via_env(tmp_path, monkeypatch):
     got = run_json(["code-design", "--code", "rep2",
                     "--weight", "2", "--t", "1"])
     assert got["lambda"] == 1
+
+
+def test_fixture_dir_leaves_bundled_fixtures_alone(tmp_path, monkeypatch):
+    (tmp_path / "rep2.txt").write_text("11\n")
+    monkeypatch.setenv("DESIGNLAB_FIXTURES", str(tmp_path))
+    bundled = Path(designlab.__file__).parent / "fixtures"
+    assert fixture_path("codes", "golay24.txt") == \
+        bundled / "codes" / "golay24.txt"
+    # the built-ins are cached per process: rebuild them under the variable
+    golay_g24.cache_clear()
+    lattice_e8.cache_clear()
+    got = run_json(["code-design", "--code", "golay24",
+                    "--weight", "8", "--t", "5"])
+    assert got["lambda"] == 1
+    assert run_json(["shell", "--lattice", "E8", "--norm", "2"])["count"] == 240
+    assert run_json(["code-design", "--code", "rep2",
+                     "--weight", "2", "--t", "1"])["lambda"] == 1
 
 
 # -- lattice-design ----------------------------------------------------
@@ -170,6 +197,11 @@ def test_lattice_usage_errors():
                 "--t", "3"])[0] == 2
     assert run(["lattice-design", "--lattice", "Z2", "--norm", "1",
                 "--t", "0"])[0] == 2
+    assert run(["lattice-design", "--lattice", "Z2", "--norm", "abc",
+                "--t", "3"])[0] == 2
+    assert run(["shell", "--lattice", "Z2", "--norm", "1/0"])[0] == 2
+    assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
+                "--t", "8", "--criterion", "theta", "--prec-norm", "-4"])[0] == 2
 
 
 def test_cap_exceeded_is_runtime_error_not_usage():

@@ -173,6 +173,25 @@ def test_shells_are_exact_antipodal_and_sorted():
         shell_enum(e8, -2)
 
 
+def test_huge_gram_entries_stay_exact():
+    g = 2 ** 61
+    lat = Lattice(((F(g), F(0)), (F(0), F(g))))
+    assert shell_enum(lat, 4 * g).vectors == ((-2, 0), (0, -2), (0, 2), (2, 0))
+    assert shell_sizes_up_to(lat, 5 * g) == {g: 4, 2 * g: 4, 4 * g: 4, 5 * g: 8}
+    # doubled Gram entries beyond int64: a scaled copy of Z2
+    s = 2 ** 62
+    big = Lattice(((F(s), F(0)), (F(0), F(s))))
+    sh = shell_enum(big, s)
+    assert sh.vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    z2 = lattice_zn(2)
+    unit = shell_enum(z2, 1)
+    assert moment_design_test(sh, 4).per_k == moment_design_test(unit, 4).per_k
+    assert gegenbauer_component_sums(sh, [2, 4]) == \
+        gegenbauer_component_sums(unit, [2, 4])
+    assert zonal_shell_sum(big, sh, 4, (1, 0)) == \
+        s ** 4 * zonal_shell_sum(z2, unit, 4, (1, 0)) != 0
+
+
 def test_shell_cap_enforced():
     with pytest.raises(CapExceededError):
         shell_enum(lattice_zn(2), 25, cap=5)

@@ -8,6 +8,10 @@ from designlab import (PrecisionError, QSeries, delta, delta_eisenstein, delta_e
                        eisenstein, eta, eta_quotient, factorize, fit_in_space,
                        mf_basis, mf_dim, ord_p, ramanujan_tau, sigma,
                        vanishing_indices)
+from designlab.lattices import (harmonic_theta, lattice_e8,
+                                theta_membership_check, to_modular_q,
+                                zonal_harmonic_coords)
+from designlab.modforms import echelon_rows
 
 
 # -- oracles ---------------------------------------------------------------
@@ -149,6 +153,32 @@ def test_basis_is_echelon_with_unit_pivots():
         vals = [f[j - shift] if j - shift >= 0 else Fraction(0)
                 for j in range(space.dim)]
         assert vals == [Fraction(int(i == j)) for j in range(space.dim)]
+
+
+def test_weight_2_mod_4_spaces_are_e6_multiples():
+    # oracle: M_k = E6 * M_{k-6} when k = 2 (mod 4), re-echelonized
+    for k in range(6, 79, 4):
+        for prec in (mf_dim(k) + 1, 24, 41):
+            e6 = eisenstein(6, prec)
+            rows = echelon_rows([e6 * b for b in mf_basis(k - 6, prec).basis],
+                                prec)
+            assert rows == mf_basis(k, prec).basis, (k, prec)
+
+
+def test_element_extends_the_fitted_theta():
+    e8 = lattice_e8()
+    p = zonal_harmonic_coords(e8, 8, (1, 0, 0, 0, 0, 0, 0, 0))
+    coords = theta_membership_check(e8, p, prec_norm=8).coords
+    assert coords == (0, 144)
+    form = mf_basis(12, 60).element(coords)
+    assert form.prec + form.offset24 // 24 == 60
+    # enumerated beyond the fit: q^5 and q^6 are predictions
+    theta = to_modular_q(harmonic_theta(e8, p, 12))
+    assert theta.offset24 // 24 + theta.prec == 6
+    assert form.agrees_with(theta)
+    assert not theta.is_zero()
+    with pytest.raises(ValueError):
+        mf_basis(12, 60).element((1,))
 
 
 def test_fit_recovers_monomial_coordinates():
