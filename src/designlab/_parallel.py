@@ -1,8 +1,9 @@
-"""Process-pool helper for the embarrassingly parallel enumerations.
+"""Process-pool helper and the default worker count of the CLI.
 
-Workers receive picklable argument tuples and top-level functions only;
-results merge by concatenation or exact comparison at the call site, so
-the outcome is identical for any worker count.
+Lattice enumeration runs in one process and does not use ``parallel_map``;
+the CLI accepts ``--workers`` and passes the value along, where it changes
+nothing.  Workers receive picklable argument tuples and top-level functions
+only, so the outcome is identical for any worker count.
 """
 
 from __future__ import annotations

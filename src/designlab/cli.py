@@ -174,8 +174,8 @@ def cmd_code_design(cfg: RunConfig, out):
             raise UsageError("--t needs --weight (single shell)")
         if not 0 < a.weight <= code.n:
             raise UsageError(f"--weight must lie in 1..{code.n}")
-        if a.t < 0:
-            raise UsageError("--t must be nonnegative")
+        if not 0 <= a.t <= code.n:
+            raise UsageError(f"--t must lie in 0..{code.n}")
         fam = shell(code, a.weight)
         if not fam.blocks:
             raise UsageError(f"{a.code} has no codewords of weight "
@@ -286,6 +286,14 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     if a.prec_norm < 0:
         raise UsageError("--prec-norm must be nonnegative")
     prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
+    # a fit in M_k reads the enumerated coefficients up to q^(prec_norm // 2)
+    # and needs one more than dim M_k to cross-check itself
+    dims = [mf_dim(lat.rank // 2 + j) for j in range(2, t + 1, 2)]
+    needed = max((d for d in dims if d > 1), default=0)
+    if prec_norm // 2 + 1 <= needed:
+        raise UsageError(f"--prec-norm {prec_norm} is too shallow for the "
+                         f"theta fits up to degree {t}; use at least "
+                         f"{2 * needed}")
     target = int(norm) // 2
     dirs = _theta_directions(lat.rank)
     per: dict[int, bool] = {}
@@ -454,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="text", dest="fmt",
                     help="output format (csv applies to 'shell' only)")
     ap.add_argument("--workers", type=int, default=0,
-                    help="worker processes for enumeration "
-                         "(default: available parallelism)")
+                    help="accepted and ignored: enumeration runs in one "
+                         "process")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eta", help="expand an eta quotient")

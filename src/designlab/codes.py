@@ -235,8 +235,8 @@ def design_lambda(family: BlockFamily, t: int,
     Returns the common count lambda, or a witness pair of t-subsets with
     different counts.  Mixed block sizes must be requested explicitly.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t <= family.n:
+        raise ValueError(f"t must lie in 0..{family.n}")
     if not allow_mixed and len(family.block_sizes) > 1:
         raise ValueError("mixed block sizes; pass allow_mixed=True")
     if t == 0:

@@ -19,3 +19,7 @@ class CapExceededError(DesignLabError):
 
 class FixtureError(DesignLabError):
     """A bundled fixture file is missing or malformed."""
+
+
+class InternalCheckError(DesignLabError):
+    """A result failed a consistency check that holds for correct code."""

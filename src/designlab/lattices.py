@@ -5,10 +5,16 @@ A lattice is its Gram matrix: symmetric, positive definite, entries in
 norm v*G*v^T.  Nothing irrational is ever stored; construction A absorbs
 its 1/sqrt(2) scaling into the Gram matrix.
 
-Shell search prunes with floats (bounds inflated by a fixed slack) but
-accepts exclusively by exact integer arithmetic, so the enumerated shells
-are exact.  Design tests run off the histogram of pairwise inner products:
-raw power moments give the cumulative strength-t criterion, and sums of the
+Shell search is a breadth-wise Fincke-Pohst search in numpy, run in one
+process: each level expands a chunk of frontier rows at once, and the
+frontier is walked depth-first in chunks so memory stays bounded.  It
+prunes with floats (bounds inflated by a fixed slack) but accepts
+exclusively by exact integer arithmetic, so the enumerated shells are
+exact.  Size caps are checked on counts, before any vector becomes a
+Python tuple: the search stops once it has produced more than 4*cap + 64
+candidates, and the per-norm tallies refuse a shell larger than the cap.
+Design tests run off the histogram of pairwise inner products: raw power
+moments give the cumulative strength-t criterion, and sums of the
 orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
 """
 
@@ -17,15 +23,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._fixtures import fixture_path
-from ._parallel import parallel_map
 from .codes import BinaryCode, is_doubly_even, is_self_dual
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalCheckError
 from .modforms import fit_in_space, mf_basis
 from .qseries import QSeries
 
@@ -44,6 +50,9 @@ __all__ = [
 
 SHELL_CAP = 1_000_000       # refuse to enumerate larger shells
 _SLACK = 1 + 2.0 ** -20     # float pruning radius inflation
+_CHUNK = 1 << 15            # frontier children expanded at once per level
+_PAIR_BLOCK = 4_000_000     # inner products computed at once per histogram
+_MAGIC = 1.5 * 2.0 ** 52
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +186,18 @@ class Shell:
         return len(self.vectors)
 
 
+@functools.lru_cache(maxsize=64)
+def _doubled_gram(gram) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(2 * x) for x in row) for row in gram)
+
+
 def _exact_operands(lat: Lattice, rows, right_max: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate rows and the doubled Gram matrix G2 as arrays for the
     products rows @ G2 @ y, |y| <= right_max (default: max |row entry|).
     Those stay below n^2 * max|row| * max|G2| * max|y|: int64 when that
     bound rules out overflow, Python ints otherwise."""
-    g2 = [[int(2 * x) for x in row] for row in lat.gram]
+    g2 = _doubled_gram(lat.gram)
     bound = lat.rank ** 2 * max(abs(x) for row in g2 for x in row)
     arr = np.array(rows, dtype=np.int64)
     m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
@@ -192,91 +206,167 @@ def _exact_operands(lat: Lattice, rows, right_max: int | None = None
     return arr.astype(object), np.array(g2, dtype=object)
 
 
-def _doubled_norms(lat: Lattice, rows) -> list[int]:
+def _doubled_norms(lat: Lattice, rows) -> np.ndarray:
     arr, g2 = _exact_operands(lat, rows)
-    return (arr @ g2 * arr).sum(axis=1).tolist()
+    return (arr @ g2 * arr).sum(axis=1)
 
 
-def _search_candidates(gram, bound2: int, outer: range | list,
-                       cap: int) -> list[tuple[int, ...]]:
-    """Float-pruned depth-first search for all v with 2*Q(v) <= bound2.
+def _int_dtype(bound: int) -> np.dtype:
+    """Narrowest signed integer dtype holding every value in [-bound, bound]."""
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
 
-    ``outer`` restricts the outermost coordinate (worker partitioning).
-    Bounds use the exact LDL data rounded to float and inflated by a slack
-    factor, so the candidate set is a superset of the true ball; callers
-    filter exactly afterward.
+
+def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
+    """Float-pruned breadth-wise search for all v with 2*Q(v) <= bound2.
+
+    Fincke-Pohst over the exact decomposition G = U^T D U, top coordinate
+    first.  At level i every frontier row gets its centre
+    c = sum_{j>i} U_ij v_j and its radius sqrt(budget / 2 d_i) at once;
+    ``np.repeat`` expands each row into the integers of [-c - rad, -c + rad],
+    and a child whose remaining budget goes negative is pruned.  Bounds use
+    the LDL data rounded to float and inflated by a slack factor, so the
+    candidate set is a superset of the true ball; callers accept exactly.
+
+    The levels form a pipeline of generators that expands the frontier
+    depth-first in pieces of about ``_CHUNK`` rows, so memory stays bounded
+    whatever the size of the ball; coordinates are stored in the narrowest
+    integer dtype that holds them.  Yields the candidate rows chunk by
+    chunk, in lexicographic order of (v_{n-1}, ..., v_0), and raises
+    ``CapExceededError`` as soon as a chunk takes the count of candidates
+    past 4*cap + 64, before the caller has built anything from them.
     """
     diag, upper = _ldl(gram)
     n = len(diag)
     df = [float(2 * d) for d in diag]
-    uf = [[float(x) for x in row] for row in upper]
-    budget_top = float(bound2) * _SLACK + 1e-9
-    out: list[tuple[int, ...]] = []
-    v = [0] * n
+    uf = np.array([[float(x) for x in row] for row in upper])
+    top_rad = math.sqrt(float(bound2) / df[n - 1]) * _SLACK + 1e-9
 
-    def rec(i: int, budget: float) -> None:
-        if i < 0:
-            out.append(tuple(v))
-            if len(out) > 4 * cap + 64:
-                raise CapExceededError("shell search exceeded the cap")
-            return
-        c = 0.0
-        row = uf[i]
-        for j in range(i + 1, n):
-            c += row[j] * v[j]
-        rad = math.sqrt(max(budget, 0.0) / df[i]) * _SLACK + 1e-9
-        lo = math.ceil(-c - rad)
-        hi = math.floor(-c + rad)
-        values = outer if i == n - 1 else range(lo, hi + 1)
-        for vi in values:
-            if not lo <= vi <= hi:
+    def children(i: int, pieces):
+        # a piece is (cols, budget): cols[j] holds v_j of every row
+        for cols, budget in pieces:
+            c = np.zeros(len(budget))
+            for j in range(i + 1, n):       # summed in the order j = i+1..n-1
+                c += uf[i, j] * cols[j].astype(np.float64)
+            if i == n - 1:      # the top coordinate ranges over bound2's radius
+                rad = top_rad
+            else:
+                rad = np.sqrt(np.maximum(budget, 0.0) / df[i]) * _SLACK + 1e-9
+            lo = np.ceil(-c - rad)
+            widths = np.maximum(np.floor(-c + rad) - lo + 1, 0).astype(np.int64)
+            if not widths.any():
                 continue
-            t = vi + c
-            rem = budget - df[i] * t * t
-            if rem >= -1e-9:
-                v[i] = vi
-                rec(i - 1, rem)
-        v[i] = 0
+            reach = int(max(-lo.min(), lo.max() + widths.max()))
+            dtype = np.promote_types(cols.dtype, _int_dtype(reach))
+            ends = np.cumsum(widths)
+            a = 0
+            while a < len(budget):
+                # rows a..b-1 expand into at most about _CHUNK children
+                base = ends[a] - widths[a]
+                b = max(a + 1, int(np.searchsorted(ends, base + _CHUNK,
+                                                   side="right")))
+                w = widths[a:b]
+                parent = np.repeat(np.arange(a, b), w)
+                first = np.repeat(ends[a:b] - w - base, w)
+                vi = lo[parent] + (np.arange(len(parent)) - first)
+                t = vi + c[parent]
+                rem = budget[parent] - df[i] * t * t
+                keep = rem >= -1e-9
+                if keep.any():
+                    child = cols[:, parent[keep]].astype(dtype, copy=False)
+                    child[i] = vi[keep]
+                    yield child, rem[keep]
+                a = b
 
-    rec(n - 1, budget_top)
-    return out
+    stream = iter([(np.zeros((n, 1), dtype=np.int8),
+                    np.array([float(bound2) * _SLACK + 1e-9]))])
+    for i in range(n - 1, -1, -1):
+        stream = _regroup(children(i, stream))
+    produced = 0
+    for cols, _ in stream:
+        produced += cols.shape[1]
+        if produced > 4 * cap + 64:
+            raise CapExceededError("shell search exceeded the cap")
+        yield cols.T
 
 
-def _enum_worker(args):
-    gram, bound2, chunk, cap = args
-    return _search_candidates(gram, bound2, chunk, cap)
+def _regroup(pieces):
+    """Merge consecutive (coordinates, budgets) pieces, in order, into
+    blocks of at least ``_CHUNK`` rows."""
+    buf: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = 0
+    for piece in pieces:
+        buf.append(piece)
+        rows += len(piece[1])
+        if rows >= _CHUNK:
+            yield _merge(buf)
+            buf, rows = [], 0
+    if buf:
+        yield _merge(buf)
+
+
+def _merge(pieces):
+    if len(pieces) == 1:
+        return pieces[0]
+    return (np.concatenate([cols for cols, _ in pieces], axis=1),
+            np.concatenate([budget for _, budget in pieces]))
 
 
 @functools.lru_cache(maxsize=64)
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
                              workers: int = 1) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm."""
+    """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm.
+
+    Count first: each chunk of candidates gets exact doubled norms (int64
+    or Python ints by the ``_exact_operands`` rule), and the accepted rows
+    are tallied per norm.  A shell larger than ``cap`` is refused from the
+    tallies after the search, before any tuple is built; once a tally has
+    passed the cap, rows are only counted, not kept.  The buckets come from
+    one lexsort over (norm, coordinates), so every shell is a sorted tuple
+    of coordinate tuples.  The search runs in one process; ``workers`` is
+    accepted for callers and changes nothing.
+    """
     if bound2 < 0:
         return {}
-    diag, _ = _ldl(lat.gram)
-    n = lat.rank
-    rad = math.sqrt(float(bound2) / float(2 * diag[n - 1])) * _SLACK + 1e-9
-    top_range = range(math.ceil(-rad), math.floor(rad) + 1)
-    if workers > 1 and len(top_range) >= 2 * workers:
-        chunks = [list(top_range)[i::workers] for i in range(workers)]
-        parts = parallel_map(
-            _enum_worker,
-            [(lat.gram, bound2, c, cap) for c in chunks], workers)
-        cands = [v for part in parts for v in part]
-    else:
-        cands = _search_candidates(lat.gram, bound2, top_range, cap)
-    if not cands:
-        return {}
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for vec, w in zip(cands, _doubled_norms(lat, cands)):
-        if 0 < w <= bound2:
-            buckets.setdefault(w, []).append(vec)
-    out = {}
-    for w, vecs in buckets.items():
-        if len(vecs) > cap:
+    tally: dict[int, int] = {}
+    kept_rows, kept_norms = [], []
+    over = False
+    for cand in _search_candidates(lat.gram, bound2, cap):
+        norms = _doubled_norms(lat, cand)
+        keep = (norms > 0) & (norms <= bound2)
+        norms = norms[keep]
+        vals, first, counts = np.unique(norms, return_index=True,
+                                        return_counts=True)
+        # in first-seen order: of several shells over the cap, the one met
+        # first in the search is reported
+        for k in np.argsort(first):
+            w = int(vals[k])
+            tally[w] = tally.get(w, 0) + int(counts[k])
+            over = over or tally[w] > cap
+        if over:
+            kept_rows.clear()
+            kept_norms.clear()
+        elif len(norms):
+            kept_rows.append(cand[keep])
+            kept_norms.append(norms)
+    for w, size in tally.items():
+        if size > cap:
             raise CapExceededError(
-                f"shell at doubled norm {w} has {len(vecs)} > cap {cap}")
-        out[w] = tuple(sorted(vecs))
+                f"shell at doubled norm {w} has {size} > cap {cap}")
+    if not tally:
+        return {}
+    rows = np.concatenate(kept_rows)
+    keys, inv = np.unique(np.concatenate(kept_norms), return_inverse=True)
+    order = np.lexsort(tuple(rows[:, j] for j in range(lat.rank - 1, -1, -1))
+                       + (inv.reshape(-1),))
+    vecs = list(zip(*rows[order].T.tolist()))
+    out = {}
+    start = 0
+    for w in keys.tolist():
+        out[w] = tuple(vecs[start:start + tally[w]])
+        start += tally[w]
     return out
 
 
@@ -285,7 +375,8 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
     """All vectors of the exact given norm, antipodal and sorted.
 
     Float pruning only widens the search box; acceptance is by exact
-    integer arithmetic on the doubled Gram matrix.
+    integer arithmetic on the doubled Gram matrix.  A sorted antipodal
+    shell equals its own negation read backwards, which is checked.
     """
     norm = Fraction(norm)
     if norm < 0:
@@ -296,9 +387,10 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
         return Shell(lat, norm, vecs)
     table = _vectors_by_doubled_norm(lat, int(doubled), cap, workers)
     vecs = table.get(int(doubled), ())
-    vset = set(vecs)
-    for v in vecs:
-        assert tuple(-x for x in v) in vset, "shell not antipodal"
+    arr = np.fromiter(itertools.chain.from_iterable(vecs), dtype=np.int64,
+                      count=len(vecs) * lat.rank).reshape(len(vecs), lat.rank)
+    if not np.array_equal(arr, -arr[::-1]):
+        raise InternalCheckError("shell not antipodal")
     return Shell(lat, norm, vecs)
 
 
@@ -325,12 +417,46 @@ def sphere_moment(n: int, k: int) -> Fraction:
 
 
 def _pair_histogram(shell: Shell) -> dict[int, int]:
-    """Histogram of doubled pairwise inner products 2*(x.y) over X x X."""
+    """Histogram of doubled pairwise inner products 2*(x.y) over X x X.
+
+    When n * max|row| * max|row @ G2| < 2^53 every partial sum of a product
+    is an integer below 2^53, so float64 BLAS computes the products exactly.
+    Cauchy-Schwarz puts them in [-2Q, 2Q], where ``np.bincount`` counts
+    them (if that range fits one block); blocks below the diagonal mirror
+    those above and are counted twice.  Other inputs take int64 or
+    Python-int products (the ``_exact_operands`` rule) and ``np.unique``.
+    """
     arr, g2 = _exact_operands(shell.lattice, shell.vectors)
     half = arr @ g2
+    size = len(arr)
+    chunk = max(1, _PAIR_BLOCK // max(1, size))
+    w = int(2 * shell.norm)
+    if (arr.dtype != object and 2 * w < _PAIR_BLOCK
+            and shell.lattice.rank * int(np.abs(arr).max(initial=0))
+            * int(np.abs(half).max(initial=0)) < 2 ** 53):
+        left, right = half.astype(np.float64), arr.astype(np.float64).T
+        counts = np.zeros(2 * w + 1, dtype=np.int64)
+        buf = np.empty(min(chunk, size) * size)
+        # p + w + 1.5*2^52 is an integer in [2^52, 2^53), where floats are
+        # spaced by 1: its low mantissa bits read as an int64 are p + w
+        # above the bits of 1.5*2^52
+        shift = np.float64(_MAGIC + w)
+        base = np.float64(_MAGIC).view(np.int64)
+        for lo in range(0, size, chunk):
+            hi = min(lo + chunk, size)
+            for cols, times in ((slice(lo, hi), 1), (slice(hi, size), 2)):
+                block = right[:, cols]
+                shape = (hi - lo, block.shape[1])
+                prods = np.matmul(left[lo:hi], block,
+                                  out=buf[:shape[0] * shape[1]].reshape(shape))
+                prods += shift
+                bins = prods.view(np.int64)
+                bins -= base
+                counts += times * np.bincount(bins.ravel(),
+                                              minlength=2 * w + 1)
+        return {v - w: c for v, c in enumerate(counts.tolist()) if c}
     hist: dict[int, int] = {}
-    chunk = max(1, 4_000_000 // max(1, len(arr)))
-    for lo in range(0, len(arr), chunk):
+    for lo in range(0, size, chunk):
         prods = half[lo:lo + chunk] @ arr.T
         vals, counts = np.unique(prods, return_counts=True)
         for v, c in zip(vals.tolist(), counts.tolist()):

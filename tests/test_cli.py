@@ -112,6 +112,11 @@ def test_code_design_usage_errors():
     # negative strength
     assert run(["code-design", "--code", "hamming8", "--weight", "4",
                 "--t", "-1"])[0] == 2
+    # strength beyond the block length; up to it, a lambda = 0 design
+    assert run(["code-design", "--code", "hamming8", "--weight", "4",
+                "--t", "9"])[0] == 2
+    assert run_json(["code-design", "--code", "hamming8", "--weight", "4",
+                     "--t", "8"])["lambda"] == 0
 
 
 def test_code_fixture_by_path(tmp_path):
@@ -202,11 +207,19 @@ def test_lattice_usage_errors():
     assert run(["shell", "--lattice", "Z2", "--norm", "1/0"])[0] == 2
     assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
                 "--t", "8", "--criterion", "theta", "--prec-norm", "-4"])[0] == 2
+    # too shallow to fit the degree-8 theta in the 2-dimensional M_12;
+    # norm 4 is deep enough
+    assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
+                "--t", "8", "--criterion", "theta", "--prec-norm", "2"])[0] == 2
+    assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
+                "--t", "8", "--criterion", "theta", "--prec-norm", "4"])[0] == 0
 
 
-def test_cap_exceeded_is_runtime_error_not_usage():
+def test_cap_exceeded_is_runtime_error_not_usage(capsys):
     code, _ = run(["shell", "--lattice", "Z16", "--norm", "40"])
     assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "CapExceededError"
 
 
 # -- theta -------------------------------------------------------------

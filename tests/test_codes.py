@@ -125,6 +125,17 @@ def test_hamming_weight4_is_3_design():
         assert res.is_design and res.lam == lam
 
 
+def test_design_lambda_strength_range():
+    fam = shell(hamming_e8(), 4)
+    # t between the block size and n: no t-subset is covered, lambda = 0
+    for t in (5, 8):
+        res = design_lambda(fam, t)
+        assert res.is_design and res.lam == 0
+    for t in (-1, 9):
+        with pytest.raises(ValueError):
+            design_lambda(fam, t)
+
+
 def test_design_lambda_witness_on_failure():
     fam = shell(d16_plus(), 4)
     res = design_lambda(fam, 2)

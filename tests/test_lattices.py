@@ -7,15 +7,25 @@ the root system built without any of the lattice machinery.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import designlab
+from designlab import lattices
 from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
 from designlab.errors import CapExceededError, PrecisionError
-from designlab.lattices import (HarmonicPolynomial, Lattice, constant_poly,
+from designlab.lattices import (_SLACK, HarmonicPolynomial, Lattice, _ldl,
+                                _pair_histogram, _search_candidates,
+                                _vectors_by_doubled_norm, constant_poly,
                                 construction_a, determinant,
                                 gegenbauer_component_sums, gram_from_text,
                                 harmonic_theta, is_even, is_harmonic,
@@ -46,6 +56,84 @@ def box_shells(gram, max_norm2):
         if 0 < q <= max_norm2:
             table.setdefault(q, set()).add(v)
     return table
+
+
+def dfs_candidates(gram, bound2):
+    """Per-node depth-first Fincke-Pohst search: every v whose float-pruned
+    path survives, top coordinate first, in visiting order.
+
+    The same float bounds as the library search (exact LDL data rounded to
+    float, slack-inflated radii, the top coordinate over bound2's radius),
+    one node at a time.
+    """
+    diag, upper = _ldl(gram)
+    n = len(diag)
+    df = [float(2 * d) for d in diag]
+    uf = [[float(x) for x in row] for row in upper]
+    top = math.sqrt(float(bound2) / df[n - 1]) * _SLACK + 1e-9
+    out = []
+    v = [0] * n
+
+    def rec(i, budget):
+        if i < 0:
+            out.append(tuple(v))
+            return
+        c = 0.0
+        for j in range(i + 1, n):
+            c += uf[i][j] * v[j]
+        rad = top if i == n - 1 else \
+            math.sqrt(max(budget, 0.0) / df[i]) * _SLACK + 1e-9
+        for vi in range(math.ceil(-c - rad), math.floor(-c + rad) + 1):
+            t = vi + c
+            rem = budget - df[i] * t * t
+            if rem >= -1e-9:
+                v[i] = vi
+                rec(i - 1, rem)
+        v[i] = 0
+
+    rec(n - 1, float(bound2) * _SLACK + 1e-9)
+    return out
+
+
+def doubled_gram(lat):
+    return [[int(2 * x) for x in row] for row in lat.gram]
+
+
+def dfs_shells(lat, bound2):
+    """Exact doubled norm -> sorted vectors, from the depth-first search."""
+    g2 = doubled_gram(lat)
+    n = lat.rank
+    table = {}
+    for v in dfs_candidates(lat.gram, bound2):
+        w = sum(g2[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+        if 0 < w <= bound2:
+            table.setdefault(w, []).append(v)
+    return {w: tuple(sorted(vs)) for w, vs in table.items()}
+
+
+def brute_pair_histogram(lat, vectors):
+    """2*(x.y) over all ordered pairs, one product at a time."""
+    g2 = doubled_gram(lat)
+    n = lat.rank
+    hist = {}
+    for x in vectors:
+        xg = [sum(x[i] * g2[i][j] for i in range(n)) for j in range(n)]
+        for y in vectors:
+            p = sum(a * b for a, b in zip(xg, y))
+            hist[p] = hist.get(p, 0) + 1
+    return hist
+
+
+@st.composite
+def gram_lattices(draw, max_rank=4):
+    """G = B B^T for a random nonsingular integer matrix B."""
+    n = draw(st.integers(1, max_rank))
+    b = [[draw(st.integers(1, 3) if i == j else st.integers(-3, 3))
+          for j in range(n)] for i in range(n)]
+    assume(round(np.linalg.det(np.array(b, dtype=float))) != 0)
+    gram = tuple(tuple(F(sum(b[i][k] * b[j][k] for k in range(n)))
+                       for j in range(n)) for i in range(n))
+    return Lattice(gram, "random")
 
 
 def wallis_moment(n, k):
@@ -192,9 +280,79 @@ def test_huge_gram_entries_stay_exact():
         s ** 4 * zonal_shell_sum(z2, unit, 4, (1, 0)) != 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(gram_lattices(), st.integers(0, 40))
+def test_search_matches_the_depth_first_oracle(lat, bound2):
+    cands = [tuple(r) for chunk in _search_candidates(lat.gram, bound2, 10**9)
+             for r in chunk.tolist()]
+    assert cands == dfs_candidates(lat.gram, bound2)
+    assert _vectors_by_doubled_norm(lat, bound2, 10**9) == dfs_shells(lat, bound2)
+
+
+@pytest.mark.parametrize("chunk", [7, lattices._CHUNK])
+def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
+    # a tiny chunk splits and regroups the frontier at every level
+    monkeypatch.setattr(lattices, "_CHUNK", chunk)
+    d16 = construction_a(d16_plus(), "d16plus")
+    for lat, bound2 in ((lattice_e8(), 8), (d16, 4), (lattice_zn(6), 8)):
+        cands = [tuple(r) for c in _search_candidates(lat.gram, bound2, 10**9)
+                 for r in c.tolist()]
+        assert cands == dfs_candidates(lat.gram, bound2)
+        assert _vectors_by_doubled_norm.__wrapped__(lat, bound2, 10**9) == \
+            dfs_shells(lat, bound2)
+
+
 def test_shell_cap_enforced():
     with pytest.raises(CapExceededError):
         shell_enum(lattice_zn(2), 25, cap=5)
+
+
+def test_cap_boundaries():
+    e8 = lattice_e8()
+    assert shell_sizes_up_to(e8, 4, cap=2160)[F(4)] == 2160
+    with pytest.raises(CapExceededError, match="has 2160 > cap 2159"):
+        shell_sizes_up_to(e8, 4, cap=2159)
+    # of several shells over the cap, the first one met in the search
+    # (top coordinate first, so (0, -5) of norm 25) is reported
+    with pytest.raises(CapExceededError, match="norm 50 has 12 > cap 7"):
+        shell_sizes_up_to(lattice_zn(2), 25, cap=7)
+    # the candidate rule: more than 4*cap + 64 leaves refuse in the search
+    z3 = lattice_zn(3)
+    count = len(dfs_candidates(z3.gram, 20))
+    cap = -(-(count - 64) // 4)             # smallest cap with 4*cap+64 >= count
+    assert sum(len(c) for c in _search_candidates(z3.gram, 20, cap)) == count
+    with pytest.raises(CapExceededError, match="search exceeded"):
+        list(_search_candidates(z3.gram, 20, cap - 1))
+
+
+@pytest.mark.parametrize("block", [lattices._PAIR_BLOCK, 1000])
+def test_pair_histogram_matches_brute_force(monkeypatch, block):
+    # a small block cuts the products into many row blocks
+    monkeypatch.setattr(lattices, "_PAIR_BLOCK", block)
+    z2 = lattice_zn(2)
+    big = Lattice(((F(2 ** 52), F(0)), (F(0), F(2 ** 52))))   # int64 route
+    cases = [(z2, 5), (z2, 25), (lattice_a2(), 14), (lattice_zn(3), 3),
+             (lattice_e8(), 2), (big, 2 ** 52)]
+    for lat, norm in cases:
+        sh = shell_enum(lat, norm)
+        assert _pair_histogram(sh) == brute_pair_histogram(lat, sh.vectors)
+
+
+def test_antipodality_guard_runs_under_optimize():
+    script = (
+        "import designlab.lattices as L\n"
+        "from designlab.errors import InternalCheckError\n"
+        "L._vectors_by_doubled_norm = lambda *a: {2: ((0, 1), (1, 0))}\n"
+        "try:\n"
+        "    L.shell_enum(L.lattice_zn(2), 1)\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          timeout=120)
+    assert done.returncode == 0
 
 
 def test_worker_partitioning_changes_nothing():

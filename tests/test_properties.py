@@ -10,15 +10,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlab.codes import (codewords, d16_plus, delsarte_design_check,
                              design_lambda, direct_sum, golay_g24, hamming_e8,
                              harm_basis, harmonic_weight_enumerator, shell,
                              weight_distribution)
-from designlab.lattices import (constant_poly, construction_a, determinant,
-                                harmonic_theta, is_even, is_harmonic,
-                                lattice_a2, lattice_e8, lattice_zn,
-                                moment_design_test, shell_enum,
+from designlab.lattices import (Lattice, constant_poly, construction_a,
+                                determinant, harmonic_theta, is_even,
+                                is_harmonic, lattice_a2, lattice_e8,
+                                lattice_zn, moment_design_test, shell_enum,
                                 shell_sizes_up_to, spherical_T_design_report,
                                 zonal_harmonic)
 from designlab.modforms import (eisenstein, eta_quotient, mf_basis, mf_dim,
@@ -128,6 +130,32 @@ def test_theta_coefficients_are_shell_sizes():
         for norm in range(9):
             expect = sizes.get(Fraction(norm), 0) + (1 if norm == 0 else 0)
             assert theta[norm] == expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["Z3", "A2", "E8"]), st.data())
+def test_shell_sizes_survive_a_change_of_basis(name, data):
+    """A random GL_n(Z) matrix U turns G into U G U^T, the same lattice
+    in another basis: the search runs on other LDL data, but every shell
+    keeps its size."""
+    lat = {"Z3": lattice_zn(3), "A2": lattice_a2(), "E8": lattice_e8()}[name]
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(index), data.draw(index)
+        k = data.draw(st.integers(-2, 2))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    g = lat.gram
+    gram = tuple(tuple(sum(u[i][a] * g[a][b] * u[j][b]
+                           for a in range(n) for b in range(n))
+                       for j in range(n)) for i in range(n))
+    max_norm = 6 if n == 8 else 12
+    assert shell_sizes_up_to(Lattice(gram, "moved"), max_norm) == \
+        shell_sizes_up_to(lat, max_norm)
 
 
 def test_rank8_even_shell_sizes_are_divisor_sums():
