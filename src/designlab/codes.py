@@ -9,8 +9,10 @@ function
 
 lies in the kernel of the boundary map gamma, and the pair systems read off
 standard two-row Young tableaux give exactly dim = C(n,k) - C(n,k-1) of them,
-a basis.  Sums of f-tilde over word supports then reduce to integer products,
-which is what makes exact Delsarte-style checks cheap.
+a basis, built and certified in ker gamma as arrays; elements store only
+their pairs.  Sums of f-tilde over word supports are products of factors in
+{-1, 0, 1}, exact in one int8 kernel, which makes Delsarte-style checks
+cheap.  Lambda counting sorts one bitmask per covered t-subset.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 import numpy as np
 
 from ._fixtures import fixture_path
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalCheckError
 
 __all__ = [
     "BinaryCode", "BlockFamily", "DiscreteHarmonic",
@@ -112,7 +114,8 @@ def code_from_generator(rows: list[str], name: str = "") -> BinaryCode:
 
 
 @functools.lru_cache(maxsize=None)
-def _codewords(code: BinaryCode) -> tuple[int, ...]:
+def codewords(code: BinaryCode) -> tuple[int, ...]:
+    """All 2^k codewords as bitmasks (Gray-code order, cached)."""
     if code.k > WORD_CAP_LOG2:
         raise CapExceededError(
             f"2^{code.k} codewords exceed the enumeration cap")
@@ -122,11 +125,6 @@ def _codewords(code: BinaryCode) -> tuple[int, ...]:
         w ^= code.gens[(i & -i).bit_length() - 1]
         words[i] = w
     return tuple(words)
-
-
-def codewords(code: BinaryCode) -> tuple[int, ...]:
-    """All 2^k codewords as bitmasks (Gray-code order, cached)."""
-    return _codewords(code)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -197,6 +195,54 @@ def min_weight(code: BinaryCode) -> int:
 # block families and brute-force design counting
 # ---------------------------------------------------------------------------
 
+def _mask_dtype(bits: int) -> np.dtype:
+    """int64 for masks below 2^bits while bits <= 62, else Python ints."""
+    return np.dtype(np.int64) if bits <= 62 else np.dtype(object)
+
+
+def _bits(points: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """1 << p for every entry p of an index array, in ``dtype``."""
+    return np.left_shift(np.array(1, dtype), points.astype(dtype))
+
+
+def _rows(tuples, t: int) -> np.ndarray:
+    """An iterable of t-tuples of indices as a table, one row each."""
+    return np.fromiter(itertools.chain.from_iterable(tuples),
+                       dtype=np.intp).reshape(-1, t)
+
+
+def _subset_masks(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """OR of bits[..., idx[:, i]] over the columns i of an index table."""
+    out = bits.take(idx[:, 0], axis=-1)
+    for i in range(1, idx.shape[1]):
+        out |= bits.take(idx[:, i], axis=-1)
+    return out
+
+
+_SCAN = 1 << 16             # masks per chunk of a scan
+
+
+def _points(masks, n: int) -> np.ndarray:
+    """Transposed incidence, points x masks: row p holds [p in u] as int8."""
+    arr = np.array(masks, dtype=_mask_dtype(n))
+    out = np.empty((n, len(arr)), dtype=np.int8)
+    shifts = np.arange(n, dtype=arr.dtype)[:, None]
+    for lo in range(0, len(arr), _SCAN):
+        out[:, lo:lo + _SCAN] = arr[lo:lo + _SCAN] >> shifts & 1
+    return out
+
+
+def _first_member(masks: np.ndarray, keys: np.ndarray, member: bool = True):
+    """Index of the first mask in (member=False: not in) the sorted keys."""
+    for lo in range(0, len(masks), _SCAN):
+        chunk = masks[lo:lo + _SCAN]
+        pos = np.minimum(keys.searchsorted(chunk), len(keys) - 1)
+        hit = (keys[pos] == chunk) == member
+        if hit.any():
+            return lo + int(hit.argmax())
+    return None
+
+
 @dataclass(frozen=True)
 class BlockFamily:
     """A family of distinct subsets of an n-set, stored as bitmasks."""
@@ -204,14 +250,18 @@ class BlockFamily:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(set(self.blocks)) == len(self.blocks), "blocks repeat"
+        if len(set(self.blocks)) != len(self.blocks):
+            raise ValueError("blocks repeat")
+        if any(b < 0 or b >> self.n for b in self.blocks):
+            raise ValueError(f"a block is not a subset of range({self.n})")
 
     @property
     def block_sizes(self) -> frozenset[int]:
         return frozenset(b.bit_count() for b in self.blocks)
 
     def union(self, other: "BlockFamily") -> "BlockFamily":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"families on {self.n} and {other.n} points")
         return BlockFamily(self.n, self.blocks + other.blocks)
 
 
@@ -232,8 +282,12 @@ def design_lambda(family: BlockFamily, t: int,
                   allow_mixed: bool = False) -> LambdaResult:
     """Brute-force t-design check: count blocks over every t-subset.
 
-    Returns the common count lambda, or a witness pair of t-subsets with
-    different counts.  Mixed block sizes must be requested explicitly.
+    The covered t-subsets are listed as bitmasks, block by block and each
+    block's in lexicographic order, and counted by one sort.  Returns the
+    common count lambda, or a witness pair with different counts: the first
+    listed subsets with the least and the largest count, or the
+    lexicographically first uncovered subset in place of the least.  Mixed
+    block sizes must be requested explicitly.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
@@ -241,26 +295,45 @@ def design_lambda(family: BlockFamily, t: int,
         raise ValueError("mixed block sizes; pass allow_mixed=True")
     if t == 0:
         return LambdaResult(True, len(family.blocks), None)
-    counts: dict[tuple[int, ...], int] = {}
-    for b in family.blocks:
-        support = [i for i in range(family.n) if b >> i & 1]
-        for sub in itertools.combinations(support, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    total = comb(family.n, t)
-    if not counts:
+    n, dt = family.n, _mask_dtype(family.n)
+    sizes = [b.bit_count() for b in family.blocks]
+    width = max(sizes, default=0)
+    if width < t:
         return LambdaResult(True, 0, None)
-    values = set(counts.values())
-    if len(values) == 1 and len(counts) == total:
-        return LambdaResult(True, values.pop(), None)
-    # produce a concrete unequal pair
-    lo = min(counts, key=counts.get)
-    hi = max(counts, key=counts.get)
-    if len(counts) < total:  # some t-subset is covered zero times
-        covered = set(counts)
-        for sub in itertools.combinations(range(family.n), t):
-            if sub not in covered:
-                return LambdaResult(False, None, (sub, 0, hi, counts[hi]))
-    return LambdaResult(False, None, (lo, counts[lo], hi, counts[hi]))
+    sizes = np.array(sizes)
+    support = (-_points(family.blocks, n).T).argsort(axis=1, kind="stable")
+    bits = np.where(np.arange(width) < sizes[:, None],
+                    _bits(support[:, :width], dt), 0)
+    idx = _rows(itertools.combinations(range(width), t), t)
+    # a combination fits a block of w points when its last index is below w
+    masks = _subset_masks(bits, idx)[idx[:, -1] < sizes[:, None]]
+    ordered = masks.copy()
+    ordered.sort()
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = starts.nonzero()[0]
+    keys = ordered[starts]
+    counts = np.concatenate((starts[1:], [len(ordered)])) - starts
+    least, most, total = int(counts.min()), int(counts.max()), comb(n, t)
+    if least == most and len(keys) == total:
+        return LambdaResult(True, least, None)
+
+    def first(count) -> tuple[int, ...]:
+        m = int(masks[_first_member(masks, keys[counts == count])])
+        return tuple(i for i in range(n) if m >> i & 1)
+
+    if len(keys) == total:
+        return LambdaResult(False, None, (first(least), least,
+                                          first(most), most))
+    # some t-subset is covered zero times: the first one in order
+    combos = itertools.combinations(range(n), t)
+    point_bits = _bits(np.arange(n), dt)
+    for _ in range(0, total, _SCAN):
+        sub = _rows(itertools.islice(combos, _SCAN), t)
+        miss = _first_member(_subset_masks(point_bits, sub), keys, False)
+        if miss is not None:
+            return LambdaResult(False, None, (tuple(sub[miss].tolist()), 0,
+                                              first(most), most))
+    raise InternalCheckError("no uncovered t-subset although one is missing")
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +345,25 @@ class DiscreteHarmonic:
     """An element of Harm_k: a function on k-subsets killed by gamma.
 
     ``pairs`` is set for difference products and enables O(k) evaluation of
-    the induced f-tilde; ``values`` is the explicit sparse table.
+    the induced f-tilde; ``values`` is the explicit sparse table (``table``,
+    or built from the pairs on first access).
     """
     n: int
     degree: int
-    values: tuple[tuple[int, Fraction], ...]
+    table: tuple[tuple[int, Fraction], ...] | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
+
+    @functools.cached_property
+    def values(self) -> tuple[tuple[int, Fraction], ...]:
+        if self.table is not None:
+            return self.table
+        vals = []
+        for bits in range(1 << len(self.pairs)):
+            mask = 0
+            for i, (a, b) in enumerate(self.pairs):
+                mask |= 1 << (a if bits >> i & 1 else b)
+            vals.append((mask, Fraction(-1) ** bits.bit_count()))
+        return tuple(vals)
 
     def tilde(self, mask: int) -> Fraction:
         """f-tilde(u) = sum of f over k-subsets of u."""
@@ -314,15 +400,47 @@ def harm_dim(n: int, k: int) -> int:
     return max(0, comb(n, k) - comb(n, k - 1))
 
 
+def _tableau_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair systems (a, b): b holds the rows c of combinations(range(n), k)
+    with c_i >= 2i+1, a the k smallest points outside each (all below 2k)."""
+    b = _rows(itertools.combinations(range(n), k), k)
+    b = b[(b >= 2 * np.arange(k) + 1).all(axis=1)]
+    member = np.zeros((len(b), 2 * k + 1), dtype=bool)
+    np.put_along_axis(member, np.minimum(b, 2 * k), True, axis=1)
+    a = np.argsort(member[:, :2 * k], axis=1, kind="stable")[:, :k]
+    return a, b
+
+
+def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
+    """Whether gamma kills the +-1 table (``values``) of each pair system.
+
+    Entry z of row r goes to the keys (r, z minus one of its points); the
+    sums vanish iff the sorted keys of + and of - entries are equal.
+    """
+    rows, k = a.shape
+    takes_a = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+    even = takes_a.sum(axis=1) % 2 == 0
+    pts = np.where(takes_a, a[:, None, :], b[:, None, :])
+    dt = _mask_dtype(n + rows.bit_length())
+    bits = _bits(pts, dt)
+    z = np.bitwise_or.reduce(bits, axis=2)
+    repeated = ((pts[..., :, None] == pts[..., None, :])
+                & np.tri(k, k, -1, dtype=bool)).any(axis=3)
+    keys = np.arange(rows, dtype=dt)[:, None, None] << n | z[..., None] ^ bits
+    plus = np.broadcast_to(even[:, None], keys.shape)
+    return np.array_equal(np.sort(keys[plus & ~repeated]),
+                          np.sort(keys[~plus & ~repeated]))
+
+
 @functools.lru_cache(maxsize=32)
 def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic, ...]:
     """Difference-product basis of Harm_k from standard two-row tableaux.
 
     Pair systems are the columns of standard Young tableaux of shape
     (n-k, k): second rows c_0 < ... < c_{k-1} with c_i >= 2i+1, each paired
-    with the matching order statistic of the complement.  Every element is
-    certified in ker gamma: exhaustively when the basis is small, otherwise
-    by the defining disjointness plus an exhaustive check of a random sample.
+    with the matching order statistic of the complement.  One batched exact
+    check certifies them in ker gamma: all when the basis is small, else
+    every system's disjointness and the gamma of a seeded sample.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -330,91 +448,68 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
         raise CapExceededError(f"C({n},{k}) exceeds cap {cap}")
     if k == 0:
         return (DiscreteHarmonic(n, 0, ((0, Fraction(1)),)),)
-    out = []
-    for second in itertools.combinations(range(n), k):
-        if any(c < 2 * i + 1 for i, c in enumerate(second)):
-            continue
-        in_second = set(second)
-        complement = [x for x in range(n) if x not in in_second]
-        pairs = tuple((complement[i], second[i]) for i in range(k))
-        vals = []
-        for bits in range(1 << k):
-            mask = 0
-            for i, (a, b) in enumerate(pairs):
-                mask |= 1 << (a if bits >> i & 1 else b)
-            sign = Fraction(-1 if bin(bits).count("1") % 2 else 1)
-            vals.append((mask, sign))
-        out.append(DiscreteHarmonic(n, k, tuple(vals), pairs))
-    assert len(out) == harm_dim(n, k), "tableau count mismatch"
+    a, b = _tableau_pairs(n, k)
+    if len(b) != harm_dim(n, k):
+        raise InternalCheckError("tableau count mismatch")
     # certification
-    ops = len(out) * (1 << k) * k
+    ops = len(b) * (1 << k) * k
     if ops <= GAMMA_APPLY_LIMIT:
-        sample = out
+        sample = np.arange(len(b))
     else:
         rng = random.Random(854123 + 31 * n + k)
-        sample = rng.sample(out, min(len(out), 500))
-        for f in out:
-            flat = [x for ab in f.pairs for x in ab]
-            assert len(set(flat)) == 2 * k, "pair system must be disjoint"
-    for f in sample:
-        assert f.gamma_is_zero(), "difference product escaped ker gamma"
-    return tuple(out)
+        sample = np.array(rng.sample(range(len(b)), min(len(b), 500)))
+        flat = np.sort(np.concatenate([a, b], axis=1), axis=1)
+        if (flat[:, 1:] == flat[:, :-1]).any():
+            raise InternalCheckError("pair system must be disjoint")
+    if not _gamma_vanishes(a[sample], b[sample], n):
+        raise InternalCheckError("difference product escaped ker gamma")
+    return tuple(DiscreteHarmonic(n, k, None, tuple(zip(ra, rb)))
+                 for ra, rb in zip(a.tolist(), b.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # batch evaluation of harmonic sums
 # ---------------------------------------------------------------------------
 
-def _incidence(masks: tuple[int, ...], n: int) -> np.ndarray:
-    rows = len(masks)
-    inb = np.zeros((rows, n), dtype=np.int8)
-    for r, m in enumerate(masks):
-        while m:
-            low = m & -m
-            inb[r, low.bit_length() - 1] = 1
-            m ^= low
-    return inb
+_KERNEL_CELLS = 1 << 22     # int8 cells per chunk of the product table
 
 
-def _pair_arrays(basis) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([[p[0] for p in f.pairs] for f in basis], dtype=np.int64)
-    b = np.array([[p[1] for p in f.pairs] for f in basis], dtype=np.int64)
-    return a, b
+def _tilde_sums(basis, points: np.ndarray) -> np.ndarray:
+    """Sum of f-tilde over the masks of ``points`` (``_points``), per f:
+    products of factors [b_i in u] - [a_i in u] in {-1, 0, 1}, exact in
+    int8, summed in int64."""
+    pairs = np.array([f.pairs for f in basis], dtype=np.intp)
+    a, b = pairs[:, :, 0], pairs[:, :, 1]
+    out = np.empty(len(basis), dtype=np.int64)
+    step = max(1, _KERNEL_CELLS // max(1, points.shape[1]))
+    for lo in range(0, len(basis), step):
+        sa, sb = a[lo:lo + step], b[lo:lo + step]
+        prod = points[sb[:, 0]] - points[sa[:, 0]]
+        for i in range(1, a.shape[1]):
+            prod *= points[sb[:, i]] - points[sa[:, i]]
+        out[lo:lo + step] = prod.sum(axis=1, dtype=np.int64)
+    return out
 
 
 def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
-    """Exact sums over the family of f-tilde, one per basis element.
-
-    Difference products evaluate to small integers, so the whole computation
-    runs on integer arrays; results are exact.
-    """
-    if not basis:
-        return []
-    if not family.blocks:
-        return [0] * len(basis)
-    if any(f.pairs is None for f in basis):
+    """Exact sums over the family of f-tilde, one per basis element."""
+    if not basis or any(f.pairs is None for f in basis):
         return [sum(f.tilde(m) for m in family.blocks) for f in basis]
-    inb = _incidence(family.blocks, family.n)
-    a_all, b_all = _pair_arrays(basis)
-    k = a_all.shape[1]
-    sums: list[int] = []
-    chunk = max(1, 4_000_000 // max(1, len(family.blocks)))
-    for lo in range(0, len(basis), chunk):
-        a, b = a_all[lo:lo + chunk], b_all[lo:lo + chunk]
-        prod = np.ones((inb.shape[0], a.shape[0]), dtype=np.int64)
-        for i in range(k):
-            prod *= inb[:, b[:, i]].astype(np.int64) - inb[:, a[:, i]]
-        sums.extend(int(s) for s in prod.sum(axis=0))
-    return sums
+    return _tilde_sums(basis, _points(family.blocks, family.n)).tolist()
 
 
 def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
     """Harmonic-sum criterion per degree: zero sums across a Harm_j basis.
 
-    Returns {j: (passes, witness basis index or None)}.
+    Returns {j: (passes, witness basis index or None)}.  An over-cap
+    degree is requested first, so it is refused before any other work.
     """
+    degrees = sorted(set(degrees))
+    over = [j for j in degrees if comb(family.n, j) > TABLEAU_CAP]
+    if over:
+        harm_basis(family.n, over[0])
     out = {}
-    for j in sorted(set(degrees)):
+    for j in degrees:
         if j == 0:
             out[j] = (True, None)
             continue
@@ -456,42 +551,21 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
 
 def harmonic_weight_enumerator(code: BinaryCode, f: DiscreteHarmonic) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_n with c_w = sum of f-tilde over weight-w words."""
-    words = codewords(code)
-    out = [Fraction(0)] * (code.n + 1)
     if f.pairs is not None:
-        inb = _incidence(words, code.n)
-        vec = np.ones(len(words), dtype=np.int64)
-        for a, b in f.pairs:
-            vec *= inb[:, b].astype(np.int64) - inb[:, a]
-        weights = inb.sum(axis=1)
-        for w in range(code.n + 1):
-            sel = weights == w
-            if sel.any():
-                out[w] = Fraction(int(vec[sel].sum()))
-    else:
-        for c in words:
-            out[c.bit_count()] += f.tilde(c)
+        return tuple(Fraction(c) for c in _hwe_batch(code, (f,))[0].tolist())
+    out = [Fraction(0)] * (code.n + 1)
+    for c in codewords(code):
+        out[c.bit_count()] += f.tilde(c)
     return tuple(out)
 
 
 def _hwe_batch(code: BinaryCode, basis) -> np.ndarray:
     """Stacked harmonic weight enumerators, one row per basis element."""
-    words = codewords(code)
-    inb = _incidence(words, code.n)
-    weights = inb.sum(axis=1)
-    a_all, b_all = _pair_arrays(basis)
-    k = a_all.shape[1]
+    points = _points(codewords(code), code.n)
+    weights = points.sum(axis=0)
     out = np.zeros((len(basis), code.n + 1), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, len(words)))
-    for lo in range(0, len(basis), chunk):
-        a, b = a_all[lo:lo + chunk], b_all[lo:lo + chunk]
-        prod = np.ones((len(words), a.shape[0]), dtype=np.int64)
-        for i in range(k):
-            prod *= inb[:, b[:, i]].astype(np.int64) - inb[:, a[:, i]]
-        for w in range(code.n + 1):
-            sel = weights == w
-            if sel.any():
-                out[lo:lo + chunk, w] = prod[sel].sum(axis=0)
+    for w in np.flatnonzero(np.bincount(weights)):
+        out[:, w] = _tilde_sums(basis, points[:, weights == w])
     return out
 
 
@@ -514,26 +588,23 @@ def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,
     if k % 2 == 0:
         raise ValueError("antisymmetry concerns odd degrees")
     basis = harm_basis(code.n, k)
-    n = code.n
     if len(basis) <= basis_cap:
         table = _hwe_batch(code, basis)
-        for idx in range(table.shape[0]):
-            for i in range(n + 1):
-                if table[idx, i] + table[idx, n - i] != 0:
-                    return AntisymmetryReport("full basis", len(basis), False,
-                                              (idx, i))
+        bad = np.argwhere(table + table[:, ::-1] != 0)
+        if len(bad):
+            return AntisymmetryReport("full basis", len(basis), False,
+                                      tuple(bad[0].tolist()))
         return AntisymmetryReport("full basis", len(basis), True, None)
     rng = random.Random(seed)
     for s in range(samples):
-        picks = rng.sample(range(len(basis)), 40)
+        picks = rng.sample(range(len(basis)), min(40, len(basis)))
         coeffs = [rng.randint(-9, 9) or 1 for _ in picks]
-        sub = [basis[p] for p in picks]
-        table = _hwe_batch(code, sub)
-        combo = (np.array(coeffs, dtype=np.int64)[:, None] * table).sum(axis=0)
-        for i in range(n + 1):
-            if combo[i] + combo[n - i] != 0:
-                return AntisymmetryReport("sampled combinations", samples,
-                                          False, (s, i))
+        table = _hwe_batch(code, [basis[p] for p in picks])
+        combo = np.array(coeffs, dtype=np.int64) @ table
+        bad = np.flatnonzero(combo + combo[::-1] != 0)
+        if len(bad):
+            return AntisymmetryReport("sampled combinations", samples,
+                                      False, (s, int(bad[0])))
     return AntisymmetryReport("sampled combinations", samples, True, None)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process against main(argv)."""
 
+import gc
 import io
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import designlab
+from designlab import cli
 from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import golay_g24
@@ -66,6 +68,26 @@ def test_eta_bad_spec_rejected():
 
 
 # -- code-design -------------------------------------------------------
+
+def test_command_runs_with_older_objects_frozen(monkeypatch):
+    frozen = []
+
+    def spy(cfg, out):
+        frozen.append(gc.get_freeze_count())
+        return cli.cmd_eta(cfg, out)
+    monkeypatch.setitem(cli._COMMANDS, "eta", spy)
+    assert gc.get_freeze_count() == 0
+    run_json(["eta", "--spec", "3:8", "--prec", "5"])
+    assert frozen[-1] > 0 and gc.get_freeze_count() == 0
+    # a caller's own frozen objects are left exactly as they were
+    gc.freeze()
+    try:
+        own = gc.get_freeze_count()
+        run_json(["eta", "--spec", "3:8", "--prec", "5"])
+        assert frozen[-1] == own == gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+
 
 def test_golay_octads_5_design():
     got = run_json(["code-design", "--code", "golay24",

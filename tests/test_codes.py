@@ -1,12 +1,22 @@
 """Codes, block designs, discrete harmonics, harmonic weight enumerators."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from designlab.codes import (BlockFamily, antisymmetry_check,
+import designlab
+from designlab import codes
+from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
                              code_from_generator, code_from_rows,
                              codewords, d16_plus, delsarte_design_check,
                              design_lambda, direct_sum,
@@ -15,6 +25,7 @@ from designlab.codes import (BlockFamily, antisymmetry_check,
                              harmonic_family_sums, harmonic_weight_enumerator,
                              is_doubly_even, is_self_dual, min_weight, shell,
                              two_weight_design_check, weight_distribution)
+from designlab.errors import CapExceededError, InternalCheckError
 
 
 # -- oracles -----------------------------------------------------------------
@@ -36,6 +47,65 @@ def brute_gamma(n, k, values):
             y = z ^ (1 << drop)
             acc[y] = acc.get(y, 0) + c
     return acc
+
+
+def oracle_design_lambda(family, t, allow_mixed=False):
+    """Dict-loop lambda counting: count every t-subset of every block."""
+    if not 0 <= t <= family.n:
+        raise ValueError(f"t must lie in 0..{family.n}")
+    if not allow_mixed and len(family.block_sizes) > 1:
+        raise ValueError("mixed block sizes; pass allow_mixed=True")
+    if t == 0:
+        return LambdaResult(True, len(family.blocks), None)
+    counts = {}
+    for b in family.blocks:
+        support = [i for i in range(family.n) if b >> i & 1]
+        for sub in itertools.combinations(support, t):
+            counts[sub] = counts.get(sub, 0) + 1
+    total = comb(family.n, t)
+    if not counts:
+        return LambdaResult(True, 0, None)
+    values = set(counts.values())
+    if len(values) == 1 and len(counts) == total:
+        return LambdaResult(True, values.pop(), None)
+    lo = min(counts, key=counts.get)
+    hi = max(counts, key=counts.get)
+    if len(counts) < total:
+        for sub in itertools.combinations(range(family.n), t):
+            if sub not in counts:
+                return LambdaResult(False, None, (sub, 0, hi, counts[hi]))
+    return LambdaResult(False, None, (lo, counts[lo], hi, counts[hi]))
+
+
+def oracle_harm_pairs(n, k):
+    """Per-tableau loop: each second row c_i >= 2i+1 with the complement's
+    matching order statistics as first row."""
+    out = []
+    for second in itertools.combinations(range(n), k):
+        if any(c < 2 * i + 1 for i, c in enumerate(second)):
+            continue
+        complement = [x for x in range(n) if x not in second]
+        out.append(tuple(zip(complement, second)))
+    return out
+
+
+def oracle_values(pairs):
+    """The +-1 table of a difference product, one subset per choice."""
+    vals = []
+    for bits in range(1 << len(pairs)):
+        mask = 0
+        for i, (a, b) in enumerate(pairs):
+            mask |= 1 << (a if bits >> i & 1 else b)
+        vals.append((mask, Fraction(-1 if bin(bits).count("1") % 2 else 1)))
+    return tuple(vals)
+
+
+def run_optimized(script):
+    """Run a script under python -O; its exit status."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          timeout=120).returncode
 
 
 # -- code basics --------------------------------------------------------------
@@ -157,6 +227,63 @@ def test_design_lambda_rejects_mixed_sizes_unless_asked():
     assert res.is_design and res.lam == 759
 
 
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 12))
+    blocks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True,
+                           max_size=40))
+    return BlockFamily(n, tuple(blocks)), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_design_lambda_matches_dict_oracle(case):
+    fam, t = case
+    assert design_lambda(fam, t, allow_mixed=True) == \
+        oracle_design_lambda(fam, t, allow_mixed=True)
+
+
+def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
+    cases = [(shell(d16_plus(), 4).union(shell(d16_plus(), 12)), t)
+             for t in range(5)]
+    cases += [(shell(golay_g24(), w), t) for w in (8, 12) for t in (4, 6)]
+    rng = random.Random(62)
+    for n in (62, 63, 70):      # int64 masks, then Python-int masks
+        blocks = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
+                  for _ in range(30)}
+        cases += [(BlockFamily(n, tuple(blocks)), t) for t in (1, 2, 3)]
+    cases.append((BlockFamily(70, tuple(sum(1 << i for i in sub) for sub in
+                                        itertools.combinations(range(70), 2))),
+                  2))
+    for fam, t in cases:
+        assert design_lambda(fam, t, allow_mixed=True) == \
+            oracle_design_lambda(fam, t, allow_mixed=True), (fam.n, t)
+
+
+def test_block_family_guards():
+    with pytest.raises(ValueError):
+        BlockFamily(8, (3, 3))
+    with pytest.raises(ValueError):
+        BlockFamily(8, (1 << 8,))
+    with pytest.raises(ValueError):
+        BlockFamily(8, (-1,))
+    with pytest.raises(ValueError):
+        BlockFamily(8, (3,)).union(BlockFamily(9, (5,)))
+
+
+def test_block_family_guards_run_under_optimize():
+    script = (
+        "from designlab.codes import BlockFamily as B\n"
+        "for make in (lambda: B(8, (3, 3)), lambda: B(8, (1 << 8,)),\n"
+        "             lambda: B(8, (3,)).union(B(9, (5,)))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n")
+    assert run_optimized(script) == 0
+
+
 # -- discrete harmonics --------------------------------------------------------
 
 def test_harm_dim_formula():
@@ -182,6 +309,68 @@ def test_harm_basis_gamma_via_oracle():
         for f in basis:
             acc = brute_gamma(n, k, f.values)
             assert all(v == 0 for v in acc.values())
+
+
+def test_harm_basis_pairs_match_tableau_oracle():
+    for n in range(1, 17):
+        for k in range(1, min(n, 5) + 1):
+            basis = harm_basis(n, k)
+            assert [f.pairs for f in basis] == oracle_harm_pairs(n, k), (n, k)
+    for f in harm_basis(9, 4)[::7]:
+        assert f.values == oracle_values(f.pairs)
+
+
+def test_batched_gamma_check_matches_per_element_gamma():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n, k = rng.randint(2, 10), rng.randint(1, 4)
+        pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(k))
+        f = codes.DiscreteHarmonic(n, k, oracle_values(pairs))
+        a = np.array([[p[0] for p in pairs]])
+        b = np.array([[p[1] for p in pairs]])
+        assert codes._gamma_vanishes(a, b, n) == f.gamma_is_zero(), pairs
+        assert codes._gamma_vanishes(a, b, 70) == f.gamma_is_zero(), pairs
+
+
+TABLEAU_PAIRS = codes._tableau_pairs
+
+
+def corrupt_tableau_pairs(n, k):
+    a, b = TABLEAU_PAIRS(n, k)
+    a[-1, 0] = b[-1, -1]                # the last system reuses a point
+    return a, b
+
+
+def test_harm_basis_certification_rejects_corrupt_pair_system(monkeypatch):
+    build = harm_basis.__wrapped__      # bypass the cache
+    monkeypatch.setattr(codes, "_tableau_pairs", corrupt_tableau_pairs)
+    with pytest.raises(InternalCheckError, match="ker gamma"):
+        build(8, 3)                     # exhaustive gamma check
+    with pytest.raises(InternalCheckError, match="disjoint"):
+        build(24, 5)                    # sampled: every system's disjointness
+    monkeypatch.setattr(codes, "_tableau_pairs",
+                        lambda n, k: [x[1:] for x in TABLEAU_PAIRS(n, k)])
+    with pytest.raises(InternalCheckError, match="count"):
+        build(8, 3)
+
+
+def test_harm_basis_checks_run_under_optimize():
+    script = (
+        "import designlab.codes as C\n"
+        "from designlab.errors import InternalCheckError\n"
+        "make = C._tableau_pairs\n"
+        "def corrupt(n, k):\n"
+        "    a, b = make(n, k)\n"
+        "    a[-1, 0] = b[-1, -1]\n"
+        "    return a, b\n"
+        "C._tableau_pairs = corrupt\n"
+        "for n, k in ((8, 3), (24, 5)):\n"
+        "    try:\n"
+        "        C.harm_basis(n, k)\n"
+        "    except InternalCheckError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n")
+    assert run_optimized(script) == 0
 
 
 def test_harm_basis_is_independent_mod_p():
@@ -229,6 +418,46 @@ def test_harmonic_family_sums_matches_per_element():
     sums = harmonic_family_sums(basis, fam)
     for f, s in zip(basis, sums):
         assert s == sum(f.tilde(b) for b in fam.blocks)
+
+
+def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
+    rng = random.Random(24)
+    union = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
+    part = BlockFamily(24, tuple(rng.sample(union.blocks, 300)))
+    sample = rng.sample(harm_basis(24, 5), 12)
+    for fam in (union, part):
+        sums = harmonic_family_sums(sample, fam)
+        assert sums == [sum(f.tilde(b) for b in fam.blocks) for f in sample]
+    assert any(sums)                    # a random part is no 5-design
+    assert not any(harmonic_family_sums(harm_basis(24, 5), union))
+    # sums far outside int8: dodecads through point 1 that miss point 0
+    lopsided = BlockFamily(24, tuple(b for b in shell(golay_g24(), 12).blocks
+                                     if b & 0b11 == 0b10))
+    basis = harm_basis(24, 1)
+    sums = harmonic_family_sums(basis, lopsided)
+    assert sums == [sum(f.tilde(b) for b in lopsided.blocks) for f in basis]
+    assert sums[0] == len(lopsided.blocks) > 600
+
+
+def test_delsarte_refuses_over_cap_degree_first(monkeypatch):
+    fam = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
+    asked, build = [], codes.harm_basis
+
+    def spy(n, k, *cap):
+        asked.append(k)
+        return build(n, k, *cap)    # the refusal is raised in harm_basis
+
+    def no_sums(basis, family):
+        raise AssertionError("summed a basis before the refusal")
+    monkeypatch.setattr(codes, "harm_basis", spy)
+    monkeypatch.setattr(codes, "harmonic_family_sums", no_sums)
+    with pytest.raises(CapExceededError,
+                       match=r"C\(24,6\) exceeds cap 100000"):
+        delsarte_design_check(fam, [1, 2, 3, 4, 5, 6, 7])
+    assert asked == [6]
+    monkeypatch.undo()
+    checks = delsarte_design_check(shell(hamming_e8(), 4), [3, 1, 2])
+    assert list(checks) == [1, 2, 3]
 
 
 def test_delsarte_agrees_with_brute_force_on_random_families():
@@ -313,6 +542,10 @@ def test_antisymmetry_full_basis_modes():
 
 def test_antisymmetry_sampled_mode_for_large_basis():
     rep = antisymmetry_check(golay_g24(), 5, basis_cap=1000, samples=5)
+    assert rep.mode == "sampled combinations"
+    assert rep.ok
+    # fewer basis elements than the 40 a combination draws
+    rep = antisymmetry_check(hamming_e8(), 3, basis_cap=10)
     assert rep.mode == "sampled combinations"
     assert rep.ok
 
