@@ -471,23 +471,28 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
 # batch evaluation of harmonic sums
 # ---------------------------------------------------------------------------
 
-_KERNEL_CELLS = 1 << 22     # int8 cells per chunk of the product table
+_KERNEL_CELLS = 1 << 20     # int8 cells per chunk of the product table
 
 
 def _tilde_sums(basis, points: np.ndarray) -> np.ndarray:
     """Sum of f-tilde over the masks of ``points`` (``_points``), per f:
     products of factors [b_i in u] - [a_i in u] in {-1, 0, 1}, exact in
-    int8, summed in int64."""
+    int8, summed in int64.  The chunks reuse buffers allocated once per
+    call, so its page faults do not depend on what earlier calls freed."""
     pairs = np.array([f.pairs for f in basis], dtype=np.intp)
     a, b = pairs[:, :, 0], pairs[:, :, 1]
     out = np.empty(len(basis), dtype=np.int64)
-    step = max(1, _KERNEL_CELLS // max(1, points.shape[1]))
+    step = max(1, min(len(basis), _KERNEL_CELLS // max(1, points.shape[1])))
+    bufs = np.empty((3, step, points.shape[1]), dtype=np.int8)
     for lo in range(0, len(basis), step):
-        sa, sb = a[lo:lo + step], b[lo:lo + step]
-        prod = points[sb[:, 0]] - points[sa[:, 0]]
-        for i in range(1, a.shape[1]):
-            prod *= points[sb[:, i]] - points[sa[:, i]]
-        out[lo:lo + step] = prod.sum(axis=1, dtype=np.int64)
+        hi = min(lo + step, len(basis))
+        prod, ins, outs = bufs[:, :hi - lo]
+        prod.fill(1)
+        for i in range(a.shape[1]):
+            np.take(points, b[lo:hi, i], axis=0, out=ins, mode="clip")
+            np.take(points, a[lo:hi, i], axis=0, out=outs, mode="clip")
+            prod *= np.subtract(ins, outs, out=ins)
+        out[lo:hi] = prod.sum(axis=1, dtype=np.int64)
     return out
 
 
