@@ -25,10 +25,11 @@ from .lattices import (Lattice, constant_poly, construction_a, determinant,
                        gram_from_text, harmonic_theta, is_even, lattice_a2,
                        lattice_e8, lattice_zn, moment_design_test,
                        prefix_strength, shell_enum, spherical_T_design_report,
-                       theta_membership_check, zonal_harmonic_coords)
-from .modforms import eta_quotient, mf_basis, mf_dim
+                       theta_directions, theta_fit_norm, theta_membership_check,
+                       zonal_harmonic_coords, zonal_theta_fits)
+from .modforms import eta_quotient
 from .qseries import QSeries
-from .voa import remark4_series, strength_at
+from .voa import modular_obstruction, remark4_series, strength_at
 
 SCHEMA = "v1"
 
@@ -260,14 +261,6 @@ def cmd_lattice_design(cfg: RunConfig, out):
     return payload, text
 
 
-def _theta_directions(rank: int) -> list[tuple[int, ...]]:
-    rows = range(rank) if rank <= 8 else (0, rank // 2, rank - 1)
-    dirs = [tuple(int(i == r) for i in range(rank)) for r in rows]
-    dirs.append((1,) * rank)
-    dirs.append(tuple((i % 3) - 1 for i in range(rank)))
-    return dirs
-
-
 def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     """Per-degree verdicts via modular membership of weighted thetas.
 
@@ -275,7 +268,7 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     by antipodality.  For an even degree the weighted theta is a cusp form
     of weight rank/2 + degree: when that cusp space is zero the verdict is
     a proof covering every harmonic of the degree; otherwise the zonal
-    theta is fitted for a family of directions and its coefficient at the
+    theta is fitted along ``theta_directions`` and its coefficient at the
     target norm is read off each fitted form.  A zero there means no
     obstruction along the tested directions; a nonzero disproves.
     """
@@ -287,43 +280,29 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     if a.prec_norm < 0:
         raise UsageError("--prec-norm must be nonnegative")
     prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
-    # a fit in M_k reads the enumerated coefficients up to q^(prec_norm // 2)
-    # and needs one more than dim M_k to cross-check itself
-    dims = [mf_dim(lat.rank // 2 + j) for j in range(2, t + 1, 2)]
-    needed = max((d for d in dims if d > 1), default=0)
-    if prec_norm // 2 + 1 <= needed:
+    fitted = [j for j in range(2, t + 1, 2)
+              if not modular_obstruction(lat.rank, j).forced]
+    needed = max((theta_fit_norm(lat.rank, j) for j in fitted), default=0)
+    if prec_norm < needed:
         raise UsageError(f"--prec-norm {prec_norm} is too shallow for the "
                          f"theta fits up to degree {t}; use at least "
-                         f"{2 * needed}")
+                         f"{needed}")
     target = int(norm) // 2
-    dirs = _theta_directions(lat.rank)
+    prec = max(target, needed)          # rebuild the fitted forms through here
+    dirs = theta_directions(lat.rank)
     per: dict[int, bool] = {}
     modes: dict[int, str] = {}
     for j in range(1, t + 1):
         if j % 2:
             per[j], modes[j] = True, "antipodal"
             continue
-        weight = lat.rank // 2 + j
-        if mf_dim(weight) - 1 == 0:
-            # the weighted theta is cuspidal and the cusp space is zero,
-            # for every harmonic of this degree
+        if j not in fitted:
             per[j], modes[j] = True, "cusp space zero"
             continue
-        space = mf_basis(weight, max(target, mf_dim(weight) + 2))
-        ok = True
-        for u in dirs:
-            rep = theta_membership_check(lat, zonal_harmonic_coords(lat, j, u),
-                                         prec_norm=prec_norm,
-                                         workers=cfg.workers)
-            if not rep.fit_ok:
-                raise DesignLabError("theta fit failed at degree "
-                                     f"{j}: enumeration too shallow")
-            form = space.element(rep.coords)
-            if form[target - form.offset24 // 24] != 0:
-                ok = False
-                break
-        per[j] = ok
-        modes[j] = (f"fit along {len(dirs)} directions" if ok
+        per[j] = all(form[target - form.offset24 // 24] == 0
+                     for _, _, form in zonal_theta_fits(
+                         lat, j, prec_norm, prec, dirs, workers=cfg.workers))
+        modes[j] = (f"fit along {len(dirs)} directions" if per[j]
                     else "nonzero fitted coefficient")
     strength = prefix_strength(per)
     payload = {"schema": SCHEMA, "command": "lattice-design",
@@ -539,8 +518,11 @@ def main(argv=None, out=sys.stdout) -> int:
             gc.unfreeze()
 
 
+_PARSER = build_parser()
+
+
 def _run(argv, out) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     workers = args.workers if args.workers > 0 else default_workers()
     cfg = RunConfig(args.command, args.fmt, workers, args)
     try:

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._fixtures import fixture_path
 from .errors import CapExceededError, InternalCheckError
+from .qseries import _int_convolve
 
 __all__ = [
     "BinaryCode", "BlockFamily", "DiscreteHarmonic",
@@ -618,12 +619,7 @@ def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,
 # ---------------------------------------------------------------------------
 
 def _conv(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return out
+    return _int_convolve(p, q, len(p) + len(q) - 1)
 
 
 def _bachoc_polynomials() -> dict[int, list[int]]:

@@ -32,7 +32,7 @@ import numpy as np
 from ._fixtures import fixture_path
 from .codes import BinaryCode, is_doubly_even, is_self_dual
 from .errors import CapExceededError, InternalCheckError
-from .modforms import fit_in_space, mf_basis
+from .modforms import fit_in_space, mf_basis, mf_dim
 from .qseries import QSeries
 
 __all__ = [
@@ -45,7 +45,8 @@ __all__ = [
     "laplacian", "is_harmonic", "zonal_coeffs", "zonal_harmonic",
     "zonal_harmonic_coords", "zonal_shell_sum", "constant_poly",
     "harmonic_theta", "to_modular_q", "theta_membership_check",
-    "MembershipReport",
+    "MembershipReport", "theta_directions", "theta_fit_norm",
+    "zonal_theta_fits",
 ]
 
 SHELL_CAP = 1_000_000       # refuse to enumerate larger shells
@@ -733,7 +734,9 @@ def zonal_harmonic(n: int, k: int, direction) -> HarmonicPolynomial:
             total[e] = total.get(e, Fraction(0)) + c * v
     terms = tuple(sorted((e, v) for e, v in total.items() if v != 0))
     p = HarmonicPolynomial(n, k, terms, ZonalData(u, cs, un2, False))
-    assert is_harmonic(p), "zonal construction failed its own postcondition"
+    if not is_harmonic(p):
+        raise InternalCheckError(
+            "zonal construction failed its own postcondition")
     return p
 
 
@@ -872,14 +875,49 @@ def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
                          "lattice")
     if p.degree % 2:
         raise ValueError("harmonic degree must be even here")
+    if prec_norm < theta_fit_norm(lat.rank, p.degree):
+        raise ValueError("not enough theta coefficients for a meaningful fit")
     weight = lat.rank // 2 + p.degree
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
     space = mf_basis(weight, ltop)
-    margin = ltop + 1 - space.dim
-    if margin < 1:
-        raise ValueError("not enough theta coefficients for a meaningful fit")
-    fit = fit_in_space(theta, space, margin=margin)
+    fit = fit_in_space(theta, space, margin=ltop + 1 - space.dim)
     return MembershipReport(weight, weight % 4 == 2, fit.ok,
                             fit.coords if fit.ok else None,
                             fit.mismatch_exponent)
+
+
+def theta_fit_norm(rank: int, degree: int) -> int:
+    """Smallest enumeration norm that overdetermines a theta fit in M_k,
+    k = rank/2 + degree: the fit reads q^0..q^(norm // 2), one coefficient
+    more than dim M_k."""
+    return 2 * mf_dim(rank // 2 + degree)
+
+
+def theta_directions(rank: int) -> list[tuple[int, ...]]:
+    """The lattice-coordinate directions a zonal theta is fitted along:
+    every unit row up to rank 8, else rows 0, rank/2 and rank - 1; then
+    the all-ones row and the row (i mod 3) - 1.  Row e_0 comes first."""
+    rows = range(rank) if rank <= 8 else (0, rank // 2, rank - 1)
+    dirs = [tuple(int(i == r) for i in range(rank)) for r in rows]
+    dirs.append((1,) * rank)
+    dirs.append(tuple((i % 3) - 1 for i in range(rank)))
+    return dirs
+
+
+def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
+                     directions=None, cap: int = SHELL_CAP, workers: int = 1
+                     ) -> Iterator[tuple[tuple, tuple[Fraction, ...], QSeries]]:
+    """Fit the degree-``degree`` zonal theta along each direction
+    (``theta_directions`` by default); yield (direction, coords, form), the
+    form rebuilt through q^prec.  Membership is a theorem for even
+    unimodular lattices, so a failed fit is an internal error."""
+    space = mf_basis(lat.rank // 2 + degree, prec)
+    for u in theta_directions(lat.rank) if directions is None else directions:
+        rep = theta_membership_check(lat, zonal_harmonic_coords(lat, degree, u),
+                                     prec_norm, cap, workers)
+        if not rep.fit_ok:
+            raise InternalCheckError(
+                f"degree-{degree} theta along {tuple(u)} escaped M_"
+                f"{rep.weight}: mismatch at q^{rep.mismatch_exponent}")
+        yield tuple(u), rep.coords, space.element(rep.coords)

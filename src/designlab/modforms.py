@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OffsetError, PrecisionError
+from .errors import InternalCheckError, OffsetError, PrecisionError
 from .qseries import QSeries
 
 __all__ = [
@@ -207,10 +207,10 @@ class ModFormSpace:
     basis: list[QSeries]
 
     def __post_init__(self):
-        assert len(self.basis) == self.dim
-        for i, f in enumerate(self.basis):
-            assert not f.is_zero() and f.leading()[0] == i, \
-                "echelon basis must lead at exponents 0..dim-1"
+        leads = [None if f.is_zero() else f.leading()[0] for f in self.basis]
+        if leads != list(range(self.dim)):
+            raise InternalCheckError(
+                "echelon basis must lead at exponents 0..dim-1")
 
     def element(self, coords) -> QSeries:
         """sum coords[i] * basis[i] through q^prec.  Echelon bases are
@@ -277,10 +277,9 @@ def mf_basis(k: int, prec: int) -> ModFormSpace:
         if (k - 6 * b) % 4 == 0:
             a = (k - 6 * b) // 4
             rows.append(e4.pow(a) * e6.pow(b))
-    # pivots of the reduced echelon form land at exponents 0..dim-1
-    basis = echelon_rows(rows, prec)
-    assert len(basis) == dim, "monomial basis failed to reach echelon"
-    return ModFormSpace(k, dim, prec, basis)
+    # pivots of the reduced echelon form land at exponents 0..dim-1, which
+    # ModFormSpace checks
+    return ModFormSpace(k, dim, prec, echelon_rows(rows, prec))
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,8 @@ def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult
 
     Insufficient precision raises; non-membership is an ordinary result.
     The margin demands that many checkable coefficients beyond the ones that
-    merely determine the coordinates.
+    merely determine the coordinates.  These are f's coefficients at the
+    echelon pivots 0..dim-1; a mismatch leads f - space.element(coords).
     """
     if f.offset24 % 24 != 0:
         raise OffsetError("candidate lives on a fractional exponent grid")
@@ -310,18 +310,11 @@ def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult
     if top + 1 < space.dim + margin:
         raise PrecisionError(
             f"need {space.dim + margin} known coefficients, have {top + 1}")
-
-    def coeff_at(g: QSeries, e: int) -> Fraction:
-        i = e - g.offset24 // 24
-        return g[i] if i >= 0 else Fraction(0)
-
-    coords = tuple(coeff_at(f, i) for i in range(space.dim))
-    for e in range(min(top, space.prec) + 1):
-        expect = sum((c * coeff_at(g, e) for c, g in zip(coords, space.basis)),
-                     Fraction(0))
-        if coeff_at(f, e) != expect:
-            return FitResult(False, None, e)
-    return FitResult(True, coords, None)
+    coords = tuple(f[e - e0] for e in range(space.dim))
+    diff = f - space.element(coords)
+    if diff.is_zero():
+        return FitResult(True, coords, None)
+    return FitResult(False, None, diff.offset24 // 24)
 
 
 def vanishing_indices(f: QSeries, bound: int) -> list[int]:

@@ -16,11 +16,11 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PrecisionError
+from .errors import InternalCheckError, PrecisionError
 from .lattices import (HarmonicPolynomial, Lattice, determinant,
-                       harmonic_theta, is_even, theta_membership_check,
-                       to_modular_q, zonal_harmonic_coords)
-from .modforms import (eisenstein, eta_quotient, factorize, mf_basis, mf_dim,
+                       harmonic_theta, is_even, theta_fit_norm, to_modular_q,
+                       zonal_theta_fits)
+from .modforms import (eisenstein, eta_quotient, factorize, mf_dim,
                        ramanujan_tau, vanishing_indices)
 from .qseries import QSeries
 
@@ -112,7 +112,8 @@ def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
     rank = lat.rank
     trace = _over_eta_rank(theta, rank)
     base, rem = divmod(trace.offset24 + rank, 24)
-    assert rem == 0, "trace offset must sit on the -c/24 grid"
+    if rem:
+        raise InternalCheckError("trace offset must sit on the -c/24 grid")
     return TraceSeries(rank, trace, f"theta/eta^{rank}", index_base=base)
 
 
@@ -199,7 +200,7 @@ def conformal_T_set(c: int) -> ConformalTSet:
     derived_even = {s for s in range(2, 13, 2)
                     if modular_obstruction(c, s, 1).forced}
     if derived_even != {s for s in expected if s % 2 == 0}:
-        raise AssertionError(
+        raise InternalCheckError(
             f"derived even degrees {sorted(derived_even)} disagree with "
             f"the expected T-set for c={c}")
     return ConformalTSet(c, expected)
@@ -299,7 +300,7 @@ def lehmer_scan(bound: int, shells_to: int = 2) -> LehmerScan:
         s8 = gegenbauer_component_sums(sh, [8])[8]
         failures[ell] = s8 != 0
         if (ramanujan_tau(ell) != 0) != failures[ell]:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"tau({ell}) and the degree-8 shell verdict disagree")
     aa = a_series(max(bound, 2))
     a_vals = {ell: aa.coeff(ell) for ell in range(1, min(bound, 10) + 1)}
@@ -327,7 +328,8 @@ def remark4_series(prec: int) -> Remark4Report:
     if prec < 1:
         raise ValueError("prec must be positive")
     ser = eta_quotient([(2, 15), (1, -7)], prec).shift24(1)
-    assert ser.offset24 == 24, "closed form must start exactly at q^1"
+    if ser.offset24 != 24:
+        raise InternalCheckError("closed form must start exactly at q^1")
     trace = TraceSeries(1, ser, "q^{1/24} eta(2z)^15/eta(z)^7",
                         index_base=1, prefactor24=1)
     zeros = tuple(i for i in vanishing_indices(ser, prec))
@@ -352,36 +354,24 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
                           workers: int = 1) -> ProportionalityCertificate:
     """Certify graded_trace(lat, zonal) = ratio * reference to >= 50 terms.
 
-    For each direction, ``theta_membership_check`` fits the zonal theta in
-    the predicted weight-(rank/2 + degree) space: the enumerated
-    coefficients overdetermine its coordinates (membership is guaranteed
-    for even unimodular lattices, and every extra coefficient cross-checks
-    the fit).  The fitted form is then rebuilt at full precision and
-    divided by eta^rank, so the proportionality is certified far beyond
-    enumeration range.  Directions whose coordinates all vanish have the
-    zero theta and are skipped.
+    ``zonal_theta_fits`` fits the zonal theta along each direction
+    (``theta_directions`` by default) in the predicted weight-(rank/2 +
+    degree) space, where the enumerated coefficients overdetermine its
+    coordinates, and rebuilds it through q^prec.  Dividing by eta^rank
+    then certifies the proportionality far beyond enumeration range.
+    Directions whose coordinates all vanish have the zero theta and are
+    skipped.
     """
     rank = lat.rank
-    weight = rank // 2 + degree
-    dim = mf_dim(weight)
-    if prec_norm // 2 < dim:
-        raise PrecisionError(
-            f"enumeration to norm {prec_norm} underdetermines a "
-            f"{dim}-dimensional weight-{weight} fit")
-    space = mf_basis(weight, prec)
-    cands = list(directions) if directions is not None else \
-        [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)] \
-        + [tuple(1 for _ in range(rank)), tuple((i % 3) - 1 for i in range(rank))]
+    if prec_norm < theta_fit_norm(rank, degree):
+        raise PrecisionError(f"enumeration to norm {prec_norm} underdetermines "
+                             f"the degree-{degree} theta fit")
     last_error = None
-    for w in cands:
-        p = zonal_harmonic_coords(lat, degree, w)
-        rep = theta_membership_check(lat, p, prec_norm, cap, workers)
-        if not rep.fit_ok:
-            raise AssertionError("theta escaped its predicted space: "
-                                 f"mismatch at {rep.mismatch_exponent}")
-        if not any(rep.coords):
+    for w, coords, form in zonal_theta_fits(lat, degree, prec_norm, prec,
+                                            directions, cap, workers):
+        if not any(coords):
             continue                    # the zero theta
-        trace = _over_eta_rank(space.element(rep.coords), rank)
+        trace = _over_eta_rank(form, rank)
         if trace.offset24 != reference.series.offset24:
             raise AssertionError("trace sits on a different exponent grid "
                                  f"than {reference.source}")
@@ -393,8 +383,7 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
             last_error = AssertionError(
                 f"trace not proportional to {reference.source}")
             continue
-        return ProportionalityCertificate(ratio, through + 1, tuple(w),
-                                          rep.coords)
+        return ProportionalityCertificate(ratio, through + 1, w, coords)
     if last_error:
         raise last_error
     raise ValueError("every candidate direction gave the zero theta")

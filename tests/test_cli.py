@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import designlab
-from designlab import cli
+from designlab import cli, lattices
 from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import golay_g24
 from designlab.lattices import lattice_e8
+from designlab.modforms import FitResult
 
 
 def run(argv):
@@ -235,6 +236,18 @@ def test_lattice_usage_errors():
                 "--t", "8", "--criterion", "theta", "--prec-norm", "2"])[0] == 2
     assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
                 "--t", "8", "--criterion", "theta", "--prec-norm", "4"])[0] == 0
+
+
+def test_failed_theta_fit_is_a_runtime_error(monkeypatch, capsys):
+    # membership is a theorem for even unimodular lattices, so a fit that
+    # fails is a fault of the program, reported like any runtime failure
+    monkeypatch.setattr(lattices, "fit_in_space",
+                        lambda f, space, margin: FitResult(False, None, 3))
+    code, _ = run(["--format", "json", "lattice-design", "--lattice", "E8",
+                   "--norm", "10", "--t", "8", "--criterion", "theta"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InternalCheckError"
 
 
 def test_cap_exceeded_is_runtime_error_not_usage(capsys):

@@ -1,20 +1,15 @@
 """Codes, block designs, discrete harmonics, harmonic weight enumerators."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import designlab
 from designlab import codes
 from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
                              code_from_generator, code_from_rows,
@@ -98,14 +93,6 @@ def oracle_values(pairs):
             mask |= 1 << (a if bits >> i & 1 else b)
         vals.append((mask, Fraction(-1 if bin(bits).count("1") % 2 else 1)))
     return tuple(vals)
-
-
-def run_optimized(script):
-    """Run a script under python -O; its exit status."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          timeout=120).returncode
 
 
 # -- code basics --------------------------------------------------------------
@@ -271,7 +258,7 @@ def test_block_family_guards():
         BlockFamily(8, (3,)).union(BlockFamily(9, (5,)))
 
 
-def test_block_family_guards_run_under_optimize():
+def test_block_family_guards_run_under_optimize(run_optimized):
     script = (
         "from designlab.codes import BlockFamily as B\n"
         "for make in (lambda: B(8, (3, 3)), lambda: B(8, (1 << 8,)),\n"
@@ -354,7 +341,7 @@ def test_harm_basis_certification_rejects_corrupt_pair_system(monkeypatch):
         build(8, 3)
 
 
-def test_harm_basis_checks_run_under_optimize():
+def test_harm_basis_checks_run_under_optimize(run_optimized):
     script = (
         "import designlab.codes as C\n"
         "from designlab.errors import InternalCheckError\n"

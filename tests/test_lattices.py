@@ -7,19 +7,14 @@ the root system built without any of the lattice machinery.
 """
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import designlab
 from designlab import lattices
 from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
 from designlab.errors import CapExceededError, PrecisionError
@@ -32,9 +27,9 @@ from designlab.lattices import (_SLACK, HarmonicPolynomial, Lattice, _ldl,
                                 laplacian, lattice_a2, lattice_e8, lattice_zn,
                                 moment_design_test, shell_enum,
                                 shell_sizes_up_to, sphere_moment,
-                                spherical_T_design_report,
-                                theta_membership_check, to_modular_q,
-                                zonal_coeffs, zonal_harmonic,
+                                spherical_T_design_report, theta_directions,
+                                theta_fit_norm, theta_membership_check,
+                                to_modular_q, zonal_coeffs, zonal_harmonic,
                                 zonal_harmonic_coords, zonal_shell_sum)
 from designlab.modforms import delta_eta, eisenstein
 from designlab.qseries import QSeries
@@ -338,21 +333,18 @@ def test_pair_histogram_matches_brute_force(monkeypatch, block):
         assert _pair_histogram(sh) == brute_pair_histogram(lat, sh.vectors)
 
 
-def test_antipodality_guard_runs_under_optimize():
-    script = (
+def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
+    assert refused_under_optimize(
         "import designlab.lattices as L\n"
-        "from designlab.errors import InternalCheckError\n"
         "L._vectors_by_doubled_norm = lambda *a: {2: ((0, 1), (1, 0))}\n"
-        "try:\n"
-        "    L.shell_enum(L.lattice_zn(2), 1)\n"
-        "except InternalCheckError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          timeout=120)
-    assert done.returncode == 0
+        "L.shell_enum(L.lattice_zn(2), 1)")
+
+
+def test_zonal_harmonicity_guard_runs_under_optimize(refused_under_optimize):
+    assert refused_under_optimize(
+        "import designlab.lattices as L\n"
+        "L.is_harmonic = lambda p: False\n"
+        "L.zonal_harmonic(2, 2, (1, 0))")
 
 
 def test_worker_partitioning_changes_nothing():
@@ -634,6 +626,32 @@ def test_membership_rejections():
     p4 = zonal_harmonic_coords(d16, 4, tuple([0] * 15 + [1]))
     with pytest.raises(ValueError):
         theta_membership_check(d16, p4, prec_norm=2)
+
+
+def test_membership_refuses_shallow_depth_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", no_enumeration)
+    d16 = construction_a(d16_plus(), "d16plus")
+    e8 = lattice_e8()
+    # M_12 is 2-dimensional: a fit reads q^0..q^2, so norm 4 is needed
+    assert theta_fit_norm(16, 4) == theta_fit_norm(8, 8) == 4
+    for lat, p, prec_norm in (
+            (d16, zonal_harmonic_coords(d16, 4, tuple([0] * 15 + [1])), 3),
+            (e8, zonal_harmonic_coords(e8, 8, (1,) + (0,) * 7), 1),
+            (e8, constant_poly(8), 1)):
+        with pytest.raises(ValueError, match="not enough theta coefficients"):
+            theta_membership_check(lat, p, prec_norm=prec_norm)
+
+
+def test_theta_direction_policy():
+    assert theta_directions(8) == [
+        tuple(int(i == r) for i in range(8)) for r in range(8)] + [
+        (1,) * 8, (-1, 0, 1, -1, 0, 1, -1, 0)]
+    dirs = theta_directions(16)
+    assert len(dirs) == 5 and dirs[0] == (1,) + (0,) * 15
+    assert dirs[1][8] == dirs[2][15] == 1 and sum(map(abs, dirs[1])) == 1
 
 
 def test_T_design_report_for_d16():

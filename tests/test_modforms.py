@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlab import (PrecisionError, QSeries, delta, delta_eisenstein, delta_eta,
                        eisenstein, eta, eta_quotient, factorize, fit_in_space,
@@ -27,6 +29,29 @@ def brute_eta_power(power, prec):
                 nxt[j] -= out[j - i]
             out = nxt
     return out
+
+
+def fit_oracle(f, space, margin=10):
+    """fit_in_space re-summed exponent by exponent in Fractions: (ok,
+    coords, mismatch exponent), or "precision" where the fit must raise."""
+    e0 = f.offset24 // 24
+    if not f.is_zero() and e0 < 0:
+        return False, None, e0
+    top = e0 + f.prec
+    if top + 1 < space.dim + margin:
+        return "precision"
+
+    def coeff_at(g, e):
+        i = e - g.offset24 // 24
+        return g[i] if i >= 0 else Fraction(0)
+
+    coords = tuple(coeff_at(f, i) for i in range(space.dim))
+    for e in range(min(top, space.prec) + 1):
+        expect = sum((c * coeff_at(g, e) for c, g in zip(coords, space.basis)),
+                     Fraction(0))
+        if coeff_at(f, e) != expect:
+            return False, None, e
+    return True, coords, None
 
 
 def divisors(n):
@@ -216,6 +241,46 @@ def test_fit_zero_space_accepts_only_zero():
     res = fit_in_space(delta_eta(30), space)
     assert not res.ok
     assert res.mismatch_exponent == 1    # delta leads at q^1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fit_in_space_matches_per_exponent_oracle(data):
+    k = data.draw(st.sampled_from(range(2, 41, 2)), label="weight")
+    dim = mf_dim(k)
+    space = mf_basis(k, max(dim - 1, 0) + data.draw(st.integers(0, 20)))
+    top = max(dim - 1, 0) + data.draw(st.integers(0, 20))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    coords = data.draw(st.lists(small, min_size=dim, max_size=dim))
+    f = mf_basis(k, top).element(coords)
+    poke = data.draw(st.none() | st.integers(0, top), label="poke")
+    if poke is not None:
+        f = f + QSeries(0, top, {poke: data.draw(small.filter(bool))})
+    shift = data.draw(st.integers(-2, 3), label="shift")
+    f = f.shift24(24 * shift)
+    margin = data.draw(st.integers(0, 12), label="margin")
+    try:
+        res = fit_in_space(f, space, margin)
+        got = res.ok, res.coords, res.mismatch_exponent
+    except PrecisionError:
+        got = "precision"
+    assert got == fit_oracle(f, space, margin)
+    if got != "precision" and shift == 0 and poke is not None \
+            and dim <= poke <= space.prec:
+        assert got == (False, None, poke)    # the poke is the first mismatch
+
+
+def test_echelon_guards_run_under_optimize(refused_under_optimize):
+    space = ("from designlab.modforms import ModFormSpace\n"
+             "from designlab.qseries import QSeries\n")
+    assert refused_under_optimize(
+        space + "ModFormSpace(4, 2, 4, [QSeries.one(4)])")
+    assert refused_under_optimize(
+        space + "ModFormSpace(4, 1, 4, [QSeries.one(4).shift24(24)])")
+    assert refused_under_optimize(
+        "import designlab.modforms as M\n"
+        "M.echelon_rows = lambda rows, prec: rows[:1]\n"
+        "M.mf_basis(12, 4)")
 
 
 # -- integer helpers -------------------------------------------------------

@@ -9,10 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from designlab import lattices
 from designlab.errors import PrecisionError
 from designlab.lattices import (constant_poly, construction_a, lattice_a2,
                                 lattice_e8, lattice_zn, shell_enum,
-                                zonal_harmonic_coords, zonal_shell_sum)
+                                theta_directions, zonal_harmonic_coords,
+                                zonal_shell_sum)
 from designlab.codes import d16_plus, golay_g24
 from designlab.modforms import sigma
 from designlab.qseries import QSeries
@@ -224,6 +226,40 @@ def test_certified_zonal_trace_guards():
     with pytest.raises(AssertionError):
         certified_zonal_trace(lattice_e8(), 8, b_series(60), prec=60,
                               prec_norm=8)
+
+
+def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
+    tried = []
+
+    def zonal(lat, k, direction):
+        tried.append(tuple(direction))
+        return zonal_harmonic_coords(lat, k, direction)
+
+    monkeypatch.setattr(lattices, "zonal_harmonic_coords", zonal)
+    d16 = construction_a(d16_plus(), "d16plus")
+    # E4*eta^8 shares the grid of eta^8, but no degree-4 trace is
+    # proportional to it, so every direction is tried
+    with pytest.raises(AssertionError, match="not proportional"):
+        certified_zonal_trace(d16, 4, d_series(60), prec=60, prec_norm=4)
+    assert tried == theta_directions(16)
+
+
+def test_trace_guards_run_under_optimize(refused_under_optimize):
+    voa = "import designlab.voa as V\n"
+    assert refused_under_optimize(
+        voa + "from designlab.lattices import constant_poly, lattice_e8\n"
+        "V._over_eta_rank = lambda form, rank: form.shift24(1)\n"
+        "V.graded_trace(lattice_e8(), constant_poly(8), 2)")
+    assert refused_under_optimize(
+        voa + "from designlab.qseries import QSeries\n"
+        "V.eta_quotient = lambda factors, prec: QSeries.one(prec)\n"
+        "V.remark4_series(5)")
+    assert refused_under_optimize(
+        voa + "V._EXPECTED_T[8] = frozenset({1, 3})\n"
+        "V.conformal_T_set(8)")
+    assert refused_under_optimize(
+        voa + "V.ramanujan_tau = lambda n: 0\n"
+        "V.lehmer_scan(1, shells_to=1)")
 
 
 # -- scans and closed forms ------------------------------------------------------------
