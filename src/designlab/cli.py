@@ -134,6 +134,11 @@ def _parse_poly(lat: Lattice, spec: str):
     return zonal_harmonic_coords(lat, degree, direction)
 
 
+def _even_unimodular(lat: Lattice, what: str) -> None:
+    if not is_even(lat) or determinant(lat) != 1:
+        raise UsageError(f"{what} needs an even unimodular lattice")
+
+
 def _positive(value: int, what: str) -> int:
     if value < 1:
         raise UsageError(f"{what} must be positive")
@@ -273,8 +278,7 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     obstruction along the tested directions; a nonzero disproves.
     """
     a = cfg.args
-    if not is_even(lat) or determinant(lat) != 1:
-        raise UsageError("theta criterion needs an even unimodular lattice")
+    _even_unimodular(lat, "theta criterion")
     if norm.denominator != 1 or int(norm) % 2:
         raise UsageError("theta criterion needs an even integer norm")
     if a.prec_norm < 0:
@@ -285,8 +289,7 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     needed = max((theta_fit_norm(lat.rank, j) for j in fitted), default=0)
     if prec_norm < needed:
         raise UsageError(f"--prec-norm {prec_norm} is too shallow for the "
-                         f"theta fits up to degree {t}; use at least "
-                         f"{needed}")
+                         f"theta fits up to degree {t}; use at least {needed}")
     target = int(norm) // 2
     prec = max(target, needed)          # rebuild the fitted forms through here
     dirs = theta_directions(lat.rank)
@@ -325,6 +328,12 @@ def cmd_theta(cfg: RunConfig, out):
     lat = _resolve_lattice(a.lattice)
     prec = _positive(a.prec, "--prec")
     poly = _parse_poly(lat, a.poly)
+    if a.membership:            # refuse before the theta is enumerated
+        _even_unimodular(lat, "--membership")
+        needed = theta_fit_norm(lat.rank, poly.degree)
+        if poly.degree % 2 or prec < needed:
+            raise UsageError("--membership needs an even harmonic degree "
+                             f"and --prec {needed} at least")
     series = harmonic_theta(lat, poly, prec, workers=cfg.workers)
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
                "poly": a.poly, "prec_norm": prec,
@@ -419,7 +428,7 @@ def cmd_shell(cfg: RunConfig, out):
         return None, []
     payload = {"schema": SCHEMA, "command": "shell", "lattice": a.lattice,
                "norm": _frac(norm), "count": len(sh.vectors),
-               "vectors": [list(v) for v in sh.vectors]}
+               "vectors": sh.vectors}      # tuples dump as JSON arrays
     text = [f"{a.lattice} norm {norm}: {len(sh.vectors)} vectors"]
     for v in sh.vectors[:5]:
         text.append("  " + ",".join(str(x) for x in v))

@@ -21,7 +21,6 @@ orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ __all__ = [
 
 SHELL_CAP = 1_000_000       # refuse to enumerate larger shells
 _SLACK = 1 + 2.0 ** -20     # float pruning radius inflation
-_CHUNK = 1 << 15            # frontier children expanded at once per level
+_CHUNK = 1 << 13            # rows expanded per level, or compared, at once
 _PAIR_BLOCK = 4_000_000     # inner products computed at once per histogram
 _BLAS_SERIAL = 1 << 18      # multiply-adds per float product kept on one thread
 _MAGIC = 1.5 * 2.0 ** 52
@@ -378,7 +377,8 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
 
     Float pruning only widens the search box; acceptance is by exact
     integer arithmetic on the doubled Gram matrix.  A sorted antipodal
-    shell equals its own negation read backwards, which is checked.
+    shell equals its own negation read backwards, which is checked
+    ``_CHUNK`` rows of the first half at a time, small beside the shell.
     """
     norm = Fraction(norm)
     if norm < 0:
@@ -389,10 +389,12 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
         return Shell(lat, norm, vecs)
     table = _vectors_by_doubled_norm(lat, int(doubled), cap, workers)
     vecs = table.get(int(doubled), ())
-    arr = np.fromiter(itertools.chain.from_iterable(vecs), dtype=np.int64,
-                      count=len(vecs) * lat.rank).reshape(len(vecs), lat.rank)
-    if not np.array_equal(arr, -arr[::-1]):
-        raise InternalCheckError("shell not antipodal")
+    n = len(vecs)
+    for lo in range(0, (n + 1) // 2, _CHUNK):
+        hi = min(lo + _CHUNK, (n + 1) // 2)
+        tail = np.array(vecs[n - hi:n - lo], dtype=np.int64)[::-1]
+        if not np.array_equal(np.array(vecs[lo:hi], dtype=np.int64), -tail):
+            raise InternalCheckError("shell not antipodal")
     return Shell(lat, norm, vecs)
 
 
@@ -473,6 +475,12 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     return hist
 
 
+@functools.lru_cache(maxsize=16)
+def _shell_pair_histogram(shell: Shell) -> tuple[tuple[int, int], ...]:
+    """The ``_pair_histogram`` items of a shell, computed once, read-only."""
+    return tuple(_pair_histogram(shell).items())
+
+
 @dataclass(frozen=True)
 class MomentReport:
     norm: Fraction
@@ -492,12 +500,12 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
     if not shell.vectors or shell.norm <= 0:
         raise ValueError("moment test needs a nonempty positive-norm shell")
     n = shell.lattice.rank
-    hist = _pair_histogram(shell)
+    hist = _shell_pair_histogram(shell)
     size = len(shell.vectors)
     r2 = shell.norm
     per_k: dict[int, bool] = {}
     for k in range(1, t + 1):
-        lhs = sum(cnt * w ** k for w, cnt in hist.items())   # sum (2 x.y)^k
+        lhs = sum(cnt * w ** k for w, cnt in hist)   # sum (2 x.y)^k
         rhs = size * size * (2 * r2) ** k * sphere_moment(n, k)
         per_k[k] = lhs == rhs
     strength = prefix_strength(per_k)
@@ -553,13 +561,13 @@ def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
     n = shell.lattice.rank
     degrees = sorted(set(degrees))
     polys = _orthogonal_kernel_polys(n, max(degrees)) if degrees else ()
-    hist = _pair_histogram(shell)
+    hist = _shell_pair_histogram(shell)
     r2 = shell.norm
     out: dict[int, Fraction] = {}
     for j in degrees:
         p = polys[j]
         acc = Fraction(0)
-        for w, cnt in hist.items():
+        for w, cnt in hist:
             s = Fraction(w, 1) / (2 * r2)       # cosine of the pair angle
             acc += cnt * sum(c * s ** i for i, c in enumerate(p) if c)
         out[j] = acc

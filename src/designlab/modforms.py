@@ -227,39 +227,32 @@ class ModFormSpace:
 def echelon_rows(rows: list[QSeries], prec: int) -> list[QSeries]:
     """Fully reduced row echelon form of the spanned series space.
 
-    Rows must all live on the integer exponent grid.  Pivot columns are
-    the leading exponents of the result, normalized to coefficient 1 and
-    cleared from every other row.
+    Rows sit at exponents 0, 1, ... and must be known through q^prec;
+    later terms are dropped, so a row leading beyond q^prec counts as zero.
+    The row leading lowest is the next pivot: scaled to lead 1, its leading
+    exponent is cleared from every other row.  Sorted by pivot.
     """
-    def dense(f: QSeries) -> list[Fraction]:
-        e0 = f.offset24 // 24
-        return [f[i - e0] if i - e0 >= 0 else Fraction(0)
-                for i in range(prec + 1)]
+    live = []
+    for f in rows:
+        e0, rem = divmod(f.offset24, 24)
+        if rem or e0 < 0:
+            raise OffsetError("echelon rows must sit on exponents 0, 1, ...")
+        if e0 + f.prec < prec:
+            raise PrecisionError(f"row known only through q^{e0 + f.prec}")
+        if e0 <= prec:
+            live.append(f.truncate(prec - e0))
+    done: list[QSeries] = []
+    while live := [f for f in live if not f.is_zero()]:
+        low = min(live, key=lambda f: f.offset24)
+        pivot = low.scale(1 / low[0])
 
-    mats = [dense(f) for f in rows]
-    basis_rows: list[list[Fraction]] = []
-    col = 0
-    while len(basis_rows) < len(rows) and col <= prec:
-        pivot = next((r for r in mats if r[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mats.remove(pivot)
-        pivot = [c / pivot[col] for c in pivot]
-        for r in mats:
-            if r[col] != 0:
-                f = r[col]
-                for j in range(col, prec + 1):
-                    r[j] -= f * pivot[j]
-        for r in basis_rows:
-            if r[col] != 0:
-                f = r[col]
-                for j in range(col, prec + 1):
-                    r[j] -= f * pivot[j]
-        basis_rows.append(pivot)
-        col += 1
-    return [QSeries(0, prec, {i: c for i, c in enumerate(row) if c})
-            for row in basis_rows]
+        def clear(f: QSeries) -> QSeries:
+            c = f[(pivot.offset24 - f.offset24) // 24]
+            return f - pivot.scale(c) if c else f
+
+        live = [clear(f) for f in live if f is not low]
+        done = [clear(f) for f in done] + [pivot]
+    return done
 
 
 def mf_basis(k: int, prec: int) -> ModFormSpace:

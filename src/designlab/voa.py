@@ -13,11 +13,13 @@ leading coefficient, and ``coeff(i)`` looks up display indices directly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalCheckError, PrecisionError
-from .lattices import (HarmonicPolynomial, Lattice, determinant,
+from .errors import (DesignLabError, InternalCheckError, OffsetError,
+                     PrecisionError)
+from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice, determinant,
                        harmonic_theta, is_even, theta_fit_norm, to_modular_q,
                        zonal_theta_fits)
 from .modforms import (eisenstein, eta_quotient, factorize, mf_dim,
@@ -104,7 +106,7 @@ def d_series(prec: int) -> TraceSeries:
 
 
 def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
-                 cap: int = 1_000_000, workers: int = 1) -> TraceSeries:
+                 cap: int = SHELL_CAP, workers: int = 1) -> TraceSeries:
     """Weighted theta over eta^rank, the lattice-VOA graded trace."""
     if not is_even(lat) or determinant(lat) != 1:
         raise ValueError("graded traces need an even unimodular lattice")
@@ -144,6 +146,7 @@ class ObstructionResult:
     witness_leads: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=256)
 def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionResult:
     """Can a trace q^{-c/24} * F, F of weight c/2 + s with ord_q F >= mu,
     be nonzero?
@@ -163,9 +166,8 @@ def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionRe
         return ObstructionResult(
             True, "leading-coefficient constraints exhaust the space",
             weight, dim, min_weight_mu, ())
-    leads = tuple(range(min_weight_mu, dim))
     return ObstructionResult(False, "witness space survives", weight, dim,
-                             min_weight_mu, leads)
+                             min_weight_mu, tuple(range(min_weight_mu, dim)))
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,6 @@ def conformal_T_set(c: int) -> ConformalTSet:
 # strength reports
 # ---------------------------------------------------------------------------
 
-_CONTESTED = {8: 8, 16: 4, 24: 4}
-
-
 @dataclass(frozen=True)
 class StrengthReport:
     central_charge: int
@@ -225,26 +224,20 @@ class StrengthReport:
     strength: int | str = 0
 
 
-@functools.lru_cache(maxsize=8)
-def _witness_trace(c: int, prec: int) -> TraceSeries:
-    """The single surviving trace candidate at the contested degree."""
-    if c == 8:
-        return a_series(prec)
-    if c == 16:
-        return b_series(prec)
-    if c == 24:
-        return c_series(prec)
-    raise ValueError(f"unsupported central charge {c}")
+# the paper's closed-form witness trace per (central charge, even degree)
+_WITNESSES = {(8, 8): a_series, (16, 4): b_series, (16, 8): d_series,
+              (24, 4): c_series}
 
 
 def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
     """Design strength of the degree-ell homogeneous space.
 
-    The guaranteed degrees come from the T-set; the first even degree
-    outside it is decided by one coefficient of the witness trace
-    (eta^16 / eta^8 / E4 for c = 8 / 16 / 24).  For c = 16 a vanishing
-    witness upgrades the strength through degree 7, with the degree-8
-    verdict read off E4*eta^8.
+    Walks the even degrees s = 2, 4, ...: where the modular obstruction
+    count forces the weight-(c/2 + s) trace to vanish, degree s holds for
+    every ell.  At a surviving degree the witness trace decides: a nonzero
+    coefficient at ell gives strength s - 1.  The first degree read is the
+    contested one, later ones go into ``extra``; past the last witness the
+    strength is only a lower bound.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -252,22 +245,20 @@ def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
     if ell > prec:
         raise PrecisionError("requested index beyond the computed range")
     tset = conformal_T_set(c)
-    contested = _CONTESTED[c]
-    coeff = _witness_trace(c, prec).coeff(ell)
-    passes = coeff == 0
-    extra: dict[int, tuple[bool, Fraction]] = {}
-    if c == 8:
-        strength: int | str = "≥ 11 (bounded scan)" if passes else 7
-    elif c == 16:
-        if not passes:
-            strength = 3
-        else:
-            dcoef = d_series(prec).coeff(ell)
-            extra[8] = (dcoef == 0, dcoef)
-            strength = "≥ 9 (bounded scan)" if dcoef == 0 else 7
-    else:
-        strength = "≥ 5 (bounded scan)" if passes else 3
-    return StrengthReport(c, ell, tset.explicit, contested, coeff, passes,
+    read: dict[int, Fraction] = {}
+    for s in itertools.count(2, 2):
+        if modular_obstruction(c, s).forced:
+            continue
+        if (c, s) not in _WITNESSES:
+            strength: int | str = f"≥ {s - 1} (bounded scan)"
+            break
+        read[s] = _WITNESSES[c, s](prec).coeff(ell)
+        if read[s]:
+            strength = s - 1
+            break
+    contested, coeff = next(iter(read.items()))
+    extra = {s: (v == 0, v) for s, v in read.items() if s != contested}
+    return StrengthReport(c, ell, tset.explicit, contested, coeff, coeff == 0,
                           extra, strength)
 
 
@@ -350,7 +341,7 @@ class ProportionalityCertificate:
 
 def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
                           prec: int = 60, prec_norm: int = 8,
-                          directions=None, cap: int = 1_000_000,
+                          directions=None, cap: int = SHELL_CAP,
                           workers: int = 1) -> ProportionalityCertificate:
     """Certify graded_trace(lat, zonal) = ratio * reference to >= 50 terms.
 
@@ -366,24 +357,22 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
     if prec_norm < theta_fit_norm(rank, degree):
         raise PrecisionError(f"enumeration to norm {prec_norm} underdetermines "
                              f"the degree-{degree} theta fit")
-    last_error = None
+    nonzero = False
     for w, coords, form in zonal_theta_fits(lat, degree, prec_norm, prec,
                                             directions, cap, workers):
         if not any(coords):
             continue                    # the zero theta
+        nonzero = True
         trace = _over_eta_rank(form, rank)
         if trace.offset24 != reference.series.offset24:
-            raise AssertionError("trace sits on a different exponent grid "
-                                 f"than {reference.source}")
+            raise OffsetError("trace sits on a different exponent grid "
+                              f"than {reference.source}")
         through = min(trace.prec, reference.series.prec)
         if through < 50:
             raise PrecisionError("need at least 50 comparable coefficients")
         ratio = trace.proportional_to(reference.series, through)
-        if ratio is None:
-            last_error = AssertionError(
-                f"trace not proportional to {reference.source}")
-            continue
-        return ProportionalityCertificate(ratio, through + 1, w, coords)
-    if last_error:
-        raise last_error
+        if ratio is not None:
+            return ProportionalityCertificate(ratio, through + 1, w, coords)
+    if nonzero:
+        raise DesignLabError(f"trace not proportional to {reference.source}")
     raise ValueError("every candidate direction gave the zero theta")

@@ -275,6 +275,22 @@ def test_theta_zonal_membership():
     assert m["coords"] == ["0/1", "144/1"]
 
 
+def test_theta_membership_refuses_bad_input_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("the theta was enumerated")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
+                        enumerate_nothing)
+    d16_dir = ",".join(["0"] * 15 + ["1"])
+    for argv in (["--lattice", "A2", "--poly", "one", "--prec", "2"],
+                 # the degree-4 fit in M_12 reads norms 0..4
+                 ["--lattice", "CA:d16plus", "--poly", f"zonal:4:{d16_dir}",
+                  "--prec", "2"],
+                 ["--lattice", "E8", "--poly", "zonal:3:1,0,0,0,0,0,0,0",
+                  "--prec", "8"]):
+        assert run(["theta"] + argv + ["--membership"])[0] == 2, argv
+
+
 def test_theta_direction_length_checked():
     assert run(["theta", "--lattice", "E8", "--poly", "zonal:2:1,0",
                 "--prec", "4"])[0] == 2

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from designlab import lattices
 from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
-from designlab.errors import CapExceededError, PrecisionError
+from designlab.errors import (CapExceededError, InternalCheckError,
+                              PrecisionError)
 from designlab.lattices import (_SLACK, HarmonicPolynomial, Lattice, _ldl,
                                 _pair_histogram, _search_candidates,
                                 _vectors_by_doubled_norm, constant_poly,
@@ -284,9 +285,10 @@ def test_search_matches_the_depth_first_oracle(lat, bound2):
     assert _vectors_by_doubled_norm(lat, bound2, 10**9) == dfs_shells(lat, bound2)
 
 
-@pytest.mark.parametrize("chunk", [7, lattices._CHUNK])
+@pytest.mark.parametrize("chunk", [7, lattices._CHUNK, 1 << 15])
 def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
-    # a tiny chunk splits and regroups the frontier at every level
+    # a tiny chunk splits and regroups the frontier at every level; the
+    # default and a larger chunk keep the fixture frontiers whole or nearly
     monkeypatch.setattr(lattices, "_CHUNK", chunk)
     d16 = construction_a(d16_plus(), "d16plus")
     for lat, bound2 in ((lattice_e8(), 8), (d16, 4), (lattice_zn(6), 8)):
@@ -331,6 +333,37 @@ def test_pair_histogram_matches_brute_force(monkeypatch, block):
     for lat, norm in cases:
         sh = shell_enum(lat, norm)
         assert _pair_histogram(sh) == brute_pair_histogram(lat, sh.vectors)
+
+
+def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
+    kernel_runs = []
+
+    def counted(shell):
+        kernel_runs.append((shell.lattice, shell.norm))
+        return _pair_histogram(shell)
+
+    monkeypatch.setattr(lattices, "_pair_histogram", counted)
+    lattices._shell_pair_histogram.cache_clear()
+    e8 = lattice_e8()
+    # E8 norm 4: tau(2) != 0, so a 7-design and not an 8-design
+    assert moment_design_test(shell_enum(e8, 4), 8).strength == 7
+    sums = gegenbauer_component_sums(shell_enum(e8, 4), range(1, 9))
+    assert [j for j, v in sums.items() if v] == [8]
+    assert kernel_runs == [(e8, F(4))]
+
+
+def test_antipodality_is_checked_block_by_block(monkeypatch):
+    # a tiny block splits the first half of the 240 roots into 18 blocks
+    monkeypatch.setattr(lattices, "_CHUNK", 7)
+    roots = shell_enum(lattice_e8(), 2).vectors
+    assert len(roots) == 240
+    for i in (0, 7, 64, 119, 120, 239):     # first, inner and last blocks
+        bad = list(roots)
+        bad[i] = tuple(-x for x in bad[i])
+        monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
+                            lambda *args: {4: tuple(bad)})
+        with pytest.raises(InternalCheckError, match="antipodal"):
+            shell_enum(lattice_e8(), 2)
 
 
 def test_antipodality_guard_runs_under_optimize(refused_under_optimize):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab import (PrecisionError, QSeries, delta, delta_eisenstein, delta_eta,
-                       eisenstein, eta, eta_quotient, factorize, fit_in_space,
-                       mf_basis, mf_dim, ord_p, ramanujan_tau, sigma,
-                       vanishing_indices)
+from designlab import (OffsetError, PrecisionError, QSeries, delta,
+                       delta_eisenstein, delta_eta, eisenstein, eta,
+                       eta_quotient, factorize, fit_in_space, mf_basis, mf_dim,
+                       ord_p, ramanujan_tau, sigma, vanishing_indices)
 from designlab.lattices import (harmonic_theta, lattice_e8,
                                 theta_membership_check, to_modular_q,
                                 zonal_harmonic_coords)
@@ -52,6 +52,36 @@ def fit_oracle(f, space, margin=10):
         if coeff_at(f, e) != expect:
             return False, None, e
     return True, coords, None
+
+
+def echelon_oracle(rows, prec):
+    """Dense Fraction Gauss-Jordan elimination over exponents 0..prec:
+    the reduced rows, or "precision" where a row is known too shortly."""
+    mats = []
+    for f in rows:
+        e0 = f.offset24 // 24
+        if e0 + f.prec < prec:
+            return "precision"
+        mats.append([f[i - e0] if i - e0 >= 0 else Fraction(0)
+                     for i in range(prec + 1)])
+    basis_rows = []
+    col = 0
+    while len(basis_rows) < len(rows) and col <= prec:
+        pivot = next((r for r in mats if r[col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mats.remove(pivot)
+        pivot = [c / pivot[col] for c in pivot]
+        for r in mats + basis_rows:
+            if r[col] != 0:
+                f = r[col]
+                for j in range(col, prec + 1):
+                    r[j] -= f * pivot[j]
+        basis_rows.append(pivot)
+        col += 1
+    return [QSeries(0, prec, {i: c for i, c in enumerate(row) if c})
+            for row in basis_rows]
 
 
 def divisors(n):
@@ -268,6 +298,39 @@ def test_fit_in_space_matches_per_exponent_oracle(data):
     if got != "precision" and shift == 0 and poke is not None \
             and dim <= poke <= space.prec:
         assert got == (False, None, poke)    # the poke is the first mismatch
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echelon_rows_match_dense_oracle(data):
+    prec = data.draw(st.integers(0, 12), label="prec")
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+    def row():
+        lead = data.draw(st.integers(0, prec + 3), label="lead exponent")
+        # known through q^(prec - 2) at the least: short rows must raise
+        top = data.draw(st.integers(max(lead, prec - 2), prec + 3))
+        coeffs = data.draw(st.lists(small, min_size=top - lead + 1,
+                                    max_size=top - lead + 1))
+        return QSeries(24 * lead, top - lead, dict(enumerate(coeffs)))
+
+    rows = [row() for _ in range(data.draw(st.integers(0, 5), label="rows"))]
+    combos = data.draw(st.integers(0, 2), label="dependent rows")
+    for _ in range(combos if rows else 0):
+        a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
+        rows.append(a.scale(data.draw(small)) + b.scale(data.draw(small)))
+    try:
+        got = echelon_rows(rows, prec)
+    except PrecisionError:
+        got = "precision"
+    assert got == echelon_oracle(rows, prec)
+
+
+def test_echelon_rows_refuse_rows_off_the_grid():
+    with pytest.raises(OffsetError):
+        echelon_rows([QSeries.one(4).shift24(12)], 4)
+    with pytest.raises(OffsetError):
+        echelon_rows([QSeries.one(4).shift24(-24)], 2)
 
 
 def test_echelon_guards_run_under_optimize(refused_under_optimize):

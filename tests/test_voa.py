@@ -9,8 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from designlab import lattices
-from designlab.errors import PrecisionError
+from designlab import lattices, voa
+from designlab.errors import DesignLabError, OffsetError, PrecisionError
 from designlab.lattices import (constant_poly, construction_a, lattice_a2,
                                 lattice_e8, lattice_zn, shell_enum,
                                 theta_directions, zonal_harmonic_coords,
@@ -166,6 +166,66 @@ def test_strength_reports_charge_24():
         strength_at(24, 0)
     with pytest.raises(PrecisionError):
         strength_at(24, 100, prec=50)
+    with pytest.raises(ValueError):
+        strength_at(32, 1)
+
+
+def strength_oracle(c, ell, prec=None,
+                    series=(a_series, b_series, c_series, d_series)):
+    """strength_at with one branch per charge, as the paper states it:
+    (contested degree, coefficient, verdict, extra, strength)."""
+    a, b, c_, d = series
+    prec = prec if prec is not None else max(ell + 2, 16)
+    contested = {8: 8, 16: 4, 24: 4}[c]
+    coeff = {8: a, 16: b, 24: c_}[c](prec).coeff(ell)
+    passes = coeff == 0
+    extra = {}
+    if c == 8:
+        strength = "≥ 11 (bounded scan)" if passes else 7
+    elif c == 16:
+        if not passes:
+            strength = 3
+        else:
+            dcoef = d(prec).coeff(ell)
+            extra[8] = (dcoef == 0, dcoef)
+            strength = "≥ 9 (bounded scan)" if dcoef == 0 else 7
+    else:
+        strength = "≥ 5 (bounded scan)" if passes else 3
+    return contested, coeff, passes, extra, strength
+
+
+def report_fields(rep):
+    return (rep.contested_degree, rep.contested_coefficient,
+            rep.is_design_at_contested, rep.extra, rep.strength)
+
+
+@pytest.mark.parametrize("c", [8, 16, 24])
+def test_strength_matches_per_charge_oracle(c):
+    for ell in range(1, 301):
+        for prec in (None, 300):
+            rep = strength_at(c, ell, prec)
+            assert (rep.central_charge, rep.ell) == (c, ell)
+            assert rep.base_T == conformal_T_set(c).explicit
+            assert report_fields(rep) == strength_oracle(c, ell, prec), \
+                (c, ell, prec)
+
+
+def test_strength_past_the_last_witness_is_a_bounded_scan(monkeypatch):
+    def zero(c):
+        return lambda prec: TraceSeries(c, QSeries.zero(prec).shift24(24 - c),
+                                        "0")
+    za, zb, zc, zd = zeros = (zero(8), zero(16), zero(24), zero(16))
+    monkeypatch.setattr(voa, "_WITNESSES", {(8, 8): za, (16, 4): zb,
+                                            (16, 8): zd, (24, 4): zc})
+    got = {}
+    for c in (8, 16, 24):
+        rep = strength_at(c, 5)
+        assert report_fields(rep) == strength_oracle(c, 5, series=zeros)
+        got[c] = rep.strength
+    assert got == {8: "≥ 11 (bounded scan)", 16: "≥ 9 (bounded scan)",
+                   24: "≥ 5 (bounded scan)"}
+    # only c = 16 reads a second degree
+    assert strength_at(16, 5).extra == {8: (True, F(0))}
 
 
 # -- graded traces -------------------------------------------------------------------
@@ -223,7 +283,7 @@ def test_certified_zonal_trace_d16_and_golay():
 def test_certified_zonal_trace_guards():
     with pytest.raises(PrecisionError):
         certified_zonal_trace(lattice_e8(), 8, a_series(60), prec_norm=2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(OffsetError):
         certified_zonal_trace(lattice_e8(), 8, b_series(60), prec=60,
                               prec_norm=8)
 
@@ -239,7 +299,7 @@ def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
     d16 = construction_a(d16_plus(), "d16plus")
     # E4*eta^8 shares the grid of eta^8, but no degree-4 trace is
     # proportional to it, so every direction is tried
-    with pytest.raises(AssertionError, match="not proportional"):
+    with pytest.raises(DesignLabError, match="not proportional"):
         certified_zonal_trace(d16, 4, d_series(60), prec=60, prec_norm=4)
     assert tried == theta_directions(16)
 
