@@ -433,6 +433,14 @@ def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
                           np.sort(keys[~plus & ~repeated]))
 
 
+class _PairBasis(tuple):
+    """A difference-product basis that also holds its pair systems as one
+    read-only array ``pair_array`` of shape (len, k, 2), in the narrowest
+    unsigned dtype that holds n, so the cached ``harm_basis`` result is
+    never converted again."""
+    pair_array: np.ndarray
+
+
 @functools.lru_cache(maxsize=32)
 def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic, ...]:
     """Difference-product basis of Harm_k from standard two-row tableaux.
@@ -464,8 +472,11 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
             raise InternalCheckError("pair system must be disjoint")
     if not _gamma_vanishes(a[sample], b[sample], n):
         raise InternalCheckError("difference product escaped ker gamma")
-    return tuple(DiscreteHarmonic(n, k, None, tuple(zip(ra, rb)))
-                 for ra, rb in zip(a.tolist(), b.tolist()))
+    basis = _PairBasis(DiscreteHarmonic(n, k, None, tuple(zip(ra, rb)))
+                       for ra, rb in zip(a.tolist(), b.tolist()))
+    basis.pair_array = np.stack([a, b], axis=2).astype(np.min_scalar_type(n))
+    basis.pair_array.flags.writeable = False
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +490,11 @@ def _tilde_sums(basis, points: np.ndarray) -> np.ndarray:
     """Sum of f-tilde over the masks of ``points`` (``_points``), per f:
     products of factors [b_i in u] - [a_i in u] in {-1, 0, 1}, exact in
     int8, summed in int64.  The chunks reuse buffers allocated once per
-    call, so its page faults do not depend on what earlier calls freed."""
-    pairs = np.array([f.pairs for f in basis], dtype=np.intp)
+    call, so its page faults do not depend on what earlier calls freed.
+    A ``harm_basis`` result brings its pair array along."""
+    pairs = getattr(basis, "pair_array", None)
+    if pairs is None:
+        pairs = np.array([f.pairs for f in basis], dtype=np.intp)
     a, b = pairs[:, :, 0], pairs[:, :, 1]
     out = np.empty(len(basis), dtype=np.int64)
     step = max(1, min(len(basis), _KERNEL_CELLS // max(1, points.shape[1])))

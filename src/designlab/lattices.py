@@ -7,12 +7,15 @@ its 1/sqrt(2) scaling into the Gram matrix.
 
 Shell search is a breadth-wise Fincke-Pohst search in numpy, run in one
 process: each level expands a chunk of frontier rows at once, and the
-frontier is walked depth-first in chunks so memory stays bounded.  It
+frontier is walked depth-first in chunks so memory stays bounded.  It runs
+in an exactly checked LLL-reduced basis and over half the ball (v and -v
+are one candidate), then maps the rows back and adds the negations.  It
 prunes with floats (bounds inflated by a fixed slack) but accepts
 exclusively by exact integer arithmetic, so the enumerated shells are
 exact.  Size caps are checked on counts, before any vector becomes a
-Python tuple: the search stops once it has produced more than 4*cap + 64
-candidates, and the per-norm tallies refuse a shell larger than the cap.
+Python tuple: the search stops once the ball's candidates pass 4*cap + 64,
+and the per-norm tallies refuse the smallest norm whose shell is larger
+than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and sums of the
 orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
@@ -87,26 +90,30 @@ class Lattice:
 def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
     """Exact decomposition G = U^T D U with U unit upper triangular.
 
-    Returns (diag of D, rows of U).  Positive pivots certify positive
-    definiteness; a nonpositive pivot raises.
+    Returns (diag of D, rows of U).  Fraction-free (Bareiss) elimination on
+    the integer matrix s*G, s the common denominator: the pivot p_k of step
+    k is the leading (k+1)-minor, D_k = p_k / (p_(k-1) s), and the entries
+    right of it, divided by p_k, form row k of U.  Positive pivots certify
+    positive definiteness; a nonpositive pivot raises.
     """
     n = len(gram)
-    work = [[Fraction(x) for x in row] for row in gram]
-    diag = []
-    upper = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = work[i][i]
-        if d <= 0:
+    s = math.lcm(*(x.denominator for row in gram for x in row))
+    work = [[x.numerator * (s // x.denominator) for x in row] for row in gram]
+    diag, upper = [], []
+    prev = 1
+    for k in range(n):
+        p = work[k][k]
+        if p <= 0:
             raise ValueError("gram matrix is not positive definite")
-        diag.append(d)
-        upper[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            upper[i][j] = work[i][j] / d
-        for r in range(i + 1, n):
-            f = work[r][i] / d
-            for c in range(i + 1, n):
-                work[r][c] -= f * work[i][c]
-    return tuple(diag), tuple(tuple(row) for row in upper)
+        diag.append(Fraction(p, prev * s))
+        upper.append((Fraction(0),) * k + (Fraction(1),)
+                     + tuple(Fraction(x, p) for x in work[k][k + 1:]))
+        for i in range(k + 1, n):
+            f = work[i][k]
+            work[i][k + 1:] = [(p * x - f * y) // prev for x, y in
+                               zip(work[i][k + 1:], work[k][k + 1:])]
+        prev = p
+    return tuple(diag), tuple(upper)
 
 
 def determinant(lat: Lattice) -> Fraction:
@@ -189,26 +196,119 @@ class Shell:
 
 @functools.lru_cache(maxsize=64)
 def _doubled_gram(gram) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(2 * x) for x in row) for row in gram)
+    return tuple(tuple(2 * x.numerator // x.denominator for x in row)
+                 for row in gram)
 
 
-def _exact_operands(lat: Lattice, rows, right_max: int | None = None
+def _lll(g2) -> tuple[list[list[int]], list[list[int]]]:
+    """Integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on a positive
+    definite integer Gram matrix G2.  Returns (U, R): the reduced basis is
+    U times the old one, and R = U G2 U^T is kept up to date alongside.
+
+    d[i] is the determinant of the leading i x i block of the current Gram
+    matrix and lam[k][j] = d[j+1] * mu_kj, so every quantity is an integer.
+    """
+    n = len(g2)
+    g = [list(row) for row in g2]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, j: int) -> None:
+        # b_k -= q b_j, q the integer nearest to mu_kj, when |mu_kj| > 1/2
+        if 2 * abs(lam[k][j]) <= d[j + 1]:
+            return
+        q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+        u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+        gkk = g[k][k] - 2 * q * g[k][j] + q * q * g[j][j]
+        for i in range(n):
+            g[k][i] -= q * g[j][i]
+            g[i][k] = g[k][i]
+        g[k][k] = gkk
+        lam[k][j] -= q * d[j + 1]
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+    def swap(k: int, kmax: int) -> None:
+        # exchange b_k and b_(k-1)
+        u[k], u[k - 1] = u[k - 1], u[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    d[1] = g[0][0]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:                    # Gram-Schmidt data of a new row
+            kmax = k
+            for j in range(k + 1):
+                x = g[k][j]
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = x
+                else:
+                    d[k + 1] = x
+        reduce(k, k - 1)
+        if 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 99 * d[k] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return u, g
+
+
+@functools.lru_cache(maxsize=64)
+def _reduced_basis(gram) -> tuple[tuple[tuple[int, ...], ...],
+                                  tuple[tuple[Fraction, ...], ...]]:
+    """(U, Gram matrix of the LLL-reduced basis U * B) of a lattice.
+
+    Checked exactly, so the search may run in the reduced basis: U G2 U^T
+    must equal the reduced doubled Gram matrix, and both Gram matrices must
+    have the same determinant, which makes U unimodular.
+    """
+    g2 = _doubled_gram(gram)
+    u, r2 = _lll(g2)
+    arr, mat = _exact_operands(g2, u, max(abs(x) for row in u for x in row))
+    if (arr @ mat @ arr.T).tolist() != r2:
+        raise InternalCheckError("LLL transform does not give the reduced "
+                                 "Gram matrix")
+    if r2 == [list(row) for row in g2]:        # already reduced
+        return tuple(map(tuple, u)), gram
+    reduced = tuple(tuple(Fraction(x, 2) for x in row) for row in r2)
+    if math.prod(_ldl(reduced)[0]) != math.prod(_ldl(gram)[0]):
+        raise InternalCheckError("LLL transform is not unimodular")
+    return tuple(map(tuple, u)), reduced
+
+
+def _exact_operands(mat, rows, right_max: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rows and the doubled Gram matrix G2 as arrays for the
-    products rows @ G2 @ y, |y| <= right_max (default: max |row entry|).
-    Those stay below n^2 * max|row| * max|G2| * max|y|: int64 when that
-    bound rules out overflow, Python ints otherwise."""
-    g2 = _doubled_gram(lat.gram)
-    bound = lat.rank ** 2 * max(abs(x) for row in g2 for x in row)
+    """Coordinate rows and an n x n integer matrix M (a doubled Gram matrix
+    or a basis transform) as arrays for the products rows @ M @ y,
+    |y| <= right_max (default: max |row entry|).  Those stay below
+    n^2 * max|row| * max|M| * max|y|: int64 when that bound rules out
+    overflow, Python ints otherwise."""
+    bound = len(mat) ** 2 * max(abs(x) for row in mat for x in row)
     arr = np.array(rows, dtype=np.int64)
     m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
     if bound * m * (m if right_max is None else right_max) < 2 ** 63:
-        return arr, np.array(g2, dtype=np.int64)
-    return arr.astype(object), np.array(g2, dtype=object)
+        return arr, np.array(mat, dtype=np.int64)
+    return arr.astype(object), np.array(mat, dtype=object)
 
 
-def _doubled_norms(lat: Lattice, rows) -> np.ndarray:
-    arr, g2 = _exact_operands(lat, rows)
+def _doubled_norms(gram, rows) -> np.ndarray:
+    arr, g2 = _exact_operands(_doubled_gram(gram), rows)
     return (arr @ g2 * arr).sum(axis=1)
 
 
@@ -231,13 +331,18 @@ def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
     the LDL data rounded to float and inflated by a slack factor, so the
     candidate set is a superset of the true ball; callers accept exactly.
 
+    The search covers half the ball: the zero row and the rows whose first
+    nonzero coordinate, v_{n-1} first, is positive.  Only the first row of
+    a level, all zeros so far, needs the rule: its range starts at 0.
+
     The levels form a pipeline of generators that expands the frontier
     depth-first in pieces of about ``_CHUNK`` rows, so memory stays bounded
     whatever the size of the ball; coordinates are stored in the narrowest
     integer dtype that holds them.  Yields the candidate rows chunk by
     chunk, in lexicographic order of (v_{n-1}, ..., v_0), and raises
     ``CapExceededError`` as soon as a chunk takes the count of candidates
-    past 4*cap + 64, before the caller has built anything from them.
+    in the whole ball, each nonzero row counted with its negation, past
+    4*cap + 64, before the caller has built anything from them.
     """
     diag, upper = _ldl(gram)
     n = len(diag)
@@ -256,6 +361,8 @@ def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
             else:
                 rad = np.sqrt(np.maximum(budget, 0.0) / df[i]) * _SLACK + 1e-9
             lo = np.ceil(-c - rad)
+            if not cols[:, 0].any():
+                lo[0] = max(lo[0], 0.0)
             widths = np.maximum(np.floor(-c + rad) - lo + 1, 0).astype(np.int64)
             if not widths.any():
                 continue
@@ -285,9 +392,9 @@ def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
                     np.array([float(bound2) * _SLACK + 1e-9]))])
     for i in range(n - 1, -1, -1):
         stream = _regroup(children(i, stream))
-    produced = 0
+    produced = -1           # the zero row is its own negation
     for cols, _ in stream:
-        produced += cols.shape[1]
+        produced += 2 * cols.shape[1]
         if produced > 4 * cap + 64:
             raise CapExceededError("shell search exceeded the cap")
         yield cols.T
@@ -315,36 +422,32 @@ def _merge(pieces):
             np.concatenate([budget for _, budget in pieces]))
 
 
-@functools.lru_cache(maxsize=64)
-def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
-                             workers: int = 1) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm.
+def _sorted_ball(lat: Lattice, bound2: int, cap: int
+                 ) -> tuple[dict[int, int], np.ndarray]:
+    """All v with 0 < 2*Q(v) <= bound2: the shell sizes by doubled norm, in
+    increasing order, and the rows sorted by (norm, coordinates).
 
-    Count first: each chunk of candidates gets exact doubled norms (int64
-    or Python ints by the ``_exact_operands`` rule), and the accepted rows
-    are tallied per norm.  A shell larger than ``cap`` is refused from the
-    tallies after the search, before any tuple is built; once a tally has
-    passed the cap, rows are only counted, not kept.  The buckets come from
-    one lexsort over (norm, coordinates), so every shell is a sorted tuple
-    of coordinate tuples.  The search runs in one process; ``workers`` is
-    accepted for callers and changes nothing.
+    The half-ball search runs in the LLL-reduced basis.  Count first: each
+    chunk of candidates gets exact doubled norms (int64 or Python ints by
+    the ``_exact_operands`` rule), and the accepted rows, each standing for
+    itself and its negation, are tallied twice per norm.  Once a tally has
+    passed ``cap``, rows are only counted, not kept; after the search the
+    smallest doubled norm over the cap is refused, whatever the basis.  Then
+    the kept rows go back to the caller's coordinates through U (the same
+    rule), a chunk at a time, and are joined by their negations before one
+    lexsort.
     """
-    if bound2 < 0:
-        return {}
+    u, gram = _reduced_basis(lat.gram)
     tally: dict[int, int] = {}
     kept_rows, kept_norms = [], []
     over = False
-    for cand in _search_candidates(lat.gram, bound2, cap):
-        norms = _doubled_norms(lat, cand)
+    for cand in _search_candidates(gram, bound2, cap):
+        norms = _doubled_norms(gram, cand)
         keep = (norms > 0) & (norms <= bound2)
         norms = norms[keep]
-        vals, first, counts = np.unique(norms, return_index=True,
-                                        return_counts=True)
-        # in first-seen order: of several shells over the cap, the one met
-        # first in the search is reported
-        for k in np.argsort(first):
-            w = int(vals[k])
-            tally[w] = tally.get(w, 0) + int(counts[k])
+        vals, counts = np.unique(norms, return_counts=True)
+        for w, c in zip(vals.tolist(), counts.tolist()):
+            tally[w] = tally.get(w, 0) + 2 * c
             over = over or tally[w] > cap
         if over:
             kept_rows.clear()
@@ -352,22 +455,58 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
         elif len(norms):
             kept_rows.append(cand[keep])
             kept_norms.append(norms)
-    for w, size in tally.items():
+    sizes = dict(sorted(tally.items()))
+    for w, size in sizes.items():
         if size > cap:
             raise CapExceededError(
                 f"shell at doubled norm {w} has {size} > cap {cap}")
-    if not tally:
-        return {}
-    rows = np.concatenate(kept_rows)
-    keys, inv = np.unique(np.concatenate(kept_norms), return_inverse=True)
+    if not sizes:
+        return sizes, np.zeros((0, lat.rank), dtype=np.int8)
+    for i, part in enumerate(kept_rows):
+        arr, mat = _exact_operands(u, part, 1)
+        part = arr @ mat
+        kept_rows[i] = part.astype(_int_dtype(int(np.abs(part).max())))
+    half = np.concatenate(kept_rows)
+    rows = np.concatenate([half, -half])
+    _, inv = np.unique(np.concatenate(kept_norms * 2), return_inverse=True)
     order = np.lexsort(tuple(rows[:, j] for j in range(lat.rank - 1, -1, -1))
                        + (inv.reshape(-1),))
-    vecs = list(zip(*rows[order].T.tolist()))
+    return sizes, rows[order]
+
+
+def _is_antipodal(rows: np.ndarray) -> bool:
+    """Whether the rows equal their own negation read backwards, as a sorted
+    antipodal shell does; compared ``_CHUNK`` rows of the first half at a
+    time, so no copy of the whole shell is made."""
+    n = len(rows)
+    half = (n + 1) // 2
+    for lo in range(0, half, _CHUNK):
+        hi = min(lo + _CHUNK, half)
+        if not np.array_equal(rows[lo:hi], -rows[n - hi:n - lo][::-1]):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
+                             workers: int = 1) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
+    (``_sorted_ball``), so every shell is a sorted tuple of coordinate
+    tuples.  Each shell is checked antipodal on the sorted array before any
+    tuple is built.  ``workers`` is accepted for callers and changes
+    nothing.
+    """
+    if bound2 < 0:
+        return {}
+    sizes, rows = _sorted_ball(lat, bound2, cap)
     out = {}
     start = 0
-    for w in keys.tolist():
-        out[w] = tuple(vecs[start:start + tally[w]])
-        start += tally[w]
+    for w, size in sizes.items():
+        shell = rows[start:start + size]
+        if not _is_antipodal(shell):
+            raise InternalCheckError(f"shell at doubled norm {w} not antipodal")
+        out[w] = tuple(zip(*shell.T.tolist()))
+        start += size
     return out
 
 
@@ -376,9 +515,8 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
     """All vectors of the exact given norm, antipodal and sorted.
 
     Float pruning only widens the search box; acceptance is by exact
-    integer arithmetic on the doubled Gram matrix.  A sorted antipodal
-    shell equals its own negation read backwards, which is checked
-    ``_CHUNK`` rows of the first half at a time, small beside the shell.
+    integer arithmetic on the doubled Gram matrix, and the shell comes from
+    the vector table, which checks antipodality on its arrays.
     """
     norm = Fraction(norm)
     if norm < 0:
@@ -388,14 +526,7 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
         vecs = ((tuple([0] * lat.rank),) if norm == 0 else ())
         return Shell(lat, norm, vecs)
     table = _vectors_by_doubled_norm(lat, int(doubled), cap, workers)
-    vecs = table.get(int(doubled), ())
-    n = len(vecs)
-    for lo in range(0, (n + 1) // 2, _CHUNK):
-        hi = min(lo + _CHUNK, (n + 1) // 2)
-        tail = np.array(vecs[n - hi:n - lo], dtype=np.int64)[::-1]
-        if not np.array_equal(np.array(vecs[lo:hi], dtype=np.int64), -tail):
-            raise InternalCheckError("shell not antipodal")
-    return Shell(lat, norm, vecs)
+    return Shell(lat, norm, table.get(int(doubled), ()))
 
 
 def shell_sizes_up_to(lat: Lattice, max_norm, cap: int = SHELL_CAP,
@@ -423,6 +554,11 @@ def sphere_moment(n: int, k: int) -> Fraction:
 def _pair_histogram(shell: Shell) -> dict[int, int]:
     """Histogram of doubled pairwise inner products 2*(x.y) over X x X.
 
+    A sorted antipodal shell is X+ followed by -X+ read backwards (checked
+    on the array, ``_is_antipodal``).  Then the pairs (+-a, +-b) give
+    hist(v) = 2*(H(v) + H(-v)), with H the histogram over ordered pairs of
+    X+ x X+, a quarter of the products; any other shell counts X x X.
+
     When n * max|row| * max|row @ G2| < 2^53 every partial sum of a product
     is an integer below 2^53, so float64 BLAS computes the products exactly.
     Cauchy-Schwarz puts them in [-2Q, 2Q], where ``np.bincount`` counts
@@ -434,16 +570,19 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     histogram take 0.09 to 0.45 s.  Other inputs take int64 or Python-int
     products (the ``_exact_operands`` rule) and ``np.unique``.
     """
-    arr, g2 = _exact_operands(shell.lattice, shell.vectors)
-    half = arr @ g2
+    arr, g2 = _exact_operands(_doubled_gram(shell.lattice.gram), shell.vectors)
+    fold = len(arr) % 2 == 0 and _is_antipodal(arr)
+    if fold:
+        arr = arr[:len(arr) // 2]
+    xg = arr @ g2
     size = len(arr)
-    chunk = max(1, _PAIR_BLOCK // max(1, size))
     w = int(2 * shell.norm)
     rank = shell.lattice.rank
+    hist: dict[int, int] = {}
     if (arr.dtype != object and 2 * w < _PAIR_BLOCK
             and rank * int(np.abs(arr).max(initial=0))
-            * int(np.abs(half).max(initial=0)) < 2 ** 53):
-        left, right = half.astype(np.float64), arr.astype(np.float64).T
+            * int(np.abs(xg).max(initial=0)) < 2 ** 53):
+        left, right = xg.astype(np.float64), arr.astype(np.float64).T
         side = max(1, math.isqrt(min(_PAIR_BLOCK, _BLAS_SERIAL // rank)))
         # row 0 counts the diagonal tiles, row 1 the tiles above them
         counts = np.zeros((2, 2 * w + 1), dtype=np.int64)
@@ -465,14 +604,18 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
                 counts[int(col > lo)] += np.bincount(bins.ravel(),
                                                      minlength=2 * w + 1)
         total = counts[0] + 2 * counts[1]
-        return {v - w: c for v, c in enumerate(total.tolist()) if c}
-    hist: dict[int, int] = {}
-    for lo in range(0, size, chunk):
-        prods = half[lo:lo + chunk] @ arr.T
-        vals, counts = np.unique(prods, return_counts=True)
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            hist[v] = hist.get(v, 0) + c
-    return hist
+        hist = {v - w: c for v, c in enumerate(total.tolist()) if c}
+    else:
+        chunk = max(1, _PAIR_BLOCK // max(1, size))
+        for lo in range(0, size, chunk):
+            prods = xg[lo:lo + chunk] @ arr.T
+            vals, counts = np.unique(prods, return_counts=True)
+            for v, c in zip(vals.tolist(), counts.tolist()):
+                hist[v] = hist.get(v, 0) + c
+    if not fold:
+        return hist
+    return {v: 2 * (hist.get(v, 0) + hist.get(-v, 0))
+            for v in sorted(hist.keys() | {-v for v in hist})}
 
 
 @functools.lru_cache(maxsize=16)
@@ -782,7 +925,7 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     cs = zonal_coeffs(lat.rank, k, _gram_dot(lat, w, w))
     scale = math.lcm(*(x.denominator for x in w))
     w_int = [int(x * scale) for x in w]
-    arr, g2 = _exact_operands(lat, shell.vectors,
+    arr, g2 = _exact_operands(_doubled_gram(lat.gram), shell.vectors,
                               max(abs(x) for x in w_int))
     dots2 = arr @ g2 @ np.array(w_int, dtype=arr.dtype)   # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)

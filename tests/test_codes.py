@@ -407,6 +407,24 @@ def test_harmonic_family_sums_matches_per_element():
         assert s == sum(f.tilde(b) for b in fam.blocks)
 
 
+def test_cached_basis_carries_its_pair_array():
+    # the pair array rides on the cached basis: equal to the one rebuilt
+    # from the tuples, read-only, and the one the kernel reads
+    for n, k in ((8, 3), (24, 1), (24, 5)):
+        basis = harm_basis(n, k)
+        assert basis.pair_array is harm_basis(n, k).pair_array
+        assert np.array_equal(basis.pair_array,
+                              np.array([f.pairs for f in basis]))
+        assert not basis.pair_array.flags.writeable
+    fam = shell(d16_plus(), 4)              # no 2-design
+    basis = harm_basis(16, 2)
+    sums = harmonic_family_sums(list(basis), fam)     # rebuilt from tuples
+    assert harmonic_family_sums(basis, fam) == sums and any(sums)
+    reordered = codes._PairBasis(basis)
+    reordered.pair_array = basis.pair_array[::-1]
+    assert harmonic_family_sums(reordered, fam) == sums[::-1]
+
+
 def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
     rng = random.Random(24)
     union = shell(golay_g24(), 8).union(shell(golay_g24(), 16))

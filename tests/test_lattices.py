@@ -19,8 +19,9 @@ from designlab import lattices
 from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
 from designlab.errors import (CapExceededError, InternalCheckError,
                               PrecisionError)
-from designlab.lattices import (_SLACK, HarmonicPolynomial, Lattice, _ldl,
-                                _pair_histogram, _search_candidates,
+from designlab.lattices import (_SLACK, SHELL_CAP, HarmonicPolynomial, Lattice,
+                                Shell, _ldl, _lll, _pair_histogram,
+                                _reduced_basis, _search_candidates,
                                 _vectors_by_doubled_norm, constant_poly,
                                 construction_a, determinant,
                                 gegenbauer_component_sums, gram_from_text,
@@ -89,6 +90,89 @@ def dfs_candidates(gram, bound2):
 
     rec(n - 1, float(bound2) * _SLACK + 1e-9)
     return out
+
+
+def ldl_oracle(gram):
+    """G = U^T D U by plain Fraction elimination, one entry at a time."""
+    n = len(gram)
+    work = [[F(x) for x in row] for row in gram]
+    diag = []
+    upper = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        d = work[i][i]
+        if d <= 0:
+            raise ValueError("not positive definite")
+        diag.append(d)
+        upper[i][i] = F(1)
+        for j in range(i + 1, n):
+            upper[i][j] = work[i][j] / d
+        for r in range(i + 1, n):
+            f = work[r][i] / d
+            for c in range(i + 1, n):
+                work[r][c] -= f * work[i][c]
+    return tuple(diag), tuple(tuple(row) for row in upper)
+
+
+def in_half_ball(v):
+    """The half-ball rule: v is zero, or its first nonzero coordinate, v[-1]
+    first, is positive."""
+    return next((x for x in reversed(v) if x), 0) >= 0
+
+
+def check_half_search(gram, bound2, cands):
+    """The search yields the depth-first list restricted to the half ball,
+    and with the negations it covers the whole list."""
+    full = dfs_candidates(gram, bound2)
+    assert cands == [v for v in full if in_half_ball(v)]
+    mirrored = [tuple(-x for x in v) for v in cands if any(v)]
+    assert sorted(cands + mirrored) == sorted(full)
+
+
+def exact_det(rows):
+    """Determinant by exact Fraction elimination."""
+    m = [[F(x) for x in row] for row in rows]
+    n = len(m)
+    det = F(1)
+    for i in range(n):
+        p = next((r for r in range(i, n) if m[r][i]), None)
+        if p is None:
+            return F(0)
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def check_lll(lat):
+    """U is an integer matrix with |det U| = 1, U G2 U^T is the reduced
+    Gram matrix exactly, and the reduced basis is size-reduced and meets
+    the Lovasz condition with delta = 99/100 (exact Gram-Schmidt)."""
+    g2 = doubled_gram(lat)
+    u, r2 = _lll(tuple(map(tuple, g2)))
+    n = lat.rank
+    assert all(isinstance(x, int) for row in u for x in row)
+    assert abs(exact_det(u)) == 1
+    assert [[sum(u[i][a] * g2[a][b] * u[j][b] for a in range(n)
+                 for b in range(n)) for j in range(n)] for i in range(n)] == r2
+    mu = [[F(0)] * n for _ in range(n)]
+    bstar = []                      # squared Gram-Schmidt lengths
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (F(r2[i][j]) - sum(mu[j][k] * mu[i][k] * bstar[k]
+                                          for k in range(j))) / bstar[j]
+            assert abs(mu[i][j]) <= F(1, 2)
+        bstar.append(F(r2[i][i]) - sum(mu[i][k] ** 2 * bstar[k]
+                                       for k in range(i)))
+        if i:
+            assert bstar[i] >= (F(99, 100) - mu[i][i - 1] ** 2) * bstar[i - 1]
+    assert _reduced_basis(lat.gram) == (
+        tuple(map(tuple, u)),
+        tuple(tuple(F(x, 2) for x in row) for row in r2))
+    return u
 
 
 def doubled_gram(lat):
@@ -281,7 +365,7 @@ def test_huge_gram_entries_stay_exact():
 def test_search_matches_the_depth_first_oracle(lat, bound2):
     cands = [tuple(r) for chunk in _search_candidates(lat.gram, bound2, 10**9)
              for r in chunk.tolist()]
-    assert cands == dfs_candidates(lat.gram, bound2)
+    check_half_search(lat.gram, bound2, cands)
     assert _vectors_by_doubled_norm(lat, bound2, 10**9) == dfs_shells(lat, bound2)
 
 
@@ -294,9 +378,82 @@ def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
     for lat, bound2 in ((lattice_e8(), 8), (d16, 4), (lattice_zn(6), 8)):
         cands = [tuple(r) for c in _search_candidates(lat.gram, bound2, 10**9)
                  for r in c.tolist()]
-        assert cands == dfs_candidates(lat.gram, bound2)
+        check_half_search(lat.gram, bound2, cands)
         assert _vectors_by_doubled_norm.__wrapped__(lat, bound2, 10**9) == \
             dfs_shells(lat, bound2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_lattices(max_rank=6), st.integers(1, 2))
+def test_fraction_free_ldl_matches_plain_elimination(lat, halve):
+    gram = tuple(tuple(x / halve for x in row) for row in lat.gram)
+    assert _ldl(gram) == ldl_oracle(gram)
+
+
+def test_ldl_on_fixtures_and_refusals():
+    golay = construction_a(golay_g24(), "CA(golay)")
+    for gram in (lattice_e8().gram, lattice_a2().gram, golay.gram,
+                 gram_from_text("1 1/2\n1/2 1").gram):
+        assert _ldl(gram) == ldl_oracle(gram)
+    for bad in (((F(1), F(2)), (F(2), F(1))), ((F(0),),), ((F(-1, 2),),)):
+        with pytest.raises(ValueError, match="positive definite"):
+            _ldl(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_lattices(max_rank=6))
+def test_lll_transform_is_unimodular_and_reduces(lat):
+    check_lll(lat)
+
+
+def test_lll_on_the_fixture_lattices():
+    golay = construction_a(golay_g24(), "CA(golay)")
+    for lat in (lattice_e8(), construction_a(d16_plus(), "d16plus"), golay):
+        check_lll(lat)
+    # an orthonormal basis is already reduced: LLL changes nothing
+    z12 = lattice_zn(12)
+    assert check_lll(z12) == [[int(i == j) for j in range(12)]
+                              for i in range(12)]
+    assert _reduced_basis(z12.gram)[1] == z12.gram
+
+
+def test_half_ball_search_of_the_golay_lattice():
+    # 1 + 48 + 195408 vectors to doubled norm 8: the zero row and half the
+    # rest, where the unreduced full search produced 195457 rows
+    golay = construction_a(golay_g24(), "CA(golay)")
+    reduced = _reduced_basis(golay.gram)[1]
+    assert sum(len(c) for c in _search_candidates(reduced, 8, SHELL_CAP)) \
+        == 97729
+
+
+def test_corrupted_lll_transforms_are_refused(monkeypatch):
+    def scaled(g2):
+        # U with one row doubled and its matching Gram matrix: consistent,
+        # but a sublattice of index 2
+        u = [[int(i == j) for j in range(len(g2))] for i in range(len(g2))]
+        u[0][0] = 2
+        r2 = [list(row) for row in g2]
+        r2[0] = [2 * x for x in r2[0]]
+        for row in r2:
+            row[0] *= 2
+        return u, r2
+
+    monkeypatch.setattr(lattices, "_lll", scaled)
+    a2 = Lattice(((F(2), F(1)), (F(1), F(2))))
+    with pytest.raises(InternalCheckError, match="unimodular"):
+        shell_enum(a2, 2)
+
+
+def test_corrupted_lll_transform_refused_under_optimize(refused_under_optimize):
+    assert refused_under_optimize(
+        "import designlab.lattices as L\n"
+        "lll = L._lll\n"
+        "def corrupted(g2):\n"
+        "    u, r2 = lll(g2)\n"
+        "    u[0][-1] += 1\n"
+        "    return u, r2\n"
+        "L._lll = corrupted\n"
+        "L.shell_enum(L.lattice_e8(), 2)")
 
 
 def test_shell_cap_enforced():
@@ -309,15 +466,18 @@ def test_cap_boundaries():
     assert shell_sizes_up_to(e8, 4, cap=2160)[F(4)] == 2160
     with pytest.raises(CapExceededError, match="has 2160 > cap 2159"):
         shell_sizes_up_to(e8, 4, cap=2159)
-    # of several shells over the cap, the first one met in the search
-    # (top coordinate first, so (0, -5) of norm 25) is reported
-    with pytest.raises(CapExceededError, match="norm 50 has 12 > cap 7"):
+    # of several shells over the cap, the smallest doubled norm is
+    # reported, whatever basis the search runs in
+    with pytest.raises(CapExceededError, match="doubled norm 10 has 8 > cap 7"):
         shell_sizes_up_to(lattice_zn(2), 25, cap=7)
-    # the candidate rule: more than 4*cap + 64 leaves refuse in the search
+    # the candidate rule: more than 4*cap + 64 leaves of the whole ball
+    # refuse in the search, though it yields only the zero row and half
+    # the rest
     z3 = lattice_zn(3)
     count = len(dfs_candidates(z3.gram, 20))
     cap = -(-(count - 64) // 4)             # smallest cap with 4*cap+64 >= count
-    assert sum(len(c) for c in _search_candidates(z3.gram, 20, cap)) == count
+    assert sum(len(c) for c in _search_candidates(z3.gram, 20, cap)) == \
+        (count + 1) // 2
     with pytest.raises(CapExceededError, match="search exceeded"):
         list(_search_candidates(z3.gram, 20, cap - 1))
 
@@ -333,6 +493,22 @@ def test_pair_histogram_matches_brute_force(monkeypatch, block):
     for lat, norm in cases:
         sh = shell_enum(lat, norm)
         assert _pair_histogram(sh) == brute_pair_histogram(lat, sh.vectors)
+    # hand-built shells that are not antipodal take the full X x X path
+    for vectors in (((0, 1), (1, 0)), ((0, 1), (1, 0), (0, -1)),
+                    ((1, 0), (0, 1), (-1, 0), (0, 1)), ((0, 0),)):
+        sh = Shell(z2, F(sum(vectors[0]) ** 2), vectors)
+        assert _pair_histogram(sh) == brute_pair_histogram(z2, vectors)
+
+
+def test_half_shell_histogram_equals_the_full_one(monkeypatch):
+    # the folded X+ x X+ count against the full X x X count, forced by
+    # reading every shell as not antipodal
+    e8 = lattice_e8()
+    shells = [shell_enum(e8, 2), shell_enum(e8, 4),
+              shell_enum(lattice_zn(3), 3), shell_enum(lattice_a2(), 14)]
+    folded = [_pair_histogram(sh) for sh in shells]
+    monkeypatch.setattr(lattices, "_is_antipodal", lambda rows: False)
+    assert folded == [_pair_histogram(sh) for sh in shells]
 
 
 def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
@@ -353,23 +529,28 @@ def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
 
 
 def test_antipodality_is_checked_block_by_block(monkeypatch):
-    # a tiny block splits the first half of the 240 roots into 18 blocks
+    # a tiny block splits the first half of the 240 roots into 18 blocks;
+    # the check reads the sorted array, before any tuple is built
     monkeypatch.setattr(lattices, "_CHUNK", 7)
-    roots = shell_enum(lattice_e8(), 2).vectors
+    e8 = lattice_e8()
+    roots = np.array(shell_enum(e8, 2).vectors)
     assert len(roots) == 240
+    build = _vectors_by_doubled_norm.__wrapped__
+    assert build(e8, 4, SHELL_CAP) == {4: shell_enum(e8, 2).vectors}
     for i in (0, 7, 64, 119, 120, 239):     # first, inner and last blocks
-        bad = list(roots)
-        bad[i] = tuple(-x for x in bad[i])
-        monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
-                            lambda *args: {4: tuple(bad)})
+        bad = roots.copy()
+        bad[i] = -bad[i]
+        monkeypatch.setattr(lattices, "_sorted_ball",
+                            lambda *args: ({4: 240}, bad))
         with pytest.raises(InternalCheckError, match="antipodal"):
-            shell_enum(lattice_e8(), 2)
+            build(e8, 4, SHELL_CAP)
 
 
 def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
     assert refused_under_optimize(
+        "import numpy as np\n"
         "import designlab.lattices as L\n"
-        "L._vectors_by_doubled_norm = lambda *a: {2: ((0, 1), (1, 0))}\n"
+        "L._sorted_ball = lambda *a: ({2: 2}, np.array([[0, 1], [1, 0]]))\n"
         "L.shell_enum(L.lattice_zn(2), 1)")
 
 
