@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._fixtures import user_fixture_path
 from ._parallel import default_workers
 from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
@@ -76,6 +78,51 @@ def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
                    (f"-{body}" if c < 0 else body))
     tail = " + ..." if len(s.coeffs) > max_terms else ""
     return "".join(out) + tail
+
+
+# integer row layouts for ``_format_rows``: (row start, value separator,
+# row end, text between rows)
+_JSON_ROWS = ("[", ", ", "]", ", ")
+_CSV_ROWS = ("", ",", "\n", "")
+_TEXT_ROWS = ("  ", ",", "\n", "")
+_TOKEN_SPAN = 1 << 12       # widest value range formatted from a byte table
+_TOKEN_ROWS = 1 << 14       # rows formatted at once
+
+
+def _format_rows(rows: np.ndarray, layout: tuple[str, str, str, str]) -> str:
+    """The rows of an integer array in decimal, laid out as ``layout``:
+    with ``_JSON_ROWS``, "[" + result + "]" is ``json.dumps(rows.tolist())``.
+
+    Every value v in [lo, hi] has a token in a byte table: its digits, the
+    row start before them in the first column, and the separator (or, in
+    the last column, the row end and the text between rows) after them,
+    NUL-padded to one width.  A block of rows gathers its tokens and drops
+    the padding; the text after the last row is cut.  Values spanning
+    ``_TOKEN_SPAN`` or more integers, or held as Python ints, are formatted
+    one by one instead.
+    """
+    start, sep, end, between = layout
+    if not len(rows):
+        return ""
+    lo, hi = int(rows.min()), int(rows.max())
+    if rows.dtype == object or hi - lo >= _TOKEN_SPAN:
+        return between.join(start + sep.join(map(str, row)) + end
+                            for row in rows.tolist())
+    n = rows.shape[1]
+    # token kinds: 0 first column, 1 middle columns, 2 last column
+    kind = np.minimum(np.arange(n), 1)
+    kind[-1] = 2
+    heads = (start, "", start if n == 1 else "")
+    tails = (sep, sep, end + between)
+    words = [(h + str(v) + t).encode()
+             for h, t in zip(heads, tails) for v in range(lo, hi + 1)]
+    width = max(map(len, words))
+    table = np.array(words, dtype=f"S{width}").view(f"V{width}")
+    offset = kind * (hi - lo + 1) - lo
+    parts = [table[rows[a:a + _TOKEN_ROWS] + offset].tobytes()
+             .translate(None, b"\0") for a in range(0, len(rows), _TOKEN_ROWS)]
+    parts[-1] = parts[-1][:len(parts[-1]) - len(between)]
+    return b"".join(parts).decode("ascii")
 
 
 def _resolve_code(name: str) -> BinaryCode:
@@ -423,19 +470,23 @@ def cmd_shell(cfg: RunConfig, out):
     norm = _parse_norm(a.norm, allow_zero=True)
     sh = shell_enum(lat, norm, workers=cfg.workers)
     if cfg.fmt == "csv":
-        for v in sh.vectors:
-            print(",".join(str(x) for x in v), file=out)
+        out.write(_format_rows(sh.rows, _CSV_ROWS))
         return None, []
-    payload = {"schema": SCHEMA, "command": "shell", "lattice": a.lattice,
-               "norm": _frac(norm), "count": len(sh.vectors),
-               "vectors": sh.vectors}      # tuples dump as JSON arrays
-    text = [f"{a.lattice} norm {norm}: {len(sh.vectors)} vectors"]
-    for v in sh.vectors[:5]:
-        text.append("  " + ",".join(str(x) for x in v))
-    if len(sh.vectors) > 5:
-        text.append(f"  ... ({len(sh.vectors) - 5} more; "
-                    "use --format csv for all)")
-    return payload, text
+    if cfg.fmt == "json":
+        # the line json.dumps(payload, sort_keys=True) would print with the
+        # vectors in the payload: "vectors" sorts after every other key
+        head = json.dumps({"schema": SCHEMA, "command": "shell",
+                           "lattice": a.lattice, "norm": _frac(norm),
+                           "count": len(sh)}, sort_keys=True)
+        out.write(head[:-1] + ', "vectors": [')
+        out.write(_format_rows(sh.rows, _JSON_ROWS))
+        out.write("]}\n")
+        return None, []
+    text = [f"{a.lattice} norm {norm}: {len(sh)} vectors"]
+    text += _format_rows(sh.rows[:5], _TEXT_ROWS).splitlines()
+    if len(sh) > 5:
+        text.append(f"  ... ({len(sh) - 5} more; use --format csv for all)")
+    return None, text
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ in an exactly checked LLL-reduced basis and over half the ball (v and -v
 are one candidate), then maps the rows back and adds the negations.  It
 prunes with floats (bounds inflated by a fixed slack) but accepts
 exclusively by exact integer arithmetic, so the enumerated shells are
-exact.  Size caps are checked on counts, before any vector becomes a
-Python tuple: the search stops once the ball's candidates pass 4*cap + 64,
-and the per-norm tallies refuse the smallest norm whose shell is larger
-than the cap.
+exact.  A shell is a read-only slice of the ball's sorted integer array;
+Python tuples of its vectors are built only on demand.  Size caps are
+checked on counts, before any row is mapped back to the caller's basis:
+the search stops once the ball's candidates pass 4*cap + 64, and the
+per-norm tallies refuse the smallest norm whose shell is larger than the
+cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and sums of the
 orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
@@ -183,15 +185,43 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
 # shell enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shell:
-    """All lattice vectors of one exact norm, in sorted coordinate order."""
+    """All lattice vectors of one exact norm, in sorted coordinate order.
+
+    ``rows`` is a read-only sorted integer array, one vector per row (rows
+    given as a writeable array or as tuples are copied into one);
+    ``vectors`` is the same shell as a tuple of coordinate tuples, built on
+    first use.  Length, hash and equality read only the array.
+    """
     lattice: Lattice
     norm: Fraction
-    vectors: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = self.rows
+        if not isinstance(rows, np.ndarray) or rows.flags.writeable:
+            rows = np.array(rows, dtype=None if len(rows) else np.int8)
+            rows = rows.reshape(len(rows), self.lattice.rank)
+            rows.setflags(write=False)
+            object.__setattr__(self, "rows", rows)
+
+    @functools.cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.rows)
+
+    def __hash__(self):
+        return hash((self.lattice, self.norm, len(self.rows)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Shell):
+            return NotImplemented
+        return (self.lattice == other.lattice and self.norm == other.norm
+                and (self.rows is other.rows
+                     or np.array_equal(self.rows, other.rows)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -489,23 +519,23 @@ def _is_antipodal(rows: np.ndarray) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
-                             workers: int = 1) -> dict[int, tuple[tuple[int, ...], ...]]:
+                             workers: int = 1) -> dict[int, np.ndarray]:
     """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
-    (``_sorted_ball``), so every shell is a sorted tuple of coordinate
-    tuples.  Each shell is checked antipodal on the sorted array before any
-    tuple is built.  ``workers`` is accepted for callers and changes
-    nothing.
+    (``_sorted_ball``): every shell is a read-only slice of the one sorted
+    array, checked antipodal before any slice is handed out.  ``workers``
+    is accepted for callers and changes nothing.
     """
     if bound2 < 0:
         return {}
     sizes, rows = _sorted_ball(lat, bound2, cap)
+    rows.setflags(write=False)
     out = {}
     start = 0
     for w, size in sizes.items():
         shell = rows[start:start + size]
         if not _is_antipodal(shell):
             raise InternalCheckError(f"shell at doubled norm {w} not antipodal")
-        out[w] = tuple(zip(*shell.T.tolist()))
+        out[w] = shell
         start += size
     return out
 
@@ -523,8 +553,7 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
         raise ValueError("norm must be nonnegative")
     doubled = 2 * norm
     if norm == 0 or doubled.denominator != 1:
-        vecs = ((tuple([0] * lat.rank),) if norm == 0 else ())
-        return Shell(lat, norm, vecs)
+        return Shell(lat, norm, np.zeros((int(norm == 0), lat.rank), np.int8))
     table = _vectors_by_doubled_norm(lat, int(doubled), cap, workers)
     return Shell(lat, norm, table.get(int(doubled), ()))
 
@@ -570,7 +599,7 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     histogram take 0.09 to 0.45 s.  Other inputs take int64 or Python-int
     products (the ``_exact_operands`` rule) and ``np.unique``.
     """
-    arr, g2 = _exact_operands(_doubled_gram(shell.lattice.gram), shell.vectors)
+    arr, g2 = _exact_operands(_doubled_gram(shell.lattice.gram), shell.rows)
     fold = len(arr) % 2 == 0 and _is_antipodal(arr)
     if fold:
         arr = arr[:len(arr) // 2]
@@ -640,11 +669,11 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
     average |X|^2 r^{2k} m_k.  The shell is a spherical s-design exactly
     when the identity holds for all k <= s.
     """
-    if not shell.vectors or shell.norm <= 0:
+    if not len(shell) or shell.norm <= 0:
         raise ValueError("moment test needs a nonempty positive-norm shell")
     n = shell.lattice.rank
     hist = _shell_pair_histogram(shell)
-    size = len(shell.vectors)
+    size = len(shell)
     r2 = shell.norm
     per_k: dict[int, bool] = {}
     for k in range(1, t + 1):
@@ -699,7 +728,7 @@ def _moment_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
 def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
     """Exact per-degree kernel sums S_j over X x X; S_j = 0 iff the shell
     averages every degree-j harmonic polynomial to zero."""
-    if not shell.vectors or shell.norm <= 0:
+    if not len(shell) or shell.norm <= 0:
         raise ValueError("component sums need a nonempty positive-norm shell")
     n = shell.lattice.rank
     degrees = sorted(set(degrees))
@@ -739,13 +768,12 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
     the odd sums are computed anyway rather than assumed.
     """
     shell = shell_enum(lat, norm, cap, workers)
-    if not shell.vectors:
+    if not len(shell):
         raise ValueError("empty shell")
     degrees = sorted(set(degrees))
     sums = gegenbauer_component_sums(shell, degrees)
     verdicts = {j: sums[j] == 0 for j in degrees}
-    return TDesignReport(lat.label, shell.norm, len(shell.vectors),
-                         verdicts, sums)
+    return TDesignReport(lat.label, shell.norm, len(shell), verdicts, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -919,13 +947,13 @@ def _gram_dot(lat: Lattice, a, b) -> Fraction:
 def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     """Exact sum over the shell of the degree-k zonal with the given
     lattice-coordinate direction (histogram of x.u values, then the ladder)."""
-    if not shell.vectors:
+    if not len(shell):
         return Fraction(0)
     w = [Fraction(x) for x in direction]
     cs = zonal_coeffs(lat.rank, k, _gram_dot(lat, w, w))
     scale = math.lcm(*(x.denominator for x in w))
     w_int = [int(x * scale) for x in w]
-    arr, g2 = _exact_operands(_doubled_gram(lat.gram), shell.vectors,
+    arr, g2 = _exact_operands(_doubled_gram(lat.gram), shell.rows,
                               max(abs(x) for x in w_int))
     dots2 = arr @ g2 @ np.array(w_int, dtype=arr.dtype)   # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)
@@ -944,7 +972,7 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
 def _poly_shell_sum(lat: Lattice, shell: Shell, p: HarmonicPolynomial) -> Fraction:
     if p.degree == 0:
         lead = p.terms[0][1] if p.terms else Fraction(1)
-        return lead * len(shell.vectors)
+        return lead * len(shell)
     if p.zonal is not None and p.zonal.in_lattice_coords:
         return zonal_shell_sum(lat, shell, p.degree, p.zonal.direction)
     if _is_identity(lat):
@@ -972,13 +1000,13 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
     coeffs: dict[int, Fraction] = {}
     if p.degree == 0:
         coeffs[0] = p.terms[0][1] if p.terms else Fraction(1)
-    for w, vecs in table.items():
+    for w, rows in table.items():
         if w % 2:
             raise ValueError("non-integral norm encountered")
         norm = w // 2
         if even and norm % 2:
             raise ValueError("odd norm on an even lattice: enumeration bug")
-        val = _poly_shell_sum(lat, Shell(lat, Fraction(norm), vecs), p)
+        val = _poly_shell_sum(lat, Shell(lat, Fraction(norm), rows), p)
         if val:
             coeffs[norm] = val
     return QSeries(0, prec_norm, coeffs)

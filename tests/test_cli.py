@@ -6,14 +6,17 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import designlab
 from designlab import cli, lattices
 from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import golay_g24
-from designlab.lattices import lattice_e8
+from designlab.lattices import _int_dtype, lattice_e8, shell_enum
 from designlab.modforms import FitResult
 
 
@@ -313,6 +316,75 @@ def test_shell_csv():
     rows = [tuple(int(x) for x in line.split(","))
             for line in text.strip().splitlines()]
     assert len(rows) == 6 and (1, 0) in rows and (-1, 1) in rows
+
+
+def tuple_shell_output(fmt, lattice, norm):
+    """The shell command's output built from the tuples of Shell.vectors,
+    one json.dumps document or one print per row."""
+    sh = shell_enum(cli._resolve_lattice(lattice), Fraction(norm))
+    vectors = sh.vectors
+    if fmt == "json":
+        return json.dumps({"schema": "v1", "command": "shell",
+                           "lattice": lattice, "norm": cli._frac(sh.norm),
+                           "count": len(vectors), "vectors": vectors},
+                          sort_keys=True) + "\n"
+    lines = [",".join(str(x) for x in v) for v in vectors]
+    if fmt == "csv":
+        return "".join(line + "\n" for line in lines)
+    text = [f"{lattice} norm {sh.norm}: {len(vectors)} vectors"]
+    text += ["  " + line for line in lines[:5]]
+    if len(vectors) > 5:
+        text.append(f"  ... ({len(vectors) - 5} more; use --format csv for all)")
+    return "".join(line + "\n" for line in text)
+
+
+@pytest.mark.parametrize("lattice, norm", [
+    ("Z1", "1"), ("Z2", "65"), ("E8", "0"), ("E8", "1/2"), ("A2", "14"),
+    ("Z3", "7")])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("block", [cli._TOKEN_ROWS, 3])
+def test_shell_output_matches_the_tuple_output(monkeypatch, block, fmt,
+                                               lattice, norm):
+    # a block of 3 rows formats most shells in several pieces
+    monkeypatch.setattr(cli, "_TOKEN_ROWS", block)
+    code, text = run(["--format", fmt, "shell", "--lattice", lattice,
+                      "--norm", norm])
+    assert code == 0
+    assert text == tuple_shell_output(fmt, lattice, norm)
+
+
+@st.composite
+def int_rows(draw):
+    """Integer arrays of rank 1-24 and 0-4 rows, in the narrowest dtype
+    that holds their reach, as shells come from the search."""
+    rank, count = draw(st.integers(1, 24)), draw(st.integers(0, 4))
+    reach = draw(st.sampled_from([1, 9, 127, 1000, cli._TOKEN_SPAN, 2 ** 40]))
+    values = draw(st.lists(st.integers(-reach, reach), min_size=rank * count,
+                           max_size=rank * count))
+    return np.array(values, dtype=_int_dtype(reach)).reshape(count, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+@example(np.zeros((0, 5), dtype=np.int8))
+@example(np.array([[-3, 0, 12, -45]], dtype=np.int8))
+@example(np.array([[-2 ** 40, 5], [0, 2 ** 40]]))    # the one-by-one path
+def test_row_writer_matches_json_dumps(rows):
+    oracle = rows.tolist()
+    assert "[" + cli._format_rows(rows, cli._JSON_ROWS) + "]" == \
+        json.dumps(oracle)
+    assert cli._format_rows(rows, cli._CSV_ROWS) == \
+        "".join(",".join(map(str, row)) + "\n" for row in oracle)
+
+
+def test_row_writer_span_boundary():
+    # spans of _TOKEN_SPAN - 1 and _TOKEN_SPAN integers, either side of
+    # the fallback, in one-row and many-row arrays
+    for span in (cli._TOKEN_SPAN - 1, cli._TOKEN_SPAN):
+        for rows in (np.array([[-span // 2, span - span // 2]]),
+                     np.arange(-3, span - 2).reshape(-1, 1)[::-1]):
+            assert "[" + cli._format_rows(rows, cli._JSON_ROWS) + "]" == \
+                json.dumps(rows.tolist())
 
 
 def test_csv_rejected_elsewhere():

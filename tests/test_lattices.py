@@ -191,6 +191,11 @@ def dfs_shells(lat, bound2):
     return {w: tuple(sorted(vs)) for w, vs in table.items()}
 
 
+def tuple_table(table):
+    """A vector table with every shell array turned into sorted tuples."""
+    return {w: tuple(map(tuple, rows.tolist())) for w, rows in table.items()}
+
+
 def brute_pair_histogram(lat, vectors):
     """2*(x.y) over all ordered pairs, one product at a time."""
     g2 = doubled_gram(lat)
@@ -366,7 +371,8 @@ def test_search_matches_the_depth_first_oracle(lat, bound2):
     cands = [tuple(r) for chunk in _search_candidates(lat.gram, bound2, 10**9)
              for r in chunk.tolist()]
     check_half_search(lat.gram, bound2, cands)
-    assert _vectors_by_doubled_norm(lat, bound2, 10**9) == dfs_shells(lat, bound2)
+    assert tuple_table(_vectors_by_doubled_norm(lat, bound2, 10**9)) == \
+        dfs_shells(lat, bound2)
 
 
 @pytest.mark.parametrize("chunk", [7, lattices._CHUNK, 1 << 15])
@@ -379,8 +385,8 @@ def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
         cands = [tuple(r) for c in _search_candidates(lat.gram, bound2, 10**9)
                  for r in c.tolist()]
         check_half_search(lat.gram, bound2, cands)
-        assert _vectors_by_doubled_norm.__wrapped__(lat, bound2, 10**9) == \
-            dfs_shells(lat, bound2)
+        assert tuple_table(_vectors_by_doubled_norm.__wrapped__(
+            lat, bound2, 10**9)) == dfs_shells(lat, bound2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,6 +444,10 @@ def test_corrupted_lll_transforms_are_refused(monkeypatch):
             row[0] *= 2
         return u, r2
 
+    # an earlier test may have cached this Gram matrix, and a cached
+    # reduced basis or vector table would never call the patched _lll
+    lattices._reduced_basis.cache_clear()
+    _vectors_by_doubled_norm.cache_clear()
     monkeypatch.setattr(lattices, "_lll", scaled)
     a2 = Lattice(((F(2), F(1)), (F(1), F(2))))
     with pytest.raises(InternalCheckError, match="unimodular"):
@@ -528,6 +538,35 @@ def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
     assert kernel_runs == [(e8, F(4))]
 
 
+def test_shell_arrays_refuse_writes():
+    e8 = lattice_e8()
+    table = _vectors_by_doubled_norm(e8, 8, SHELL_CAP)
+    sh = shell_enum(e8, 2)
+    hand = Shell(lattice_zn(2), F(1), np.array([[0, 1], [1, 0]]))
+    for rows in (table[4], table[8], sh.rows, hand.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 7
+    # the shell hands out the cached slice itself, and builds its tuples once
+    assert sh.rows is _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4]
+    assert np.array_equal(sh.rows, table[4])
+    assert sh.vectors is sh.vectors and len(sh.vectors) == len(sh) == 240
+
+
+def test_equal_sized_shells_do_not_share_a_histogram():
+    # same lattice, norm and size, so the same hash: only the rows differ
+    z2 = lattice_zn(2)
+    unit = shell_enum(z2, 1)
+    lopsided = Shell(z2, F(1), ((-1, 0), (0, 1), (0, 1), (1, 0)))
+    assert hash(unit) == hash(lopsided) and unit != lopsided
+    assert unit == Shell(z2, F(1), unit.vectors)
+    lattices._shell_pair_histogram.cache_clear()
+    for sh in (unit, lopsided):
+        assert dict(lattices._shell_pair_histogram(sh)) == \
+            brute_pair_histogram(z2, sh.vectors)
+    assert moment_design_test(unit, 3).strength == 3
+    assert moment_design_test(lopsided, 3).strength == 0
+
+
 def test_antipodality_is_checked_block_by_block(monkeypatch):
     # a tiny block splits the first half of the 240 roots into 18 blocks;
     # the check reads the sorted array, before any tuple is built
@@ -536,7 +575,8 @@ def test_antipodality_is_checked_block_by_block(monkeypatch):
     roots = np.array(shell_enum(e8, 2).vectors)
     assert len(roots) == 240
     build = _vectors_by_doubled_norm.__wrapped__
-    assert build(e8, 4, SHELL_CAP) == {4: shell_enum(e8, 2).vectors}
+    assert tuple_table(build(e8, 4, SHELL_CAP)) == \
+        {4: shell_enum(e8, 2).vectors}
     for i in (0, 7, 64, 119, 120, 239):     # first, inner and last blocks
         bad = roots.copy()
         bad[i] = -bad[i]
