@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -60,23 +61,20 @@ def _frac(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _series_payload(s: QSeries) -> dict:
-    return json.loads(s.to_json())
-
-
 def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
     if s.is_zero():
         return "0"
+    head = list(islice(s.nonzero_terms(), max_terms + 1))
     out = []
-    for i in sorted(s.coeffs)[:max_terms]:
-        c, e = s.coeffs[i], s.exponent(i)
+    for i, c in head[:max_terms]:
+        e = s.exponent(i)
         mag = abs(c)
         estr = "" if e == 0 else ("q" if e == 1 else f"q^({e})")
         body = f"{mag}*{estr}" if estr and mag != 1 else (estr or str(mag))
         sign = "-" if c < 0 else "+"
         out.append(f" {sign} {body}" if out else
                    (f"-{body}" if c < 0 else body))
-    tail = " + ..." if len(s.coeffs) > max_terms else ""
+    tail = " + ..." if len(head) > max_terms else ""
     return "".join(out) + tail
 
 
@@ -212,7 +210,7 @@ def cmd_eta(cfg: RunConfig, out):
     prec = _positive(a.prec, "--prec")
     series = eta_quotient(_parse_eta_spec(a.spec), prec)
     payload = {"schema": SCHEMA, "command": "eta", "spec": a.spec,
-               "prec": prec, "series": _series_payload(series)}
+               "prec": prec, "series": series.to_dict()}
     text = [f"eta quotient [{a.spec or '1'}] to precision {prec}:",
             f"  {_pretty_series(series)}"]
     return payload, text
@@ -384,7 +382,7 @@ def cmd_theta(cfg: RunConfig, out):
     series = harmonic_theta(lat, poly, prec, workers=cfg.workers)
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
                "poly": a.poly, "prec_norm": prec,
-               "series": _series_payload(series)}
+               "series": series.to_dict()}
     text = [f"theta of {a.lattice} with poly {a.poly}, norms <= {prec} "
             f"(exponent = norm):", f"  {_pretty_series(series)}"]
     if a.membership:

@@ -1,9 +1,10 @@
 """Level-one modular form machinery on exact q-series.
 
 Everything here is a finite exact computation: eta quotients expand through
-Euler's pentagonal number theorem, Eisenstein series through sieved divisor
-sums, and the weight-k space is handled via the echelonized monomial basis in
-E4 and E6 (leading exponents 0, 1, ..., dim-1).
+Euler's pentagonal number theorem and J.C.P. Miller's power recurrence, so
+no series is ever divided; Eisenstein series through sieved divisor sums;
+and the weight-k space is handled via the echelonized monomial basis in E4
+and E6 (leading exponents 0, 1, ..., dim-1).
 """
 
 from __future__ import annotations
@@ -45,6 +46,37 @@ def _euler_ints(prec: int) -> list[int]:
     return out
 
 
+def _euler_power(r: int, n: int) -> list[int]:
+    """Coefficients 0..n of prod (1 - q^i)^r for any integer r.
+
+    Miller's rule for powers of a series (Knuth, TAOCP vol. 2, 4.7): from
+    E = prod (1 - q^i) = sum g_k q^k and F = E^r, E F' = r E' F gives
+
+        n f_n = sum_{k>=1} ((r + 1) k - n) g_k f_{n-k}.
+
+    Only the ~2 sqrt(2n/3) pentagonal g_k = +-1 are nonzero, so each
+    coefficient costs that many integer steps and nothing is inverted.
+    The division by n is exact, which is checked.
+    """
+    g = _euler_ints(n)
+    pentagonal = [k for k in range(1, n + 1) if g[k]]
+    f = [1] + [0] * n
+    live: list[tuple[int, int, int]] = []   # (k, (r + 1) k g_k, g_k)
+    for i in range(1, n + 1):
+        if len(live) < len(pentagonal) and pentagonal[len(live)] <= i:
+            k = pentagonal[len(live)]
+            live.append((k, (r + 1) * k * g[k], g[k]))
+        acc = 0
+        for k, w, c in live:
+            acc += (w - c * i) * f[i - k]
+        q, rem = divmod(acc, i)
+        if rem:
+            raise InternalCheckError(
+                f"power recurrence for eta^{r} left a remainder at q^{i}")
+        f[i] = q
+    return f
+
+
 def eta(prec: int) -> QSeries:
     """Dedekind eta: q^(1/24) * prod (1 - q^i), exact through q^prec."""
     return QSeries.from_int_list(1, _euler_ints(prec))
@@ -53,27 +85,26 @@ def eta(prec: int) -> QSeries:
 def eta_quotient(factors: list[tuple[int, int]], prec: int) -> QSeries:
     """Product of eta(m z)^r for (m, r) in ``factors``; r may be negative.
 
-    The leading exponent is sum(m * r) / 24 by construction.
+    The leading exponent is sum(m * r) / 24 by construction.  Exponents of
+    one multiplier are merged first; each merged eta(m z)^r, of either
+    sign, expands by the power recurrence ``_euler_power`` to prec // m and
+    is spread onto every m-th index.  The factors are then multiplied, so
+    nothing divides.
     """
     merged: dict[int, int] = {}
     for m, r in factors:
         if m < 1:
             raise ValueError(f"eta argument multiplier must be >= 1, got {m}")
         merged[m] = merged.get(m, 0) + r
-    num = QSeries.one(prec)
-    den = QSeries.one(prec)
+    out = None
     for m, r in sorted(merged.items()):
         if r == 0:
             continue
-        base = [0] * (prec + 1)
-        for i, c in enumerate(_euler_ints(prec // m)):
-            base[m * i] = c
-        factor = QSeries.from_int_list(m, base).pow(abs(r))
-        if r > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    return num if den == QSeries.one(prec) else num.div(den)
+        ints = [0] * (prec + 1)
+        ints[::m] = _euler_power(r, prec // m)
+        factor = QSeries.from_int_list(m * r, ints)
+        out = factor if out is None else out * factor
+    return QSeries.one(prec) if out is None else out
 
 
 def _sigma_sieve(power: int, bound: int) -> list[int]:

@@ -121,7 +121,7 @@ def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
 
 def _over_eta_rank(form: QSeries, rank: int) -> QSeries:
     """form / eta^rank, exact through the precision of ``form``."""
-    return form.div(eta_quotient([(1, rank)], form.prec + rank // 24 + 2))
+    return form * eta_quotient([(1, -rank)], form.prec + rank // 24 + 2)
 
 
 # ---------------------------------------------------------------------------

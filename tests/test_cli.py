@@ -17,7 +17,8 @@ from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import golay_g24
 from designlab.lattices import _int_dtype, lattice_e8, shell_enum
-from designlab.modforms import FitResult
+from designlab.modforms import FitResult, eta_quotient
+from designlab.qseries import QSeries
 
 
 def run(argv):
@@ -60,6 +61,32 @@ def test_eta_text_format():
     code, text = run(["eta", "--spec", "3:8", "--prec", "13"])
     assert code == 0
     assert "q - 8*q^(4) + 20*q^(7) - 70*q^(13)" in text
+
+
+def pretty_from_coeffs(s, max_terms=10):
+    """The text form of a series read off the whole ``coeffs`` map."""
+    if s.is_zero():
+        return "0"
+    out = []
+    for i in sorted(s.coeffs)[:max_terms]:
+        c, e = s.coeffs[i], s.exponent(i)
+        estr = "" if e == 0 else ("q" if e == 1 else f"q^({e})")
+        body = f"{abs(c)}*{estr}" if estr and abs(c) != 1 else (estr or str(abs(c)))
+        if out:
+            out.append(f" {'-' if c < 0 else '+'} {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
+    return "".join(out) + (" + ..." if len(s.coeffs) > max_terms else "")
+
+
+def test_pretty_series_reads_only_its_head():
+    series = [QSeries.zero(4), QSeries.one(3), eta_quotient([(3, 8)], 13),
+              eta_quotient([(2, 8), (1, -4), (4, 2)], 40),
+              QSeries(-5, 30, {0: Fraction(-1, 3), 7: 2, 30: Fraction(5, 2)}),
+              QSeries.from_int_list(24, [1, 0, -1] * 4)]
+    for s in series:
+        for n in (1, 3, 10):
+            assert cli._pretty_series(s, n) == pretty_from_coeffs(s, n)
 
 
 def test_eta_bad_spec_rejected():

@@ -13,7 +13,8 @@ from designlab import (OffsetError, PrecisionError, QSeries, delta,
 from designlab.lattices import (harmonic_theta, lattice_e8,
                                 theta_membership_check, to_modular_q,
                                 zonal_harmonic_coords)
-from designlab.modforms import echelon_rows
+from designlab.errors import InternalCheckError
+from designlab.modforms import _euler_power, echelon_rows
 
 
 # -- oracles ---------------------------------------------------------------
@@ -29,6 +30,27 @@ def brute_eta_power(power, prec):
                 nxt[j] -= out[j - i]
             out = nxt
     return out
+
+
+def pow_newton_eta_quotient(factors, prec):
+    """The product of eta(m z)^r the way it was first computed: each
+    eta(m z)^|r| by repeated squaring, the negative powers gathered in one
+    denominator and divided out by Newton iteration at the end."""
+    merged = {}
+    for m, r in factors:
+        merged[m] = merged.get(m, 0) + r
+    num = den = QSeries.one(prec)
+    for m, r in sorted(merged.items()):
+        if r == 0:
+            continue
+        base = [0] * (prec + 1)
+        base[::m] = eta(prec // m).int_list(prec // m + 1)
+        factor = QSeries.from_int_list(m, base).pow(abs(r))
+        if r > 0:
+            num = num * factor
+        else:
+            den = den * factor
+    return num.div(den)
 
 
 def fit_oracle(f, space, margin=10):
@@ -121,11 +143,65 @@ def test_eta_rescaled_argument_spreads_support():
         assert f[i] == expect
 
 
-def test_eta_quotient_with_negative_exponent_divides():
+def test_eta_quotient_cancelling_exponents_telescope():
     # eta(z)^8 * eta(z)^-8 telescopes to 1
     f = eta_quotient([(1, 8), (1, -8)], 25)
     assert f.offset24 == 0
     assert f.int_list(26) == [1] + [0] * 25
+
+
+def test_power_recurrence_matches_the_pow_newton_route():
+    for m in range(1, 5):
+        for r in range(-24, 25):
+            assert (eta_quotient([(m, r)], 200)
+                    == pow_newton_eta_quotient([(m, r)], 200)), (m, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-24, 24)),
+                max_size=4),
+       st.integers(0, 200))
+def test_eta_quotients_match_the_pow_newton_route(factors, prec):
+    assert eta_quotient(factors, prec) == pow_newton_eta_quotient(factors,
+                                                                  prec)
+
+
+def test_jacobi_eta_cube_to_3000():
+    # eta^3 = sum_n (-1)^n (2n + 1) q^((2n + 1)^2 / 8)
+    f = eta_quotient([(1, 3)], 3000)
+    assert f.offset24 == 3
+    expect = [0] * 3001
+    n = 0
+    while n * (n + 1) // 2 <= 3000:
+        expect[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    assert f.int_list(3001) == expect
+
+
+@pytest.mark.parametrize("factors, sign", [
+    ([(2, 5), (1, -2), (4, -2)], 1),     # theta_3 = 1 + 2 sum q^(n^2)
+    ([(1, 2), (2, -1)], -1),             # theta_4 = 1 + 2 sum (-1)^n q^(n^2)
+])
+def test_theta_eta_quotients_to_3000(factors, sign):
+    f = eta_quotient(factors, 3000)
+    assert f.offset24 == 0 and f.prec == 3000
+    expect = [1] + [0] * 3000
+    n = 1
+    while n * n <= 3000:
+        expect[n * n] = 2 * sign ** n
+        n += 1
+    assert f.int_list(3001) == expect
+
+
+def test_power_recurrence_remainder_is_refused(refused_under_optimize):
+    # a non-integral exponent leaves a remainder at q^1, which the exact
+    # division check refuses
+    with pytest.raises(InternalCheckError):
+        _euler_power(Fraction(1, 2), 5)
+    assert refused_under_optimize(
+        "from fractions import Fraction\n"
+        "from designlab.modforms import _euler_power\n"
+        "_euler_power(Fraction(1, 2), 5)")
 
 
 # -- eisenstein ------------------------------------------------------------
