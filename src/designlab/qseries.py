@@ -13,35 +13,24 @@ factor with all numerators at once; they are handed out as ``Fraction``s.
 Products go through the Kronecker kernel ``_int_convolve``, and division
 inverts the divisor by Newton iteration on integers.  Its cost therefore
 follows the bit size of the coefficients, not only their number: at prec
-10^4 the inverse of eta^8 carries ~1000-bit coefficients and that of
-eta^24 ~1700-bit ones.  Their products are far past the packed size from
-which ``_int_convolve`` multiplies through libmpdec, and ``div`` takes
-1.8 s and 3.0 s for them, against 11.2 s and 25.9 s on CPython's int
-multiply (2-vCPU x86 host, CPython 3.11).  Eta quotients never divide:
-``modforms.eta_quotient`` expands those inverses directly in 0.3-0.4 s.
+10^4 the inverse of eta^8 carries ~1000-bit coefficients and takes about
+11 s, and that of eta^24 ~1700-bit ones and about 26 s, nearly all of it
+in CPython's big-int multiply (2-vCPU x86 host, CPython 3.11).  Eta
+quotients never divide: ``modforms.eta_quotient`` expands those two
+inverses directly in 0.3-0.4 s.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .errors import InternalCheckError, OffsetError, PrecisionError
-
-try:
-    import _decimal
-except ImportError:         # the pure-Python _pydecimal would not pay
-    _decimal = None
+from .errors import OffsetError, PrecisionError
 
 __all__ = ["QSeries"]
-
-# packed size (slot bits times the terms of both operands) from which a
-# product goes through libmpdec rather than CPython's int multiply
-_DECIMAL_MIN_BITS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +41,17 @@ def _int_convolve(a: Sequence[int], b: Sequence[int], out_len: int
                   ) -> list[int]:
     """First ``out_len`` coefficients of the product of two integer polys.
 
-    Uses Kronecker substitution: pack each polynomial into one big number
+    Uses Kronecker substitution: pack each polynomial into one big integer
     with fixed-width digit slots, multiply once, and read the digits back.
-    Both routes are subquadratic, which makes 10^4-term series products
-    cheap; a schoolbook loop in Python would not be.  Small products pack
-    binary slots into an ``int`` (CPython's Karatsuba); from a packed size
-    of ``_DECIMAL_MIN_BITS`` on, decimal slots go into a ``Decimal``, whose
-    libmpdec multiply is a number-theoretic transform.
+    CPython's big-int multiply is subquadratic, which makes 10^4-term series
+    products effectively instant; a schoolbook loop in Python would not be.
     """
     max_a = max(abs(x) for x in a)
     max_b = max(abs(x) for x in b)
+    if max_a == 0 or max_b == 0:
+        return [0] * out_len
     # every product coefficient is a sum of at most min(len) terms
     bound = max_a * max_b * min(len(a), len(b))
-    if bound == 0:
-        return [0] * out_len
-    if (_decimal is not None
-            and (len(a) + len(b)) * bound.bit_length() >= _DECIMAL_MIN_BITS):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit or _slot_digits(bound) <= limit:
-            return _decimal_convolve(a, b, out_len, bound)
-    return _binary_convolve(a, b, out_len, bound)
-
-
-def _binary_convolve(a: Sequence[int], b: Sequence[int], out_len: int,
-                     bound: int) -> list[int]:
-    """``_int_convolve`` with byte-aligned binary slots in one ``int``;
-    ``bound`` bounds every product coefficient in absolute value."""
     slot_bits = ((bound.bit_length() + 2) + 7) // 8 * 8
     nbytes = slot_bits // 8
 
@@ -96,66 +70,10 @@ def _binary_convolve(a: Sequence[int], b: Sequence[int], out_len: int,
     half = 1 << (slot_bits - 1)
     # shift every digit into [0, 2^slot_bits) so that to_bytes is well defined
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * total, "little")
-    try:
-        raw = (prod + bias).to_bytes(total * nbytes, "little")
-    except OverflowError:
-        raise InternalCheckError("a product slot overflowed") from None
+    raw = (prod + bias).to_bytes(total * nbytes, "little")
     out = []
     for k in range(min(out_len, total)):
         out.append(int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half)
-    out.extend([0] * (out_len - len(out)))
-    return out
-
-
-def _slot_digits(bound: int) -> int:
-    """Decimal digits of a slot that holds -bound..bound around its half
-    value: 10^digits > 2^(bits + 1) > 2 * bound, since 0.30103 > log10(2).
-    Sized from the bit length, because ``str`` of a huge int may raise."""
-    return (bound.bit_length() + 1) * 30103 // 100000 + 1
-
-
-def _decimal_convolve(a: Sequence[int], b: Sequence[int], out_len: int,
-                      bound: int) -> list[int]:
-    """``_int_convolve`` with decimal slots in one ``Decimal``.
-
-    The packing and read-back mirror ``_binary_convolve``: each operand is
-    its positive part minus its negative part, and adding half a slot to
-    every slot of the product makes each slot's digits a nonnegative
-    number.  The context is wide enough for every exact result and traps
-    ``Inexact`` and ``Rounded``, so no digit is ever rounded away.  Every
-    coefficient and slot has at most ``_slot_digits(bound)`` decimal
-    digits, which must stay within ``sys.get_int_max_str_digits()``.
-    """
-    dec = _decimal
-    width = _slot_digits(bound)
-    ctx = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
-                      traps=[dec.Inexact, dec.Rounded, dec.InvalidOperation])
-    zero = "0" * width
-
-    def pack(coeffs: Sequence[int]):
-        pos = "".join([str(c).zfill(width) if c > 0 else zero
-                       for c in reversed(coeffs)])
-        if min(coeffs) >= 0:
-            return dec.Decimal(pos)
-        neg = "".join([str(-c).zfill(width) if c < 0 else zero
-                       for c in reversed(coeffs)])
-        return ctx.subtract(dec.Decimal(pos), dec.Decimal(neg))
-
-    total = len(a) + len(b) - 1
-    half = 5 * 10 ** (width - 1)
-    bias = dec.Decimal(str(half) * total)
-    try:
-        digits = str(ctx.fma(pack(a), pack(b), bias))
-    except (dec.Inexact, dec.Rounded, dec.InvalidOperation):
-        raise InternalCheckError("a packed decimal product was rounded") \
-            from None
-    end = len(digits)
-    if end > total * width or not digits.isdigit():
-        raise InternalCheckError("a product slot overflowed")
-    out = []
-    for k in range(min(out_len, total)):
-        out.append(int(digits[max(end - (k + 1) * width, 0):end - k * width]
-                       or "0") - half)
     out.extend([0] * (out_len - len(out)))
     return out
 

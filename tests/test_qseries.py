@@ -2,18 +2,15 @@
 
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab import OffsetError, PrecisionError, QSeries, qseries
-from designlab.errors import InternalCheckError
+from designlab import OffsetError, PrecisionError, QSeries
 from designlab.modforms import eta, eta_quotient
-from designlab.qseries import (_DECIMAL_MIN_BITS, _binary_convolve,
-                               _decimal_convolve, _int_convolve)
+from designlab.qseries import _int_convolve
 
 
 def brute_convolve(a, b, out_len):
@@ -151,11 +148,6 @@ def test_kronecker_multiply_matches_schoolbook():
         assert [got[i] for i in range(n)] == expect
 
 
-def product_bound(a, b):
-    """The bound on every product coefficient that _int_convolve packs for."""
-    return max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-
-
 @st.composite
 def int_polys(draw):
     """Integer coefficient lists of 1..40 terms up to 2^300 in size, some
@@ -173,91 +165,19 @@ def int_polys(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(int_polys(), int_polys(), st.integers(-3, 3), st.booleans())
-def test_int_convolve_routes_match_schoolbook(a, b, extra, short):
+def test_int_convolve_matches_schoolbook(a, b, extra, short):
     # out_len below, at and above the len(a) + len(b) - 1 product terms
     full = len(a) + len(b) - 1
     out_len = max(1, (full // 2 if short else full) + extra)
-    expect = brute_convolve(a, b, out_len)
-    assert _int_convolve(a, b, out_len) == expect
-    bound = product_bound(a, b)
-    if bound:
-        assert _binary_convolve(a, b, out_len, bound) == expect
-        assert _decimal_convolve(a, b, out_len, bound) == expect
+    assert _int_convolve(a, b, out_len) == brute_convolve(a, b, out_len)
 
 
-def spy_on_decimal_route(monkeypatch):
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _decimal_convolve(*args)
-    monkeypatch.setattr(qseries, "_decimal_convolve", spy)
-    return calls
-
-
-@pytest.mark.parametrize("negate", [False, True])
-def test_route_follows_the_packed_size(monkeypatch, negate):
-    # 64 terms each, coefficients below 2^p: the bound has 2p + 6 bits, so
-    # the packed size 128 (2p + 6) crosses 2^18 between p = 1020 and 1021
-    rng = random.Random(11)
-    sign = -1 if negate else 1
-    for p in (1020, 1021):
-        calls = spy_on_decimal_route(monkeypatch)
-        a = [sign * rng.randrange(1 << p) for _ in range(63)] + [(1 << p) - 1]
-        b = [rng.randrange(-(1 << p), 1 << p) for _ in range(63)] + [1 - (1 << p)]
-        packed = (len(a) + len(b)) * product_bound(a, b).bit_length()
-        assert abs(packed - _DECIMAL_MIN_BITS) <= 256
-        assert _int_convolve(a, b, 100) == brute_convolve(a, b, 100)
-        assert bool(calls) == (packed >= _DECIMAL_MIN_BITS) == (p == 1021)
-
-
-def test_no_decimal_route_without_the_c_module(monkeypatch):
-    calls = spy_on_decimal_route(monkeypatch)
-    monkeypatch.setattr(qseries, "_decimal", None)
-    a = [(1 << 2000) - i for i in range(100)]
-    assert _int_convolve(a, a, 120) == brute_convolve(a, a, 120)
-    assert not calls
-
-
-def test_20000_bit_coefficients_multiply_exactly(monkeypatch):
-    # a slot of 20,000-bit coefficients has over 12,000 decimal digits:
-    # over the int/str conversion limit the binary route takes it, and
-    # without a limit the decimal route does
+def test_20000_bit_coefficients_multiply_exactly():
     rng = random.Random(3)
     a = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(16)]
     b = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(16)]
-    expect = brute_convolve(a, b, 16)
     f, g = QSeries.from_int_list(0, a), QSeries.from_int_list(0, b)
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:       # no conversion limit before 3.10.7
-        limits, before = [0], None
-    else:
-        before = sys.get_int_max_str_digits()
-        limits = [before, 5000, 0]
-    try:
-        for limit in limits:
-            if set_limit is not None:
-                set_limit(limit)
-            calls = spy_on_decimal_route(monkeypatch)
-            assert (f * g).int_list(16) == expect
-            assert bool(calls) == (limit == 0)
-    finally:
-        if set_limit is not None:
-            set_limit(before)
-
-
-@pytest.mark.parametrize("route", [_binary_convolve, _decimal_convolve])
-def test_packed_slot_overflow_is_refused(route):
-    # with a bound of 300 for a true 180000, 300^2 overflows the top slot
-    with pytest.raises(InternalCheckError):
-        route([1, 300], [1, 300], 3, 300)
-
-
-def test_slot_overflow_is_refused_under_optimize(refused_under_optimize):
-    for route in ("_binary_convolve", "_decimal_convolve"):
-        assert refused_under_optimize(
-            f"from designlab.qseries import {route}\n"
-            f"{route}([1, 300], [1, 300], 3, 300)")
+    assert (f * g).int_list(16) == brute_convolve(a, b, 16)
 
 
 def test_multiply_adds_offsets_and_takes_min_prec():
