@@ -26,12 +26,12 @@ from .lattices import (HarmonicPolynomial, Lattice, MembershipReport,
                        MomentReport, Shell, TDesignReport, ZonalData,
                        constant_poly, construction_a, determinant,
                        gegenbauer_component_sums, gram_from_text,
-                       harmonic_theta, is_even, is_harmonic, laplacian,
-                       lattice_a2, lattice_e8, lattice_zn,
-                       moment_design_test, shell_enum, shell_sizes_up_to,
-                       sphere_moment, spherical_T_design_report,
-                       theta_membership_check, to_modular_q, zonal_coeffs,
-                       zonal_harmonic, zonal_harmonic_coords, zonal_shell_sum)
+                       harmonic_theta, is_even, is_harmonic, lattice_a2,
+                       lattice_e8, lattice_zn, moment_design_test,
+                       shell_enum, shell_sizes_up_to, sphere_moment,
+                       spherical_T_design_report, theta_membership_check,
+                       to_modular_q, zonal_coeffs, zonal_harmonic_coords,
+                       zonal_shell_sum)
 from .voa import (ConformalTSet, LehmerScan, ObstructionResult,
                   ProportionalityCertificate, Remark4Report, StrengthReport,
                   TraceSeries, a_series, b_series, c_series, certified_zonal_trace,

@@ -31,7 +31,7 @@ from .lattices import (Lattice, constant_poly, construction_a, determinant,
                        theta_directions, theta_fit_norm, theta_membership_check,
                        zonal_harmonic_coords, zonal_theta_fits)
 from .modforms import eta_quotient
-from .qseries import QSeries
+from .qseries import QSeries, exact_str
 from .voa import modular_obstruction, remark4_series, strength_at
 
 SCHEMA = "v1"
@@ -58,7 +58,7 @@ class UsageError(Exception):
 
 def _frac(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{exact_str(f.numerator)}/{exact_str(f.denominator)}"
 
 
 def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
@@ -68,9 +68,9 @@ def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
     out = []
     for i, c in head[:max_terms]:
         e = s.exponent(i)
-        mag = abs(c)
+        mag = exact_str(abs(c))
         estr = "" if e == 0 else ("q" if e == 1 else f"q^({e})")
-        body = f"{mag}*{estr}" if estr and mag != 1 else (estr or str(mag))
+        body = f"{mag}*{estr}" if estr and mag != "1" else (estr or mag)
         sign = "-" if c < 0 else "+"
         out.append(f" {sign} {body}" if out else
                    (f"-{body}" if c < 0 else body))

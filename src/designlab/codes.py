@@ -196,6 +196,12 @@ def min_weight(code: BinaryCode) -> int:
 # block families and brute-force design counting
 # ---------------------------------------------------------------------------
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A copy of an array over an immutable ``bytes`` buffer: unlike a
+    read-only flag, no caller can turn it, a view or its base writeable."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
 def _mask_dtype(bits: int) -> np.dtype:
     """int64 for masks below 2^bits while bits <= 62, else Python ints."""
     return np.dtype(np.int64) if bits <= 62 else np.dtype(object)
@@ -435,9 +441,9 @@ def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
 
 class _PairBasis(tuple):
     """A difference-product basis that also holds its pair systems as one
-    read-only array ``pair_array`` of shape (len, k, 2), in the narrowest
-    unsigned dtype that holds n, so the cached ``harm_basis`` result is
-    never converted again."""
+    array ``pair_array`` of shape (len, k, 2) that refuses writes
+    (``_read_only``), in the narrowest unsigned dtype that holds n, so the
+    cached ``harm_basis`` result is never converted again."""
     pair_array: np.ndarray
 
 
@@ -474,8 +480,8 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
         raise InternalCheckError("difference product escaped ker gamma")
     basis = _PairBasis(DiscreteHarmonic(n, k, None, tuple(zip(ra, rb)))
                        for ra, rb in zip(a.tolist(), b.tolist()))
-    basis.pair_array = np.stack([a, b], axis=2).astype(np.min_scalar_type(n))
-    basis.pair_array.flags.writeable = False
+    basis.pair_array = _read_only(np.stack([a, b], axis=2)
+                                  .astype(np.min_scalar_type(n)))
     return basis
 
 

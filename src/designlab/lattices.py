@@ -1,9 +1,9 @@
 """Exact lattices, shell enumeration, harmonic polynomials, theta series.
 
-A lattice is its Gram matrix: symmetric, positive definite, entries in
-(1/2)*Z, all exact rationals.  Vectors are integer coordinate rows v with
-norm v*G*v^T.  Nothing irrational is ever stored; construction A absorbs
-its 1/sqrt(2) scaling into the Gram matrix.
+A lattice is its doubled Gram matrix 2G (``Lattice.g2``): symmetric,
+positive definite, integer, so G has entries in (1/2)*Z.  Vectors are
+integer coordinate rows v with norm v*G*v^T.  Nothing irrational is ever
+stored; construction A absorbs its 1/sqrt(2) scaling into the Gram matrix.
 
 Shell search is a breadth-wise Fincke-Pohst search in numpy, run in one
 process: each level expands a chunk of frontier rows at once, and the
@@ -12,15 +12,18 @@ in an exactly checked LLL-reduced basis and over half the ball (v and -v
 are one candidate), then maps the rows back and adds the negations.  It
 prunes with floats (bounds inflated by a fixed slack) but accepts
 exclusively by exact integer arithmetic, so the enumerated shells are
-exact.  A shell is a read-only slice of the ball's sorted integer array;
-Python tuples of its vectors are built only on demand.  Size caps are
-checked on counts, before any row is mapped back to the caller's basis:
-the search stops once the ball's candidates pass 4*cap + 64, and the
-per-norm tallies refuse the smallest norm whose shell is larger than the
-cap.
+exact.  A shell is a slice of the ball's sorted integer array, held in an
+immutable buffer so no caller can write to it; Python tuples of its
+vectors are built only on demand.  Size caps are checked on counts, before
+any row is mapped back to the caller's basis: the search stops once the
+ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
+smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and sums of the
 orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
+A harmonic polynomial is the constant 1 or a zonal harmonic whose
+direction is a lattice coordinate row, summed over a shell through the
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._fixtures import fixture_path
-from .codes import BinaryCode, is_doubly_even, is_self_dual
+from .codes import BinaryCode, _read_only, is_doubly_even, is_self_dual
 from .errors import CapExceededError, InternalCheckError
 from .modforms import fit_in_space, mf_basis, mf_dim
 from .qseries import QSeries
@@ -46,8 +49,8 @@ __all__ = [
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP",
     "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
-    "laplacian", "is_harmonic", "zonal_coeffs", "zonal_harmonic",
-    "zonal_harmonic_coords", "zonal_shell_sum", "constant_poly",
+    "is_harmonic", "zonal_coeffs", "zonal_harmonic_coords", "zonal_shell_sum",
+    "constant_poly",
     "harmonic_theta", "to_modular_q", "theta_membership_check",
     "MembershipReport", "theta_directions", "theta_fit_norm",
     "zonal_theta_fits",
@@ -65,49 +68,65 @@ _MAGIC = 1.5 * 2.0 ** 52
 # lattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lattice:
-    """Positive definite lattice given by an exact rational Gram matrix."""
-    gram: tuple[tuple[Fraction, ...], ...]
-    label: str = ""
+    """Positive definite lattice with an exact Gram matrix G over (1/2)Z,
+    given as ints or ``Fraction``s.  ``g2``, 2G as int tuples, is built once
+    and read by every computation, equality and hashing included (with
+    ``label``); ``gram`` gives G back as ``Fraction``s."""
+    g2: tuple[tuple[int, ...], ...]
+    label: str
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
-            raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-                if (2 * self.gram[i][j]).denominator != 1:
-                    raise ValueError("gram entries must lie in (1/2)Z")
-        _ldl(self.gram)     # raises unless positive definite
+    def __init__(self, gram, label: str = ""):
+        g2 = tuple(tuple(2 * x for x in row) for row in gram)
+        if any(x.denominator != 1 for row in g2 for x in row):
+            raise ValueError("gram entries must lie in (1/2)Z")
+        self._set(tuple(tuple(map(int, row)) for row in g2), label)
+
+    @classmethod
+    def _from_g2(cls, g2: tuple[tuple[int, ...], ...], label: str):
+        lat = cls.__new__(cls)
+        lat._set(g2, label)
+        return lat
+
+    def _set(self, g2: tuple[tuple[int, ...], ...], label: str) -> None:
+        n = len(g2)
+        if any(len(row) != n for row in g2) or any(
+                g2[i][j] != g2[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("gram matrix must be square and symmetric")
+        _ldl(g2)     # raises unless positive definite
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "label", label)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, 2) for x in row) for row in self.g2)
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.g2)
 
 
-@functools.lru_cache(maxsize=None)
-def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Exact decomposition G = U^T D U with U unit upper triangular.
+@functools.lru_cache(maxsize=64)
+def _ldl(g2) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """Exact decomposition G = U^T D U with U unit upper triangular, from
+    the doubled Gram matrix G2 = 2G.
 
     Returns (diag of D, rows of U).  Fraction-free (Bareiss) elimination on
-    the integer matrix s*G, s the common denominator: the pivot p_k of step
-    k is the leading (k+1)-minor, D_k = p_k / (p_(k-1) s), and the entries
-    right of it, divided by p_k, form row k of U.  Positive pivots certify
-    positive definiteness; a nonpositive pivot raises.
+    the integer matrix G2: the pivot p_k of step k is its leading
+    (k+1)-minor, D_k = p_k / (2 p_(k-1)), and the entries right of it,
+    divided by p_k, form row k of U.  Positive pivots certify positive
+    definiteness; a nonpositive pivot raises.
     """
-    n = len(gram)
-    s = math.lcm(*(x.denominator for row in gram for x in row))
-    work = [[x.numerator * (s // x.denominator) for x in row] for row in gram]
+    n = len(g2)
+    work = [list(row) for row in g2]
     diag, upper = [], []
     prev = 1
     for k in range(n):
         p = work[k][k]
         if p <= 0:
             raise ValueError("gram matrix is not positive definite")
-        diag.append(Fraction(p, prev * s))
+        diag.append(Fraction(p, 2 * prev))
         upper.append((Fraction(0),) * k + (Fraction(1),)
                      + tuple(Fraction(x, p) for x in work[k][k + 1:]))
         for i in range(k + 1, n):
@@ -119,34 +138,25 @@ def _ldl(gram) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
 
 
 def determinant(lat: Lattice) -> Fraction:
-    diag, _ = _ldl(lat.gram)
-    return math.prod(diag, start=Fraction(1))
+    return math.prod(_ldl(lat.g2)[0], start=Fraction(1))
 
 
 def is_even(lat: Lattice) -> bool:
     """Diagonal even integers, off-diagonal integers: all norms even."""
-    g = lat.gram
-    n = lat.rank
-    if any(g[i][i].denominator != 1 or g[i][i] % 2 for i in range(n)):
-        return False
-    return all(g[i][j].denominator == 1
-               for i in range(n) for j in range(i + 1, n))
+    g2 = lat.g2
+    return all(g2[i][j] % (4 if i == j else 2) == 0
+               for i in range(lat.rank) for j in range(i + 1))
 
 
 def gram_from_text(text: str, label: str = "") -> Lattice:
     """Parse a Gram matrix: one row per line, entries int or num/den."""
-    rows = []
-    for ln in text.splitlines():
-        if ln.strip():
-            rows.append(tuple(Fraction(tok) for tok in ln.split()))
-    return Lattice(tuple(rows), label)
+    return Lattice([[Fraction(tok) for tok in ln.split()]
+                    for ln in text.splitlines() if ln.strip()], label)
 
 
 def lattice_zn(n: int) -> Lattice:
-    one, zero = Fraction(1), Fraction(0)
-    gram = tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
-    return Lattice(gram, f"Z{n}")
+    return Lattice(tuple(tuple(int(i == j) for j in range(n))
+                         for i in range(n)), f"Z{n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,8 +173,8 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
     """Even unimodular lattice from a doubly even self-dual binary code.
 
     Basis rows over Z: the lifted generator rows plus 2*e_j for each
-    non-pivot coordinate j; the 1/sqrt(2) scaling becomes a factor 1/2 on
-    the Gram matrix, keeping every entry rational.
+    non-pivot coordinate j; the 1/sqrt(2) scaling halves the Gram matrix,
+    so the doubled Gram matrix is the integer product of the basis rows.
     """
     if not is_doubly_even(code):
         raise ValueError("construction A needs a doubly even code")
@@ -176,9 +186,9 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
     for j in range(n):
         if j not in pivots:
             rows.append([2 if i == j else 0 for i in range(n)])
-    gram = tuple(tuple(Fraction(sum(a * b for a, b in zip(r1, r2)), 2)
-                       for r2 in rows) for r1 in rows)
-    return Lattice(gram, label or f"A({code.name or 'code'})")
+    g2 = tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in rows)
+               for r1 in rows)
+    return Lattice._from_g2(g2, label or f"A({code.name or 'code'})")
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +199,11 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
 class Shell:
     """All lattice vectors of one exact norm, in sorted coordinate order.
 
-    ``rows`` is a read-only sorted integer array, one vector per row (rows
-    given as a writeable array or as tuples are copied into one);
-    ``vectors`` is the same shell as a tuple of coordinate tuples, built on
-    first use.  Length, hash and equality read only the array.
+    ``rows`` is a sorted integer array, one vector per row, that refuses
+    writes (rows given as a writeable array or as tuples are copied into
+    an immutable buffer, ``_read_only``); ``vectors`` is the same shell as
+    a tuple of coordinate tuples, built on first use.  Length, hash and
+    equality read only the array.
     """
     lattice: Lattice
     norm: Fraction
@@ -202,8 +213,7 @@ class Shell:
         rows = self.rows
         if not isinstance(rows, np.ndarray) or rows.flags.writeable:
             rows = np.array(rows, dtype=None if len(rows) else np.int8)
-            rows = rows.reshape(len(rows), self.lattice.rank)
-            rows.setflags(write=False)
+            rows = _read_only(rows.reshape(len(rows), self.lattice.rank))
             object.__setattr__(self, "rows", rows)
 
     @functools.cached_property
@@ -214,7 +224,7 @@ class Shell:
         return len(self.rows)
 
     def __hash__(self):
-        return hash((self.lattice, self.norm, len(self.rows)))
+        return hash((self.lattice, len(self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, Shell):
@@ -222,12 +232,6 @@ class Shell:
         return (self.lattice == other.lattice and self.norm == other.norm
                 and (self.rows is other.rows
                      or np.array_equal(self.rows, other.rows)))
-
-
-@functools.lru_cache(maxsize=64)
-def _doubled_gram(gram) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(2 * x.numerator // x.denominator for x in row)
-                 for row in gram)
 
 
 def _lll(g2) -> tuple[list[list[int]], list[list[int]]]:
@@ -300,24 +304,22 @@ def _lll(g2) -> tuple[list[list[int]], list[list[int]]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _reduced_basis(gram) -> tuple[tuple[tuple[int, ...], ...],
-                                  tuple[tuple[Fraction, ...], ...]]:
-    """(U, Gram matrix of the LLL-reduced basis U * B) of a lattice.
+def _reduced_basis(g2) -> tuple[tuple[tuple[int, ...], ...],
+                                tuple[tuple[int, ...], ...]]:
+    """(U, doubled Gram matrix of the LLL-reduced basis U * B) of the
+    lattice with doubled Gram matrix G2.
 
     Checked exactly, so the search may run in the reduced basis: U G2 U^T
     must equal the reduced doubled Gram matrix, and both Gram matrices must
     have the same determinant, which makes U unimodular.
     """
-    g2 = _doubled_gram(gram)
     u, r2 = _lll(g2)
     arr, mat = _exact_operands(g2, u, max(abs(x) for row in u for x in row))
     if (arr @ mat @ arr.T).tolist() != r2:
         raise InternalCheckError("LLL transform does not give the reduced "
                                  "Gram matrix")
-    if r2 == [list(row) for row in g2]:        # already reduced
-        return tuple(map(tuple, u)), gram
-    reduced = tuple(tuple(Fraction(x, 2) for x in row) for row in r2)
-    if math.prod(_ldl(reduced)[0]) != math.prod(_ldl(gram)[0]):
+    reduced = tuple(map(tuple, r2))
+    if math.prod(_ldl(reduced)[0]) != math.prod(_ldl(g2)[0]):
         raise InternalCheckError("LLL transform is not unimodular")
     return tuple(map(tuple, u)), reduced
 
@@ -337,9 +339,9 @@ def _exact_operands(mat, rows, right_max: int | None = None
     return arr.astype(object), np.array(mat, dtype=object)
 
 
-def _doubled_norms(gram, rows) -> np.ndarray:
-    arr, g2 = _exact_operands(_doubled_gram(gram), rows)
-    return (arr @ g2 * arr).sum(axis=1)
+def _doubled_norms(g2, rows) -> np.ndarray:
+    arr, mat = _exact_operands(g2, rows)
+    return (arr @ mat * arr).sum(axis=1)
 
 
 def _int_dtype(bound: int) -> np.dtype:
@@ -350,12 +352,13 @@ def _int_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
+def _search_candidates(g2, bound2: int, cap: int) -> Iterator[np.ndarray]:
     """Float-pruned breadth-wise search for all v with 2*Q(v) <= bound2.
 
-    Fincke-Pohst over the exact decomposition G = U^T D U, top coordinate
-    first.  At level i every frontier row gets its centre
-    c = sum_{j>i} U_ij v_j and its radius sqrt(budget / 2 d_i) at once;
+    Fincke-Pohst over the exact decomposition G = U^T D U of the lattice
+    with doubled Gram matrix G2 (``_ldl``), top coordinate first.  At
+    level i every frontier row gets its centre c = sum_{j>i} U_ij v_j and
+    its radius sqrt(budget / 2 d_i) at once;
     ``np.repeat`` expands each row into the integers of [-c - rad, -c + rad],
     and a child whose remaining budget goes negative is pruned.  Bounds use
     the LDL data rounded to float and inflated by a slack factor, so the
@@ -374,7 +377,7 @@ def _search_candidates(gram, bound2: int, cap: int) -> Iterator[np.ndarray]:
     in the whole ball, each nonzero row counted with its negation, past
     4*cap + 64, before the caller has built anything from them.
     """
-    diag, upper = _ldl(gram)
+    diag, upper = _ldl(g2)
     n = len(diag)
     df = [float(2 * d) for d in diag]
     uf = np.array([[float(x) for x in row] for row in upper])
@@ -465,14 +468,14 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     smallest doubled norm over the cap is refused, whatever the basis.  Then
     the kept rows go back to the caller's coordinates through U (the same
     rule), a chunk at a time, and are joined by their negations before one
-    lexsort.
+    lexsort, and the sorted rows into an immutable buffer (``_read_only``).
     """
-    u, gram = _reduced_basis(lat.gram)
+    u, g2 = _reduced_basis(lat.g2)
     tally: dict[int, int] = {}
     kept_rows, kept_norms = [], []
     over = False
-    for cand in _search_candidates(gram, bound2, cap):
-        norms = _doubled_norms(gram, cand)
+    for cand in _search_candidates(g2, bound2, cap):
+        norms = _doubled_norms(g2, cand)
         keep = (norms > 0) & (norms <= bound2)
         norms = norms[keep]
         vals, counts = np.unique(norms, return_counts=True)
@@ -497,11 +500,14 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
         part = arr @ mat
         kept_rows[i] = part.astype(_int_dtype(int(np.abs(part).max())))
     half = np.concatenate(kept_rows)
+    kept_rows.clear()
     rows = np.concatenate([half, -half])
+    del half
     _, inv = np.unique(np.concatenate(kept_norms * 2), return_inverse=True)
     order = np.lexsort(tuple(rows[:, j] for j in range(lat.rank - 1, -1, -1))
                        + (inv.reshape(-1),))
-    return sizes, rows[order]
+    rows = rows[order]          # frees the unsorted ball before the copy
+    return sizes, _read_only(rows)
 
 
 def _is_antipodal(rows: np.ndarray) -> bool:
@@ -521,14 +527,13 @@ def _is_antipodal(rows: np.ndarray) -> bool:
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
                              workers: int = 1) -> dict[int, np.ndarray]:
     """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
-    (``_sorted_ball``): every shell is a read-only slice of the one sorted
-    array, checked antipodal before any slice is handed out.  ``workers``
-    is accepted for callers and changes nothing.
+    (``_sorted_ball``): every shell is a slice of the one sorted array,
+    which lives in an immutable buffer, checked antipodal before any slice
+    is handed out.  ``workers`` is accepted for callers and changes nothing.
     """
     if bound2 < 0:
         return {}
     sizes, rows = _sorted_ball(lat, bound2, cap)
-    rows.setflags(write=False)
     out = {}
     start = 0
     for w, size in sizes.items():
@@ -599,7 +604,7 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     histogram take 0.09 to 0.45 s.  Other inputs take int64 or Python-int
     products (the ``_exact_operands`` rule) and ``np.unique``.
     """
-    arr, g2 = _exact_operands(_doubled_gram(shell.lattice.gram), shell.rows)
+    arr, g2 = _exact_operands(shell.lattice.g2, shell.rows)
     fold = len(arr) % 2 == 0 and _is_antipodal(arr)
     if fold:
         arr = arr[:len(arr) // 2]
@@ -782,82 +787,39 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
 
 @dataclass(frozen=True)
 class ZonalData:
-    """Structured zonal form sum_j c_j (x.u)^{k-2j} (x.x)^j."""
+    """Structured zonal form sum_j c_j (x.u)^{k-2j} (x.x)^j, the direction u
+    a lattice coordinate row."""
     direction: tuple[Fraction, ...]
     coeffs: tuple[Fraction, ...]
     direction_norm2: Fraction
-    in_lattice_coords: bool
 
 
 @dataclass(frozen=True)
 class HarmonicPolynomial:
-    """Homogeneous polynomial with zero Laplacian.
-
-    ``terms`` maps exponent vectors to coefficients (Euclidean variables);
-    zonal polynomials additionally or instead carry ``zonal`` data for O(k)
-    evaluation.  A zonal built from a lattice-coordinate direction has no
-    terms expansion (its Euclidean coordinates would be irrational) and
-    evaluates through the Gram matrix only.
-    """
+    """Homogeneous polynomial with zero Laplacian on a rank-n lattice: the
+    constant 1 (no ``zonal`` data, degree 0) or the zonal harmonic of
+    ``zonal``, evaluated through the Gram matrix only, so its values at
+    lattice vectors are exact even where Euclidean coordinates are not."""
     n: int
     degree: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...] | None
     zonal: ZonalData | None = None
 
-    def evaluate(self, point) -> Fraction:
-        """Evaluate at a rational Euclidean point."""
-        pt = [Fraction(x) for x in point]
-        if self.zonal is not None and not self.zonal.in_lattice_coords:
-            a = sum(u * x for u, x in zip(self.zonal.direction, pt))
-            r = sum(x * x for x in pt)
-            return _zonal_value(self.zonal.coeffs, self.degree, a, r)
-        if self.terms is None:
-            raise ValueError("no explicit terms to evaluate")
-        acc = Fraction(0)
-        for expo, c in self.terms:
-            prod = c
-            for x, e in zip(pt, expo):
-                if e:
-                    prod *= x ** e
-            acc += prod
-        return acc
-
-
-def _zonal_value(coeffs, k, a: Fraction, r: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for j, c in enumerate(coeffs):
-        acc += c * a ** (k - 2 * j) * r ** j
-    return acc
+    def __post_init__(self):
+        if self.zonal is None and self.degree != 0:
+            raise ValueError("only the constant 1 has no zonal data")
 
 
 def constant_poly(n: int) -> HarmonicPolynomial:
-    return HarmonicPolynomial(n, 0, (((0,) * n, Fraction(1)),))
-
-
-def laplacian(p: HarmonicPolynomial) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Termwise second derivatives; returns collected terms of degree-2 less."""
-    if p.terms is None:
-        raise ValueError("laplacian needs an explicit terms expansion")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for expo, c in p.terms:
-        for i, e in enumerate(expo):
-            if e >= 2:
-                new = list(expo)
-                new[i] = e - 2
-                key = tuple(new)
-                acc[key] = acc.get(key, Fraction(0)) + c * e * (e - 1)
-    return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
+    return HarmonicPolynomial(n, 0)
 
 
 def is_harmonic(p: HarmonicPolynomial) -> bool:
-    if p.terms is not None:
-        return laplacian(p) == ()
-    # coordinate zonal: re-derive the coefficient ladder exactly
+    """The constant is; a zonal is when it carries the exact ladder."""
     z = p.zonal
-    return z.coeffs == zonal_coeffs(p.n, p.degree, z.direction_norm2)
+    return z is None or z.coeffs == zonal_coeffs(p.n, p.degree,
+                                                 z.direction_norm2)
 
 
-@functools.lru_cache(maxsize=256)
 def zonal_coeffs(n: int, k: int, u_norm2: Fraction) -> tuple[Fraction, ...]:
     """Coefficients c_j making sum c_j (x.u)^{k-2j}(x.x)^j harmonic.
 
@@ -872,76 +834,20 @@ def zonal_coeffs(n: int, k: int, u_norm2: Fraction) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-def _poly_dict_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_dict_pow(p: dict, e: int, n: int) -> dict:
-    out = {(0,) * n: Fraction(1)}
-    for _ in range(e):
-        out = _poly_dict_mul(out, p)
-    return out
-
-
-def zonal_harmonic(n: int, k: int, direction) -> HarmonicPolynomial:
-    """Degree-k zonal harmonic with a rational Euclidean direction.
-
-    Expanded to explicit terms and re-checked by the Laplacian (an internal
-    bug guard: the construction cannot silently produce a non-harmonic).
-    """
-    u = tuple(Fraction(x) for x in direction)
-    if len(u) != n or all(x == 0 for x in u):
-        raise ValueError("direction must be a nonzero vector of length n")
-    un2 = sum(x * x for x in u)
-    cs = zonal_coeffs(n, k, un2)
-    dot = {tuple(1 if i == j else 0 for i in range(n)): u[j]
-           for j in range(n) if u[j]}
-    rr = {}
-    for j in range(n):
-        key = tuple(2 if i == j else 0 for i in range(n))
-        rr[key] = Fraction(1)
-    total: dict[tuple[int, ...], Fraction] = {}
-    for j, c in enumerate(cs):
-        part = _poly_dict_mul(_poly_dict_pow(dot, k - 2 * j, n),
-                              _poly_dict_pow(rr, j, n))
-        for e, v in part.items():
-            total[e] = total.get(e, Fraction(0)) + c * v
-    terms = tuple(sorted((e, v) for e, v in total.items() if v != 0))
-    p = HarmonicPolynomial(n, k, terms, ZonalData(u, cs, un2, False))
-    if not is_harmonic(p):
-        raise InternalCheckError(
-            "zonal construction failed its own postcondition")
-    return p
-
-
 def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial:
-    """Zonal harmonic whose direction is a lattice coordinate row.
-
-    All evaluations go through the Gram matrix, so values at lattice
-    vectors are exact rationals even when the Euclidean embedding is
-    irrational.
-    """
+    """Zonal harmonic whose direction is a lattice coordinate row (on Z^n,
+    a Euclidean direction)."""
     w = tuple(Fraction(x) for x in direction)
     if len(w) != lat.rank or all(x == 0 for x in w):
         raise ValueError("direction must be a nonzero coordinate row")
     un2 = _gram_dot(lat, w, w)
     cs = zonal_coeffs(lat.rank, k, un2)
-    return HarmonicPolynomial(lat.rank, k, None, ZonalData(w, cs, un2, True))
+    return HarmonicPolynomial(lat.rank, k, ZonalData(w, cs, un2))
 
 
 def _gram_dot(lat: Lattice, a, b) -> Fraction:
-    g = lat.gram
-    n = lat.rank
-    acc = Fraction(0)
-    for i in range(n):
-        if a[i]:
-            acc += a[i] * sum(g[i][j] * b[j] for j in range(n) if b[j])
-    return acc
+    return Fraction(sum(x * gij * y for x, row in zip(a, lat.g2) if x
+                        for gij, y in zip(row, b) if y)) / 2
 
 
 def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
@@ -953,38 +859,21 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     cs = zonal_coeffs(lat.rank, k, _gram_dot(lat, w, w))
     scale = math.lcm(*(x.denominator for x in w))
     w_int = [int(x * scale) for x in w]
-    arr, g2 = _exact_operands(_doubled_gram(lat.gram), shell.rows,
-                              max(abs(x) for x in w_int))
+    arr, g2 = _exact_operands(lat.g2, shell.rows, max(abs(x) for x in w_int))
     dots2 = arr @ g2 @ np.array(w_int, dtype=arr.dtype)   # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)
     r2 = shell.norm
     acc = Fraction(0)
     for v, cnt in zip(vals.tolist(), counts.tolist()):
         a = Fraction(int(v), 2 * scale)
-        acc += cnt * _zonal_value(cs, k, a, r2)
+        acc += cnt * sum(c * a ** (k - 2 * j) * r2 ** j
+                         for j, c in enumerate(cs))
     return acc
 
 
 # ---------------------------------------------------------------------------
 # theta series
 # ---------------------------------------------------------------------------
-
-def _poly_shell_sum(lat: Lattice, shell: Shell, p: HarmonicPolynomial) -> Fraction:
-    if p.degree == 0:
-        lead = p.terms[0][1] if p.terms else Fraction(1)
-        return lead * len(shell)
-    if p.zonal is not None and p.zonal.in_lattice_coords:
-        return zonal_shell_sum(lat, shell, p.degree, p.zonal.direction)
-    if _is_identity(lat):
-        return sum(p.evaluate(v) for v in shell.vectors)
-    raise ValueError("polynomial cannot be evaluated exactly on this "
-                     "lattice; use a lattice-coordinate zonal")
-
-
-def _is_identity(lat: Lattice) -> bool:
-    return all(lat.gram[i][j] == (1 if i == j else 0)
-               for i in range(lat.rank) for j in range(lat.rank))
-
 
 def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
                    cap: int = SHELL_CAP, workers: int = 1) -> QSeries:
@@ -997,16 +886,15 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
         raise ValueError("polynomial dimension must match the lattice rank")
     even = is_even(lat)
     table = _vectors_by_doubled_norm(lat, 2 * prec_norm, cap, workers)
-    coeffs: dict[int, Fraction] = {}
-    if p.degree == 0:
-        coeffs[0] = p.terms[0][1] if p.terms else Fraction(1)
+    coeffs: dict[int, Fraction] = {0: Fraction(1)} if p.degree == 0 else {}
     for w, rows in table.items():
         if w % 2:
             raise ValueError("non-integral norm encountered")
         norm = w // 2
         if even and norm % 2:
             raise ValueError("odd norm on an even lattice: enumeration bug")
-        val = _poly_shell_sum(lat, Shell(lat, Fraction(norm), rows), p)
+        val = len(rows) if p.degree == 0 else zonal_shell_sum(
+            lat, Shell(lat, Fraction(norm), rows), p.degree, p.zonal.direction)
         if val:
             coeffs[norm] = val
     return QSeries(0, prec_norm, coeffs)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -31,6 +32,14 @@ from types import MappingProxyType
 from .errors import OffsetError, PrecisionError
 
 __all__ = ["QSeries"]
+
+
+def exact_str(x) -> str:
+    """``str(x)`` of an int or Fraction at any size: ``decimal`` writes the
+    digits, and has no ``sys.get_int_max_str_digits()`` limit to refuse."""
+    if x.denominator != 1:
+        return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
+    return str(Decimal(x.numerator))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +411,15 @@ class QSeries:
         terms as [index, "numerator/denominator"] in lowest terms."""
         d = self._den
         if d == 1:
-            items = [[i, f"{c}/1"] for i, c in enumerate(self._num) if c]
+            items = [[i, f"{exact_str(c)}/1"]
+                     for i, c in enumerate(self._num) if c]
         else:
             items = []
             for i, c in enumerate(self._num):
                 if c:
                     g = gcd(c, d)
-                    items.append([i, f"{c // g}/{d // g}"])
+                    num, den = exact_str(c // g), exact_str(d // g)
+                    items.append([i, f"{num}/{den}"])
         return {"offset24": self.offset24, "prec": self.prec, "coeffs": items}
 
     def to_json(self) -> str:
@@ -417,13 +428,17 @@ class QSeries:
     @classmethod
     def from_json(cls, text: str) -> "QSeries":
         obj = json.loads(text)
-        coeffs = {int(i): Fraction(s) for i, s in obj["coeffs"]}
+        coeffs = {}
+        for i, s in obj["coeffs"]:      # "n/d", read at any size by decimal
+            n, _, d = s.partition("/")
+            coeffs[int(i)] = Fraction(int(Decimal(n)), int(Decimal(d or 1)))
         return cls(int(obj["offset24"]), int(obj["prec"]), coeffs)
 
     def __repr__(self) -> str:
         terms = []
         for i in sorted(self.coeffs)[:6]:
-            terms.append(f"{self.coeffs[i]}*q^({self.exponent(i)})")
+            c = exact_str(self.coeffs[i])
+            terms.append(f"{c}*q^({self.exponent(i)})")
         body = " + ".join(terms) if terms else "0"
         if len(self.coeffs) > 6:
             body += " + ..."

@@ -63,6 +63,22 @@ def test_eta_text_format():
     assert "q - 8*q^(4) + 20*q^(7) - 70*q^(13)" in text
 
 
+def test_eta_coefficients_past_the_int_str_limit():
+    # r = -10^30: the coefficient of q^n grows like r^n / n!, so the top
+    # coefficients have more digits than str(int) converts by default
+    spec = "1:-1000000000000000000000000000000"
+    payload = run_json(["eta", "--spec", spec, "--prec", "160"])
+    coeffs = payload["series"]["coeffs"]
+    assert len(coeffs) == 161
+    assert coeffs[1] == [1, "1000000000000000000000000000000/1"]
+    assert max(len(c) for _, c in coeffs) > 4300
+    assert QSeries.from_json(json.dumps(payload["series"])) == \
+        eta_quotient([(1, -10 ** 30)], 160)
+    code, text = run(["eta", "--spec", spec, "--prec", "160"])
+    assert code == 0
+    assert "+ 1000000000000000000000000000000*q^(" in text
+
+
 def pretty_from_coeffs(s, max_terms=10):
     """The text form of a series read off the whole ``coeffs`` map."""
     if s.is_zero():

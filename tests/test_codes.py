@@ -416,6 +416,11 @@ def test_cached_basis_carries_its_pair_array():
         assert np.array_equal(basis.pair_array,
                               np.array([f.pairs for f in basis]))
         assert not basis.pair_array.flags.writeable
+        # its buffer is immutable: the flag cannot be turned back on
+        for arr in (basis.pair_array, basis.pair_array[1:],
+                    basis.pair_array.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.setflags(write=True)
     fam = shell(d16_plus(), 4)              # no 2-design
     basis = harm_basis(16, 2)
     sums = harmonic_family_sums(list(basis), fam)     # rebuilt from tuples

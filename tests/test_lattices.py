@@ -26,15 +26,16 @@ from designlab.lattices import (_SLACK, SHELL_CAP, HarmonicPolynomial, Lattice,
                                 construction_a, determinant,
                                 gegenbauer_component_sums, gram_from_text,
                                 harmonic_theta, is_even, is_harmonic,
-                                laplacian, lattice_a2, lattice_e8, lattice_zn,
+                                lattice_a2, lattice_e8, lattice_zn,
                                 moment_design_test, shell_enum,
                                 shell_sizes_up_to, sphere_moment,
                                 spherical_T_design_report, theta_directions,
                                 theta_fit_norm, theta_membership_check,
-                                to_modular_q, zonal_coeffs, zonal_harmonic,
+                                to_modular_q, zonal_coeffs,
                                 zonal_harmonic_coords, zonal_shell_sum)
 from designlab.modforms import delta_eta, eisenstein
 from designlab.qseries import QSeries
+from poly_oracle import evaluate, laplacian, zonal_terms
 
 
 # -- oracles ------------------------------------------------------------------
@@ -55,15 +56,15 @@ def box_shells(gram, max_norm2):
     return table
 
 
-def dfs_candidates(gram, bound2):
+def dfs_candidates(g2, bound2):
     """Per-node depth-first Fincke-Pohst search: every v whose float-pruned
     path survives, top coordinate first, in visiting order.
 
-    The same float bounds as the library search (exact LDL data rounded to
-    float, slack-inflated radii, the top coordinate over bound2's radius),
-    one node at a time.
+    The same float bounds as the library search (exact LDL data of the
+    doubled Gram matrix g2 rounded to float, slack-inflated radii, the top
+    coordinate over bound2's radius), one node at a time.
     """
-    diag, upper = _ldl(gram)
+    diag, upper = _ldl(g2)
     n = len(diag)
     df = [float(2 * d) for d in diag]
     uf = [[float(x) for x in row] for row in upper]
@@ -119,10 +120,10 @@ def in_half_ball(v):
     return next((x for x in reversed(v) if x), 0) >= 0
 
 
-def check_half_search(gram, bound2, cands):
+def check_half_search(g2, bound2, cands):
     """The search yields the depth-first list restricted to the half ball,
     and with the negations it covers the whole list."""
-    full = dfs_candidates(gram, bound2)
+    full = dfs_candidates(g2, bound2)
     assert cands == [v for v in full if in_half_ball(v)]
     mirrored = [tuple(-x for x in v) for v in cands if any(v)]
     assert sorted(cands + mirrored) == sorted(full)
@@ -151,8 +152,8 @@ def check_lll(lat):
     """U is an integer matrix with |det U| = 1, U G2 U^T is the reduced
     Gram matrix exactly, and the reduced basis is size-reduced and meets
     the Lovasz condition with delta = 99/100 (exact Gram-Schmidt)."""
-    g2 = doubled_gram(lat)
-    u, r2 = _lll(tuple(map(tuple, g2)))
+    g2 = doubled(lat.gram)
+    u, r2 = _lll(g2)
     n = lat.rank
     assert all(isinstance(x, int) for row in u for x in row)
     assert abs(exact_det(u)) == 1
@@ -169,22 +170,23 @@ def check_lll(lat):
                                        for k in range(i)))
         if i:
             assert bstar[i] >= (F(99, 100) - mu[i][i - 1] ** 2) * bstar[i - 1]
-    assert _reduced_basis(lat.gram) == (
-        tuple(map(tuple, u)),
-        tuple(tuple(F(x, 2) for x in row) for row in r2))
+    assert _reduced_basis(lat.g2) == (tuple(map(tuple, u)),
+                                      tuple(map(tuple, r2)))
     return u
 
 
-def doubled_gram(lat):
-    return [[int(2 * x) for x in row] for row in lat.gram]
+def doubled(gram):
+    """A Gram matrix of (1/2)Z entries as doubled integer tuples, the form
+    the private helpers take."""
+    return tuple(tuple(int(2 * F(x)) for x in row) for row in gram)
 
 
 def dfs_shells(lat, bound2):
     """Exact doubled norm -> sorted vectors, from the depth-first search."""
-    g2 = doubled_gram(lat)
+    g2 = doubled(lat.gram)
     n = lat.rank
     table = {}
-    for v in dfs_candidates(lat.gram, bound2):
+    for v in dfs_candidates(lat.g2, bound2):
         w = sum(g2[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
         if 0 < w <= bound2:
             table.setdefault(w, []).append(v)
@@ -198,7 +200,7 @@ def tuple_table(table):
 
 def brute_pair_histogram(lat, vectors):
     """2*(x.y) over all ordered pairs, one product at a time."""
-    g2 = doubled_gram(lat)
+    g2 = doubled(lat.gram)
     n = lat.rank
     hist = {}
     for x in vectors:
@@ -273,6 +275,36 @@ def test_gram_validation_rules():
         gram_from_text("1/3")                          # off the (1/2)Z grid
     half = gram_from_text("1 1/2\n1/2 1")
     assert determinant(half) == F(3, 4)
+
+
+def test_lattice_equality_reads_the_doubled_gram():
+    ints = Lattice(((2, 1), (1, 2)), "A2")
+    fracs = Lattice(((F(2), F(1)), (F(1), F(2))), "A2")
+    text = gram_from_text("2 1\n1 2", "A2")
+    assert ints == fracs == text == lattice_a2()
+    assert hash(ints) == hash(fracs) == hash(text) == hash(lattice_a2())
+    assert ints != Lattice(((2, 1), (1, 2)), "other")
+    assert ints.g2 == ((4, 2), (2, 4))
+    assert all(type(x) is int for row in ints.g2 for x in row)
+    assert ints.gram == ((F(2), F(1)), (F(1), F(2)))
+    half = gram_from_text("1 1/2\n1/2 1")
+    assert half.g2 == ((2, 1), (1, 2)) and half.gram[0][1] == F(1, 2)
+
+
+def test_warm_shell_enum_hashes_no_fraction(monkeypatch):
+    # the lru caches keyed by a lattice hash its integer doubled Gram matrix
+    golay = construction_a(golay_g24())
+    shell_enum(golay, 4)
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    assert len(shell_enum(construction_a(golay_g24()), 4)) == 195408
+    assert calls == []
 
 
 def test_fixture_lattice_invariants():
@@ -368,9 +400,9 @@ def test_huge_gram_entries_stay_exact():
 @settings(max_examples=60, deadline=None)
 @given(gram_lattices(), st.integers(0, 40))
 def test_search_matches_the_depth_first_oracle(lat, bound2):
-    cands = [tuple(r) for chunk in _search_candidates(lat.gram, bound2, 10**9)
+    cands = [tuple(r) for chunk in _search_candidates(lat.g2, bound2, 10**9)
              for r in chunk.tolist()]
-    check_half_search(lat.gram, bound2, cands)
+    check_half_search(lat.g2, bound2, cands)
     assert tuple_table(_vectors_by_doubled_norm(lat, bound2, 10**9)) == \
         dfs_shells(lat, bound2)
 
@@ -382,9 +414,9 @@ def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
     monkeypatch.setattr(lattices, "_CHUNK", chunk)
     d16 = construction_a(d16_plus(), "d16plus")
     for lat, bound2 in ((lattice_e8(), 8), (d16, 4), (lattice_zn(6), 8)):
-        cands = [tuple(r) for c in _search_candidates(lat.gram, bound2, 10**9)
+        cands = [tuple(r) for c in _search_candidates(lat.g2, bound2, 10**9)
                  for r in c.tolist()]
-        check_half_search(lat.gram, bound2, cands)
+        check_half_search(lat.g2, bound2, cands)
         assert tuple_table(_vectors_by_doubled_norm.__wrapped__(
             lat, bound2, 10**9)) == dfs_shells(lat, bound2)
 
@@ -393,17 +425,17 @@ def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
 @given(gram_lattices(max_rank=6), st.integers(1, 2))
 def test_fraction_free_ldl_matches_plain_elimination(lat, halve):
     gram = tuple(tuple(x / halve for x in row) for row in lat.gram)
-    assert _ldl(gram) == ldl_oracle(gram)
+    assert _ldl(doubled(gram)) == ldl_oracle(gram)
 
 
 def test_ldl_on_fixtures_and_refusals():
     golay = construction_a(golay_g24(), "CA(golay)")
     for gram in (lattice_e8().gram, lattice_a2().gram, golay.gram,
                  gram_from_text("1 1/2\n1/2 1").gram):
-        assert _ldl(gram) == ldl_oracle(gram)
+        assert _ldl(doubled(gram)) == ldl_oracle(gram)
     for bad in (((F(1), F(2)), (F(2), F(1))), ((F(0),),), ((F(-1, 2),),)):
         with pytest.raises(ValueError, match="positive definite"):
-            _ldl(bad)
+            _ldl(doubled(bad))
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,14 +452,14 @@ def test_lll_on_the_fixture_lattices():
     z12 = lattice_zn(12)
     assert check_lll(z12) == [[int(i == j) for j in range(12)]
                               for i in range(12)]
-    assert _reduced_basis(z12.gram)[1] == z12.gram
+    assert _reduced_basis(z12.g2)[1] == z12.g2
 
 
 def test_half_ball_search_of_the_golay_lattice():
     # 1 + 48 + 195408 vectors to doubled norm 8: the zero row and half the
     # rest, where the unreduced full search produced 195457 rows
     golay = construction_a(golay_g24(), "CA(golay)")
-    reduced = _reduced_basis(golay.gram)[1]
+    reduced = _reduced_basis(golay.g2)[1]
     assert sum(len(c) for c in _search_candidates(reduced, 8, SHELL_CAP)) \
         == 97729
 
@@ -484,12 +516,12 @@ def test_cap_boundaries():
     # refuse in the search, though it yields only the zero row and half
     # the rest
     z3 = lattice_zn(3)
-    count = len(dfs_candidates(z3.gram, 20))
+    count = len(dfs_candidates(z3.g2, 20))
     cap = -(-(count - 64) // 4)             # smallest cap with 4*cap+64 >= count
-    assert sum(len(c) for c in _search_candidates(z3.gram, 20, cap)) == \
+    assert sum(len(c) for c in _search_candidates(z3.g2, 20, cap)) == \
         (count + 1) // 2
     with pytest.raises(CapExceededError, match="search exceeded"):
-        list(_search_candidates(z3.gram, 20, cap - 1))
+        list(_search_candidates(z3.g2, 20, cap - 1))
 
 
 @pytest.mark.parametrize("block", [lattices._PAIR_BLOCK, 1000])
@@ -546,6 +578,11 @@ def test_shell_arrays_refuse_writes():
     for rows in (table[4], table[8], sh.rows, hand.rows):
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 7
+        # the buffer underneath is immutable: neither the array, nor a view
+        # of it, nor what it is a view of can be made writeable again
+        for arr in (rows, rows[1:], rows.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.setflags(write=True)
     # the shell hands out the cached slice itself, and builds its tuples once
     assert sh.rows is _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4]
     assert np.array_equal(sh.rows, table[4])
@@ -592,13 +629,6 @@ def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
         "import designlab.lattices as L\n"
         "L._sorted_ball = lambda *a: ({2: 2}, np.array([[0, 1], [1, 0]]))\n"
         "L.shell_enum(L.lattice_zn(2), 1)")
-
-
-def test_zonal_harmonicity_guard_runs_under_optimize(refused_under_optimize):
-    assert refused_under_optimize(
-        "import designlab.lattices as L\n"
-        "L.is_harmonic = lambda p: False\n"
-        "L.zonal_harmonic(2, 2, (1, 0))")
 
 
 def test_worker_partitioning_changes_nothing():
@@ -718,28 +748,35 @@ def test_zonal_coefficient_ladder():
 
 
 def test_zonal_harmonic_explicit_terms_degree_two():
-    p = zonal_harmonic(3, 2, (1, 0, 0))
-    assert dict(p.terms) == {(2, 0, 0): F(2, 3), (0, 2, 0): F(-1, 3),
-                             (0, 0, 2): F(-1, 3)}
-    assert laplacian(p) == ()
+    p = zonal_harmonic_coords(lattice_zn(3), 2, (1, 0, 0))
+    terms = zonal_terms(3, 2, (1, 0, 0), p.zonal.coeffs)
+    assert terms == {(2, 0, 0): F(2, 3), (0, 2, 0): F(-1, 3),
+                     (0, 0, 2): F(-1, 3)}
+    assert laplacian(terms) == {}
 
 
 def test_zonal_inputs_validated():
+    z3 = lattice_zn(3)
     with pytest.raises(ValueError):
-        zonal_harmonic(3, 4, (0, 0, 0))
+        zonal_harmonic_coords(z3, 4, (0, 0, 0))
     with pytest.raises(ValueError):
-        zonal_harmonic(3, 4, (1, 0))
+        zonal_harmonic_coords(z3, 4, (1, 0))
     with pytest.raises(ValueError):
         zonal_harmonic_coords(lattice_e8(), 4, (1, 0))
+    with pytest.raises(ValueError, match="constant 1"):
+        HarmonicPolynomial(3, 2)
 
 
 def test_zonal_gram_route_matches_direct_evaluation_on_z4():
+    # on Z^n lattice coordinates are Euclidean: the explicit expansion,
+    # evaluated vector by vector, is an independent route to the sum
     z4 = lattice_zn(4)
     sh = shell_enum(z4, 2)
     for direction in ((1, 1, 0, 0), (2, 1, 0, -1)):
         for k in (2, 4, 6):
-            direct = sum(zonal_harmonic(4, k, direction).evaluate(v)
-                         for v in sh.vectors)
+            coeffs = zonal_harmonic_coords(z4, k, direction).zonal.coeffs
+            terms = zonal_terms(4, k, direction, coeffs)
+            direct = sum(evaluate(terms, v) for v in sh.vectors)
             assert zonal_shell_sum(z4, sh, k, direction) == direct
 
 

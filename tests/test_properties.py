@@ -22,13 +22,14 @@ from designlab.lattices import (Lattice, constant_poly, construction_a,
                                 is_harmonic, lattice_a2, lattice_e8,
                                 lattice_zn, moment_design_test, shell_enum,
                                 shell_sizes_up_to, spherical_T_design_report,
-                                zonal_harmonic)
+                                zonal_harmonic_coords)
 from designlab.modforms import (eisenstein, eta_quotient, mf_basis, mf_dim,
                                 sigma)
 from designlab.qseries import QSeries
 from designlab.voa import (a_series, b_series, c_series, conformal_T_set,
                            d_series, ord_criterion, remark4_series,
                            strength_at)
+from poly_oracle import laplacian, zonal_terms
 
 
 # -- modular layer -----------------------------------------------------
@@ -175,9 +176,12 @@ def test_construction_a_outputs_even_unimodular():
 
 @pytest.mark.parametrize("n,k", [(2, 3), (2, 6), (3, 4), (8, 8), (16, 4)])
 def test_zonal_polynomials_are_homogeneous_harmonics(n, k):
+    # the package's ladder, expanded term by term by the oracle on Z^n
     direction = tuple(1 if i % 2 else 2 for i in range(n))
-    p = zonal_harmonic(n, k, direction)
-    assert {sum(m) for m, _ in p.terms} == {k}
+    p = zonal_harmonic_coords(lattice_zn(n), k, direction)
+    terms = zonal_terms(n, k, direction, p.zonal.coeffs)
+    assert {sum(m) for m in terms} == {k}
+    assert laplacian(terms) == {}
     assert is_harmonic(p)
 
 

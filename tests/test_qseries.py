@@ -251,6 +251,16 @@ def test_rational_coefficients_survive_roundtrip():
     assert g[2] == Fraction(-7, 24)
 
 
+def test_coefficients_past_the_int_str_limit_roundtrip():
+    # 5,000-digit numerators and denominators: more than str(int) converts
+    # under CPython's default limit of 4,300 digits
+    big = 7 ** 5916
+    f = QSeries(0, 2, {0: Fraction(big, 3), 2: Fraction(-1, big)})
+    g = QSeries.from_json(f.to_json())
+    assert g == f and g[0] == Fraction(big, 3)
+    assert "*q^(0)" in repr(f) and "-1/" in repr(f)
+
+
 def test_json_shape_is_stable():
     f = QSeries.from_int_list(8, [1, -8])
     assert f.to_json() == (
