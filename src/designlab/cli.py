@@ -3,7 +3,10 @@
 Text output is a human summary; JSON (one document, or one object per line
 for scans) is the stable contract, versioned by a "schema" field.  Exit
 status is 0 whenever the computation completed: a "not a design" verdict is
-payload, not an error.
+payload, not an error.  Every failure is one JSON error line on stderr.  A
+bad request, refused by the parser, by this module or by the library, is a
+``ValueError`` and exits 2 with error type "usage"; a computation that
+fails raises a ``DesignLabError`` and exits 1 with the class name as type.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import gc
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -24,11 +26,12 @@ from ._parallel import default_workers
 from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
                     golay_g24, hamming_e8, shell, two_weight_design_check)
 from .errors import DesignLabError
-from .lattices import (Lattice, constant_poly, construction_a, determinant,
-                       gram_from_text, harmonic_theta, is_even, lattice_a2,
-                       lattice_e8, lattice_zn, moment_design_test,
-                       prefix_strength, shell_enum, spherical_T_design_report,
-                       theta_directions, theta_fit_norm, theta_membership_check,
+from .lattices import (Lattice, constant_poly, construction_a, gram_from_text,
+                       harmonic_theta, lattice_a2, lattice_e8, lattice_zn,
+                       moment_design_test, prefix_strength,
+                       require_even_unimodular, shell_enum,
+                       spherical_T_design_report, theta_directions,
+                       theta_fit_norm, theta_membership_check,
                        zonal_harmonic_coords, zonal_theta_fits)
 from .modforms import eta_quotient
 from .qseries import QSeries, exact_str
@@ -42,19 +45,6 @@ _CODES = {"hamming8": hamming_e8, "golay24": golay_g24, "d16plus": d16_plus}
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: bounds positive, names resolved, format known."""
-    command: str
-    fmt: str
-    workers: int
-    args: argparse.Namespace
-
-
-class UsageError(Exception):
-    pass
-
 
 def _frac(x) -> str:
     f = Fraction(x)
@@ -128,7 +118,7 @@ def _resolve_code(name: str) -> BinaryCode:
         return _CODES[name]()
     p = user_fixture_path(name)
     if p is None:
-        raise UsageError(f"unknown code fixture {name!r} "
+        raise ValueError(f"unknown code fixture {name!r} "
                          f"(known: {', '.join(sorted(_CODES))}, or a path)")
     return code_from_text(p.read_text(), p.stem)
 
@@ -138,7 +128,7 @@ def _resolve_lattice(name: str) -> Lattice:
     if m:
         n = int(m.group(1))
         if not 1 <= n <= 32:
-            raise UsageError("Zn supports 1 <= n <= 32")
+            raise ValueError("Zn supports 1 <= n <= 32")
         return lattice_zn(n)
     if name.upper() == "A2":
         return lattice_a2()
@@ -148,20 +138,17 @@ def _resolve_lattice(name: str) -> Lattice:
         return construction_a(_resolve_code(name[3:]), name)
     p = user_fixture_path(name)
     if p is None:
-        raise UsageError(f"unknown lattice {name!r} "
+        raise ValueError(f"unknown lattice {name!r} "
                          "(known: Zn, A2, E8, CA:<code>, or a path)")
     return gram_from_text(p.read_text(), p.stem)
 
 
 def _parse_eta_spec(spec: str) -> list[tuple[int, int]]:
-    if not spec:
-        return []
     out = []
-    for part in spec.split(","):
+    for part in spec.split(",") if spec else ():
         m = re.fullmatch(r"\s*(\d+):(-?\d+)\s*", part)
-        if not m or int(m.group(1)) == 0:
-            raise UsageError(f"bad eta factor {part!r}; expected scale:power "
-                             "with scale >= 1")
+        if not m:
+            raise ValueError(f"bad eta factor {part!r}; expected scale:power")
         out.append((int(m.group(1)), int(m.group(2))))
     return out
 
@@ -171,66 +158,57 @@ def _parse_poly(lat: Lattice, spec: str):
         return constant_poly(lat.rank)
     m = re.fullmatch(r"zonal:(\d+):([-\d,]+)", spec)
     if not m:
-        raise UsageError("poly must be 'one' or 'zonal:<degree>:<i1,...,in>'")
-    degree = int(m.group(1))
-    direction = tuple(int(t) for t in m.group(2).split(","))
-    if len(direction) != lat.rank:
-        raise UsageError(f"direction needs {lat.rank} coordinates")
-    return zonal_harmonic_coords(lat, degree, direction)
+        raise ValueError("poly must be 'one' or 'zonal:<degree>:<i1,...,in>'")
+    direction = _int_list(m.group(2), "the zonal direction")
+    return zonal_harmonic_coords(lat, int(m.group(1)), direction)
 
 
-def _even_unimodular(lat: Lattice, what: str) -> None:
-    if not is_even(lat) or determinant(lat) != 1:
-        raise UsageError(f"{what} needs an even unimodular lattice")
-
-
-def _positive(value: int, what: str) -> int:
-    if value < 1:
-        raise UsageError(f"{what} must be positive")
-    return value
-
-
-def _parse_norm(text: str, allow_zero: bool = False) -> Fraction:
+def _int_list(text: str, what: str) -> list[int]:
     try:
-        norm = Fraction(text)
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} takes a comma list of integers, "
+                         f"got {text!r}") from None
+
+
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational number such as 2, 1/2 or 1e400."""
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--norm takes a rational number, got {text!r}")
-    if norm < 0 or (norm == 0 and not allow_zero):
-        raise UsageError("--norm must be "
-                         + ("nonnegative" if allow_zero else "positive"))
-    return norm
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_eta(cfg: RunConfig, out):
-    a = cfg.args
-    prec = _positive(a.prec, "--prec")
-    series = eta_quotient(_parse_eta_spec(a.spec), prec)
+def cmd_eta(a, out):
+    series = eta_quotient(_parse_eta_spec(a.spec), a.prec)
     payload = {"schema": SCHEMA, "command": "eta", "spec": a.spec,
-               "prec": prec, "series": series.to_dict()}
-    text = [f"eta quotient [{a.spec or '1'}] to precision {prec}:",
+               "prec": a.prec, "series": series.to_dict()}
+    text = [f"eta quotient [{a.spec or '1'}] to precision {a.prec}:",
             f"  {_pretty_series(series)}"]
     return payload, text
 
 
-def cmd_code_design(cfg: RunConfig, out):
-    a = cfg.args
+def cmd_code_design(a, out):
     code = _resolve_code(a.code)
-    if (a.t is None) == (a.Tset is None):
-        raise UsageError("exactly one of --t or --Tset is required")
     if a.t is not None:
         if a.weight is None or a.weights is not None:
-            raise UsageError("--t needs --weight (single shell)")
-        if not 0 < a.weight <= code.n:
-            raise UsageError(f"--weight must lie in 1..{code.n}")
-        if not 0 <= a.t <= code.n:
-            raise UsageError(f"--t must lie in 0..{code.n}")
+            raise ValueError("--t needs --weight (single shell)")
         fam = shell(code, a.weight)
         if not fam.blocks:
-            raise UsageError(f"{a.code} has no codewords of weight "
+            raise ValueError(f"{a.code} has no codewords of weight "
                              f"{a.weight}")
         res = design_lambda(fam, a.t)
         payload = {"schema": SCHEMA, "command": "code-design",
@@ -253,23 +231,16 @@ def cmd_code_design(cfg: RunConfig, out):
 
     # harmonic mode: union of a shell and its complement-weight shell
     if a.weights is None:
-        raise UsageError("--Tset needs --weights w,n-w (the shell pair)")
-    try:
-        pair = tuple(int(w) for w in a.weights.split(","))
-    except ValueError:
-        raise UsageError("--weights takes two comma-separated integers")
+        raise ValueError("--Tset needs --weights w,n-w (the shell pair)")
+    pair = _int_list(a.weights, "--weights")
     if len(pair) != 2 or sorted(pair) != [min(pair), code.n - min(pair)]:
-        raise UsageError(f"--weights must be a complementary pair w,{code.n}-w")
-    maxdeg = _positive(a.max_degree, "--max-degree")
+        raise ValueError(f"--weights must be a complementary pair w,{code.n}-w")
     if a.Tset == "odd":
-        degrees = list(range(1, maxdeg + 1, 2))
+        degrees = list(range(1, a.max_degree + 1, 2))
     else:
-        try:
-            degrees = sorted({int(t) for t in a.Tset.split(",")})
-        except ValueError:
-            raise UsageError("--Tset takes 'odd' or a comma list of degrees")
-        if not degrees or degrees[0] < 1 or degrees[-1] > maxdeg:
-            raise UsageError("--Tset degrees must lie in 1..max-degree")
+        degrees = sorted(set(_int_list(a.Tset, "--Tset")))
+        if degrees[0] < 1 or degrees[-1] > a.max_degree:
+            raise ValueError("--Tset degrees must lie in 1..max-degree")
     rep = two_weight_design_check(code, min(pair), degrees)
     verdicts = {j: rep.verdicts[j][0] for j in degrees}
     payload = {"schema": SCHEMA, "command": "code-design", "code": a.code,
@@ -284,34 +255,32 @@ def cmd_code_design(cfg: RunConfig, out):
     return payload, text
 
 
-def cmd_lattice_design(cfg: RunConfig, out):
-    a = cfg.args
+def cmd_lattice_design(a, out):
     lat = _resolve_lattice(a.lattice)
-    norm = _parse_norm(a.norm)
-    t = _positive(a.t, "--t")
     if a.criterion == "moment":
-        rep = moment_design_test(shell_enum(lat, norm, workers=cfg.workers), t)
+        sh = shell_enum(lat, a.norm, workers=a.workers)
+        rep = moment_design_test(sh, a.t)
         per = {str(k): v for k, v in rep.per_k.items()}
         strength, size = rep.strength, rep.size
     elif a.criterion == "zonal":
-        rep = spherical_T_design_report(lat, norm, range(1, t + 1),
-                                        workers=cfg.workers)
+        rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1),
+                                        workers=a.workers)
         per = {str(j): v for j, v in rep.verdicts.items()}
         strength, size = prefix_strength(rep.verdicts), rep.size
     else:
-        return _lattice_design_theta(cfg, lat, norm, t)
+        return _lattice_design_theta(a, lat)
     payload = {"schema": SCHEMA, "command": "lattice-design",
-               "lattice": a.lattice, "norm": _frac(norm),
+               "lattice": a.lattice, "norm": _frac(a.norm),
                "criterion": a.criterion, "size": size,
                "per_degree": per, "strength": strength}
-    text = [f"{a.lattice} norm {norm} ({size} vectors, {a.criterion}): "
+    text = [f"{a.lattice} norm {a.norm} ({size} vectors, {a.criterion}): "
             f"strength {strength}"
-            + ("" if strength >= t else f", first failure at degree "
+            + ("" if strength >= a.t else f", first failure at degree "
                f"{strength + 1}")]
     return payload, text
 
 
-def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
+def _lattice_design_theta(a, lat: Lattice):
     """Per-degree verdicts via modular membership of weighted thetas.
 
     Decides arbitrary norms from a bounded enumeration.  Odd degrees hold
@@ -322,25 +291,24 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
     target norm is read off each fitted form.  A zero there means no
     obstruction along the tested directions; a nonzero disproves.
     """
-    a = cfg.args
-    _even_unimodular(lat, "theta criterion")
-    if norm.denominator != 1 or int(norm) % 2:
-        raise UsageError("theta criterion needs an even integer norm")
+    require_even_unimodular(lat, "theta criterion")
+    if a.norm <= 0 or a.norm.denominator != 1 or int(a.norm) % 2:
+        raise ValueError("theta criterion needs a positive even integer norm")
     if a.prec_norm < 0:
-        raise UsageError("--prec-norm must be nonnegative")
+        raise ValueError("--prec-norm must be nonnegative")
     prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
-    fitted = [j for j in range(2, t + 1, 2)
+    fitted = [j for j in range(2, a.t + 1, 2)
               if not modular_obstruction(lat.rank, j).forced]
     needed = max((theta_fit_norm(lat.rank, j) for j in fitted), default=0)
     if prec_norm < needed:
-        raise UsageError(f"--prec-norm {prec_norm} is too shallow for the "
-                         f"theta fits up to degree {t}; use at least {needed}")
-    target = int(norm) // 2
+        raise ValueError(f"--prec-norm {prec_norm} is too shallow for the theta "
+                         f"fits up to degree {a.t}; use at least {needed}")
+    target = int(a.norm) // 2
     prec = max(target, needed)          # rebuild the fitted forms through here
     dirs = theta_directions(lat.rank)
     per: dict[int, bool] = {}
     modes: dict[int, str] = {}
-    for j in range(1, t + 1):
+    for j in range(1, a.t + 1):
         if j % 2:
             per[j], modes[j] = True, "antipodal"
             continue
@@ -349,45 +317,38 @@ def _lattice_design_theta(cfg: RunConfig, lat: Lattice, norm: Fraction, t: int):
             continue
         per[j] = all(form[target - form.offset24 // 24] == 0
                      for _, _, form in zonal_theta_fits(
-                         lat, j, prec_norm, prec, dirs, workers=cfg.workers))
+                         lat, j, prec_norm, prec, dirs, workers=a.workers))
         modes[j] = (f"fit along {len(dirs)} directions" if per[j]
                     else "nonzero fitted coefficient")
     strength = prefix_strength(per)
     payload = {"schema": SCHEMA, "command": "lattice-design",
-               "lattice": a.lattice, "norm": _frac(norm),
+               "lattice": a.lattice, "norm": _frac(a.norm),
                "criterion": "theta", "prec_norm": prec_norm,
                "directions_tested": len(dirs),
                "per_degree": {str(j): v for j, v in per.items()},
                "modes": {str(j): m for j, m in modes.items()},
                "strength": strength}
-    text = [f"{a.lattice} norm {norm} (theta criterion, enumeration to norm "
+    text = [f"{a.lattice} norm {a.norm} (theta criterion, enumeration to norm "
             f"{prec_norm}): strength {strength}"]
-    for j in range(2, t + 1, 2):
+    for j in range(2, a.t + 1, 2):
         text.append(f"  degree {j}: " + ("pass" if per[j] else "FAIL")
                     + f" ({modes[j]})")
     return payload, text
 
 
-def cmd_theta(cfg: RunConfig, out):
-    a = cfg.args
+def cmd_theta(a, out):
     lat = _resolve_lattice(a.lattice)
-    prec = _positive(a.prec, "--prec")
     poly = _parse_poly(lat, a.poly)
-    if a.membership:            # refuse before the theta is enumerated
-        _even_unimodular(lat, "--membership")
-        needed = theta_fit_norm(lat.rank, poly.degree)
-        if poly.degree % 2 or prec < needed:
-            raise UsageError("--membership needs an even harmonic degree "
-                             f"and --prec {needed} at least")
-    series = harmonic_theta(lat, poly, prec, workers=cfg.workers)
+    # the membership check refuses bad input before it enumerates
+    rep = (theta_membership_check(lat, poly, a.prec, workers=a.workers)
+           if a.membership else None)
+    series = harmonic_theta(lat, poly, a.prec, workers=a.workers)
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
-               "poly": a.poly, "prec_norm": prec,
+               "poly": a.poly, "prec_norm": a.prec,
                "series": series.to_dict()}
-    text = [f"theta of {a.lattice} with poly {a.poly}, norms <= {prec} "
+    text = [f"theta of {a.lattice} with poly {a.poly}, norms <= {a.prec} "
             f"(exponent = norm):", f"  {_pretty_series(series)}"]
-    if a.membership:
-        rep = theta_membership_check(lat, poly, prec_norm=prec,
-                                     workers=cfg.workers)
+    if rep is not None:
         payload["membership"] = {
             "weight": rep.weight, "with_e6_factor": rep.with_e6_factor,
             "fit_ok": rep.fit_ok,
@@ -421,66 +382,58 @@ def _strength_text(rep) -> str:
             f"{rep.contested_coefficient} -> {tail}; strength {rep.strength}")
 
 
-def cmd_voa_strength(cfg: RunConfig, out) -> tuple[dict | None, list[str]]:
-    a = cfg.args
-    if (a.ell is None) == (a.scan_to is None):
-        raise UsageError("exactly one of --ell or --scan-to is required")
+def cmd_voa_strength(a, out) -> tuple[dict | None, list[str]]:
     if a.ell is not None:
-        rep = strength_at(a.c, _positive(a.ell, "--ell"))
+        rep = strength_at(a.c, a.ell)
         return _strength_payload(rep), [_strength_text(rep)]
-    bound = _positive(a.scan_to, "--scan-to")
-    prec = max(bound + 2, 16)
+    prec = max(a.scan_to + 2, 16)
     strengths: dict[str, int] = {}
     notable = []
-    for ell in range(1, bound + 1):
+    for ell in range(1, a.scan_to + 1):
         rep = strength_at(a.c, ell, prec=prec)
-        if cfg.fmt == "json":
+        if a.fmt == "json":
             print(json.dumps(_strength_payload(rep), sort_keys=True),
                   file=out)
         key = str(rep.strength)
         strengths[key] = strengths.get(key, 0) + 1
         if rep.is_design_at_contested:
             notable.append(ell)
-    text = [f"c={a.c}, ell=1..{bound}: strengths {strengths}"]
+    text = [f"c={a.c}, ell=1..{a.scan_to}: strengths {strengths}"]
     if notable:
         text.append(f"  design at the contested degree for ell in {notable}")
     return None, text
 
 
-def cmd_remark4(cfg: RunConfig, out):
-    a = cfg.args
-    prec = _positive(a.prec, "--prec")
-    rep = remark4_series(prec)
-    head = [_frac(rep.trace.coeff(i)) for i in range(1, min(prec, 10) + 1)]
-    payload = {"schema": SCHEMA, "command": "remark4", "prec": prec,
+def cmd_remark4(a, out):
+    rep = remark4_series(a.prec)
+    head = [_frac(rep.trace.coeff(i)) for i in range(1, min(a.prec, 10) + 1)]
+    payload = {"schema": SCHEMA, "command": "remark4", "prec": a.prec,
                "all_nonzero": rep.all_nonzero,
                "zero_indices": list(rep.zero_indices),
                "leading_coefficients": head}
-    text = [f"closed-form trace to exponent {prec}: "
+    text = [f"closed-form trace to exponent {a.prec}: "
             + ("no vanishing coefficients" if rep.all_nonzero
                else f"zeros at {list(rep.zero_indices)}")]
     return payload, text
 
 
-def cmd_shell(cfg: RunConfig, out):
-    a = cfg.args
+def cmd_shell(a, out):
     lat = _resolve_lattice(a.lattice)
-    norm = _parse_norm(a.norm, allow_zero=True)
-    sh = shell_enum(lat, norm, workers=cfg.workers)
-    if cfg.fmt == "csv":
+    sh = shell_enum(lat, a.norm, workers=a.workers)
+    if a.fmt == "csv":
         out.write(_format_rows(sh.rows, _CSV_ROWS))
         return None, []
-    if cfg.fmt == "json":
+    if a.fmt == "json":
         # the line json.dumps(payload, sort_keys=True) would print with the
         # vectors in the payload: "vectors" sorts after every other key
         head = json.dumps({"schema": SCHEMA, "command": "shell",
-                           "lattice": a.lattice, "norm": _frac(norm),
+                           "lattice": a.lattice, "norm": _frac(a.norm),
                            "count": len(sh)}, sort_keys=True)
         out.write(head[:-1] + ', "vectors": [')
         out.write(_format_rows(sh.rows, _JSON_ROWS))
         out.write("]}\n")
         return None, []
-    text = [f"{a.lattice} norm {norm}: {len(sh)} vectors"]
+    text = [f"{a.lattice} norm {a.norm}: {len(sh)} vectors"]
     text += _format_rows(sh.rows[:5], _TEXT_ROWS).splitlines()
     if len(sh) > 5:
         text.append(f"  ... ({len(sh) - 5} more; use --format csv for all)")
@@ -491,8 +444,14 @@ def cmd_shell(cfg: RunConfig, out):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The command-line parser; a parse failure raises ``ValueError``."""
+    ap = _Parser(
         prog="designlab",
         description="Exact design-strength verification for code shells, "
                     "lattice shells and graded traces.")
@@ -507,22 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eta", help="expand an eta quotient")
     p.add_argument("--spec", default="",
                    help="comma list scale:power, e.g. '3:8' or '2:15,1:-7'")
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_positive, required=True)
 
     p = sub.add_parser("code-design", help="combinatorial design tests")
     p.add_argument("--code", required=True)
-    p.add_argument("--weight", type=int,
+    p.add_argument("--weight", type=_positive,
                    help="single shell weight, for the --t mode")
     p.add_argument("--weights",
                    help="complementary pair w,n-w, for the --Tset mode")
-    p.add_argument("--t", type=int)
-    p.add_argument("--Tset", help="'odd' or comma list of harmonic degrees")
-    p.add_argument("--max-degree", type=int, default=5, dest="max_degree")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--t", type=int)
+    mode.add_argument("--Tset", help="'odd' or comma list of harmonic degrees")
+    p.add_argument("--max-degree", type=_positive, default=5,
+                   dest="max_degree")
 
     p = sub.add_parser("lattice-design", help="spherical design strength")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--norm", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--norm", type=_rational, required=True)
+    p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--criterion", choices=("moment", "zonal", "theta"),
                    default="moment")
     p.add_argument("--prec-norm", type=int, default=0, dest="prec_norm",
@@ -532,22 +493,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--poly", default="one",
                    help="'one' or 'zonal:<degree>:<i1,...,in>'")
-    p.add_argument("--prec", type=int, required=True,
+    p.add_argument("--prec", type=_positive, required=True,
                    help="largest norm to enumerate")
     p.add_argument("--membership", action="store_true",
                    help="also fit the series in its predicted space")
 
     p = sub.add_parser("voa-strength", help="conformal design strength")
     p.add_argument("--c", type=int, required=True, choices=(8, 16, 24))
-    p.add_argument("--ell", type=int)
-    p.add_argument("--scan-to", type=int, dest="scan_to")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--ell", type=_positive)
+    mode.add_argument("--scan-to", type=_positive, dest="scan_to")
 
     p = sub.add_parser("remark4", help="closed-form trace vanishing scan")
-    p.add_argument("--prec", type=int, required=True)
+    p.add_argument("--prec", type=_positive, required=True)
 
     p = sub.add_parser("shell", help="enumerate one shell (CSV exportable)")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--norm", required=True)
+    p.add_argument("--norm", type=_rational, required=True)
     return ap
 
 
@@ -558,7 +520,11 @@ _COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
 
 
 def main(argv=None, out=sys.stdout) -> int:
-    """Run one command and return its exit status.
+    """Run one command and return its exit status: 0 when the computation
+    completed, 2 for a bad request (a ``ValueError``, argparse's refusals
+    included), 1 when the computation failed (a ``DesignLabError``).  Either
+    failure writes one JSON error line to stderr; only ``--help`` exits
+    through ``SystemExit``.
 
     The objects that exist when the command starts (modules, fixtures,
     caches) stay frozen while it runs, so its cyclic garbage collections
@@ -580,30 +546,26 @@ _PARSER = build_parser()
 
 
 def _run(argv, out) -> int:
-    args = _PARSER.parse_args(argv)
-    workers = args.workers if args.workers > 0 else default_workers()
-    cfg = RunConfig(args.command, args.fmt, workers, args)
     try:
-        if cfg.fmt == "csv" and cfg.command != "shell":
-            raise UsageError("--format csv applies only to 'shell'")
-        payload, text = _COMMANDS[cfg.command](cfg, out)
-    except UsageError as exc:
-        print(json.dumps({"schema": SCHEMA, "error":
-                          {"type": "usage", "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
-    except (DesignLabError, ValueError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error":
-                          {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
-    if cfg.fmt == "json":
-        if payload is not None:
-            print(json.dumps(payload, sort_keys=True), file=out)
-    elif cfg.fmt == "text":
-        for line in text:
-            print(line, file=out)
-    return 0
+        a = _PARSER.parse_args(argv)
+        if a.fmt == "csv" and a.command != "shell":
+            raise ValueError("--format csv applies only to 'shell'")
+        a.workers = a.workers if a.workers > 0 else default_workers()
+        payload, text = _COMMANDS[a.command](a, out)
+    except ValueError as exc:
+        status, error = 2, {"type": "usage", "message": str(exc)}
+    except DesignLabError as exc:
+        status, error = 1, {"type": type(exc).__name__, "message": str(exc)}
+    else:
+        if a.fmt == "json":
+            if payload is not None:
+                print(json.dumps(payload, sort_keys=True), file=out)
+        elif a.fmt == "text":
+            for line in text:
+                print(line, file=out)
+        return 0
+    print(json.dumps({"schema": SCHEMA, "error": error}), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

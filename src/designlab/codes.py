@@ -458,7 +458,7 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
     every system's disjointness and the gamma of a seeded sample.
     """
     if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+        raise ValueError(f"harmonic degree {k} must lie in 0..{n}")
     if comb(n, k) > cap:
         raise CapExceededError(f"C({n},{k}) exceeds cap {cap}")
     if k == 0:

@@ -45,7 +45,7 @@ from .qseries import QSeries
 __all__ = [
     "Lattice", "Shell", "HarmonicPolynomial", "ZonalData",
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
-    "construction_a", "determinant", "is_even",
+    "construction_a", "determinant", "is_even", "require_even_unimodular",
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP",
     "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
@@ -148,6 +148,12 @@ def is_even(lat: Lattice) -> bool:
                for i in range(lat.rank) for j in range(i + 1))
 
 
+def require_even_unimodular(lat: Lattice, what: str) -> None:
+    """Refuse (``ValueError``) a lattice that is not even unimodular."""
+    if not is_even(lat) or determinant(lat) != 1:
+        raise ValueError(f"{what} needs an even unimodular lattice")
+
+
 def gram_from_text(text: str, label: str = "") -> Lattice:
     """Parse a Gram matrix: one row per line, entries int or num/den."""
     return Lattice([[Fraction(tok) for tok in ln.split()]
@@ -213,6 +219,8 @@ class Shell:
         rows = self.rows
         if not isinstance(rows, np.ndarray) or rows.flags.writeable:
             rows = np.array(rows, dtype=None if len(rows) else np.int8)
+            if rows.dtype.kind != "i":
+                raise ValueError("shell coordinates must fit in int64")
             rows = _read_only(rows.reshape(len(rows), self.lattice.rank))
             object.__setattr__(self, "rows", rows)
 
@@ -375,10 +383,14 @@ def _search_candidates(g2, bound2: int, cap: int) -> Iterator[np.ndarray]:
     chunk, in lexicographic order of (v_{n-1}, ..., v_0), and raises
     ``CapExceededError`` as soon as a chunk takes the count of candidates
     in the whole ball, each nonzero row counted with its negation, past
-    4*cap + 64, before the caller has built anything from them.
+    4*cap + 64, before the caller has built anything from them, or at
+    once, before any float, if one basis vector's multiples in the ball do.
     """
+    n = len(g2)
+    if any(2 * math.isqrt(bound2 // g2[j][j]) + 1 > 4 * cap + 64
+           for j in range(n)):
+        raise CapExceededError("shell search exceeded the cap")
     diag, upper = _ldl(g2)
-    n = len(diag)
     df = [float(2 * d) for d in diag]
     uf = np.array([[float(x) for x in row] for row in upper])
     top_rad = math.sqrt(float(bound2) / df[n - 1]) * _SLACK + 1e-9
@@ -839,7 +851,8 @@ def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial
     a Euclidean direction)."""
     w = tuple(Fraction(x) for x in direction)
     if len(w) != lat.rank or all(x == 0 for x in w):
-        raise ValueError("direction must be a nonzero coordinate row")
+        raise ValueError(f"direction must be a nonzero row of {lat.rank} "
+                         "coordinates")
     un2 = _gram_dot(lat, w, w)
     cs = zonal_coeffs(lat.rank, k, un2)
     return HarmonicPolynomial(lat.rank, k, ZonalData(w, cs, un2))
@@ -892,7 +905,7 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
             raise ValueError("non-integral norm encountered")
         norm = w // 2
         if even and norm % 2:
-            raise ValueError("odd norm on an even lattice: enumeration bug")
+            raise InternalCheckError("odd norm on an even lattice")
         val = len(rows) if p.degree == 0 else zonal_shell_sum(
             lat, Shell(lat, Fraction(norm), rows), p.degree, p.zonal.direction)
         if val:
@@ -937,13 +950,13 @@ def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
     M_k = E6 * M_{k-6}.  Every enumerated coefficient beyond the space
     dimension cross-checks the fit.
     """
-    if not is_even(lat) or determinant(lat) != 1:
-        raise ValueError("membership prediction needs an even unimodular "
-                         "lattice")
+    require_even_unimodular(lat, "membership prediction")
     if p.degree % 2:
         raise ValueError("harmonic degree must be even here")
-    if prec_norm < theta_fit_norm(lat.rank, p.degree):
-        raise ValueError("not enough theta coefficients for a meaningful fit")
+    needed = theta_fit_norm(lat.rank, p.degree)
+    if prec_norm < needed:
+        raise ValueError("not enough theta coefficients for a meaningful fit: "
+                         f"enumerate to norm {needed} at least")
     weight = lat.rank // 2 + p.degree
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
-from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice, determinant,
-                       harmonic_theta, is_even, theta_fit_norm, to_modular_q,
+from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice, harmonic_theta,
+                       require_even_unimodular, theta_fit_norm, to_modular_q,
                        zonal_theta_fits)
 from .modforms import (eisenstein, eta_quotient, factorize, mf_dim,
                        ramanujan_tau, vanishing_indices)
@@ -108,8 +108,7 @@ def d_series(prec: int) -> TraceSeries:
 def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
                  cap: int = SHELL_CAP, workers: int = 1) -> TraceSeries:
     """Weighted theta over eta^rank, the lattice-VOA graded trace."""
-    if not is_even(lat) or determinant(lat) != 1:
-        raise ValueError("graded traces need an even unimodular lattice")
+    require_even_unimodular(lat, "graded traces")
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     rank = lat.rank
     trace = _over_eta_rank(theta, rank)
@@ -375,4 +374,4 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
             return ProportionalityCertificate(ratio, through + 1, w, coords)
     if nonzero:
         raise DesignLabError(f"trace not proportional to {reference.source}")
-    raise ValueError("every candidate direction gave the zero theta")
+    raise DesignLabError("every candidate direction gave the zero theta")

@@ -303,6 +303,52 @@ def test_cap_exceeded_is_runtime_error_not_usage(capsys):
     assert err["type"] == "CapExceededError"
 
 
+
+def one_error(capsys) -> dict:
+    """The JSON error object of the single line a refused command wrote."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    payload = json.loads(lines[0])
+    assert payload["schema"] == "v1"
+    return payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["eta"], ["eta", "--prec", "abc"],
+    ["voa-strength", "--c", "12", "--ell", "3"],
+    ["voa-strength", "--c", "16"],
+    ["voa-strength", "--c", "16", "--ell", "2", "--scan-to", "5"]])
+def test_parser_refusals_follow_the_json_contract(argv, capsys):
+    # argparse refusals return 2 through main, never SystemExit
+    assert run(argv) == (2, "")
+    assert one_error(capsys)["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--lattice", "Z2", "--poly", "zonal:2:0,0", "--prec", "4"],
+    ["code-design", "--code", "hamming8", "--weights", "4,4", "--Tset", "9",
+     "--max-degree", "9"],
+    ["lattice-design", "--lattice", "{gram}", "--norm", "2", "--t", "2"],
+    ["lattice-design", "--lattice", "CA:{code}", "--norm", "2", "--t", "2"],
+    ["lattice-design", "--lattice", "E8", "--norm", "3", "--t", "2"]])
+def test_library_refusals_are_usage_errors(argv, tmp_path, capsys):
+    # a ValueError raised by the library for a bad request exits 2
+    gram, code = tmp_path / "gram.txt", tmp_path / "code.txt"
+    gram.write_text("1 2\n2 1\n")         # not positive definite
+    code.write_text("1100\n")              # not doubly even
+    argv = [x.format(gram=gram, code=code) for x in argv]
+    assert run(argv)[0] == 2
+    assert one_error(capsys)["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["shell", "--lattice", "Z1", "--norm", str(10**30)],
+    ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "3"]])
+def test_huge_norms_are_refused_by_the_cap(argv, capsys):
+    assert run(["--format", "json"] + argv)[0] == 1
+    assert one_error(capsys)["type"] == "CapExceededError"
+
+
 # -- theta -------------------------------------------------------------
 
 def test_theta_plain_e8():

@@ -524,6 +524,34 @@ def test_cap_boundaries():
         list(_search_candidates(z3.g2, 20, cap - 1))
 
 
+
+def test_search_refuses_a_ball_too_long_along_one_basis_vector():
+    # the multiples of e_0 alone pass 4*cap + 64: refused before a row is
+    # built or the bound becomes a float (2*10^400 overflows one)
+    for bound2 in (2 * 10**30, 2 * 10**400):
+        with pytest.raises(CapExceededError, match="search exceeded"):
+            next(_search_candidates(((2,),), bound2, SHELL_CAP))
+    # exact at the boundary: 63 multiples fit 4*0 + 64, 65 do not
+    assert sum(len(c) for c in _search_candidates(((2,),), 2 * 31**2, 0)) == 32
+    with pytest.raises(CapExceededError, match="search exceeded"):
+        next(_search_candidates(((2,),), 2 * 32**2, 0))
+
+
+def test_shell_rows_beyond_int64_are_refused_by_name():
+    with pytest.raises(ValueError, match="int64"):
+        Shell(lattice_zn(2), F(2**140), ((2**70, 0), (-2**70, 0)))
+
+
+def test_odd_norm_on_an_even_lattice_is_an_internal_fault(monkeypatch):
+    # the enumerator never puts an odd norm into an even lattice's table;
+    # one that did would be a fault of the program, not of the request
+    e8 = lattice_e8()
+    rows = shell_enum(e8, 2).rows
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
+                        lambda *args: {6: rows})
+    with pytest.raises(InternalCheckError, match="odd norm"):
+        harmonic_theta(e8, constant_poly(8), 3)
+
 @pytest.mark.parametrize("block", [lattices._PAIR_BLOCK, 1000])
 def test_pair_histogram_matches_brute_force(monkeypatch, block):
     # a small block cuts the products into many row blocks

@@ -288,6 +288,13 @@ def test_certified_zonal_trace_guards():
                               prec_norm=8)
 
 
+
+def test_all_zero_zonal_thetas_are_a_failed_computation():
+    # every degree-2 zonal theta of E8 is a weight-6 cusp form, so zero:
+    # the request is well formed, and no certificate comes out of it
+    with pytest.raises(DesignLabError, match="zero theta"):
+        certified_zonal_trace(lattice_e8(), 2, a_series(60))
+
 def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
     tried = []
 
