@@ -23,10 +23,9 @@ from .codes import (AntisymmetryReport, BinaryCode, BlockFamily,
                     is_doubly_even, is_self_dual, min_weight, shell,
                     two_weight_design_check, weight_distribution)
 from .lattices import (HarmonicPolynomial, Lattice, MembershipReport,
-                       MomentReport, Shell, TDesignReport, ZonalData,
-                       constant_poly, construction_a, determinant,
-                       gegenbauer_component_sums, gram_from_text,
-                       harmonic_theta, is_even, is_harmonic, lattice_a2,
+                       MomentReport, Shell, TDesignReport, constant_poly,
+                       construction_a, determinant, gegenbauer_component_sums,
+                       gram_from_text, harmonic_theta, is_even, lattice_a2,
                        lattice_e8, lattice_zn, moment_design_test,
                        shell_enum, shell_sizes_up_to, sphere_moment,
                        spherical_T_design_report, theta_membership_check,

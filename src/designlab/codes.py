@@ -9,17 +9,20 @@ function
 
 lies in the kernel of the boundary map gamma, and the pair systems read off
 standard two-row Young tableaux give exactly dim = C(n,k) - C(n,k-1) of them,
-a basis, built and certified in ker gamma as arrays; elements store only
-their pairs.  Sums of f-tilde over word supports are products of factors in
-{-1, 0, 1}, exact in one int8 kernel, which makes Delsarte-style checks
-cheap.  Lambda counting sorts one bitmask per covered t-subset.
+a basis, built and certified in ker gamma as one pair array, from which
+elements are built when read.  Sums of f-tilde over word supports are
+products of factors in {-1, 0, 1}, exact in one int8 kernel, which makes
+Delsarte-style checks cheap.  Lambda counting sorts one bitmask per covered
+t-subset.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -96,6 +99,8 @@ def code_from_rows(n: int, rows: list[int], name: str = "") -> BinaryCode:
 def code_from_text(text: str, name: str = "") -> BinaryCode:
     """Parse a generator matrix written as lines of 0/1 characters."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("a generator matrix needs at least one row")
     n = len(lines[0])
     rows = []
     for ln in lines:
@@ -349,21 +354,20 @@ def design_lambda(family: BlockFamily, t: int,
 
 @dataclass(frozen=True)
 class DiscreteHarmonic:
-    """An element of Harm_k: a function on k-subsets killed by gamma.
-
-    ``pairs`` is set for difference products and enables O(k) evaluation of
-    the induced f-tilde; ``values`` is the explicit sparse table (``table``,
-    or built from the pairs on first access).
-    """
+    """An element of Harm_k, a function on k-subsets killed by gamma: the
+    difference product of its k pairs (a_i, b_i).  The constant (k = 0)
+    has no pairs."""
     n: int
-    degree: int
-    table: tuple[tuple[int, Fraction], ...] | None = None
-    pairs: tuple[tuple[int, int], ...] | None = None
+    pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.pairs)
 
     @functools.cached_property
     def values(self) -> tuple[tuple[int, Fraction], ...]:
-        if self.table is not None:
-            return self.table
+        """The explicit sparse table: (k-subset mask, +-1), one per choice
+        of a point from each pair."""
         vals = []
         for bits in range(1 << len(self.pairs)):
             mask = 0
@@ -373,31 +377,10 @@ class DiscreteHarmonic:
         return tuple(vals)
 
     def tilde(self, mask: int) -> Fraction:
-        """f-tilde(u) = sum of f over k-subsets of u."""
-        if self.pairs is not None:
-            prod = 1
-            for a, b in self.pairs:
-                prod *= (mask >> b & 1) - (mask >> a & 1)
-                if not prod:
-                    return Fraction(0)
-            return Fraction(prod)
-        acc = Fraction(0)
-        for z, c in self.values:
-            if z & mask == z:
-                acc += c
-        return acc
-
-    def gamma_is_zero(self) -> bool:
-        """Apply the boundary map exactly and test for the zero function."""
-        acc: dict[int, Fraction] = {}
-        for z, c in self.values:
-            m = z
-            while m:
-                low = m & -m
-                y = z ^ low
-                acc[y] = acc.get(y, Fraction(0)) + c
-                m ^= low
-        return all(v == 0 for v in acc.values())
+        """f-tilde(u) = sum of f over k-subsets of u, which factors as
+        prod_i ( [b_i in u] - [a_i in u] )."""
+        return Fraction(math.prod((mask >> b & 1) - (mask >> a & 1)
+                                  for a, b in self.pairs))
 
 
 def harm_dim(n: int, k: int) -> int:
@@ -439,16 +422,27 @@ def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
                           np.sort(keys[~plus & ~repeated]))
 
 
-class _PairBasis(tuple):
-    """A difference-product basis that also holds its pair systems as one
-    array ``pair_array`` of shape (len, k, 2) that refuses writes
-    (``_read_only``), in the narrowest unsigned dtype that holds n, so the
-    cached ``harm_basis`` result is never converted again."""
-    pair_array: np.ndarray
+@dataclass(frozen=True, eq=False)
+class _HarmBasis(Sequence):
+    """Harm_k as its pair systems: ``pairs`` is one (len, k, 2) array over
+    an immutable buffer (``_read_only``), in the narrowest unsigned dtype
+    that holds n.  An element is built when it is read; a slice is a tuple.
+    """
+    n: int
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return DiscreteHarmonic(self.n,
+                                tuple(map(tuple, self.pairs[i].tolist())))
 
 
 @functools.lru_cache(maxsize=32)
-def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic, ...]:
+def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> Sequence[DiscreteHarmonic]:
     """Difference-product basis of Harm_k from standard two-row tableaux.
 
     Pair systems are the columns of standard Young tableaux of shape
@@ -461,8 +455,8 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
         raise ValueError(f"harmonic degree {k} must lie in 0..{n}")
     if comb(n, k) > cap:
         raise CapExceededError(f"C({n},{k}) exceeds cap {cap}")
-    if k == 0:
-        return (DiscreteHarmonic(n, 0, ((0, Fraction(1)),)),)
+    if k == 0:          # the constant: one empty pair system
+        return _HarmBasis(n, _read_only(np.zeros((1, 0, 2), np.uint8)))
     a, b = _tableau_pairs(n, k)
     if len(b) != harm_dim(n, k):
         raise InternalCheckError("tableau count mismatch")
@@ -478,11 +472,8 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
             raise InternalCheckError("pair system must be disjoint")
     if not _gamma_vanishes(a[sample], b[sample], n):
         raise InternalCheckError("difference product escaped ker gamma")
-    basis = _PairBasis(DiscreteHarmonic(n, k, None, tuple(zip(ra, rb)))
-                       for ra, rb in zip(a.tolist(), b.tolist()))
-    basis.pair_array = _read_only(np.stack([a, b], axis=2)
-                                  .astype(np.min_scalar_type(n)))
-    return basis
+    pairs = np.stack([a, b], axis=2).astype(np.min_scalar_type(n))
+    return _HarmBasis(n, _read_only(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +483,28 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> tuple[DiscreteHarmonic
 _KERNEL_CELLS = 1 << 20     # int8 cells per chunk of the product table
 
 
-def _tilde_sums(basis, points: np.ndarray) -> np.ndarray:
-    """Sum of f-tilde over the masks of ``points`` (``_points``), per f:
-    products of factors [b_i in u] - [a_i in u] in {-1, 0, 1}, exact in
-    int8, summed in int64.  The chunks reuse buffers allocated once per
-    call, so its page faults do not depend on what earlier calls freed.
-    A ``harm_basis`` result brings its pair array along."""
-    pairs = getattr(basis, "pair_array", None)
-    if pairs is None:
-        pairs = np.array([f.pairs for f in basis], dtype=np.intp)
+def _pair_array(basis) -> np.ndarray:
+    """The (len, k, 2) pair array of harmonics of one degree k; a
+    ``harm_basis`` result holds its own."""
+    if isinstance(basis, _HarmBasis):
+        return basis.pairs
+    k = basis[0].degree if len(basis) else 0
+    return np.array([f.pairs for f in basis],
+                    dtype=np.intp).reshape(len(basis), k, 2)
+
+
+def _tilde_sums(pairs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Sum of f-tilde over the masks of ``points`` (``_points``), per pair
+    system of a (len, k, 2) array: products of factors [b_i in u] -
+    [a_i in u] in {-1, 0, 1}, exact in int8, summed in int64.  The chunks
+    reuse buffers allocated once per call, so its page faults do not
+    depend on what earlier calls freed."""
     a, b = pairs[:, :, 0], pairs[:, :, 1]
-    out = np.empty(len(basis), dtype=np.int64)
-    step = max(1, min(len(basis), _KERNEL_CELLS // max(1, points.shape[1])))
+    out = np.empty(len(pairs), dtype=np.int64)
+    step = max(1, min(len(pairs), _KERNEL_CELLS // max(1, points.shape[1])))
     bufs = np.empty((3, step, points.shape[1]), dtype=np.int8)
-    for lo in range(0, len(basis), step):
-        hi = min(lo + step, len(basis))
+    for lo in range(0, len(pairs), step):
+        hi = min(lo + step, len(pairs))
         prod, ins, outs = bufs[:, :hi - lo]
         prod.fill(1)
         for i in range(a.shape[1]):
@@ -519,9 +517,8 @@ def _tilde_sums(basis, points: np.ndarray) -> np.ndarray:
 
 def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
     """Exact sums over the family of f-tilde, one per basis element."""
-    if not basis or any(f.pairs is None for f in basis):
-        return [sum(f.tilde(m) for m in family.blocks) for f in basis]
-    return _tilde_sums(basis, _points(family.blocks, family.n)).tolist()
+    return _tilde_sums(_pair_array(basis),
+                       _points(family.blocks, family.n)).tolist()
 
 
 def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
@@ -577,21 +574,17 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
 
 def harmonic_weight_enumerator(code: BinaryCode, f: DiscreteHarmonic) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_n with c_w = sum of f-tilde over weight-w words."""
-    if f.pairs is not None:
-        return tuple(Fraction(c) for c in _hwe_batch(code, (f,))[0].tolist())
-    out = [Fraction(0)] * (code.n + 1)
-    for c in codewords(code):
-        out[c.bit_count()] += f.tilde(c)
-    return tuple(out)
+    row = _hwe_batch(code, _pair_array((f,)))[0]
+    return tuple(map(Fraction, row.tolist()))
 
 
-def _hwe_batch(code: BinaryCode, basis) -> np.ndarray:
-    """Stacked harmonic weight enumerators, one row per basis element."""
+def _hwe_batch(code: BinaryCode, pairs: np.ndarray) -> np.ndarray:
+    """Stacked harmonic weight enumerators, one row per pair system."""
     points = _points(codewords(code), code.n)
     weights = points.sum(axis=0)
-    out = np.zeros((len(basis), code.n + 1), dtype=np.int64)
+    out = np.zeros((len(pairs), code.n + 1), dtype=np.int64)
     for w in np.flatnonzero(np.bincount(weights)):
-        out[:, w] = _tilde_sums(basis, points[:, weights == w])
+        out[:, w] = _tilde_sums(pairs, points[:, weights == w])
     return out
 
 
@@ -615,7 +608,7 @@ def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,
         raise ValueError("antisymmetry concerns odd degrees")
     basis = harm_basis(code.n, k)
     if len(basis) <= basis_cap:
-        table = _hwe_batch(code, basis)
+        table = _hwe_batch(code, basis.pairs)
         bad = np.argwhere(table + table[:, ::-1] != 0)
         if len(bad):
             return AntisymmetryReport("full basis", len(basis), False,
@@ -625,7 +618,7 @@ def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,
     for s in range(samples):
         picks = rng.sample(range(len(basis)), min(40, len(basis)))
         coeffs = [rng.randint(-9, 9) or 1 for _ in picks]
-        table = _hwe_batch(code, [basis[p] for p in picks])
+        table = _hwe_batch(code, basis.pairs[picks])
         combo = np.array(coeffs, dtype=np.int64) @ table
         bad = np.flatnonzero(combo + combo[::-1] != 0)
         if len(bad):

@@ -43,13 +43,13 @@ from .modforms import fit_in_space, mf_basis, mf_dim
 from .qseries import QSeries
 
 __all__ = [
-    "Lattice", "Shell", "HarmonicPolynomial", "ZonalData",
+    "Lattice", "Shell", "HarmonicPolynomial",
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
     "construction_a", "determinant", "is_even", "require_even_unimodular",
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP",
     "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
-    "is_harmonic", "zonal_coeffs", "zonal_harmonic_coords", "zonal_shell_sum",
+    "zonal_coeffs", "zonal_harmonic_coords", "zonal_shell_sum",
     "constant_poly",
     "harmonic_theta", "to_modular_q", "theta_membership_check",
     "MembershipReport", "theta_directions", "theta_fit_norm",
@@ -91,9 +91,10 @@ class Lattice:
 
     def _set(self, g2: tuple[tuple[int, ...], ...], label: str) -> None:
         n = len(g2)
-        if any(len(row) != n for row in g2) or any(
+        if not n or any(len(row) != n for row in g2) or any(
                 g2[i][j] != g2[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("gram matrix must be square and symmetric")
+            raise ValueError("gram matrix must be nonempty, square and "
+                             "symmetric")
         _ldl(g2)     # raises unless positive definite
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "label", label)
@@ -156,8 +157,12 @@ def require_even_unimodular(lat: Lattice, what: str) -> None:
 
 def gram_from_text(text: str, label: str = "") -> Lattice:
     """Parse a Gram matrix: one row per line, entries int or num/den."""
-    return Lattice([[Fraction(tok) for tok in ln.split()]
-                    for ln in text.splitlines() if ln.strip()], label)
+    try:
+        gram = [[Fraction(tok) for tok in ln.split()]
+                for ln in text.splitlines() if ln.strip()]
+    except ZeroDivisionError:
+        raise ValueError("a gram entry has denominator zero") from None
+    return Lattice(gram, label)
 
 
 def lattice_zn(n: int) -> Lattice:
@@ -798,38 +803,30 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ZonalData:
-    """Structured zonal form sum_j c_j (x.u)^{k-2j} (x.x)^j, the direction u
-    a lattice coordinate row."""
-    direction: tuple[Fraction, ...]
-    coeffs: tuple[Fraction, ...]
-    direction_norm2: Fraction
-
-
-@dataclass(frozen=True)
 class HarmonicPolynomial:
     """Homogeneous polynomial with zero Laplacian on a rank-n lattice: the
-    constant 1 (no ``zonal`` data, degree 0) or the zonal harmonic of
-    ``zonal``, evaluated through the Gram matrix only, so its values at
-    lattice vectors are exact even where Euclidean coordinates are not."""
+    constant 1 (degree 0, no direction) or the degree-k zonal harmonic
+    along ``direction``, a nonzero lattice coordinate row (on Z^n, a
+    Euclidean direction).  Its shell sums go through the Gram matrix only
+    (``zonal_shell_sum``), so they are exact even where Euclidean
+    coordinates are not."""
     n: int
     degree: int
-    zonal: ZonalData | None = None
+    direction: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.zonal is None and self.degree != 0:
-            raise ValueError("only the constant 1 has no zonal data")
+        u = self.direction
+        if self.degree < 0:
+            raise ValueError("harmonic degree must be nonnegative")
+        if u is None and self.degree != 0:
+            raise ValueError("only the constant 1 has no direction")
+        if u is not None and (len(u) != self.n or not any(u)):
+            raise ValueError(f"direction must be a nonzero row of {self.n} "
+                             "coordinates")
 
 
 def constant_poly(n: int) -> HarmonicPolynomial:
     return HarmonicPolynomial(n, 0)
-
-
-def is_harmonic(p: HarmonicPolynomial) -> bool:
-    """The constant is; a zonal is when it carries the exact ladder."""
-    z = p.zonal
-    return z is None or z.coeffs == zonal_coeffs(p.n, p.degree,
-                                                 z.direction_norm2)
 
 
 def zonal_coeffs(n: int, k: int, u_norm2: Fraction) -> tuple[Fraction, ...]:
@@ -847,15 +844,8 @@ def zonal_coeffs(n: int, k: int, u_norm2: Fraction) -> tuple[Fraction, ...]:
 
 
 def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial:
-    """Zonal harmonic whose direction is a lattice coordinate row (on Z^n,
-    a Euclidean direction)."""
-    w = tuple(Fraction(x) for x in direction)
-    if len(w) != lat.rank or all(x == 0 for x in w):
-        raise ValueError(f"direction must be a nonzero row of {lat.rank} "
-                         "coordinates")
-    un2 = _gram_dot(lat, w, w)
-    cs = zonal_coeffs(lat.rank, k, un2)
-    return HarmonicPolynomial(lat.rank, k, ZonalData(w, cs, un2))
+    """Zonal harmonic whose direction is a lattice coordinate row."""
+    return HarmonicPolynomial(lat.rank, k, tuple(map(Fraction, direction)))
 
 
 def _gram_dot(lat: Lattice, a, b) -> Fraction:
@@ -907,7 +897,7 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
         if even and norm % 2:
             raise InternalCheckError("odd norm on an even lattice")
         val = len(rows) if p.degree == 0 else zonal_shell_sum(
-            lat, Shell(lat, Fraction(norm), rows), p.degree, p.zonal.direction)
+            lat, Shell(lat, Fraction(norm), rows), p.degree, p.direction)
         if val:
             coeffs[norm] = val
     return QSeries(0, prec_norm, coeffs)

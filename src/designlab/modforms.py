@@ -9,24 +9,34 @@ and E6 (leading exponents 0, 1, ..., dim-1).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError, OffsetError, PrecisionError
-from .qseries import QSeries
+from .errors import (CapExceededError, InternalCheckError, OffsetError,
+                     PrecisionError)
+from .qseries import QSeries, exact_str
 
 __all__ = [
     "eta", "eta_quotient", "eisenstein", "delta", "delta_eta", "delta_eisenstein",
     "mf_dim", "mf_basis", "echelon_rows", "fit_in_space", "ModFormSpace",
     "FitResult",
     "factorize", "sigma", "ord_p", "ramanujan_tau", "vanishing_indices",
+    "SERIES_CAP",
 ]
+
+SERIES_CAP = 100_000        # refuse eta and Eisenstein expansions past q^this
 
 
 # ---------------------------------------------------------------------------
 # eta and friends
 # ---------------------------------------------------------------------------
+
+def _check_prec(prec: int) -> None:
+    """Refuse a precision over ``SERIES_CAP`` before any list is built."""
+    if prec > SERIES_CAP:
+        raise CapExceededError(f"series precision {exact_str(prec)} exceeds "
+                               f"cap {SERIES_CAP}")
+
 
 def _euler_ints(prec: int) -> list[int]:
     """Coefficients of prod (1 - q^i), pentagonal-number sparse."""
@@ -91,6 +101,7 @@ def eta_quotient(factors: list[tuple[int, int]], prec: int) -> QSeries:
     is spread onto every m-th index.  The factors are then multiplied, so
     nothing divides.
     """
+    _check_prec(prec)
     merged: dict[int, int] = {}
     for m, r in factors:
         if m < 1:
@@ -119,6 +130,7 @@ def _sigma_sieve(power: int, bound: int) -> list[int]:
 
 def eisenstein(k: int, prec: int) -> QSeries:
     """Normalized Eisenstein series E4 or E6."""
+    _check_prec(prec)
     if k == 4:
         mult, power = 240, 3
     elif k == 6:
@@ -197,25 +209,23 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-_tau_lock = threading.Lock()
 _tau_cache: list[int] = []
 
 
 def ramanujan_tau(n: int) -> int:
     """tau(n) read off the eta-power expansion of the discriminant.
 
-    The underlying expansion is cached and grown geometrically; safe to call
-    from worker threads.
+    The underlying expansion is cached and grown geometrically, up to
+    ``SERIES_CAP``.
     """
     if n < 1:
         raise ValueError("tau is indexed from 1")
     global _tau_cache
-    with _tau_lock:
-        if n > len(_tau_cache):
-            bound = max(1000, 2 * n)
-            # delta = q * prod(1-q^i)^24: tau(m) sits at product index m-1
-            _tau_cache = delta_eta(bound).int_list(bound)
-        return _tau_cache[n - 1]
+    if n > len(_tau_cache):
+        bound = max(1000, n, min(2 * n, SERIES_CAP))
+        # delta = q * prod(1-q^i)^24: tau(m) sits at product index m-1
+        _tau_cache = delta_eta(bound).int_list(bound)
+    return _tau_cache[n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,12 @@ def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionRe
 
 @dataclass(frozen=True)
 class ConformalTSet:
+    """Guaranteed design degrees: every odd degree, and ``explicit``."""
     central_charge: int
     explicit: frozenset[int]
-    includes_all_odd: bool = True
 
     def __contains__(self, degree: int) -> bool:
-        return (degree in self.explicit
-                or (self.includes_all_odd and degree % 2 == 1))
+        return degree % 2 == 1 or degree in self.explicit
 
 
 _EXPECTED_T = {

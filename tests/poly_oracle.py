@@ -4,8 +4,9 @@ A polynomial in n Euclidean variables is a dict mapping exponent vectors
 to nonzero Fraction coefficients.  ``zonal_terms`` expands the zonal form
 sum_j c_j (x.u)^{k-2j} (x.x)^j monomial by monomial, so its Laplacian and
 its values can be computed with no Gram matrix and no value histogram:
-the independent route the package's ``zonal_shell_sum`` and ``is_harmonic``
-are checked against on Z^n, where lattice coordinates are Euclidean.
+the independent route the package's ``zonal_shell_sum`` and
+``zonal_coeffs`` are checked against on Z^n, where lattice coordinates are
+Euclidean.
 """
 
 from fractions import Fraction

@@ -349,6 +349,32 @@ def test_huge_norms_are_refused_by_the_cap(argv, capsys):
     assert one_error(capsys)["type"] == "CapExceededError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eta", "--spec", "1:-1", "--prec", str(10**11)],
+    ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "8",
+     "--criterion", "theta"],
+    ["lattice-design", "--lattice", "E8", "--norm", "20000000", "--t", "8",
+     "--criterion", "theta"]])
+def test_series_precision_over_the_cap_is_refused(argv, capsys):
+    # the theta criterion rebuilds its fitted forms through q^(norm/2)
+    assert run(["--format", "json"] + argv)[0] == 1
+    err = one_error(capsys)
+    assert err["type"] == "CapExceededError"
+    assert "series precision" in err["message"]
+
+
+@pytest.mark.parametrize("lattice, text", [
+    ("{path}", "1 0\n0 1/0\n"), ("{path}", ""), ("{path}", "\n \n"),
+    ("CA:{path}", ""), ("CA:{path}", "\n \n")])
+def test_unparsable_fixture_files_are_usage_errors(lattice, text, tmp_path,
+                                                   capsys):
+    path = tmp_path / "fixture.txt"
+    path.write_text(text)
+    argv = ["shell", "--lattice", lattice.format(path=path), "--norm", "1"]
+    assert run(argv) == (2, "")
+    assert one_error(capsys)["type"] == "usage"
+
+
 # -- theta -------------------------------------------------------------
 
 def test_theta_plain_e8():

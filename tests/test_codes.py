@@ -95,6 +95,11 @@ def oracle_values(pairs):
     return tuple(vals)
 
 
+def oracle_tilde(f, mask):
+    """f-tilde(u) as the sum of the explicit table over subsets of u."""
+    return sum(c for z, c in oracle_values(f.pairs) if z & mask == z)
+
+
 # -- code basics --------------------------------------------------------------
 
 def test_row_reduction_preserves_span():
@@ -104,6 +109,12 @@ def test_row_reduction_preserves_span():
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
         code = code_from_rows(n, rows)
         assert brute_codewords(rows) == set(codewords(code))
+
+
+def test_code_from_text_needs_a_row():
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="at least one row"):
+            codes.code_from_text(text)
 
 
 def test_fixture_shapes():
@@ -312,11 +323,11 @@ def test_batched_gamma_check_matches_per_element_gamma():
     for _ in range(400):
         n, k = rng.randint(2, 10), rng.randint(1, 4)
         pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(k))
-        f = codes.DiscreteHarmonic(n, k, oracle_values(pairs))
+        vanishes = not any(brute_gamma(n, k, oracle_values(pairs)).values())
         a = np.array([[p[0] for p in pairs]])
         b = np.array([[p[1] for p in pairs]])
-        assert codes._gamma_vanishes(a, b, n) == f.gamma_is_zero(), pairs
-        assert codes._gamma_vanishes(a, b, 70) == f.gamma_is_zero(), pairs
+        assert codes._gamma_vanishes(a, b, n) == vanishes, pairs
+        assert codes._gamma_vanishes(a, b, 70) == vanishes, pairs
 
 
 TABLEAU_PAIRS = codes._tableau_pairs
@@ -393,10 +404,12 @@ def test_tilde_pairs_path_matches_subset_sum():
     rng = random.Random(11)
     basis = harm_basis(8, 3)
     for f in rng.sample(basis, 10):
-        g = type(f)(f.n, f.degree, f.values, None)   # strip the fast path
         for _ in range(20):
             mask = rng.getrandbits(8)
-            assert f.tilde(mask) == g.tilde(mask)
+            assert f.tilde(mask) == oracle_tilde(f, mask)
+    constant, = harm_basis(8, 0)
+    assert constant.pairs == () and constant.degree == 0
+    assert constant.values == ((0, 1),) and constant.tilde(0b101) == 1
 
 
 def test_harmonic_family_sums_matches_per_element():
@@ -408,26 +421,41 @@ def test_harmonic_family_sums_matches_per_element():
 
 
 def test_cached_basis_carries_its_pair_array():
-    # the pair array rides on the cached basis: equal to the one rebuilt
-    # from the tuples, read-only, and the one the kernel reads
+    # the basis is its pair array: equal to the elements' pairs, read-only,
+    # and the one the kernel reads
     for n, k in ((8, 3), (24, 1), (24, 5)):
         basis = harm_basis(n, k)
-        assert basis.pair_array is harm_basis(n, k).pair_array
-        assert np.array_equal(basis.pair_array,
-                              np.array([f.pairs for f in basis]))
-        assert not basis.pair_array.flags.writeable
+        assert basis.pairs is harm_basis(n, k).pairs
+        assert basis.pairs.shape == (harm_dim(n, k), k, 2)
+        assert np.array_equal(basis.pairs[::97],
+                              np.array([f.pairs for f in basis[::97]]))
+        assert not basis.pairs.flags.writeable
         # its buffer is immutable: the flag cannot be turned back on
-        for arr in (basis.pair_array, basis.pair_array[1:],
-                    basis.pair_array.base):
+        for arr in (basis.pairs, basis.pairs[1:], basis.pairs.base):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 arr.setflags(write=True)
     fam = shell(d16_plus(), 4)              # no 2-design
     basis = harm_basis(16, 2)
     sums = harmonic_family_sums(list(basis), fam)     # rebuilt from tuples
     assert harmonic_family_sums(basis, fam) == sums and any(sums)
-    reordered = codes._PairBasis(basis)
-    reordered.pair_array = basis.pair_array[::-1]
+    reordered = codes._HarmBasis(16, basis.pairs[::-1])
     assert harmonic_family_sums(reordered, fam) == sums[::-1]
+
+
+def test_harm_basis_builds_elements_only_when_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(codes, "DiscreteHarmonic",
+                        lambda n, pairs: built.append(pairs) or pairs)
+    basis = harm_basis.__wrapped__(24, 5)       # bypass the cache
+    fam = shell(golay_g24(), 8)
+    assert len(basis) == harm_dim(24, 5) and built == []
+    assert not any(harmonic_family_sums(basis, fam))
+    assert antisymmetry_check(golay_g24(), 5, basis_cap=1000, samples=2).ok
+    assert built == []
+    assert basis[-1] == tuple(map(tuple, basis.pairs[-1].tolist()))
+    assert basis[3:9:2] == tuple(built[1:]) and len(built) == 4
+    with pytest.raises(IndexError):
+        basis[len(basis)]
 
 
 def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
@@ -563,10 +591,12 @@ def test_antisymmetry_sampled_mode_for_large_basis():
 def test_hwe_numpy_path_matches_dict_path():
     d = d16_plus()
     basis = harm_basis(16, 2)
-    for f in random.Random(3).sample(basis, 8):
-        slow = type(f)(f.n, f.degree, f.values, None)
-        assert harmonic_weight_enumerator(d, f) == \
-            harmonic_weight_enumerator(d, slow)
+    words = codewords(d)
+    for f in random.Random(3).sample(basis, 8) + [harm_basis(16, 0)[0]]:
+        slow = [Fraction(0)] * (d.n + 1)
+        for c in words:
+            slow[c.bit_count()] += oracle_tilde(f, c)
+        assert harmonic_weight_enumerator(d, f) == tuple(slow)
 
 
 # -- divisibility structure ------------------------------------------------------

@@ -25,8 +25,8 @@ from designlab.lattices import (_SLACK, SHELL_CAP, HarmonicPolynomial, Lattice,
                                 _vectors_by_doubled_norm, constant_poly,
                                 construction_a, determinant,
                                 gegenbauer_component_sums, gram_from_text,
-                                harmonic_theta, is_even, is_harmonic,
-                                lattice_a2, lattice_e8, lattice_zn,
+                                harmonic_theta, is_even, lattice_a2,
+                                lattice_e8, lattice_zn,
                                 moment_design_test, shell_enum,
                                 shell_sizes_up_to, sphere_moment,
                                 spherical_T_design_report, theta_directions,
@@ -273,6 +273,11 @@ def test_gram_validation_rules():
         Lattice(((F(-1),),))                           # negative
     with pytest.raises(ValueError):
         gram_from_text("1/3")                          # off the (1/2)Z grid
+    for text in ("2 1\n1 2/0", "", " \n"):             # no number, no rows
+        with pytest.raises(ValueError):
+            gram_from_text(text)
+    with pytest.raises(ValueError, match="nonempty"):
+        Lattice(())
     half = gram_from_text("1 1/2\n1/2 1")
     assert determinant(half) == F(3, 4)
 
@@ -777,7 +782,8 @@ def test_zonal_coefficient_ladder():
 
 def test_zonal_harmonic_explicit_terms_degree_two():
     p = zonal_harmonic_coords(lattice_zn(3), 2, (1, 0, 0))
-    terms = zonal_terms(3, 2, (1, 0, 0), p.zonal.coeffs)
+    assert p == HarmonicPolynomial(3, 2, (F(1), F(0), F(0)))
+    terms = zonal_terms(3, 2, p.direction, zonal_coeffs(3, 2, F(1)))
     assert terms == {(2, 0, 0): F(2, 3), (0, 2, 0): F(-1, 3),
                      (0, 0, 2): F(-1, 3)}
     assert laplacian(terms) == {}
@@ -793,6 +799,12 @@ def test_zonal_inputs_validated():
         zonal_harmonic_coords(lattice_e8(), 4, (1, 0))
     with pytest.raises(ValueError, match="constant 1"):
         HarmonicPolynomial(3, 2)
+    for direction in ((F(0),) * 3, (F(1), F(0)), (F(1),) * 4):
+        with pytest.raises(ValueError, match="nonzero row of 3"):
+            HarmonicPolynomial(3, 2, direction)
+    with pytest.raises(ValueError, match="nonnegative"):
+        zonal_harmonic_coords(z3, -2, (1, 0, 0))
+    assert HarmonicPolynomial(3, 0).direction is None
 
 
 def test_zonal_gram_route_matches_direct_evaluation_on_z4():
@@ -802,8 +814,8 @@ def test_zonal_gram_route_matches_direct_evaluation_on_z4():
     sh = shell_enum(z4, 2)
     for direction in ((1, 1, 0, 0), (2, 1, 0, -1)):
         for k in (2, 4, 6):
-            coeffs = zonal_harmonic_coords(z4, k, direction).zonal.coeffs
-            terms = zonal_terms(4, k, direction, coeffs)
+            u2 = sum(x * x for x in direction)      # Euclidean on Z^4
+            terms = zonal_terms(4, k, direction, zonal_coeffs(4, k, u2))
             direct = sum(evaluate(terms, v) for v in sh.vectors)
             assert zonal_shell_sum(z4, sh, k, direction) == direct
 

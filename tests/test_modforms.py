@@ -13,8 +13,9 @@ from designlab import (OffsetError, PrecisionError, QSeries, delta,
 from designlab.lattices import (harmonic_theta, lattice_e8,
                                 theta_membership_check, to_modular_q,
                                 zonal_harmonic_coords)
-from designlab.errors import InternalCheckError
-from designlab.modforms import _euler_power, echelon_rows
+from designlab import modforms
+from designlab.errors import CapExceededError, InternalCheckError
+from designlab.modforms import SERIES_CAP, _euler_power, echelon_rows
 
 
 # -- oracles ---------------------------------------------------------------
@@ -223,6 +224,21 @@ def test_e6_first_coefficients_from_divisor_sums():
 def test_eisenstein_rejects_other_weights():
     with pytest.raises(ValueError):
         eisenstein(8, 10)
+
+
+def test_series_precision_cap_is_checked_before_any_expansion(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("expanded a series over the cap")
+    for kernel in ("_euler_ints", "_euler_power", "_sigma_sieve"):
+        monkeypatch.setattr(modforms, kernel, no_expansion)
+    for make in (lambda p: eta_quotient([(1, -1)], p),
+                 lambda p: eta_quotient([], p), lambda p: eisenstein(4, p),
+                 lambda p: eisenstein(6, p)):
+        for prec in (SERIES_CAP + 1, 10 ** 11, 10 ** 5000):
+            with pytest.raises(CapExceededError, match="series precision"):
+                make(prec)
+    with pytest.raises(CapExceededError):
+        ramanujan_tau(SERIES_CAP + 1)
 
 
 # -- discriminant ----------------------------------------------------------

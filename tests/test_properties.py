@@ -19,10 +19,10 @@ from designlab.codes import (codewords, d16_plus, delsarte_design_check,
                              weight_distribution)
 from designlab.lattices import (Lattice, constant_poly, construction_a,
                                 determinant, harmonic_theta, is_even,
-                                is_harmonic, lattice_a2, lattice_e8,
-                                lattice_zn, moment_design_test, shell_enum,
+                                lattice_a2, lattice_e8, lattice_zn,
+                                moment_design_test, shell_enum,
                                 shell_sizes_up_to, spherical_T_design_report,
-                                zonal_harmonic_coords)
+                                zonal_coeffs, zonal_harmonic_coords)
 from designlab.modforms import (eisenstein, eta_quotient, mf_basis, mf_dim,
                                 sigma)
 from designlab.qseries import QSeries
@@ -179,10 +179,10 @@ def test_zonal_polynomials_are_homogeneous_harmonics(n, k):
     # the package's ladder, expanded term by term by the oracle on Z^n
     direction = tuple(1 if i % 2 else 2 for i in range(n))
     p = zonal_harmonic_coords(lattice_zn(n), k, direction)
-    terms = zonal_terms(n, k, direction, p.zonal.coeffs)
+    u2 = sum(x * x for x in direction)      # Euclidean on Z^n
+    terms = zonal_terms(n, k, p.direction, zonal_coeffs(n, k, u2))
     assert {sum(m) for m in terms} == {k}
     assert laplacian(terms) == {}
-    assert is_harmonic(p)
 
 
 # -- code layer: counting vs harmonic sums -----------------------------
@@ -249,9 +249,10 @@ def test_degree8_witness_is_product_of_smaller_traces():
 def test_all_odd_degrees_below_bound_are_guaranteed():
     for c in (8, 16, 24):
         ts = conformal_T_set(c)
-        assert ts.includes_all_odd
         bound = max(ts.explicit) + 2
-        assert all(j in ts for j in range(1, bound, 2))
+        assert all(j in ts for j in range(1, 4 * bound, 2))
+        assert all((j in ts) == (j in ts.explicit)
+                   for j in range(0, 4 * bound, 2))
 
 
 @pytest.mark.parametrize("c,expected_when_nonzero", [(8, 7), (16, 3), (24, 3)])
