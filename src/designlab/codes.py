@@ -12,16 +12,16 @@ standard two-row Young tableaux give exactly dim = C(n,k) - C(n,k-1) of them,
 a basis, built and certified in ker gamma as one pair array, from which
 elements are built when read.  Sums of f-tilde over word supports are
 products of factors in {-1, 0, 1}, exact in one int8 kernel, which makes
-Delsarte-style checks cheap.  Lambda counting sorts one bitmask per covered
-t-subset.
+Delsarte-style checks cheap.  Lambda counting sorts the lexicographic rank
+of each covered t-subset, built from two tables of half-subset sums.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +47,7 @@ __all__ = [
 
 WORD_CAP_LOG2 = 24          # refuse to enumerate more than 2^24 codewords
 TABLEAU_CAP = 100_000       # cap on C(n, k) when building harmonic bases
+LAMBDA_CAP = 1 << 24        # cap on the t-subsets design_lambda lists
 GAMMA_APPLY_LIMIT = 2_000_000   # ops budget for exhaustive gamma checks
 
 
@@ -217,21 +218,27 @@ def _bits(points: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.left_shift(np.array(1, dtype), points.astype(dtype))
 
 
-def _rows(tuples, t: int) -> np.ndarray:
-    """An iterable of t-tuples of indices as a table, one row each."""
-    return np.fromiter(itertools.chain.from_iterable(tuples),
-                       dtype=np.intp).reshape(-1, t)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The rows of ``itertools.combinations(range(n), k)``, 0 <= k <= n, as
+    one intp table, built a column at a time: ``np.repeat`` extends each row
+    by every point after its last one that leaves room for the columns
+    still to come.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for i in range(k):
+        start = rows[:, -1] + 1 if i else np.zeros(1, dtype=np.intp)
+        widths = n - k + i + 1 - start
+        parent = np.repeat(np.arange(len(rows)), widths)
+        ends = np.cumsum(widths)
+        grown = np.empty((len(parent), i + 1), dtype=np.intp)
+        grown[:, :i] = rows[parent]
+        grown[:, i] = (start[parent] + np.arange(len(parent))
+                       - np.repeat(ends - widths, widths))
+        rows = grown
+    return rows
 
 
-def _subset_masks(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """OR of bits[..., idx[:, i]] over the columns i of an index table."""
-    out = bits.take(idx[:, 0], axis=-1)
-    for i in range(1, idx.shape[1]):
-        out |= bits.take(idx[:, i], axis=-1)
-    return out
-
-
-_SCAN = 1 << 16             # masks per chunk of a scan
+_SCAN = 1 << 16             # entries per chunk of a scan
 
 
 def _points(masks, n: int) -> np.ndarray:
@@ -242,17 +249,6 @@ def _points(masks, n: int) -> np.ndarray:
     for lo in range(0, len(arr), _SCAN):
         out[:, lo:lo + _SCAN] = arr[lo:lo + _SCAN] >> shifts & 1
     return out
-
-
-def _first_member(masks: np.ndarray, keys: np.ndarray, member: bool = True):
-    """Index of the first mask in (member=False: not in) the sorted keys."""
-    for lo in range(0, len(masks), _SCAN):
-        chunk = masks[lo:lo + _SCAN]
-        pos = np.minimum(keys.searchsorted(chunk), len(keys) - 1)
-        hit = (keys[pos] == chunk) == member
-        if hit.any():
-            return lo + int(hit.argmax())
-    return None
 
 
 @dataclass(frozen=True)
@@ -290,16 +286,78 @@ class LambdaResult:
     witness: tuple[tuple[int, ...], int, tuple[int, ...], int] | None
 
 
+def _rank_dtype(total: int) -> np.dtype:
+    """int32, then int64, for ranks below ``total``; past 2^63 Python ints."""
+    for dt in (np.int32, np.int64):
+        if total <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(object)
+
+
+def _subset_ranks(support: np.ndarray, n: int, t: int,
+                  dtype: np.dtype) -> np.ndarray:
+    """Lex ranks among the t-subsets of range(n) of the t-subsets of each
+    row of ``support`` (one block's points, ascending), a row per block and
+    each row in lexicographic order.
+
+    The rank of c_0 < ... < c_{t-1} is C(n,t) - 1 - sum_i C(n-1-c_i, t-i),
+    a sum of one term per (point, position).  A subset is a head, its first
+    h = t // 2 points, and a tail; each block sums its terms once per head
+    and once per tail, and a subset's rank is one head sum plus one tail
+    sum.  After a head ending at support index m come, in lexicographic
+    order, the last C(w-1-m, t-h) tails.
+    """
+    w, h = support.shape[1], t // 2
+    # the i-th point of a subset is at least i, so only C(x, t-i) with
+    # x <= n-1-i is read, and that is at most C(n, t): it fits the dtype
+    binom = np.array([[comb(x, t - i) if x + i < n else 0 for i in range(t)]
+                      for x in range(n)], dtype=dtype)
+    terms = binom[n - 1 - support]      # (block, support index, position)
+    heads = _combinations(w - (t - h), h)
+    tails = _combinations(w - h, t - h) + h
+    head_sums = np.full((len(support), len(heads)), comb(n, t) - 1, dtype)
+    for i in range(h):
+        head_sums -= terms[:, heads[:, i], i]
+    tail_sums = np.zeros((len(support), len(tails)), dtype)
+    for i in range(t - h):
+        tail_sums -= terms[:, tails[:, i], h + i]
+    last = heads[:, -1] if h else np.full(1, -1)
+    start = tails[:, 0].searchsorted(last, side="right")
+    follow = len(tails) - start
+    head_of = np.repeat(np.arange(len(heads)), follow)
+    tail_of = np.arange(len(head_of)) + np.repeat(
+        start - np.cumsum(follow) + follow, follow)
+    ranks = head_sums.take(head_of, axis=1)
+    ranks += tail_sums.take(tail_of, axis=1)
+    return ranks
+
+
+def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
+    """The t-subset of range(n) with lexicographic rank ``rank``: the
+    greedy combinadic of C(n,t) - 1 - rank = sum_i C(n-1-c_i, t-i)."""
+    rest, x, out = comb(n, t) - 1 - rank, n, []
+    for i in range(t):
+        x -= 1
+        while comb(x, t - i) > rest:
+            x -= 1
+        rest -= comb(x, t - i)
+        out.append(n - 1 - x)
+    return tuple(out)
+
+
 def design_lambda(family: BlockFamily, t: int,
                   allow_mixed: bool = False) -> LambdaResult:
     """Brute-force t-design check: count blocks over every t-subset.
 
-    The covered t-subsets are listed as bitmasks, block by block and each
-    block's in lexicographic order, and counted by one sort.  Returns the
-    common count lambda, or a witness pair with different counts: the first
-    listed subsets with the least and the largest count, or the
-    lexicographically first uncovered subset in place of the least.  Mixed
-    block sizes must be requested explicitly.
+    The covered t-subsets are listed by their lexicographic ranks, block by
+    block and each block's in lexicographic order, built from two tables of
+    half-subset rank sums per block (``_subset_ranks``), and counted by one
+    sort.  Returns the common count lambda, or a witness pair with different
+    counts: the first listed subsets with the least and the largest count,
+    or the lexicographically first uncovered subset (the first gap in the
+    sorted ranks) in place of the least.  Mixed block sizes must be
+    requested explicitly.  A listing of more than ``LAMBDA_CAP`` subsets is
+    refused before any array is built.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
@@ -307,45 +365,56 @@ def design_lambda(family: BlockFamily, t: int,
         raise ValueError("mixed block sizes; pass allow_mixed=True")
     if t == 0:
         return LambdaResult(True, len(family.blocks), None)
-    n, dt = family.n, _mask_dtype(family.n)
+    n, total = family.n, comb(family.n, t)
     sizes = [b.bit_count() for b in family.blocks]
-    width = max(sizes, default=0)
-    if width < t:
+    per_size = Counter(sizes)
+    listed = sum(comb(w, t) * m for w, m in per_size.items())
+    if listed > LAMBDA_CAP:
+        raise CapExceededError(
+            f"{listed} listed {t}-subsets exceed the cap {LAMBDA_CAP}")
+    if not listed:
         return LambdaResult(True, 0, None)
-    sizes = np.array(sizes)
     support = (-_points(family.blocks, n).T).argsort(axis=1, kind="stable")
-    bits = np.where(np.arange(width) < sizes[:, None],
-                    _bits(support[:, :width], dt), 0)
-    idx = _rows(itertools.combinations(range(width), t), t)
-    # a combination fits a block of w points when its last index is below w
-    masks = _subset_masks(bits, idx)[idx[:, -1] < sizes[:, None]]
-    ordered = masks.copy()
+    # one table per block size, so each holds exactly its blocks' subsets
+    widths = sorted(w for w in per_size if w >= t)
+    sizes = np.array(sizes)
+    groups = [np.flatnonzero(sizes == w) for w in widths]
+    ranks = [_subset_ranks(support[g, :w], n, t, _rank_dtype(total))
+             for g, w in zip(groups, widths)]
+    ordered = np.concatenate([r.ravel() for r in ranks])
     ordered.sort()
     starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     starts = starts.nonzero()[0]
     keys = ordered[starts]
     counts = np.concatenate((starts[1:], [len(ordered)])) - starts
-    least, most, total = int(counts.min()), int(counts.max()), comb(n, t)
+    least, most = int(counts.min()), int(counts.max())
     if least == most and len(keys) == total:
         return LambdaResult(True, least, None)
 
     def first(count) -> tuple[int, ...]:
-        m = int(masks[_first_member(masks, keys[counts == count])])
-        return tuple(i for i in range(n) if m >> i & 1)
+        # each size group is scanned in listing order, a chunk of blocks at
+        # a time, up to its first hit; the earliest (block, position) wins
+        wanted, hits = keys[counts == count], []
+        for g, r in zip(groups, ranks):
+            step = max(1, _SCAN // r.shape[1])
+            for lo in range(0, len(r), step):
+                part = r[lo:lo + step]
+                pos = np.minimum(wanted.searchsorted(part), len(wanted) - 1)
+                hit = wanted[pos] == part
+                if hit.any():
+                    b, j = np.unravel_index(hit.argmax(), hit.shape)
+                    hits.append((g[lo + b], j, int(part[b, j])))
+                    break
+        return _unrank(min(hits)[2], n, t)
 
     if len(keys) == total:
         return LambdaResult(False, None, (first(least), least,
                                           first(most), most))
-    # some t-subset is covered zero times: the first one in order
-    combos = itertools.combinations(range(n), t)
-    point_bits = _bits(np.arange(n), dt)
-    for _ in range(0, total, _SCAN):
-        sub = _rows(itertools.islice(combos, _SCAN), t)
-        miss = _first_member(_subset_masks(point_bits, sub), keys, False)
-        if miss is not None:
-            return LambdaResult(False, None, (tuple(sub[miss].tolist()), 0,
-                                              first(most), most))
-    raise InternalCheckError("no uncovered t-subset although one is missing")
+    # some t-subset is covered zero times: the first gap in the sorted ranks
+    gap = np.flatnonzero(keys != np.arange(len(keys)))
+    missing = int(gap[0]) if len(gap) else len(keys)
+    return LambdaResult(False, None, (_unrank(missing, n, t), 0,
+                                      first(most), most))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +462,7 @@ def harm_dim(n: int, k: int) -> int:
 def _tableau_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair systems (a, b): b holds the rows c of combinations(range(n), k)
     with c_i >= 2i+1, a the k smallest points outside each (all below 2k)."""
-    b = _rows(itertools.combinations(range(n), k), k)
+    b = _combinations(n, k)
     b = b[(b >= 2 * np.arange(k) + 1).all(axis=1)]
     member = np.zeros((len(b), 2 * k + 1), dtype=bool)
     np.put_along_axis(member, np.minimum(b, 2 * k), True, axis=1)

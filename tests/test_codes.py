@@ -1,6 +1,8 @@
 """Codes, block designs, discrete harmonics, harmonic weight enumerators."""
 
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab import codes
+from designlab import cli, codes
 from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
                              code_from_generator, code_from_rows,
                              codewords, d16_plus, delsarte_design_check,
@@ -253,9 +255,62 @@ def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
     cases.append((BlockFamily(70, tuple(sum(1 << i for i in sub) for sub in
                                         itertools.combinations(range(70), 2))),
                   2))
+    # C(70, 30) and C(70, 29) exceed 2^63: ranks are Python ints
+    first30, next30 = (1 << 30) - 1, ((1 << 30) - 1) << 1
+    cases += [(BlockFamily(70, (first30,)), 30),
+              (BlockFamily(70, (first30, next30)), 29)]
     for fam, t in cases:
         assert design_lambda(fam, t, allow_mixed=True) == \
             oracle_design_lambda(fam, t, allow_mixed=True), (fam.n, t)
+
+
+def test_combinations_table_matches_itertools():
+    for n in range(13):
+        for k in range(n + 1):
+            want = np.array(list(itertools.combinations(range(n), k)),
+                            dtype=np.intp).reshape(comb(n, k), k)
+            got = codes._combinations(n, k)
+            assert got.dtype == np.intp and got.shape == want.shape
+            assert np.array_equal(got, want), (n, k)
+
+
+@pytest.mark.parametrize("code, w, t, witness", [
+    (golay_g24, 16, 6, ((0, 1, 3, 4, 6, 7), 45, (0, 1, 3, 4, 6, 17), 46)),
+    (golay_g24, 16, 8, ((0, 1, 3, 4, 6, 7, 8, 9), 13,
+                        (0, 1, 3, 4, 7, 10, 21, 22), 30)),
+    (golay_g24, 12, 6, ((0, 1, 2, 3, 4, 6), 16, (0, 1, 2, 3, 4, 5), 18)),
+    (golay_g24, 8, 6, ((0, 1, 2, 3, 4, 5), 0, (0, 3, 7, 8, 9, 11), 1)),
+    (d16_plus, 4, 2, ((0, 14), 1, (0, 1), 7)),
+])
+def test_design_lambda_fixture_witnesses(code, w, t, witness):
+    # golay24 weight 16 at t = 8 lists 9,768,330 subsets, the largest
+    # fixture listing, and stays under LAMBDA_CAP
+    assert design_lambda(shell(code(), w), t) == \
+        LambdaResult(False, None, witness)
+
+
+def test_lambda_listing_over_the_cap_is_refused_first(tmp_path, monkeypatch,
+                                                       capsys):
+    def no_arrays(*args):
+        raise AssertionError("built an array for an over-cap listing")
+    monkeypatch.setattr(codes, "_points", no_arrays)
+    monkeypatch.setattr(codes, "_subset_ranks", no_arrays)
+    # a [32,16] code [I | R] with a seeded random R
+    rng, path = random.Random(3216), tmp_path / "c32.txt"
+    path.write_text("".join(
+        "".join("1" if j == i else "0" for j in range(16))
+        + "".join(rng.choice("01") for _ in range(16)) + "\n"
+        for i in range(16)))
+    fam = shell(code_from_generator(path.read_text().split()), 16)
+    listed = len(fam.blocks) * comb(16, 8)
+    assert listed > codes.LAMBDA_CAP
+    with pytest.raises(CapExceededError, match=f"{listed} listed 8-subsets"):
+        design_lambda(fam, 8)
+    status = cli.main(["--format", "json", "code-design", "--code", str(path),
+                       "--weight", "16", "--t", "8"], out=io.StringIO())
+    assert status == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CapExceededError"
 
 
 def test_block_family_guards():
