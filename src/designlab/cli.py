@@ -247,6 +247,8 @@ def cmd_code_design(a, out):
                "weights": list(rep.weights), "T": degrees,
                "blocks": rep.family_size,
                "per_degree": {str(j): v for j, v in verdicts.items()},
+               "modes": {str(j): "complement" if rep.complement_closed
+                         and j % 2 else "harmonic sums" for j in degrees},
                "verdict": "pass" if all(verdicts.values()) else "fail"}
     text = [f"{a.code} weights {rep.weights} union "
             f"({rep.family_size} blocks): "

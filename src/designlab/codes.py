@@ -584,10 +584,30 @@ def _tilde_sums(pairs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _complement_half(family: BlockFamily) -> tuple[int, ...] | None:
+    """The blocks u < u-bar of a family closed under complement, u-bar =
+    u ^ (2^n - 1), in family order; None when some complement is missing."""
+    full = (1 << family.n) - 1
+    blocks = set(family.blocks)
+    if any(full ^ u not in blocks for u in family.blocks):
+        return None
+    return tuple(u for u in family.blocks if u < full ^ u)
+
+
 def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
-    """Exact sums over the family of f-tilde, one per basis element."""
-    return _tilde_sums(_pair_array(basis),
-                       _points(family.blocks, family.n)).tolist()
+    """Exact sums over the family of f-tilde, one per basis element.
+
+    A difference product of degree k has f-tilde(u-bar) = (-1)^k
+    f-tilde(u), so on a family closed under complement the odd-degree sums
+    are zero and the even-degree sums are twice those over half the blocks.
+    """
+    pairs = _pair_array(basis)
+    half = _complement_half(family)
+    if half is None:
+        return _tilde_sums(pairs, _points(family.blocks, family.n)).tolist()
+    if pairs.shape[1] % 2:
+        return [0] * len(pairs)
+    return (2 * _tilde_sums(pairs, _points(half, family.n))).tolist()
 
 
 def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
@@ -595,14 +615,21 @@ def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool,
 
     Returns {j: (passes, witness basis index or None)}.  An over-cap
     degree is requested first, so it is refused before any other work.
+    On a family closed under complement every odd degree passes with no
+    basis built (see ``harmonic_family_sums``).
     """
     degrees = sorted(set(degrees))
     over = [j for j in degrees if comb(family.n, j) > TABLEAU_CAP]
     if over:
         harm_basis(family.n, over[0])
+    wide = [j for j in degrees if j > family.n]
+    if wide:        # refused as harm_basis would, though odd ones build none
+        raise ValueError(f"harmonic degree {wide[0]} must lie in "
+                         f"0..{family.n}")
+    closed = _complement_half(family) is not None
     out = {}
     for j in degrees:
-        if j == 0:
+        if j == 0 or closed and j % 2:
             out[j] = (True, None)
             continue
         basis = harm_basis(family.n, j)
@@ -618,6 +645,7 @@ class TwoWeightReport:
     weights: tuple[int, int]
     family_size: int
     verdicts: dict[int, tuple[bool, int | None]]
+    complement_closed: bool     # odd degrees passed by the complement
 
     def passes(self, degrees) -> bool:
         return all(self.verdicts[j][0] for j in degrees)
@@ -627,14 +655,15 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     """Design test for the union of the weight-ell and weight-(n-ell) shells.
 
     The degree-1 verdict is exactly the statement that all points are
-    covered equally often by the union family.
+    covered equally often by the union family.  The union is closed under
+    complement when the code holds the all-ones word.
     """
     fam = shell(code, ell)
     if 2 * ell != code.n:       # the middle shell is its own complement
         fam = fam.union(shell(code, code.n - ell))
     verdicts = delsarte_design_check(fam, degrees)
     return TwoWeightReport(code.n, (ell, code.n - ell), len(fam.blocks),
-                           verdicts)
+                           verdicts, _complement_half(fam) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,35 @@ def test_golay_two_weight_odd_degrees():
     assert got["blocks"] == 1518
 
 
+@pytest.mark.parametrize("args, fields, modes", [
+    ("golay24 --weights 8,16 --Tset odd --max-degree 5",
+     {"T": [1, 3, 5], "blocks": 1518, "weights": [8, 16], "verdict": "pass",
+      "per_degree": {"1": True, "3": True, "5": True}},
+     ["complement"] * 3),
+    ("golay24 --weights 12,12 --Tset 1,2,3 --max-degree 3",
+     {"T": [1, 2, 3], "blocks": 2576, "weights": [12, 12], "verdict": "pass",
+      "per_degree": {"1": True, "2": True, "3": True}},
+     ["complement", "harmonic sums", "complement"]),
+    ("d16plus --weights 4,12 --Tset 2,4 --max-degree 4",
+     {"T": [2, 4], "blocks": 56, "weights": [4, 12], "verdict": "fail",
+      "per_degree": {"2": False, "4": False}},
+     ["harmonic sums"] * 2),
+    # no all-ones word: the weight-2 shell is not closed under complement
+    ("{path} --weights 2,2 --Tset 1,2 --max-degree 2",
+     {"T": [1, 2], "blocks": 3, "weights": [2, 2], "verdict": "fail",
+      "per_degree": {"1": False, "2": True}},
+     ["harmonic sums"] * 2),
+])
+def test_code_design_modes(tmp_path, args, fields, modes):
+    path = tmp_path / "c4.txt"
+    path.write_text("1100\n0110\n")
+    argv = args.format(path=path).split()
+    got = run_json(["code-design", "--code"] + argv)
+    assert got.pop("modes") == {str(j): m for j, m in zip(fields["T"], modes)}
+    assert got == dict(fields, schema="v1", command="code-design",
+                       code=argv[0])
+
+
 def test_code_design_usage_errors():
     # both or neither of --t/--Tset
     assert run(["code-design", "--code", "golay24", "--weight", "8"])[0] == 2

@@ -577,11 +577,121 @@ def test_complete_uniform_family_is_design_of_every_degree():
     assert all(ok for ok, _ in checks.values())
 
 
+# -- the complement fold ---------------------------------------------------------
+
+def unfolded_sums(basis, fam):
+    """The kernel over every block of the family, with no complement fold."""
+    return codes._tilde_sums(basis.pairs, codes._points(fam.blocks, fam.n)
+                             ).tolist()
+
+
+def oracle_verdicts(fam, degrees):
+    out = {}
+    for k in degrees:
+        sums = unfolded_sums(harm_basis(fam.n, k), fam) if k else []
+        bad = next((i for i, s in enumerate(sums) if s), None)
+        out[k] = (bad is None, bad)
+    return out
+
+
+def capped_degrees(n):
+    # Harm_k is zero past n/2
+    return [k for k in range(n // 2 + 1) if comb(n, k) <= codes.TABLEAU_CAP]
+
+
+def shell_pair(code, w):
+    fam = shell(code, w)
+    return fam if 2 * w == code.n else fam.union(shell(code, code.n - w))
+
+
+@pytest.mark.parametrize("make, w", [
+    (hamming_e8, 0), (hamming_e8, 4),
+    (d16_plus, 0), (d16_plus, 4), (d16_plus, 8),
+    (golay_g24, 0), (golay_g24, 8), (golay_g24, 12)])
+def test_folded_sums_match_the_unfolded_kernel(make, w):
+    code = make()
+    fam = shell_pair(code, w)
+    half = codes._complement_half(fam)
+    assert half is not None and 2 * len(half) == len(fam.blocks)
+    degrees = capped_degrees(code.n)
+    for k in degrees:
+        basis = harm_basis(code.n, k)
+        assert harmonic_family_sums(basis, fam) == unfolded_sums(basis, fam)
+    assert delsarte_design_check(fam, degrees) == oracle_verdicts(fam, degrees)
+
+
+def random_code_without_all_ones():
+    rng = random.Random(1612)
+    while True:
+        code = code_from_rows(12, [rng.getrandbits(12) for _ in range(5)])
+        if (1 << 12) - 1 not in codewords(code):
+            return code
+
+
+def test_families_not_closed_take_the_full_path(monkeypatch):
+    ham = shell(hamming_e8(), 4)
+    code = random_code_without_all_ones()
+    w = max(range(1, 7), key=lambda w: len(shell_pair(code, w).blocks))
+    families = [BlockFamily(8, ham.blocks[1:]), shell_pair(code, w)]
+    columns, kernel = [], codes._tilde_sums
+
+    def spy(pairs, points):
+        columns.append(points.shape[1])
+        return kernel(pairs, points)
+    monkeypatch.setattr(codes, "_tilde_sums", spy)
+    for fam in families:
+        assert codes._complement_half(fam) is None
+        degrees = capped_degrees(fam.n)
+        for k in degrees:
+            basis = harm_basis(fam.n, k)
+            del columns[:]
+            assert harmonic_family_sums(basis, fam) == unfolded_sums(basis, fam)
+            assert columns == [len(fam.blocks)] * 2
+        assert (delsarte_design_check(fam, degrees)
+                == oracle_verdicts(fam, degrees))
+    assert not two_weight_design_check(code, w, [1]).complement_closed
+    # a fold would pass it: one missing block makes degree 1 fail
+    assert not delsarte_design_check(families[0], [1])[1][0]
+    # a closed family's even degree reads half its blocks
+    del columns[:]
+    harmonic_family_sums(harm_basis(8, 2), ham)
+    assert columns == [len(ham.blocks) // 2]
+
+
+def test_odd_degrees_of_a_closed_family_build_nothing(monkeypatch):
+    fam = shell_pair(golay_g24(), 8)
+    asked, build = [], codes.harm_basis
+
+    def spy(n, k, *cap):
+        asked.append(k)
+        return build(n, k, *cap)
+
+    def kernel(pairs, points):
+        raise AssertionError("ran the kernel on an odd degree")
+    monkeypatch.setattr(codes, "harm_basis", spy)
+    monkeypatch.setattr(codes, "_tilde_sums", kernel)
+    assert (delsarte_design_check(fam, [1, 3, 5])
+            == {1: (True, None), 3: (True, None), 5: (True, None)})
+    assert harmonic_family_sums(build(24, 3), fam) == [0] * harm_dim(24, 3)
+    assert asked == []
+
+
+def test_complement_check_runs_under_optimize(run_optimized):
+    # the hamming8 weight-4 shell less one block is no 1-design
+    script = (
+        "from designlab.codes import BlockFamily, delsarte_design_check,\\\n"
+        "    hamming_e8, shell\n"
+        "blocks = shell(hamming_e8(), 4).blocks[1:]\n"
+        "ok, bad = delsarte_design_check(BlockFamily(8, blocks), [1])[1]\n"
+        "raise SystemExit(0 if not ok and bad is not None else 1)\n")
+    assert run_optimized(script) == 0
+
+
 # -- two-weight checks ---------------------------------------------------------
 
 def test_golay_two_weight_odd_degrees():
     rep = two_weight_design_check(golay_g24(), 8, [1, 2, 3, 4, 5])
-    assert rep.family_size == 1518
+    assert rep.family_size == 1518 and rep.complement_closed
     assert rep.passes([1, 2, 3, 4, 5])   # both shells are 5-designs
 
 
