@@ -33,8 +33,8 @@ from .lattices import (HarmonicPolynomial, Lattice, MembershipReport,
                        zonal_shell_sum)
 from .voa import (ConformalTSet, LehmerScan, ObstructionResult,
                   ProportionalityCertificate, Remark4Report, StrengthReport,
-                  TraceSeries, a_series, b_series, c_series, certified_zonal_trace,
-                  conformal_T_set, d_series, graded_trace, lehmer_scan,
+                  TraceSeries, a_series, b_series, certified_zonal_trace,
+                  conformal_T_set, graded_trace, lehmer_scan,
                   modular_obstruction, ord_criterion, remark4_series,
                   strength_at)
 

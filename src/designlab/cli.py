@@ -33,7 +33,7 @@ from .lattices import (Lattice, constant_poly, construction_a, gram_from_text,
                        spherical_T_design_report, theta_directions,
                        theta_fit_norm, theta_membership_check,
                        zonal_harmonic_coords, zonal_theta_fits)
-from .modforms import eta_quotient
+from .modforms import cusp_monomials, eta_quotient
 from .qseries import QSeries, exact_str
 from .voa import modular_obstruction, remark4_series, strength_at
 
@@ -236,7 +236,8 @@ def cmd_code_design(a, out):
     if len(pair) != 2 or sorted(pair) != [min(pair), code.n - min(pair)]:
         raise ValueError(f"--weights must be a complementary pair w,{code.n}-w")
     if a.Tset == "odd":
-        degrees = list(range(1, a.max_degree + 1, 2))
+        # the library refuses the first odd degree over n: stop there
+        degrees = list(range(1, min(a.max_degree, code.n + 2) + 1, 2))
     else:
         degrees = sorted(set(_int_list(a.Tset, "--Tset")))
         if degrees[0] < 1 or degrees[-1] > a.max_degree:
@@ -299,9 +300,10 @@ def _lattice_design_theta(a, lat: Lattice):
     if a.prec_norm < 0:
         raise ValueError("--prec-norm must be nonnegative")
     prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
-    fitted = [j for j in range(2, a.t + 1, 2)
-              if not modular_obstruction(lat.rank, j).forced]
-    needed = max((theta_fit_norm(lat.rank, j) for j in fitted), default=0)
+    # dim M_k falls only at k = 12m + 2: the two largest fitted degrees suffice
+    top = islice((j for j in range(a.t // 2 * 2, 0, -2)
+                  if cusp_monomials(lat.rank // 2 + j, 1)), 2)
+    needed = max((theta_fit_norm(lat.rank, j) for j in top), default=0)
     if prec_norm < needed:
         raise ValueError(f"--prec-norm {prec_norm} is too shallow for the theta "
                          f"fits up to degree {a.t}; use at least {needed}")
@@ -311,11 +313,8 @@ def _lattice_design_theta(a, lat: Lattice):
     per: dict[int, bool] = {}
     modes: dict[int, str] = {}
     for j in range(1, a.t + 1):
-        if j % 2:
-            per[j], modes[j] = True, "antipodal"
-            continue
-        if j not in fitted:
-            per[j], modes[j] = True, "cusp space zero"
+        if modular_obstruction(lat.rank, j).forced:  # odd weight, zero space
+            per[j], modes[j] = True, "antipodal" if j % 2 else "cusp space zero"
             continue
         per[j] = all(form[target - form.offset24 // 24] == 0
                      for _, _, form in zonal_theta_fits(

@@ -18,8 +18,8 @@ from .qseries import QSeries, exact_str
 
 __all__ = [
     "eta", "eta_quotient", "eisenstein", "delta", "delta_eta", "delta_eisenstein",
-    "mf_dim", "mf_basis", "echelon_rows", "fit_in_space", "ModFormSpace",
-    "FitResult",
+    "mf_dim", "mf_basis", "cusp_monomials", "echelon_rows", "fit_in_space",
+    "ModFormSpace", "FitResult",
     "factorize", "sigma", "ord_p", "ramanujan_tau", "vanishing_indices",
     "SERIES_CAP",
 ]
@@ -89,6 +89,7 @@ def _euler_power(r: int, n: int) -> list[int]:
 
 def eta(prec: int) -> QSeries:
     """Dedekind eta: q^(1/24) * prod (1 - q^i), exact through q^prec."""
+    _check_prec(prec)
     return QSeries.from_int_list(1, _euler_ints(prec))
 
 
@@ -232,11 +233,21 @@ def ramanujan_tau(n: int) -> int:
 # weight-k spaces
 # ---------------------------------------------------------------------------
 
+def _monomials(k: int) -> range:
+    """E6 exponents b of the weight-k monomials E4^a E6^b, a = (k - 6b)/4."""
+    stop = k // 6 + 1 if k % 2 == 0 else 0      # none for odd or negative k
+    return range(k // 2 % 2, stop, 2)           # 4a + 6b = k: b = k/2 mod 2
+
+
+def cusp_monomials(k: int, mu: int) -> range:
+    """Weight-k forms of ord_q >= mu, Delta^mu M_{k-12mu}, as _monomials."""
+    return _monomials(k - 12 * mu)
+
+
 def mf_dim(k: int) -> int:
-    """Dimension of the full level-one space of weight k (0 if empty)."""
-    if k < 0 or k % 2:
-        return 0
-    return sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
+    """Dimension of the full level-one space of weight k, the number of its
+    monomials E4^a E6^b: floor(k/12) + [k != 2 mod 12] for even k >= 0."""
+    return len(_monomials(k))
 
 
 @dataclass(frozen=True)
@@ -304,13 +315,8 @@ def mf_basis(k: int, prec: int) -> ModFormSpace:
     if prec < dim - 1:
         raise PrecisionError(
             f"prec {prec} cannot hold {dim} echelon leading exponents")
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    rows = []
-    for b in range(k // 6 + 1):
-        if (k - 6 * b) % 4 == 0:
-            a = (k - 6 * b) // 4
-            rows.append(e4.pow(a) * e6.pow(b))
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    rows = [e4.pow((k - 6 * b) // 4) * e6.pow(b) for b in _monomials(k)]
     # pivots of the reduced echelon form land at exponents 0..dim-1, which
     # ModFormSpace checks
     return ModFormSpace(k, dim, prec, echelon_rows(rows, prec))

@@ -22,12 +22,12 @@ from .errors import (DesignLabError, InternalCheckError, OffsetError,
 from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice, harmonic_theta,
                        require_even_unimodular, theta_fit_norm, to_modular_q,
                        zonal_theta_fits)
-from .modforms import (eisenstein, eta_quotient, factorize, mf_dim,
-                       ramanujan_tau, vanishing_indices)
+from .modforms import (cusp_monomials, eisenstein, eta_quotient, factorize,
+                       mf_dim, ramanujan_tau, vanishing_indices)
 from .qseries import QSeries
 
 __all__ = [
-    "TraceSeries", "a_series", "b_series", "c_series", "d_series",
+    "TraceSeries", "a_series", "b_series",
     "graded_trace", "ord_criterion", "ConformalTSet", "conformal_T_set",
     "ObstructionResult", "modular_obstruction", "StrengthReport",
     "strength_at", "LehmerScan", "lehmer_scan", "Remark4Report",
@@ -80,29 +80,27 @@ class TraceSeries:
                      if self.coeff(i) == 0)
 
 
-@functools.lru_cache(maxsize=32)
-def a_series(prec: int) -> TraceSeries:
-    """eta^16, displayed q^{-1/3} sum_{i>=1} a(i) q^i (central charge 8)."""
-    return TraceSeries(8, eta_quotient([(1, 16)], prec), "eta^16")
+@functools.lru_cache(maxsize=128)
+def _witness_trace(c: int, s: int, prec: int) -> TraceSeries:
+    """The one form Delta E4^a E6^b of the surviving weight-(c/2 + s) space
+    (mu = 1) over eta^c, eta^(24 - c) E4^a E6^b, from factors other than 1."""
+    k = c // 2 + s
+    monomials = cusp_monomials(k, 1)
+    if len(monomials) != 1:
+        raise InternalCheckError(f"weight-{k} witness space is not a line")
+    b = monomials[0]
+    a = (k - 12 - 6 * b) // 4
+    forms = [eisenstein(4, prec)] * a if a else []
+    forms += [eisenstein(6, prec)] * b if b else []
+    forms += [eta_quotient([(1, 24 - c)], prec)] if c != 24 else []
+    return TraceSeries(c, functools.reduce(QSeries.__mul__, forms), "*".join(
+        ["E4"] * a + ["E6"] * b + [f"eta^{24 - c}"] * (c != 24)))
 
 
-@functools.lru_cache(maxsize=32)
-def b_series(prec: int) -> TraceSeries:
-    """eta^8, displayed q^{-2/3} sum_{i>=1} b(i) q^i (central charge 16)."""
-    return TraceSeries(16, eta_quotient([(1, 8)], prec), "eta^8")
-
-
-@functools.lru_cache(maxsize=32)
-def c_series(prec: int) -> TraceSeries:
-    """E4, displayed q^{-1} sum_{i>=1} c(i) q^i (central charge 24)."""
-    return TraceSeries(24, eisenstein(4, prec), "E4")
-
-
-@functools.lru_cache(maxsize=32)
-def d_series(prec: int) -> TraceSeries:
-    """E4 * eta^8: the degree-8 witness for central charge 16."""
-    ser = eisenstein(4, prec + 1) * eta_quotient([(1, 8)], prec + 1)
-    return TraceSeries(16, ser.truncate(prec), "E4*eta^8")
+# the paper's a(i) and b(i), read at a precision: eta^16 (charge 8, degree 8)
+# and eta^8 (charge 16, degree 4), displayed q^{-c/24} sum_{i>=1} t(i) q^i
+a_series = functools.partial(_witness_trace, 8, 8)
+b_series = functools.partial(_witness_trace, 16, 4)
 
 
 def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
@@ -150,21 +148,18 @@ def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionRe
     """Can a trace q^{-c/24} * F, F of weight c/2 + s with ord_q F >= mu,
     be nonzero?
 
-    Odd weight kills everything outright; otherwise the mu leading echelon
-    coefficients are independent linear conditions, so the candidate space
-    survives exactly when dim exceeds mu.
+    Such F lie in the predicted space Delta^mu * M_{weight - 12 mu}, and
+    the candidate survives exactly when that space is nonzero; an odd
+    weight has no forms at all.
     """
     if s < 1 or min_weight_mu < 1 or c <= 0 or c % 8:
         raise ValueError("need c a positive multiple of 8, s >= 1, mu >= 1")
     weight = c // 2 + s
-    if weight % 2:
-        return ObstructionResult(True, "odd weight", weight, 0,
-                                 min_weight_mu, ())
     dim = mf_dim(weight)
-    if dim <= min_weight_mu:
-        return ObstructionResult(
-            True, "leading-coefficient constraints exhaust the space",
-            weight, dim, min_weight_mu, ())
+    if not cusp_monomials(weight, min_weight_mu):
+        reason = ("odd weight" if weight % 2 else
+                  "leading-coefficient constraints exhaust the space")
+        return ObstructionResult(True, reason, weight, dim, min_weight_mu, ())
     return ObstructionResult(False, "witness space survives", weight, dim,
                              min_weight_mu, tuple(range(min_weight_mu, dim)))
 
@@ -222,9 +217,8 @@ class StrengthReport:
     strength: int | str = 0
 
 
-# the paper's closed-form witness trace per (central charge, even degree)
-_WITNESSES = {(8, 8): a_series, (16, 4): b_series, (16, 8): d_series,
-              (24, 4): c_series}
+# the (central charge, even degree) pairs whose witness traces the paper reads
+_WITNESSES = frozenset({(8, 8), (16, 4), (16, 8), (24, 4)})
 
 
 def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
@@ -250,7 +244,7 @@ def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
         if (c, s) not in _WITNESSES:
             strength: int | str = f"≥ {s - 1} (bounded scan)"
             break
-        read[s] = _WITNESSES[c, s](prec).coeff(ell)
+        read[s] = _witness_trace(c, s, prec).coeff(ell)
         if read[s]:
             strength = s - 1
             break

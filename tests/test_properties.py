@@ -26,10 +26,10 @@ from designlab.lattices import (Lattice, constant_poly, construction_a,
 from designlab.modforms import (eisenstein, eta_quotient, mf_basis, mf_dim,
                                 sigma)
 from designlab.qseries import QSeries
-from designlab.voa import (a_series, b_series, c_series, conformal_T_set,
-                           d_series, ord_criterion, remark4_series,
-                           strength_at)
+from designlab.voa import (_witness_trace, b_series, conformal_T_set,
+                           ord_criterion, remark4_series, strength_at)
 from poly_oracle import laplacian, zonal_terms
+from trace_oracle import CLOSED_FORMS, e4, eta8
 
 
 # -- modular layer -----------------------------------------------------
@@ -234,15 +234,14 @@ def test_rank16_vanishing_matches_prime_criterion():
 
 
 def test_rank24_trace_is_positive():
-    c = c_series(500)
+    c = e4(500)
     for ell in range(1, 501):
         assert c.coeff(ell) > 0
 
 
 def test_degree8_witness_is_product_of_smaller_traces():
-    d, b = d_series(64), b_series(64)
-    e4 = eisenstein(4, 64)
-    prod = e4 * b.series
+    d, b = _witness_trace(16, 8, 64), eta8(64)
+    prod = eisenstein(4, 64) * b.series
     assert d.series == prod.truncate(d.series.prec)
 
 
@@ -268,8 +267,8 @@ def test_strength_report_is_internally_consistent(c, expected_when_nonzero):
 
 
 def test_trace_offsets_encode_central_charge():
-    for tr in (a_series(16), b_series(16), c_series(16), d_series(16),
-               remark4_series(16).trace):
+    for tr in ([_witness_trace(c, s, 16) for c, s in CLOSED_FORMS]
+               + [remark4_series(16).trace]):
         lhs = (tr.series.offset24 - tr.prefactor24
                + tr.central_charge - 24 * tr.index_base)
         assert lhs % 24 == 0

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from designlab import lattices, voa
-from designlab.errors import DesignLabError, OffsetError, PrecisionError
+from designlab.errors import (DesignLabError, InternalCheckError, OffsetError,
+                              PrecisionError)
 from designlab.lattices import (constant_poly, construction_a, lattice_a2,
                                 lattice_e8, lattice_zn, shell_enum,
                                 theta_directions, zonal_harmonic_coords,
@@ -18,10 +19,11 @@ from designlab.lattices import (constant_poly, construction_a, lattice_a2,
 from designlab.codes import d16_plus, golay_g24
 from designlab.modforms import sigma
 from designlab.qseries import QSeries
-from designlab.voa import (TraceSeries, a_series, b_series, c_series,
-                           certified_zonal_trace, conformal_T_set, d_series,
+from designlab.voa import (TraceSeries, _witness_trace, a_series, b_series,
+                           certified_zonal_trace, conformal_T_set,
                            graded_trace, lehmer_scan, modular_obstruction,
                            ord_criterion, remark4_series, strength_at)
+from trace_oracle import CLOSED_FORMS, e4, e4_eta8, eta8, eta16
 
 
 # -- dense-list series oracle ---------------------------------------------------
@@ -65,10 +67,10 @@ def test_series_coefficients_match_hand_values():
         [1, -8, 20, 0, -70, 64, 56, 0, -125]
     a = a_series(8)
     assert [a.coeff(i) for i in range(1, 5)] == [1, -16, 104, -320]
-    c = c_series(8)
+    c = _witness_trace(24, 4, 8)
     assert [c.coeff(i) for i in range(1, 5)] == [1, 240, 2160, 6720]
     assert c.coeff(7) == 240 * sigma(6, 3)
-    d = d_series(8)
+    d = _witness_trace(16, 8, 8)
     assert [d.coeff(i) for i in range(1, 5)] == [1, 232, 260, -5760]
 
 
@@ -78,7 +80,7 @@ def test_a_series_equals_b_series_squared():
 
 
 def test_d_series_is_a_sigma_convolution_of_b():
-    b, d = b_series(30), d_series(30)
+    b, d = b_series(30), _witness_trace(16, 8, 30)
     for i in range(1, 31):
         want = b.coeff(i) + 240 * sum(sigma(m, 3) * b.coeff(i - m)
                                       for m in range(1, i))
@@ -96,6 +98,47 @@ def test_trace_series_invariants():
     with pytest.raises(PrecisionError):
         t.zero_indices_up_to(10)
     assert t.zero_indices_up_to(7) == (4,)
+
+
+@pytest.mark.parametrize("prec", [16, 60, 1002])
+def test_witness_traces_equal_the_closed_forms(prec):
+    for (c, s), closed in CLOSED_FORMS.items():
+        got, want = _witness_trace(c, s, prec), closed(prec)
+        assert got.series == want.series, (c, s, prec)
+        assert (got.central_charge, got.index_base, got.source) == \
+            (want.central_charge, want.index_base, want.source)
+
+
+def test_witness_trace_needs_a_one_dimensional_space():
+    # weight 6: Delta * M_{-6} is zero; weight 24: Delta * M_12 is a plane
+    for c, s in ((8, 2), (24, 12)):
+        with pytest.raises(InternalCheckError, match="not a line"):
+            _witness_trace(c, s, 16)
+
+
+def test_witness_trace_expands_only_factors_other_than_one(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(voa, "eisenstein", spy("E", voa.eisenstein))
+    monkeypatch.setattr(voa, "eta_quotient", spy("eta", voa.eta_quotient))
+    monkeypatch.setattr(QSeries, "__mul__", spy("mul", QSeries.__mul__))
+    expected = {(8, 8): [("eta", [(1, 16)])], (16, 4): [("eta", [(1, 8)])],
+                (24, 4): [("E", 4)], (16, 8): [("E", 4), ("eta", [(1, 8)])],
+                # past the paper's pairs: Delta E6 and Delta E4 E6
+                (24, 6): [("E", 6)],
+                (8, 18): [("E", 4), ("E", 6), ("eta", [(1, 16)])]}
+    for (c, s), want in expected.items():
+        calls.clear()
+        _witness_trace.__wrapped__(c, s, 20)
+        products = sum(1 for name, _ in calls if name == "mul")
+        assert [x for x in calls if x[0] != "mul"] == want, (c, s)
+        assert products == len(want) - 1, (c, s)
 
 
 # -- coefficient criteria ----------------------------------------------------------
@@ -171,9 +214,10 @@ def test_strength_reports_charge_24():
 
 
 def strength_oracle(c, ell, prec=None,
-                    series=(a_series, b_series, c_series, d_series)):
-    """strength_at with one branch per charge, as the paper states it:
-    (contested degree, coefficient, verdict, extra, strength)."""
+                    series=(eta16, eta8, e4, e4_eta8)):
+    """strength_at with one branch per charge, as the paper states it, on
+    the closed-form traces a, b, c, d: (contested degree, coefficient,
+    verdict, extra, strength)."""
     a, b, c_, d = series
     prec = prec if prec is not None else max(ell + 2, 16)
     contested = {8: 8, 16: 4, 24: 4}[c]
@@ -214,9 +258,9 @@ def test_strength_past_the_last_witness_is_a_bounded_scan(monkeypatch):
     def zero(c):
         return lambda prec: TraceSeries(c, QSeries.zero(prec).shift24(24 - c),
                                         "0")
-    za, zb, zc, zd = zeros = (zero(8), zero(16), zero(24), zero(16))
-    monkeypatch.setattr(voa, "_WITNESSES", {(8, 8): za, (16, 4): zb,
-                                            (16, 8): zd, (24, 4): zc})
+    zeros = (zero(8), zero(16), zero(24), zero(16))
+    monkeypatch.setattr(voa, "_witness_trace",
+                        lambda c, s, prec: zero(c)(prec))
     got = {}
     for c in (8, 16, 24):
         rep = strength_at(c, 5)
@@ -273,7 +317,7 @@ def test_certified_zonal_trace_d16_and_golay():
     assert cert.ratio == zonal_shell_sum(d16, sh, 4, cert.direction) == -80
 
     g24 = construction_a(golay_g24(), "CA(golay)")
-    certc = certified_zonal_trace(g24, 4, c_series(60), prec=60, prec_norm=4)
+    certc = certified_zonal_trace(g24, 4, e4(60), prec=60, prec_norm=4)
     assert certc.coefficients_checked >= 50
     shg = shell_enum(g24, 2)
     assert certc.ratio == zonal_shell_sum(g24, shg, 4, certc.direction)
@@ -307,7 +351,7 @@ def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
     # E4*eta^8 shares the grid of eta^8, but no degree-4 trace is
     # proportional to it, so every direction is tried
     with pytest.raises(DesignLabError, match="not proportional"):
-        certified_zonal_trace(d16, 4, d_series(60), prec=60, prec_norm=4)
+        certified_zonal_trace(d16, 4, e4_eta8(60), prec=60, prec_norm=4)
     assert tried == theta_directions(16)
 
 
@@ -327,6 +371,7 @@ def test_trace_guards_run_under_optimize(refused_under_optimize):
     assert refused_under_optimize(
         voa + "V.ramanujan_tau = lambda n: 0\n"
         "V.lehmer_scan(1, shells_to=1)")
+    assert refused_under_optimize(voa + "V._witness_trace(24, 12, 16)")
 
 
 # -- scans and closed forms ------------------------------------------------------------
