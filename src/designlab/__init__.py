@@ -23,14 +23,15 @@ from .codes import (AntisymmetryReport, BinaryCode, BlockFamily,
                     is_doubly_even, is_self_dual, min_weight, shell,
                     two_weight_design_check, weight_distribution)
 from .lattices import (HarmonicPolynomial, Lattice, MembershipReport,
-                       MomentReport, Shell, TDesignReport, constant_poly,
-                       construction_a, determinant, gegenbauer_component_sums,
-                       gram_from_text, harmonic_theta, is_even, lattice_a2,
-                       lattice_e8, lattice_zn, moment_design_test,
-                       shell_enum, shell_sizes_up_to, sphere_moment,
-                       spherical_T_design_report, theta_membership_check,
-                       to_modular_q, zonal_coeffs, zonal_harmonic_coords,
-                       zonal_shell_sum)
+                       MomentReport, Shell, TDesignReport, ThetaDesignReport,
+                       constant_poly, construction_a, determinant,
+                       gegenbauer_component_sums, gram_from_text,
+                       harmonic_theta, is_even, lattice_a2, lattice_e8,
+                       lattice_zn, moment_design_test, shell_enum,
+                       shell_sizes_up_to, sphere_moment,
+                       spherical_T_design_report, theta_design_report,
+                       theta_membership_check, to_modular_q, zonal_coeffs,
+                       zonal_harmonic_coords, zonal_shell_sum)
 from .voa import (ConformalTSet, LehmerScan, ObstructionResult,
                   ProportionalityCertificate, Remark4Report, StrengthReport,
                   TraceSeries, a_series, b_series, certified_zonal_trace,

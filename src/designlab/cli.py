@@ -28,14 +28,12 @@ from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
 from .errors import DesignLabError
 from .lattices import (Lattice, constant_poly, construction_a, gram_from_text,
                        harmonic_theta, lattice_a2, lattice_e8, lattice_zn,
-                       moment_design_test, prefix_strength,
-                       require_even_unimodular, shell_enum,
-                       spherical_T_design_report, theta_directions,
-                       theta_fit_norm, theta_membership_check,
-                       zonal_harmonic_coords, zonal_theta_fits)
-from .modforms import cusp_monomials, eta_quotient
+                       moment_design_test, prefix_strength, shell_enum,
+                       spherical_T_design_report, theta_design_report,
+                       theta_membership_check, zonal_harmonic_coords)
+from .modforms import eta_quotient
 from .qseries import QSeries, exact_str
-from .voa import modular_obstruction, remark4_series, strength_at
+from .voa import remark4_series, strength_at
 
 SCHEMA = "v1"
 
@@ -260,80 +258,36 @@ def cmd_code_design(a, out):
 
 def cmd_lattice_design(a, out):
     lat = _resolve_lattice(a.lattice)
-    if a.criterion == "moment":
-        sh = shell_enum(lat, a.norm, workers=a.workers)
-        rep = moment_design_test(sh, a.t)
-        per = {str(k): v for k, v in rep.per_k.items()}
-        strength, size = rep.strength, rep.size
-    elif a.criterion == "zonal":
-        rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1),
-                                        workers=a.workers)
-        per = {str(j): v for j, v in rep.verdicts.items()}
-        strength, size = prefix_strength(rep.verdicts), rep.size
-    else:
-        return _lattice_design_theta(a, lat)
     payload = {"schema": SCHEMA, "command": "lattice-design",
                "lattice": a.lattice, "norm": _frac(a.norm),
-               "criterion": a.criterion, "size": size,
-               "per_degree": per, "strength": strength}
-    text = [f"{a.lattice} norm {a.norm} ({size} vectors, {a.criterion}): "
+               "criterion": a.criterion}
+    if a.criterion == "theta":
+        rep = theta_design_report(lat, a.norm, a.t, a.prec_norm,
+                                  workers=a.workers)
+        payload.update(prec_norm=rep.prec_norm,
+                       directions_tested=rep.directions_tested,
+                       per_degree={str(j): v for j, v in rep.verdicts.items()},
+                       modes={str(j): m for j, m in rep.modes.items()},
+                       strength=rep.strength)
+        text = [f"{a.lattice} norm {a.norm} (theta criterion, enumeration to "
+                f"norm {rep.prec_norm}): strength {rep.strength}"]
+        text += [f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
+                 + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
+        return payload, text
+    if a.criterion == "moment":
+        rep = moment_design_test(shell_enum(lat, a.norm, workers=a.workers),
+                                 a.t)
+        per, strength = rep.per_k, rep.strength
+    else:
+        rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1),
+                                        workers=a.workers)
+        per, strength = rep.verdicts, prefix_strength(rep.verdicts)
+    payload.update(size=rep.size, per_degree={str(k): v for k, v in per.items()},
+                   strength=strength)
+    text = [f"{a.lattice} norm {a.norm} ({rep.size} vectors, {a.criterion}): "
             f"strength {strength}"
             + ("" if strength >= a.t else f", first failure at degree "
                f"{strength + 1}")]
-    return payload, text
-
-
-def _lattice_design_theta(a, lat: Lattice):
-    """Per-degree verdicts via modular membership of weighted thetas.
-
-    Decides arbitrary norms from a bounded enumeration.  Odd degrees hold
-    by antipodality.  For an even degree the weighted theta is a cusp form
-    of weight rank/2 + degree: when that cusp space is zero the verdict is
-    a proof covering every harmonic of the degree; otherwise the zonal
-    theta is fitted along ``theta_directions`` and its coefficient at the
-    target norm is read off each fitted form.  A zero there means no
-    obstruction along the tested directions; a nonzero disproves.
-    """
-    require_even_unimodular(lat, "theta criterion")
-    if a.norm <= 0 or a.norm.denominator != 1 or int(a.norm) % 2:
-        raise ValueError("theta criterion needs a positive even integer norm")
-    if a.prec_norm < 0:
-        raise ValueError("--prec-norm must be nonnegative")
-    prec_norm = a.prec_norm or (8 if lat.rank <= 8 else 4)
-    # dim M_k falls only at k = 12m + 2: the two largest fitted degrees suffice
-    top = islice((j for j in range(a.t // 2 * 2, 0, -2)
-                  if cusp_monomials(lat.rank // 2 + j, 1)), 2)
-    needed = max((theta_fit_norm(lat.rank, j) for j in top), default=0)
-    if prec_norm < needed:
-        raise ValueError(f"--prec-norm {prec_norm} is too shallow for the theta "
-                         f"fits up to degree {a.t}; use at least {needed}")
-    target = int(a.norm) // 2
-    prec = max(target, needed)          # rebuild the fitted forms through here
-    dirs = theta_directions(lat.rank)
-    per: dict[int, bool] = {}
-    modes: dict[int, str] = {}
-    for j in range(1, a.t + 1):
-        if modular_obstruction(lat.rank, j).forced:  # odd weight, zero space
-            per[j], modes[j] = True, "antipodal" if j % 2 else "cusp space zero"
-            continue
-        per[j] = all(form[target - form.offset24 // 24] == 0
-                     for _, _, form in zonal_theta_fits(
-                         lat, j, prec_norm, prec, dirs, workers=a.workers))
-        modes[j] = (f"fit along {len(dirs)} directions" if per[j]
-                    else "nonzero fitted coefficient")
-    strength = prefix_strength(per)
-    payload = {"schema": SCHEMA, "command": "lattice-design",
-               "lattice": a.lattice, "norm": _frac(a.norm),
-               "criterion": "theta", "prec_norm": prec_norm,
-               "directions_tested": len(dirs),
-               "per_degree": {str(j): v for j, v in per.items()},
-               "modes": {str(j): m for j, m in modes.items()},
-               "strength": strength}
-    text = [f"{a.lattice} norm {a.norm} (theta criterion, enumeration to norm "
-            f"{prec_norm}): strength {strength}"]
-    for j in range(2, a.t + 1, 2):
-        text.append(f"  degree {j}: " + ("pass" if per[j] else "FAIL")
-                    + f" ({modes[j]})")
     return payload, text
 
 

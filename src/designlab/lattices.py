@@ -19,16 +19,18 @@ any row is mapped back to the caller's basis: the search stops once the
 ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
 smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
-moments give the cumulative strength-t criterion, and sums of the
-orthogonal (Gegenbauer-type) polynomial kernel give per-degree verdicts.
-A harmonic polynomial is the constant 1 or a zonal harmonic whose
-direction is a lattice coordinate row, summed over a shell through the
-Gram matrix.
+moments give the cumulative strength-t criterion, and the monic Gegenbauer
+kernels, by their three-term recurrence, per-degree verdicts; fitted
+weighted thetas decide even unimodular shells past enumeration
+(``theta_design_report``).  A harmonic polynomial is the constant 1 or a
+zonal harmonic whose direction is a lattice coordinate row, summed over a
+shell through the Gram matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -39,24 +41,26 @@ import numpy as np
 from ._fixtures import fixture_path
 from .codes import BinaryCode, _read_only, is_doubly_even, is_self_dual
 from .errors import CapExceededError, InternalCheckError
-from .modforms import fit_in_space, mf_basis, mf_dim
-from .qseries import QSeries
+from .modforms import (_check_prec, cusp_monomials, fit_in_space, mf_basis,
+                       mf_dim)
+from .qseries import QSeries, exact_str
 
 __all__ = [
     "Lattice", "Shell", "HarmonicPolynomial",
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
     "construction_a", "determinant", "is_even", "require_even_unimodular",
-    "shell_enum", "shell_sizes_up_to", "SHELL_CAP",
+    "shell_enum", "shell_sizes_up_to", "SHELL_CAP", "DEGREE_CAP",
     "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
     "zonal_coeffs", "zonal_harmonic_coords", "zonal_shell_sum",
     "constant_poly",
     "harmonic_theta", "to_modular_q", "theta_membership_check",
     "MembershipReport", "theta_directions", "theta_fit_norm",
-    "zonal_theta_fits",
+    "zonal_theta_fits", "theta_design_report", "ThetaDesignReport",
 ]
 
 SHELL_CAP = 1_000_000       # refuse to enumerate larger shells
+DEGREE_CAP = 1000           # refuse moment and kernel-sum degrees past this
 _SLACK = 1 + 2.0 ** -20     # float pruning radius inflation
 _CHUNK = 1 << 13            # rows expanded per level, or compared, at once
 _PAIR_BLOCK = 4_000_000     # inner products computed at once per histogram
@@ -194,9 +198,8 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
     n = code.n
     pivots = {g.bit_length() - 1 for g in code.gens}
     rows = [[(g >> j) & 1 for j in range(n)] for g in code.gens]
-    for j in range(n):
-        if j not in pivots:
-            rows.append([2 if i == j else 0 for i in range(n)])
+    rows += [[2 * (i == j) for i in range(n)] for j in range(n)
+             if j not in pivots]
     g2 = tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in rows)
                for r1 in rows)
     return Lattice._from_g2(g2, label or f"A({code.name or 'code'})")
@@ -693,78 +696,68 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
     """
     if not len(shell) or shell.norm <= 0:
         raise ValueError("moment test needs a nonempty positive-norm shell")
-    n = shell.lattice.rank
+    degrees = _degree_list(range(1, t + 1))
     hist = _shell_pair_histogram(shell)
     size = len(shell)
-    r2 = shell.norm
     per_k: dict[int, bool] = {}
-    for k in range(1, t + 1):
+    for k in degrees:
         lhs = sum(cnt * w ** k for w, cnt in hist)   # sum (2 x.y)^k
-        rhs = size * size * (2 * r2) ** k * sphere_moment(n, k)
+        rhs = (size * size * (2 * shell.norm) ** k
+               * sphere_moment(shell.lattice.rank, k))
         per_k[k] = lhs == rhs
-    strength = prefix_strength(per_k)
-    failed = strength + 1 if strength < t else None
-    return MomentReport(shell.norm, size, per_k, strength, failed)
+    s = prefix_strength(per_k)
+    return MomentReport(shell.norm, size, per_k, s, s + 1 if s < t else None)
 
 
 def prefix_strength(verdicts: dict[int, bool]) -> int:
     """Largest s such that degrees 1..s all pass."""
-    s = 0
-    while verdicts.get(s + 1):
-        s += 1
-    return s
+    return next(s for s in itertools.count() if not verdicts.get(s + 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _orthogonal_kernel_polys(n: int, jmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Monic polynomials orthogonal under the sphere-moment bilinear form.
-
-    Gram-Schmidt over 1, s, s^2, ... with <s^a, s^b> = m_{a+b}(n); the
-    degree-j element is (up to positive scale) the n-dimensional Gegenbauer
-    kernel polynomial, so its pairwise sum over a shell is a nonnegative
-    quantity vanishing exactly when the degree-j harmonic sums vanish.
-    """
-    polys: list[list[Fraction]] = []
-    for j in range(jmax + 1):
-        cur = [Fraction(0)] * j + [Fraction(1)]
-        for g in polys:
-            num = _moment_inner(n, cur, list(g))
-            den = _moment_inner(n, list(g), list(g))
-            f = num / den
-            for i, c in enumerate(g):
-                cur[i] -= f * c
-        polys.append(cur)
-    return tuple(tuple(p) for p in polys)
-
-
-def _moment_inner(n: int, p: list[Fraction], q: list[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                if qb:
-                    acc += pa * qb * sphere_moment(n, a + b)
-    return acc
+def _degree_list(degrees) -> list[int]:
+    """The distinct degrees, sorted; one over ``DEGREE_CAP`` is refused as
+    it is read, before more than ``DEGREE_CAP`` of them are held."""
+    seen = set()
+    for j in degrees:
+        if j < 0:
+            raise ValueError("degrees must be nonnegative")
+        if j > DEGREE_CAP:
+            raise CapExceededError(f"degree {exact_str(j)} exceeds cap "
+                                   f"{DEGREE_CAP}")
+        seen.add(j)
+    return sorted(seen)
 
 
 def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
-    """Exact per-degree kernel sums S_j over X x X; S_j = 0 iff the shell
-    averages every degree-j harmonic polynomial to zero."""
+    """Exact per-degree kernel sums S_j = sum over X x X of p_j(x.y / r^2);
+    S_j = 0 iff the shell averages every degree-j harmonic polynomial to zero.
+
+    p_j is the monic rank-n Gegenbauer kernel, orthogonal under the sphere
+    moments: p_0 = 1, p_1 = s, p_(j+1) = s p_j - (b_j/a_j) p_(j-1), with
+    b_1/a_1 = 1/n and b_j/a_j = j(j+n-3)/((2j+n-2)(2j+n-4)); on S^0 every
+    p_j, j >= 2, vanishes at s = +-1.  It is read at each cosine s = W/D of
+    the pair histogram (W = e w, D/e = 2r^2) in integers: Q_j = K_j p_j(s),
+    K_(j+1) = a_j D K_j, a_0 = 1, obeys Q_(j+1) = a_j W Q_j - D^2 b_j
+    a_(j-1) Q_(j-1).
+    """
     if not len(shell) or shell.norm <= 0:
         raise ValueError("component sums need a nonempty positive-norm shell")
     n = shell.lattice.rank
-    degrees = sorted(set(degrees))
-    polys = _orthogonal_kernel_polys(n, max(degrees)) if degrees else ()
+    wanted = _degree_list(degrees)
     hist = _shell_pair_histogram(shell)
-    r2 = shell.norm
+    d, e = (2 * shell.norm).numerator, (2 * shell.norm).denominator
+    ws, cnts = [e * w for w, _ in hist], [cnt for _, cnt in hist]
+    prev, cur = [0] * len(ws), [1] * len(ws)        # Q_(j-1), Q_j
+    scale, a_prev = 1, 1                            # K_j, a_(j-1)
     out: dict[int, Fraction] = {}
-    for j in degrees:
-        p = polys[j]
-        acc = Fraction(0)
-        for w, cnt in hist:
-            s = Fraction(w, 1) / (2 * r2)       # cosine of the pair angle
-            acc += cnt * sum(c * s ** i for i, c in enumerate(p) if c)
-        out[j] = acc
+    for j in range(wanted[-1] + 1 if wanted else 0):
+        if j == wanted[len(out)]:
+            out[j] = Fraction(sum(c * q for c, q in zip(cnts, cur)), scale)
+        a, b = ((1, 0), (n, 1))[j] if j < 2 else (
+            (2 * j + n - 2) * (2 * j + n - 4), j * (j + n - 3))
+        lag = d * d * b * a_prev
+        prev, cur = cur, [a * w * q - lag * p for w, q, p in zip(ws, cur, prev)]
+        scale, a_prev = a * d * scale, a
     return out
 
 
@@ -787,14 +780,15 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
 
     Even degrees are decided by the exact kernel sums; odd degrees hold for
     every antipodal shell, and antipodality is asserted at enumeration, but
-    the odd sums are computed anyway rather than assumed.
+    the odd sums are computed anyway rather than assumed.  The degrees are
+    checked against ``DEGREE_CAP`` before the shell is enumerated.
     """
+    degrees = _degree_list(degrees)
     shell = shell_enum(lat, norm, cap, workers)
     if not len(shell):
         raise ValueError("empty shell")
-    degrees = sorted(set(degrees))
     sums = gegenbauer_component_sums(shell, degrees)
-    verdicts = {j: sums[j] == 0 for j in degrees}
+    verdicts = {j: v == 0 for j, v in sums.items()}
     return TDesignReport(lat.label, shell.norm, len(shell), verdicts, sums)
 
 
@@ -848,18 +842,15 @@ def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial
     return HarmonicPolynomial(lat.rank, k, tuple(map(Fraction, direction)))
 
 
-def _gram_dot(lat: Lattice, a, b) -> Fraction:
-    return Fraction(sum(x * gij * y for x, row in zip(a, lat.g2) if x
-                        for gij, y in zip(row, b) if y)) / 2
-
-
 def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     """Exact sum over the shell of the degree-k zonal with the given
     lattice-coordinate direction (histogram of x.u values, then the ladder)."""
     if not len(shell):
         return Fraction(0)
     w = [Fraction(x) for x in direction]
-    cs = zonal_coeffs(lat.rank, k, _gram_dot(lat, w, w))
+    u_norm2 = Fraction(sum(x * gij * y for x, row in zip(w, lat.g2) if x
+                           for gij, y in zip(row, w) if y)) / 2
+    cs = zonal_coeffs(lat.rank, k, u_norm2)
     scale = math.lcm(*(x.denominator for x in w))
     w_int = [int(x * scale) for x in w]
     arr, g2 = _exact_operands(lat.g2, shell.rows, max(abs(x) for x in w_int))
@@ -883,10 +874,12 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
     """Sum of P(x) q^{(x,x)} over norms <= prec_norm, exponent = norm.
 
     Precondition: integral norms (all fixtures).  For an even lattice odd
-    norms are provably empty and skipped.
+    norms are provably empty and skipped.  A ``prec_norm`` over
+    ``modforms.SERIES_CAP`` is refused before anything is enumerated.
     """
     if p.n != lat.rank:
         raise ValueError("polynomial dimension must match the lattice rank")
+    _check_prec(prec_norm)
     even = is_even(lat)
     table = _vectors_by_doubled_norm(lat, 2 * prec_norm, cap, workers)
     coeffs: dict[int, Fraction] = {0: Fraction(1)} if p.degree == 0 else {}
@@ -910,14 +903,10 @@ def to_modular_q(series: QSeries) -> QSeries:
         raise ValueError("expected a whole-exponent lattice series")
     base = series.offset24 // 24          # normalization may have shifted
     coeffs: dict[int, Fraction] = {}
-    for i in range(series.prec + 1):
-        e = base + i
-        c = series[i]
-        if e % 2:
-            if c != 0:
-                raise ValueError(f"odd exponent {e} present; cannot halve")
-        elif c:
-            coeffs[e // 2] = c
+    for i, c in series.nonzero_terms():
+        if (base + i) % 2:
+            raise ValueError(f"odd exponent {base + i} present; cannot halve")
+        coeffs[(base + i) // 2] = c
     return QSeries(0, (base + series.prec) // 2, coeffs)
 
 
@@ -969,10 +958,8 @@ def theta_directions(rank: int) -> list[tuple[int, ...]]:
     every unit row up to rank 8, else rows 0, rank/2 and rank - 1; then
     the all-ones row and the row (i mod 3) - 1.  Row e_0 comes first."""
     rows = range(rank) if rank <= 8 else (0, rank // 2, rank - 1)
-    dirs = [tuple(int(i == r) for i in range(rank)) for r in rows]
-    dirs.append((1,) * rank)
-    dirs.append(tuple((i % 3) - 1 for i in range(rank)))
-    return dirs
+    return ([tuple(int(i == r) for i in range(rank)) for r in rows]
+            + [(1,) * rank, tuple((i % 3) - 1 for i in range(rank))])
 
 
 def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
@@ -991,3 +978,60 @@ def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
                 f"degree-{degree} theta along {tuple(u)} escaped M_"
                 f"{rep.weight}: mismatch at q^{rep.mismatch_exponent}")
         yield tuple(u), rep.coords, space.element(rep.coords)
+
+
+@dataclass(frozen=True)
+class ThetaDesignReport:
+    prec_norm: int
+    directions_tested: int
+    verdicts: dict[int, bool]
+    modes: dict[int, str]
+    strength: int
+
+
+def theta_design_report(lat: Lattice, norm, t: int, prec_norm: int = 0,
+                        workers: int = 1) -> ThetaDesignReport:
+    """Verdicts and deciding modes for degrees 1..t on the shell of a
+    positive even norm of an even unimodular lattice, from an enumeration to
+    ``prec_norm`` (0: norm 8 up to rank 8, else 4); every refusal comes first.
+
+    Odd degrees hold by antipodality.  An even degree's weighted theta lies
+    in the weight-(rank/2 + degree) forms vanishing at q = 0; when that space
+    (``cusp_monomials``) is zero the verdict is a proof for every harmonic.
+    Otherwise the zonal theta is fitted along ``theta_directions`` and each
+    fitted form's coefficient at the norm is read: a nonzero disproves, and
+    zeros mean no obstruction along the tested directions.
+    """
+    require_even_unimodular(lat, "theta criterion")
+    norm = Fraction(norm)
+    if norm <= 0 or norm.denominator != 1 or int(norm) % 2:
+        raise ValueError("theta criterion needs a positive even integer norm")
+    if prec_norm < 0:
+        raise ValueError("--prec-norm must be nonnegative")
+    prec_norm = prec_norm or (8 if lat.rank <= 8 else 4)
+
+    def fitted(j: int) -> bool:         # odd weight or no cusp form: False
+        return bool(cusp_monomials(lat.rank // 2 + j, 1))
+
+    # dim M_k falls only at k = 12m + 2: the two largest fitted degrees suffice
+    top = itertools.islice(filter(fitted, range(t // 2 * 2, 0, -2)), 2)
+    needed = max((theta_fit_norm(lat.rank, j) for j in top), default=0)
+    if prec_norm < needed:
+        raise ValueError(f"--prec-norm {prec_norm} is too shallow for the theta "
+                         f"fits up to degree {t}; use at least {needed}")
+    target = int(norm) // 2
+    prec = max(target, needed)          # rebuild the fitted forms through here
+    dirs = theta_directions(lat.rank)
+    modes: dict[int, str] = {}
+    for j in range(1, t + 1):
+        if not fitted(j):
+            modes[j] = "antipodal" if j % 2 else "cusp space zero"
+        elif all(form[target - form.offset24 // 24] == 0 for _, _, form in
+                 zonal_theta_fits(lat, j, prec_norm, prec, dirs,
+                                  workers=workers)):
+            modes[j] = f"fit along {len(dirs)} directions"
+        else:
+            modes[j] = "nonzero fitted coefficient"
+    verdicts = {j: m != "nonzero fitted coefficient" for j, m in modes.items()}
+    return ThetaDesignReport(prec_norm, len(dirs), verdicts, modes,
+                             prefix_strength(verdicts))

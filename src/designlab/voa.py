@@ -140,7 +140,7 @@ class ObstructionResult:
     weight: int
     space_dim: int
     constraints: int
-    witness_leads: tuple[int, ...]
+    witness_leads: range        # lead exponents mu..dim-1, empty if forced
 
 
 @functools.lru_cache(maxsize=256)
@@ -156,12 +156,12 @@ def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionRe
         raise ValueError("need c a positive multiple of 8, s >= 1, mu >= 1")
     weight = c // 2 + s
     dim = mf_dim(weight)
-    if not cusp_monomials(weight, min_weight_mu):
-        reason = ("odd weight" if weight % 2 else
-                  "leading-coefficient constraints exhaust the space")
-        return ObstructionResult(True, reason, weight, dim, min_weight_mu, ())
-    return ObstructionResult(False, "witness space survives", weight, dim,
-                             min_weight_mu, tuple(range(min_weight_mu, dim)))
+    forced = not cusp_monomials(weight, min_weight_mu)
+    reason = ("witness space survives" if not forced else "odd weight"
+              if weight % 2 else "leading-coefficient constraints exhaust "
+              "the space")
+    return ObstructionResult(forced, reason, weight, dim, min_weight_mu,
+                             range(min_weight_mu, dim))
 
 
 @dataclass(frozen=True)

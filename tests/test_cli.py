@@ -308,6 +308,33 @@ def test_hexagonal_strength_5_both_criteria():
     assert z["per_degree"]["6"] is False
 
 
+@pytest.mark.parametrize("norm", ["1", "4"])
+def test_zero_sphere_criteria_agree(norm):
+    # on S^0 the kernel s^2 - 1 has norm zero: every degree passes
+    got = {c: run_json(["lattice-design", "--lattice", "Z1", "--norm", norm,
+                        "--t", "6", "--criterion", c])
+           for c in ("moment", "zonal")}
+    for payload in got.values():
+        assert payload["size"] == 2 and payload["strength"] == 6
+    assert got["moment"]["per_degree"] == got["zonal"]["per_degree"] == \
+        {str(j): True for j in range(1, 7)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-design", "--lattice", "Z2", "--norm", "1", "--t",
+     str(10 ** 12), "--criterion", "moment"],
+    ["lattice-design", "--lattice", "Z2", "--norm", "1", "--t",
+     str(10 ** 12), "--criterion", "zonal"],
+    ["lattice-design", "--lattice", "E8", "--norm", "8", "--t",
+     str(lattices.DEGREE_CAP + 1), "--criterion", "zonal"],
+    ["theta", "--lattice", "Z1", "--prec", str(10 ** 12)]])
+def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert run(["--format", "json"] + argv) == (1, "")
+    assert time.perf_counter() - start < 1.0
+    assert one_error(capsys)["type"] == "CapExceededError"
+
+
 def test_e8_theta_criterion_far_norm():
     got = run_json(["lattice-design", "--lattice", "E8", "--norm", "1000",
                     "--t", "7", "--criterion", "theta"])

@@ -19,7 +19,8 @@ from designlab import lattices
 from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
 from designlab.errors import (CapExceededError, InternalCheckError,
                               PrecisionError)
-from designlab.lattices import (_SLACK, SHELL_CAP, HarmonicPolynomial, Lattice,
+from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
+                                HarmonicPolynomial, Lattice,
                                 Shell, _ldl, _lll, _pair_histogram,
                                 _reduced_basis, _search_candidates,
                                 _vectors_by_doubled_norm, constant_poly,
@@ -29,12 +30,14 @@ from designlab.lattices import (_SLACK, SHELL_CAP, HarmonicPolynomial, Lattice,
                                 lattice_e8, lattice_zn,
                                 moment_design_test, shell_enum,
                                 shell_sizes_up_to, sphere_moment,
-                                spherical_T_design_report, theta_directions,
+                                spherical_T_design_report,
+                                theta_design_report, theta_directions,
                                 theta_fit_norm, theta_membership_check,
                                 to_modular_q, zonal_coeffs,
                                 zonal_harmonic_coords, zonal_shell_sum)
-from designlab.modforms import delta_eta, eisenstein
+from designlab.modforms import SERIES_CAP, delta_eta, eisenstein
 from designlab.qseries import QSeries
+from kernel_oracle import kernel_sums, moment_inner, orthogonal_kernel_polys
 from poly_oracle import evaluate, laplacian, zonal_terms
 
 
@@ -762,13 +765,145 @@ def test_component_sums_locate_the_first_moment_failure():
 
 
 def test_kernel_polynomials_are_orthogonal():
-    from designlab.lattices import _moment_inner, _orthogonal_kernel_polys
-    polys = _orthogonal_kernel_polys(8, 8)
+    polys = orthogonal_kernel_polys(8, 8)
     for a in range(9):
         assert len(polys[a]) == a + 1 and polys[a][-1] == 1
         for b in range(a):
-            assert _moment_inner(8, list(polys[a]), list(polys[b])) == 0
-        assert _moment_inner(8, list(polys[a]), list(polys[a])) > 0
+            assert moment_inner(8, polys[a], polys[b]) == 0
+        assert moment_inner(8, polys[a], polys[a]) > 0
+
+
+def _scaled_z2(scale):
+    return Lattice(((F(scale), F(0)), (F(0), F(scale))))
+
+
+# the nonempty fixture shells the tests build, rank >= 2: (lattice, norm)
+KERNEL_SHELLS = [
+    *((lattice_zn(2), m) for m in (1, 25, 65)),
+    *((lattice_zn(3), m) for m in (1, 9)),
+    (lattice_zn(4), 2), (lattice_zn(4), 6),
+    *((lattice_a2(), m) for m in (2, 14)),
+    *((lattice_e8(), m) for m in (2, 4, 6, 8)),
+    (construction_a(d16_plus()), 2), (construction_a(golay_g24()), 2),
+    (_scaled_z2(2 ** 61), 4 * 2 ** 61), (_scaled_z2(2 ** 62), 2 ** 62)]
+
+
+@pytest.mark.parametrize("lat, norm", KERNEL_SHELLS,
+                         ids=[f"{lat.label or lat.g2[0][0]}-{norm}"
+                              for lat, norm in KERNEL_SHELLS])
+def test_component_sums_match_the_gram_schmidt_oracle(lat, norm):
+    sh = shell_enum(lat, norm)
+    hist = lattices._shell_pair_histogram(sh)
+    assert gegenbauer_component_sums(sh, range(1, 13)) == \
+        kernel_sums(hist, lat.rank, norm, range(1, 13))
+
+
+def test_component_sums_on_the_zero_sphere():
+    # on S^0 every kernel of degree >= 2 vanishes at s = +-1, and degree 1
+    # cancels over an antipodal pair: Gram-Schmidt would divide by zero
+    z1 = lattice_zn(1)
+    for norm in (1, 4, 9):
+        sh = shell_enum(z1, norm)
+        sums = gegenbauer_component_sums(sh, range(13))
+        assert sums == {0: 4, **{j: 0 for j in range(1, 13)}}
+        assert moment_design_test(sh, 12).strength == 12
+
+
+def test_degree_cap_refuses_before_any_work(monkeypatch):
+    e8 = lattice_e8()
+    sh = shell_enum(e8, 2)
+    top = gegenbauer_component_sums(sh, [DEGREE_CAP])
+    assert list(top) == [DEGREE_CAP] and top[DEGREE_CAP] != 0
+    assert moment_design_test(sh, DEGREE_CAP).strength == 7
+
+    def refuse(*args):
+        raise AssertionError("histogram or enumeration built")
+
+    monkeypatch.setattr(lattices, "_pair_histogram", refuse)
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
+    lattices._shell_pair_histogram.cache_clear()
+    for call in (lambda: moment_design_test(sh, DEGREE_CAP + 1),
+                 lambda: gegenbauer_component_sums(sh, [2, DEGREE_CAP + 1]),
+                 lambda: spherical_T_design_report(e8, 8, range(1, 10 ** 12))):
+        with pytest.raises(CapExceededError,
+                           match=f"degree {DEGREE_CAP + 1} exceeds cap"):
+            call()
+    with pytest.raises(ValueError, match="nonnegative"):
+        gegenbauer_component_sums(sh, [-2])
+
+
+def test_harmonic_theta_checks_the_series_cap_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
+    for prec in (SERIES_CAP + 1, 10 ** 12):
+        with pytest.raises(CapExceededError, match="series precision"):
+            harmonic_theta(lattice_zn(1), constant_poly(1), prec)
+    with pytest.raises(ValueError, match="dimension"):
+        harmonic_theta(lattice_zn(1), constant_poly(2), 10 ** 12)
+
+
+# the parent CLI's payload fields, recorded: (lattice, norm, t, prec_norm)
+# -> prec_norm, directions_tested, strength, failing degrees, and the mode
+# of every even degree (every odd degree is "antipodal")
+THETA_PAYLOADS = {
+    ("E8", 2, 12, 0): (8, 10, 7, [8, 12], {
+        2: "cusp space zero", 4: "cusp space zero", 6: "cusp space zero",
+        8: "nonzero fitted coefficient", 10: "cusp space zero",
+        12: "nonzero fitted coefficient"}),
+    ("E8", 100, 14, 0): (8, 10, 7, [8, 12, 14], {
+        2: "cusp space zero", 4: "cusp space zero", 6: "cusp space zero",
+        8: "nonzero fitted coefficient", 10: "cusp space zero",
+        12: "nonzero fitted coefficient", 14: "nonzero fitted coefficient"}),
+    ("E8", 1000, 7, 0): (8, 10, 7, [], {
+        2: "cusp space zero", 4: "cusp space zero", 6: "cusp space zero"}),
+    ("E8", 2, 8, 4): (4, 10, 7, [8], {
+        2: "cusp space zero", 4: "cusp space zero", 6: "cusp space zero",
+        8: "nonzero fitted coefficient"}),
+    ("CA:d16plus", 4, 8, 0): (4, 5, 3, [4, 8], {
+        2: "cusp space zero", 4: "nonzero fitted coefficient",
+        6: "cusp space zero", 8: "nonzero fitted coefficient"}),
+    ("CA:d16plus", 100, 10, 0): (4, 5, 3, [4, 8, 10], {
+        2: "cusp space zero", 4: "nonzero fitted coefficient",
+        6: "cusp space zero", 8: "nonzero fitted coefficient",
+        10: "nonzero fitted coefficient"}),
+    ("CA:golay24", 4, 3, 0): (4, 5, 3, [], {2: "cusp space zero"}),
+    ("CA:golay24", 4, 4, 0): (4, 5, 3, [4], {
+        2: "cusp space zero", 4: "nonzero fitted coefficient"}),
+}
+
+
+@pytest.mark.parametrize("key", THETA_PAYLOADS)
+def test_theta_design_report_keeps_the_cli_payload(key):
+    name, norm, t, prec_norm = key
+    lat = {"E8": lattice_e8, "CA:d16plus": lambda: construction_a(d16_plus()),
+           "CA:golay24": lambda: construction_a(golay_g24())}[name]()
+    depth, dirs, strength, fails, even_modes = THETA_PAYLOADS[key]
+    rep = theta_design_report(lat, norm, t, prec_norm)
+    assert (rep.prec_norm, rep.directions_tested, rep.strength) == \
+        (depth, dirs, strength)
+    assert rep.verdicts == {j: j not in fails for j in range(1, t + 1)}
+    assert rep.modes == {j: even_modes.get(j, "antipodal")
+                         for j in range(1, t + 1)}
+
+
+@pytest.mark.parametrize("lat, norm, t, prec_norm, message", [
+    (lattice_e8(), 2, 8, 2, "too shallow"),
+    (lattice_e8(), 2, 10 ** 12, 0, "use at least 166666666668"),
+    (lattice_e8(), 3, 4, 0, "even integer norm"),
+    (lattice_e8(), F(1, 2), 4, 0, "even integer norm"),
+    (lattice_e8(), 2, 4, -4, "nonnegative"),
+    (lattice_a2(), 2, 4, 0, "even unimodular"),
+    (lattice_zn(8), 2, 4, 0, "even unimodular")])
+def test_theta_design_report_refuses_before_enumerating(
+        monkeypatch, lat, norm, t, prec_norm, message):
+    def refuse(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
+    with pytest.raises(ValueError, match=message):
+        theta_design_report(lat, norm, t, prec_norm)
 
 
 # -- zonal harmonics ----------------------------------------------------------

@@ -164,7 +164,11 @@ def test_conformal_T_sets():
 def test_modular_obstruction_classification():
     assert modular_obstruction(8, 1).forced           # odd weight
     assert modular_obstruction(8, 8).forced is False  # dim M12 = 2
-    assert modular_obstruction(8, 8).witness_leads == (1,)
+    assert tuple(modular_obstruction(8, 8).witness_leads) == (1,)
+    # the surviving leads are a range: read at any degree in constant space
+    # (dim M_k - 1 leads at k = 10^12 + 4 = 8 mod 12)
+    assert len(modular_obstruction(8, 10 ** 12).witness_leads) == \
+        (10 ** 12 + 4) // 12
     for m in (1, 2, 3):
         for s in (1, 2, 3):
             ob = modular_obstruction(24 * m, s, min_weight_mu=m)
