@@ -30,7 +30,7 @@ from .lattices import (HarmonicPolynomial, Lattice, MembershipReport,
                        lattice_zn, moment_design_test, shell_enum,
                        shell_sizes_up_to, sphere_moment,
                        spherical_T_design_report, theta_design_report,
-                       theta_membership_check, to_modular_q, zonal_coeffs,
+                       theta_membership_check, to_modular_q,
                        zonal_harmonic_coords, zonal_shell_sum)
 from .voa import (ConformalTSet, LehmerScan, ObstructionResult,
                   ProportionalityCertificate, Remark4Report, StrengthReport,

@@ -26,11 +26,12 @@ from ._parallel import default_workers
 from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
                     golay_g24, hamming_e8, shell, two_weight_design_check)
 from .errors import DesignLabError
-from .lattices import (Lattice, constant_poly, construction_a, gram_from_text,
-                       harmonic_theta, lattice_a2, lattice_e8, lattice_zn,
-                       moment_design_test, prefix_strength, shell_enum,
-                       spherical_T_design_report, theta_design_report,
-                       theta_membership_check, zonal_harmonic_coords)
+from .lattices import (Lattice, _degree_list, constant_poly, construction_a,
+                       gram_from_text, harmonic_theta, lattice_a2, lattice_e8,
+                       lattice_zn, moment_design_test, prefix_strength,
+                       shell_enum, spherical_T_design_report,
+                       theta_design_report, theta_membership_check,
+                       zonal_harmonic_coords)
 from .modforms import eta_quotient
 from .qseries import QSeries, exact_str
 from .voa import remark4_series, strength_at
@@ -275,6 +276,7 @@ def cmd_lattice_design(a, out):
                  + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
         return payload, text
     if a.criterion == "moment":
+        _degree_list(range(1, a.t + 1))     # refused before the search
         rep = moment_design_test(shell_enum(lat, a.norm, workers=a.workers),
                                  a.t)
         per, strength = rep.per_k, rep.strength

@@ -19,12 +19,13 @@ any row is mapped back to the caller's basis: the search stops once the
 ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
 smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
-moments give the cumulative strength-t criterion, and the monic Gegenbauer
-kernels, by their three-term recurrence, per-degree verdicts; fitted
-weighted thetas decide even unimodular shells past enumeration
-(``theta_design_report``).  A harmonic polynomial is the constant 1 or a
-zonal harmonic whose direction is a lattice coordinate row, summed over a
-shell through the Gram matrix.
+moments give the cumulative strength-t criterion, and the zonal kernel
+(the monic Gegenbauer recurrence in integers, ``_zonal_sums``) per-degree
+verdicts; fitted weighted thetas decide even unimodular shells past
+enumeration (``theta_design_report``).  A harmonic polynomial is the
+constant 1 or a zonal harmonic along a lattice coordinate row, summed over
+a shell by the same kernel on the histogram of its inner products with
+the row.  Every degree passes one ``DEGREE_CAP`` check (``_degree_list``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP", "DEGREE_CAP",
     "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
-    "zonal_coeffs", "zonal_harmonic_coords", "zonal_shell_sum",
+    "zonal_harmonic_coords", "zonal_shell_sum",
     "constant_poly",
     "harmonic_theta", "to_modular_q", "theta_membership_check",
     "MembershipReport", "theta_directions", "theta_fit_norm",
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 SHELL_CAP = 1_000_000       # refuse to enumerate larger shells
-DEGREE_CAP = 1000           # refuse moment and kernel-sum degrees past this
+DEGREE_CAP = 1000           # refuse moment, kernel and zonal degrees past this
 _SLACK = 1 + 2.0 ** -20     # float pruning radius inflation
 _CHUNK = 1 << 13            # rows expanded per level, or compared, at once
 _PAIR_BLOCK = 4_000_000     # inner products computed at once per histogram
@@ -728,37 +729,49 @@ def _degree_list(degrees) -> list[int]:
     return sorted(seen)
 
 
+def _zonal_sums(rank: int, values, counts, d2: int,
+                degrees: list[int]) -> dict[int, Fraction]:
+    """Sum of count * Z_j(value) over a histogram, for each degree j of the
+    checked, sorted list ``degrees`` (``_degree_list``).
+
+    Z_j(v) = D^j p_j(v/D) is the monic rank-n Gegenbauer kernel p_j,
+    orthogonal under the sphere moments, made homogeneous in v and
+    D^2 = d2: Z_0 = 1, Z_1 = v, Z_(j+1) = v Z_j - (b_j/a_j) D^2 Z_(j-1),
+    with b_1/a_1 = 1/n and b_j/a_j = j(j+n-3)/((2j+n-2)(2j+n-4)); on S^0
+    every p_j, j >= 2, vanishes at s = +-1.  Integer values and d2 keep it
+    in integers: Q_j = A_j Z_j, A_(j+1) = a_j A_j, a_0 = 1, obeys
+    Q_(j+1) = a_j v Q_j - D^2 b_j a_(j-1) Q_(j-1).
+    """
+    prev, cur = [0] * len(values), [1] * len(values)    # Q_(j-1), Q_j
+    scale, a_prev = 1, 1                                # A_j, a_(j-1)
+    out: dict[int, Fraction] = {}
+    for j in range(degrees[-1] + 1 if degrees else 0):
+        if j == degrees[len(out)]:
+            out[j] = Fraction(sum(c * q for c, q in zip(counts, cur)), scale)
+        a, b = ((1, 0), (rank, 1))[j] if j < 2 else (
+            (2 * j + rank - 2) * (2 * j + rank - 4), j * (j + rank - 3))
+        lag = d2 * b * a_prev
+        prev, cur = cur, [a * v * q - lag * p
+                          for v, q, p in zip(values, cur, prev)]
+        scale, a_prev = a * scale, a
+    return out
+
+
 def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
     """Exact per-degree kernel sums S_j = sum over X x X of p_j(x.y / r^2);
     S_j = 0 iff the shell averages every degree-j harmonic polynomial to zero.
 
-    p_j is the monic rank-n Gegenbauer kernel, orthogonal under the sphere
-    moments: p_0 = 1, p_1 = s, p_(j+1) = s p_j - (b_j/a_j) p_(j-1), with
-    b_1/a_1 = 1/n and b_j/a_j = j(j+n-3)/((2j+n-2)(2j+n-4)); on S^0 every
-    p_j, j >= 2, vanishes at s = +-1.  It is read at each cosine s = W/D of
-    the pair histogram (W = e w, D/e = 2r^2) in integers: Q_j = K_j p_j(s),
-    K_(j+1) = a_j D K_j, a_0 = 1, obeys Q_(j+1) = a_j W Q_j - D^2 b_j
-    a_(j-1) Q_(j-1).
+    The zonal kernel (``_zonal_sums``) reads the pair histogram at
+    v = e w with D = d, where d/e = 2r^2: S_j = Z_j(e w) / d^j.
     """
     if not len(shell) or shell.norm <= 0:
         raise ValueError("component sums need a nonempty positive-norm shell")
-    n = shell.lattice.rank
     wanted = _degree_list(degrees)
     hist = _shell_pair_histogram(shell)
     d, e = (2 * shell.norm).numerator, (2 * shell.norm).denominator
-    ws, cnts = [e * w for w, _ in hist], [cnt for _, cnt in hist]
-    prev, cur = [0] * len(ws), [1] * len(ws)        # Q_(j-1), Q_j
-    scale, a_prev = 1, 1                            # K_j, a_(j-1)
-    out: dict[int, Fraction] = {}
-    for j in range(wanted[-1] + 1 if wanted else 0):
-        if j == wanted[len(out)]:
-            out[j] = Fraction(sum(c * q for c, q in zip(cnts, cur)), scale)
-        a, b = ((1, 0), (n, 1))[j] if j < 2 else (
-            (2 * j + n - 2) * (2 * j + n - 4), j * (j + n - 3))
-        lag = d * d * b * a_prev
-        prev, cur = cur, [a * w * q - lag * p for w, q, p in zip(ws, cur, prev)]
-        scale, a_prev = a * d * scale, a
-    return out
+    sums = _zonal_sums(shell.lattice.rank, [e * w for w, _ in hist],
+                       [cnt for _, cnt in hist], d * d, wanted)
+    return {j: s / d ** j for j, s in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -810,8 +823,7 @@ class HarmonicPolynomial:
 
     def __post_init__(self):
         u = self.direction
-        if self.degree < 0:
-            raise ValueError("harmonic degree must be nonnegative")
+        _degree_list((self.degree,))      # nonnegative, at most DEGREE_CAP
         if u is None and self.degree != 0:
             raise ValueError("only the constant 1 has no direction")
         if u is not None and (len(u) != self.n or not any(u)):
@@ -823,46 +835,28 @@ def constant_poly(n: int) -> HarmonicPolynomial:
     return HarmonicPolynomial(n, 0)
 
 
-def zonal_coeffs(n: int, k: int, u_norm2: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients c_j making sum c_j (x.u)^{k-2j}(x.x)^j harmonic.
-
-    Annihilating the Laplacian term by term forces
-      c_{j+1} = -c_j (k-2j)(k-2j-1) |u|^2 / (2(j+1)(n + 2k - 2j - 4)).
-    """
-    cs = [Fraction(1)]
-    for j in range(k // 2):
-        num = -(k - 2 * j) * (k - 2 * j - 1) * u_norm2
-        den = 2 * (j + 1) * (n + 2 * k - 2 * j - 4)
-        cs.append(cs[-1] * num / den)
-    return tuple(cs)
-
-
 def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial:
     """Zonal harmonic whose direction is a lattice coordinate row."""
     return HarmonicPolynomial(lat.rank, k, tuple(map(Fraction, direction)))
 
 
 def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
-    """Exact sum over the shell of the degree-k zonal with the given
-    lattice-coordinate direction (histogram of x.u values, then the ladder)."""
+    """Exact sum over the shell of the degree-k zonal harmonic along the
+    lattice-coordinate row u: the zonal kernel (``_zonal_sums``) at the
+    histogram of v = 2 scale (x.u), with D^2 = (2 scale)^2 r^2 |u|^2, an
+    integer since 2r^2 is one; the sum is divided by (2 scale)^k."""
+    wanted = _degree_list((k,))
     if not len(shell):
         return Fraction(0)
-    w = [Fraction(x) for x in direction]
-    u_norm2 = Fraction(sum(x * gij * y for x, row in zip(w, lat.g2) if x
-                           for gij, y in zip(row, w) if y)) / 2
-    cs = zonal_coeffs(lat.rank, k, u_norm2)
-    scale = math.lcm(*(x.denominator for x in w))
-    w_int = [int(x * scale) for x in w]
-    arr, g2 = _exact_operands(lat.g2, shell.rows, max(abs(x) for x in w_int))
-    dots2 = arr @ g2 @ np.array(w_int, dtype=arr.dtype)   # 2*scale*(x.u)
+    scale = math.lcm(*(Fraction(x).denominator for x in direction))
+    w = [int(Fraction(x) * scale) for x in direction]   # scale * u
+    arr, g2 = _exact_operands(lat.g2, shell.rows, max(abs(x) for x in w))
+    dots2 = arr @ g2 @ np.array(w, dtype=arr.dtype)   # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)
-    r2 = shell.norm
-    acc = Fraction(0)
-    for v, cnt in zip(vals.tolist(), counts.tolist()):
-        a = Fraction(int(v), 2 * scale)
-        acc += cnt * sum(c * a ** (k - 2 * j) * r2 ** j
-                         for j, c in enumerate(cs))
-    return acc
+    d2 = int(2 * shell.norm) * sum(x * gij * y for x, row in zip(w, lat.g2)
+                                   if x for gij, y in zip(row, w) if y)
+    return _zonal_sums(lat.rank, vals.tolist(), counts.tolist(), d2,
+                       wanted)[k] / (2 * scale) ** k
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,17 @@ def test_zero_sphere_criteria_agree(norm):
      str(10 ** 12), "--criterion", "zonal"],
     ["lattice-design", "--lattice", "E8", "--norm", "8", "--t",
      str(lattices.DEGREE_CAP + 1), "--criterion", "zonal"],
-    ["theta", "--lattice", "Z1", "--prec", str(10 ** 12)]])
-def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, capsys):
+    ["theta", "--lattice", "Z1", "--prec", str(10 ** 12)],
+    ["theta", "--lattice", "Z2", "--poly", "zonal:1000000000:1,0",
+     "--prec", "4"],
+    ["lattice-design", "--lattice", "Z12", "--norm", "8", "--t",
+     str(10 ** 12), "--criterion", "moment"]])
+def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, monkeypatch,
+                                                             capsys):
+    def refuse(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
     start = time.perf_counter()
     assert run(["--format", "json"] + argv) == (1, "")
     assert time.perf_counter() - start < 1.0

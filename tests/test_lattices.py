@@ -33,12 +33,13 @@ from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
                                 spherical_T_design_report,
                                 theta_design_report, theta_directions,
                                 theta_fit_norm, theta_membership_check,
-                                to_modular_q, zonal_coeffs,
-                                zonal_harmonic_coords, zonal_shell_sum)
+                                to_modular_q, zonal_harmonic_coords,
+                                zonal_shell_sum)
 from designlab.modforms import SERIES_CAP, delta_eta, eisenstein
 from designlab.qseries import QSeries
 from kernel_oracle import kernel_sums, moment_inner, orthogonal_kernel_polys
-from poly_oracle import evaluate, laplacian, zonal_terms
+from poly_oracle import (evaluate, ladder, laplacian, recurrence_terms,
+                         zonal_terms)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -238,15 +239,6 @@ def wallis_moment(n, k):
                    for i in range(m + 1))
 
     return integral(k) / integral(0)
-
-
-def ladder(n, k, u2):
-    """Zonal coefficient ladder, reimplemented for independence."""
-    cs = [F(1)]
-    for j in range(k // 2):
-        cs.append(cs[-1] * F(-(k - 2 * j) * (k - 2 * j - 1) * u2,
-                             2 * (j + 1) * (n + 2 * k - 2 * j - 4)))
-    return cs
 
 
 def d8plus_roots():
@@ -815,6 +807,9 @@ def test_degree_cap_refuses_before_any_work(monkeypatch):
     top = gegenbauer_component_sums(sh, [DEGREE_CAP])
     assert list(top) == [DEGREE_CAP] and top[DEGREE_CAP] != 0
     assert moment_design_test(sh, DEGREE_CAP).strength == 7
+    row = (1,) + (0,) * 7
+    assert zonal_harmonic_coords(e8, DEGREE_CAP, row).degree == DEGREE_CAP
+    assert zonal_shell_sum(e8, sh, DEGREE_CAP, row) != 0
 
     def refuse(*args):
         raise AssertionError("histogram or enumeration built")
@@ -824,7 +819,13 @@ def test_degree_cap_refuses_before_any_work(monkeypatch):
     lattices._shell_pair_histogram.cache_clear()
     for call in (lambda: moment_design_test(sh, DEGREE_CAP + 1),
                  lambda: gegenbauer_component_sums(sh, [2, DEGREE_CAP + 1]),
-                 lambda: spherical_T_design_report(e8, 8, range(1, 10 ** 12))):
+                 lambda: spherical_T_design_report(e8, 8, range(1, 10 ** 12)),
+                 # a zonal degree is refused where its polynomial is built,
+                 # before any theta, and by the shell sum, even when empty
+                 lambda: zonal_harmonic_coords(e8, DEGREE_CAP + 1, row),
+                 lambda: zonal_shell_sum(e8, sh, DEGREE_CAP + 1, row),
+                 lambda: zonal_shell_sum(e8, Shell(e8, F(1), ()),
+                                         DEGREE_CAP + 1, row)):
         with pytest.raises(CapExceededError,
                            match=f"degree {DEGREE_CAP + 1} exceeds cap"):
             call()
@@ -909,16 +910,45 @@ def test_theta_design_report_refuses_before_enumerating(
 # -- zonal harmonics ----------------------------------------------------------
 
 def test_zonal_coefficient_ladder():
-    assert zonal_coeffs(8, 2, F(2)) == (1, F(-2, 8))
+    # the recurrence, expanded term by term, is the harmonic the ladder gives
+    assert ladder(8, 2, F(2)) == [1, F(-2, 8)]
     for n in (3, 8, 16):
         for k in (2, 4, 6, 8):
-            assert zonal_coeffs(n, k, F(3)) == tuple(ladder(n, k, F(3)))
+            direction = (1, 1, 1) + (0,) * (n - 3)
+            terms = recurrence_terms(n, k, direction)
+            assert laplacian(terms) == {}
+            assert terms == zonal_terms(n, k, direction, ladder(n, k, F(3)))
+
+
+def zonal_kernel(n, k, a, r2, u2):
+    """The package kernel Z_k(a; r2 u2) at a rational value a, through one
+    integer scaling: Z_k(lam a; lam^2 D^2) = lam^k Z_k(a; D^2)."""
+    lam = math.lcm(a.denominator, (r2 * u2).denominator)
+    return lattices._zonal_sums(n, [int(lam * a)], [1],
+                                int(lam * lam * r2 * u2), [k])[k] / lam ** k
+
+
+def test_zonal_kernel_equals_the_ladder():
+    values = (F(0), F(3), F(-5, 2), F(7, 3))
+    for n in range(1, 25):
+        for u2, r2 in ((F(1), F(2)), (F(5, 2), F(7, 2)), (F(3), F(2, 3))):
+            for k in range(17):
+                cs = ladder(n, k, u2)
+                for a in values:
+                    want = sum(c * a ** (k - 2 * j) * r2 ** j
+                               for j, c in enumerate(cs))
+                    assert zonal_kernel(n, k, a, r2, u2) == want
+    # a histogram sums count * Z_k(value) over its bins, degrees at once
+    sums = lattices._zonal_sums(5, [0, 3, -4], [2, 1, 7], 6, [0, 3, 4, 9])
+    for k, got in sums.items():
+        assert got == sum(c * zonal_kernel(5, k, F(v), F(6), F(1))
+                          for v, c in ((0, 2), (3, 1), (-4, 7)))
 
 
 def test_zonal_harmonic_explicit_terms_degree_two():
     p = zonal_harmonic_coords(lattice_zn(3), 2, (1, 0, 0))
     assert p == HarmonicPolynomial(3, 2, (F(1), F(0), F(0)))
-    terms = zonal_terms(3, 2, p.direction, zonal_coeffs(3, 2, F(1)))
+    terms = zonal_terms(3, 2, p.direction, ladder(3, 2, F(1)))
     assert terms == {(2, 0, 0): F(2, 3), (0, 2, 0): F(-1, 3),
                      (0, 0, 2): F(-1, 3)}
     assert laplacian(terms) == {}
@@ -950,9 +980,35 @@ def test_zonal_gram_route_matches_direct_evaluation_on_z4():
     for direction in ((1, 1, 0, 0), (2, 1, 0, -1)):
         for k in (2, 4, 6):
             u2 = sum(x * x for x in direction)      # Euclidean on Z^4
-            terms = zonal_terms(4, k, direction, zonal_coeffs(4, k, u2))
+            terms = zonal_terms(4, k, direction, ladder(4, k, u2))
             direct = sum(evaluate(terms, v) for v in sh.vectors)
             assert zonal_shell_sum(z4, sh, k, direction) == direct
+
+
+@pytest.mark.parametrize("factor,norms", [(1, (2, 6, 14)), (F(1, 2), (1, 3, 7))])
+def test_zonal_sums_along_fractional_directions_on_a2(factor, norms):
+    # A2 and A2 scaled by 1/2, whose Gram matrix has halves, along
+    # directions with denominators up to 6: the kernel reads integers
+    # 2 scale (x.u), the oracle the ladder at the Fraction values x.G.u
+    a2 = Lattice([[factor * x for x in row] for row in lattice_a2().gram])
+    gram = a2.gram
+    for direction in ((F(1, 3), F(1, 2)), (F(2, 3), F(-5, 2)), (1, F(1, 2))):
+        u = [F(x) for x in direction]
+        u2 = sum(u[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
+        for norm in norms:
+            sh = shell_enum(a2, norm)
+            assert len(sh) in (6, 12)
+            dots = [sum(x[i] * gram[i][j] * u[j] for i in range(2)
+                        for j in range(2)) for x in sh.vectors]
+            for k in range(9):
+                cs = ladder(2, k, u2)
+                want = sum(sum(c * a ** (k - 2 * j) * F(norm) ** j
+                               for j, c in enumerate(cs)) for a in dots)
+                assert zonal_shell_sum(a2, sh, k, direction) == want
+        # the minimal hexagon is a 5-design but not a 6-design
+        sh = shell_enum(a2, norms[0])
+        assert zonal_shell_sum(a2, sh, 4, direction) == 0
+        assert zonal_shell_sum(a2, sh, 6, direction) != 0
 
 
 def test_e8_zonal_sums_match_the_euclidean_root_model():

@@ -22,13 +22,13 @@ from designlab.lattices import (Lattice, constant_poly, construction_a,
                                 lattice_a2, lattice_e8, lattice_zn,
                                 moment_design_test, shell_enum,
                                 shell_sizes_up_to, spherical_T_design_report,
-                                zonal_coeffs, zonal_harmonic_coords)
+                                zonal_harmonic_coords)
 from designlab.modforms import (eisenstein, eta_quotient, mf_basis, mf_dim,
                                 sigma)
 from designlab.qseries import QSeries
 from designlab.voa import (_witness_trace, b_series, conformal_T_set,
                            ord_criterion, remark4_series, strength_at)
-from poly_oracle import laplacian, zonal_terms
+from poly_oracle import ladder, laplacian, recurrence_terms, zonal_terms
 from trace_oracle import CLOSED_FORMS, e4, eta8
 
 
@@ -176,13 +176,15 @@ def test_construction_a_outputs_even_unimodular():
 
 @pytest.mark.parametrize("n,k", [(2, 3), (2, 6), (3, 4), (8, 8), (16, 4)])
 def test_zonal_polynomials_are_homogeneous_harmonics(n, k):
-    # the package's ladder, expanded term by term by the oracle on Z^n
+    # the kernel's recurrence, expanded term by term by the oracle on Z^n,
+    # is the harmonic whose coefficients the ladder gives
     direction = tuple(1 if i % 2 else 2 for i in range(n))
     p = zonal_harmonic_coords(lattice_zn(n), k, direction)
     u2 = sum(x * x for x in direction)      # Euclidean on Z^n
-    terms = zonal_terms(n, k, p.direction, zonal_coeffs(n, k, u2))
+    terms = recurrence_terms(n, k, p.direction)
     assert {sum(m) for m in terms} == {k}
     assert laplacian(terms) == {}
+    assert terms == zonal_terms(n, k, p.direction, ladder(n, k, u2))
 
 
 # -- code layer: counting vs harmonic sums -----------------------------
