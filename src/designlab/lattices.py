@@ -9,15 +9,18 @@ Shell search is a breadth-wise Fincke-Pohst search in numpy, run in one
 process: each level expands a chunk of frontier rows at once, and the
 frontier is walked depth-first in chunks so memory stays bounded.  It runs
 in an exactly checked LLL-reduced basis and over half the ball (v and -v
-are one candidate), then maps the rows back and adds the negations.  It
-prunes with floats (bounds inflated by a fixed slack) but accepts
-exclusively by exact integer arithmetic, so the enumerated shells are
-exact.  A shell is a slice of the ball's sorted integer array, held in an
-immutable buffer so no caller can write to it; Python tuples of its
-vectors are built only on demand.  Size caps are checked on counts, before
-any row is mapped back to the caller's basis: the search stops once the
-ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
-smallest norm whose shell is larger than the cap.
+are one candidate), maps the rows back, turns each so its first nonzero
+coordinate is positive and sorts only that half: a sorted shell is its
+half negated and reversed, then the half.  It prunes with floats (bounds
+inflated by a fixed slack) but accepts exclusively by exact integer
+arithmetic, so the enumerated shells are exact; integer products take
+float64 BLAS only where every partial sum is an integer below 2^53
+(``_int_matmul``).  A shell is a slice of the ball's sorted integer
+array, held in an immutable buffer so no caller can write to it; Python
+tuples of its vectors are built only on demand.  Size caps are checked on
+counts, before any row is mapped back to the caller's basis: the search
+stops once the ball's candidates pass 4*cap + 64, and the per-norm
+tallies refuse the smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and the zonal kernel
 (the monic Gegenbauer recurrence in integers, ``_zonal_sums``) per-degree
@@ -343,22 +346,47 @@ def _reduced_basis(g2) -> tuple[tuple[tuple[int, ...], ...],
 
 def _exact_operands(mat, rows, right_max: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rows and an n x n integer matrix M (a doubled Gram matrix
-    or a basis transform) as arrays for the products rows @ M @ y,
+    """Coordinate rows and an integer matrix M of n rows (a doubled Gram
+    matrix, a basis transform or a column) as arrays for rows @ M @ y,
     |y| <= right_max (default: max |row entry|).  Those stay below
     n^2 * max|row| * max|M| * max|y|: int64 when that bound rules out
     overflow, Python ints otherwise."""
     bound = len(mat) ** 2 * max(abs(x) for row in mat for x in row)
     arr = np.array(rows, dtype=np.int64)
-    m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    m = _max_abs(arr)
     if bound * m * (m if right_max is None else right_max) < 2 ** 63:
         return arr, np.array(mat, dtype=np.int64)
     return arr.astype(object), np.array(mat, dtype=object)
 
 
+def _max_abs(arr: np.ndarray) -> int:
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+
+
+def _int_matmul(rows, mat) -> np.ndarray:
+    """Exact rows @ M for a small integer matrix M (nested sequences).  Each
+    partial sum is at most n * max|row| * max|M|: below 2^53 float64 BLAS is
+    exact, in tiles of at most ``_BLAS_SERIAL`` multiply-adds (one OpenBLAS
+    thread) and the narrowest dtype; else the ``_exact_operands`` rule."""
+    bound = len(mat) * _max_abs(rows) * max(abs(x) for row in mat for x in row)
+    if bound < 2 ** 53:
+        right = np.array(mat, dtype=np.float64)
+        out = np.empty((len(rows), right.shape[1]), dtype=_int_dtype(bound))
+        step = max(1, _BLAS_SERIAL // right.size)
+        for lo in range(0, len(rows), step):
+            out[lo:lo + step] = rows[lo:lo + step].astype(np.float64) @ right
+        return out
+    arr, right = _exact_operands(mat, rows, 1)
+    return arr @ right
+
+
 def _doubled_norms(g2, rows) -> np.ndarray:
-    arr, mat = _exact_operands(g2, rows)
-    return (arr @ mat * arr).sum(axis=1)
+    """v G2 v^T per row from v G2 (``_int_matmul``), summed a column at a time
+    in int64 while n^2 * max|G2| * max|v|^2 < 2^63, else in Python ints."""
+    xg, m = _int_matmul(rows, g2), _max_abs(rows)
+    wide = len(g2) ** 2 * max(abs(x) for row in g2 for x in row) * m * m
+    dtype = np.int64 if wide < 2 ** 63 else object
+    return sum(xg[:, j].astype(dtype) * rows[:, j] for j in range(len(g2)))
 
 
 def _int_dtype(bound: int) -> np.dtype:
@@ -482,14 +510,17 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     increasing order, and the rows sorted by (norm, coordinates).
 
     The half-ball search runs in the LLL-reduced basis.  Count first: each
-    chunk of candidates gets exact doubled norms (int64 or Python ints by
-    the ``_exact_operands`` rule), and the accepted rows, each standing for
-    itself and its negation, are tallied twice per norm.  Once a tally has
-    passed ``cap``, rows are only counted, not kept; after the search the
-    smallest doubled norm over the cap is refused, whatever the basis.  Then
-    the kept rows go back to the caller's coordinates through U (the same
-    rule), a chunk at a time, and are joined by their negations before one
-    lexsort, and the sorted rows into an immutable buffer (``_read_only``).
+    chunk of candidates gets exact doubled norms, and the accepted rows,
+    each standing for itself and its negation, are tallied twice per norm.
+    Once a tally has passed ``cap``, rows are only counted, not kept; after
+    the search the smallest doubled norm over the cap is refused, whatever
+    the basis.  Then the kept rows go back to the caller's coordinates
+    through U (unless U = I), a chunk at a time, each turned so its first
+    nonzero coordinate is positive, and one lexsort orders this half; a
+    repeated row (the search emitted v twice, or v and -v) is refused.
+    Vectors with a negative first nonzero coordinate sort before the rest,
+    and negation reverses the order, so each shell is its sorted half H as
+    -reverse(H) then H, in an immutable buffer (``_read_only``).
     """
     u, g2 = _reduced_basis(lat.g2)
     tally: dict[int, int] = {}
@@ -516,18 +547,27 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
                 f"shell at doubled norm {w} has {size} > cap {cap}")
     if not sizes:
         return sizes, np.zeros((0, lat.rank), dtype=np.int8)
+    identity = all(x == (i == j) for i, row in enumerate(u)
+                   for j, x in enumerate(row))
     for i, part in enumerate(kept_rows):
-        arr, mat = _exact_operands(u, part, 1)
-        part = arr @ mat
-        kept_rows[i] = part.astype(_int_dtype(int(np.abs(part).max())))
+        if not identity:
+            part = _int_matmul(part, u)
+            part = part.astype(_int_dtype(_max_abs(part)), copy=False)
+        lead = part[np.arange(len(part)), (part != 0).argmax(axis=1)]
+        kept_rows[i] = np.negative(part, out=part, where=(lead < 0)[:, None])
     half = np.concatenate(kept_rows)
     kept_rows.clear()
-    rows = np.concatenate([half, -half])
-    del half
-    _, inv = np.unique(np.concatenate(kept_norms * 2), return_inverse=True)
-    order = np.lexsort(tuple(rows[:, j] for j in range(lat.rank - 1, -1, -1))
-                       + (inv.reshape(-1),))
-    rows = rows[order]          # frees the unsorted ball before the copy
+    order = np.lexsort(tuple(half[:, j] for j in range(lat.rank - 1, -1, -1))
+                       + (np.concatenate(kept_norms),))
+    half = half[order]          # frees the unsorted half before the copy
+    if (half[1:] == half[:-1]).all(axis=1).any():
+        raise InternalCheckError("search emitted a row twice or with -row")
+    rows, start = np.empty((2 * len(half), lat.rank), half.dtype), 0
+    for size in sizes.values():
+        h = half[start // 2:(start + size) // 2]
+        np.negative(h[::-1], out=rows[start:start + size // 2])
+        rows[start + size // 2:start + size] = h
+        start += size
     return sizes, _read_only(rows)
 
 
@@ -625,18 +665,17 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     histogram take 0.09 to 0.45 s.  Other inputs take int64 or Python-int
     products (the ``_exact_operands`` rule) and ``np.unique``.
     """
-    arr, g2 = _exact_operands(shell.lattice.g2, shell.rows)
+    arr, _ = _exact_operands(shell.lattice.g2, shell.rows)
     fold = len(arr) % 2 == 0 and _is_antipodal(arr)
     if fold:
         arr = arr[:len(arr) // 2]
-    xg = arr @ g2
+    xg = _int_matmul(arr, shell.lattice.g2)
     size = len(arr)
     w = int(2 * shell.norm)
     rank = shell.lattice.rank
     hist: dict[int, int] = {}
     if (arr.dtype != object and 2 * w < _PAIR_BLOCK
-            and rank * int(np.abs(arr).max(initial=0))
-            * int(np.abs(xg).max(initial=0)) < 2 ** 53):
+            and rank * _max_abs(arr) * _max_abs(xg) < 2 ** 53):
         left, right = xg.astype(np.float64), arr.astype(np.float64).T
         side = max(1, math.isqrt(min(_PAIR_BLOCK, _BLAS_SERIAL // rank)))
         # row 0 counts the diagonal tiles, row 1 the tiles above them
@@ -850,11 +889,10 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
         return Fraction(0)
     scale = math.lcm(*(Fraction(x).denominator for x in direction))
     w = [int(Fraction(x) * scale) for x in direction]   # scale * u
-    arr, g2 = _exact_operands(lat.g2, shell.rows, max(abs(x) for x in w))
-    dots2 = arr @ g2 @ np.array(w, dtype=arr.dtype)   # 2*scale*(x.u)
+    gw = [[sum(gij * y for gij, y in zip(row, w))] for row in lat.g2]
+    dots2 = _int_matmul(shell.rows, gw)[:, 0]          # 2*scale*(x.u)
     vals, counts = np.unique(dots2, return_counts=True)
-    d2 = int(2 * shell.norm) * sum(x * gij * y for x, row in zip(w, lat.g2)
-                                   if x for gij, y in zip(row, w) if y)
+    d2 = int(2 * shell.norm) * sum(x * g[0] for x, g in zip(w, gw))
     return _zonal_sums(lat.rank, vals.tolist(), counts.tolist(), d2,
                        wanted)[k] / (2 * scale) ** k
 
@@ -963,6 +1001,7 @@ def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
     (``theta_directions`` by default); yield (direction, coords, form), the
     form rebuilt through q^prec.  Membership is a theorem for even
     unimodular lattices, so a failed fit is an internal error."""
+    _degree_list((degree,))             # the cap refuses before any form
     space = mf_basis(lat.rank // 2 + degree, prec)
     for u in theta_directions(lat.rank) if directions is None else directions:
         rep = theta_membership_check(lat, zonal_harmonic_coords(lat, degree, u),

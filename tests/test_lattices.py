@@ -659,6 +659,81 @@ def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
         "L.shell_enum(L.lattice_zn(2), 1)")
 
 
+def test_half_ball_with_a_vector_and_its_negation_is_refused(monkeypatch):
+    # a search that emits v and -v (or v twice) would double a shell; the
+    # half is sorted after the sign turn, so the two rows sit side by side
+    for emitted in ([[1, 0], [-1, 0]], [[0, 1], [0, 1]]):
+        monkeypatch.setattr(lattices, "_search_candidates",
+                            lambda *a, rows=emitted: iter([np.array(rows)]))
+        with pytest.raises(InternalCheckError, match="twice or with -row"):
+            lattices._sorted_ball(lattice_zn(2), 2, SHELL_CAP)
+
+
+def test_half_ball_repeat_guard_runs_under_optimize(refused_under_optimize):
+    assert refused_under_optimize(
+        "import numpy as np\n"
+        "import designlab.lattices as L\n"
+        "rows = np.array([[1, 0], [-1, 0]])\n"
+        "L._search_candidates = lambda *a: iter([rows])\n"
+        "L.shell_enum(L.lattice_zn(2), 1)")
+
+
+def python_products(rows, mat):
+    return [[sum(a * b for a, b in zip(r, col)) for col in zip(*mat)]
+            for r in rows]
+
+
+@pytest.mark.parametrize("serial", [lattices._BLAS_SERIAL, 5])
+def test_int_matmul_is_exact_in_every_regime(monkeypatch, serial):
+    # a tiny serial budget cuts the float64 product into one-row tiles
+    monkeypatch.setattr(lattices, "_BLAS_SERIAL", serial)
+    mat = ((3, 1, -7), (1, 5, 2))
+    # n * max|row| * max|M| = 14 * 2^49 < 2^53: float64, exact
+    small = [[2 ** 49 - 1, -(2 ** 49) + 3], [5, -2], [0, 0]]
+    # 14 * 2^55 >= 2^53, n^2 * 7 * 2^55 < 2^63: int64; products past 2^53
+    # that float64 would round
+    mid = [[2 ** 55 + 1, -(2 ** 55) + 7], [3, 2 ** 54 + 1]]
+    # past 2^63: Python ints
+    big = [[2 ** 62 + 1, -(2 ** 62)], [1, 2 ** 61 - 1]]
+    for rows, dtype in ((small, np.int64), (mid, np.int64), (big, object)):
+        out = lattices._int_matmul(np.array(rows, dtype=np.int64), mat)
+        assert out.dtype == dtype
+        assert out.tolist() == python_products(rows, mat)
+    # a column right factor and narrow rows, as the zonal sums use it
+    col = [[2 ** 40], [-3]]
+    rows = np.array([[127, -128], [-1, 0]], dtype=np.int8)
+    assert lattices._int_matmul(rows, col).tolist() == \
+        python_products(rows.tolist(), col)
+
+
+def test_doubled_norms_keep_the_quadratic_bound():
+    g2 = ((2, 1), (1, 4))
+    cases = [
+        ([[3, -1], [2 ** 20, 5]], np.int64),        # float64, then int64
+        # v G2 is below 2^53 (float64), but the norms pass 2^63: the row
+        # sums must run in Python ints, not wrap around in int64
+        ([[2 ** 40, 3], [-(2 ** 40) + 1, 2 ** 40]], object),
+        ([[2 ** 60, 1], [1, -(2 ** 61)]], object),  # Python ints throughout
+    ]
+    for rows, dtype in cases:
+        want = [sum(g2[i][j] * v[i] * v[j] for i in range(2) for j in range(2))
+                for v in rows]
+        got = lattices._doubled_norms(g2, np.array(rows, dtype=np.int64))
+        assert got.dtype == dtype
+        assert got.tolist() == want
+
+
+def test_zonal_theta_fits_refuse_the_degree_before_any_form(monkeypatch):
+    # the weight-1006 basis took seconds to build before the degree cap
+    # refused the request; the cap must come first
+    def never(*args):
+        raise AssertionError("mf_basis built before the degree check")
+
+    monkeypatch.setattr(lattices, "mf_basis", never)
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        next(lattices.zonal_theta_fits(lattice_e8(), DEGREE_CAP + 2, 8, 200))
+
+
 def test_worker_partitioning_changes_nothing():
     e8 = lattice_e8()
     assert shell_enum(e8, 6, workers=3).vectors == \
