@@ -208,9 +208,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
-def _mask_dtype(bits: int) -> np.dtype:
-    """int64 for masks below 2^bits while bits <= 62, else Python ints."""
-    return np.dtype(np.int64) if bits <= 62 else np.dtype(object)
+def _int_dtype(bound: int) -> np.dtype:
+    """The one integer-width rule: the narrowest of int8 to int64 holding
+    every value in [-bound, bound], else Python ints (object)."""
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(object)
 
 
 def _bits(points: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -243,7 +247,7 @@ _SCAN = 1 << 16             # entries per chunk of a scan
 
 def _points(masks, n: int) -> np.ndarray:
     """Transposed incidence, points x masks: row p holds [p in u] as int8."""
-    arr = np.array(masks, dtype=_mask_dtype(n))
+    arr = np.array(masks, dtype=_int_dtype((1 << n) - 1))
     out = np.empty((n, len(arr)), dtype=np.int8)
     shifts = np.arange(n, dtype=arr.dtype)[:, None]
     for lo in range(0, len(arr), _SCAN):
@@ -284,14 +288,6 @@ class LambdaResult:
     is_design: bool
     lam: int | None
     witness: tuple[tuple[int, ...], int, tuple[int, ...], int] | None
-
-
-def _rank_dtype(total: int) -> np.dtype:
-    """int32, then int64, for ranks below ``total``; past 2^63 Python ints."""
-    for dt in (np.int32, np.int64):
-        if total <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    return np.dtype(object)
 
 
 def _subset_ranks(support: np.ndarray, n: int, t: int,
@@ -379,7 +375,7 @@ def design_lambda(family: BlockFamily, t: int,
     widths = sorted(w for w in per_size if w >= t)
     sizes = np.array(sizes)
     groups = [np.flatnonzero(sizes == w) for w in widths]
-    ranks = [_subset_ranks(support[g, :w], n, t, _rank_dtype(total))
+    ranks = [_subset_ranks(support[g, :w], n, t, _int_dtype(total))
              for g, w in zip(groups, widths)]
     ordered = np.concatenate([r.ravel() for r in ranks])
     ordered.sort()
@@ -480,7 +476,7 @@ def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
     takes_a = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
     even = takes_a.sum(axis=1) % 2 == 0
     pts = np.where(takes_a, a[:, None, :], b[:, None, :])
-    dt = _mask_dtype(n + rows.bit_length())
+    dt = _int_dtype((1 << (n + rows.bit_length())) - 1)
     bits = _bits(pts, dt)
     z = np.bitwise_or.reduce(bits, axis=2)
     repeated = ((pts[..., :, None] == pts[..., None, :])
@@ -494,8 +490,8 @@ def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
 @dataclass(frozen=True, eq=False)
 class _HarmBasis(Sequence):
     """Harm_k as its pair systems: ``pairs`` is one (len, k, 2) array over
-    an immutable buffer (``_read_only``), in the narrowest unsigned dtype
-    that holds n.  An element is built when it is read; a slice is a tuple.
+    an immutable buffer (``_read_only``), in the dtype ``_int_dtype(n)``.
+    An element is built when it is read; a slice is a tuple.
     """
     n: int
     pairs: np.ndarray
@@ -525,7 +521,7 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> Sequence[DiscreteHarmo
     if comb(n, k) > cap:
         raise CapExceededError(f"C({n},{k}) exceeds cap {cap}")
     if k == 0:          # the constant: one empty pair system
-        return _HarmBasis(n, _read_only(np.zeros((1, 0, 2), np.uint8)))
+        return _HarmBasis(n, _read_only(np.zeros((1, 0, 2), _int_dtype(n))))
     a, b = _tableau_pairs(n, k)
     if len(b) != harm_dim(n, k):
         raise InternalCheckError("tableau count mismatch")
@@ -541,7 +537,7 @@ def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> Sequence[DiscreteHarmo
             raise InternalCheckError("pair system must be disjoint")
     if not _gamma_vanishes(a[sample], b[sample], n):
         raise InternalCheckError("difference product escaped ker gamma")
-    pairs = np.stack([a, b], axis=2).astype(np.min_scalar_type(n))
+    pairs = np.stack([a, b], axis=2).astype(_int_dtype(n))
     return _HarmBasis(n, _read_only(pairs))
 
 

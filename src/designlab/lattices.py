@@ -13,9 +13,11 @@ are one candidate), maps the rows back, turns each so its first nonzero
 coordinate is positive and sorts only that half: a sorted shell is its
 half negated and reversed, then the half.  It prunes with floats (bounds
 inflated by a fixed slack) but accepts exclusively by exact integer
-arithmetic, so the enumerated shells are exact; integer products take
-float64 BLAS only where every partial sum is an integer below 2^53
-(``_int_matmul``).  A shell is a slice of the ball's sorted integer
+arithmetic, so the enumerated shells are exact.  Integer width has one
+rule, from a bound on every partial sum: float64 BLAS below 2^53, else the
+narrowest integer dtype, else Python ints (``_int_matmul``,
+``_int_dtype``); shell coordinates past int64 are refused, so negating a
+row never wraps.  A shell is a slice of the ball's sorted integer
 array, held in an immutable buffer so no caller can write to it; Python
 tuples of its vectors are built only on demand.  Size caps are checked on
 counts, before any row is mapped back to the caller's basis: the search
@@ -43,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._fixtures import fixture_path
-from .codes import BinaryCode, _read_only, is_doubly_even, is_self_dual
+from .codes import (BinaryCode, _int_dtype, _read_only, is_doubly_even,
+                    is_self_dual)
 from .errors import CapExceededError, InternalCheckError
 from .modforms import (_check_prec, cusp_monomials, fit_in_space, mf_basis,
                        mf_dim)
@@ -230,11 +233,8 @@ class Shell:
     def __post_init__(self):
         rows = self.rows
         if not isinstance(rows, np.ndarray) or rows.flags.writeable:
-            rows = np.array(rows, dtype=None if len(rows) else np.int8)
-            if rows.dtype.kind != "i":
-                raise ValueError("shell coordinates must fit in int64")
-            rows = _read_only(rows.reshape(len(rows), self.lattice.rank))
-            object.__setattr__(self, "rows", rows)
+            rows = _coordinates(rows).reshape(len(rows), self.lattice.rank)
+            object.__setattr__(self, "rows", _read_only(rows))
 
     @functools.cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -334,8 +334,7 @@ def _reduced_basis(g2) -> tuple[tuple[tuple[int, ...], ...],
     have the same determinant, which makes U unimodular.
     """
     u, r2 = _lll(g2)
-    arr, mat = _exact_operands(g2, u, max(abs(x) for row in u for x in row))
-    if (arr @ mat @ arr.T).tolist() != r2:
+    if _int_matmul(_int_matmul(u, g2), list(zip(*u))).tolist() != r2:
         raise InternalCheckError("LLL transform does not give the reduced "
                                  "Gram matrix")
     reduced = tuple(map(tuple, r2))
@@ -344,57 +343,56 @@ def _reduced_basis(g2) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(map(tuple, u)), reduced
 
 
-def _exact_operands(mat, rows, right_max: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rows and an integer matrix M of n rows (a doubled Gram
-    matrix, a basis transform or a column) as arrays for rows @ M @ y,
-    |y| <= right_max (default: max |row entry|).  Those stay below
-    n^2 * max|row| * max|M| * max|y|: int64 when that bound rules out
-    overflow, Python ints otherwise."""
-    bound = len(mat) ** 2 * max(abs(x) for row in mat for x in row)
-    arr = np.array(rows, dtype=np.int64)
-    m = _max_abs(arr)
-    if bound * m * (m if right_max is None else right_max) < 2 ** 63:
-        return arr, np.array(mat, dtype=np.int64)
-    return arr.astype(object), np.array(mat, dtype=object)
+def _ints(values) -> np.ndarray:
+    """An integer array as it is; nested Python ints as an object array,
+    so that entries in [2^63, 2^64) do not turn into uint64."""
+    return values if isinstance(values, np.ndarray) else np.array(
+        values, dtype=object)
 
 
 def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
-def _int_matmul(rows, mat) -> np.ndarray:
-    """Exact rows @ M for a small integer matrix M (nested sequences).  Each
-    partial sum is at most n * max|row| * max|M|: below 2^53 float64 BLAS is
-    exact, in tiles of at most ``_BLAS_SERIAL`` multiply-adds (one OpenBLAS
-    thread) and the narrowest dtype; else the ``_exact_operands`` rule."""
-    bound = len(mat) * _max_abs(rows) * max(abs(x) for row in mat for x in row)
-    if bound < 2 ** 53:
-        right = np.array(mat, dtype=np.float64)
-        out = np.empty((len(rows), right.shape[1]), dtype=_int_dtype(bound))
-        step = max(1, _BLAS_SERIAL // right.size)
-        for lo in range(0, len(rows), step):
-            out[lo:lo + step] = rows[lo:lo + step].astype(np.float64) @ right
-        return out
-    arr, right = _exact_operands(mat, rows, 1)
-    return arr @ right
+def _coordinates(values) -> np.ndarray:
+    """Integer coordinate rows in ``_int_dtype`` of their largest magnitude.
+    Rows past int64 are refused, so no negation of a row can wrap, and so
+    are rows that are not integers."""
+    arr = _ints(values)
+    dtype = _int_dtype(_max_abs(arr))
+    if dtype == object:
+        raise ValueError("shell coordinates must fit in int64")
+    out = arr.astype(dtype, copy=False)
+    if arr.dtype.kind != "i" and not np.array_equal(out, arr):
+        raise ValueError("shell coordinates must be integers")
+    return out
+
+
+def _int_matmul(a, b) -> np.ndarray:
+    """Exact a @ b of integer matrices (arrays or nested Python ints), in
+    ``_int_dtype`` of the bound inner * max|a| * max|b| on every partial
+    sum.  Below 2^53 float64 BLAS is exact, in tiles of at most
+    ``_BLAS_SERIAL`` multiply-adds (one OpenBLAS thread); else both
+    operands take that dtype, int64 or Python ints."""
+    a, b = _ints(a), _ints(b)
+    bound = len(b) * _max_abs(a) * _max_abs(b)
+    dtype = _int_dtype(bound)
+    if bound >= 2 ** 53:
+        return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    right = b.astype(np.float64)
+    out = np.empty((len(a), right.shape[1]), dtype=dtype)
+    step = max(1, _BLAS_SERIAL // right.size)
+    for lo in range(0, len(a), step):
+        out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ right
+    return out
 
 
 def _doubled_norms(g2, rows) -> np.ndarray:
-    """v G2 v^T per row from v G2 (``_int_matmul``), summed a column at a time
-    in int64 while n^2 * max|G2| * max|v|^2 < 2^63, else in Python ints."""
-    xg, m = _int_matmul(rows, g2), _max_abs(rows)
-    wide = len(g2) ** 2 * max(abs(x) for row in g2 for x in row) * m * m
-    dtype = np.int64 if wide < 2 ** 63 else object
+    """v G2 v^T per row from v G2 (``_int_matmul``), summed a column at a
+    time in ``_int_dtype`` of the bound n * max|v G2| * max|v|."""
+    xg = _int_matmul(rows, g2)
+    dtype = _int_dtype(len(g2) * _max_abs(xg) * _max_abs(rows))
     return sum(xg[:, j].astype(dtype) * rows[:, j] for j in range(len(g2)))
-
-
-def _int_dtype(bound: int) -> np.dtype:
-    """Narrowest signed integer dtype holding every value in [-bound, bound]."""
-    for dt in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    return np.dtype(np.int64)
 
 
 def _search_candidates(g2, bound2: int, cap: int) -> Iterator[np.ndarray]:
@@ -515,9 +513,10 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     Once a tally has passed ``cap``, rows are only counted, not kept; after
     the search the smallest doubled norm over the cap is refused, whatever
     the basis.  Then the kept rows go back to the caller's coordinates
-    through U (unless U = I), a chunk at a time, each turned so its first
-    nonzero coordinate is positive, and one lexsort orders this half; a
-    repeated row (the search emitted v twice, or v and -v) is refused.
+    through U (unless U = I), a chunk at a time, refused past int64
+    (``_coordinates``), each turned so its first nonzero coordinate is
+    positive, and one lexsort orders this half; a repeated row (the
+    search emitted v twice, or v and -v) is refused.
     Vectors with a negative first nonzero coordinate sort before the rest,
     and negation reverses the order, so each shell is its sorted half H as
     -reverse(H) then H, in an immutable buffer (``_read_only``).
@@ -551,8 +550,7 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
                    for j, x in enumerate(row))
     for i, part in enumerate(kept_rows):
         if not identity:
-            part = _int_matmul(part, u)
-            part = part.astype(_int_dtype(_max_abs(part)), copy=False)
+            part = _coordinates(_int_matmul(part, u))
         lead = part[np.arange(len(part)), (part != 0).argmax(axis=1)]
         kept_rows[i] = np.negative(part, out=part, where=(lead < 0)[:, None])
     half = np.concatenate(kept_rows)
@@ -662,10 +660,10 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     A tile holds at most ``_BLAS_SERIAL`` multiply-adds, which OpenBLAS
     runs on one thread: with the rank as inner dimension, threads saved no
     time, and on a busy 2-vCPU host their hand-offs made one E8 norm-6
-    histogram take 0.09 to 0.45 s.  Other inputs take int64 or Python-int
-    products (the ``_exact_operands`` rule) and ``np.unique``.
+    histogram take 0.09 to 0.45 s.  Other inputs take ``_int_matmul``
+    products and ``np.unique``.
     """
-    arr, _ = _exact_operands(shell.lattice.g2, shell.rows)
+    arr = shell.rows
     fold = len(arr) % 2 == 0 and _is_antipodal(arr)
     if fold:
         arr = arr[:len(arr) // 2]
@@ -674,8 +672,7 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     w = int(2 * shell.norm)
     rank = shell.lattice.rank
     hist: dict[int, int] = {}
-    if (arr.dtype != object and 2 * w < _PAIR_BLOCK
-            and rank * _max_abs(arr) * _max_abs(xg) < 2 ** 53):
+    if 2 * w < _PAIR_BLOCK and rank * _max_abs(arr) * _max_abs(xg) < 2 ** 53:
         left, right = xg.astype(np.float64), arr.astype(np.float64).T
         side = max(1, math.isqrt(min(_PAIR_BLOCK, _BLAS_SERIAL // rank)))
         # row 0 counts the diagonal tiles, row 1 the tiles above them
@@ -702,7 +699,7 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     else:
         chunk = max(1, _PAIR_BLOCK // max(1, size))
         for lo in range(0, size, chunk):
-            prods = xg[lo:lo + chunk] @ arr.T
+            prods = _int_matmul(xg[lo:lo + chunk], arr.T)
             vals, counts = np.unique(prods, return_counts=True)
             for v, c in zip(vals.tolist(), counts.tolist()):
                 hist[v] = hist.get(v, 0) + c

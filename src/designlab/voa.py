@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
-from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice, harmonic_theta,
-                       require_even_unimodular, theta_fit_norm, to_modular_q,
-                       zonal_theta_fits)
+from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice,
+                       gegenbauer_component_sums, harmonic_theta, lattice_e8,
+                       require_even_unimodular, shell_enum, theta_fit_norm,
+                       to_modular_q, zonal_theta_fits)
 from .modforms import (cusp_monomials, eisenstein, eta_quotient, factorize,
                        mf_dim, ramanujan_tau, vanishing_indices)
 from .qseries import QSeries
@@ -273,7 +274,6 @@ def lehmer_scan(bound: int, shells_to: int = 2) -> LehmerScan:
     degree-8 verdict recorded: the shell fails degree 8 exactly when
     tau(ell) is nonzero.
     """
-    from .lattices import gegenbauer_component_sums, lattice_e8, shell_enum
     zeros = tuple(ell for ell in range(1, bound + 1)
                   if ramanujan_tau(ell) == 0)
     failures: dict[int, bool] = {}

@@ -473,6 +473,41 @@ def test_library_refusals_are_usage_errors(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["shell", "--norm", "1"],
+    ["lattice-design", "--norm", "1", "--t", "3", "--criterion", "moment"],
+    ["lattice-design", "--norm", "1", "--t", "3", "--criterion", "zonal"],
+    ["theta", "--prec", "2"]])
+@pytest.mark.parametrize("power", [62, 63, 64, 70])
+def test_coordinates_past_int64_are_refused_not_wrapped(power, argv, tmp_path,
+                                                        capsys):
+    # Gram [[1, M], [M, M^2 + 1]] is Z^2 in the basis e1, e2 + M*e1: its
+    # norm-1 shell is +-(1, 0), +-(-M, 1), whose coordinates fit int64 only
+    # while M < 2^63; past that the map back through the LLL transform
+    # must refuse them, not wrap (M, -1) into (-2^63, -1)
+    m = 2 ** power
+    gram = tmp_path / "gram.txt"
+    gram.write_text(f"1 {m}\n{m} {m * m + 1}\n")
+    status, text = run(["--format", "json", argv[0], "--lattice", str(gram)]
+                       + argv[1:])
+    if m >= 2 ** 63:
+        assert (status, text) == (2, "")
+        err = one_error(capsys)
+        assert err["type"] == "usage" and "int64" in err["message"]
+        return
+    assert status == 0
+    payload = json.loads(text)
+    if argv[0] == "shell":
+        assert payload["count"] == 4
+        assert payload["vectors"] == [[-m, 1], [-1, 0], [1, 0], [m, -1]]
+    elif argv[0] == "theta":            # 1 + 4q + 4q^2, the theta of Z^2
+        assert payload["series"]["coeffs"] == [[0, "1/1"], [1, "4/1"],
+                                               [2, "4/1"]]
+    else:
+        assert payload["strength"] == 3
+        assert payload["per_degree"] == {"1": True, "2": True, "3": True}
+
+
+@pytest.mark.parametrize("argv", [
     ["shell", "--lattice", "Z1", "--norm", str(10**30)],
     ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "3"]])
 def test_huge_norms_are_refused_by_the_cap(argv, capsys):

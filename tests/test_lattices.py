@@ -540,6 +540,14 @@ def test_search_refuses_a_ball_too_long_along_one_basis_vector():
 def test_shell_rows_beyond_int64_are_refused_by_name():
     with pytest.raises(ValueError, match="int64"):
         Shell(lattice_zn(2), F(2**140), ((2**70, 0), (-2**70, 0)))
+    # -2^63 fits int64, but its negation would wrap back to -2^63
+    for rows in (((-(2 ** 63), 1),), np.array([[-(2 ** 63), 1]])):
+        with pytest.raises(ValueError, match="int64"):
+            Shell(lattice_zn(2), F(2 ** 126 + 1), rows)
+    # a coordinate that is not an integer is refused, not truncated
+    for rows in (((F(1, 2), 0),), np.array([[0.5, 0.0]])):
+        with pytest.raises(ValueError, match="integers"):
+            Shell(lattice_zn(2), F(1, 4), rows)
 
 
 def test_odd_norm_on_an_even_lattice_is_an_internal_fault(monkeypatch):
@@ -704,6 +712,22 @@ def test_int_matmul_is_exact_in_every_regime(monkeypatch, serial):
     rows = np.array([[127, -128], [-1, 0]], dtype=np.int8)
     assert lattices._int_matmul(rows, col).tolist() == \
         python_products(rows.tolist(), col)
+
+
+def test_int_dtype_is_the_narrowest_symmetric_range():
+    bounds = (127, 128, 2 ** 63 - 1, 2 ** 63)
+    assert [lattices._int_dtype(b) for b in bounds] == [
+        np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int64),
+        np.dtype(object)]
+
+
+def test_int_matmul_reads_nested_ints_past_int64_as_python_ints():
+    # np.array would read the right factor as uint64 and wrap the products
+    rows = np.array([[1, -1], [3, 2], [0, 0]], dtype=np.int8)
+    mat = [[2 ** 63, 2 ** 64 - 1], [2 ** 63 + 5, 1]]
+    out = lattices._int_matmul(rows, mat)
+    assert out.dtype == object
+    assert out.tolist() == python_products(rows.tolist(), mat)
 
 
 def test_doubled_norms_keep_the_quadratic_bound():
