@@ -7,19 +7,23 @@ function
 
     f(z) = prod_i ( [b_i in z] - [a_i in z] )     (z a k-subset)
 
-lies in the kernel of the boundary map gamma, and the pair systems read off
-standard two-row Young tableaux give exactly dim = C(n,k) - C(n,k-1) of them,
-a basis, built and certified in ker gamma as one pair array, from which
-elements are built when read.  Sums of f-tilde over word supports are
-products of factors in {-1, 0, 1}, exact in one int8 kernel, which makes
-Delsarte-style checks cheap.  Lambda counting sorts the lexicographic rank
-of each covered t-subset, built from two tables of half-subset sums.
+lies in the kernel of the boundary map gamma whenever its 2k points are
+distinct, and the pair systems read off standard two-row Young tableaux give
+exactly dim = C(n,k) - C(n,k-1) of them, a basis, built as one pair array
+from which elements are built when read.  One check (``_distinct_in_range``)
+certifies every pair system, of a basis or built by hand: its 2k points are
+distinct and lie in range(n).  That is all ker gamma needs: a (k-1)-subset
+y that is a partial transversal missing pair j extends to a transversal
+only by a_j or b_j, two terms that cancel, and any other y extends to none.
+Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
+exact in one int8 kernel, which makes Delsarte-style checks cheap.  Lambda
+counting sorts the lexicographic rank of each covered t-subset, built from
+two tables of half-subset sums.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from collections import Counter
 from collections.abc import Sequence
@@ -48,7 +52,6 @@ __all__ = [
 WORD_CAP_LOG2 = 24          # refuse to enumerate more than 2^24 codewords
 TABLEAU_CAP = 100_000       # cap on C(n, k) when building harmonic bases
 LAMBDA_CAP = 1 << 24        # cap on the t-subsets design_lambda lists
-GAMMA_APPLY_LIMIT = 2_000_000   # ops budget for exhaustive gamma checks
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +218,6 @@ def _int_dtype(bound: int) -> np.dtype:
         if bound <= np.iinfo(dt).max:
             return np.dtype(dt)
     return np.dtype(object)
-
-
-def _bits(points: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """1 << p for every entry p of an index array, in ``dtype``."""
-    return np.left_shift(np.array(1, dtype), points.astype(dtype))
 
 
 def _combinations(n: int, k: int) -> np.ndarray:
@@ -417,35 +415,32 @@ def design_lambda(family: BlockFamily, t: int,
 # discrete harmonics
 # ---------------------------------------------------------------------------
 
+def _distinct_in_range(pairs: np.ndarray, n: int) -> bool:
+    """Whether every pair system of a (len, k, 2) array has 2k distinct
+    points in range(n): the one condition under which its difference
+    product lies in ker gamma and ``_tilde_sums`` reads it exactly."""
+    flat = np.sort(pairs.reshape(len(pairs), 2 * pairs.shape[1]), axis=1)
+    return bool((flat[:, :1] >= 0).all() and (flat[:, -1:] < n).all()
+                and (flat[:, 1:] != flat[:, :-1]).all())
+
+
 @dataclass(frozen=True)
 class DiscreteHarmonic:
     """An element of Harm_k, a function on k-subsets killed by gamma: the
-    difference product of its k pairs (a_i, b_i).  The constant (k = 0)
-    has no pairs."""
+    difference product of its k pairs (a_i, b_i), whose 2k points must be
+    distinct and lie in range(n).  The constant (k = 0) has no pairs."""
     n: int
     pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        pairs = np.array(self.pairs, dtype=object).reshape(1, self.degree, 2)
+        if not _distinct_in_range(pairs, self.n):
+            raise ValueError(f"a pair system needs {2 * self.degree} "
+                             f"distinct points in range({self.n})")
 
     @property
     def degree(self) -> int:
         return len(self.pairs)
-
-    @functools.cached_property
-    def values(self) -> tuple[tuple[int, Fraction], ...]:
-        """The explicit sparse table: (k-subset mask, +-1), one per choice
-        of a point from each pair."""
-        vals = []
-        for bits in range(1 << len(self.pairs)):
-            mask = 0
-            for i, (a, b) in enumerate(self.pairs):
-                mask |= 1 << (a if bits >> i & 1 else b)
-            vals.append((mask, Fraction(-1) ** bits.bit_count()))
-        return tuple(vals)
-
-    def tilde(self, mask: int) -> Fraction:
-        """f-tilde(u) = sum of f over k-subsets of u, which factors as
-        prod_i ( [b_i in u] - [a_i in u] )."""
-        return Fraction(math.prod((mask >> b & 1) - (mask >> a & 1)
-                                  for a, b in self.pairs))
 
 
 def harm_dim(n: int, k: int) -> int:
@@ -464,27 +459,6 @@ def _tableau_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     np.put_along_axis(member, np.minimum(b, 2 * k), True, axis=1)
     a = np.argsort(member[:, :2 * k], axis=1, kind="stable")[:, :k]
     return a, b
-
-
-def _gamma_vanishes(a: np.ndarray, b: np.ndarray, n: int) -> bool:
-    """Whether gamma kills the +-1 table (``values``) of each pair system.
-
-    Entry z of row r goes to the keys (r, z minus one of its points); the
-    sums vanish iff the sorted keys of + and of - entries are equal.
-    """
-    rows, k = a.shape
-    takes_a = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
-    even = takes_a.sum(axis=1) % 2 == 0
-    pts = np.where(takes_a, a[:, None, :], b[:, None, :])
-    dt = _int_dtype((1 << (n + rows.bit_length())) - 1)
-    bits = _bits(pts, dt)
-    z = np.bitwise_or.reduce(bits, axis=2)
-    repeated = ((pts[..., :, None] == pts[..., None, :])
-                & np.tri(k, k, -1, dtype=bool)).any(axis=3)
-    keys = np.arange(rows, dtype=dt)[:, None, None] << n | z[..., None] ^ bits
-    plus = np.broadcast_to(even[:, None], keys.shape)
-    return np.array_equal(np.sort(keys[plus & ~repeated]),
-                          np.sort(keys[~plus & ~repeated]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,38 +481,28 @@ class _HarmBasis(Sequence):
 
 
 @functools.lru_cache(maxsize=32)
-def harm_basis(n: int, k: int, cap: int = TABLEAU_CAP) -> Sequence[DiscreteHarmonic]:
+def harm_basis(n: int, k: int) -> Sequence[DiscreteHarmonic]:
     """Difference-product basis of Harm_k from standard two-row tableaux.
 
     Pair systems are the columns of standard Young tableaux of shape
     (n-k, k): second rows c_0 < ... < c_{k-1} with c_i >= 2i+1, each paired
-    with the matching order statistic of the complement.  One batched exact
-    check certifies them in ker gamma: all when the basis is small, else
-    every system's disjointness and the gamma of a seeded sample.
+    with the matching order statistic of the complement; the constant
+    (k = 0) is the one empty system.  Every system is certified in ker
+    gamma by the check ``DiscreteHarmonic`` runs (``_distinct_in_range``):
+    its 2k points are distinct and lie in range(n).
     """
     if not 0 <= k <= n:
         raise ValueError(f"harmonic degree {k} must lie in 0..{n}")
-    if comb(n, k) > cap:
-        raise CapExceededError(f"C({n},{k}) exceeds cap {cap}")
-    if k == 0:          # the constant: one empty pair system
-        return _HarmBasis(n, _read_only(np.zeros((1, 0, 2), _int_dtype(n))))
+    if comb(n, k) > TABLEAU_CAP:
+        raise CapExceededError(f"C({n},{k}) exceeds cap {TABLEAU_CAP}")
     a, b = _tableau_pairs(n, k)
     if len(b) != harm_dim(n, k):
         raise InternalCheckError("tableau count mismatch")
-    # certification
-    ops = len(b) * (1 << k) * k
-    if ops <= GAMMA_APPLY_LIMIT:
-        sample = np.arange(len(b))
-    else:
-        rng = random.Random(854123 + 31 * n + k)
-        sample = np.array(rng.sample(range(len(b)), min(len(b), 500)))
-        flat = np.sort(np.concatenate([a, b], axis=1), axis=1)
-        if (flat[:, 1:] == flat[:, :-1]).any():
-            raise InternalCheckError("pair system must be disjoint")
-    if not _gamma_vanishes(a[sample], b[sample], n):
-        raise InternalCheckError("difference product escaped ker gamma")
-    pairs = np.stack([a, b], axis=2).astype(_int_dtype(n))
-    return _HarmBasis(n, _read_only(pairs))
+    pairs = np.stack([a, b], axis=2)
+    if not _distinct_in_range(pairs, n):
+        raise InternalCheckError("a pair system repeats a point or leaves "
+                                 f"range({n}), so it may escape ker gamma")
+    return _HarmBasis(n, _read_only(pairs.astype(_int_dtype(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +648,13 @@ def _hwe_batch(code: BinaryCode, pairs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntisymmetryReport:
+    """In "full basis" mode ``tested`` counts basis elements and ``witness``
+    is (basis index, weight); in "sampled combinations" mode ``tested``
+    counts samples and ``witness`` is (sample index, weight)."""
     mode: str                 # "full basis" or "sampled combinations"
     tested: int
     ok: bool
-    witness: tuple[int, int] | None   # (function index, weight index)
+    witness: tuple[int, int] | None
 
 
 def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,

@@ -221,10 +221,14 @@ class Shell:
     """All lattice vectors of one exact norm, in sorted coordinate order.
 
     ``rows`` is a sorted integer array, one vector per row, that refuses
-    writes (rows given as a writeable array or as tuples are copied into
-    an immutable buffer, ``_read_only``); ``vectors`` is the same shell as
-    a tuple of coordinate tuples, built on first use.  Length, hash and
-    equality read only the array.
+    writes.  Every input meets one width check: a read-only integer array
+    whose dtype holds the ``_int_dtype`` of its largest magnitude is kept
+    as it is, so a cached table slice stays itself and is never narrowed;
+    any other input, tuples, a writeable array or a too narrow one, is
+    copied in that ``_int_dtype`` (``_coordinates``) into an immutable
+    buffer (``_read_only``).  ``vectors`` is the same shell as a tuple of
+    coordinate tuples, built on first use.  Length, hash and equality read
+    only the array.
     """
     lattice: Lattice
     norm: Fraction
@@ -232,7 +236,9 @@ class Shell:
 
     def __post_init__(self):
         rows = self.rows
-        if not isinstance(rows, np.ndarray) or rows.flags.writeable:
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
+                and not rows.flags.writeable
+                and np.can_cast(_int_dtype(_max_abs(rows)), rows.dtype)):
             rows = _coordinates(rows).reshape(len(rows), self.lattice.rank)
             object.__setattr__(self, "rows", _read_only(rows))
 

@@ -6,8 +6,9 @@ Eisenstein series, weighted thetas divided by eta^rank), so the whole layer
 is series bookkeeping plus dimension counts of level-one modular forms.
 
 Indexing convention: a trace displayed as q^{-c/24} * sum_{i>=base} t(i) q^i
-is stored reduced; ``index_base`` records the display index of the stored
-leading coefficient, and ``coeff(i)`` looks up display indices directly.
+is stored reduced; ``index_base``, derived from the stored offset, is the
+display index of the stored leading coefficient, and ``coeff(i)`` looks up
+display indices directly.
 """
 
 from __future__ import annotations
@@ -46,22 +47,26 @@ class TraceSeries:
 
     The stored series is offset-reduced, so the literal -c/24 prefactor is
     recovered through ``index_base``: stored index 0 holds the coefficient
-    of display index ``index_base``.  ``prefactor24`` records an explicit
-    extra q^{1/24}-power carried by closed-form displays.
+    of display index ``index_base`` = (offset24 + c - prefactor24) / 24,
+    which must be an integer.  ``prefactor24`` records an explicit extra
+    q^{1/24}-power carried by closed-form displays.
     """
     central_charge: int
     series: QSeries
     source: str
-    index_base: int = 1
     prefactor24: int = 0
 
     def __post_init__(self):
         if self.central_charge <= 0:
             raise ValueError("central charge must be positive")
-        off = (self.series.offset24 - self.prefactor24 + self.central_charge
-               - 24 * self.index_base)
-        if off % 24 != 0:
-            raise ValueError("offset inconsistent with charge and index base")
+        if (self.series.offset24 + self.central_charge
+                - self.prefactor24) % 24:
+            raise ValueError("offset off the -c/24 grid of the charge")
+
+    @property
+    def index_base(self) -> int:
+        return (self.series.offset24 + self.central_charge
+                - self.prefactor24) // 24
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient at display index i (meaningful for i >= index_base)."""
@@ -111,10 +116,9 @@ def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
     theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
     rank = lat.rank
     trace = _over_eta_rank(theta, rank)
-    base, rem = divmod(trace.offset24 + rank, 24)
-    if rem:
+    if (trace.offset24 + rank) % 24:    # a fault here, not a bad request
         raise InternalCheckError("trace offset must sit on the -c/24 grid")
-    return TraceSeries(rank, trace, f"theta/eta^{rank}", index_base=base)
+    return TraceSeries(rank, trace, f"theta/eta^{rank}")
 
 
 def _over_eta_rank(form: QSeries, rank: int) -> QSeries:
@@ -313,8 +317,7 @@ def remark4_series(prec: int) -> Remark4Report:
     ser = eta_quotient([(2, 15), (1, -7)], prec).shift24(1)
     if ser.offset24 != 24:
         raise InternalCheckError("closed form must start exactly at q^1")
-    trace = TraceSeries(1, ser, "q^{1/24} eta(2z)^15/eta(z)^7",
-                        index_base=1, prefactor24=1)
+    trace = TraceSeries(1, ser, "q^{1/24} eta(2z)^15/eta(z)^7", prefactor24=1)
     zeros = tuple(i for i in vanishing_indices(ser, prec))
     return Remark4Report(prec, trace, zeros)
 

@@ -360,7 +360,7 @@ def test_harm_basis_gamma_via_oracle():
         basis = harm_basis(n, k)
         assert len(basis) == harm_dim(n, k)
         for f in basis:
-            acc = brute_gamma(n, k, f.values)
+            acc = brute_gamma(n, k, oracle_values(f.pairs))
             assert all(v == 0 for v in acc.values())
 
 
@@ -369,38 +369,73 @@ def test_harm_basis_pairs_match_tableau_oracle():
         for k in range(1, min(n, 5) + 1):
             basis = harm_basis(n, k)
             assert [f.pairs for f in basis] == oracle_harm_pairs(n, k), (n, k)
-    for f in harm_basis(9, 4)[::7]:
-        assert f.values == oracle_values(f.pairs)
 
 
-def test_batched_gamma_check_matches_per_element_gamma():
+def test_distinct_pair_systems_lie_in_ker_gamma():
+    # the theorem behind the one certificate: 2k distinct points suffice
     rng = random.Random(2024)
     for _ in range(400):
-        n, k = rng.randint(2, 10), rng.randint(1, 4)
-        pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(k))
-        vanishes = not any(brute_gamma(n, k, oracle_values(pairs)).values())
-        a = np.array([[p[0] for p in pairs]])
-        b = np.array([[p[1] for p in pairs]])
-        assert codes._gamma_vanishes(a, b, n) == vanishes, pairs
-        assert codes._gamma_vanishes(a, b, 70) == vanishes, pairs
+        n = rng.randint(2, 10)
+        k = rng.randint(1, min(4, n // 2))
+        points = rng.sample(range(n), 2 * k)
+        pairs = tuple(zip(points[::2], points[1::2]))
+        assert not any(brute_gamma(n, k, oracle_values(pairs)).values())
+        assert codes.DiscreteHarmonic(n, pairs).pairs == pairs
+    # gamma alone takes a degenerate pair for the zero function
+    assert not any(brute_gamma(4, 1, oracle_values(((3, 3),))).values())
+    with pytest.raises(ValueError, match="distinct points"):
+        codes.DiscreteHarmonic(4, ((3, 3),))
+
+
+def test_pair_check_is_distinct_points_in_range():
+    rng = random.Random(7)
+    for _ in range(400):
+        n, k = rng.randint(2, 10), rng.randint(0, 4)
+        pairs = tuple((rng.randrange(-1, n + 2), rng.randrange(-1, n + 2))
+                      for _ in range(k))
+        points = [p for pair in pairs for p in pair]
+        valid = len(set(points)) == 2 * k and all(0 <= p < n for p in points)
+        arr = np.array(pairs, dtype=np.int64).reshape(1, k, 2)
+        assert codes._distinct_in_range(arr, n) == valid, (n, pairs)
+
+
+def test_hand_built_harmonics_are_refused():
+    for pairs in (((0, 9),), ((0, 1), (1, 2)), ((-1, 2),), ((0, 2 ** 70),)):
+        with pytest.raises(ValueError, match="distinct points in range"):
+            codes.DiscreteHarmonic(8, pairs)
+    assert codes.DiscreteHarmonic(8, ((0, 7), (1, 2))).degree == 2
+    assert codes.DiscreteHarmonic(8, ()).degree == 0
 
 
 TABLEAU_PAIRS = codes._tableau_pairs
 
 
-def corrupt_tableau_pairs(n, k):
-    a, b = TABLEAU_PAIRS(n, k)
-    a[-1, 0] = b[-1, -1]                # the last system reuses a point
-    return a, b
+def reuse_a_point(a, b, n):
+    a[-1, 0] = b[-1, -1]
+
+
+def pair_a_point_with_itself(a, b, n):
+    a[-1, 0] = b[-1, 0]
+
+
+def leave_the_range(a, b, n):
+    b[-1, -1] = n
+
+
+CORRUPTIONS = (reuse_a_point, pair_a_point_with_itself, leave_the_range)
 
 
 def test_harm_basis_certification_rejects_corrupt_pair_system(monkeypatch):
     build = harm_basis.__wrapped__      # bypass the cache
-    monkeypatch.setattr(codes, "_tableau_pairs", corrupt_tableau_pairs)
-    with pytest.raises(InternalCheckError, match="ker gamma"):
-        build(8, 3)                     # exhaustive gamma check
-    with pytest.raises(InternalCheckError, match="disjoint"):
-        build(24, 5)                    # sampled: every system's disjointness
+    for corrupt in CORRUPTIONS:
+        def corrupted(n, k, corrupt=corrupt):
+            a, b = TABLEAU_PAIRS(n, k)
+            corrupt(a, b, n)            # the last system
+            return a, b
+        monkeypatch.setattr(codes, "_tableau_pairs", corrupted)
+        for n, k in ((8, 3), (24, 5)):
+            with pytest.raises(InternalCheckError, match="ker gamma"):
+                build(n, k)
     monkeypatch.setattr(codes, "_tableau_pairs",
                         lambda n, k: [x[1:] for x in TABLEAU_PAIRS(n, k)])
     with pytest.raises(InternalCheckError, match="count"):
@@ -412,17 +447,22 @@ def test_harm_basis_checks_run_under_optimize(run_optimized):
         "import designlab.codes as C\n"
         "from designlab.errors import InternalCheckError\n"
         "make = C._tableau_pairs\n"
-        "def corrupt(n, k):\n"
-        "    a, b = make(n, k)\n"
-        "    a[-1, 0] = b[-1, -1]\n"
-        "    return a, b\n"
-        "C._tableau_pairs = corrupt\n"
-        "for n, k in ((8, 3), (24, 5)):\n"
-        "    try:\n"
-        "        C.harm_basis(n, k)\n"
-        "    except InternalCheckError:\n"
-        "        continue\n"
-        "    raise SystemExit(1)\n")
+        "def reuse_a_point(a, b, n): a[-1, 0] = b[-1, -1]\n"
+        "def pair_a_point_with_itself(a, b, n): a[-1, 0] = b[-1, 0]\n"
+        "def leave_the_range(a, b, n): b[-1, -1] = n\n"
+        "for corrupt in (reuse_a_point, pair_a_point_with_itself,\n"
+        "                leave_the_range):\n"
+        "    def corrupted(n, k, corrupt=corrupt):\n"
+        "        a, b = make(n, k)\n"
+        "        corrupt(a, b, n)\n"
+        "        return a, b\n"
+        "    C._tableau_pairs = corrupted\n"
+        "    for n, k in ((8, 3), (24, 5)):\n"
+        "        try:\n"
+        "            C.harm_basis.__wrapped__(n, k)\n"
+        "        except InternalCheckError:\n"
+        "            continue\n"
+        "        raise SystemExit(1)\n")
     assert run_optimized(script) == 0
 
 
@@ -437,7 +477,7 @@ def test_harm_basis_is_independent_mod_p():
         rows = []
         for f in basis:
             r = [0] * len(cols)
-            for z, c in f.values:
+            for z, c in oracle_values(f.pairs):
                 r[cols[z]] = int(c) % p
             rows.append(r)
         rank = 0
@@ -456,15 +496,18 @@ def test_harm_basis_is_independent_mod_p():
 
 
 def test_tilde_pairs_path_matches_subset_sum():
+    # the kernel, one mask at a time, against the explicit +-1 table
     rng = random.Random(11)
-    basis = harm_basis(8, 3)
-    for f in rng.sample(basis, 10):
-        for _ in range(20):
-            mask = rng.getrandbits(8)
-            assert f.tilde(mask) == oracle_tilde(f, mask)
+    masks = [rng.getrandbits(8) for _ in range(20)]
+    points = codes._points(masks, 8)
     constant, = harm_basis(8, 0)
     assert constant.pairs == () and constant.degree == 0
-    assert constant.values == ((0, 1),) and constant.tilde(0b101) == 1
+    for f in rng.sample(harm_basis(8, 3), 10) + [constant]:
+        pairs = codes._pair_array((f,))
+        got = [int(codes._tilde_sums(pairs, points[:, [j]])[0])
+               for j in range(len(masks))]
+        assert got == [oracle_tilde(f, m) for m in masks]
+    assert oracle_tilde(constant, 0b101) == 1
 
 
 def test_harmonic_family_sums_matches_per_element():
@@ -472,7 +515,7 @@ def test_harmonic_family_sums_matches_per_element():
     basis = harm_basis(8, 3)
     sums = harmonic_family_sums(basis, fam)
     for f, s in zip(basis, sums):
-        assert s == sum(f.tilde(b) for b in fam.blocks)
+        assert s == sum(oracle_tilde(f, b) for b in fam.blocks)
 
 
 def test_cached_basis_carries_its_pair_array():
@@ -520,7 +563,8 @@ def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
     sample = rng.sample(harm_basis(24, 5), 12)
     for fam in (union, part):
         sums = harmonic_family_sums(sample, fam)
-        assert sums == [sum(f.tilde(b) for b in fam.blocks) for f in sample]
+        assert sums == [sum(oracle_tilde(f, b) for b in fam.blocks)
+                        for f in sample]
     assert any(sums)                    # a random part is no 5-design
     assert not any(harmonic_family_sums(harm_basis(24, 5), union))
     # sums far outside int8: dodecads through point 1 that miss point 0
@@ -528,7 +572,8 @@ def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
                                      if b & 0b11 == 0b10))
     basis = harm_basis(24, 1)
     sums = harmonic_family_sums(basis, lopsided)
-    assert sums == [sum(f.tilde(b) for b in lopsided.blocks) for f in basis]
+    assert sums == [sum(oracle_tilde(f, b) for b in lopsided.blocks)
+                    for f in basis]
     assert sums[0] == len(lopsided.blocks) > 600
 
 
@@ -536,9 +581,9 @@ def test_delsarte_refuses_over_cap_degree_first(monkeypatch):
     fam = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
     asked, build = [], codes.harm_basis
 
-    def spy(n, k, *cap):
+    def spy(n, k):
         asked.append(k)
-        return build(n, k, *cap)    # the refusal is raised in harm_basis
+        return build(n, k)          # the refusal is raised in harm_basis
 
     def no_sums(basis, family):
         raise AssertionError("summed a basis before the refusal")
@@ -662,9 +707,9 @@ def test_odd_degrees_of_a_closed_family_build_nothing(monkeypatch):
     fam = shell_pair(golay_g24(), 8)
     asked, build = [], codes.harm_basis
 
-    def spy(n, k, *cap):
+    def spy(n, k):
         asked.append(k)
-        return build(n, k, *cap)
+        return build(n, k)
 
     def kernel(pairs, points):
         raise AssertionError("ran the kernel on an odd degree")

@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designlab import lattices
-from designlab.codes import code_from_rows, codewords, d16_plus, golay_g24, hamming_e8
+from designlab.codes import (_read_only, code_from_rows, codewords, d16_plus,
+                             golay_g24, hamming_e8)
 from designlab.errors import (CapExceededError, InternalCheckError,
                               PrecisionError)
 from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
@@ -548,6 +549,21 @@ def test_shell_rows_beyond_int64_are_refused_by_name():
     for rows in (((F(1, 2), 0),), np.array([[0.5, 0.0]])):
         with pytest.raises(ValueError, match="integers"):
             Shell(lattice_zn(2), F(1, 4), rows)
+
+
+def test_read_only_rows_meet_the_width_check():
+    # -(-128) wraps to -128 in int8, so these read-only rows are widened
+    z2 = lattice_zn(2)
+    rows = _read_only(np.array([[-128, 0], [-128, 0]], dtype=np.int8))
+    sh = Shell(z2, F(128 ** 2), rows)
+    assert sh.rows.dtype == np.int16 and not sh.rows.flags.writeable
+    assert (_pair_histogram(sh) == brute_pair_histogram(z2, sh.vectors)
+            == {2 * 128 ** 2: 4})
+    # read-only rows wide enough are kept as they are, never narrowed
+    wide = _read_only(np.array([[-1, 0], [0, 1]], dtype=np.int64))
+    assert Shell(z2, F(1), wide).rows is wide
+    with pytest.raises(ValueError, match="integers"):
+        Shell(z2, F(1, 4), _read_only(np.array([[0.5, 0.0]])))
 
 
 def test_odd_norm_on_an_even_lattice_is_an_internal_fault(monkeypatch):

@@ -271,6 +271,7 @@ def test_strength_report_is_internally_consistent(c, expected_when_nonzero):
 def test_trace_offsets_encode_central_charge():
     for tr in ([_witness_trace(c, s, 16) for c, s in CLOSED_FORMS]
                + [remark4_series(16).trace]):
-        lhs = (tr.series.offset24 - tr.prefactor24
-               + tr.central_charge - 24 * tr.index_base)
-        assert lhs % 24 == 0
+        # each is displayed q^{-c/24} sum_{i>=1} t(i) q^i
+        assert tr.index_base == 1
+        assert (24 * tr.index_base == tr.series.offset24
+                + tr.central_charge - tr.prefactor24)

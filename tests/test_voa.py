@@ -89,7 +89,7 @@ def test_d_series_is_a_sigma_convolution_of_b():
 
 def test_trace_series_invariants():
     with pytest.raises(ValueError):
-        TraceSeries(8, QSeries(8, 4, {0: F(1)}), "x", index_base=0)
+        TraceSeries(8, QSeries(8, 4, {0: F(1)}), "x")
     with pytest.raises(ValueError):
         TraceSeries(0, QSeries(0, 4, {0: F(1)}), "x")
     t = b_series(6)
@@ -98,6 +98,20 @@ def test_trace_series_invariants():
     with pytest.raises(PrecisionError):
         t.zero_indices_up_to(10)
     assert t.zero_indices_up_to(7) == (4,)
+
+
+def test_trace_series_derives_its_display_index():
+    # eta^16 over charge 8 starts at display index (16 + 8) / 24 = 1
+    eta16_ser = eta16(10).series
+    tr = TraceSeries(8, eta16_ser, "eta^16")
+    assert tr.index_base == 1 and tr.coeff(1) == a_series(10).coeff(1) == 1
+    with pytest.raises(TypeError):
+        TraceSeries(8, eta16_ser, "eta^16", index_base=5)
+    shifted = TraceSeries(8, eta16_ser.shift24(48), "q^2 eta^16")
+    assert shifted.index_base == 3 and shifted.coeff(3) == 1
+    assert shifted.coeff(1) == shifted.coeff(2) == 0
+    with pytest.raises(ValueError, match="grid"):
+        TraceSeries(8, eta16_ser.shift24(1), "x")
 
 
 @pytest.mark.parametrize("prec", [16, 60, 1002])
