@@ -76,25 +76,27 @@ _TOKEN_SPAN = 1 << 12       # widest value range formatted from a byte table
 _TOKEN_ROWS = 1 << 14       # rows formatted at once
 
 
-def _format_rows(rows: np.ndarray, layout: tuple[str, str, str, str]) -> str:
-    """The rows of an integer array in decimal, laid out as ``layout``:
-    with ``_JSON_ROWS``, "[" + result + "]" is ``json.dumps(rows.tolist())``.
+def _format_rows(rows: np.ndarray, layout: tuple[str, str, str, str]):
+    """The rows of an integer array in decimal, laid out as ``layout``, as
+    consecutive pieces of text: with ``_JSON_ROWS``, "[" + the joined
+    pieces + "]" is ``json.dumps(rows.tolist())``.
 
     Every value v in [lo, hi] has a token in a byte table: its digits, the
     row start before them in the first column, and the separator (or, in
     the last column, the row end and the text between rows) after them,
-    NUL-padded to one width.  A block of rows gathers its tokens and drops
-    the padding; the text after the last row is cut.  Values spanning
-    ``_TOKEN_SPAN`` or more integers, or held as Python ints, are formatted
-    one by one instead.
+    NUL-padded to one width.  Each block of ``_TOKEN_ROWS`` rows gathers
+    its tokens, drops the padding and is yielded; the text after the last
+    row is cut.  Values spanning ``_TOKEN_SPAN`` or more integers, or held
+    as Python ints, are formatted one by one instead.
     """
     start, sep, end, between = layout
     if not len(rows):
-        return ""
+        return
     lo, hi = int(rows.min()), int(rows.max())
     if rows.dtype == object or hi - lo >= _TOKEN_SPAN:
-        return between.join(start + sep.join(map(str, row)) + end
-                            for row in rows.tolist())
+        yield between.join(start + sep.join(map(str, row)) + end
+                           for row in rows.tolist())
+        return
     n = rows.shape[1]
     # token kinds: 0 first column, 1 middle columns, 2 last column
     kind = np.minimum(np.arange(n), 1)
@@ -106,10 +108,12 @@ def _format_rows(rows: np.ndarray, layout: tuple[str, str, str, str]) -> str:
     width = max(map(len, words))
     table = np.array(words, dtype=f"S{width}").view(f"V{width}")
     offset = kind * (hi - lo + 1) - lo
-    parts = [table[rows[a:a + _TOKEN_ROWS] + offset].tobytes()
-             .translate(None, b"\0") for a in range(0, len(rows), _TOKEN_ROWS)]
-    parts[-1] = parts[-1][:len(parts[-1]) - len(between)]
-    return b"".join(parts).decode("ascii")
+    for a in range(0, len(rows), _TOKEN_ROWS):
+        part = table[rows[a:a + _TOKEN_ROWS] + offset].tobytes()
+        part = part.translate(None, b"\0")
+        if a + _TOKEN_ROWS >= len(rows):
+            part = part[:len(part) - len(between)]
+        yield part.decode("ascii")
 
 
 def _resolve_code(name: str) -> BinaryCode:
@@ -378,7 +382,7 @@ def cmd_shell(a, out):
     lat = _resolve_lattice(a.lattice)
     sh = shell_enum(lat, a.norm, workers=a.workers)
     if a.fmt == "csv":
-        out.write(_format_rows(sh.rows, _CSV_ROWS))
+        out.writelines(_format_rows(sh.rows, _CSV_ROWS))
         return None, []
     if a.fmt == "json":
         # the line json.dumps(payload, sort_keys=True) would print with the
@@ -387,11 +391,11 @@ def cmd_shell(a, out):
                            "lattice": a.lattice, "norm": _frac(a.norm),
                            "count": len(sh)}, sort_keys=True)
         out.write(head[:-1] + ', "vectors": [')
-        out.write(_format_rows(sh.rows, _JSON_ROWS))
+        out.writelines(_format_rows(sh.rows, _JSON_ROWS))
         out.write("]}\n")
         return None, []
     text = [f"{a.lattice} norm {a.norm}: {len(sh)} vectors"]
-    text += _format_rows(sh.rows[:5], _TEXT_ROWS).splitlines()
+    text += "".join(_format_rows(sh.rows[:5], _TEXT_ROWS)).splitlines()
     if len(sh) > 5:
         text.append(f"  ... ({len(sh) - 5} more; use --format csv for all)")
     return None, text

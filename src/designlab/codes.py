@@ -24,7 +24,6 @@ two tables of half-subset sums.
 from __future__ import annotations
 
 import functools
-import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -265,10 +264,6 @@ class BlockFamily:
         if any(b < 0 or b >> self.n for b in self.blocks):
             raise ValueError(f"a block is not a subset of range({self.n})")
 
-    @property
-    def block_sizes(self) -> frozenset[int]:
-        return frozenset(b.bit_count() for b in self.blocks)
-
     def union(self, other: "BlockFamily") -> "BlockFamily":
         if self.n != other.n:
             raise ValueError(f"families on {self.n} and {other.n} points")
@@ -339,8 +334,7 @@ def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def design_lambda(family: BlockFamily, t: int,
-                  allow_mixed: bool = False) -> LambdaResult:
+def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     """Brute-force t-design check: count blocks over every t-subset.
 
     The covered t-subsets are listed by their lexicographic ranks, block by
@@ -349,14 +343,12 @@ def design_lambda(family: BlockFamily, t: int,
     sort.  Returns the common count lambda, or a witness pair with different
     counts: the first listed subsets with the least and the largest count,
     or the lexicographically first uncovered subset (the first gap in the
-    sorted ranks) in place of the least.  Mixed block sizes must be
-    requested explicitly.  A listing of more than ``LAMBDA_CAP`` subsets is
+    sorted ranks) in place of the least.  Any family is counted, mixed block
+    sizes included.  A listing of more than ``LAMBDA_CAP`` subsets is
     refused before any array is built.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
-    if not allow_mixed and len(family.block_sizes) > 1:
-        raise ValueError("mixed block sizes; pass allow_mixed=True")
     if t == 0:
         return LambdaResult(True, len(family.blocks), None)
     n, total = family.n, comb(family.n, t)
@@ -442,6 +434,23 @@ class DiscreteHarmonic:
     def degree(self) -> int:
         return len(self.pairs)
 
+    @classmethod
+    def _certified(cls, n: int, pairs) -> "DiscreteHarmonic":
+        """An element over a pair system that its basis has certified: the
+        fields are set without running the check again."""
+        f = object.__new__(cls)
+        f.__dict__.update(n=n, pairs=pairs)
+        return f
+
+
+def _harm_degree(n: int, k: int) -> None:
+    """The one Harm_k degree rule: k must lie in 0..n (``ValueError``) and
+    C(n, k) within ``TABLEAU_CAP`` (``CapExceededError``)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"harmonic degree {k} must lie in 0..{n}")
+    if comb(n, k) > TABLEAU_CAP:
+        raise CapExceededError(f"C({n},{k}) exceeds cap {TABLEAU_CAP}")
+
 
 def harm_dim(n: int, k: int) -> int:
     """dim Harm_k = C(n,k) - C(n,k-1), zero once k exceeds n/2."""
@@ -465,7 +474,8 @@ def _tableau_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 class _HarmBasis(Sequence):
     """Harm_k as its pair systems: ``pairs`` is one (len, k, 2) array over
     an immutable buffer (``_read_only``), in the dtype ``_int_dtype(n)``.
-    An element is built when it is read; a slice is a tuple.
+    An element is built when it is read, with no second check of its
+    certified system (``DiscreteHarmonic._certified``); a slice is a tuple.
     """
     n: int
     pairs: np.ndarray
@@ -476,8 +486,8 @@ class _HarmBasis(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        return DiscreteHarmonic(self.n,
-                                tuple(map(tuple, self.pairs[i].tolist())))
+        return DiscreteHarmonic._certified(
+            self.n, tuple(map(tuple, self.pairs[i].tolist())))
 
 
 @functools.lru_cache(maxsize=32)
@@ -489,12 +499,10 @@ def harm_basis(n: int, k: int) -> Sequence[DiscreteHarmonic]:
     with the matching order statistic of the complement; the constant
     (k = 0) is the one empty system.  Every system is certified in ker
     gamma by the check ``DiscreteHarmonic`` runs (``_distinct_in_range``):
-    its 2k points are distinct and lie in range(n).
+    its 2k points are distinct and lie in range(n).  The degree passes
+    ``_harm_degree`` first.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"harmonic degree {k} must lie in 0..{n}")
-    if comb(n, k) > TABLEAU_CAP:
-        raise CapExceededError(f"C({n},{k}) exceeds cap {TABLEAU_CAP}")
+    _harm_degree(n, k)
     a, b = _tableau_pairs(n, k)
     if len(b) != harm_dim(n, k):
         raise InternalCheckError("tableau count mismatch")
@@ -573,19 +581,14 @@ def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
 def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
     """Harmonic-sum criterion per degree: zero sums across a Harm_j basis.
 
-    Returns {j: (passes, witness basis index or None)}.  An over-cap
-    degree is requested first, so it is refused before any other work.
-    On a family closed under complement every odd degree passes with no
-    basis built (see ``harmonic_family_sums``).
+    Returns {j: (passes, witness basis index or None)}.  Every degree
+    meets ``harm_basis``'s rule (``_harm_degree``) before any work, odd ones
+    on a closed family included.  On a family closed under complement every
+    odd degree passes with no basis built (see ``harmonic_family_sums``).
     """
     degrees = sorted(set(degrees))
-    over = [j for j in degrees if comb(family.n, j) > TABLEAU_CAP]
-    if over:
-        harm_basis(family.n, over[0])
-    wide = [j for j in degrees if j > family.n]
-    if wide:        # refused as harm_basis would, though odd ones build none
-        raise ValueError(f"harmonic degree {wide[0]} must lie in "
-                         f"0..{family.n}")
+    for j in degrees:
+        _harm_degree(family.n, j)
     closed = _complement_half(family) is not None
     out = {}
     for j in degrees:
@@ -648,44 +651,27 @@ def _hwe_batch(code: BinaryCode, pairs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntisymmetryReport:
-    """In "full basis" mode ``tested`` counts basis elements and ``witness``
-    is (basis index, weight); in "sampled combinations" mode ``tested``
-    counts samples and ``witness`` is (sample index, weight)."""
-    mode: str                 # "full basis" or "sampled combinations"
+    """``tested`` counts the Harm_k basis elements, every one of them, and
+    ``witness`` is (basis index, weight) of the first failure."""
+    mode: str                 # always "full basis"
     tested: int
     ok: bool
     witness: tuple[int, int] | None
 
 
-def antisymmetry_check(code: BinaryCode, k: int, *, basis_cap: int = 4096,
-                       samples: int = 20, seed: int = 20240817) -> AntisymmetryReport:
-    """Verify c(i) + c(n-i) = 0 for harmonic weight enumerators of odd degree.
-
-    Runs over the full Harm_k basis when it is small enough, otherwise over
-    seeded random integer combinations of basis elements (antisymmetry is
-    linear, so combinations are a fair randomized certificate).
+def antisymmetry_check(code: BinaryCode, k: int) -> AntisymmetryReport:
+    """Verify c(i) + c(n-i) = 0 for the harmonic weight enumerators of odd
+    degree k, over the full Harm_k basis: antisymmetry is linear, so the
+    verdict is a proof for all of Harm_k.
     """
     if k % 2 == 0:
         raise ValueError("antisymmetry concerns odd degrees")
     basis = harm_basis(code.n, k)
-    if len(basis) <= basis_cap:
-        table = _hwe_batch(code, basis.pairs)
-        bad = np.argwhere(table + table[:, ::-1] != 0)
-        if len(bad):
-            return AntisymmetryReport("full basis", len(basis), False,
-                                      tuple(bad[0].tolist()))
-        return AntisymmetryReport("full basis", len(basis), True, None)
-    rng = random.Random(seed)
-    for s in range(samples):
-        picks = rng.sample(range(len(basis)), min(40, len(basis)))
-        coeffs = [rng.randint(-9, 9) or 1 for _ in picks]
-        table = _hwe_batch(code, basis.pairs[picks])
-        combo = np.array(coeffs, dtype=np.int64) @ table
-        bad = np.flatnonzero(combo + combo[::-1] != 0)
-        if len(bad):
-            return AntisymmetryReport("sampled combinations", samples,
-                                      False, (s, int(bad[0])))
-    return AntisymmetryReport("sampled combinations", samples, True, None)
+    table = _hwe_batch(code, basis.pairs)
+    bad = np.argwhere(table + table[:, ::-1] != 0)
+    witness = tuple(bad[0].tolist()) if len(bad) else None
+    return AntisymmetryReport("full basis", len(basis), witness is None,
+                              witness)
 
 
 # ---------------------------------------------------------------------------

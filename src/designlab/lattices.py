@@ -908,19 +908,21 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
                    cap: int = SHELL_CAP, workers: int = 1) -> QSeries:
     """Sum of P(x) q^{(x,x)} over norms <= prec_norm, exponent = norm.
 
-    Precondition: integral norms (all fixtures).  For an even lattice odd
-    norms are provably empty and skipped.  A ``prec_norm`` over
-    ``modforms.SERIES_CAP`` is refused before anything is enumerated.
+    Norms are integral exactly when every diagonal entry of 2G is even;
+    any other lattice is refused (``ValueError``) before anything is
+    enumerated, as is a ``prec_norm`` over ``modforms.SERIES_CAP``.  For
+    an even lattice odd norms are provably empty and skipped.
     """
     if p.n != lat.rank:
         raise ValueError("polynomial dimension must match the lattice rank")
+    if any(lat.g2[i][i] % 2 for i in range(lat.rank)):
+        raise ValueError("a theta series needs integral norms: every "
+                         "diagonal entry of 2G must be even")
     _check_prec(prec_norm)
     even = is_even(lat)
     table = _vectors_by_doubled_norm(lat, 2 * prec_norm, cap, workers)
     coeffs: dict[int, Fraction] = {0: Fraction(1)} if p.degree == 0 else {}
     for w, rows in table.items():
-        if w % 2:
-            raise ValueError("non-integral norm encountered")
         norm = w // 2
         if even and norm % 2:
             raise InternalCheckError("odd norm on an even lattice")

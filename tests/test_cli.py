@@ -575,6 +575,28 @@ def test_theta_membership_refuses_bad_input_before_enumerating(monkeypatch):
         assert run(["theta"] + argv + ["--membership"])[0] == 2, argv
 
 
+@pytest.mark.parametrize("gram, precs", [
+    ("\n".join(" ".join("1/2" if i == j else "0" for j in range(8))
+               for i in range(8)), (1, 3, 20)),
+    ("3/2", (1, 2))])
+def test_theta_refuses_non_integral_lattices_first(gram, precs, tmp_path,
+                                                  monkeypatch, capsys):
+    # a diagonal entry of 2G is odd, so some norm is not an integer: the
+    # lattice is refused whatever the depth, before any enumeration
+    def enumerate_nothing(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
+                        enumerate_nothing)
+    path = tmp_path / "gram.txt"
+    path.write_text(gram + "\n")
+    for prec in precs:
+        assert run(["--format", "json", "theta", "--lattice", str(path),
+                    "--prec", str(prec)]) == (2, "")
+        err = one_error(capsys)
+        assert err["type"] == "usage" and "integral" in err["message"]
+
+
 def test_theta_direction_length_checked():
     assert run(["theta", "--lattice", "E8", "--poly", "zonal:2:1,0",
                 "--prec", "4"])[0] == 2
@@ -652,9 +674,9 @@ def int_rows(draw):
 @example(np.array([[-2 ** 40, 5], [0, 2 ** 40]]))    # the one-by-one path
 def test_row_writer_matches_json_dumps(rows):
     oracle = rows.tolist()
-    assert "[" + cli._format_rows(rows, cli._JSON_ROWS) + "]" == \
+    assert "[" + "".join(cli._format_rows(rows, cli._JSON_ROWS)) + "]" == \
         json.dumps(oracle)
-    assert cli._format_rows(rows, cli._CSV_ROWS) == \
+    assert "".join(cli._format_rows(rows, cli._CSV_ROWS)) == \
         "".join(",".join(map(str, row)) + "\n" for row in oracle)
 
 
@@ -664,8 +686,8 @@ def test_row_writer_span_boundary():
     for span in (cli._TOKEN_SPAN - 1, cli._TOKEN_SPAN):
         for rows in (np.array([[-span // 2, span - span // 2]]),
                      np.arange(-3, span - 2).reshape(-1, 1)[::-1]):
-            assert "[" + cli._format_rows(rows, cli._JSON_ROWS) + "]" == \
-                json.dumps(rows.tolist())
+            assert "[" + "".join(cli._format_rows(rows, cli._JSON_ROWS)) \
+                + "]" == json.dumps(rows.tolist())
 
 
 def test_csv_rejected_elsewhere():

@@ -46,12 +46,10 @@ def brute_gamma(n, k, values):
     return acc
 
 
-def oracle_design_lambda(family, t, allow_mixed=False):
+def oracle_design_lambda(family, t):
     """Dict-loop lambda counting: count every t-subset of every block."""
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
-    if not allow_mixed and len(family.block_sizes) > 1:
-        raise ValueError("mixed block sizes; pass allow_mixed=True")
     if t == 0:
         return LambdaResult(True, len(family.blocks), None)
     counts = {}
@@ -218,13 +216,12 @@ def test_design_lambda_witness_on_failure():
         assert sum(1 for b in fam.blocks if b & m == m) == cnt
 
 
-def test_design_lambda_rejects_mixed_sizes_unless_asked():
+def test_design_lambda_counts_mixed_sizes():
     fam = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
-    with pytest.raises(ValueError):
-        design_lambda(fam, 1)
     # 759 * 8 + 759 * 16 incidences spread over 24 points
-    res = design_lambda(fam, 1, allow_mixed=True)
+    res = design_lambda(fam, 1)
     assert res.is_design and res.lam == 759
+    assert res == oracle_design_lambda(fam, 1)
 
 
 @st.composite
@@ -239,8 +236,7 @@ def families(draw):
 @given(families())
 def test_design_lambda_matches_dict_oracle(case):
     fam, t = case
-    assert design_lambda(fam, t, allow_mixed=True) == \
-        oracle_design_lambda(fam, t, allow_mixed=True)
+    assert design_lambda(fam, t) == oracle_design_lambda(fam, t)
 
 
 def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
@@ -260,8 +256,8 @@ def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
     cases += [(BlockFamily(70, (first30,)), 30),
               (BlockFamily(70, (first30, next30)), 29)]
     for fam, t in cases:
-        assert design_lambda(fam, t, allow_mixed=True) == \
-            oracle_design_lambda(fam, t, allow_mixed=True), (fam.n, t)
+        assert design_lambda(fam, t) == oracle_design_lambda(fam, t), \
+            (fam.n, t)
 
 
 def test_combinations_table_matches_itertools():
@@ -542,18 +538,35 @@ def test_cached_basis_carries_its_pair_array():
 
 def test_harm_basis_builds_elements_only_when_read(monkeypatch):
     built = []
-    monkeypatch.setattr(codes, "DiscreteHarmonic",
+    monkeypatch.setattr(codes.DiscreteHarmonic, "_certified",
                         lambda n, pairs: built.append(pairs) or pairs)
     basis = harm_basis.__wrapped__(24, 5)       # bypass the cache
     fam = shell(golay_g24(), 8)
     assert len(basis) == harm_dim(24, 5) and built == []
     assert not any(harmonic_family_sums(basis, fam))
-    assert antisymmetry_check(golay_g24(), 5, basis_cap=1000, samples=2).ok
+    assert antisymmetry_check(golay_g24(), 5).ok
     assert built == []
     assert basis[-1] == tuple(map(tuple, basis.pairs[-1].tolist()))
     assert basis[3:9:2] == tuple(built[1:]) and len(built) == 4
     with pytest.raises(IndexError):
         basis[len(basis)]
+
+
+def test_reading_a_basis_runs_no_second_check(monkeypatch):
+    basis = harm_basis(8, 3)
+    calls, check = [], codes._distinct_in_range
+
+    def spy(pairs, n):
+        calls.append(len(pairs))
+        return check(pairs, n)
+    monkeypatch.setattr(codes, "_distinct_in_range", spy)
+    elements = list(basis)
+    assert calls == []
+    # each element equals the one built by hand, which runs the check
+    assert elements == [codes.DiscreteHarmonic(8, f.pairs) for f in elements]
+    assert calls == [1] * len(basis)
+    with pytest.raises(ValueError, match="distinct points in range"):
+        codes.DiscreteHarmonic(8, ((0, 9),))
 
 
 def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
@@ -583,7 +596,7 @@ def test_delsarte_refuses_over_cap_degree_first(monkeypatch):
 
     def spy(n, k):
         asked.append(k)
-        return build(n, k)          # the refusal is raised in harm_basis
+        return build(n, k)
 
     def no_sums(basis, family):
         raise AssertionError("summed a basis before the refusal")
@@ -592,7 +605,20 @@ def test_delsarte_refuses_over_cap_degree_first(monkeypatch):
     with pytest.raises(CapExceededError,
                        match=r"C\(24,6\) exceeds cap 100000"):
         delsarte_design_check(fam, [1, 2, 3, 4, 5, 6, 7])
-    assert asked == [6]
+    # every degree meets harm_basis's rule before any basis is built; an
+    # over-cap degree is at most n, so it sorts before any degree past n
+    with pytest.raises(CapExceededError, match=r"C\(24,6\)"):
+        delsarte_design_check(fam, [25, 6, 1])
+    ham = shell(hamming_e8(), 4)
+    for degrees, bad in (([9, 1], 9), ([-1, 1], -1)):
+        with pytest.raises(ValueError,
+                           match=f"harmonic degree {bad} must lie in 0..8"):
+            delsarte_design_check(ham, degrees)
+    for k in (-1, 9):
+        with pytest.raises(ValueError,
+                           match=f"harmonic degree {k} must lie in 0..8"):
+            harm_basis(8, k)
+    assert asked == []
     monkeypatch.undo()
     checks = delsarte_design_check(shell(hamming_e8(), 4), [3, 1, 2])
     assert list(checks) == [1, 2, 3]
@@ -748,7 +774,7 @@ def test_d16plus_two_weight_T_design():
     assert not rep.verdicts[4][0]
     # brute-force cross-check of the degree-2 failure
     fam = shell(d16_plus(), 4).union(shell(d16_plus(), 12))
-    res = design_lambda(fam, 2, allow_mixed=True)
+    res = design_lambda(fam, 2)
     assert not res.is_design
     # ... and the weight-4 shell alone is not a 2-design either
     assert not design_lambda(shell(d16_plus(), 4), 2).is_design
@@ -788,14 +814,26 @@ def test_antisymmetry_full_basis_modes():
         antisymmetry_check(hamming_e8(), 2)
 
 
-def test_antisymmetry_sampled_mode_for_large_basis():
-    rep = antisymmetry_check(golay_g24(), 5, basis_cap=1000, samples=5)
-    assert rep.mode == "sampled combinations"
-    assert rep.ok
-    # fewer basis elements than the 40 a combination draws
-    rep = antisymmetry_check(hamming_e8(), 3, basis_cap=10)
-    assert rep.mode == "sampled combinations"
-    assert rep.ok
+def test_antisymmetry_full_basis_on_golay_degree_5():
+    rep = antisymmetry_check(golay_g24(), 5)
+    assert (rep.mode, rep.tested, rep.ok, rep.witness) == \
+        ("full basis", 31878, True, None)
+
+
+def test_antisymmetry_fails_without_the_all_ones_word():
+    # the [4,1] code generated by 1100: its weight-2 word has no
+    # complement in the code, so c(2) + c(4-2) = 2 c(2) can be nonzero
+    code = code_from_generator(["1100"])
+    rep = antisymmetry_check(code, 1)
+    assert rep.mode == "full basis" and rep.tested == harm_dim(4, 1)
+    assert not rep.ok
+
+    def c(f, w):            # an enumerator coefficient, recounted
+        return sum(oracle_tilde(f, u) for u in codewords(code)
+                   if u.bit_count() == w)
+    failures = [(i, w) for i, f in enumerate(harm_basis(4, 1))
+                for w in range(5) if c(f, w) + c(f, 4 - w)]
+    assert rep.witness == failures[0]
 
 
 def test_hwe_numpy_path_matches_dict_path():
