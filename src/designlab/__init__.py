@@ -8,14 +8,12 @@ of the homogeneous pieces of the associated structures.
 from .errors import (CapExceededError, DesignLabError, FixtureError,
                      OffsetError, PrecisionError)
 from .qseries import QSeries
-from .modforms import (FitResult, ModFormSpace, delta, delta_eisenstein,
-                       delta_eta, eisenstein, eta, eta_quotient, factorize,
-                       fit_in_space, mf_basis, mf_dim, ord_p, ramanujan_tau,
-                       sigma, vanishing_indices)
+from .modforms import (FitResult, ModFormSpace, delta_eisenstein, delta_eta,
+                       eisenstein, eta, eta_quotient, factorize, fit_in_space,
+                       mf_basis, mf_dim, ord_p, ramanujan_tau, sigma)
 from .codes import (AntisymmetryReport, BinaryCode, BlockFamily,
                     DiscreteHarmonic, DivisibilityReport, LambdaResult,
-                    TwoWeightReport, antisymmetry_check, code_from_generator,
-                    code_from_rows,
+                    TwoWeightReport, antisymmetry_check, code_from_rows,
                     code_from_text, d16_plus, delsarte_design_check,
                     design_lambda, direct_sum, divisibility_structure_check,
                     golay_g24, hamming_e8, harm_basis, harm_dim,

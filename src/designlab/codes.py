@@ -38,7 +38,7 @@ from .qseries import _int_convolve
 
 __all__ = [
     "BinaryCode", "BlockFamily", "DiscreteHarmonic",
-    "code_from_rows", "code_from_text", "code_from_generator",
+    "code_from_rows", "code_from_text",
     "hamming_e8", "golay_g24", "d16_plus", "direct_sum",
     "is_doubly_even", "is_self_dual", "min_weight", "weight_distribution",
     "shell", "design_lambda", "LambdaResult",
@@ -111,15 +111,6 @@ def code_from_text(text: str, name: str = "") -> BinaryCode:
             raise ValueError(f"bad generator row: {ln!r}")
         rows.append(sum(1 << i for i, ch in enumerate(ln) if ch == "1"))
     return code_from_rows(n, rows, name)
-
-
-def code_from_generator(rows: list[str], name: str = "") -> BinaryCode:
-    """Build a code from generator rows given as 0/1 strings.
-
-    Dependent rows reduce away silently; the resulting dimension is the
-    rank of the matrix, not the number of rows supplied.
-    """
-    return code_from_text("\n".join(rows), name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,7 +559,13 @@ def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
     A difference product of degree k has f-tilde(u-bar) = (-1)^k
     f-tilde(u), so on a family closed under complement the odd-degree sums
     are zero and the even-degree sums are twice those over half the blocks.
+    Every harmonic must live on the family's n points.
     """
+    ns = ({basis.n} if isinstance(basis, _HarmBasis)
+          else {f.n for f in basis})
+    if ns - {family.n}:
+        raise ValueError(f"harmonics on {sorted(ns)} points, a family on "
+                         f"{family.n}")
     pairs = _pair_array(basis)
     half = _complement_half(family)
     if half is None:
@@ -635,6 +632,9 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
 
 def harmonic_weight_enumerator(code: BinaryCode, f: DiscreteHarmonic) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_n with c_w = sum of f-tilde over weight-w words."""
+    if f.n != code.n:
+        raise ValueError(f"a harmonic on {f.n} points, a code of length "
+                         f"{code.n}")
     row = _hwe_batch(code, _pair_array((f,)))[0]
     return tuple(map(Fraction, row.tolist()))
 

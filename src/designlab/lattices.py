@@ -610,8 +610,7 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
     return out
 
 
-def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
-               workers: int = 1) -> Shell:
+def shell_enum(lat: Lattice, norm, workers: int = 1) -> Shell:
     """All vectors of the exact given norm, antipodal and sorted.
 
     Float pruning only widens the search box; acceptance is by exact
@@ -624,14 +623,13 @@ def shell_enum(lat: Lattice, norm, cap: int = SHELL_CAP,
     doubled = 2 * norm
     if norm == 0 or doubled.denominator != 1:
         return Shell(lat, norm, np.zeros((int(norm == 0), lat.rank), np.int8))
-    table = _vectors_by_doubled_norm(lat, int(doubled), cap, workers)
+    table = _vectors_by_doubled_norm(lat, int(doubled), SHELL_CAP, workers)
     return Shell(lat, norm, table.get(int(doubled), ()))
 
 
-def shell_sizes_up_to(lat: Lattice, max_norm, cap: int = SHELL_CAP,
-                      workers: int = 1) -> dict[Fraction, int]:
+def shell_sizes_up_to(lat: Lattice, max_norm) -> dict[Fraction, int]:
     doubled = int(2 * Fraction(max_norm))
-    table = _vectors_by_doubled_norm(lat, doubled, cap, workers)
+    table = _vectors_by_doubled_norm(lat, doubled, SHELL_CAP, 1)
     return {Fraction(w, 2): len(vs) for w, vs in sorted(table.items())}
 
 
@@ -829,7 +827,6 @@ class TDesignReport:
 
 
 def spherical_T_design_report(lat: Lattice, norm, degrees,
-                              cap: int = SHELL_CAP,
                               workers: int = 1) -> TDesignReport:
     """Per-degree design verdicts for one shell.
 
@@ -839,7 +836,7 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
     checked against ``DEGREE_CAP`` before the shell is enumerated.
     """
     degrees = _degree_list(degrees)
-    shell = shell_enum(lat, norm, cap, workers)
+    shell = shell_enum(lat, norm, workers)
     if not len(shell):
         raise ValueError("empty shell")
     sums = gegenbauer_component_sums(shell, degrees)
@@ -886,8 +883,11 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     """Exact sum over the shell of the degree-k zonal harmonic along the
     lattice-coordinate row u: the zonal kernel (``_zonal_sums``) at the
     histogram of v = 2 scale (x.u), with D^2 = (2 scale)^2 r^2 |u|^2, an
-    integer since 2r^2 is one; the sum is divided by (2 scale)^k."""
+    integer since 2r^2 is one; the sum is divided by (2 scale)^k.  The
+    shell must be one of ``lat``'s: another Gram matrix is refused."""
     wanted = _degree_list((k,))
+    if shell.lattice.g2 != lat.g2:
+        raise ValueError("the shell belongs to another Gram matrix")
     if not len(shell):
         return Fraction(0)
     scale = math.lcm(*(Fraction(x).denominator for x in direction))
@@ -957,7 +957,7 @@ class MembershipReport:
 
 
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
-                           prec_norm: int = 8, cap: int = SHELL_CAP,
+                           prec_norm: int = 8,
                            workers: int = 1) -> MembershipReport:
     """Fit the modular-q theta into M_k, k = n/2 + degree, in the echelon
     basis ``mf_basis(k)``; ``mf_basis(k, prec).element(coords)`` extends
@@ -974,7 +974,7 @@ def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
         raise ValueError("not enough theta coefficients for a meaningful fit: "
                          f"enumerate to norm {needed} at least")
     weight = lat.rank // 2 + p.degree
-    theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
+    theta = to_modular_q(harmonic_theta(lat, p, prec_norm, workers=workers))
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
     space = mf_basis(weight, ltop)
     fit = fit_in_space(theta, space, margin=ltop + 1 - space.dim)
@@ -1000,17 +1000,17 @@ def theta_directions(rank: int) -> list[tuple[int, ...]]:
 
 
 def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
-                     directions=None, cap: int = SHELL_CAP, workers: int = 1
+                     workers: int = 1
                      ) -> Iterator[tuple[tuple, tuple[Fraction, ...], QSeries]]:
-    """Fit the degree-``degree`` zonal theta along each direction
-    (``theta_directions`` by default); yield (direction, coords, form), the
-    form rebuilt through q^prec.  Membership is a theorem for even
-    unimodular lattices, so a failed fit is an internal error."""
+    """Fit the degree-``degree`` zonal theta along each direction of
+    ``theta_directions``; yield (direction, coords, form), the form rebuilt
+    through q^prec.  Membership is a theorem for even unimodular lattices,
+    so a failed fit is an internal error."""
     _degree_list((degree,))             # the cap refuses before any form
     space = mf_basis(lat.rank // 2 + degree, prec)
-    for u in theta_directions(lat.rank) if directions is None else directions:
+    for u in theta_directions(lat.rank):
         rep = theta_membership_check(lat, zonal_harmonic_coords(lat, degree, u),
-                                     prec_norm, cap, workers)
+                                     prec_norm, workers)
         if not rep.fit_ok:
             raise InternalCheckError(
                 f"degree-{degree} theta along {tuple(u)} escaped M_"
@@ -1065,8 +1065,7 @@ def theta_design_report(lat: Lattice, norm, t: int, prec_norm: int = 0,
         if not fitted(j):
             modes[j] = "antipodal" if j % 2 else "cusp space zero"
         elif all(form[target - form.offset24 // 24] == 0 for _, _, form in
-                 zonal_theta_fits(lat, j, prec_norm, prec, dirs,
-                                  workers=workers)):
+                 zonal_theta_fits(lat, j, prec_norm, prec, workers)):
             modes[j] = f"fit along {len(dirs)} directions"
         else:
             modes[j] = "nonzero fitted coefficient"

@@ -17,10 +17,10 @@ from .errors import (CapExceededError, InternalCheckError, OffsetError,
 from .qseries import QSeries, exact_str
 
 __all__ = [
-    "eta", "eta_quotient", "eisenstein", "delta", "delta_eta", "delta_eisenstein",
+    "eta", "eta_quotient", "eisenstein", "delta_eta", "delta_eisenstein",
     "mf_dim", "mf_basis", "cusp_monomials", "echelon_rows", "fit_in_space",
     "ModFormSpace", "FitResult",
-    "factorize", "sigma", "ord_p", "ramanujan_tau", "vanishing_indices",
+    "factorize", "sigma", "ord_p", "ramanujan_tau",
     "SERIES_CAP",
 ]
 
@@ -146,11 +146,6 @@ def eisenstein(k: int, prec: int) -> QSeries:
 def delta_eta(prec: int) -> QSeries:
     """The discriminant cusp form as the 24th power of eta."""
     return eta_quotient([(1, 24)], prec)
-
-
-def delta(prec: int) -> QSeries:
-    """The discriminant cusp form; the Eisenstein-formula route."""
-    return delta_eisenstein(prec)
 
 
 def delta_eisenstein(prec: int) -> QSeries:
@@ -355,24 +350,3 @@ def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult
     if diff.is_zero():
         return FitResult(True, coords, None)
     return FitResult(False, None, diff.offset24 // 24)
-
-
-def vanishing_indices(f: QSeries, bound: int) -> list[int]:
-    """Indices i <= bound with zero coefficient, in f's own indexing.
-
-    The index of a stored coefficient is its q-exponent rounded up to the
-    integer grid, which matches the usual display q^(frac) * sum a(i) q^i
-    with frac in (-1, 0].
-    """
-    base = -((-f.offset24) // 24)       # ceil(offset24 / 24)
-    if base + f.prec < bound:
-        raise PrecisionError(
-            f"series known through index {base + f.prec}, need {bound}")
-    out = []
-    for i in range(f.prec + 1):
-        label = base + i
-        if label > bound:
-            break
-        if f[i] == 0:
-            out.append(label)
-    return out

@@ -20,12 +20,12 @@ from fractions import Fraction
 
 from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
-from .lattices import (SHELL_CAP, HarmonicPolynomial, Lattice,
-                       gegenbauer_component_sums, harmonic_theta, lattice_e8,
-                       require_even_unimodular, shell_enum, theta_fit_norm,
-                       to_modular_q, zonal_theta_fits)
+from .lattices import (HarmonicPolynomial, Lattice, gegenbauer_component_sums,
+                       harmonic_theta, lattice_e8, require_even_unimodular,
+                       shell_enum, theta_fit_norm, to_modular_q,
+                       zonal_theta_fits)
 from .modforms import (cusp_monomials, eisenstein, eta_quotient, factorize,
-                       mf_dim, ramanujan_tau, vanishing_indices)
+                       mf_dim, ramanujan_tau)
 from .qseries import QSeries
 
 __all__ = [
@@ -109,11 +109,11 @@ a_series = functools.partial(_witness_trace, 8, 8)
 b_series = functools.partial(_witness_trace, 16, 4)
 
 
-def graded_trace(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
-                 cap: int = SHELL_CAP, workers: int = 1) -> TraceSeries:
+def graded_trace(lat: Lattice, p: HarmonicPolynomial,
+                 prec_norm: int) -> TraceSeries:
     """Weighted theta over eta^rank, the lattice-VOA graded trace."""
     require_even_unimodular(lat, "graded traces")
-    theta = to_modular_q(harmonic_theta(lat, p, prec_norm, cap, workers))
+    theta = to_modular_q(harmonic_theta(lat, p, prec_norm))
     rank = lat.rank
     trace = _over_eta_rank(theta, rank)
     if (trace.offset24 + rank) % 24:    # a fault here, not a bad request
@@ -318,8 +318,7 @@ def remark4_series(prec: int) -> Remark4Report:
     if ser.offset24 != 24:
         raise InternalCheckError("closed form must start exactly at q^1")
     trace = TraceSeries(1, ser, "q^{1/24} eta(2z)^15/eta(z)^7", prefactor24=1)
-    zeros = tuple(i for i in vanishing_indices(ser, prec))
-    return Remark4Report(prec, trace, zeros)
+    return Remark4Report(prec, trace, trace.zero_indices_up_to(prec))
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +334,24 @@ class ProportionalityCertificate:
 
 
 def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
-                          prec: int = 60, prec_norm: int = 8,
-                          directions=None, cap: int = SHELL_CAP,
-                          workers: int = 1) -> ProportionalityCertificate:
+                          prec_norm: int = 8) -> ProportionalityCertificate:
     """Certify graded_trace(lat, zonal) = ratio * reference to >= 50 terms.
 
-    ``zonal_theta_fits`` fits the zonal theta along each direction
-    (``theta_directions`` by default) in the predicted weight-(rank/2 +
-    degree) space, where the enumerated coefficients overdetermine its
-    coordinates, and rebuilds it through q^prec.  Dividing by eta^rank
-    then certifies the proportionality far beyond enumeration range.
-    Directions whose coordinates all vanish have the zero theta and are
-    skipped.
+    ``zonal_theta_fits`` fits the zonal theta along each direction of
+    ``theta_directions`` in the predicted weight-(rank/2 + degree) space,
+    where the enumerated coefficients overdetermine its coordinates, and
+    rebuilds it through the precision of the reference.  Dividing by
+    eta^rank then certifies the proportionality far beyond enumeration
+    range, on every coefficient the reference knows.  Directions whose
+    coordinates all vanish have the zero theta and are skipped.
     """
     rank = lat.rank
     if prec_norm < theta_fit_norm(rank, degree):
         raise PrecisionError(f"enumeration to norm {prec_norm} underdetermines "
                              f"the degree-{degree} theta fit")
     nonzero = False
-    for w, coords, form in zonal_theta_fits(lat, degree, prec_norm, prec,
-                                            directions, cap, workers):
+    for w, coords, form in zonal_theta_fits(lat, degree, prec_norm,
+                                            reference.series.prec):
         if not any(coords):
             continue                    # the zero theta
         nonzero = True

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from designlab import cli, codes
 from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
-                             code_from_generator, code_from_rows,
-                             codewords, d16_plus, delsarte_design_check,
+                             code_from_rows, code_from_text, codewords,
+                             d16_plus, delsarte_design_check,
                              design_lambda, direct_sum,
                              divisibility_structure_check, golay_g24,
                              hamming_e8, harm_basis, harm_dim,
@@ -125,12 +125,12 @@ def test_fixture_shapes():
 
 
 def test_code_from_generator_strings():
-    code = code_from_generator(["1100", "0110", "1010"])
+    code = code_from_text("1100\n0110\n1010")
     # third row is the sum of the first two, so it reduces away
     assert code.k == 2
     assert set(codewords(code)) == brute_codewords([0b0011, 0b0110])
     with pytest.raises(ValueError):
-        code_from_generator(["110", "0a1"])
+        code_from_text("110\n0a1")
 
 
 def test_fixtures_doubly_even_self_dual():
@@ -297,7 +297,7 @@ def test_lambda_listing_over_the_cap_is_refused_first(tmp_path, monkeypatch,
         "".join("1" if j == i else "0" for j in range(16))
         + "".join(rng.choice("01") for _ in range(16)) + "\n"
         for i in range(16)))
-    fam = shell(code_from_generator(path.read_text().split()), 16)
+    fam = shell(code_from_text(path.read_text()), 16)
     listed = len(fam.blocks) * comb(16, 8)
     assert listed > codes.LAMBDA_CAP
     with pytest.raises(CapExceededError, match=f"{listed} listed 8-subsets"):
@@ -512,6 +512,30 @@ def test_harmonic_family_sums_matches_per_element():
     sums = harmonic_family_sums(basis, fam)
     for f, s in zip(basis, sums):
         assert s == sum(oracle_tilde(f, b) for b in fam.blocks)
+
+
+def test_harmonic_family_sums_refuse_harmonics_on_other_points():
+    # the kernel reads points clipped into range, so a degree-2 basis on
+    # 24 points summed over a family on 8 gave 136 nonzero "sums"
+    fam = shell(hamming_e8(), 4)
+    with pytest.raises(ValueError, match="on \\[24\\] points"):
+        harmonic_family_sums(harm_basis(24, 2), fam)
+    mixed = [harm_basis(8, 2)[0],
+             codes.DiscreteHarmonic(24, ((0, 20), (1, 2)))]
+    with pytest.raises(ValueError, match="on \\[8, 24\\] points"):
+        harmonic_family_sums(mixed, fam)
+    assert harmonic_family_sums(mixed[:1], fam) == \
+        harmonic_family_sums(harm_basis(8, 2)[:1], fam)
+
+
+def test_harmonic_weight_enumerator_refuses_a_harmonic_on_other_points():
+    # a harmonic on 24 points read on the 8 points of a code gave an
+    # all-zero enumerator, and so a divisibility report of zeros
+    f = codes.DiscreteHarmonic(24, ((0, 20),))
+    for check in (harmonic_weight_enumerator, divisibility_structure_check):
+        with pytest.raises(ValueError, match="on 24 points, a code of "
+                                             "length 8"):
+            check(hamming_e8(), f)
 
 
 def test_cached_basis_carries_its_pair_array():
@@ -823,7 +847,7 @@ def test_antisymmetry_full_basis_on_golay_degree_5():
 def test_antisymmetry_fails_without_the_all_ones_word():
     # the [4,1] code generated by 1100: its weight-2 word has no
     # complement in the code, so c(2) + c(4-2) = 2 c(2) can be nonzero
-    code = code_from_generator(["1100"])
+    code = code_from_text("1100")
     rep = antisymmetry_check(code, 1)
     assert rep.mode == "full basis" and rep.tested == harm_dim(4, 1)
     assert not rep.ok

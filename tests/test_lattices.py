@@ -499,20 +499,23 @@ def test_corrupted_lll_transform_refused_under_optimize(refused_under_optimize):
         "L.shell_enum(L.lattice_e8(), 2)")
 
 
+# the shell functions read SHELL_CAP; the vector table takes the cap, so
+# the cap boundaries are probed there
+
 def test_shell_cap_enforced():
     with pytest.raises(CapExceededError):
-        shell_enum(lattice_zn(2), 25, cap=5)
+        _vectors_by_doubled_norm(lattice_zn(2), 50, 5)
 
 
 def test_cap_boundaries():
     e8 = lattice_e8()
-    assert shell_sizes_up_to(e8, 4, cap=2160)[F(4)] == 2160
+    assert len(_vectors_by_doubled_norm(e8, 8, 2160)[8]) == 2160
     with pytest.raises(CapExceededError, match="has 2160 > cap 2159"):
-        shell_sizes_up_to(e8, 4, cap=2159)
+        _vectors_by_doubled_norm(e8, 8, 2159)
     # of several shells over the cap, the smallest doubled norm is
     # reported, whatever basis the search runs in
     with pytest.raises(CapExceededError, match="doubled norm 10 has 8 > cap 7"):
-        shell_sizes_up_to(lattice_zn(2), 25, cap=7)
+        _vectors_by_doubled_norm(lattice_zn(2), 50, 7)
     # the candidate rule: more than 4*cap + 64 leaves of the whole ball
     # refuse in the search, though it yields only the zero row and half
     # the rest
@@ -778,9 +781,6 @@ def test_worker_partitioning_changes_nothing():
     e8 = lattice_e8()
     assert shell_enum(e8, 6, workers=3).vectors == \
         shell_enum(e8, 6, workers=1).vectors
-    d16 = construction_a(d16_plus(), "d16plus")
-    assert shell_sizes_up_to(d16, 4, workers=2) == \
-        shell_sizes_up_to(d16, 4, workers=1)
 
 
 # -- construction A -----------------------------------------------------------
@@ -1085,6 +1085,19 @@ def test_zonal_inputs_validated():
     with pytest.raises(ValueError, match="nonnegative"):
         zonal_harmonic_coords(z3, -2, (1, 0, 0))
     assert HarmonicPolynomial(3, 0).direction is None
+
+
+def test_zonal_shell_sum_refuses_a_shell_of_another_lattice():
+    # the norm-2 hexagon of A2 read with the Gram matrix of Z2 summed to
+    # -2 at degree 2; with A2 itself the hexagon gives 0
+    a2 = lattice_a2()
+    hexagon = shell_enum(a2, 2)
+    assert zonal_shell_sum(a2, hexagon, 2, (1, 0)) == 0
+    with pytest.raises(ValueError, match="another Gram matrix"):
+        zonal_shell_sum(lattice_zn(2), hexagon, 2, (1, 0))
+    # an equal Gram matrix under another label is the same lattice
+    twin = Lattice(a2.gram, "twin")
+    assert zonal_shell_sum(twin, hexagon, 2, (1, 0)) == 0
 
 
 def test_zonal_gram_route_matches_direct_evaluation_on_z4():

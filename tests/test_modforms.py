@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab import (OffsetError, PrecisionError, QSeries, delta,
+from designlab import (OffsetError, PrecisionError, QSeries, TraceSeries,
                        delta_eisenstein, delta_eta, eisenstein, eta,
                        eta_quotient, factorize, fit_in_space, mf_basis, mf_dim,
-                       ord_p, ramanujan_tau, sigma, vanishing_indices)
+                       ord_p, ramanujan_tau, sigma)
 from designlab.lattices import (harmonic_theta, lattice_e8,
                                 theta_membership_check, to_modular_q,
                                 zonal_harmonic_coords)
@@ -253,7 +253,7 @@ def test_delta_routes_agree():
 
 
 def test_delta_is_the_eisenstein_route():
-    d = delta(60)
+    d = delta_eisenstein(60)
     assert d.offset24 == 24
     assert d[0] == 1 and d[1] == -24
     assert d.agrees_with(delta_eta(60))
@@ -491,21 +491,24 @@ def test_ord_p():
 
 
 # -- vanishing indices -----------------------------------------------------
+# read off a trace q^(-c/24) sum_(i >= base) t(i) q^i by display index
 
 def test_vanishing_indices_constant():
-    one = QSeries.one(5)
-    assert vanishing_indices(one, 5) == [1, 2, 3, 4, 5]
+    # q^(1/24) * 1 at charge 1: display base 0
+    one = TraceSeries(1, QSeries.one(5), "1", prefactor24=1)
+    assert one.zero_indices_up_to(5) == (1, 2, 3, 4, 5)
 
 
 def test_vanishing_indices_eta_power_eight():
-    f = eta_quotient([(1, 8)], 12)
-    assert vanishing_indices(f, 9) == [4, 8]
+    f = TraceSeries(16, eta_quotient([(1, 8)], 12), "eta^8")
+    assert f.zero_indices_up_to(9) == (4, 8)
 
 
 def test_vanishing_indices_e4_empty():
-    assert vanishing_indices(eisenstein(4, 60), 50) == []
+    e4 = TraceSeries(8, eisenstein(4, 60), "E4", prefactor24=8)
+    assert e4.zero_indices_up_to(50) == ()
 
 
 def test_vanishing_indices_needs_enough_coefficients():
     with pytest.raises(PrecisionError):
-        vanishing_indices(eta(5), 50)
+        TraceSeries(23, eta(5), "eta").zero_indices_up_to(50)

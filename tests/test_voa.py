@@ -5,6 +5,7 @@ independent dense-convolution oracle; criterion equivalences are scanned in
 both directions.
 """
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -321,21 +322,49 @@ def test_graded_trace_zonal_traces_are_proportional_to_the_witnesses():
 
 
 def test_certified_zonal_trace_e8():
-    cert = certified_zonal_trace(lattice_e8(), 8, a_series(60), prec=60,
-                                 prec_norm=8)
-    assert cert.ratio == 144 and cert.coefficients_checked >= 50
+    cert = certified_zonal_trace(lattice_e8(), 8, a_series(60), prec_norm=8)
+    assert cert.ratio == 144 and cert.coefficients_checked == 60
     assert cert.fit_coords == (0, 144)
+
+
+def test_certified_zonal_trace_compares_all_the_reference_knows():
+    # the fitted forms are rebuilt through the reference's precision, so a
+    # longer reference is compared on every coefficient it holds
+    cert = certified_zonal_trace(lattice_e8(), 8, a_series(70))
+    assert cert.ratio == 144 and cert.coefficients_checked == 70
+
+
+def test_shell_theta_and_trace_signatures():
+    # a parameter only where a caller sets it: the shell cap is the
+    # module constant SHELL_CAP, the fit directions are theta_directions,
+    # and the certified trace reads its precision off its reference
+    want = {
+        lattices.shell_enum: "lat, norm, workers=1",
+        lattices.shell_sizes_up_to: "lat, max_norm",
+        lattices.spherical_T_design_report: "lat, norm, degrees, workers=1",
+        lattices.theta_membership_check:
+            "lat, p, prec_norm=8, workers=1",
+        lattices.zonal_theta_fits:
+            "lat, degree, prec_norm, prec, workers=1",
+        graded_trace: "lat, p, prec_norm",
+        certified_zonal_trace: "lat, degree, reference, prec_norm=8",
+    }
+    for fn, params in want.items():
+        got = ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(fn).parameters.values())
+        assert got == params, fn.__name__
 
 
 def test_certified_zonal_trace_d16_and_golay():
     d16 = construction_a(d16_plus(), "d16plus")
-    cert = certified_zonal_trace(d16, 4, b_series(60), prec=60, prec_norm=4)
+    cert = certified_zonal_trace(d16, 4, b_series(60), prec_norm=4)
     assert cert.coefficients_checked >= 50
     sh = shell_enum(d16, 2)
     assert cert.ratio == zonal_shell_sum(d16, sh, 4, cert.direction) == -80
 
     g24 = construction_a(golay_g24(), "CA(golay)")
-    certc = certified_zonal_trace(g24, 4, e4(60), prec=60, prec_norm=4)
+    certc = certified_zonal_trace(g24, 4, e4(60), prec_norm=4)
     assert certc.coefficients_checked >= 50
     shg = shell_enum(g24, 2)
     assert certc.ratio == zonal_shell_sum(g24, shg, 4, certc.direction)
@@ -346,8 +375,7 @@ def test_certified_zonal_trace_guards():
     with pytest.raises(PrecisionError):
         certified_zonal_trace(lattice_e8(), 8, a_series(60), prec_norm=2)
     with pytest.raises(OffsetError):
-        certified_zonal_trace(lattice_e8(), 8, b_series(60), prec=60,
-                              prec_norm=8)
+        certified_zonal_trace(lattice_e8(), 8, b_series(60), prec_norm=8)
 
 
 
@@ -369,7 +397,7 @@ def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
     # E4*eta^8 shares the grid of eta^8, but no degree-4 trace is
     # proportional to it, so every direction is tried
     with pytest.raises(DesignLabError, match="not proportional"):
-        certified_zonal_trace(d16, 4, e4_eta8(60), prec=60, prec_norm=4)
+        certified_zonal_trace(d16, 4, e4_eta8(60), prec_norm=4)
     assert tried == theta_directions(16)
 
 
