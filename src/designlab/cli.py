@@ -21,8 +21,9 @@ from itertools import islice
 
 import numpy as np
 
+# unused here; loaded because bench/run.py and bench/spans.py read it
+from . import _parallel
 from ._fixtures import user_fixture_path
-from ._parallel import default_workers
 from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
                     golay_g24, hamming_e8, shell, two_weight_design_check)
 from .errors import DesignLabError
@@ -267,8 +268,7 @@ def cmd_lattice_design(a, out):
                "lattice": a.lattice, "norm": _frac(a.norm),
                "criterion": a.criterion}
     if a.criterion == "theta":
-        rep = theta_design_report(lat, a.norm, a.t, a.prec_norm,
-                                  workers=a.workers)
+        rep = theta_design_report(lat, a.norm, a.t, a.prec_norm)
         payload.update(prec_norm=rep.prec_norm,
                        directions_tested=rep.directions_tested,
                        per_degree={str(j): v for j, v in rep.verdicts.items()},
@@ -281,12 +281,10 @@ def cmd_lattice_design(a, out):
         return payload, text
     if a.criterion == "moment":
         _degree_list(range(1, a.t + 1))     # refused before the search
-        rep = moment_design_test(shell_enum(lat, a.norm, workers=a.workers),
-                                 a.t)
+        rep = moment_design_test(shell_enum(lat, a.norm), a.t)
         per, strength = rep.per_k, rep.strength
     else:
-        rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1),
-                                        workers=a.workers)
+        rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1))
         per, strength = rep.verdicts, prefix_strength(rep.verdicts)
     payload.update(size=rep.size, per_degree={str(k): v for k, v in per.items()},
                    strength=strength)
@@ -301,9 +299,8 @@ def cmd_theta(a, out):
     lat = _resolve_lattice(a.lattice)
     poly = _parse_poly(lat, a.poly)
     # the membership check refuses bad input before it enumerates
-    rep = (theta_membership_check(lat, poly, a.prec, workers=a.workers)
-           if a.membership else None)
-    series = harmonic_theta(lat, poly, a.prec, workers=a.workers)
+    rep = theta_membership_check(lat, poly, a.prec) if a.membership else None
+    series = harmonic_theta(lat, poly, a.prec)
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
                "poly": a.poly, "prec_norm": a.prec,
                "series": series.to_dict()}
@@ -380,7 +377,7 @@ def cmd_remark4(a, out):
 
 def cmd_shell(a, out):
     lat = _resolve_lattice(a.lattice)
-    sh = shell_enum(lat, a.norm, workers=a.workers)
+    sh = shell_enum(lat, a.norm)
     if a.fmt == "csv":
         out.writelines(_format_rows(sh.rows, _CSV_ROWS))
         return None, []
@@ -419,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "json", "csv"),
                     default="text", dest="fmt",
                     help="output format (csv applies to 'shell' only)")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="accepted and ignored: enumeration runs in one "
-                         "process")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eta", help="expand an eta quotient")
@@ -511,7 +505,6 @@ def _run(argv, out) -> int:
         a = _PARSER.parse_args(argv)
         if a.fmt == "csv" and a.command != "shell":
             raise ValueError("--format csv applies only to 'shell'")
-        a.workers = a.workers if a.workers > 0 else default_workers()
         payload, text = _COMMANDS[a.command](a, out)
     except ValueError as exc:
         status, error = 2, {"type": "usage", "message": str(exc)}

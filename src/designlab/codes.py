@@ -616,11 +616,14 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
 
     The degree-1 verdict is exactly the statement that all points are
     covered equally often by the union family.  The union is closed under
-    complement when the code holds the all-ones word.
+    complement when the code holds the all-ones word.  A pair with no
+    codewords is refused (``ValueError``) before any basis is built.
     """
     fam = shell(code, ell)
     if 2 * ell != code.n:       # the middle shell is its own complement
         fam = fam.union(shell(code, code.n - ell))
+    if not fam.blocks:
+        raise ValueError(f"no codewords of weight {ell} or {code.n - ell}")
     verdicts = delsarte_design_check(fam, degrees)
     return TwoWeightReport(code.n, (ell, code.n - ell), len(fam.blocks),
                            verdicts, _complement_half(fam) is not None)

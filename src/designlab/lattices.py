@@ -590,11 +590,14 @@ def _is_antipodal(rows: np.ndarray) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
-                             workers: int = 1) -> dict[int, np.ndarray]:
+                             workers: int) -> dict[int, np.ndarray]:
     """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
     (``_sorted_ball``): every shell is a slice of the one sorted array,
     which lives in an immutable buffer, checked antipodal before any slice
-    is handed out.  ``workers`` is accepted for callers and changes nothing.
+    is handed out.  Every caller passes all four arguments (``SHELL_CAP,
+    1`` in the package): the cache keys a call as written, so a shorter
+    call would build the same ball again.  ``workers`` changes nothing and
+    stays because ``bench/spans.py`` reads the table with four.
     """
     if bound2 < 0:
         return {}
@@ -610,7 +613,7 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
     return out
 
 
-def shell_enum(lat: Lattice, norm, workers: int = 1) -> Shell:
+def shell_enum(lat: Lattice, norm) -> Shell:
     """All vectors of the exact given norm, antipodal and sorted.
 
     Float pruning only widens the search box; acceptance is by exact
@@ -623,7 +626,7 @@ def shell_enum(lat: Lattice, norm, workers: int = 1) -> Shell:
     doubled = 2 * norm
     if norm == 0 or doubled.denominator != 1:
         return Shell(lat, norm, np.zeros((int(norm == 0), lat.rank), np.int8))
-    table = _vectors_by_doubled_norm(lat, int(doubled), SHELL_CAP, workers)
+    table = _vectors_by_doubled_norm(lat, int(doubled), SHELL_CAP, 1)
     return Shell(lat, norm, table.get(int(doubled), ()))
 
 
@@ -826,8 +829,7 @@ class TDesignReport:
         return all(self.verdicts[j] for j in degrees)
 
 
-def spherical_T_design_report(lat: Lattice, norm, degrees,
-                              workers: int = 1) -> TDesignReport:
+def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
     """Per-degree design verdicts for one shell.
 
     Even degrees are decided by the exact kernel sums; odd degrees hold for
@@ -836,7 +838,7 @@ def spherical_T_design_report(lat: Lattice, norm, degrees,
     checked against ``DEGREE_CAP`` before the shell is enumerated.
     """
     degrees = _degree_list(degrees)
-    shell = shell_enum(lat, norm, workers)
+    shell = shell_enum(lat, norm)
     if not len(shell):
         raise ValueError("empty shell")
     sums = gegenbauer_component_sums(shell, degrees)
@@ -957,8 +959,7 @@ class MembershipReport:
 
 
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
-                           prec_norm: int = 8,
-                           workers: int = 1) -> MembershipReport:
+                           prec_norm: int = 8) -> MembershipReport:
     """Fit the modular-q theta into M_k, k = n/2 + degree, in the echelon
     basis ``mf_basis(k)``; ``mf_basis(k, prec).element(coords)`` extends
     the fitted form to any precision.  ``with_e6_factor`` records
@@ -974,7 +975,7 @@ def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
         raise ValueError("not enough theta coefficients for a meaningful fit: "
                          f"enumerate to norm {needed} at least")
     weight = lat.rank // 2 + p.degree
-    theta = to_modular_q(harmonic_theta(lat, p, prec_norm, workers=workers))
+    theta = to_modular_q(harmonic_theta(lat, p, prec_norm))
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
     space = mf_basis(weight, ltop)
     fit = fit_in_space(theta, space, margin=ltop + 1 - space.dim)
@@ -999,8 +1000,7 @@ def theta_directions(rank: int) -> list[tuple[int, ...]]:
             + [(1,) * rank, tuple((i % 3) - 1 for i in range(rank))])
 
 
-def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
-                     workers: int = 1
+def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int
                      ) -> Iterator[tuple[tuple, tuple[Fraction, ...], QSeries]]:
     """Fit the degree-``degree`` zonal theta along each direction of
     ``theta_directions``; yield (direction, coords, form), the form rebuilt
@@ -1010,7 +1010,7 @@ def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int,
     space = mf_basis(lat.rank // 2 + degree, prec)
     for u in theta_directions(lat.rank):
         rep = theta_membership_check(lat, zonal_harmonic_coords(lat, degree, u),
-                                     prec_norm, workers)
+                                     prec_norm)
         if not rep.fit_ok:
             raise InternalCheckError(
                 f"degree-{degree} theta along {tuple(u)} escaped M_"
@@ -1027,8 +1027,8 @@ class ThetaDesignReport:
     strength: int
 
 
-def theta_design_report(lat: Lattice, norm, t: int, prec_norm: int = 0,
-                        workers: int = 1) -> ThetaDesignReport:
+def theta_design_report(lat: Lattice, norm, t: int,
+                        prec_norm: int = 0) -> ThetaDesignReport:
     """Verdicts and deciding modes for degrees 1..t on the shell of a
     positive even norm of an even unimodular lattice, from an enumeration to
     ``prec_norm`` (0: norm 8 up to rank 8, else 4); every refusal comes first.
@@ -1065,7 +1065,7 @@ def theta_design_report(lat: Lattice, norm, t: int, prec_norm: int = 0,
         if not fitted(j):
             modes[j] = "antipodal" if j % 2 else "cusp space zero"
         elif all(form[target - form.offset24 // 24] == 0 for _, _, form in
-                 zonal_theta_fits(lat, j, prec_norm, prec, workers)):
+                 zonal_theta_fits(lat, j, prec_norm, prec)):
             modes[j] = f"fit along {len(dirs)} directions"
         else:
             modes[j] = "nonzero fitted coefficient"

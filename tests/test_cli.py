@@ -239,9 +239,13 @@ def test_code_design_usage_errors():
     # non-complementary pair
     assert run(["code-design", "--code", "golay24", "--weights", "8,12",
                 "--Tset", "odd"])[0] == 2
-    # empty shell
+    # empty shell, and an empty shell pair (a negative weight included)
     assert run(["code-design", "--code", "golay24", "--weight", "6",
                 "--t", "1"])[0] == 2
+    for weights in ("4,20", "-6,30"):
+        assert run(["code-design", "--code", "golay24",
+                    f"--weights={weights}", "--Tset", "1,2",
+                    "--max-degree", "2"])[0] == 2
     # unknown fixture is rejected before any computation
     assert run(["code-design", "--code", "nosuch", "--weight", "4",
                 "--t", "1"])[0] == 2
@@ -694,13 +698,27 @@ def test_csv_rejected_elsewhere():
     assert run(["--format", "csv", "eta", "--spec", "", "--prec", "2"])[0] == 2
 
 
-def test_worker_count_does_not_change_results():
-    a = run_json(["--workers", "1", "shell", "--lattice", "E8",
-                  "--norm", "4"])
-    b = run_json(["--workers", "3", "shell", "--lattice", "E8",
-                  "--norm", "4"])
-    assert a == b
-    assert a["count"] == 2160
+def test_workers_flag_is_a_usage_error(capsys):
+    # enumeration runs in one process; the CLI has no worker count
+    assert run(["--workers", "2", "shell", "--lattice", "E8",
+                "--norm", "4"]) == (2, "")
+    assert one_error(capsys)["type"] == "usage"
+
+
+def test_cli_and_library_share_one_ball(monkeypatch):
+    # the CLI once keyed the vector table with os.cpu_count() workers and
+    # the library with 1, so the same ball was built twice
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    table = lattices._vectors_by_doubled_norm
+    table.cache_clear()
+    assert run_json(["shell", "--lattice", "E8", "--norm", "8"])["count"] \
+        == 17520
+    e8 = lattice_e8()
+    assert len(shell_enum(e8, 8)) == 17520
+    assert lattices.shell_sizes_up_to(e8, 8)[8] == 17520
+    assert lattices.harmonic_theta(e8, lattices.constant_poly(8), 8)[8] \
+        == 17520
+    assert table.cache_info().misses == 1
 
 
 # -- voa-strength and remark4 ------------------------------------------

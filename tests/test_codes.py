@@ -810,6 +810,18 @@ def test_self_complementary_shell_is_not_doubled():
     assert rep.passes([1, 3, 5])
 
 
+def test_empty_shell_pair_is_refused_before_any_basis(monkeypatch):
+    # no golay24 codeword has weight 4, 20, -6 or 30: a verdict on an
+    # empty union would hold vacuously, so the pair is refused
+    def never(n, k):
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(codes, "harm_basis", never)
+    for w in (4, -6):
+        with pytest.raises(ValueError, match=f"weight {w} or {24 - w}"):
+            two_weight_design_check(golay_g24(), w, [1, 2])
+
+
 # -- harmonic weight enumerators ------------------------------------------------
 
 def test_hwe_of_golay_low_degrees_vanish():

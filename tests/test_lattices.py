@@ -404,7 +404,7 @@ def test_search_matches_the_depth_first_oracle(lat, bound2):
     cands = [tuple(r) for chunk in _search_candidates(lat.g2, bound2, 10**9)
              for r in chunk.tolist()]
     check_half_search(lat.g2, bound2, cands)
-    assert tuple_table(_vectors_by_doubled_norm(lat, bound2, 10**9)) == \
+    assert tuple_table(_vectors_by_doubled_norm(lat, bound2, 10**9, 1)) == \
         dfs_shells(lat, bound2)
 
 
@@ -419,7 +419,7 @@ def test_search_matches_the_oracle_on_fixture_lattices(monkeypatch, chunk):
                  for r in c.tolist()]
         check_half_search(lat.g2, bound2, cands)
         assert tuple_table(_vectors_by_doubled_norm.__wrapped__(
-            lat, bound2, 10**9)) == dfs_shells(lat, bound2)
+            lat, bound2, 10**9, 1)) == dfs_shells(lat, bound2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,18 +504,18 @@ def test_corrupted_lll_transform_refused_under_optimize(refused_under_optimize):
 
 def test_shell_cap_enforced():
     with pytest.raises(CapExceededError):
-        _vectors_by_doubled_norm(lattice_zn(2), 50, 5)
+        _vectors_by_doubled_norm(lattice_zn(2), 50, 5, 1)
 
 
 def test_cap_boundaries():
     e8 = lattice_e8()
-    assert len(_vectors_by_doubled_norm(e8, 8, 2160)[8]) == 2160
+    assert len(_vectors_by_doubled_norm(e8, 8, 2160, 1)[8]) == 2160
     with pytest.raises(CapExceededError, match="has 2160 > cap 2159"):
-        _vectors_by_doubled_norm(e8, 8, 2159)
+        _vectors_by_doubled_norm(e8, 8, 2159, 1)
     # of several shells over the cap, the smallest doubled norm is
     # reported, whatever basis the search runs in
     with pytest.raises(CapExceededError, match="doubled norm 10 has 8 > cap 7"):
-        _vectors_by_doubled_norm(lattice_zn(2), 50, 7)
+        _vectors_by_doubled_norm(lattice_zn(2), 50, 7, 1)
     # the candidate rule: more than 4*cap + 64 leaves of the whole ball
     # refuse in the search, though it yields only the zero row and half
     # the rest
@@ -627,7 +627,7 @@ def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
 
 def test_shell_arrays_refuse_writes():
     e8 = lattice_e8()
-    table = _vectors_by_doubled_norm(e8, 8, SHELL_CAP)
+    table = _vectors_by_doubled_norm(e8, 8, SHELL_CAP, 1)
     sh = shell_enum(e8, 2)
     hand = Shell(lattice_zn(2), F(1), np.array([[0, 1], [1, 0]]))
     for rows in (table[4], table[8], sh.rows, hand.rows):
@@ -667,7 +667,7 @@ def test_antipodality_is_checked_block_by_block(monkeypatch):
     roots = np.array(shell_enum(e8, 2).vectors)
     assert len(roots) == 240
     build = _vectors_by_doubled_norm.__wrapped__
-    assert tuple_table(build(e8, 4, SHELL_CAP)) == \
+    assert tuple_table(build(e8, 4, SHELL_CAP, 1)) == \
         {4: shell_enum(e8, 2).vectors}
     for i in (0, 7, 64, 119, 120, 239):     # first, inner and last blocks
         bad = roots.copy()
@@ -675,7 +675,7 @@ def test_antipodality_is_checked_block_by_block(monkeypatch):
         monkeypatch.setattr(lattices, "_sorted_ball",
                             lambda *args: ({4: 240}, bad))
         with pytest.raises(InternalCheckError, match="antipodal"):
-            build(e8, 4, SHELL_CAP)
+            build(e8, 4, SHELL_CAP, 1)
 
 
 def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
@@ -775,12 +775,6 @@ def test_zonal_theta_fits_refuse_the_degree_before_any_form(monkeypatch):
     monkeypatch.setattr(lattices, "mf_basis", never)
     with pytest.raises(CapExceededError, match="exceeds cap"):
         next(lattices.zonal_theta_fits(lattice_e8(), DEGREE_CAP + 2, 8, 200))
-
-
-def test_worker_partitioning_changes_nothing():
-    e8 = lattice_e8()
-    assert shell_enum(e8, 6, workers=3).vectors == \
-        shell_enum(e8, 6, workers=1).vectors
 
 
 # -- construction A -----------------------------------------------------------

@@ -337,15 +337,18 @@ def test_certified_zonal_trace_compares_all_the_reference_knows():
 def test_shell_theta_and_trace_signatures():
     # a parameter only where a caller sets it: the shell cap is the
     # module constant SHELL_CAP, the fit directions are theta_directions,
-    # and the certified trace reads its precision off its reference
+    # and the certified trace reads its precision off its reference; the
+    # vector table takes all four arguments, so no call splits its cache
     want = {
-        lattices.shell_enum: "lat, norm, workers=1",
+        lattices.shell_enum: "lat, norm",
         lattices.shell_sizes_up_to: "lat, max_norm",
-        lattices.spherical_T_design_report: "lat, norm, degrees, workers=1",
-        lattices.theta_membership_check:
-            "lat, p, prec_norm=8, workers=1",
-        lattices.zonal_theta_fits:
-            "lat, degree, prec_norm, prec, workers=1",
+        lattices.spherical_T_design_report: "lat, norm, degrees",
+        lattices.theta_membership_check: "lat, p, prec_norm=8",
+        lattices.zonal_theta_fits: "lat, degree, prec_norm, prec",
+        lattices.theta_design_report: "lat, norm, t, prec_norm=0",
+        lattices.harmonic_theta:
+            "lat, p, prec_norm, cap=1000000, workers=1",
+        lattices._vectors_by_doubled_norm: "lat, bound2, cap, workers",
         graded_trace: "lat, p, prec_norm",
         certified_zonal_trace: "lat, degree, reference, prec_norm=8",
     }
