@@ -498,10 +498,25 @@ def main(argv=None, out=sys.stdout) -> int:
 
 
 _PARSER = build_parser()
+_GLOBALS = ("-h", "--help", "--format")     # the options before a command
+
+
+def _check_globals(argv) -> None:
+    """Name an unknown option before the command: argparse would skip it
+    and read the value after it as the command."""
+    for arg in argv:
+        if arg in _COMMANDS:
+            return
+        name = arg.split("=", 1)[0]
+        if name.startswith("-") and not any(
+                opt == name or name.startswith("--") and opt.startswith(name)
+                for opt in _GLOBALS):
+            raise ValueError(f"designlab: unrecognized arguments: {name}")
 
 
 def _run(argv, out) -> int:
     try:
+        _check_globals(sys.argv[1:] if argv is None else argv)
         a = _PARSER.parse_args(argv)
         if a.fmt == "csv" and a.command != "shell":
             raise ValueError("--format csv applies only to 'shell'")

@@ -17,8 +17,10 @@ y that is a partial transversal missing pair j extends to a transversal
 only by a_j or b_j, two terms that cancel, and any other y extends to none.
 Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
 exact in one int8 kernel, which makes Delsarte-style checks cheap.  Lambda
-counting sorts the lexicographic rank of each covered t-subset, built from
-two tables of half-subset sums.
+counting lists the lexicographic rank of each covered t-subset, built from
+two tables of half-subset sums, a chunk of blocks at a time, and counts
+them in one table over all C(n,t) ranks, or by one sort when fewer than
+C(n,t) are listed, so it holds min(listed, C(n,t)) counts and one chunk.
 """
 
 from __future__ import annotations
@@ -274,42 +276,50 @@ class LambdaResult:
     witness: tuple[tuple[int, ...], int, tuple[int, ...], int] | None
 
 
-def _subset_ranks(support: np.ndarray, n: int, t: int,
-                  dtype: np.dtype) -> np.ndarray:
-    """Lex ranks among the t-subsets of range(n) of the t-subsets of each
-    row of ``support`` (one block's points, ascending), a row per block and
-    each row in lexicographic order.
+_LAMBDA_CHUNK = 1 << 18     # least ranks per chunk of a lambda listing
+
+
+def _subset_ranks(support: np.ndarray, n: int, t: int, dtype: np.dtype,
+                  chunk: int):
+    """Yield ``(lo, ranks)``, a chunk of at least ``chunk`` ranks at a time:
+    the lex ranks among the t-subsets of range(n) of the t-subsets of the
+    blocks ``support[lo:lo + len(ranks)]``, whose rows hold one block's
+    points, ascending, all blocks of one size; a row per block and each row
+    in lexicographic order.
 
     The rank of c_0 < ... < c_{t-1} is C(n,t) - 1 - sum_i C(n-1-c_i, t-i),
     a sum of one term per (point, position).  A subset is a head, its first
     h = t // 2 points, and a tail; each block sums its terms once per head
     and once per tail, and a subset's rank is one head sum plus one tail
     sum.  After a head ending at support index m come, in lexicographic
-    order, the last C(w-1-m, t-h) tails.
+    order, the last C(w-1-m, t-h) tails.  The head and tail tables are built
+    once, before the first chunk.
     """
     w, h = support.shape[1], t // 2
     # the i-th point of a subset is at least i, so only C(x, t-i) with
     # x <= n-1-i is read, and that is at most C(n, t): it fits the dtype
     binom = np.array([[comb(x, t - i) if x + i < n else 0 for i in range(t)]
                       for x in range(n)], dtype=dtype)
-    terms = binom[n - 1 - support]      # (block, support index, position)
     heads = _combinations(w - (t - h), h)
     tails = _combinations(w - h, t - h) + h
-    head_sums = np.full((len(support), len(heads)), comb(n, t) - 1, dtype)
-    for i in range(h):
-        head_sums -= terms[:, heads[:, i], i]
-    tail_sums = np.zeros((len(support), len(tails)), dtype)
-    for i in range(t - h):
-        tail_sums -= terms[:, tails[:, i], h + i]
     last = heads[:, -1] if h else np.full(1, -1)
     start = tails[:, 0].searchsorted(last, side="right")
     follow = len(tails) - start
     head_of = np.repeat(np.arange(len(heads)), follow)
     tail_of = np.arange(len(head_of)) + np.repeat(
         start - np.cumsum(follow) + follow, follow)
-    ranks = head_sums.take(head_of, axis=1)
-    ranks += tail_sums.take(tail_of, axis=1)
-    return ranks
+    step = max(1, -(-chunk // len(head_of)))
+    for lo in range(0, len(support), step):
+        terms = binom[n - 1 - support[lo:lo + step]]
+        head_sums = np.full((len(terms), len(heads)), comb(n, t) - 1, dtype)
+        for i in range(h):
+            head_sums -= terms[:, heads[:, i], i]
+        tail_sums = np.zeros((len(terms), len(tails)), dtype)
+        for i in range(t - h):
+            tail_sums -= terms[:, tails[:, i], h + i]
+        ranks = head_sums.take(head_of, axis=1)
+        ranks += tail_sums.take(tail_of, axis=1)
+        yield lo, ranks
 
 
 def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
@@ -328,15 +338,20 @@ def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
 def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     """Brute-force t-design check: count blocks over every t-subset.
 
-    The covered t-subsets are listed by their lexicographic ranks, block by
-    block and each block's in lexicographic order, built from two tables of
-    half-subset rank sums per block (``_subset_ranks``), and counted by one
-    sort.  Returns the common count lambda, or a witness pair with different
-    counts: the first listed subsets with the least and the largest count,
-    or the lexicographically first uncovered subset (the first gap in the
-    sorted ranks) in place of the least.  Any family is counted, mixed block
-    sizes included.  A listing of more than ``LAMBDA_CAP`` subsets is
-    refused before any array is built.
+    The covered t-subsets are listed by their lexicographic ranks, size
+    group by size group (ascending), block by block and each block's in
+    lexicographic order, a chunk of blocks at a time, built from two tables
+    of half-subset rank sums per block (``_subset_ranks``).  A listing of at
+    least C(n,t) subsets, as every design has, is counted into one table
+    over all C(n,t) ranks, one ``np.bincount`` per chunk of at least C(n,t)
+    ranks; a shorter one leaves some subset uncovered and is counted by one
+    sort.  Either way no more than min(listed, C(n,t)) counts and one chunk
+    are held.  Returns the common count lambda, or a witness pair with
+    different counts: the first listed subsets with the least and the
+    largest count, found by listing again up to the first hit in each size
+    group, or the lexicographically first uncovered subset in place of the
+    least.  Any family is counted, mixed block sizes included.  A listing of
+    more than ``LAMBDA_CAP`` subsets is refused before any array is built.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
@@ -352,44 +367,65 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     if not listed:
         return LambdaResult(True, 0, None)
     support = (-_points(family.blocks, n).T).argsort(axis=1, kind="stable")
-    # one table per block size, so each holds exactly its blocks' subsets
+    # one listing per block size, so each chunk holds one size's subsets
     widths = sorted(w for w in per_size if w >= t)
     sizes = np.array(sizes)
     groups = [np.flatnonzero(sizes == w) for w in widths]
-    ranks = [_subset_ranks(support[g, :w], n, t, _int_dtype(total))
-             for g, w in zip(groups, widths)]
-    ordered = np.concatenate([r.ravel() for r in ranks])
-    ordered.sort()
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    starts = starts.nonzero()[0]
-    keys = ordered[starts]
-    counts = np.concatenate((starts[1:], [len(ordered)])) - starts
-    least, most = int(counts.min()), int(counts.max())
-    if least == most and len(keys) == total:
-        return LambdaResult(True, least, None)
+    dtype = _int_dtype(total)
+
+    def listing(chunk):
+        return ((g, _subset_ranks(support[g, :w], n, t, dtype, chunk))
+                for g, w in zip(groups, widths))
 
     def first(count) -> tuple[int, ...]:
-        # each size group is scanned in listing order, a chunk of blocks at
-        # a time, up to its first hit; the earliest (block, position) wins
-        wanted, hits = keys[counts == count], []
-        for g, r in zip(groups, ranks):
-            step = max(1, _SCAN // r.shape[1])
-            for lo in range(0, len(r), step):
-                part = r[lo:lo + step]
-                pos = np.minimum(wanted.searchsorted(part), len(wanted) - 1)
-                hit = wanted[pos] == part
+        # each size group is listed up to its first hit, where its listing
+        # stops; the earliest (block, position) wins
+        hits = []
+        for g, parts in listing(_LAMBDA_CHUNK):
+            for lo, part in parts:
+                hit = count_of(part) == count
                 if hit.any():
                     b, j = np.unravel_index(hit.argmax(), hit.shape)
                     hits.append((g[lo + b], j, int(part[b, j])))
                     break
         return _unrank(min(hits)[2], n, t)
 
-    if len(keys) == total:
-        return LambdaResult(False, None, (first(least), least,
-                                          first(most), most))
-    # some t-subset is covered zero times: the first gap in the sorted ranks
+    if listed >= total:
+        # total <= LAMBDA_CAP, so the ranks are integers bincount takes; a
+        # chunk of at least C(n,t) ranks pays for each pass over the table
+        table = np.zeros(total, dtype=np.int64)
+        for _, parts in listing(max(_LAMBDA_CHUNK, total)):
+            for _, part in parts:
+                table += np.bincount(part.ravel(), minlength=total)
+
+        def count_of(part):
+            return table[part]
+
+        least, most = int(table.min()), int(table.max())
+        if least == most:
+            return LambdaResult(True, least, None)
+        # the first zero entry is the first uncovered subset
+        low = _unrank(int(table.argmin()), n, t) if not least else first(least)
+        return LambdaResult(False, None, (low, least, first(most), most))
+    # fewer listed subsets than C(n,t): some subset is uncovered
+    ordered, at = np.empty(listed, dtype), 0
+    for _, parts in listing(_LAMBDA_CHUNK):
+        for _, part in parts:
+            ordered[at:at + part.size] = part.ravel()
+            at += part.size
+    ordered.sort()
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = starts.nonzero()[0]
+    keys = ordered[starts]
+    counts = np.concatenate((starts[1:], [len(ordered)])) - starts
+
+    def count_of(part):
+        return counts[keys.searchsorted(part)]
+
+    # the first gap in the sorted ranks
     gap = np.flatnonzero(keys != np.arange(len(keys)))
     missing = int(gap[0]) if len(gap) else len(keys)
+    most = int(counts.max())
     return LambdaResult(False, None, (_unrank(missing, n, t), 0,
                                       first(most), most))
 

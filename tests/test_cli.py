@@ -699,10 +699,22 @@ def test_csv_rejected_elsewhere():
 
 
 def test_workers_flag_is_a_usage_error(capsys):
-    # enumeration runs in one process; the CLI has no worker count
-    assert run(["--workers", "2", "shell", "--lattice", "E8",
-                "--norm", "4"]) == (2, "")
-    assert one_error(capsys)["type"] == "usage"
+    # enumeration runs in one process; the CLI has no worker count.  An
+    # unknown option before the command is named, not its value read as
+    # the command
+    for argv, option in (
+            (["--workers", "2", "shell", "--lattice", "E8", "--norm", "4"],
+             "--workers"),
+            (["--bogus", "7", "eta", "--prec", "5"], "--bogus"),
+            (["--format", "json", "--workers", "2", "remark4", "--prec", "5"],
+             "--workers")):
+        assert run(argv) == (2, ""), argv
+        error = one_error(capsys)
+        assert error["type"] == "usage"
+        assert error["message"] == f"designlab: unrecognized arguments: " \
+                                   f"{option}"
+    # the options checked before the command are the parser's own
+    assert set(cli._GLOBALS) == set(cli._PARSER._option_string_actions)
 
 
 def test_cli_and_library_share_one_ball(monkeypatch):

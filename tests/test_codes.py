@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -270,19 +271,92 @@ def test_combinations_table_matches_itertools():
             assert np.array_equal(got, want), (n, k)
 
 
-@pytest.mark.parametrize("code, w, t, witness", [
+FIXTURE_WITNESSES = [
     (golay_g24, 16, 6, ((0, 1, 3, 4, 6, 7), 45, (0, 1, 3, 4, 6, 17), 46)),
     (golay_g24, 16, 8, ((0, 1, 3, 4, 6, 7, 8, 9), 13,
                         (0, 1, 3, 4, 7, 10, 21, 22), 30)),
     (golay_g24, 12, 6, ((0, 1, 2, 3, 4, 6), 16, (0, 1, 2, 3, 4, 5), 18)),
     (golay_g24, 8, 6, ((0, 1, 2, 3, 4, 5), 0, (0, 3, 7, 8, 9, 11), 1)),
     (d16_plus, 4, 2, ((0, 14), 1, (0, 1), 7)),
-])
+]
+
+
+@pytest.mark.parametrize("code, w, t, witness", FIXTURE_WITNESSES)
 def test_design_lambda_fixture_witnesses(code, w, t, witness):
     # golay24 weight 16 at t = 8 lists 9,768,330 subsets, the largest
     # fixture listing, and stays under LAMBDA_CAP
     assert design_lambda(shell(code(), w), t) == \
         LambdaResult(False, None, witness)
+
+
+def test_subset_ranks_lists_in_chunks_of_whole_blocks():
+    n, t = 9, 3
+    rng = random.Random(93)
+    blocks = [sorted(rng.sample(range(n), 5)) for _ in range(7)]
+    lex = {sub: r for r, sub in
+           enumerate(itertools.combinations(range(n), t))}
+    want = [[lex[sub] for sub in itertools.combinations(b, t)]
+            for b in blocks]
+    for chunk, step in ((1, 1), (10, 1), (11, 2), (70, 7), (1 << 18, 7)):
+        parts = list(codes._subset_ranks(np.array(blocks), n, t,
+                                         np.dtype(np.int16), chunk))
+        assert [lo for lo, _ in parts] == list(range(0, 7, step))
+        assert np.concatenate([p for _, p in parts]).tolist() == want
+
+
+@pytest.fixture
+def one_block_chunks(monkeypatch):
+    """Chunks of one block wherever the chunk constant decides the size:
+    the sorted listings and the witness scans; a table count still takes
+    C(n,t) ranks a chunk."""
+    monkeypatch.setattr(codes, "_LAMBDA_CHUNK", 1)
+
+
+def test_design_lambda_across_chunk_boundaries(one_block_chunks):
+    # mixed sizes, wide sets and sorted (listed < C(n,t)) families
+    test_design_lambda_oracle_on_fixture_shells_and_wide_sets()
+    test_design_lambda_matches_dict_oracle()
+    for case in FIXTURE_WITNESSES:
+        test_design_lambda_fixture_witnesses(*case)
+    # the least count is first met in a later block, a later chunk
+    fam = BlockFamily(4, (0b0011, 0b0101, 0b1001, 0b0110))
+    assert design_lambda(fam, 1) == oracle_design_lambda(fam, 1) == \
+        LambdaResult(False, None, ((3,), 1, (0,), 3))
+
+
+def test_witness_scans_stop_at_their_hit(one_block_chunks, monkeypatch):
+    listed = []
+
+    def spy(*args):
+        for lo, part in subset_ranks(*args):
+            listed.append(len(part))
+            yield lo, part
+    subset_ranks = codes._subset_ranks
+    monkeypatch.setattr(codes, "_subset_ranks", spy)
+    fam = shell(golay_g24(), 16)
+    low, least, high, most = design_lambda(fam, 6).witness
+
+    def first_block(sub):
+        m = sum(1 << i for i in sub)
+        return next(i for i, b in enumerate(fam.blocks) if b & m == m)
+    # the table count takes chunks of ceil(C(24,6) / C(16,6)) = 17 blocks,
+    # and each witness scan one block a chunk up to the block of its hit
+    assert listed[:45] == [17] * 44 + [759 - 44 * 17]
+    assert listed[45:] == [1] * (first_block(low) + 1 + first_block(high)
+                                 + 1)
+
+
+def test_design_lambda_holds_no_whole_listing():
+    # golay24 weight 16 at t = 6 lists 6,075,072 subsets, 23 MiB as int32;
+    # the table of C(24, 6) counts and one chunk take a few MiB
+    fam = shell(golay_g24(), 16)
+    tracemalloc.start()
+    try:
+        design_lambda(fam, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
 
 
 def test_lambda_listing_over_the_cap_is_refused_first(tmp_path, monkeypatch,
