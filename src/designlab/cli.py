@@ -29,10 +29,9 @@ from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
 from .errors import DesignLabError
 from .lattices import (Lattice, _degree_list, constant_poly, construction_a,
                        gram_from_text, harmonic_theta, lattice_a2, lattice_e8,
-                       lattice_zn, moment_design_test, prefix_strength,
-                       shell_enum, spherical_T_design_report,
-                       theta_design_report, theta_membership_check,
-                       zonal_harmonic_coords)
+                       lattice_zn, moment_design_test, shell_enum,
+                       spherical_T_design_report, theta_design_report,
+                       theta_membership_check, zonal_harmonic_coords)
 from .modforms import eta_quotient
 from .qseries import QSeries, exact_str
 from .voa import remark4_series, strength_at
@@ -247,18 +246,15 @@ def cmd_code_design(a, out):
         if degrees[0] < 1 or degrees[-1] > a.max_degree:
             raise ValueError("--Tset degrees must lie in 1..max-degree")
     rep = two_weight_design_check(code, min(pair), degrees)
-    verdicts = {j: rep.verdicts[j][0] for j in degrees}
+    verdict = "pass" if rep.passes(degrees) else "fail"
     payload = {"schema": SCHEMA, "command": "code-design", "code": a.code,
                "weights": list(rep.weights), "T": degrees,
                "blocks": rep.family_size,
-               "per_degree": {str(j): v for j, v in verdicts.items()},
-               "modes": {str(j): "complement" if rep.complement_closed
-                         and j % 2 else "harmonic sums" for j in degrees},
-               "verdict": "pass" if all(verdicts.values()) else "fail"}
+               "per_degree": {str(j): rep.verdicts[j][0] for j in degrees},
+               "modes": {str(j): m for j, m in rep.modes.items()},
+               "verdict": verdict}
     text = [f"{a.code} weights {rep.weights} union "
-            f"({rep.family_size} blocks): "
-            + ("pass" if all(verdicts.values()) else "fail")
-            + f" at degrees {degrees}"]
+            f"({rep.family_size} blocks): {verdict} at degrees {degrees}"]
     return payload, text
 
 
@@ -285,7 +281,7 @@ def cmd_lattice_design(a, out):
         per, strength = rep.per_k, rep.strength
     else:
         rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1))
-        per, strength = rep.verdicts, prefix_strength(rep.verdicts)
+        per, strength = rep.verdicts, rep.strength
     payload.update(size=rep.size, per_degree={str(k): v for k, v in per.items()},
                    strength=strength)
     text = [f"{a.lattice} norm {a.norm} ({rep.size} vectors, {a.criterion}): "
@@ -300,7 +296,7 @@ def cmd_theta(a, out):
     poly = _parse_poly(lat, a.poly)
     # the membership check refuses bad input before it enumerates
     rep = theta_membership_check(lat, poly, a.prec) if a.membership else None
-    series = harmonic_theta(lat, poly, a.prec)
+    series = rep.series if rep else harmonic_theta(lat, poly, a.prec)
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
                "poly": a.poly, "prec_norm": a.prec,
                "series": series.to_dict()}
@@ -498,19 +494,19 @@ def main(argv=None, out=sys.stdout) -> int:
 
 
 _PARSER = build_parser()
-_GLOBALS = ("-h", "--help", "--format")     # the options before a command
 
 
 def _check_globals(argv) -> None:
-    """Name an unknown option before the command: argparse would skip it
-    and read the value after it as the command."""
+    """Name an unknown option before the command, one the parser does not
+    take there: argparse would skip it and read the value after it as the
+    command."""
     for arg in argv:
         if arg in _COMMANDS:
             return
         name = arg.split("=", 1)[0]
         if name.startswith("-") and not any(
                 opt == name or name.startswith("--") and opt.startswith(name)
-                for opt in _GLOBALS):
+                for opt in _PARSER._option_string_actions):
             raise ValueError(f"designlab: unrecognized arguments: {name}")
 
 

@@ -641,7 +641,7 @@ class TwoWeightReport:
     weights: tuple[int, int]
     family_size: int
     verdicts: dict[int, tuple[bool, int | None]]
-    complement_closed: bool     # odd degrees passed by the complement
+    modes: dict[int, str]       # "complement" or "harmonic sums", per degree
 
     def passes(self, degrees) -> bool:
         return all(self.verdicts[j][0] for j in degrees)
@@ -652,8 +652,10 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
 
     The degree-1 verdict is exactly the statement that all points are
     covered equally often by the union family.  The union is closed under
-    complement when the code holds the all-ones word.  A pair with no
-    codewords is refused (``ValueError``) before any basis is built.
+    complement when the code holds the all-ones word; then its odd degrees
+    pass by the complement (mode "complement"), and every other degree is
+    decided by the harmonic sums.  A pair with no codewords is refused
+    (``ValueError``) before any basis is built.
     """
     fam = shell(code, ell)
     if 2 * ell != code.n:       # the middle shell is its own complement
@@ -661,8 +663,11 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     if not fam.blocks:
         raise ValueError(f"no codewords of weight {ell} or {code.n - ell}")
     verdicts = delsarte_design_check(fam, degrees)
+    closed = _complement_half(fam) is not None
+    modes = {j: "complement" if closed and j % 2 else "harmonic sums"
+             for j in verdicts}
     return TwoWeightReport(code.n, (ell, code.n - ell), len(fam.blocks),
-                           verdicts, _complement_half(fam) is not None)
+                           verdicts, modes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DesignLabError", "PrecisionError", "OffsetError", "CapExceededError",
+    "FixtureError", "InternalCheckError",
+]
+
 
 class DesignLabError(Exception):
     """Base class for all package-specific failures."""

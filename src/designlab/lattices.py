@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -83,10 +83,11 @@ _MAGIC = 1.5 * 2.0 ** 52
 class Lattice:
     """Positive definite lattice with an exact Gram matrix G over (1/2)Z,
     given as ints or ``Fraction``s.  ``g2``, 2G as int tuples, is built once
-    and read by every computation, equality and hashing included (with
-    ``label``); ``gram`` gives G back as ``Fraction``s."""
+    and read by every computation, equality and hashing included: ``label``
+    only names the lattice, so every name of one Gram matrix shares its
+    caches.  ``gram`` gives G back as ``Fraction``s."""
     g2: tuple[tuple[int, ...], ...]
-    label: str
+    label: str = field(compare=False)
 
     def __init__(self, gram, label: str = ""):
         g2 = tuple(tuple(2 * x for x in row) for row in gram)
@@ -824,6 +825,7 @@ class TDesignReport:
     size: int
     verdicts: dict[int, bool]
     component_sums: dict[int, Fraction]
+    strength: int
 
     def passes(self, degrees) -> bool:
         return all(self.verdicts[j] for j in degrees)
@@ -843,7 +845,8 @@ def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
         raise ValueError("empty shell")
     sums = gegenbauer_component_sums(shell, degrees)
     verdicts = {j: v == 0 for j, v in sums.items()}
-    return TDesignReport(lat.label, shell.norm, len(shell), verdicts, sums)
+    return TDesignReport(lat.label, shell.norm, len(shell), verdicts, sums,
+                         prefix_strength(verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +959,7 @@ class MembershipReport:
     fit_ok: bool
     coords: tuple[Fraction, ...] | None
     mismatch_exponent: int | None
+    series: QSeries             # the theta fitted, exponent = norm
 
 
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
@@ -975,13 +979,14 @@ def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
         raise ValueError("not enough theta coefficients for a meaningful fit: "
                          f"enumerate to norm {needed} at least")
     weight = lat.rank // 2 + p.degree
-    theta = to_modular_q(harmonic_theta(lat, p, prec_norm))
+    series = harmonic_theta(lat, p, prec_norm)
+    theta = to_modular_q(series)
     ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
     space = mf_basis(weight, ltop)
     fit = fit_in_space(theta, space, margin=ltop + 1 - space.dim)
     return MembershipReport(weight, weight % 4 == 2, fit.ok,
                             fit.coords if fit.ok else None,
-                            fit.mismatch_exponent)
+                            fit.mismatch_exponent, series)
 
 
 def theta_fit_norm(rank: int, degree: int) -> int:

@@ -16,9 +16,9 @@ import designlab
 from designlab import cli, lattices
 from designlab._fixtures import fixture_path
 from designlab.cli import main
-from designlab.codes import golay_g24
-from designlab.lattices import (_int_dtype, lattice_e8, shell_enum,
-                                theta_fit_norm)
+from designlab.codes import d16_plus, golay_g24
+from designlab.lattices import (_int_dtype, construction_a, lattice_e8,
+                                shell_enum, theta_fit_norm)
 from designlab.modforms import FitResult, eta_quotient
 from designlab.qseries import QSeries
 from designlab.voa import modular_obstruction
@@ -553,10 +553,22 @@ def test_theta_plain_e8():
     assert series_coeffs(got) == {0: 1, 2: 240, 4: 2160, 6: 6720, 8: 17520}
 
 
-def test_theta_zonal_membership():
+def test_theta_zonal_membership(monkeypatch):
+    # the printed series is the one the membership check fitted: the theta
+    # is summed once
+    calls, theta = [], lattices.harmonic_theta
+
+    def spy(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(lattices, "harmonic_theta", spy)
+    monkeypatch.setattr(cli, "harmonic_theta", spy)
     got = run_json(["theta", "--lattice", "E8",
                     "--poly", "zonal:8:0,0,0,0,0,0,0,1",
                     "--prec", "8", "--membership"])
+    assert len(calls) == 1
+    assert got["series"] == theta(*calls[0]).to_dict()
     m = got["membership"]
     assert m["fit_ok"] is True
     assert m["weight"] == 12
@@ -713,8 +725,6 @@ def test_workers_flag_is_a_usage_error(capsys):
         assert error["type"] == "usage"
         assert error["message"] == f"designlab: unrecognized arguments: " \
                                    f"{option}"
-    # the options checked before the command are the parser's own
-    assert set(cli._GLOBALS) == set(cli._PARSER._option_string_actions)
 
 
 def test_cli_and_library_share_one_ball(monkeypatch):
@@ -730,6 +740,13 @@ def test_cli_and_library_share_one_ball(monkeypatch):
     assert lattices.shell_sizes_up_to(e8, 8)[8] == 17520
     assert lattices.harmonic_theta(e8, lattices.constant_poly(8), 8)[8] \
         == 17520
+    assert table.cache_info().misses == 1
+    # a lattice is its Gram matrix: the CLI's label "CA:d16plus" and the
+    # library's unlabeled construction key one ball
+    table.cache_clear()
+    assert run_json(["shell", "--lattice", "CA:d16plus", "--norm", "2"]
+                    )["count"] == 480
+    assert len(shell_enum(construction_a(d16_plus()), 2)) == 480
     assert table.cache_info().misses == 1
 
 

@@ -818,7 +818,7 @@ def test_families_not_closed_take_the_full_path(monkeypatch):
             assert columns == [len(fam.blocks)] * 2
         assert (delsarte_design_check(fam, degrees)
                 == oracle_verdicts(fam, degrees))
-    assert not two_weight_design_check(code, w, [1]).complement_closed
+    assert two_weight_design_check(code, w, [1]).modes == {1: "harmonic sums"}
     # a fold would pass it: one missing block makes degree 1 fail
     assert not delsarte_design_check(families[0], [1])[1][0]
     # a closed family's even degree reads half its blocks
@@ -860,7 +860,12 @@ def test_complement_check_runs_under_optimize(run_optimized):
 
 def test_golay_two_weight_odd_degrees():
     rep = two_weight_design_check(golay_g24(), 8, [1, 2, 3, 4, 5])
-    assert rep.family_size == 1518 and rep.complement_closed
+    assert rep.family_size == 1518
+    # golay24 holds the all-ones word: its 8/16 union is closed under
+    # complement, so odd degrees pass by the complement
+    assert rep.modes == {1: "complement", 2: "harmonic sums",
+                         3: "complement", 4: "harmonic sums",
+                         5: "complement"}
     assert rep.passes([1, 2, 3, 4, 5])   # both shells are 5-designs
 
 

@@ -29,8 +29,8 @@ from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
                                 gegenbauer_component_sums, gram_from_text,
                                 harmonic_theta, is_even, lattice_a2,
                                 lattice_e8, lattice_zn,
-                                moment_design_test, shell_enum,
-                                shell_sizes_up_to, sphere_moment,
+                                moment_design_test, prefix_strength,
+                                shell_enum, shell_sizes_up_to, sphere_moment,
                                 spherical_T_design_report,
                                 theta_design_report, theta_directions,
                                 theta_fit_norm, theta_membership_check,
@@ -284,7 +284,9 @@ def test_lattice_equality_reads_the_doubled_gram():
     text = gram_from_text("2 1\n1 2", "A2")
     assert ints == fracs == text == lattice_a2()
     assert hash(ints) == hash(fracs) == hash(text) == hash(lattice_a2())
-    assert ints != Lattice(((2, 1), (1, 2)), "other")
+    # the label only names the lattice
+    other = Lattice(((2, 1), (1, 2)), "other")
+    assert ints == other and hash(ints) == hash(other)
     assert ints.g2 == ((4, 2), (2, 4))
     assert all(type(x) is int for row in ints.g2 for x in row)
     assert ints.gram == ((F(2), F(1)), (F(1), F(2)))
@@ -1304,3 +1306,4 @@ def test_T_design_report_for_d16():
     assert rep.size == 480
     assert rep.passes({1, 2, 3, 5, 6, 7}) and not rep.passes({4})
     assert rep.component_sums[4] != 0
+    assert rep.strength == prefix_strength(rep.verdicts) == 3
