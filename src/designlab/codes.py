@@ -18,9 +18,10 @@ only by a_j or b_j, two terms that cancel, and any other y extends to none.
 Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
 exact in one int8 kernel, which makes Delsarte-style checks cheap.  Lambda
 counting lists the lexicographic rank of each covered t-subset, built from
-two tables of half-subset sums, a chunk of blocks at a time, and counts
-them in one table over all C(n,t) ranks, or by one sort when fewer than
-C(n,t) are listed, so it holds min(listed, C(n,t)) counts and one chunk.
+two tables of half-subset sums, a tile of at most ``_LAMBDA_TILE`` ranks at
+a time in two buffers reused from tile to tile, and counts them in place in
+one table over all C(n,t) ranks, or by one sort when fewer than C(n,t) are
+listed, so it holds min(listed, C(n,t)) counts and one tile.
 """
 
 from __future__ import annotations
@@ -203,12 +204,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
+_INT_WIDTHS = tuple((int(np.iinfo(dt).max), np.dtype(dt))
+                    for dt in (np.int8, np.int16, np.int32, np.int64))
+
+
 def _int_dtype(bound: int) -> np.dtype:
     """The one integer-width rule: the narrowest of int8 to int64 holding
     every value in [-bound, bound], else Python ints (object)."""
-    for dt in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
+    for top, dt in _INT_WIDTHS:
+        if bound <= top:
+            return dt
     return np.dtype(object)
 
 
@@ -276,24 +281,31 @@ class LambdaResult:
     witness: tuple[tuple[int, ...], int, tuple[int, ...], int] | None
 
 
-_LAMBDA_CHUNK = 1 << 18     # least ranks per chunk of a lambda listing
+_LAMBDA_TILE = 1 << 15      # most ranks per tile of a lambda listing
 
 
-def _subset_ranks(support: np.ndarray, n: int, t: int, dtype: np.dtype,
-                  chunk: int):
-    """Yield ``(lo, ranks)``, a chunk of at least ``chunk`` ranks at a time:
-    the lex ranks among the t-subsets of range(n) of the t-subsets of the
-    blocks ``support[lo:lo + len(ranks)]``, whose rows hold one block's
-    points, ascending, all blocks of one size; a row per block and each row
-    in lexicographic order.
+def _subset_ranks(support: np.ndarray, n: int, t: int, dtype: np.dtype):
+    """Yield ``(b, j, ranks)``, a tile of at most ``_LAMBDA_TILE`` ranks at a
+    time: the lex ranks among the t-subsets of range(n) of the t-subsets of
+    the blocks whose rows ``support`` holds (one block's points, ascending,
+    all blocks of one size), each block's in lexicographic order.  Column c
+    of ``ranks`` is block b + c and row r its subset at position j + r.  A
+    tile holds whole blocks (j = 0) when a block has at most a tile of
+    t-subsets, else a slice of one block's positions; tiles come block by
+    block and position by position.  Every tile is written into the same
+    two buffers, allocated once, so a tile must be read before the next one
+    is taken.
 
     The rank of c_0 < ... < c_{t-1} is C(n,t) - 1 - sum_i C(n-1-c_i, t-i),
     a sum of one term per (point, position).  A subset is a head, its first
     h = t // 2 points, and a tail; each block sums its terms once per head
     and once per tail, and a subset's rank is one head sum plus one tail
     sum.  After a head ending at support index m come, in lexicographic
-    order, the last C(w-1-m, t-h) tails.  The head and tail tables are built
-    once, before the first chunk.
+    order, the last C(w-1-m, t-h) tails, so a position's head is the first
+    whose run of positions ends past it, and its tail lies as far before
+    the last tail as the position lies before the end of that run.  The
+    head and tail indices are built once for a whole block, or per tile for
+    a block split across tiles.
     """
     w, h = support.shape[1], t // 2
     # the i-th point of a subset is at least i, so only C(x, t-i) with
@@ -303,23 +315,39 @@ def _subset_ranks(support: np.ndarray, n: int, t: int, dtype: np.dtype,
     heads = _combinations(w - (t - h), h)
     tails = _combinations(w - h, t - h) + h
     last = heads[:, -1] if h else np.full(1, -1)
-    start = tails[:, 0].searchsorted(last, side="right")
-    follow = len(tails) - start
-    head_of = np.repeat(np.arange(len(heads)), follow)
-    tail_of = np.arange(len(head_of)) + np.repeat(
-        start - np.cumsum(follow) + follow, follow)
-    step = max(1, -(-chunk // len(head_of)))
-    for lo in range(0, len(support), step):
-        terms = binom[n - 1 - support[lo:lo + step]]
-        head_sums = np.full((len(terms), len(heads)), comb(n, t) - 1, dtype)
+    ends = np.cumsum(len(tails) - tails[:, 0].searchsorted(last, side="right"))
+    width, tile = int(ends[-1]), _LAMBDA_TILE
+
+    def index(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        tail_of = np.arange(lo, hi)
+        head_of = ends.searchsorted(tail_of, side="right")
+        tail_of += (len(tails) - ends)[head_of]
+        return head_of, tail_of
+
+    whole = index(0, width) if width <= tile else None
+    step = max(1, tile // width)
+    out, more = np.empty((2, min(len(support), step) * min(width, tile)),
+                         dtype)
+    for b in range(0, len(support), step):
+        # support index x block x term, so each head and tail sum is a row
+        terms = binom[n - 1 - support[b:b + step].T]
+        head_sums = np.full((len(heads), terms.shape[1]), comb(n, t) - 1,
+                            dtype)
         for i in range(h):
-            head_sums -= terms[:, heads[:, i], i]
-        tail_sums = np.zeros((len(terms), len(tails)), dtype)
+            head_sums -= terms[heads[:, i], :, i]
+        tail_sums = np.zeros((len(tails), terms.shape[1]), dtype)
         for i in range(t - h):
-            tail_sums -= terms[:, tails[:, i], h + i]
-        ranks = head_sums.take(head_of, axis=1)
-        ranks += tail_sums.take(tail_of, axis=1)
-        yield lo, ranks
+            tail_sums -= terms[tails[:, i], :, h + i]
+        for j in range(0, width, tile):
+            head_of, tail_of = whole or index(j, min(j + tile, width))
+            shape = len(head_of), terms.shape[1]
+            ranks = out[:shape[0] * shape[1]].reshape(shape)
+            np.take(head_sums, head_of, axis=0, out=ranks, mode="clip")
+            ranks += np.take(tail_sums, tail_of, axis=0, mode="clip",
+                             out=more[:ranks.size].reshape(shape))
+            # a split block's indices go before the next tile builds its own
+            del head_of, tail_of
+            yield b, j, ranks
 
 
 def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
@@ -340,18 +368,20 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
 
     The covered t-subsets are listed by their lexicographic ranks, size
     group by size group (ascending), block by block and each block's in
-    lexicographic order, a chunk of blocks at a time, built from two tables
-    of half-subset rank sums per block (``_subset_ranks``).  A listing of at
-    least C(n,t) subsets, as every design has, is counted into one table
-    over all C(n,t) ranks, one ``np.bincount`` per chunk of at least C(n,t)
-    ranks; a shorter one leaves some subset uncovered and is counted by one
-    sort.  Either way no more than min(listed, C(n,t)) counts and one chunk
-    are held.  Returns the common count lambda, or a witness pair with
-    different counts: the first listed subsets with the least and the
-    largest count, found by listing again up to the first hit in each size
-    group, or the lexicographically first uncovered subset in place of the
-    least.  Any family is counted, mixed block sizes included.  A listing of
-    more than ``LAMBDA_CAP`` subsets is refused before any array is built.
+    lexicographic order, a tile of at most ``_LAMBDA_TILE`` ranks at a time,
+    built from two tables of half-subset rank sums per block
+    (``_subset_ranks``).  A listing of at least C(n,t) subsets, as every
+    design has, is counted in place into one table of C(n,t) int32 counts,
+    one tile at a time (``np.bincount`` when C(n,t) fits a tile, else
+    ``np.add.at``); a shorter one leaves some subset uncovered and is
+    written into one array and sorted.  Either way no more than
+    min(listed, C(n,t)) counts and a tile are held.  Returns the common
+    count lambda, or a witness pair with different counts: the first listed
+    subsets with the least and the largest count, found by listing again up
+    to the first hit in each size group, or the lexicographically first
+    uncovered subset in place of the least.  Any family is counted, mixed
+    block sizes included.  A listing of more than ``LAMBDA_CAP`` subsets is
+    refused before any array is built.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
@@ -367,39 +397,43 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     if not listed:
         return LambdaResult(True, 0, None)
     support = (-_points(family.blocks, n).T).argsort(axis=1, kind="stable")
-    # one listing per block size, so each chunk holds one size's subsets
+    # one listing per block size, so each tile holds one size's subsets
     widths = sorted(w for w in per_size if w >= t)
     sizes = np.array(sizes)
     groups = [np.flatnonzero(sizes == w) for w in widths]
     dtype = _int_dtype(total)
 
-    def listing(chunk):
-        return ((g, _subset_ranks(support[g, :w], n, t, dtype, chunk))
+    def listing():
+        return ((g, _subset_ranks(support[g, :w], n, t, dtype))
                 for g, w in zip(groups, widths))
 
     def first(count) -> tuple[int, ...]:
         # each size group is listed up to its first hit, where its listing
-        # stops; the earliest (block, position) wins
+        # stops; the hit in the earliest block wins (a block lies in one
+        # group), and within a block the earliest position
         hits = []
-        for g, parts in listing(_LAMBDA_CHUNK):
-            for lo, part in parts:
-                hit = count_of(part) == count
+        for g, tiles in listing():
+            for b, _, ranks in tiles:
+                hit = count_of(ranks) == count
                 if hit.any():
-                    b, j = np.unravel_index(hit.argmax(), hit.shape)
-                    hits.append((g[lo + b], j, int(part[b, j])))
+                    c = int(hit.any(axis=0).argmax())
+                    hits.append((g[b + c], int(ranks[hit[:, c].argmax(), c])))
                     break
-        return _unrank(min(hits)[2], n, t)
+        return _unrank(min(hits)[1], n, t)
 
     if listed >= total:
-        # total <= LAMBDA_CAP, so the ranks are integers bincount takes; a
-        # chunk of at least C(n,t) ranks pays for each pass over the table
-        table = np.zeros(total, dtype=np.int64)
-        for _, parts in listing(max(_LAMBDA_CHUNK, total)):
-            for _, part in parts:
-                table += np.bincount(part.ravel(), minlength=total)
+        # total <= listed <= LAMBDA_CAP < 2^31 bounds every rank and count
+        table = np.zeros(total, dtype=np.int32)
+        one = table.dtype.type(1)   # an untyped 1 takes add.at's slow path
+        for _, tiles in listing():
+            for _, _, ranks in tiles:
+                if total <= _LAMBDA_TILE:
+                    table += np.bincount(ranks.ravel(), minlength=total)
+                else:
+                    np.add.at(table, ranks.ravel(), one)
 
-        def count_of(part):
-            return table[part]
+        def count_of(ranks):
+            return table[ranks]
 
         least, most = int(table.min()), int(table.max())
         if least == most:
@@ -409,18 +443,20 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
         return LambdaResult(False, None, (low, least, first(most), most))
     # fewer listed subsets than C(n,t): some subset is uncovered
     ordered, at = np.empty(listed, dtype), 0
-    for _, parts in listing(_LAMBDA_CHUNK):
-        for _, part in parts:
-            ordered[at:at + part.size] = part.ravel()
-            at += part.size
+    for _, tiles in listing():
+        for _, _, ranks in tiles:
+            ordered[at:at + ranks.size] = ranks.ravel()
+            at += ranks.size
     ordered.sort()
     starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     starts = starts.nonzero()[0]
     keys = ordered[starts]
     counts = np.concatenate((starts[1:], [len(ordered)])) - starts
 
-    def count_of(part):
-        return counts[keys.searchsorted(part)]
+    def count_of(ranks):
+        # a block's ranks ascend, and searchsorted is fastest on keys that
+        # ascend: search block by block
+        return counts[keys.searchsorted(ranks.T)].T
 
     # the first gap in the sorted ranks
     gap = np.flatnonzero(keys != np.arange(len(keys)))

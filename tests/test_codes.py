@@ -240,10 +240,8 @@ def test_design_lambda_matches_dict_oracle(case):
     assert design_lambda(fam, t) == oracle_design_lambda(fam, t)
 
 
-def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
-    cases = [(shell(d16_plus(), 4).union(shell(d16_plus(), 12)), t)
-             for t in range(5)]
-    cases += [(shell(golay_g24(), w), t) for w in (8, 12) for t in (4, 6)]
+def wide_set_families():
+    cases = []
     rng = random.Random(62)
     for n in (62, 63, 70):      # int64 masks, then Python-int masks
         blocks = {sum(1 << i for i in rng.sample(range(n), rng.randint(1, 6)))
@@ -254,9 +252,15 @@ def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
                   2))
     # C(70, 30) and C(70, 29) exceed 2^63: ranks are Python ints
     first30, next30 = (1 << 30) - 1, ((1 << 30) - 1) << 1
-    cases += [(BlockFamily(70, (first30,)), 30),
-              (BlockFamily(70, (first30, next30)), 29)]
-    for fam, t in cases:
+    return cases + [(BlockFamily(70, (first30,)), 30),
+                    (BlockFamily(70, (first30, next30)), 29)]
+
+
+def test_design_lambda_oracle_on_fixture_shells_and_wide_sets():
+    cases = [(shell(d16_plus(), 4).union(shell(d16_plus(), 12)), t)
+             for t in range(5)]
+    cases += [(shell(golay_g24(), w), t) for w in (8, 12) for t in (4, 6)]
+    for fam, t in cases + wide_set_families():
         assert design_lambda(fam, t) == oracle_design_lambda(fam, t), \
             (fam.n, t)
 
@@ -289,7 +293,17 @@ def test_design_lambda_fixture_witnesses(code, w, t, witness):
         LambdaResult(False, None, witness)
 
 
-def test_subset_ranks_lists_in_chunks_of_whole_blocks():
+TILE_SHAPES = {
+    1: [(1, 1)] * 70,                   # one rank a tile
+    4: [(4, 1), (4, 1), (2, 1)] * 7,    # a block split across three tiles
+    10: [(10, 1)] * 7,                  # one whole block a tile
+    25: [(10, 2)] * 3 + [(10, 1)],      # two whole blocks a tile
+    1 << 15: [(10, 7)],
+}
+
+
+@pytest.mark.parametrize("tile", TILE_SHAPES)
+def test_subset_ranks_lists_in_tiles(monkeypatch, tile):
     n, t = 9, 3
     rng = random.Random(93)
     blocks = [sorted(rng.sample(range(n), 5)) for _ in range(7)]
@@ -297,66 +311,97 @@ def test_subset_ranks_lists_in_chunks_of_whole_blocks():
            enumerate(itertools.combinations(range(n), t))}
     want = [[lex[sub] for sub in itertools.combinations(b, t)]
             for b in blocks]
-    for chunk, step in ((1, 1), (10, 1), (11, 2), (70, 7), (1 << 18, 7)):
-        parts = list(codes._subset_ranks(np.array(blocks), n, t,
-                                         np.dtype(np.int16), chunk))
-        assert [lo for lo, _ in parts] == list(range(0, 7, step))
-        assert np.concatenate([p for _, p in parts]).tolist() == want
+    monkeypatch.setattr(codes, "_LAMBDA_TILE", tile)
+    got, starts, seen = [[None] * comb(5, t) for _ in blocks], [], []
+    for b, j, ranks in codes._subset_ranks(np.array(blocks), n, t,
+                                           np.dtype(np.int16)):
+        starts.append((b, j))
+        seen.append(ranks.shape)
+        for (r, c), rank in np.ndenumerate(ranks):
+            assert got[b + c][j + r] is None
+            got[b + c][j + r] = int(rank)
+    assert seen == TILE_SHAPES[tile] and starts == sorted(starts)
+    assert got == want
 
 
-@pytest.fixture
-def one_block_chunks(monkeypatch):
-    """Chunks of one block wherever the chunk constant decides the size:
-    the sorted listings and the witness scans; a table count still takes
-    C(n,t) ranks a chunk."""
-    monkeypatch.setattr(codes, "_LAMBDA_CHUNK", 1)
-
-
-def test_design_lambda_across_chunk_boundaries(one_block_chunks):
-    # mixed sizes, wide sets and sorted (listed < C(n,t)) families
-    test_design_lambda_oracle_on_fixture_shells_and_wide_sets()
+@pytest.mark.parametrize("tile", [1, 4, 32])
+def test_design_lambda_across_tile_boundaries(monkeypatch, tile):
+    monkeypatch.setattr(codes, "_LAMBDA_TILE", tile)
+    # tiles of ranks of one or of several whole blocks, and blocks split
+    # across tiles; mixed sizes, wide sets and sorted (listed < C(n,t))
+    # families
     test_design_lambda_matches_dict_oracle()
-    for case in FIXTURE_WITNESSES:
-        test_design_lambda_fixture_witnesses(*case)
-    # the least count is first met in a later block, a later chunk
+    mixed = shell(d16_plus(), 4).union(shell(d16_plus(), 12))
+    for fam, t in [(mixed, t) for t in range(5)] + wide_set_families():
+        assert design_lambda(fam, t) == oracle_design_lambda(fam, t), \
+            (fam.n, t)
+    test_design_lambda_fixture_witnesses(*FIXTURE_WITNESSES[-1])
+    # the least count is first met in a later block, a later tile
     fam = BlockFamily(4, (0b0011, 0b0101, 0b1001, 0b0110))
     assert design_lambda(fam, 1) == oracle_design_lambda(fam, 1) == \
         LambdaResult(False, None, ((3,), 1, (0,), 3))
 
 
-def test_witness_scans_stop_at_their_hit(one_block_chunks, monkeypatch):
+def test_design_lambda_across_split_blocks(monkeypatch):
+    monkeypatch.setattr(codes, "_LAMBDA_TILE", 1000)
+    # blocks that outgrow a tile: the single golay24 block of weight 24
+    # (C(24,6) = 134,596 subsets at t = 6) with the octads, counted in the
+    # table, and two blocks of 20 and 18 points, fewer subsets than C(24,t),
+    # counted by the sort
+    octads, whole = shell(golay_g24(), 8), shell(golay_g24(), 24)
+    big = BlockFamily(24, ((1 << 20) - 1, ((1 << 18) - 1) << 6))
+    for fam, t in ((octads.union(whole), 6), (whole.union(octads), 5),
+                   (big, 6), (big, 3)):
+        assert design_lambda(fam, t) == oracle_design_lambda(fam, t), t
+    test_design_lambda_oracle_on_fixture_shells_and_wide_sets()
+    for case in FIXTURE_WITNESSES:
+        test_design_lambda_fixture_witnesses(*case)
+
+
+def test_witness_scans_stop_at_their_hit(monkeypatch):
+    # golay24 weight 16 at t = 6: each block's C(16,6) = 8,008 subsets
+    # take eight tiles of 1,000 ranks and one of 8
+    monkeypatch.setattr(codes, "_LAMBDA_TILE", 1000)
     listed = []
 
     def spy(*args):
-        for lo, part in subset_ranks(*args):
-            listed.append(len(part))
-            yield lo, part
+        for b, j, ranks in subset_ranks(*args):
+            listed.append((b, j, ranks.size))
+            yield b, j, ranks
     subset_ranks = codes._subset_ranks
     monkeypatch.setattr(codes, "_subset_ranks", spy)
     fam = shell(golay_g24(), 16)
     low, least, high, most = design_lambda(fam, 6).witness
 
-    def first_block(sub):
+    def first_tile(sub):
         m = sum(1 << i for i in sub)
-        return next(i for i, b in enumerate(fam.blocks) if b & m == m)
-    # the table count takes chunks of ceil(C(24,6) / C(16,6)) = 17 blocks,
-    # and each witness scan one block a chunk up to the block of its hit
-    assert listed[:45] == [17] * 44 + [759 - 44 * 17]
-    assert listed[45:] == [1] * (first_block(low) + 1 + first_block(high)
-                                 + 1)
+        b = next(i for i, u in enumerate(fam.blocks) if u & m == m)
+        points = [i for i in range(24) if fam.blocks[b] >> i & 1]
+        j = list(itertools.combinations(points, 6)).index(sub)
+        return b, j // 1000 * 1000
+    tiles = [(b, j, 8 if j == 8000 else 1000)
+             for b in range(759) for j in range(0, 8008, 1000)]
+    starts = [(b, j) for b, j, _ in tiles]
+    # the table count lists every tile, and each witness scan every tile
+    # up to the one of its hit
+    scans = [tiles[:starts.index(first_tile(sub)) + 1] for sub in (low, high)]
+    assert listed == tiles + scans[0] + scans[1]
 
 
 def test_design_lambda_holds_no_whole_listing():
-    # golay24 weight 16 at t = 6 lists 6,075,072 subsets, 23 MiB as int32;
-    # the table of C(24, 6) counts and one chunk take a few MiB
-    fam = shell(golay_g24(), 16)
-    tracemalloc.start()
-    try:
-        design_lambda(fam, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20, peak
+    # golay24 at t = 6: the weight-16 shell lists 6,075,072 subsets (23 MiB
+    # as int32), the weight-12 shell 2,380,224 and the weight-24 block
+    # 134,596 in one block; the table of C(24,6) counts, the tiles and the
+    # block supports take about 2 MiB
+    for w in (12, 16, 24):
+        fam = shell(golay_g24(), w)
+        tracemalloc.start()
+        try:
+            design_lambda(fam, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20, (w, peak)
 
 
 def test_lambda_listing_over_the_cap_is_refused_first(tmp_path, monkeypatch,
