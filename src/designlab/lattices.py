@@ -19,10 +19,13 @@ narrowest integer dtype, else Python ints (``_int_matmul``,
 ``_int_dtype``); shell coordinates past int64 are refused, so negating a
 row never wraps.  A shell is a slice of the ball's sorted integer
 array, held in an immutable buffer so no caller can write to it; Python
-tuples of its vectors are built only on demand.  Size caps are checked on
-counts, before any row is mapped back to the caller's basis: the search
-stops once the ball's candidates pass 4*cap + 64, and the per-norm
-tallies refuse the smallest norm whose shell is larger than the cap.
+tuples of its vectors are built only on demand.  One ball is kept per
+lattice (and cap), the largest asked, and a smaller bound is served its
+prefix of shells, so a warm process enumerates a lattice again only past
+its largest bound so far.  Size caps are checked on counts, before any
+row is mapped back to the caller's basis: the search stops once the
+ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
+smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and the zonal kernel
 (the monic Gegenbauer recurrence in integers, ``_zonal_sums``) per-degree
@@ -45,6 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._fixtures import fixture_path
+from ._grow import grow_once
 from .codes import (BinaryCode, _int_dtype, _read_only, is_doubly_even,
                     is_self_dual)
 from .errors import CapExceededError, InternalCheckError
@@ -589,16 +593,20 @@ def _is_antipodal(rows: np.ndarray) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=64)
+@grow_once(lambda lat, bound2, cap, workers: ((lat, cap), bound2),
+           lambda table, bound2: {w: rows for w, rows in table.items()
+                                  if w <= bound2})
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
                              workers: int) -> dict[int, np.ndarray]:
     """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
     (``_sorted_ball``): every shell is a slice of the one sorted array,
     which lives in an immutable buffer, checked antipodal before any slice
-    is handed out.  Every caller passes all four arguments (``SHELL_CAP,
-    1`` in the package): the cache keys a call as written, so a shorter
-    call would build the same ball again.  ``workers`` changes nothing and
-    stays because ``bench/spans.py`` reads the table with four.
+    is handed out.  One ball is held per (lattice, cap), the largest asked
+    (``_grow.grow_once``): a smaller bound is served its prefix of doubled
+    norms, equal to the shells a build there would give, since every
+    smaller ball passes the cap when the larger one did.  ``workers``
+    changes nothing and stays because ``bench/spans.py`` reads the table
+    with four arguments.
     """
     if bound2 < 0:
         return {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._grow import grow_once
 from .errors import (CapExceededError, InternalCheckError, OffsetError,
                      PrecisionError)
 from .qseries import QSeries, exact_str
@@ -205,23 +206,25 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-_tau_cache: list[int] = []
+@grow_once(lambda bound: (None, bound), lambda taus, bound: taus[:bound])
+def _tau_table(bound: int) -> tuple[int, ...]:
+    """tau(1), ..., tau(bound): delta = q * prod(1-q^i)^24, so tau(m) sits
+    at product index m-1.  One table is held, the longest asked
+    (``_grow.grow_once``), and a shorter one is its prefix."""
+    return tuple(delta_eta(bound).int_list(bound))
 
 
 def ramanujan_tau(n: int) -> int:
     """tau(n) read off the eta-power expansion of the discriminant.
 
-    The underlying expansion is cached and grown geometrically, up to
-    ``SERIES_CAP``.
+    The table is asked at the power of two at or above n, at least 1024
+    and at most ``SERIES_CAP`` (n itself past it, which is refused), so a
+    scan of ascending n builds it once per doubling.
     """
     if n < 1:
         raise ValueError("tau is indexed from 1")
-    global _tau_cache
-    if n > len(_tau_cache):
-        bound = max(1000, n, min(2 * n, SERIES_CAP))
-        # delta = q * prod(1-q^i)^24: tau(m) sits at product index m-1
-        _tau_cache = delta_eta(bound).int_list(bound)
-    return _tau_cache[n - 1]
+    bound = max(n, min(max(1024, 1 << (n - 1).bit_length()), SERIES_CAP))
+    return _tau_table(bound)[n - 1]
 
 
 # ---------------------------------------------------------------------------

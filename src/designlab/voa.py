@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from ._grow import grow_once
 from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
 from .lattices import (HarmonicPolynomial, Lattice, gegenbauer_component_sums,
@@ -86,10 +87,16 @@ class TraceSeries:
                      if self.coeff(i) == 0)
 
 
-@functools.lru_cache(maxsize=128)
+@grow_once(lambda c, s, prec: ((c, s), prec),
+           lambda trace, prec: replace(
+               trace, series=trace.series.truncate(prec)))
 def _witness_trace(c: int, s: int, prec: int) -> TraceSeries:
     """The one form Delta E4^a E6^b of the surviving weight-(c/2 + s) space
-    (mu = 1) over eta^c, eta^(24 - c) E4^a E6^b, from factors other than 1."""
+    (mu = 1) over eta^c, eta^(24 - c) E4^a E6^b, from factors other than 1.
+
+    One trace is held per (c, s), at the largest precision asked
+    (``_grow.grow_once``); a smaller precision is served by
+    ``QSeries.truncate``, which is canonical and so equals a build there."""
     k = c // 2 + s
     monomials = cusp_monomials(k, 1)
     if len(monomials) != 1:

@@ -729,7 +729,8 @@ def test_workers_flag_is_a_usage_error(capsys):
 
 def test_cli_and_library_share_one_ball(monkeypatch):
     # the CLI once keyed the vector table with os.cpu_count() workers and
-    # the library with 1, so the same ball was built twice
+    # the library with 1, so the same ball was built twice; the table is
+    # now held per lattice, so smaller norms are served from the same ball
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     table = lattices._vectors_by_doubled_norm
     table.cache_clear()
@@ -740,7 +741,10 @@ def test_cli_and_library_share_one_ball(monkeypatch):
     assert lattices.shell_sizes_up_to(e8, 8)[8] == 17520
     assert lattices.harmonic_theta(e8, lattices.constant_poly(8), 8)[8] \
         == 17520
-    assert table.cache_info().misses == 1
+    assert run_json(["shell", "--lattice", "E8", "--norm", "2"])["count"] \
+        == 240
+    assert len(shell_enum(e8, 4)) == 2160
+    assert table.cache_info()[:2] == (5, 1)
     # a lattice is its Gram matrix: the CLI's label "CA:d16plus" and the
     # library's unlabeled construction key one ball
     table.cache_clear()

@@ -480,7 +480,8 @@ def test_corrupted_lll_transforms_are_refused(monkeypatch):
         return u, r2
 
     # an earlier test may have cached this Gram matrix, and a cached
-    # reduced basis or vector table would never call the patched _lll
+    # reduced basis, or a ball held at any bound, would never call the
+    # patched _lll
     lattices._reduced_basis.cache_clear()
     _vectors_by_doubled_norm.cache_clear()
     monkeypatch.setattr(lattices, "_lll", scaled)
@@ -686,6 +687,85 @@ def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
         "import designlab.lattices as L\n"
         "L._sorted_ball = lambda *a: ({2: 2}, np.array([[0, 1], [1, 0]]))\n"
         "L.shell_enum(L.lattice_zn(2), 1)")
+
+
+# (lattice, largest doubled norm): every smaller bound is served from the
+# one ball built there; the last is Z2 scaled by 2^62, whose doubled norms
+# are multiples of 2^63
+SERVED_BALLS = [
+    (lattice_e8(), 16), (lattice_a2(), 52), (lattice_zn(2), 100),
+    (construction_a(d16_plus(), "d16plus"), 8),
+    (Lattice(((F(2 ** 62), F(0)), (F(0), F(2 ** 62)))), 13 * 2 ** 63)]
+
+
+@pytest.mark.parametrize("lat, top", SERVED_BALLS,
+                         ids=["E8", "A2", "Z2", "d16plus", "Z2x2^62"])
+def test_smaller_bounds_are_served_from_the_largest_ball(lat, top):
+    table = _vectors_by_doubled_norm
+    table.cache_clear()
+    held = table(lat, top, SHELL_CAP, 1)
+    # each doubled norm up to the top, or for the scaled Z2 each shell's
+    # doubled norm and its two neighbours
+    bounds = list(range(-1, top + 1)) if top <= 100 else sorted(
+        {0} | {w + d for w in held for d in (-1, 0, 1)} - {top + 1})
+    np.random.default_rng(7).shuffle(bounds)
+    for bound2 in bounds:
+        served = table(lat, bound2, SHELL_CAP, 1)
+        built = table.__wrapped__(lat, bound2, SHELL_CAP, 1)
+        assert list(served) == list(built), bound2
+        for w, rows in served.items():
+            assert rows is held[w]          # a slice of the one ball
+            assert rows.dtype == built[w].dtype
+            assert np.array_equal(rows, built[w])
+            assert not rows.flags.writeable and not rows.base.flags.writeable
+    assert table.cache_info()[:2] == (len(bounds), 1)
+
+
+def test_a_refused_bound_keeps_the_held_ball(monkeypatch):
+    d16 = construction_a(d16_plus())
+    table = _vectors_by_doubled_norm
+    table.cache_clear()
+    held = table(d16, 8, SHELL_CAP, 1)
+    # norm 6 holds more than SHELL_CAP vectors
+    with pytest.raises(CapExceededError, match="doubled norm 12"):
+        table(d16, 12, SHELL_CAP, 1)
+    balls = []
+
+    def spy(*args):
+        balls.append(args[1])
+        return sorted_ball(*args)
+
+    sorted_ball = lattices._sorted_ball
+    monkeypatch.setattr(lattices, "_sorted_ball", spy)
+    for bound2 in (8, 4, 2, 0):
+        assert table(d16, bound2, SHELL_CAP, 1) == {
+            w: held[w] for w in held if w <= bound2}
+    assert len(shell_enum(d16, 2)) == 480 and balls == []
+    assert table.cache_info()[:2] == (5, 2)
+    table.cache_clear()
+    assert len(shell_enum(d16, 2)) == 480 and balls == [4]
+    assert table.cache_info()[:2] == (0, 1)
+
+
+def test_the_plane_strength_loop_builds_one_ball(monkeypatch):
+    # the loop of the bench's plane_strengths requests: the sizes to norm
+    # 50, then a shell per norm, each a prefix of the first ball
+    balls = []
+
+    def spy(*args):
+        balls.append(args[:2])
+        return sorted_ball(*args)
+
+    sorted_ball = lattices._sorted_ball
+    monkeypatch.setattr(lattices, "_sorted_ball", spy)
+    _vectors_by_doubled_norm.cache_clear()
+    # every Z2 shell is a 3-design, every A2 shell a 5-design
+    for lat, t in ((lattice_zn(2), 4), (lattice_a2(), 6)):
+        strengths = {moment_design_test(shell_enum(lat, norm), t).strength
+                     for norm in shell_sizes_up_to(lat, 50)}
+        assert strengths == {t - 1}
+    assert balls == [(lattice_zn(2), 100), (lattice_a2(), 100)]
+    assert _vectors_by_doubled_norm.cache_info().misses == 2
 
 
 def test_half_ball_with_a_vector_and_its_negation_is_refused(monkeypatch):

@@ -1,5 +1,6 @@
 """Eta quotients, Eisenstein series, weight-k spaces, integer helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,31 @@ def test_tau_values():
     # multiplicativity on a coprime pair, an independent structural check
     assert ramanujan_tau(6) == ramanujan_tau(2) * ramanujan_tau(3)
     assert ramanujan_tau(10) == ramanujan_tau(2) * ramanujan_tau(5)
+
+
+def test_tau_is_read_off_one_growing_table(monkeypatch):
+    want = delta_eisenstein(3000).int_list(3000)    # the other route
+    builds = []
+
+    def spy(prec):
+        builds.append(prec)
+        return delta_eta(prec)
+
+    monkeypatch.setattr(modforms, "delta_eta", spy)
+    modforms._tau_table.cache_clear()
+    assert [ramanujan_tau(n) for n in range(1, 3001)] == want
+    assert builds == [1024, 2048, 4096]
+    # every smaller table is a prefix of the held one
+    order = random.Random(36).sample(range(1, 3001), 3000)
+    assert [ramanujan_tau(n) for n in order] == [want[n - 1] for n in order]
+    assert modforms._tau_table(5) == tuple(want[:5])
+    # a refused size keeps the held table; clearing it forces a build
+    with pytest.raises(CapExceededError):
+        ramanujan_tau(SERIES_CAP + 1)
+    assert ramanujan_tau(3000) == want[-1]
+    assert builds == [1024, 2048, 4096, SERIES_CAP + 1]
+    modforms._tau_table.cache_clear()
+    assert ramanujan_tau(3000) == want[-1] and builds[-1] == 4096
 
 
 # -- weight-k spaces -------------------------------------------------------

@@ -6,6 +6,8 @@ both directions.
 """
 
 import inspect
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -154,6 +156,59 @@ def test_witness_trace_expands_only_factors_other_than_one(monkeypatch):
         products = sum(1 for name, _ in calls if name == "mul")
         assert [x for x in calls if x[0] != "mul"] == want, (c, s)
         assert products == len(want) - 1, (c, s)
+
+
+# the factors other than 1 of the paper's four witness traces
+WITNESS_FACTORS = {(8, 8): ["eta"], (16, 4): ["eta"], (24, 4): ["E"],
+                   (16, 8): ["E", "eta"]}
+
+
+def test_witness_traces_are_served_by_truncation():
+    # one trace held per (c, s), at the largest precision asked so far: a
+    # smaller one is its truncation, equal to a build there
+    rng = random.Random(33)
+    for c, s in WITNESS_FACTORS:
+        _witness_trace.cache_clear()
+        precs = rng.sample(range(1, 251), 250)
+        for prec in precs:
+            served = _witness_trace(c, s, prec)
+            built = _witness_trace.__wrapped__(c, s, prec)
+            assert served == built, (c, s, prec)
+            assert served.series.to_dict() == built.series.to_dict()
+        maxima = len(set(itertools.accumulate(precs, max)))
+        assert _witness_trace.cache_info()[:2] == (250 - maxima, maxima)
+
+
+def test_strength_reports_do_not_depend_on_what_is_held():
+    asks = [(c, ell) for c in (8, 16, 24) for ell in range(1, 301)]
+    random.Random(34).shuffle(asks)
+    warm = [strength_at(c, ell) for c, ell in asks]
+    cold = []
+    for c, ell in asks:
+        _witness_trace.cache_clear()
+        cold.append(strength_at(c, ell))
+    assert warm == cold
+
+
+def test_witness_traces_build_once_per_running_maximum(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[-1]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(voa, "eisenstein", spy("E", voa.eisenstein))
+    monkeypatch.setattr(voa, "eta_quotient", spy("eta", voa.eta_quotient))
+    precs = random.Random(35).sample(range(16, 400), 24)
+    maxima = sorted(set(itertools.accumulate(precs, max)))
+    for (c, s), factors in WITNESS_FACTORS.items():
+        _witness_trace.cache_clear()
+        calls.clear()
+        for prec in precs:
+            assert _witness_trace(c, s, prec).series.prec == prec
+        assert calls == [(name, m) for m in maxima for name in factors]
 
 
 # -- coefficient criteria ----------------------------------------------------------
@@ -338,7 +393,7 @@ def test_shell_theta_and_trace_signatures():
     # a parameter only where a caller sets it: the shell cap is the
     # module constant SHELL_CAP, the fit directions are theta_directions,
     # and the certified trace reads its precision off its reference; the
-    # vector table takes all four arguments, so no call splits its cache
+    # vector table takes the four arguments bench/spans.py passes it
     want = {
         lattices.shell_enum: "lat, norm",
         lattices.shell_sizes_up_to: "lat, max_norm",
