@@ -205,6 +205,10 @@ def cmd_eta(a, out):
 
 
 def cmd_code_design(a, out):
+    if a.t is not None and a.max_degree is not None:
+        raise ValueError("--max-degree applies only to --Tset")
+    if a.Tset is not None and a.weight is not None:
+        raise ValueError("--Tset takes --weights w,n-w, not --weight")
     code = _resolve_code(a.code)
     if a.t is not None:
         if a.weight is None or a.weights is not None:
@@ -238,12 +242,13 @@ def cmd_code_design(a, out):
     pair = _int_list(a.weights, "--weights")
     if len(pair) != 2 or sorted(pair) != [min(pair), code.n - min(pair)]:
         raise ValueError(f"--weights must be a complementary pair w,{code.n}-w")
+    max_degree = a.max_degree or 5
     if a.Tset == "odd":
         # the library refuses the first odd degree over n: stop there
-        degrees = list(range(1, min(a.max_degree, code.n + 2) + 1, 2))
+        degrees = list(range(1, min(max_degree, code.n + 2) + 1, 2))
     else:
         degrees = sorted(set(_int_list(a.Tset, "--Tset")))
-        if degrees[0] < 1 or degrees[-1] > a.max_degree:
+        if degrees[0] < 1 or degrees[-1] > max_degree:
             raise ValueError("--Tset degrees must lie in 1..max-degree")
     rep = two_weight_design_check(code, min(pair), degrees)
     verdict = "pass" if rep.passes(degrees) else "fail"
@@ -259,12 +264,14 @@ def cmd_code_design(a, out):
 
 
 def cmd_lattice_design(a, out):
+    if a.criterion != "theta" and a.prec_norm is not None:
+        raise ValueError("--prec-norm applies only to --criterion theta")
     lat = _resolve_lattice(a.lattice)
     payload = {"schema": SCHEMA, "command": "lattice-design",
                "lattice": a.lattice, "norm": _frac(a.norm),
                "criterion": a.criterion}
     if a.criterion == "theta":
-        rep = theta_design_report(lat, a.norm, a.t, a.prec_norm)
+        rep = theta_design_report(lat, a.norm, a.t, a.prec_norm or 0)
         payload.update(prec_norm=rep.prec_norm,
                        directions_tested=rep.directions_tested,
                        per_degree={str(j): v for j, v in rep.verdicts.items()},
@@ -428,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--t", type=int)
     mode.add_argument("--Tset", help="'odd' or comma list of harmonic degrees")
-    p.add_argument("--max-degree", type=_positive, default=5,
-                   dest="max_degree")
+    p.add_argument("--max-degree", type=_positive, dest="max_degree",
+                   help="largest --Tset degree (default 5)")
 
     p = sub.add_parser("lattice-design", help="spherical design strength")
     p.add_argument("--lattice", required=True)
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--criterion", choices=("moment", "zonal", "theta"),
                    default="moment")
-    p.add_argument("--prec-norm", type=int, default=0, dest="prec_norm",
+    p.add_argument("--prec-norm", type=int, dest="prec_norm",
                    help="enumeration depth for the theta criterion")
 
     p = sub.add_parser("theta", help="weighted theta series")

@@ -626,25 +626,15 @@ def _complement_half(family: BlockFamily) -> tuple[int, ...] | None:
 
 
 def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
-    """Exact sums over the family of f-tilde, one per basis element.
-
-    A difference product of degree k has f-tilde(u-bar) = (-1)^k
-    f-tilde(u), so on a family closed under complement the odd-degree sums
-    are zero and the even-degree sums are twice those over half the blocks.
-    Every harmonic must live on the family's n points.
-    """
+    """Exact sums over the family of f-tilde, one per basis element, every
+    block summed.  Every harmonic must live on the family's n points."""
     ns = ({basis.n} if isinstance(basis, _HarmBasis)
           else {f.n for f in basis})
     if ns - {family.n}:
         raise ValueError(f"harmonics on {sorted(ns)} points, a family on "
                          f"{family.n}")
-    pairs = _pair_array(basis)
-    half = _complement_half(family)
-    if half is None:
-        return _tilde_sums(pairs, _points(family.blocks, family.n)).tolist()
-    if pairs.shape[1] % 2:
-        return [0] * len(pairs)
-    return (2 * _tilde_sums(pairs, _points(half, family.n))).tolist()
+    return _tilde_sums(_pair_array(basis),
+                       _points(family.blocks, family.n)).tolist()
 
 
 def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
@@ -652,20 +642,23 @@ def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool,
 
     Returns {j: (passes, witness basis index or None)}.  Every degree
     meets ``harm_basis``'s rule (``_harm_degree``) before any work, odd ones
-    on a closed family included.  On a family closed under complement every
-    odd degree passes with no basis built (see ``harmonic_family_sums``).
+    on a closed family included.  A difference product of degree j has
+    f-tilde(u-bar) = (-1)^j f-tilde(u), so on a family closed under
+    complement every odd degree passes with no basis built, and an even
+    degree's sums are twice those over one block of each complement pair
+    (``_complement_half``): the same zero test and the same witness.
     """
     degrees = sorted(set(degrees))
     for j in degrees:
         _harm_degree(family.n, j)
-    closed = _complement_half(family) is not None
+    half = _complement_half(family)
+    summed = family if half is None else BlockFamily(family.n, half)
     out = {}
     for j in degrees:
-        if j == 0 or closed and j % 2:
+        if j == 0 or half is not None and j % 2:
             out[j] = (True, None)
             continue
-        basis = harm_basis(family.n, j)
-        sums = harmonic_family_sums(basis, family)
+        sums = harmonic_family_sums(harm_basis(family.n, j), summed)
         bad = next((i for i, s in enumerate(sums) if s != 0), None)
         out[j] = (bad is None, bad)
     return out
@@ -673,7 +666,6 @@ def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool,
 
 @dataclass(frozen=True)
 class TwoWeightReport:
-    n: int
     weights: tuple[int, int]
     family_size: int
     verdicts: dict[int, tuple[bool, int | None]]
@@ -702,8 +694,8 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     closed = _complement_half(fam) is not None
     modes = {j: "complement" if closed and j % 2 else "harmonic sums"
              for j in verdicts}
-    return TwoWeightReport(code.n, (ell, code.n - ell), len(fam.blocks),
-                           verdicts, modes)
+    return TwoWeightReport((ell, code.n - ell), len(fam.blocks), verdicts,
+                           modes)
 
 
 # ---------------------------------------------------------------------------

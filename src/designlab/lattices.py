@@ -733,11 +733,9 @@ def _shell_pair_histogram(shell: Shell) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class MomentReport:
-    norm: Fraction
     size: int
     per_k: dict[int, bool]
     strength: int
-    failed_k: int | None
 
 
 def moment_design_test(shell: Shell, t: int) -> MomentReport:
@@ -758,8 +756,7 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
         rhs = (size * size * (2 * shell.norm) ** k
                * sphere_moment(shell.lattice.rank, k))
         per_k[k] = lhs == rhs
-    s = prefix_strength(per_k)
-    return MomentReport(shell.norm, size, per_k, s, s + 1 if s < t else None)
+    return MomentReport(size, per_k, prefix_strength(per_k))
 
 
 def prefix_strength(verdicts: dict[int, bool]) -> int:
@@ -828,8 +825,6 @@ def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class TDesignReport:
-    lattice_label: str
-    norm: Fraction
     size: int
     verdicts: dict[int, bool]
     component_sums: dict[int, Fraction]
@@ -853,8 +848,7 @@ def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
         raise ValueError("empty shell")
     sums = gegenbauer_component_sums(shell, degrees)
     verdicts = {j: v == 0 for j, v in sums.items()}
-    return TDesignReport(lat.label, shell.norm, len(shell), verdicts, sums,
-                         prefix_strength(verdicts))
+    return TDesignReport(len(shell), verdicts, sums, prefix_strength(verdicts))
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,7 @@ def ord_criterion(ell: int) -> bool:
 @dataclass(frozen=True)
 class ObstructionResult:
     forced: bool
-    reason: str
-    weight: int
     space_dim: int
-    constraints: int
     witness_leads: range        # lead exponents mu..dim-1, empty if forced
 
 
@@ -169,11 +166,7 @@ def modular_obstruction(c: int, s: int, min_weight_mu: int = 1) -> ObstructionRe
     weight = c // 2 + s
     dim = mf_dim(weight)
     forced = not cusp_monomials(weight, min_weight_mu)
-    reason = ("witness space survives" if not forced else "odd weight"
-              if weight % 2 else "leading-coefficient constraints exhaust "
-              "the space")
-    return ObstructionResult(forced, reason, weight, dim, min_weight_mu,
-                             range(min_weight_mu, dim))
+    return ObstructionResult(forced, dim, range(min_weight_mu, dim))
 
 
 @dataclass(frozen=True)
@@ -272,7 +265,6 @@ def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
 
 @dataclass(frozen=True)
 class LehmerScan:
-    bound: int
     tau_zeros: tuple[int, ...]
     shell_degree8_failures: dict[int, bool]
     a_values: dict[int, Fraction]
@@ -298,7 +290,7 @@ def lehmer_scan(bound: int, shells_to: int = 2) -> LehmerScan:
                 f"tau({ell}) and the degree-8 shell verdict disagree")
     aa = a_series(max(bound, 2))
     a_vals = {ell: aa.coeff(ell) for ell in range(1, min(bound, 10) + 1)}
-    return LehmerScan(bound, zeros, failures, a_vals)
+    return LehmerScan(zeros, failures, a_vals)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ from designlab import cli, lattices
 from designlab._fixtures import fixture_path
 from designlab.cli import main
 from designlab.codes import d16_plus, golay_g24
-from designlab.lattices import (_int_dtype, construction_a, lattice_e8,
-                                shell_enum, theta_fit_norm)
+from designlab.lattices import (Lattice, _int_dtype, construction_a,
+                                lattice_e8, shell_enum, shell_sizes_up_to,
+                                theta_design_report, theta_fit_norm)
 from designlab.modforms import FitResult, eta_quotient
 from designlab.qseries import QSeries
 from designlab.voa import modular_obstruction
@@ -165,6 +166,9 @@ def test_golay_two_weight_odd_degrees():
     assert got["per_degree"] == {"1": True, "3": True, "5": True}
     assert got["weights"] == [8, 16]
     assert got["blocks"] == 1518
+    # 5 is the default --max-degree
+    assert run_json(["code-design", "--code", "golay24", "--weights", "8,16",
+                     "--Tset", "odd"]) == got
 
 
 @pytest.mark.parametrize("args, fields, modes", [
@@ -419,6 +423,65 @@ def test_theta_depth_refusal_at_any_t_is_immediate(capsys):
         f"use at least {2 * ((t + 4) // 12 + 1)}")
 
 
+def integer_row_basis(rows):
+    """A basis of the integer span of the rows, by gcd elimination per
+    column."""
+    rows, basis = [list(r) for r in rows], []
+    for col in range(len(rows[0])):
+        while True:
+            live = sorted((r for r in rows if r[col]), key=lambda r: abs(r[col]))
+            if len(live) < 2:
+                break
+            for r in live[1:]:
+                q = r[col] // live[0][col]
+                r[:] = [x - q * y for x, y in zip(r, live[0])]
+        if live:
+            basis.append(live[0])
+            rows.remove(live[0])
+    return basis
+
+
+def leech_gram():
+    """The Leech lattice from golay24, scaled by sqrt(8): spanned by 2c per
+    code generator c, 4(e_0 - e_j), 8e_0 and (-3, 1^23); Gram B B^T / 8."""
+    gens = [[2 * (c >> i & 1) for i in range(24)] for c in golay_g24().gens]
+    gens += [[4 * (i == 0) - 4 * (i == j) for i in range(24)]
+             for j in range(1, 24)]
+    gens += [[8 * (i == 0) for i in range(24)], [-3] + [1] * 23]
+    basis = integer_row_basis(gens)
+    assert len(basis) == 24
+    return [[Fraction(np.dot(a, b), 8) for b in basis] for a in basis]
+
+
+def test_theta_criterion_passes_every_fitted_degree_of_the_leech_shell(
+        tmp_path, capsys):
+    # the passing-evidence mode: every fitted degree (4, 6, 8, 10) reads a
+    # zero coefficient along all 5 directions of a rank-24 lattice
+    gram = leech_gram()
+    assert all(x.denominator == 1 for row in gram for x in row)
+    leech = Lattice(gram, "leech")
+    assert shell_sizes_up_to(leech, 4) == {4: 196560}
+    modes = {j: "antipodal" for j in range(1, 12, 2)}
+    modes[2] = "cusp space zero"
+    modes.update({j: "fit along 5 directions" for j in (4, 6, 8, 10)})
+    for norm in (4, 100):
+        rep = theta_design_report(leech, norm, 11, 4)
+        assert (rep.modes, rep.strength) == (modes, 11), norm
+        assert all(rep.verdicts.values())
+    path = tmp_path / "leech.txt"
+    path.write_text("".join(" ".join(str(x) for x in row) + "\n"
+                            for row in gram))
+    request = ["lattice-design", "--lattice", str(path), "--norm", "4",
+               "--criterion", "theta", "--t"]
+    got = run_json(request + ["11"])
+    assert got["modes"] == {str(j): m for j, m in modes.items()}
+    assert (got["strength"], got["prec_norm"], got["directions_tested"]) \
+        == (11, 4, 5)
+    # degree 12 is fitted from an enumeration to norm 6
+    assert run(request + ["12"]) == (2, "")
+    assert one_error(capsys)["message"].endswith("use at least 6")
+
+
 def test_failed_theta_fit_is_a_runtime_error(monkeypatch, capsys):
     # membership is a theorem for even unimodular lattices, so a fit that
     # fails is a fault of the program, reported like any runtime failure
@@ -457,6 +520,19 @@ def test_parser_refusals_follow_the_json_contract(argv, capsys):
     # argparse refusals return 2 through main, never SystemExit
     assert run(argv) == (2, "")
     assert one_error(capsys)["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["code-design", "--code", "golay24", "--weight", "12", "--weights",
+      "8,16", "--Tset", "odd", "--max-degree", "3"], "--Tset takes --weights"),
+    (["lattice-design", "--lattice", "E8", "--norm", "2", "--t", "3",
+      "--criterion", "zonal", "--prec-norm", "-5"], "--prec-norm applies"),
+    (["code-design", "--code", "golay24", "--weight", "8", "--t", "2",
+      "--max-degree", "9"], "--max-degree applies")])
+def test_options_the_mode_ignores_are_refused(argv, message, capsys):
+    assert run(argv) == (2, "")
+    error = one_error(capsys)
+    assert error["type"] == "usage" and error["message"].startswith(message)
 
 
 @pytest.mark.parametrize("argv", [

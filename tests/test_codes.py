@@ -866,9 +866,9 @@ def test_families_not_closed_take_the_full_path(monkeypatch):
     assert two_weight_design_check(code, w, [1]).modes == {1: "harmonic sums"}
     # a fold would pass it: one missing block makes degree 1 fail
     assert not delsarte_design_check(families[0], [1])[1][0]
-    # a closed family's even degree reads half its blocks
+    # the decision on a closed family reads half its blocks at an even degree
     del columns[:]
-    harmonic_family_sums(harm_basis(8, 2), ham)
+    assert delsarte_design_check(ham, [2]) == {2: (True, None)}
     assert columns == [len(ham.blocks) // 2]
 
 
@@ -886,8 +886,36 @@ def test_odd_degrees_of_a_closed_family_build_nothing(monkeypatch):
     monkeypatch.setattr(codes, "_tilde_sums", kernel)
     assert (delsarte_design_check(fam, [1, 3, 5])
             == {1: (True, None), 3: (True, None), 5: (True, None)})
-    assert harmonic_family_sums(build(24, 3), fam) == [0] * harm_dim(24, 3)
     assert asked == []
+
+
+def test_the_decision_folds_a_closed_family_once(monkeypatch):
+    # golay24's 8/16 pair is closed: one closure check for the whole call,
+    # and each even degree sums one block of each of its 759 pairs
+    fam = shell_pair(golay_g24(), 8)
+    checks, summed = [], []
+    check, sums = codes._complement_half, codes.harmonic_family_sums
+
+    def check_spy(family):
+        checks.append(len(family.blocks))
+        return check(family)
+
+    def sums_spy(basis, family):
+        summed.append((len(basis), len(family.blocks)))
+        return sums(basis, family)
+    monkeypatch.setattr(codes, "_complement_half", check_spy)
+    monkeypatch.setattr(codes, "harmonic_family_sums", sums_spy)
+    verdicts = delsarte_design_check(fam, [1, 2, 3, 4])
+    assert verdicts == {j: (True, None) for j in (1, 2, 3, 4)}
+    assert checks == [1518]
+    assert summed == [(harm_dim(24, 2), 759), (harm_dim(24, 4), 759)]
+    # a direct call sums every block it is given, to the same exact numbers
+    basis = harm_basis(8, 4)            # hamming8's 4-shell is no 4-design
+    ham = shell(hamming_e8(), 4)
+    full = sums(basis, ham)
+    assert full == [2 * s for s in sums(basis, BlockFamily(8, check(ham)))]
+    assert any(full)
+    assert checks == [1518]
 
 
 def test_complement_check_runs_under_optimize(run_optimized):

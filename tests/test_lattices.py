@@ -912,7 +912,8 @@ def test_sphere_moment_even_dimension_against_quadrature():
 
 def test_moment_report_square_in_plane():
     rep = moment_design_test(shell_enum(lattice_zn(2), 1), 5)
-    assert rep.size == 4 and rep.strength == 3 and rep.failed_k == 4
+    assert rep.size == 4 and rep.strength == 3
+    assert not rep.per_k[rep.strength + 1]
     assert rep.per_k == {1: True, 2: True, 3: True, 4: False, 5: True}
 
 
@@ -928,7 +929,7 @@ def test_moment_strengths_z2_and_a2_samples():
 def test_e8_root_shell_is_a_seven_design_failing_degree_eight():
     e8 = lattice_e8()
     rep = moment_design_test(shell_enum(e8, 2), 8)
-    assert rep.strength == 7 and rep.failed_k == 8
+    assert rep.strength == 7 and not rep.per_k[rep.strength + 1]
     tre = spherical_T_design_report(e8, 2, range(1, 13))
     expect = {j: j != 8 and j != 12 for j in range(1, 13)}
     assert tre.verdicts == expect
@@ -942,8 +943,8 @@ def test_component_sums_locate_the_first_moment_failure():
         rep = moment_design_test(sh, 8)
         sums = gegenbauer_component_sums(sh, range(1, 9))
         evens_bad = [j for j in (2, 4, 6, 8) if sums[j] != 0]
-        assert rep.failed_k == evens_bad[0]
-        for j in range(1, rep.failed_k):
+        assert rep.strength + 1 == evens_bad[0]
+        for j in range(1, rep.strength + 1):
             assert sums[j] == 0
 
 
