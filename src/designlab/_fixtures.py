@@ -9,13 +9,18 @@ from pathlib import Path
 
 from .errors import FixtureError
 
+_BUNDLED = os.path.join(os.path.dirname(__file__), "fixtures")
 
-def fixture_path(*parts: str) -> Path:
-    """A bundled fixture file under the package's ``fixtures`` directory."""
-    p = Path(__file__).parent.joinpath("fixtures", *parts)
-    if not p.is_file():
-        raise FixtureError(f"fixture not found: {p}")
-    return p
+
+def fixture_text(*parts: str) -> str:
+    """The text of a bundled fixture file under the package's ``fixtures``
+    directory, read by one ``open``."""
+    path = os.path.join(_BUNDLED, *parts)
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FixtureError(f"fixture not found: {path}") from None
 
 
 def user_fixture_path(name: str) -> Path | None:

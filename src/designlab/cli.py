@@ -11,13 +11,15 @@ fails raises a ``DesignLabError`` and exits 1 with the class name as type.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import re
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -175,20 +177,18 @@ def _int_list(text: str, what: str) -> list[int]:
 
 
 def _positive(text: str) -> int:
-    """argparse type: an integer >= 1."""
+    """Option reader: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type: a rational number such as 2, 1/2 or 1e400."""
+    """Option reader: a rational number such as 2, 1/2 or 1e400."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational number, got {text!r}") from None
+        raise ValueError(f"expected a rational number, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def cmd_code_design(a, out):
         if a.weight is None or a.weights is not None:
             raise ValueError("--t needs --weight (single shell)")
         fam = shell(code, a.weight)
-        if not fam.blocks:
+        if not len(fam.blocks):
             raise ValueError(f"{a.code} has no codewords of weight "
                              f"{a.weight}")
         res = design_lambda(fam, a.t)
@@ -405,70 +405,229 @@ def cmd_shell(a, out):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
+@dataclass(frozen=True)
+class _Opt:
+    """One long option: ``read`` turns its text into the value (None for a
+    flag, which takes no text and reads True), ``dest`` names the field
+    (by default the name without dashes, "-" read as "_")."""
+    name: str
+    read: Callable | None = str
+    required: bool = False
+    default: object = None
+    choices: tuple = ()
+    help: str = ""
+    dest: str = ""
+
+    def __post_init__(self):
+        if not self.dest:
+            object.__setattr__(self, "dest",
+                               self.name[2:].replace("-", "_"))
+
+    def usage(self) -> str:
+        if self.read is None:
+            return self.name
+        meta = ("{" + ",".join(map(str, self.choices)) + "}" if self.choices
+                else self.dest.upper())
+        return f"{self.name} {meta}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; a parse failure raises ``ValueError``."""
-    ap = _Parser(
-        prog="designlab",
-        description="Exact design-strength verification for code shells, "
-                    "lattice shells and graded traces.")
-    ap.add_argument("--format", choices=("text", "json", "csv"),
-                    default="text", dest="fmt",
-                    help="output format (csv applies to 'shell' only)")
-    sub = ap.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class _Command:
+    """A command's help line, its options and the group of options of which
+    exactly one must be given."""
+    help: str
+    options: tuple[_Opt, ...]
+    one_of: tuple[str, ...] = ()
 
-    p = sub.add_parser("eta", help="expand an eta quotient")
-    p.add_argument("--spec", default="",
-                   help="comma list scale:power, e.g. '3:8' or '2:15,1:-7'")
-    p.add_argument("--prec", type=_positive, required=True)
 
-    p = sub.add_parser("code-design", help="combinatorial design tests")
-    p.add_argument("--code", required=True)
-    p.add_argument("--weight", type=_positive,
-                   help="single shell weight, for the --t mode")
-    p.add_argument("--weights",
-                   help="complementary pair w,n-w, for the --Tset mode")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--t", type=int)
-    mode.add_argument("--Tset", help="'odd' or comma list of harmonic degrees")
-    p.add_argument("--max-degree", type=_positive, dest="max_degree",
-                   help="largest --Tset degree (default 5)")
+# the options before the command, and each command's own
+_PROGRAM = _Command(
+    "Exact design-strength verification for code shells, lattice shells "
+    "and graded traces.",
+    (_Opt("--format", choices=("text", "json", "csv"), default="text",
+          dest="fmt", help="output format (csv applies to 'shell' only)"),))
+_TABLE = {
+    "eta": _Command("expand an eta quotient", (
+        _Opt("--spec", default="",
+             help="comma list scale:power, e.g. '3:8' or '2:15,1:-7'"),
+        _Opt("--prec", _positive, required=True))),
+    "code-design": _Command("combinatorial design tests", (
+        _Opt("--code", required=True),
+        _Opt("--weight", _positive,
+             help="single shell weight, for the --t mode"),
+        _Opt("--weights",
+             help="complementary pair w,n-w, for the --Tset mode"),
+        _Opt("--t", int),
+        _Opt("--Tset", help="'odd' or comma list of harmonic degrees"),
+        _Opt("--max-degree", _positive,
+             help="largest --Tset degree (default 5)")),
+        one_of=("--t", "--Tset")),
+    "lattice-design": _Command("spherical design strength", (
+        _Opt("--lattice", required=True),
+        _Opt("--norm", _rational, required=True),
+        _Opt("--t", _positive, required=True),
+        _Opt("--criterion", choices=("moment", "zonal", "theta"),
+             default="moment"),
+        _Opt("--prec-norm", int,
+             help="enumeration depth for the theta criterion"))),
+    "theta": _Command("weighted theta series", (
+        _Opt("--lattice", required=True),
+        _Opt("--poly", default="one",
+             help="'one' or 'zonal:<degree>:<i1,...,in>'"),
+        _Opt("--prec", _positive, required=True,
+             help="largest norm to enumerate"),
+        _Opt("--membership", None, default=False,
+             help="also fit the series in its predicted space"))),
+    "voa-strength": _Command("conformal design strength", (
+        _Opt("--c", int, required=True, choices=(8, 16, 24)),
+        _Opt("--ell", _positive),
+        _Opt("--scan-to", _positive)),
+        one_of=("--ell", "--scan-to")),
+    "remark4": _Command("closed-form trace vanishing scan", (
+        _Opt("--prec", _positive, required=True),)),
+    "shell": _Command("enumerate one shell (CSV exportable)", (
+        _Opt("--lattice", required=True),
+        _Opt("--norm", _rational, required=True))),
+}
 
-    p = sub.add_parser("lattice-design", help="spherical design strength")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--norm", type=_rational, required=True)
-    p.add_argument("--t", type=_positive, required=True)
-    p.add_argument("--criterion", choices=("moment", "zonal", "theta"),
-                   default="moment")
-    p.add_argument("--prec-norm", type=int, dest="prec_norm",
-                   help="enumeration depth for the theta criterion")
 
-    p = sub.add_parser("theta", help="weighted theta series")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--poly", default="one",
-                   help="'one' or 'zonal:<degree>:<i1,...,in>'")
-    p.add_argument("--prec", type=_positive, required=True,
-                   help="largest norm to enumerate")
-    p.add_argument("--membership", action="store_true",
-                   help="also fit the series in its predicted space")
+def _is_option(arg: str) -> bool:
+    """Whether an argument names an option: it starts with "-" and is not
+    a negative number."""
+    return len(arg) > 1 and arg[0] == "-" and not arg[1].isdigit()
 
-    p = sub.add_parser("voa-strength", help="conformal design strength")
-    p.add_argument("--c", type=int, required=True, choices=(8, 16, 24))
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--ell", type=_positive)
-    mode.add_argument("--scan-to", type=_positive, dest="scan_to")
 
-    p = sub.add_parser("remark4", help="closed-form trace vanishing scan")
-    p.add_argument("--prec", type=_positive, required=True)
+class _Parser:
+    """Reads argv by the option tables: the program's options, one command,
+    then that command's options.  A long option may be shortened to a
+    prefix that names one option; its value is the next argument, or
+    follows "="; a repeated option keeps its last value.  Every refusal
+    raises ``ValueError``; ``-h`` or ``--help`` prints usage to stdout and
+    exits 0 through ``SystemExit``."""
 
-    p = sub.add_parser("shell", help="enumerate one shell (CSV exportable)")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--norm", type=_rational, required=True)
-    return ap
+    def __init__(self, prog: str, program: _Command,
+                 commands: dict[str, _Command]):
+        self.prog, self.program, self.commands = prog, program, commands
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        args = sys.argv[1:] if argv is None else list(argv)
+        values = {"command": None}
+        at = self._read(args, 0, None, values)
+        if at == len(args):
+            raise ValueError(f"{self.prog}: the following arguments are "
+                             "required: command")
+        command = args[at]
+        if command not in self.commands:
+            raise ValueError(
+                f"{self.prog}: argument command: invalid choice: "
+                f"{command!r} (choose from {', '.join(self.commands)})")
+        values["command"] = command
+        at = self._read(args, at + 1, command, values)
+        if at < len(args):
+            raise ValueError(f"{self.prog}: unrecognized arguments: "
+                             f"{args[at]}")
+        return SimpleNamespace(**values)
+
+    def _read(self, args, at: int, command: str | None, values: dict) -> int:
+        """Read the options of ``command`` (the program's for None) from
+        args[at:] into ``values``, up to the first argument that is no
+        option, and return its index."""
+        cmd = self.commands[command] if command else self.program
+        prog = f"{self.prog} {command}" if command else self.prog
+        values.update((o.dest, o.default) for o in cmd.options)
+        given = set()
+        while at < len(args) and _is_option(args[at]):
+            name, eq, text = args[at].partition("=")
+            opt = self._match(name, command, prog)
+            if opt.read is None:
+                if eq:
+                    raise ValueError(f"{prog}: argument {opt.name}: ignored "
+                                     f"explicit argument {text!r}")
+                value = True
+            else:
+                if not eq:
+                    at += 1
+                    if at == len(args) or _is_option(args[at]):
+                        raise ValueError(f"{prog}: argument {opt.name}: "
+                                         "expected one argument")
+                    text = args[at]
+                try:
+                    value = opt.read(text)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{prog}: argument {opt.name}: {exc}") from None
+                if opt.choices and value not in opt.choices:
+                    raise ValueError(
+                        f"{prog}: argument {opt.name}: invalid choice: "
+                        f"{text!r} (choose from "
+                        f"{', '.join(map(str, opt.choices))})")
+            values[opt.dest] = value
+            given.add(opt.name)
+            at += 1
+        missing = [o.name for o in cmd.options
+                   if o.required and o.name not in given]
+        if missing:
+            raise ValueError(f"{prog}: the following arguments are "
+                             f"required: {', '.join(missing)}")
+        chosen = [name for name in cmd.one_of if name in given]
+        if cmd.one_of and not chosen:
+            raise ValueError(f"{prog}: one of the arguments "
+                             f"{' '.join(cmd.one_of)} is required")
+        if len(chosen) > 1:
+            raise ValueError(f"{prog}: argument {chosen[1]}: not allowed "
+                             f"with argument {chosen[0]}")
+        return at
+
+    def _match(self, name: str, command: str | None, prog: str) -> _Opt:
+        """The option a name gives, in full or as a prefix of one name;
+        help exits here."""
+        cmd = self.commands[command] if command else self.program
+        options = {o.name: o for o in cmd.options}
+        if name not in options and len(name) > 2:
+            hits = [full for full in (*options, "--help")
+                    if full.startswith(name)]
+            if len(hits) > 1:
+                raise ValueError(f"{prog}: ambiguous option: {name} could "
+                                 f"match {', '.join(hits)}")
+            name = hits[0] if hits else name
+        if name in ("-h", "--help"):
+            sys.stdout.write(self.help(command))
+            raise SystemExit(0)
+        if name not in options:
+            raise ValueError(f"{self.prog}: unrecognized arguments: {name}")
+        return options[name]
+
+    def help(self, command: str | None = None) -> str:
+        """The usage and the options of a command, or of the program."""
+        cmd = self.commands[command] if command else self.program
+        words = [self.prog, command or "", "[-h]"]
+        for o in cmd.options:
+            if o.name in cmd.one_of[:1]:
+                words.append("(" + " | ".join(
+                    p.usage() for p in cmd.options if p.name in cmd.one_of)
+                    + ")")
+            elif o.name not in cmd.one_of:
+                words.append(o.usage() if o.required else f"[{o.usage()}]")
+        lines = ["usage: " + " ".join(filter(None, words)), "", cmd.help, ""]
+        if command is None:
+            lines[0] += " {" + ",".join(self.commands) + "} ..."
+            lines += ["commands:"] + _columns(
+                [(name, c.help) for name, c in self.commands.items()]) + [""]
+        rows = [("-h, --help", "show this help and exit")]
+        rows += [(o.usage(), o.help) for o in cmd.options]
+        return "\n".join(lines + ["options:"] + _columns(rows)) + "\n"
+
+
+def _columns(rows) -> list[str]:
+    """Help lines of two columns: each name, then its help text."""
+    width = max(len(name) for name, _ in rows) + 2
+    return [f"  {name:{width}}{text}".rstrip() for name, text in rows]
+
+
+def build_parser() -> _Parser:
+    """The command-line parser, read from the option tables (``_PROGRAM``,
+    ``_TABLE``); a parse failure raises ``ValueError``."""
+    return _Parser("designlab", _PROGRAM, _TABLE)
 
 
 _COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
@@ -479,7 +638,7 @@ _COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
 
 def main(argv=None, out=sys.stdout) -> int:
     """Run one command and return its exit status: 0 when the computation
-    completed, 2 for a bad request (a ``ValueError``, argparse's refusals
+    completed, 2 for a bad request (a ``ValueError``, the parser's refusals
     included), 1 when the computation failed (a ``DesignLabError``).  Either
     failure writes one JSON error line to stderr; only ``--help`` exits
     through ``SystemExit``.
@@ -503,23 +662,8 @@ def main(argv=None, out=sys.stdout) -> int:
 _PARSER = build_parser()
 
 
-def _check_globals(argv) -> None:
-    """Name an unknown option before the command, one the parser does not
-    take there: argparse would skip it and read the value after it as the
-    command."""
-    for arg in argv:
-        if arg in _COMMANDS:
-            return
-        name = arg.split("=", 1)[0]
-        if name.startswith("-") and not any(
-                opt == name or name.startswith("--") and opt.startswith(name)
-                for opt in _PARSER._option_string_actions):
-            raise ValueError(f"designlab: unrecognized arguments: {name}")
-
-
 def _run(argv, out) -> int:
     try:
-        _check_globals(sys.argv[1:] if argv is None else argv)
         a = _PARSER.parse_args(argv)
         if a.fmt == "csv" and a.command != "shell":
             raise ValueError("--format csv applies only to 'shell'")

@@ -16,18 +16,26 @@ distinct and lie in range(n).  That is all ker gamma needs: a (k-1)-subset
 y that is a partial transversal missing pair j extends to a transversal
 only by a_j or b_j, two terms that cancel, and any other y extends to none.
 Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
-exact in one int8 kernel, which makes Delsarte-style checks cheap.  Lambda
-counting lists the lexicographic rank of each covered t-subset, built from
-two tables of half-subset sums, a tile of at most ``_LAMBDA_TILE`` ranks at
-a time in two buffers reused from tile to tile, and counts them in place in
-one table over all C(n,t) ranks, or by one sort when fewer than C(n,t) are
-listed, so it holds min(listed, C(n,t)) counts and one tile.
+exact in one int8 kernel, which makes Delsarte-style checks cheap.
+
+Each code holds its 2^k codewords as one read-only int64 array, cached
+(``codewords``): shells, the weight distribution, the minimum weight and
+the harmonic weight enumerators all read it, so every shell lists its
+blocks in the same Gray-code order.  A block family is one read-only array
+of masks too, checked by array operations.  Lambda counting takes block
+sizes by ``np.bitwise_count`` and each size group's supports from one
+incidence table, lists the lexicographic rank of each covered t-subset,
+built from two tables of half-subset sums, a tile of at most
+``_LAMBDA_TILE`` ranks at a time in two buffers reused from tile to tile,
+and counts them in place in one table over all C(n,t) ranks, or by one
+sort when fewer than C(n,t) are listed, so it holds min(listed, C(n,t))
+counts and one tile.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from ._fixtures import fixture_path
+from ._fixtures import fixture_text
 from .errors import CapExceededError, InternalCheckError
 from .qseries import _int_convolve
 
@@ -110,24 +118,26 @@ def code_from_text(text: str, name: str = "") -> BinaryCode:
     n = len(lines[0])
     rows = []
     for ln in lines:
-        if len(ln) != n or set(ln) - {"0", "1"}:
+        if len(ln) != n or ln.strip("01"):
             raise ValueError(f"bad generator row: {ln!r}")
-        rows.append(sum(1 << i for i, ch in enumerate(ln) if ch == "1"))
+        rows.append(int(ln[::-1], 2))       # character i is bit i
     return code_from_rows(n, rows, name)
 
 
 @functools.lru_cache(maxsize=None)
-def codewords(code: BinaryCode) -> tuple[int, ...]:
-    """All 2^k codewords as bitmasks (Gray-code order, cached)."""
+def codewords(code: BinaryCode) -> np.ndarray:
+    """All 2^k codewords as one read-only int64 array of bitmasks, cached,
+    in Gray-code order: word i is the sum of the generators at the set bits
+    of i ^ (i >> 1).  The array doubles once per generator j, its first
+    2^j words followed by the same words in reverse order plus generator j,
+    which is the reflected Gray code."""
     if code.k > WORD_CAP_LOG2:
         raise CapExceededError(
             f"2^{code.k} codewords exceed the enumeration cap")
-    words = [0] * (1 << code.k)
-    w = 0
-    for i in range(1, 1 << code.k):
-        w ^= code.gens[(i & -i).bit_length() - 1]
-        words[i] = w
-    return tuple(words)
+    words = np.zeros(1 << code.k, dtype=np.int64)
+    for j, g in enumerate(code.gens):
+        words[1 << j:2 << j] = words[:1 << j][::-1] ^ g
+    return _read_only(words)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -135,21 +145,21 @@ def codewords(code: BinaryCode) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def hamming_e8() -> BinaryCode:
     """The [8,4,4] extended Hamming code (first-order Reed-Muller)."""
-    return code_from_text(fixture_path("codes", "hamming8.txt").read_text(),
+    return code_from_text(fixture_text("codes", "hamming8.txt"),
                           name="hamming8")
 
 
 @functools.lru_cache(maxsize=None)
 def golay_g24() -> BinaryCode:
     """The [24,12,8] extended binary Golay code."""
-    return code_from_text(fixture_path("codes", "golay24.txt").read_text(),
+    return code_from_text(fixture_text("codes", "golay24.txt"),
                           name="golay24")
 
 
 @functools.lru_cache(maxsize=None)
 def d16_plus() -> BinaryCode:
     """The indecomposable [16,8,4] doubly even self-dual code."""
-    return code_from_text(fixture_path("codes", "d16plus.txt").read_text(),
+    return code_from_text(fixture_text("codes", "d16plus.txt"),
                           name="d16plus")
 
 
@@ -184,14 +194,13 @@ def is_self_dual(code: BinaryCode) -> bool:
 
 
 def weight_distribution(code: BinaryCode) -> list[int]:
-    out = [0] * (code.n + 1)
-    for w in codewords(code):
-        out[w.bit_count()] += 1
-    return out
+    weights = np.bitwise_count(codewords(code))
+    return np.bincount(weights, minlength=code.n + 1).tolist()
 
 
 def min_weight(code: BinaryCode) -> int:
-    return min(w.bit_count() for w in codewords(code) if w)
+    # the zero word comes first in Gray-code order
+    return int(np.bitwise_count(codewords(code)[1:]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +259,57 @@ def _points(masks, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+_AS_INT = np.frompyfunc(operator.index, 1, 1)
+
+
+def _mask_array(blocks, n: int) -> np.ndarray:
+    """Bitmasks of distinct subsets of range(n) as one read-only array:
+    int64 when every subset fits (n < 64), else Python ints (object).  An
+    integer array is read as it is, anything else as Python integers (a
+    ``TypeError`` for any other value)."""
+    raw = (blocks if isinstance(blocks, np.ndarray)
+           else np.asarray(blocks, dtype=object))
+    if raw.ndim != 1 or raw.dtype.kind not in "iuO":
+        raise ValueError("blocks are one sequence of integer bitmasks")
+    if raw.dtype == object:
+        raw = _AS_INT(raw)
+    try:
+        masks = np.array(raw, dtype=np.int64 if n < 64 else object)
+    except OverflowError:
+        raise ValueError(f"a block is not a subset of range({n})") from None
+    ordered = np.sort(masks)
+    # a uint64 past 2^63 - 1 wraps to a negative int64
+    if len(ordered) and (ordered[0] < 0 or ordered[-1] >> n):
+        raise ValueError(f"a block is not a subset of range({n})")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("blocks repeat")
+    if masks.dtype == object:
+        masks.flags.writeable = False
+        return masks
+    return _read_only(masks)
+
+
+@dataclass(frozen=True, eq=False)
 class BlockFamily:
-    """A family of distinct subsets of an n-set, stored as bitmasks."""
+    """A family of distinct subsets of an n-set: ``blocks`` is one
+    read-only array of their bitmasks (``_mask_array``), built from any
+    sequence of ints and checked when the family is made."""
     n: int
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ValueError("blocks repeat")
-        if any(b < 0 or b >> self.n for b in self.blocks):
-            raise ValueError(f"a block is not a subset of range({self.n})")
+        object.__setattr__(self, "blocks", _mask_array(self.blocks, self.n))
 
     def union(self, other: "BlockFamily") -> "BlockFamily":
         if self.n != other.n:
             raise ValueError(f"families on {self.n} and {other.n} points")
-        return BlockFamily(self.n, self.blocks + other.blocks)
+        return BlockFamily(self.n, np.concatenate((self.blocks, other.blocks)))
 
 
 def shell(code: BinaryCode, w: int) -> BlockFamily:
-    """Supports of the weight-w codewords."""
-    masks = tuple(c for c in codewords(code) if c.bit_count() == w)
-    return BlockFamily(code.n, masks)
+    """Supports of the weight-w codewords, in codeword order."""
+    words = codewords(code)
+    return BlockFamily(code.n, words[np.bitwise_count(words) == w])
 
 
 @dataclass(frozen=True)
@@ -380,32 +418,36 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     subsets with the least and the largest count, found by listing again up
     to the first hit in each size group, or the lexicographically first
     uncovered subset in place of the least.  Any family is counted, mixed
-    block sizes included.  A listing of more than ``LAMBDA_CAP`` subsets is
-    refused before any array is built.
+    block sizes included.  Block sizes come from ``np.bitwise_count``, and
+    a listing of more than ``LAMBDA_CAP`` subsets is refused from them,
+    before the incidence (``_points``) or any rank is built.
     """
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
     if t == 0:
         return LambdaResult(True, len(family.blocks), None)
     n, total = family.n, comb(family.n, t)
-    sizes = [b.bit_count() for b in family.blocks]
-    per_size = Counter(sizes)
-    listed = sum(comb(w, t) * m for w, m in per_size.items())
+    sizes = np.bitwise_count(family.blocks).astype(np.intp)
+    per_size = np.bincount(sizes).tolist()
+    listed = sum(comb(w, t) * m for w, m in enumerate(per_size))
     if listed > LAMBDA_CAP:
         raise CapExceededError(
             f"{listed} listed {t}-subsets exceed the cap {LAMBDA_CAP}")
     if not listed:
         return LambdaResult(True, 0, None)
-    support = (-_points(family.blocks, n).T).argsort(axis=1, kind="stable")
-    # one listing per block size, so each tile holds one size's subsets
-    widths = sorted(w for w in per_size if w >= t)
-    sizes = np.array(sizes)
-    groups = [np.flatnonzero(sizes == w) for w in widths]
+    # one listing per block size, so each tile holds one size's subsets;
+    # nonzero reads a group's incidence rows in order, each row's points
+    # ascending, which are the group's supports
+    incidence = _points(family.blocks, n).T
+    groups = [np.flatnonzero(sizes == w)
+              for w in range(t, len(per_size)) if per_size[w]]
+    supports = [np.nonzero(incidence[g])[1].reshape(len(g), -1)
+                for g in groups]
     dtype = _int_dtype(total)
 
     def listing():
-        return ((g, _subset_ranks(support[g, :w], n, t, dtype))
-                for g, w in zip(groups, widths))
+        return ((g, _subset_ranks(support, n, t, dtype))
+                for g, support in zip(groups, supports))
 
     def first(count) -> tuple[int, ...]:
         # each size group is listed up to its first hit, where its listing
@@ -615,14 +657,17 @@ def _tilde_sums(pairs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complement_half(family: BlockFamily) -> tuple[int, ...] | None:
+def _complement_half(family: BlockFamily) -> np.ndarray | None:
     """The blocks u < u-bar of a family closed under complement, u-bar =
     u ^ (2^n - 1), in family order; None when some complement is missing."""
-    full = (1 << family.n) - 1
-    blocks = set(family.blocks)
-    if any(full ^ u not in blocks for u in family.blocks):
+    blocks = family.blocks
+    bars = blocks ^ ((1 << family.n) - 1)
+    # np.isin would sort through np.unique, which imports numpy.ma
+    ordered = np.sort(blocks)
+    at = ordered.searchsorted(bars).clip(max=max(len(blocks) - 1, 0))
+    if (ordered[at] != bars).any():
         return None
-    return tuple(u for u in family.blocks if u < full ^ u)
+    return blocks[blocks < bars]
 
 
 def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
@@ -688,7 +733,7 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     fam = shell(code, ell)
     if 2 * ell != code.n:       # the middle shell is its own complement
         fam = fam.union(shell(code, code.n - ell))
-    if not fam.blocks:
+    if not len(fam.blocks):
         raise ValueError(f"no codewords of weight {ell} or {code.n - ell}")
     verdicts = delsarte_design_check(fam, degrees)
     closed = _complement_half(fam) is not None
@@ -713,8 +758,9 @@ def harmonic_weight_enumerator(code: BinaryCode, f: DiscreteHarmonic) -> tuple[F
 
 def _hwe_batch(code: BinaryCode, pairs: np.ndarray) -> np.ndarray:
     """Stacked harmonic weight enumerators, one row per pair system."""
-    points = _points(codewords(code), code.n)
-    weights = points.sum(axis=0)
+    words = codewords(code)
+    points = _points(words, code.n)
+    weights = np.bitwise_count(words)
     out = np.zeros((len(pairs), code.n + 1), dtype=np.int64)
     for w in np.flatnonzero(np.bincount(weights)):
         out[:, w] = _tilde_sums(pairs, points[:, weights == w])

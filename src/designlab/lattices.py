@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fixtures import fixture_path
+from ._fixtures import fixture_text
 from ._grow import grow_once
 from .codes import (BinaryCode, _int_dtype, _read_only, is_doubly_even,
                     is_self_dual)
@@ -188,12 +188,12 @@ def lattice_zn(n: int) -> Lattice:
 
 @functools.lru_cache(maxsize=None)
 def lattice_a2() -> Lattice:
-    return gram_from_text(fixture_path("lattices", "a2.txt").read_text(), "A2")
+    return gram_from_text(fixture_text("lattices", "a2.txt"), "A2")
 
 
 @functools.lru_cache(maxsize=None)
 def lattice_e8() -> Lattice:
-    return gram_from_text(fixture_path("lattices", "e8.txt").read_text(), "E8")
+    return gram_from_text(fixture_text("lattices", "e8.txt"), "E8")
 
 
 def construction_a(code: BinaryCode, label: str = "") -> Lattice:

@@ -3,6 +3,9 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import designlab
 from designlab import cli, lattices
-from designlab._fixtures import fixture_path
+from designlab._fixtures import fixture_text
 from designlab.cli import main
 from designlab.codes import d16_plus, golay_g24
 from designlab.lattices import (Lattice, _int_dtype, construction_a,
@@ -284,8 +287,8 @@ def test_fixture_dir_leaves_bundled_fixtures_alone(tmp_path, monkeypatch):
     (tmp_path / "rep2.txt").write_text("11\n")
     monkeypatch.setenv("DESIGNLAB_FIXTURES", str(tmp_path))
     bundled = Path(designlab.__file__).parent / "fixtures"
-    assert fixture_path("codes", "golay24.txt") == \
-        bundled / "codes" / "golay24.txt"
+    assert fixture_text("codes", "golay24.txt") == \
+        (bundled / "codes" / "golay24.txt").read_text()
     # the built-ins are cached per process: rebuild them under the variable
     golay_g24.cache_clear()
     lattice_e8.cache_clear()
@@ -517,7 +520,7 @@ def one_error(capsys) -> dict:
     ["voa-strength", "--c", "16"],
     ["voa-strength", "--c", "16", "--ell", "2", "--scan-to", "5"]])
 def test_parser_refusals_follow_the_json_contract(argv, capsys):
-    # argparse refusals return 2 through main, never SystemExit
+    # parser refusals return 2 through main, never SystemExit
     assert run(argv) == (2, "")
     assert one_error(capsys)["type"] == "usage"
 
@@ -801,6 +804,115 @@ def test_workers_flag_is_a_usage_error(capsys):
         assert error["type"] == "usage"
         assert error["message"] == f"designlab: unrecognized arguments: " \
                                    f"{option}"
+
+
+def parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def test_parser_takes_unique_prefixes_and_inline_values():
+    full = ["code-design", "--code", "golay24", "--weights", "8,16",
+            "--Tset", "odd", "--max-degree", "3"]
+    want = vars(parse(full))
+    assert want["max_degree"] == 3 and want["fmt"] == "text"
+    for argv in (
+            full[:-2] + ["--max", "3"],             # a unique prefix
+            full[:-2] + ["--max-degree=3"],
+            full[:-2] + ["--max=3"],
+            ["code-design", "--code=golay24", "--weights=8,16",
+             "--Tset=odd", "--max-degree", "3"],
+            ["code-design", "--co", "golay24", "--weights", "8,16",
+             "--Ts", "odd", "--max-degree", "3"]):
+        assert vars(parse(argv)) == want, argv
+    assert parse(["--form=json", "remark4", "--prec", "5"]).fmt == "json"
+    assert run_json(full[:-2] + ["--max", "3"]) == run_json(full)
+    # an exact name wins over the longer names it begins
+    assert parse(["code-design", "--code", "x", "--weight", "4",
+                  "--t", "1"]).weight == 4
+
+
+def test_parser_keeps_the_last_of_a_repeated_option():
+    a = parse(["--format", "csv", "--format", "json", "voa-strength",
+               "--c", "8", "--ell", "2", "--ell", "3", "--c", "16"])
+    assert (a.fmt, a.c, a.ell, a.scan_to) == ("json", 16, 3, None)
+    assert run_json(["voa-strength", "--c", "8", "--ell", "2", "--ell",
+                     "3"])["ell"] == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eta", "--prec"], "designlab eta: argument --prec: expected one "
+                        "argument"),
+    (["eta", "--prec", "--spec", "3:8"], "designlab eta: argument --prec: "
+                                         "expected one argument"),
+    (["eta", "--spec", "3:8"], "designlab eta: the following arguments are "
+                               "required: --prec"),
+    (["code-design", "--code", "golay24", "--we", "8", "--t", "5"],
+     "designlab code-design: ambiguous option: --we could match --weight, "
+     "--weights"),
+    (["theta", "--lattice", "E8", "--prec", "2", "--membership=yes"],
+     "designlab theta: argument --membership: ignored explicit argument "
+     "'yes'"),
+    (["eta", "--prec", "3", "extra"], "designlab: unrecognized arguments: "
+                                      "extra"),
+    (["eta", "--prec", "3", "--format", "json"],
+     "designlab: unrecognized arguments: --format"),
+    (["bogus"], "designlab: argument command: invalid choice: 'bogus'"),
+    ([], "designlab: the following arguments are required: command")])
+def test_parser_refusals_name_their_cause(argv, message, capsys):
+    assert run(argv) == (2, "")
+    error = one_error(capsys)
+    assert error["type"] == "usage" and error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["--format", "json", "--help"],
+    ["eta", "-h"], ["code-design", "--code", "golay24", "--help"],
+    ["voa-strength", "--c", "16", "-h"]])
+def test_help_exits_0_with_usage_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: designlab") and err == ""
+    command = next((a for a in argv if a in cli._TABLE), None)
+    # the help is read from the option table
+    names = ([o.name for o in cli._TABLE[command].options] if command
+             else list(cli._TABLE) + [o.name for o in cli._PROGRAM.options])
+    assert all(name in out for name in names)
+
+
+def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma in numpy 2.4, about 19 ms in a
+    # fresh process; one request of each command, in one fresh interpreter
+    script = tmp_path / "requests.py"
+    script.write_text(
+        "import io, sys\n"
+        "from designlab import cli\n"
+        "for argv in (['eta', '--spec', '3:8', '--prec', '13'],\n"
+        "             ['code-design', '--code', 'golay24', '--weight', '8',\n"
+        "              '--t', '5'],\n"
+        "             ['code-design', '--code', 'd16plus', '--weights',\n"
+        "              '4,12', '--Tset', '1,2', '--max-degree', '2'],\n"
+        "             ['lattice-design', '--lattice', 'E8', '--norm', '4',\n"
+        "              '--t', '7'],\n"
+        "             ['lattice-design', '--lattice', 'E8', '--norm', '4',\n"
+        "              '--t', '7', '--criterion', 'zonal'],\n"
+        "             ['lattice-design', '--lattice', 'E8', '--norm', '2',\n"
+        "              '--t', '8', '--criterion', 'theta'],\n"
+        "             ['theta', '--lattice', 'E8', '--prec', '4',\n"
+        "              '--membership'],\n"
+        "             ['voa-strength', '--c', '16', '--ell', '4'],\n"
+        "             ['remark4', '--prec', '20'],\n"
+        "             ['shell', '--lattice', 'E8', '--norm', '2']):\n"
+        "    status = cli.main(['--format', 'json', *argv], io.StringIO())\n"
+        "    for name in ('numpy.ma', 'argparse'):\n"
+        "        if status or name in sys.modules:\n"
+        "            sys.exit(f'{argv}: status {status}, {name}')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_and_library_share_one_ball(monkeypatch):

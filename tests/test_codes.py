@@ -36,6 +36,19 @@ def brute_codewords(gens):
     return words
 
 
+def gray_codewords(gens):
+    """Word i is the sum of the generators at the set bits of i ^ (i >> 1),
+    each word built on its own."""
+    words = []
+    for i in range(1 << len(gens)):
+        gray, word = i ^ (i >> 1), 0
+        for j, g in enumerate(gens):
+            if gray >> j & 1:
+                word ^= g
+        words.append(word)
+    return words
+
+
 def brute_gamma(n, k, values):
     """Boundary map as an explicit dict of (k-1)-subset sums."""
     acc = {}
@@ -158,6 +171,47 @@ def test_min_weights():
     assert min_weight(hamming_e8()) == 4
     assert min_weight(golay_g24()) == 8
     assert min_weight(d16_plus()) == 4
+
+
+# -- the codeword array -----------------------------------------------------------
+
+@pytest.mark.parametrize("make", [hamming_e8, d16_plus, golay_g24])
+def test_shells_list_the_gray_order_block_by_block(make):
+    code = make()
+    words = gray_codewords(code.gens)
+    got = codewords(code)
+    assert got.dtype == np.int64 and got.tolist() == words
+    for w in range(code.n + 1):
+        blocks = shell(code, w).blocks
+        assert blocks.dtype == np.int64
+        assert blocks.tolist() == [u for u in words if u.bit_count() == w], w
+
+
+def test_weight_distribution_and_min_weight_match_the_brute_span():
+    rng = random.Random(35)
+    codes_ = [hamming_e8(), d16_plus(), golay_g24()]
+    codes_ += [code_from_rows(n, [rng.getrandbits(n) for _ in range(5)])
+               for n in (5, 9, 13) for _ in range(3)]
+    for code in codes_:
+        words = brute_codewords(code.gens)
+        dist = [0] * (code.n + 1)
+        for u in words:
+            dist[u.bit_count()] += 1
+        assert weight_distribution(code) == dist
+        if code.k:
+            assert min_weight(code) == min(u.bit_count() for u in words if u)
+            assert type(min_weight(code)) is int
+
+
+def test_codeword_arrays_refuse_writes():
+    words = codewords(hamming_e8())
+    with pytest.raises(ValueError):
+        words[0] = 1
+    with pytest.raises(ValueError):
+        words.setflags(write=True)
+    for fam in (shell(golay_g24(), 8), BlockFamily(70, (3, 1 << 69))):
+        with pytest.raises(ValueError):
+            fam.blocks[0] = 5
 
 
 def test_not_self_dual_examples():
@@ -437,6 +491,57 @@ def test_block_family_guards():
         BlockFamily(8, (-1,))
     with pytest.raises(ValueError):
         BlockFamily(8, (3,)).union(BlockFamily(9, (5,)))
+    # the same refusals for array input, in every width
+    for dt in (np.int8, np.int64, np.uint8, np.uint64):
+        with pytest.raises(ValueError, match="repeat"):
+            BlockFamily(6, np.array([3, 5, 3], dtype=dt))
+        with pytest.raises(ValueError, match="subset"):
+            BlockFamily(6, np.array([3, 1 << 6], dtype=dt))
+    with pytest.raises(ValueError, match="subset"):
+        BlockFamily(8, np.array([3, -1]))
+    # a uint64 past 2^63 - 1 is no subset of range(63), not a wrapped int
+    with pytest.raises(ValueError, match="subset"):
+        BlockFamily(63, np.array([1 << 63], dtype=np.uint64))
+    with pytest.raises(ValueError, match="subset"):
+        BlockFamily(62, (1 << 64,))
+    for bad in (np.array([1.0, 2.0]), np.array([[1, 2]]), [[1, 2]]):
+        with pytest.raises(ValueError, match="integer bitmasks"):
+            BlockFamily(8, bad)
+    for n in (8, 70):
+        for bad in ((1, 1.5), ("3",), np.array([1, 2.5], dtype=object)):
+            with pytest.raises(TypeError):
+                BlockFamily(n, bad)
+    with pytest.raises(ValueError, match="subset"):
+        BlockFamily(62, (-1, 1 << 63))
+    assert BlockFamily(8, np.array([5, 3], dtype=np.uint8)).blocks.tolist() \
+        == [5, 3]
+    assert len(BlockFamily(8, ()).blocks) == 0
+
+
+def test_wide_families_hold_python_int_masks():
+    # past 63 points a mask needs more than int64: object arrays of ints
+    top = 1 << 69
+    fam = BlockFamily(70, np.array([3, top, top | 1], dtype=object))
+    assert fam.blocks.dtype == object
+    assert [type(u) for u in fam.blocks] == [int] * 3
+    assert BlockFamily(70, np.array([3, 5])).blocks.dtype == object
+    for bad, why in (((3, 3), "repeat"), ((-1,), "subset"),
+                     ((1 << 70,), "subset"), ((top, top), "repeat")):
+        with pytest.raises(ValueError, match=why):
+            BlockFamily(70, bad)
+    assert fam.union(BlockFamily(70, (6,))).blocks.tolist() == \
+        [3, top, top | 1, 6]
+    assert design_lambda(fam, 1) == oracle_design_lambda(fam, 1)
+    # a closed family on 70 points folds like an int64 one
+    full = (1 << 70) - 1
+    closed = BlockFamily(70, (3, full ^ 3, top, full ^ top))
+    assert codes._complement_half(closed).tolist() == [3, full ^ top]
+    assert codes._complement_half(fam) is None
+    basis = harm_basis(70, 2)
+    assert harmonic_family_sums(basis, closed) == [
+        sum(oracle_tilde(f, u) for u in closed.blocks) for f in basis[:]]
+    assert delsarte_design_check(closed, [1, 2]) == \
+        oracle_verdicts(closed, [1, 2])
 
 
 def test_block_family_guards_run_under_optimize(run_optimized):
@@ -715,7 +820,7 @@ def test_reading_a_basis_runs_no_second_check(monkeypatch):
 def test_shared_kernel_matches_tilde_sums_on_golay_degree_5():
     rng = random.Random(24)
     union = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
-    part = BlockFamily(24, tuple(rng.sample(union.blocks, 300)))
+    part = BlockFamily(24, rng.sample(list(union.blocks), 300))
     sample = rng.sample(harm_basis(24, 5), 12)
     for fam in (union, part):
         sums = harmonic_family_sums(sample, fam)
