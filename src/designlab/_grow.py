@@ -1,11 +1,16 @@
 """Grow-once caches: per key, the value built at the largest size asked.
 
 A call at a size the held value covers is served from it without a build
-(a hit).  A call at a larger size builds at exactly that size and holds the
-result in place of the smaller one (a miss); a build that raises leaves
-what was held.  At most ``MAXSIZE`` keys are held, the least recently used
-dropped first.  The shell tables of ``lattices``, the witness traces of
-``voa`` and the tau table of ``modforms`` keep their results this way.
+(a hit): a call at exactly the held size gets the held object itself, and
+a smaller one what ``serve`` cuts from it.  A call at a larger size builds
+at exactly that size and holds the result in place of the smaller one (a
+miss); a build that raises leaves what was held.  Callers share what is
+held, so every held value is immutable.  At most ``MAXSIZE`` keys are
+held, the least recently used dropped first.  Held this way: the vector
+tables of ``lattices`` (a read-only map of read-only arrays, per lattice),
+the eta-power coefficient tuples of ``modforms`` (per exponent, read also
+as the tau table) and the witness traces of ``voa`` (per charge and
+degree).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def grow_once(split, serve):
     """Decorator for ``build(*args)``.  ``split(*args)`` gives the call's
     (key, size), and ``serve(held, size)`` the answer at ``size`` from a
-    value built at a size at least as large: it must equal what ``build``
-    gives at ``size``.  Like ``functools.lru_cache``, the wrapper has
+    value built at a larger size: it must equal what ``build`` gives at
+    ``size``.  Like ``functools.lru_cache``, the wrapper has
     ``cache_info()``, ``cache_clear()`` and ``__wrapped__``."""
 
     def decorate(build):
@@ -41,7 +46,7 @@ def grow_once(split, serve):
                 if hit:
                     held.move_to_end(key)
             if hit:
-                return serve(entry[1], size)
+                return entry[1] if entry[0] == size else serve(entry[1], size)
             value = build(*args)
             with lock:
                 entry = held.get(key)

@@ -1,19 +1,19 @@
 """Command-line front end: every verification as a reproducible command.
 
-Text output is a human summary; JSON (one document, or one object per line
-for scans) is the stable contract, versioned by a "schema" field.  Exit
-status is 0 whenever the computation completed: a "not a design" verdict is
-payload, not an error.  Every failure is one JSON error line on stderr.  A
-bad request, refused by the parser, by this module or by the library, is a
-``ValueError`` and exits 2 with error type "usage"; a computation that
-fails raises a ``DesignLabError`` and exits 1 with the class name as type.
+Text output is a human summary, built only under ``--format text``; JSON
+(one document, or one object per line for scans) is the stable contract,
+versioned by a "schema" field.  Exit status is 0 whenever the computation
+completed: a "not a design" verdict is payload, not an error.  Every
+failure is one JSON error line on stderr.  A bad request, refused by the
+parser, by this module or by the library, is a ``ValueError`` and exits 2
+with error type "usage"; a computation that fails raises a
+``DesignLabError`` and exits 1 with the class name as type.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -129,9 +129,8 @@ def _resolve_code(name: str) -> BinaryCode:
 
 
 def _resolve_lattice(name: str) -> Lattice:
-    m = re.fullmatch(r"[Zz](\d+)", name)
-    if m:
-        n = int(m.group(1))
+    if name[:1] in ("Z", "z") and name[1:].isdecimal():
+        n = int(name[1:])
         if not 1 <= n <= 32:
             raise ValueError("Zn supports 1 <= n <= 32")
         return lattice_zn(n)
@@ -148,24 +147,32 @@ def _resolve_lattice(name: str) -> Lattice:
     return gram_from_text(p.read_text(), p.stem)
 
 
+# the spec parsers take digits by ``str.isdecimal`` (any Unicode decimal
+# digit, as ``int`` reads them), so "+", "_" and empty runs are refused
+
 def _parse_eta_spec(spec: str) -> list[tuple[int, int]]:
+    """Comma parts scale:power, whitespace around each, power maybe < 0."""
     out = []
     for part in spec.split(",") if spec else ():
-        m = re.fullmatch(r"\s*(\d+):(-?\d+)\s*", part)
-        if not m:
+        scale, colon, power = part.strip().partition(":")
+        if not (colon and scale.isdecimal()
+                and power.removeprefix("-").isdecimal()):
             raise ValueError(f"bad eta factor {part!r}; expected scale:power")
-        out.append((int(m.group(1)), int(m.group(2))))
+        out.append((int(scale), int(power)))
     return out
 
 
 def _parse_poly(lat: Lattice, spec: str):
+    """'one', or zonal:<degree>:<direction of digits, "-" and ",">."""
     if spec == "one":
         return constant_poly(lat.rank)
-    m = re.fullmatch(r"zonal:(\d+):([-\d,]+)", spec)
-    if not m:
+    degree, colon, direction = spec[6:].partition(":")
+    if not (spec.startswith("zonal:") and colon and degree.isdecimal()
+            and direction
+            and all(ch in "-," or ch.isdecimal() for ch in direction)):
         raise ValueError("poly must be 'one' or 'zonal:<degree>:<i1,...,in>'")
-    direction = _int_list(m.group(2), "the zonal direction")
-    return zonal_harmonic_coords(lat, int(m.group(1)), direction)
+    direction = _int_list(direction, "the zonal direction")
+    return zonal_harmonic_coords(lat, int(degree), direction)
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -199,9 +206,9 @@ def cmd_eta(a, out):
     series = eta_quotient(_parse_eta_spec(a.spec), a.prec)
     payload = {"schema": SCHEMA, "command": "eta", "spec": a.spec,
                "prec": a.prec, "series": series.to_dict()}
-    text = [f"eta quotient [{a.spec or '1'}] to precision {a.prec}:",
-            f"  {_pretty_series(series)}"]
-    return payload, text
+    return payload, lambda: [
+        f"eta quotient [{a.spec or '1'}] to precision {a.prec}:",
+        f"  {_pretty_series(series)}"]
 
 
 def cmd_code_design(a, out):
@@ -224,17 +231,15 @@ def cmd_code_design(a, out):
                    "verdict": "design" if res.is_design else "not a design",
                    "lambda": res.lam}
         if res.is_design:
-            text = [f"{a.code} weight-{a.weight} family "
-                    f"({len(fam.blocks)} blocks): {a.t}-design, "
-                    f"lambda={res.lam}"]
-        else:
-            s1, c1, s2, c2 = res.witness
-            payload["witness"] = {"subset_a": list(s1), "count_a": c1,
-                                  "subset_b": list(s2), "count_b": c2}
-            text = [f"{a.code} weight-{a.weight} family: not a {a.t}-design",
-                    f"  witness: {s1} covered {c1} times, {s2} covered "
-                    f"{c2} times"]
-        return payload, text
+            return payload, lambda: [
+                f"{a.code} weight-{a.weight} family ({len(fam.blocks)} "
+                f"blocks): {a.t}-design, lambda={res.lam}"]
+        s1, c1, s2, c2 = res.witness
+        payload["witness"] = {"subset_a": list(s1), "count_a": c1,
+                              "subset_b": list(s2), "count_b": c2}
+        return payload, lambda: [
+            f"{a.code} weight-{a.weight} family: not a {a.t}-design",
+            f"  witness: {s1} covered {c1} times, {s2} covered {c2} times"]
 
     # harmonic mode: union of a shell and its complement-weight shell
     if a.weights is None:
@@ -258,9 +263,9 @@ def cmd_code_design(a, out):
                "per_degree": {str(j): rep.verdicts[j][0] for j in degrees},
                "modes": {str(j): m for j, m in rep.modes.items()},
                "verdict": verdict}
-    text = [f"{a.code} weights {rep.weights} union "
-            f"({rep.family_size} blocks): {verdict} at degrees {degrees}"]
-    return payload, text
+    return payload, lambda: [
+        f"{a.code} weights {rep.weights} union ({rep.family_size} blocks): "
+        f"{verdict} at degrees {degrees}"]
 
 
 def cmd_lattice_design(a, out):
@@ -277,11 +282,11 @@ def cmd_lattice_design(a, out):
                        per_degree={str(j): v for j, v in rep.verdicts.items()},
                        modes={str(j): m for j, m in rep.modes.items()},
                        strength=rep.strength)
-        text = [f"{a.lattice} norm {a.norm} (theta criterion, enumeration to "
-                f"norm {rep.prec_norm}): strength {rep.strength}"]
-        text += [f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
-                 + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
-        return payload, text
+        return payload, lambda: [
+            f"{a.lattice} norm {a.norm} (theta criterion, enumeration to "
+            f"norm {rep.prec_norm}): strength {rep.strength}"] + [
+            f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
+            + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
     if a.criterion == "moment":
         _degree_list(range(1, a.t + 1))     # refused before the search
         rep = moment_design_test(shell_enum(lat, a.norm), a.t)
@@ -291,11 +296,11 @@ def cmd_lattice_design(a, out):
         per, strength = rep.verdicts, rep.strength
     payload.update(size=rep.size, per_degree={str(k): v for k, v in per.items()},
                    strength=strength)
-    text = [f"{a.lattice} norm {a.norm} ({rep.size} vectors, {a.criterion}): "
-            f"strength {strength}"
-            + ("" if strength >= a.t else f", first failure at degree "
-               f"{strength + 1}")]
-    return payload, text
+    return payload, lambda: [
+        f"{a.lattice} norm {a.norm} ({rep.size} vectors, {a.criterion}): "
+        f"strength {strength}"
+        + ("" if strength >= a.t else f", first failure at degree "
+           f"{strength + 1}")]
 
 
 def cmd_theta(a, out):
@@ -307,18 +312,22 @@ def cmd_theta(a, out):
     payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
                "poly": a.poly, "prec_norm": a.prec,
                "series": series.to_dict()}
-    text = [f"theta of {a.lattice} with poly {a.poly}, norms <= {a.prec} "
-            f"(exponent = norm):", f"  {_pretty_series(series)}"]
     if rep is not None:
         payload["membership"] = {
             "weight": rep.weight, "with_e6_factor": rep.with_e6_factor,
             "fit_ok": rep.fit_ok,
             "coords": [_frac(c) for c in rep.coords] if rep.coords else None,
             "mismatch_exponent": rep.mismatch_exponent}
-        text.append(f"  weight-{rep.weight} membership: "
-                    + ("coords " + str([str(c) for c in rep.coords])
-                       if rep.fit_ok else
-                       f"FAILED at exponent {rep.mismatch_exponent}"))
+
+    def text():
+        lines = [f"theta of {a.lattice} with poly {a.poly}, norms <= "
+                 f"{a.prec} (exponent = norm):", f"  {_pretty_series(series)}"]
+        if rep is not None:
+            lines.append(f"  weight-{rep.weight} membership: "
+                         + ("coords " + str([str(c) for c in rep.coords])
+                            if rep.fit_ok else
+                            f"FAILED at exponent {rep.mismatch_exponent}"))
+        return lines
     return payload, text
 
 
@@ -343,10 +352,10 @@ def _strength_text(rep) -> str:
             f"{rep.contested_coefficient} -> {tail}; strength {rep.strength}")
 
 
-def cmd_voa_strength(a, out) -> tuple[dict | None, list[str]]:
+def cmd_voa_strength(a, out):
     if a.ell is not None:
         rep = strength_at(a.c, a.ell)
-        return _strength_payload(rep), [_strength_text(rep)]
+        return _strength_payload(rep), lambda: [_strength_text(rep)]
     prec = max(a.scan_to + 2, 16)
     strengths: dict[str, int] = {}
     notable = []
@@ -359,9 +368,13 @@ def cmd_voa_strength(a, out) -> tuple[dict | None, list[str]]:
         strengths[key] = strengths.get(key, 0) + 1
         if rep.is_design_at_contested:
             notable.append(ell)
-    text = [f"c={a.c}, ell=1..{a.scan_to}: strengths {strengths}"]
-    if notable:
-        text.append(f"  design at the contested degree for ell in {notable}")
+
+    def text():
+        lines = [f"c={a.c}, ell=1..{a.scan_to}: strengths {strengths}"]
+        if notable:
+            lines.append(f"  design at the contested degree for ell in "
+                         f"{notable}")
+        return lines
     return None, text
 
 
@@ -372,10 +385,10 @@ def cmd_remark4(a, out):
                "all_nonzero": rep.all_nonzero,
                "zero_indices": list(rep.zero_indices),
                "leading_coefficients": head}
-    text = [f"closed-form trace to exponent {a.prec}: "
-            + ("no vanishing coefficients" if rep.all_nonzero
-               else f"zeros at {list(rep.zero_indices)}")]
-    return payload, text
+    return payload, lambda: [
+        f"closed-form trace to exponent {a.prec}: "
+        + ("no vanishing coefficients" if rep.all_nonzero
+           else f"zeros at {list(rep.zero_indices)}")]
 
 
 def cmd_shell(a, out):
@@ -383,7 +396,7 @@ def cmd_shell(a, out):
     sh = shell_enum(lat, a.norm)
     if a.fmt == "csv":
         out.writelines(_format_rows(sh.rows, _CSV_ROWS))
-        return None, []
+        return None, None
     if a.fmt == "json":
         # the line json.dumps(payload, sort_keys=True) would print with the
         # vectors in the payload: "vectors" sorts after every other key
@@ -393,12 +406,13 @@ def cmd_shell(a, out):
         out.write(head[:-1] + ', "vectors": [')
         out.writelines(_format_rows(sh.rows, _JSON_ROWS))
         out.write("]}\n")
-        return None, []
+        return None, None
+    # only --format text reaches this point
     text = [f"{a.lattice} norm {a.norm}: {len(sh)} vectors"]
     text += "".join(_format_rows(sh.rows[:5], _TEXT_ROWS)).splitlines()
     if len(sh) > 5:
         text.append(f"  ... ({len(sh) - 5} more; use --format csv for all)")
-    return None, text
+    return None, lambda: text
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +644,9 @@ def build_parser() -> _Parser:
     return _Parser("designlab", _PROGRAM, _TABLE)
 
 
+# each command returns (payload, text): the JSON document, None when the
+# command wrote its own output, and a function that builds the text lines,
+# called only under --format text
 _COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
              "lattice-design": cmd_lattice_design, "theta": cmd_theta,
              "voa-strength": cmd_voa_strength, "remark4": cmd_remark4,
@@ -668,17 +685,16 @@ def _run(argv, out) -> int:
         if a.fmt == "csv" and a.command != "shell":
             raise ValueError("--format csv applies only to 'shell'")
         payload, text = _COMMANDS[a.command](a, out)
+        lines = text() if a.fmt == "text" else ()
     except ValueError as exc:
         status, error = 2, {"type": "usage", "message": str(exc)}
     except DesignLabError as exc:
         status, error = 1, {"type": type(exc).__name__, "message": str(exc)}
     else:
-        if a.fmt == "json":
-            if payload is not None:
-                print(json.dumps(payload, sort_keys=True), file=out)
-        elif a.fmt == "text":
-            for line in text:
-                print(line, file=out)
+        if a.fmt == "json" and payload is not None:
+            print(json.dumps(payload, sort_keys=True), file=out)
+        for line in lines:
+            print(line, file=out)
         return 0
     print(json.dumps({"schema": SCHEMA, "error": error}), file=sys.stderr)
     return status

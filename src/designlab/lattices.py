@@ -44,6 +44,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -594,22 +595,22 @@ def _is_antipodal(rows: np.ndarray) -> bool:
 
 
 @grow_once(lambda lat, bound2, cap, workers: ((lat, cap), bound2),
-           lambda table, bound2: {w: rows for w, rows in table.items()
-                                  if w <= bound2})
+           lambda table, bound2: MappingProxyType(
+               {w: rows for w, rows in table.items() if w <= bound2}))
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
-                             workers: int) -> dict[int, np.ndarray]:
+                             workers: int) -> MappingProxyType:
     """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
-    (``_sorted_ball``): every shell is a slice of the one sorted array,
-    which lives in an immutable buffer, checked antipodal before any slice
-    is handed out.  One ball is held per (lattice, cap), the largest asked
-    (``_grow.grow_once``): a smaller bound is served its prefix of doubled
-    norms, equal to the shells a build there would give, since every
-    smaller ball passes the cap when the larger one did.  ``workers``
-    changes nothing and stays because ``bench/spans.py`` reads the table
-    with four arguments.
+    (``_sorted_ball``) in a read-only map: every shell is a slice of the
+    one sorted array, which lives in an immutable buffer, checked antipodal
+    before any slice is handed out.  One ball is held per (lattice, cap),
+    the largest asked (``_grow.grow_once``): a smaller bound is served its
+    prefix of doubled norms, equal to the shells a build there would give,
+    since every smaller ball passes the cap when the larger one did.
+    ``workers`` changes nothing and stays because ``bench/spans.py`` reads
+    the table with four arguments.
     """
     if bound2 < 0:
-        return {}
+        return MappingProxyType({})
     sizes, rows = _sorted_ball(lat, bound2, cap)
     out = {}
     start = 0
@@ -619,7 +620,7 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
             raise InternalCheckError(f"shell at doubled norm {w} not antipodal")
         out[w] = shell
         start += size
-    return out
+    return MappingProxyType(out)
 
 
 def shell_enum(lat: Lattice, norm) -> Shell:

@@ -57,7 +57,8 @@ def _euler_ints(prec: int) -> list[int]:
     return out
 
 
-def _euler_power(r: int, n: int) -> list[int]:
+@grow_once(lambda r, n: (r, n), lambda f, n: f[:n + 1])
+def _euler_power(r: int, n: int) -> tuple[int, ...]:
     """Coefficients 0..n of prod (1 - q^i)^r for any integer r.
 
     Miller's rule for powers of a series (Knuth, TAOCP vol. 2, 4.7): from
@@ -67,7 +68,9 @@ def _euler_power(r: int, n: int) -> list[int]:
 
     Only the ~2 sqrt(2n/3) pentagonal g_k = +-1 are nonzero, so each
     coefficient costs that many integer steps and nothing is inverted.
-    The division by n is exact, which is checked.
+    The division by n is exact, which is checked.  Coefficient i does not
+    depend on n, so one tuple is held per exponent, the longest asked
+    (``_grow.grow_once``), and a shorter one is its prefix.
     """
     g = _euler_ints(n)
     pentagonal = [k for k in range(1, n + 1) if g[k]]
@@ -85,7 +88,7 @@ def _euler_power(r: int, n: int) -> list[int]:
             raise InternalCheckError(
                 f"power recurrence for eta^{r} left a remainder at q^{i}")
         f[i] = q
-    return f
+    return tuple(f)
 
 
 def eta(prec: int) -> QSeries:
@@ -113,9 +116,13 @@ def eta_quotient(factors: list[tuple[int, int]], prec: int) -> QSeries:
     for m, r in sorted(merged.items()):
         if r == 0:
             continue
-        ints = [0] * (prec + 1)
-        ints[::m] = _euler_power(r, prec // m)
-        factor = QSeries.from_int_list(m * r, ints)
+        power = _euler_power(r, prec // m)
+        if m == 1:
+            ints = power        # the held tuple, shared by the series
+        else:
+            ints = [0] * (prec + 1)
+            ints[::m] = power
+        factor = QSeries._from_ints(m * r, prec, ints)
         out = factor if out is None else out * factor
     return QSeries.one(prec) if out is None else out
 
@@ -206,25 +213,19 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-@grow_once(lambda bound: (None, bound), lambda taus, bound: taus[:bound])
-def _tau_table(bound: int) -> tuple[int, ...]:
-    """tau(1), ..., tau(bound): delta = q * prod(1-q^i)^24, so tau(m) sits
-    at product index m-1.  One table is held, the longest asked
-    (``_grow.grow_once``), and a shorter one is its prefix."""
-    return tuple(delta_eta(bound).int_list(bound))
-
-
 def ramanujan_tau(n: int) -> int:
-    """tau(n) read off the eta-power expansion of the discriminant.
+    """tau(n) read off the eta-power expansion of the discriminant: delta =
+    q * prod(1-q^i)^24, so tau(n) is coefficient n-1 of the held eta^24.
 
-    The table is asked at the power of two at or above n, at least 1024
-    and at most ``SERIES_CAP`` (n itself past it, which is refused), so a
-    scan of ascending n builds it once per doubling.
+    The coefficients are asked through the power of two at or above n, at
+    least 1024 and at most ``SERIES_CAP`` (n itself past it, which is
+    refused), so a scan of ascending n builds them once per doubling.
     """
     if n < 1:
         raise ValueError("tau is indexed from 1")
     bound = max(n, min(max(1024, 1 << (n - 1).bit_length()), SERIES_CAP))
-    return _tau_table(bound)[n - 1]
+    _check_prec(bound)
+    return _euler_power(24, bound - 1)[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,11 @@ def mf_basis(k: int, prec: int) -> ModFormSpace:
         raise PrecisionError(
             f"prec {prec} cannot hold {dim} echelon leading exponents")
     e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
-    rows = [e4.pow((k - 6 * b) // 4) * e6.pow(b) for b in _monomials(k)]
+    rows = []
+    for b in _monomials(k):
+        a = (k - 6 * b) // 4        # no factor at exponent 0: none is 1
+        rows.append(e4.pow(a) * e6.pow(b) if a and b
+                    else e6.pow(b) if b else e4.pow(a))
     # pivots of the reduced echelon form land at exponents 0..dim-1, which
     # ModFormSpace checks
     return ModFormSpace(k, dim, prec, echelon_rows(rows, prec))

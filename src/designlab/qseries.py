@@ -35,11 +35,15 @@ __all__ = ["QSeries"]
 
 
 def exact_str(x) -> str:
-    """``str(x)`` of an int or Fraction at any size: ``decimal`` writes the
-    digits, and has no ``sys.get_int_max_str_digits()`` limit to refuse."""
+    """``str(x)`` of an int or Fraction at any size: past the
+    ``sys.get_int_max_str_digits()`` limit, which ``str`` refuses,
+    ``decimal`` writes the digits."""
     if x.denominator != 1:
         return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
-    return str(Decimal(x.numerator))
+    try:
+        return str(x.numerator)
+    except ValueError:
+        return str(Decimal(x.numerator))
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +306,20 @@ class QSeries:
                                   self._den * other._den)
 
     def pow(self, e: int) -> "QSeries":
+        """self^e by squaring from the lowest set bit of e, so no product
+        is by the series 1: bit_length(e) + popcount(e) - 2 products."""
         if e < 0:
             return QSeries.one(self.prec).div(self.pow(-e))
-        result = QSeries.one(self.prec)
+        if e == 0:
+            return QSeries.one(self.prec)
         base = self
-        while e:
+        while not e & 1:
+            base, e = base * base, e >> 1
+        result = base
+        while e := e >> 1:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
         return result
 
     def div(self, other: "QSeries") -> "QSeries":

@@ -95,8 +95,10 @@ def _witness_trace(c: int, s: int, prec: int) -> TraceSeries:
     (mu = 1) over eta^c, eta^(24 - c) E4^a E6^b, from factors other than 1.
 
     One trace is held per (c, s), at the largest precision asked
-    (``_grow.grow_once``); a smaller precision is served by
-    ``QSeries.truncate``, which is canonical and so equals a build there."""
+    (``_grow.grow_once``): a call at that precision gets the held trace,
+    and a smaller one its ``QSeries.truncate``, which is canonical and so
+    equals a build there.  Eta^(24 - c) is the held ``_euler_power`` tuple,
+    so the (16, 4) and (16, 8) traces share one eta^8."""
     k = c // 2 + s
     monomials = cusp_monomials(k, 1)
     if len(monomials) != 1:

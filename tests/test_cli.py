@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,6 +27,8 @@ from designlab.lattices import (Lattice, _int_dtype, construction_a,
 from designlab.modforms import FitResult, eta_quotient
 from designlab.qseries import QSeries
 from designlab.voa import modular_obstruction
+
+import parse_oracle
 
 
 def run(argv):
@@ -119,6 +122,136 @@ def test_eta_bad_spec_rejected():
     assert code == 2
     code, _ = run(["eta", "--spec", "0:1", "--prec", "5"])
     assert code == 2
+
+
+# -- hand parsers against the regex oracle ---------------------------
+
+# digits as \d reads them (Unicode decimals: Arabic-Indic, fullwidth,
+# mathematical) and characters it refuses (superscript, fraction)
+DIGITS = "0123456789\u0663\uff19\U0001d7d8"
+NOT_DIGITS = "\u00b2\u00bd"
+# whitespace as \s reads it, and a zero-width space, which is not
+SPACES = " \t\n\x1c\x85\xa0\u2003\u3000"
+JUNK = "+_-:,x\u200b"
+
+
+def _run_of(chars, size=4):
+    return st.text(alphabet=chars, max_size=size)
+
+
+_ETA_PART = st.builds(
+    lambda *pieces: "".join(pieces), _run_of(SPACES),
+    _run_of(DIGITS + NOT_DIGITS + "+_"), st.sampled_from([":", "", "::"]),
+    st.sampled_from(["", "-", "--", "+", " "]),
+    _run_of(DIGITS + NOT_DIGITS + "_"), _run_of(SPACES))
+ETA_SPECS = st.one_of(st.lists(_ETA_PART, max_size=3).map(",".join),
+                      _run_of(DIGITS + SPACES + JUNK, 10))
+ZN_NAMES = st.builds(lambda head, body: head + body,
+                     st.sampled_from(["Z", "z", "", "ZZ", " Z", "Y"]),
+                     _run_of(DIGITS + NOT_DIGITS + SPACES + "+_-x", 5))
+ZONAL_SPECS = st.builds(
+    lambda head, degree, colon, direction: head + degree + colon + direction,
+    st.sampled_from(["zonal:", "Zonal:", "zonal", "zonal: ", "one", ""]),
+    _run_of(DIGITS + NOT_DIGITS + "+_ "), st.sampled_from([":", "", "::"]),
+    _run_of(DIGITS + NOT_DIGITS + SPACES + JUNK, 8))
+LONG = "9" * 5000       # past int()'s digit limit: refused the same way
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def test_digit_and_space_classes_are_the_regex_classes():
+    # the hand parsers read \d as str.isdecimal and \s as str.strip does,
+    # which holds on every code point
+    digit, space = re.compile(r"\d"), re.compile(r"\s")
+    for ch in map(chr, range(0x110000)):
+        assert bool(digit.fullmatch(ch)) == ch.isdecimal(), hex(ord(ch))
+        assert bool(space.fullmatch(ch)) == (ch.strip() == ""), hex(ord(ch))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ETA_SPECS)
+@example("3:8")
+@example(" 3:8 ,\t2:-7\n")
+@example("3:+8")
+@example("+3:8")
+@example("3:8_0")
+@example("3_0:8")
+@example("3 :8")
+@example("3: 8")
+@example("3:--8")
+@example("\u0663:-\uff19")
+@example("3:8,")
+@example(",")
+@example("")
+@example(":8")
+@example("3:")
+@example(f"1:-{LONG}")
+def test_eta_spec_parser_matches_the_regex(spec):
+    assert _outcome(cli._parse_eta_spec, spec) == \
+        _outcome(parse_oracle.eta_spec, spec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ZN_NAMES)
+@example("Z8")
+@example("z32")
+@example("Z33")
+@example("Z0")
+@example("Z00032")
+@example("Z")
+@example("Z+8")
+@example("Z_8")
+@example("Z-1")
+@example("Z 8")
+@example("Z8 ")
+@example("Z\u0663")
+@example("Z\u00b2")
+@example(f"Z{LONG}")
+def test_zn_names_match_the_regex(name):
+    # a Zn name is Zn, or refused by the 1 <= n <= 32 bound; any other
+    # name here falls through to "unknown lattice"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "lattice_zn", lambda n: ("Z", n))
+        mp.setattr(cli, "user_fixture_path", lambda name: None)
+        got = _outcome(cli._resolve_lattice, name)
+    want = _outcome(parse_oracle.zn_rank, name)
+    if want is None:
+        assert got[0] == "refused" and got[1].startswith("unknown lattice")
+    else:
+        assert got == (("Z", want) if isinstance(want, int) else want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ZONAL_SPECS)
+@example("zonal:2:1,0")
+@example("zonal:2:-1,0")
+@example("zonal:2:1,,0")
+@example("zonal:2:,")
+@example("zonal:2:-,-")
+@example("zonal:2:+1,0")
+@example("zonal:2:1_0,0")
+@example("zonal:2:1, 0")
+@example("zonal: 2:1")
+@example("zonal:2:")
+@example("zonal::1")
+@example("zonal:2:1:0")
+@example("zonal:\u0662:\u0661,-\u0660")
+@example("xzonal:2:1")
+@example(f"zonal:{LONG}:1,0")
+@example(f"zonal:2:{LONG},0")
+def test_zonal_specs_match_the_regex(spec):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "zonal_harmonic_coords",
+                   lambda lat, degree, direction: (degree, direction))
+        mp.setattr(cli, "constant_poly", lambda rank: "one")
+        got = _outcome(cli._parse_poly, lattice_e8(), spec)
+    want = "one" if spec == "one" else _outcome(parse_oracle.zonal_spec, spec)
+    assert got == want
 
 
 # -- code-design -------------------------------------------------------
@@ -881,13 +1014,44 @@ def test_help_exits_0_with_usage_on_stdout(argv, capsys):
     assert all(name in out for name in names)
 
 
+# the text a request prints, pinned byte for byte
+PINNED_TEXT = {
+    ("eta", "--spec", "3:8", "--prec", "13"):
+        "eta quotient [3:8] to precision 13:\n"
+        "  q - 8*q^(4) + 20*q^(7) - 70*q^(13)\n",
+    ("eta", "--spec", "2:15,1:-7", "--prec", "5"):
+        "eta quotient [2:15,1:-7] to precision 5:\n"
+        "  q^(23/24) + 7*q^(47/24) + 20*q^(71/24) + 35*q^(95/24) "
+        "+ 55*q^(119/24) + 77*q^(143/24)\n",
+    ("theta", "--lattice", "E8", "--prec", "4", "--membership"):
+        "theta of E8 with poly one, norms <= 4 (exponent = norm):\n"
+        "  1 + 240*q^(2) + 2160*q^(4)\n"
+        "  weight-4 membership: coords ['1']\n",
+    ("theta", "--lattice", "E8", "--poly", "zonal:8:1,1,0,0,0,0,0,0",
+     "--prec", "8"):
+        "theta of E8 with poly zonal:8:1,1,0,0,0,0,0,0, norms <= 8 "
+        "(exponent = norm):\n"
+        "  -384*q^(2) + 9216*q^(4) - 96768*q^(6) + 565248*q^(8)\n",
+}
+
+
 def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
     # a plain np.unique imports numpy.ma in numpy 2.4, about 19 ms in a
-    # fresh process; one request of each command, in one fresh interpreter
+    # fresh process; one request of each command, in one fresh interpreter.
+    # No request compiles a regex (every module-level re call goes through
+    # re._compile), none formats text under --format json, and the text
+    # of eta and theta is the pinned text
     script = tmp_path / "requests.py"
     script.write_text(
-        "import io, sys\n"
+        "import io, re, sys\n"
         "from designlab import cli\n"
+        "def refuse(what):\n"
+        "    def refused(*args, **kwargs):\n"
+        "        raise RuntimeError(what)\n"
+        "    return refused\n"
+        "re._compile = refuse('compiled a regex')\n"
+        "pretty, cli._pretty_series = (cli._pretty_series,\n"
+        "                              refuse('formatted text for json'))\n"
         "for argv in (['eta', '--spec', '3:8', '--prec', '13'],\n"
         "             ['code-design', '--code', 'golay24', '--weight', '8',\n"
         "              '--t', '5'],\n"
@@ -897,17 +1061,28 @@ def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
         "              '--t', '7'],\n"
         "             ['lattice-design', '--lattice', 'E8', '--norm', '4',\n"
         "              '--t', '7', '--criterion', 'zonal'],\n"
+        "             ['lattice-design', '--lattice', 'Z4', '--norm', '2',\n"
+        "              '--t', '3'],\n"
         "             ['lattice-design', '--lattice', 'E8', '--norm', '2',\n"
         "              '--t', '8', '--criterion', 'theta'],\n"
         "             ['theta', '--lattice', 'E8', '--prec', '4',\n"
         "              '--membership'],\n"
+        "             ['theta', '--lattice', 'E8', '--poly',\n"
+        "              'zonal:8:1,1,0,0,0,0,0,0', '--prec', '8'],\n"
         "             ['voa-strength', '--c', '16', '--ell', '4'],\n"
+        "             ['voa-strength', '--c', '16', '--scan-to', '20'],\n"
         "             ['remark4', '--prec', '20'],\n"
         "             ['shell', '--lattice', 'E8', '--norm', '2']):\n"
         "    status = cli.main(['--format', 'json', *argv], io.StringIO())\n"
         "    for name in ('numpy.ma', 'argparse'):\n"
         "        if status or name in sys.modules:\n"
-        "            sys.exit(f'{argv}: status {status}, {name}')\n")
+        "            sys.exit(f'{argv}: status {status}, {name}')\n"
+        "cli._pretty_series = pretty\n"
+        f"for argv, want in {sorted(PINNED_TEXT.items())!r}:\n"
+        "    out = io.StringIO()\n"
+        "    status = cli.main(list(argv), out)\n"
+        "    if status or out.getvalue() != want:\n"
+        "        sys.exit(f'{argv}: status {status}, {out.getvalue()!r}')\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, str(script)], env=env,

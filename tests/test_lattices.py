@@ -721,6 +721,24 @@ def test_smaller_bounds_are_served_from_the_largest_ball(lat, top):
     assert table.cache_info()[:2] == (len(bounds), 1)
 
 
+def test_the_held_vector_table_cannot_be_written():
+    table = _vectors_by_doubled_norm
+    table.cache_clear()
+    e8 = lattice_e8()
+    held = table(e8, 8, SHELL_CAP, 1)       # the shells of norms 2 and 4
+    assert table(e8, 8, SHELL_CAP, 1) is held
+    for served in (held, table(e8, 4, SHELL_CAP, 1),
+                   table(e8, -1, SHELL_CAP, 1)):
+        with pytest.raises(TypeError):
+            served[12] = held[4]
+        with pytest.raises(TypeError):
+            del served[4]
+        for rows in served.values():
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+    assert dict(table(e8, 4, SHELL_CAP, 1)) == {4: held[4]}
+
+
 def test_a_refused_bound_keeps_the_held_ball(monkeypatch):
     d16 = construction_a(d16_plus())
     table = _vectors_by_doubled_norm

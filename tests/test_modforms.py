@@ -1,5 +1,6 @@
 """Eta quotients, Eisenstein series, weight-k spaces, integer helpers."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from designlab import (OffsetError, PrecisionError, QSeries, TraceSeries,
 from designlab.lattices import (harmonic_theta, lattice_e8,
                                 theta_membership_check, to_modular_q,
                                 zonal_harmonic_coords)
-from designlab import modforms
+from designlab import modforms, qseries
 from designlab.errors import CapExceededError, InternalCheckError
 from designlab.modforms import (SERIES_CAP, _euler_power, _monomials,
                                 cusp_monomials, echelon_rows)
@@ -272,32 +273,77 @@ def test_tau_values():
     assert ramanujan_tau(10) == ramanujan_tau(2) * ramanujan_tau(5)
 
 
-def test_tau_is_read_off_one_growing_table(monkeypatch):
+def test_tau_is_read_off_one_growing_table():
+    # tau(n) is coefficient n-1 of eta^24: the tuple _euler_power holds for
+    # exponent 24, grown once per doubling, which delta_eta reads too
     want = delta_eisenstein(3000).int_list(3000)    # the other route
-    builds = []
-
-    def spy(prec):
-        builds.append(prec)
-        return delta_eta(prec)
-
-    monkeypatch.setattr(modforms, "delta_eta", spy)
-    modforms._tau_table.cache_clear()
+    power = modforms._euler_power
+    power.cache_clear()
     assert [ramanujan_tau(n) for n in range(1, 3001)] == want
-    assert builds == [1024, 2048, 4096]
+    assert power.cache_info().misses == 3       # through q^1023, 2047, 4095
     # every smaller table is a prefix of the held one
     order = random.Random(36).sample(range(1, 3001), 3000)
     assert [ramanujan_tau(n) for n in order] == [want[n - 1] for n in order]
-    assert modforms._tau_table(5) == tuple(want[:5])
+    held = power(24, 4095)
+    assert held[:5] == tuple(want[:5])
+    # the discriminant is that tuple, shifted by q, and no second copy
+    assert delta_eta(4095)._num is held
+    assert power.cache_info().misses == 3
     # a refused size keeps the held table; clearing it forces a build
     with pytest.raises(CapExceededError):
         ramanujan_tau(SERIES_CAP + 1)
+    assert power(24, 4095) is held and power.cache_info().misses == 3
+    power.cache_clear()
     assert ramanujan_tau(3000) == want[-1]
-    assert builds == [1024, 2048, 4096, SERIES_CAP + 1]
-    modforms._tau_table.cache_clear()
-    assert ramanujan_tau(3000) == want[-1] and builds[-1] == 4096
+    assert power.cache_info().misses == 1 and power(24, 4095) is not held
+
+
+def test_held_eta_powers_are_shared_prefixes_that_cannot_be_written():
+    power = modforms._euler_power
+    power.cache_clear()
+    held = power(8, 60)
+    assert power(8, 60) is held
+    with pytest.raises(TypeError):
+        held[1] = 0
+    # coefficients 0..n do not depend on n: a prefix equals a build there
+    for n in range(61):
+        assert power(8, n) == power.__wrapped__(8, n)
+    # eta^8 and eta(3z)^8 read the one held tuple, eta^8 without a copy
+    assert eta_quotient([(1, 8)], 60)._num is held
+    assert eta_quotient([(3, 8)], 60).int_list(58)[::3] == list(held[:20])
+    assert power.cache_info().misses == 1
 
 
 # -- weight-k spaces -------------------------------------------------------
+
+def seed_mf_basis(k, prec):
+    """The seed's construction, the oracle: each monomial E4^a E6^b a
+    product of factors from the series 1 on, reduced by echelon_rows."""
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    rows = [functools.reduce(QSeries.__mul__,
+                             [e4] * ((k - 6 * b) // 4) + [e6] * b,
+                             QSeries.one(prec))
+            for b in _monomials(k)]
+    return echelon_rows(rows, prec)
+
+
+def test_mf_basis_matches_the_seed_construction(monkeypatch):
+    # and multiplies no factor by the series 1
+    kernel = qseries._int_convolve
+
+    def no_unit(a, b, out_len):
+        for x in (a, b):
+            assert not (x[0] == 1 and not any(x[1:])), "a product by 1"
+        return kernel(a, b, out_len)
+
+    for k in range(4, 41, 2):
+        for prec in (mf_dim(k) + 1, 30):
+            want = seed_mf_basis(k, prec)
+            monkeypatch.setattr(qseries, "_int_convolve", no_unit)
+            got = mf_basis(k, prec)
+            monkeypatch.undo()
+            assert got.basis == want, (k, prec)
+
 
 def test_dimension_table():
     expect = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,

@@ -1,5 +1,6 @@
 """Core q-series arithmetic: offsets, precision bookkeeping, exactness."""
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab import OffsetError, PrecisionError, QSeries
+from designlab import OffsetError, PrecisionError, QSeries, qseries
 from designlab.modforms import eta, eta_quotient
 from designlab.qseries import _int_convolve
 
@@ -302,3 +303,27 @@ def test_mixed_rational_product_is_exact():
     assert h[0] == Fraction(3, 2)
     assert h[1] == Fraction(1) - Fraction(1, 10)
     assert h[2] == Fraction(-1, 15)
+
+
+def test_pow_squares_up_from_the_lowest_set_bit(monkeypatch):
+    # no product is by the series 1: e = 1..12 take bit_length(e) - 1
+    # squarings and popcount(e) - 1 products into the result
+    calls = []
+    kernel = qseries._int_convolve
+
+    def counted(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    f = QSeries(-3, 12, {0: Fraction(2, 3), 1: -1, 5: 7, 12: Fraction(1, 5)})
+    for e in range(1, 13):
+        monkeypatch.setattr(qseries, "_int_convolve", counted)
+        calls.clear()
+        got = f.pow(e)
+        products = len(calls)
+        monkeypatch.undo()
+        assert got == functools.reduce(QSeries.__mul__, [f] * e), e
+        assert products == e.bit_length() + bin(e).count("1") - 2, e
+    monkeypatch.setattr(qseries, "_int_convolve", counted)
+    calls.clear()
+    assert f.pow(0) == QSeries.one(12) and calls == []

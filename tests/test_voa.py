@@ -6,13 +6,14 @@ both directions.
 """
 
 import inspect
+import io
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from designlab import lattices, voa
+from designlab import cli, lattices, modforms, voa
 from designlab.errors import (DesignLabError, InternalCheckError, OffsetError,
                               PrecisionError)
 from designlab.lattices import (constant_poly, construction_a, lattice_a2,
@@ -209,6 +210,25 @@ def test_witness_traces_build_once_per_running_maximum(monkeypatch):
         for prec in precs:
             assert _witness_trace(c, s, prec).series.prec == prec
         assert calls == [(name, m) for m in maxima for name in factors]
+
+
+def test_a_c16_scan_builds_eta8_once_and_truncates_nothing(monkeypatch):
+    # the (16, 4) and (16, 8) traces share the held eta^8, and each ell
+    # reads the held trace at the scan's precision itself
+    def no_truncate(self, prec):
+        raise RuntimeError("truncated a series")
+
+    modforms._euler_power.cache_clear()
+    _witness_trace.cache_clear()
+    monkeypatch.setattr(QSeries, "truncate", no_truncate)
+    out = io.StringIO()
+    assert cli.main(["--format", "json", "voa-strength", "--c", "16",
+                     "--scan-to", "200"], out) == 0
+    lines = out.getvalue().splitlines()
+    # b(4) = 0, so ell = 4 reads the (16, 8) trace too
+    assert len(lines) == 200 and '"extra": {"8": [' in lines[3]
+    assert modforms._euler_power.cache_info().misses == 1
+    assert _witness_trace.cache_info().misses == 2
 
 
 # -- coefficient criteria ----------------------------------------------------------
