@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,12 @@ _CODES = {"hamming8": hamming_e8, "golay24": golay_g24, "d16plus": d16_plus}
 # plumbing
 # ---------------------------------------------------------------------------
 
+def _document(command: str, payload: dict) -> str:
+    """One JSON document line: the payload, the schema and the command."""
+    return json.dumps({"schema": SCHEMA, "command": command, **payload},
+                      sort_keys=True)
+
+
 def _frac(x) -> str:
     f = Fraction(x)
     return f"{exact_str(f.numerator)}/{exact_str(f.denominator)}"
@@ -73,7 +80,6 @@ def _pretty_series(s: QSeries, max_terms: int = 10) -> str:
 # row end, text between rows)
 _JSON_ROWS = ("[", ", ", "]", ", ")
 _CSV_ROWS = ("", ",", "\n", "")
-_TEXT_ROWS = ("  ", ",", "\n", "")
 _TOKEN_SPAN = 1 << 12       # widest value range formatted from a byte table
 _TOKEN_ROWS = 1 << 14       # rows formatted at once
 
@@ -185,7 +191,7 @@ def _int_list(text: str, what: str) -> list[int]:
 
 def _positive(text: str) -> int:
     """Option reader: an integer >= 1."""
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -201,12 +207,14 @@ def _rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+# each command computes its answer and returns two functions, of which
+# ``_run`` calls only the one for the format asked: its JSON documents
+# (``_run`` adds "schema" and "command" to each) and its text lines
 
 def cmd_eta(a, out):
     series = eta_quotient(_parse_eta_spec(a.spec), a.prec)
-    payload = {"schema": SCHEMA, "command": "eta", "spec": a.spec,
-               "prec": a.prec, "series": series.to_dict()}
-    return payload, lambda: [
+    return lambda: [{"spec": a.spec, "prec": a.prec,
+                     "series": series.to_dict()}], lambda: [
         f"eta quotient [{a.spec or '1'}] to precision {a.prec}:",
         f"  {_pretty_series(series)}"]
 
@@ -225,21 +233,27 @@ def cmd_code_design(a, out):
             raise ValueError(f"{a.code} has no codewords of weight "
                              f"{a.weight}")
         res = design_lambda(fam, a.t)
-        payload = {"schema": SCHEMA, "command": "code-design",
-                   "code": a.code, "weights": [a.weight], "t": a.t,
-                   "blocks": len(fam.blocks),
-                   "verdict": "design" if res.is_design else "not a design",
-                   "lambda": res.lam}
-        if res.is_design:
-            return payload, lambda: [
-                f"{a.code} weight-{a.weight} family ({len(fam.blocks)} "
-                f"blocks): {a.t}-design, lambda={res.lam}"]
-        s1, c1, s2, c2 = res.witness
-        payload["witness"] = {"subset_a": list(s1), "count_a": c1,
-                              "subset_b": list(s2), "count_b": c2}
-        return payload, lambda: [
-            f"{a.code} weight-{a.weight} family: not a {a.t}-design",
-            f"  witness: {s1} covered {c1} times, {s2} covered {c2} times"]
+
+        def documents():
+            payload = {"code": a.code, "weights": [a.weight], "t": a.t,
+                       "blocks": len(fam.blocks), "lambda": res.lam,
+                       "verdict": ("design" if res.is_design
+                                   else "not a design")}
+            if not res.is_design:
+                s1, c1, s2, c2 = res.witness
+                payload["witness"] = {"subset_a": list(s1), "count_a": c1,
+                                      "subset_b": list(s2), "count_b": c2}
+            return [payload]
+
+        def text():
+            family = f"{a.code} weight-{a.weight} family"
+            if res.is_design:
+                return [f"{family} ({len(fam.blocks)} blocks): {a.t}-design, "
+                        f"lambda={res.lam}"]
+            s1, c1, s2, c2 = res.witness
+            return [f"{family}: not a {a.t}-design", f"  witness: {s1} "
+                    f"covered {c1} times, {s2} covered {c2} times"]
+        return documents, text
 
     # harmonic mode: union of a shell and its complement-weight shell
     if a.weights is None:
@@ -257,13 +271,12 @@ def cmd_code_design(a, out):
             raise ValueError("--Tset degrees must lie in 1..max-degree")
     rep = two_weight_design_check(code, min(pair), degrees)
     verdict = "pass" if rep.passes(degrees) else "fail"
-    payload = {"schema": SCHEMA, "command": "code-design", "code": a.code,
-               "weights": list(rep.weights), "T": degrees,
-               "blocks": rep.family_size,
-               "per_degree": {str(j): rep.verdicts[j][0] for j in degrees},
-               "modes": {str(j): m for j, m in rep.modes.items()},
-               "verdict": verdict}
-    return payload, lambda: [
+    return lambda: [{
+        "code": a.code, "weights": list(rep.weights), "T": degrees,
+        "blocks": rep.family_size,
+        "per_degree": {str(j): rep.verdicts[j][0] for j in degrees},
+        "modes": {str(j): m for j, m in rep.modes.items()},
+        "verdict": verdict}], lambda: [
         f"{a.code} weights {rep.weights} union ({rep.family_size} blocks): "
         f"{verdict} at degrees {degrees}"]
 
@@ -272,35 +285,40 @@ def cmd_lattice_design(a, out):
     if a.criterion != "theta" and a.prec_norm is not None:
         raise ValueError("--prec-norm applies only to --criterion theta")
     lat = _resolve_lattice(a.lattice)
-    payload = {"schema": SCHEMA, "command": "lattice-design",
-               "lattice": a.lattice, "norm": _frac(a.norm),
-               "criterion": a.criterion}
     if a.criterion == "theta":
         rep = theta_design_report(lat, a.norm, a.t, a.prec_norm or 0)
-        payload.update(prec_norm=rep.prec_norm,
-                       directions_tested=rep.directions_tested,
-                       per_degree={str(j): v for j, v in rep.verdicts.items()},
-                       modes={str(j): m for j, m in rep.modes.items()},
-                       strength=rep.strength)
-        return payload, lambda: [
-            f"{a.lattice} norm {a.norm} (theta criterion, enumeration to "
-            f"norm {rep.prec_norm}): strength {rep.strength}"] + [
-            f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
-            + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
-    if a.criterion == "moment":
+        per = rep.verdicts
+    elif a.criterion == "moment":
         _degree_list(range(1, a.t + 1))     # refused before the search
         rep = moment_design_test(shell_enum(lat, a.norm), a.t)
-        per, strength = rep.per_k, rep.strength
+        per = rep.per_k
     else:
         rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1))
-        per, strength = rep.verdicts, rep.strength
-    payload.update(size=rep.size, per_degree={str(k): v for k, v in per.items()},
-                   strength=strength)
-    return payload, lambda: [
-        f"{a.lattice} norm {a.norm} ({rep.size} vectors, {a.criterion}): "
-        f"strength {strength}"
-        + ("" if strength >= a.t else f", first failure at degree "
-           f"{strength + 1}")]
+        per = rep.verdicts
+
+    def documents():
+        payload = {"lattice": a.lattice, "norm": _frac(a.norm),
+                   "criterion": a.criterion, "strength": rep.strength,
+                   "per_degree": {str(j): v for j, v in per.items()}}
+        if a.criterion == "theta":
+            payload.update(prec_norm=rep.prec_norm,
+                           directions_tested=rep.directions_tested,
+                           modes={str(j): m for j, m in rep.modes.items()})
+        else:
+            payload["size"] = rep.size
+        return [payload]
+
+    def text():
+        if a.criterion == "theta":
+            return [f"{a.lattice} norm {a.norm} (theta criterion, enumeration "
+                    f"to norm {rep.prec_norm}): strength {rep.strength}"] + [
+                f"  degree {j}: " + ("pass" if per[j] else "FAIL")
+                + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
+        return [f"{a.lattice} norm {a.norm} ({rep.size} vectors, "
+                f"{a.criterion}): strength {rep.strength}"
+                + ("" if rep.strength >= a.t else
+                   f", first failure at degree {rep.strength + 1}")]
+    return documents, text
 
 
 def cmd_theta(a, out):
@@ -309,15 +327,18 @@ def cmd_theta(a, out):
     # the membership check refuses bad input before it enumerates
     rep = theta_membership_check(lat, poly, a.prec) if a.membership else None
     series = rep.series if rep else harmonic_theta(lat, poly, a.prec)
-    payload = {"schema": SCHEMA, "command": "theta", "lattice": a.lattice,
-               "poly": a.poly, "prec_norm": a.prec,
-               "series": series.to_dict()}
-    if rep is not None:
-        payload["membership"] = {
-            "weight": rep.weight, "with_e6_factor": rep.with_e6_factor,
-            "fit_ok": rep.fit_ok,
-            "coords": [_frac(c) for c in rep.coords] if rep.coords else None,
-            "mismatch_exponent": rep.mismatch_exponent}
+
+    def documents():
+        payload = {"lattice": a.lattice, "poly": a.poly, "prec_norm": a.prec,
+                   "series": series.to_dict()}
+        if rep is not None:
+            payload["membership"] = {
+                "weight": rep.weight, "with_e6_factor": rep.with_e6_factor,
+                "fit_ok": rep.fit_ok,
+                "coords": [_frac(c) for c in rep.coords] if rep.coords
+                else None,
+                "mismatch_exponent": rep.mismatch_exponent}
+        return [payload]
 
     def text():
         lines = [f"theta of {a.lattice} with poly {a.poly}, norms <= "
@@ -328,12 +349,11 @@ def cmd_theta(a, out):
                             if rep.fit_ok else
                             f"FAILED at exponent {rep.mismatch_exponent}"))
         return lines
-    return payload, text
+    return documents, text
 
 
 def _strength_payload(rep) -> dict:
-    return {"schema": SCHEMA, "command": "voa-strength",
-            "central_charge": rep.central_charge, "ell": rep.ell,
+    return {"central_charge": rep.central_charge, "ell": rep.ell,
             "base_T": sorted(rep.base_T),
             "contested_degree": rep.contested_degree,
             "coefficient": _frac(rep.contested_coefficient),
@@ -344,48 +364,36 @@ def _strength_payload(rep) -> dict:
             "strength": rep.strength}
 
 
-def _strength_text(rep) -> str:
-    deg = rep.contested_degree
-    tail = (f"degree-{deg} design" if rep.is_design_at_contested
-            else f"not a degree-{deg} design")
-    return (f"c={rep.central_charge} ell={rep.ell}: coefficient "
-            f"{rep.contested_coefficient} -> {tail}; strength {rep.strength}")
-
-
 def cmd_voa_strength(a, out):
-    if a.ell is not None:
-        rep = strength_at(a.c, a.ell)
-        return _strength_payload(rep), lambda: [_strength_text(rep)]
-    prec = max(a.scan_to + 2, 16)
-    strengths: dict[str, int] = {}
-    notable = []
-    for ell in range(1, a.scan_to + 1):
-        rep = strength_at(a.c, ell, prec=prec)
-        if a.fmt == "json":
-            print(json.dumps(_strength_payload(rep), sort_keys=True),
-                  file=out)
-        key = str(rep.strength)
-        strengths[key] = strengths.get(key, 0) + 1
-        if rep.is_design_at_contested:
-            notable.append(ell)
+    # the whole scan at the precision strength_at picks for its last ell
+    ells = [a.ell] if a.ell is not None else range(1, a.scan_to + 1)
+    prec = max(ells[-1] + 2, 16)
+    reps = [strength_at(a.c, ell, prec=prec) for ell in ells]
 
     def text():
+        if a.ell is not None:
+            rep = reps[0]
+            tail = "" if rep.is_design_at_contested else "not a "
+            return [f"c={rep.central_charge} ell={rep.ell}: coefficient "
+                    f"{rep.contested_coefficient} -> {tail}degree-"
+                    f"{rep.contested_degree} design; strength {rep.strength}"]
+        strengths = dict(Counter(str(rep.strength) for rep in reps))
+        notable = [rep.ell for rep in reps if rep.is_design_at_contested]
         lines = [f"c={a.c}, ell=1..{a.scan_to}: strengths {strengths}"]
         if notable:
             lines.append(f"  design at the contested degree for ell in "
                          f"{notable}")
         return lines
-    return None, text
+    return lambda: [_strength_payload(rep) for rep in reps], text
 
 
 def cmd_remark4(a, out):
     rep = remark4_series(a.prec)
-    head = [_frac(rep.trace.coeff(i)) for i in range(1, min(a.prec, 10) + 1)]
-    payload = {"schema": SCHEMA, "command": "remark4", "prec": a.prec,
-               "all_nonzero": rep.all_nonzero,
-               "zero_indices": list(rep.zero_indices),
-               "leading_coefficients": head}
-    return payload, lambda: [
+    head = range(1, min(a.prec, 10) + 1)
+    return lambda: [{"prec": a.prec, "all_nonzero": rep.all_nonzero,
+                     "zero_indices": list(rep.zero_indices),
+                     "leading_coefficients": [_frac(rep.trace.coeff(i))
+                                              for i in head]}], lambda: [
         f"closed-form trace to exponent {a.prec}: "
         + ("no vanishing coefficients" if rep.all_nonzero
            else f"zeros at {list(rep.zero_indices)}")]
@@ -394,25 +402,23 @@ def cmd_remark4(a, out):
 def cmd_shell(a, out):
     lat = _resolve_lattice(a.lattice)
     sh = shell_enum(lat, a.norm)
+    # csv and json are written here, block by block as the rows are
+    # formatted, so ``_run`` is left no document to write
     if a.fmt == "csv":
         out.writelines(_format_rows(sh.rows, _CSV_ROWS))
-        return None, None
-    if a.fmt == "json":
-        # the line json.dumps(payload, sort_keys=True) would print with the
-        # vectors in the payload: "vectors" sorts after every other key
-        head = json.dumps({"schema": SCHEMA, "command": "shell",
-                           "lattice": a.lattice, "norm": _frac(a.norm),
-                           "count": len(sh)}, sort_keys=True)
+    elif a.fmt == "json":
+        # the line _document would give with the vectors in the payload:
+        # "vectors" sorts after every other key
+        head = _document("shell", {"lattice": a.lattice,
+                                   "norm": _frac(a.norm), "count": len(sh)})
         out.write(head[:-1] + ', "vectors": [')
         out.writelines(_format_rows(sh.rows, _JSON_ROWS))
         out.write("]}\n")
-        return None, None
-    # only --format text reaches this point
-    text = [f"{a.lattice} norm {a.norm}: {len(sh)} vectors"]
-    text += "".join(_format_rows(sh.rows[:5], _TEXT_ROWS)).splitlines()
-    if len(sh) > 5:
-        text.append(f"  ... ({len(sh) - 5} more; use --format csv for all)")
-    return None, lambda: text
+    more = len(sh) - 5
+    return list, lambda: (
+        [f"{a.lattice} norm {a.norm}: {len(sh)} vectors"]
+        + ["  " + ",".join(map(str, row)) for row in sh.rows[:5].tolist()]
+        + [f"  ... ({more} more; use --format csv for all)"] * (more > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +453,12 @@ class _Opt:
 
 @dataclass(frozen=True)
 class _Command:
-    """A command's help line, its options and the group of options of which
-    exactly one must be given."""
+    """A command's help line, its options, the group of options of which
+    exactly one must be given, and its handler (none for the program)."""
     help: str
     options: tuple[_Opt, ...]
     one_of: tuple[str, ...] = ()
+    handler: Callable | None = None
 
 
 # the options before the command, and each command's own
@@ -464,7 +471,7 @@ _TABLE = {
     "eta": _Command("expand an eta quotient", (
         _Opt("--spec", default="",
              help="comma list scale:power, e.g. '3:8' or '2:15,1:-7'"),
-        _Opt("--prec", _positive, required=True))),
+        _Opt("--prec", _positive, required=True)), handler=cmd_eta),
     "code-design": _Command("combinatorial design tests", (
         _Opt("--code", required=True),
         _Opt("--weight", _positive,
@@ -475,7 +482,7 @@ _TABLE = {
         _Opt("--Tset", help="'odd' or comma list of harmonic degrees"),
         _Opt("--max-degree", _positive,
              help="largest --Tset degree (default 5)")),
-        one_of=("--t", "--Tset")),
+        one_of=("--t", "--Tset"), handler=cmd_code_design),
     "lattice-design": _Command("spherical design strength", (
         _Opt("--lattice", required=True),
         _Opt("--norm", _rational, required=True),
@@ -483,7 +490,8 @@ _TABLE = {
         _Opt("--criterion", choices=("moment", "zonal", "theta"),
              default="moment"),
         _Opt("--prec-norm", int,
-             help="enumeration depth for the theta criterion"))),
+             help="enumeration depth for the theta criterion")),
+        handler=cmd_lattice_design),
     "theta": _Command("weighted theta series", (
         _Opt("--lattice", required=True),
         _Opt("--poly", default="one",
@@ -491,17 +499,18 @@ _TABLE = {
         _Opt("--prec", _positive, required=True,
              help="largest norm to enumerate"),
         _Opt("--membership", None, default=False,
-             help="also fit the series in its predicted space"))),
+             help="also fit the series in its predicted space")),
+        handler=cmd_theta),
     "voa-strength": _Command("conformal design strength", (
         _Opt("--c", int, required=True, choices=(8, 16, 24)),
         _Opt("--ell", _positive),
         _Opt("--scan-to", _positive)),
-        one_of=("--ell", "--scan-to")),
+        one_of=("--ell", "--scan-to"), handler=cmd_voa_strength),
     "remark4": _Command("closed-form trace vanishing scan", (
-        _Opt("--prec", _positive, required=True),)),
+        _Opt("--prec", _positive, required=True),), handler=cmd_remark4),
     "shell": _Command("enumerate one shell (CSV exportable)", (
         _Opt("--lattice", required=True),
-        _Opt("--norm", _rational, required=True))),
+        _Opt("--norm", _rational, required=True)), handler=cmd_shell),
 }
 
 
@@ -644,15 +653,6 @@ def build_parser() -> _Parser:
     return _Parser("designlab", _PROGRAM, _TABLE)
 
 
-# each command returns (payload, text): the JSON document, None when the
-# command wrote its own output, and a function that builds the text lines,
-# called only under --format text
-_COMMANDS = {"eta": cmd_eta, "code-design": cmd_code_design,
-             "lattice-design": cmd_lattice_design, "theta": cmd_theta,
-             "voa-strength": cmd_voa_strength, "remark4": cmd_remark4,
-             "shell": cmd_shell}
-
-
 def main(argv=None, out=sys.stdout) -> int:
     """Run one command and return its exit status: 0 when the computation
     completed, 2 for a bad request (a ``ValueError``, the parser's refusals
@@ -684,15 +684,14 @@ def _run(argv, out) -> int:
         a = _PARSER.parse_args(argv)
         if a.fmt == "csv" and a.command != "shell":
             raise ValueError("--format csv applies only to 'shell'")
-        payload, text = _COMMANDS[a.command](a, out)
-        lines = text() if a.fmt == "text" else ()
+        documents, text = _TABLE[a.command].handler(a, out)
+        lines = (text() if a.fmt == "text" else
+                 [_document(a.command, d) for d in documents()])
     except ValueError as exc:
         status, error = 2, {"type": "usage", "message": str(exc)}
     except DesignLabError as exc:
         status, error = 1, {"type": type(exc).__name__, "message": str(exc)}
     else:
-        if a.fmt == "json" and payload is not None:
-            print(json.dumps(payload, sort_keys=True), file=out)
         for line in lines:
             print(line, file=out)
         return 0

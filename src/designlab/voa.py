@@ -48,26 +48,22 @@ class TraceSeries:
 
     The stored series is offset-reduced, so the literal -c/24 prefactor is
     recovered through ``index_base``: stored index 0 holds the coefficient
-    of display index ``index_base`` = (offset24 + c - prefactor24) / 24,
-    which must be an integer.  ``prefactor24`` records an explicit extra
-    q^{1/24}-power carried by closed-form displays.
+    of display index ``index_base`` = (offset24 + c) / 24, which must be an
+    integer.
     """
     central_charge: int
     series: QSeries
     source: str
-    prefactor24: int = 0
 
     def __post_init__(self):
         if self.central_charge <= 0:
             raise ValueError("central charge must be positive")
-        if (self.series.offset24 + self.central_charge
-                - self.prefactor24) % 24:
+        if (self.series.offset24 + self.central_charge) % 24:
             raise ValueError("offset off the -c/24 grid of the charge")
 
     @property
     def index_base(self) -> int:
-        return (self.series.offset24 + self.central_charge
-                - self.prefactor24) // 24
+        return (self.series.offset24 + self.central_charge) // 24
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient at display index i (meaningful for i >= index_base)."""
@@ -290,7 +286,7 @@ def lehmer_scan(bound: int, shells_to: int = 2) -> LehmerScan:
         if (ramanujan_tau(ell) != 0) != failures[ell]:
             raise InternalCheckError(
                 f"tau({ell}) and the degree-8 shell verdict disagree")
-    aa = a_series(max(bound, 2))
+    aa = a_series(max(min(bound, 10), 2))
     a_vals = {ell: aa.coeff(ell) for ell in range(1, min(bound, 10) + 1)}
     return LehmerScan(zeros, failures, a_vals)
 
@@ -309,16 +305,17 @@ class Remark4Report:
 def remark4_series(prec: int) -> Remark4Report:
     """q^{1/24} * eta(2z)^15 / eta(z)^7, scanned for vanishing coefficients.
 
-    The closed form carries an explicit extra q^{1/24}; offsets work out to
-    a series starting at q^1, so display indices match stored ones shifted
-    by the base.
+    Read as a trace of central charge 1, eta(2z)^15 / eta(z)^7 =
+    q^{-1/24} (q + 7 q^2 + ...) carries the q^{1/24} itself: its display
+    indices start at 1.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    ser = eta_quotient([(2, 15), (1, -7)], prec).shift24(1)
-    if ser.offset24 != 24:
-        raise InternalCheckError("closed form must start exactly at q^1")
-    trace = TraceSeries(1, ser, "q^{1/24} eta(2z)^15/eta(z)^7", prefactor24=1)
+    ser = eta_quotient([(2, 15), (1, -7)], prec)
+    if ser.offset24 != 23:
+        raise InternalCheckError("closed form must start exactly at "
+                                 "q^(23/24)")
+    trace = TraceSeries(1, ser, "eta(2z)^15/eta(z)^7")
     return Remark4Report(prec, trace, trace.zero_indices_up_to(prec))
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process against main(argv)."""
 
+import dataclasses
 import gc
 import io
 import json
@@ -258,11 +259,13 @@ def test_zonal_specs_match_the_regex(spec):
 
 def test_command_runs_with_older_objects_frozen(monkeypatch):
     frozen = []
+    eta = cli._TABLE["eta"]
 
     def spy(cfg, out):
         frozen.append(gc.get_freeze_count())
-        return cli.cmd_eta(cfg, out)
-    monkeypatch.setitem(cli._COMMANDS, "eta", spy)
+        return eta.handler(cfg, out)
+    monkeypatch.setitem(cli._TABLE, "eta",
+                        dataclasses.replace(eta, handler=spy))
     assert gc.get_freeze_count() == 0
     run_json(["eta", "--spec", "3:8", "--prec", "5"])
     assert frozen[-1] > 0 and gc.get_freeze_count() == 0
@@ -990,7 +993,10 @@ def test_parser_keeps_the_last_of_a_repeated_option():
     (["eta", "--prec", "3", "--format", "json"],
      "designlab: unrecognized arguments: --format"),
     (["bogus"], "designlab: argument command: invalid choice: 'bogus'"),
-    ([], "designlab: the following arguments are required: command")])
+    ([], "designlab: the following arguments are required: command"),
+    # a superscript two is a digit to str.isdigit, not to int()
+    (["eta", "--prec", "\u00b2"], "designlab eta: argument --prec: expected "
+                                 "a positive integer, got '\u00b2'")])
 def test_parser_refusals_name_their_cause(argv, message, capsys):
     assert run(argv) == (2, "")
     error = one_error(capsys)
@@ -1040,7 +1046,7 @@ def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
     # fresh process; one request of each command, in one fresh interpreter.
     # No request compiles a regex (every module-level re call goes through
     # re._compile), none formats text under --format json, and the text
-    # of eta and theta is the pinned text
+    # of eta and theta is the pinned text, built without a JSON series
     script = tmp_path / "requests.py"
     script.write_text(
         "import io, re, sys\n"
@@ -1078,6 +1084,7 @@ def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
         "        if status or name in sys.modules:\n"
         "            sys.exit(f'{argv}: status {status}, {name}')\n"
         "cli._pretty_series = pretty\n"
+        "cli.QSeries.to_dict = refuse('built json for text')\n"
         f"for argv, want in {sorted(PINNED_TEXT.items())!r}:\n"
         "    out = io.StringIO()\n"
         "    status = cli.main(list(argv), out)\n"
@@ -1138,6 +1145,18 @@ def test_voa_strength_scan_streams_jsonl():
     assert [p["ell"] for p in lines] == [1, 2, 3, 4, 5]
     assert all(p["strength"] == 3 for p in lines)
     assert [p["coefficient"] for p in lines[:3]] == ["1/1", "240/1", "2160/1"]
+
+
+def test_voa_strength_scan_documents_name_schema_and_command():
+    code, text = run(["--format", "json", "voa-strength", "--c", "8",
+                      "--scan-to", "5"])
+    assert code == 0
+    docs = [json.loads(line) for line in text.splitlines()]
+    assert [d["ell"] for d in docs] == [1, 2, 3, 4, 5]
+    assert all(d["schema"] == "v1" and d["command"] == "voa-strength"
+               for d in docs)
+    # a scan line is the document of its single ell
+    assert docs[2] == run_json(["voa-strength", "--c", "8", "--ell", "3"])
 
 
 def test_voa_strength_scan_text_summary():

@@ -566,8 +566,8 @@ def test_ord_p():
 # read off a trace q^(-c/24) sum_(i >= base) t(i) q^i by display index
 
 def test_vanishing_indices_constant():
-    # q^(1/24) * 1 at charge 1: display base 0
-    one = TraceSeries(1, QSeries.one(5), "1", prefactor24=1)
+    # q^(-1/24) * 1 at charge 1: display base 0
+    one = TraceSeries(1, QSeries.one(5).shift24(-1), "1")
     assert one.zero_indices_up_to(5) == (1, 2, 3, 4, 5)
 
 
@@ -577,7 +577,7 @@ def test_vanishing_indices_eta_power_eight():
 
 
 def test_vanishing_indices_e4_empty():
-    e4 = TraceSeries(8, eisenstein(4, 60), "E4", prefactor24=8)
+    e4 = TraceSeries(8, eisenstein(4, 60).shift24(-8), "E4")
     assert e4.zero_indices_up_to(50) == ()
 
 

@@ -273,5 +273,4 @@ def test_trace_offsets_encode_central_charge():
                + [remark4_series(16).trace]):
         # each is displayed q^{-c/24} sum_{i>=1} t(i) q^i
         assert tr.index_base == 1
-        assert (24 * tr.index_base == tr.series.offset24
-                + tr.central_charge - tr.prefactor24)
+        assert 24 * tr.index_base == tr.series.offset24 + tr.central_charge

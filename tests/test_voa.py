@@ -507,13 +507,27 @@ def test_lehmer_scan_small():
     assert scan.a_values[1] == 1 and scan.a_values[2] == -16
 
 
+def test_lehmer_scan_reads_a_values_from_ten_terms():
+    # the scan reports a(1..10) and builds a_series that far, not to its
+    # bound: a later a_series(11) has to grow the held trace
+    voa._witness_trace.cache_clear()
+    scan = lehmer_scan(3000)
+    misses = voa._witness_trace.cache_info().misses
+    a_series(11)
+    assert voa._witness_trace.cache_info().misses == misses + 1
+    assert scan.a_values == {ell: a_series(3000).coeff(ell)
+                             for ell in range(1, 11)}
+    assert lehmer_scan(1, shells_to=1).a_values == {1: 1}
+
+
 def test_remark4_series_against_dense_convolution():
     prec = 30
     num = euler_power(2, 15, prec)
     den = invert(euler_power(1, 7, prec), prec)
     oracle = poly_mul(num, den, prec)
     rep = remark4_series(prec)
-    assert rep.trace.central_charge == 1 and rep.trace.prefactor24 == 1
+    # charge 1 carries the closed form's q^(1/24): no extra shift
+    assert rep.trace.central_charge == 1 and rep.trace.series.offset24 == 23
     for i in range(1, prec + 1):
         assert rep.trace.coeff(i) == oracle[i - 1]
     assert [rep.trace.coeff(i) for i in range(1, 6)] == [1, 7, 20, 35, 55]
