@@ -478,7 +478,13 @@ def test_zero_sphere_criteria_agree(norm):
     ["theta", "--lattice", "Z2", "--poly", "zonal:1000000000:1,0",
      "--prec", "4"],
     ["lattice-design", "--lattice", "Z12", "--norm", "8", "--t",
-     str(10 ** 12), "--criterion", "moment"]])
+     str(10 ** 12), "--criterion", "moment"],
+    # a Harm_k degree over the tableau cap, before any basis is summed
+    ["code-design", "--code", "golay24", "--weights", "8,16", "--Tset",
+     "1,2,3,4,5,6", "--max-degree", "6"],
+    # the theta criterion rebuilds its forms through q^(norm/2)
+    ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "8",
+     "--criterion", "theta"]])
 def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, monkeypatch,
                                                              capsys):
     def refuse(*args):
@@ -654,7 +660,9 @@ def one_error(capsys) -> dict:
     [], ["bogus"], ["eta"], ["eta", "--prec", "abc"],
     ["voa-strength", "--c", "12", "--ell", "3"],
     ["voa-strength", "--c", "16"],
-    ["voa-strength", "--c", "16", "--ell", "2", "--scan-to", "5"]])
+    ["voa-strength", "--c", "16", "--ell", "2", "--scan-to", "5"],
+    # a sign "+" that int() alone would take
+    ["--format", "json", "eta", "--spec", "3:+8", "--prec", "5"]])
 def test_parser_refusals_follow_the_json_contract(argv, capsys):
     # parser refusals return 2 through main, never SystemExit
     assert run(argv) == (2, "")
@@ -680,7 +688,13 @@ def test_options_the_mode_ignores_are_refused(argv, message, capsys):
      "--max-degree", "9"],
     ["lattice-design", "--lattice", "{gram}", "--norm", "2", "--t", "2"],
     ["lattice-design", "--lattice", "CA:{code}", "--norm", "2", "--t", "2"],
-    ["lattice-design", "--lattice", "E8", "--norm", "3", "--t", "2"]])
+    ["lattice-design", "--lattice", "E8", "--norm", "3", "--t", "2"],
+    # a shell pair with no codewords
+    ["code-design", "--code", "golay24", "--weights", "4,20", "--Tset", "1",
+     "--max-degree", "1"],
+    # a theta depth too shallow for the deepest fit
+    ["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
+     str(10 ** 12), "--criterion", "theta"]])
 def test_library_refusals_are_usage_errors(argv, tmp_path, capsys):
     # a ValueError raised by the library for a bad request exits 2
     gram, code = tmp_path / "gram.txt", tmp_path / "code.txt"
@@ -728,7 +742,9 @@ def test_coordinates_past_int64_are_refused_not_wrapped(power, argv, tmp_path,
 
 @pytest.mark.parametrize("argv", [
     ["shell", "--lattice", "Z1", "--norm", str(10**30)],
-    ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "3"]])
+    ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "3"],
+    # the theta to norm 6 reads a shell of 1,050,240 vectors
+    ["theta", "--lattice", "CA:d16plus", "--prec", "6"]])
 def test_huge_norms_are_refused_by_the_cap(argv, capsys):
     assert run(["--format", "json"] + argv)[0] == 1
     assert one_error(capsys)["type"] == "CapExceededError"
