@@ -18,18 +18,18 @@ only by a_j or b_j, two terms that cancel, and any other y extends to none.
 Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
 exact in one int8 kernel, which makes Delsarte-style checks cheap.
 
-Each code holds its 2^k codewords as one read-only int64 array, cached
-(``codewords``): shells, the weight distribution, the minimum weight and
-the harmonic weight enumerators all read it, so every shell lists its
-blocks in the same Gray-code order.  A block family is one read-only array
-of masks too, checked by array operations.  Lambda counting takes block
-sizes by ``np.bitwise_count`` and each size group's supports from one
-incidence table, lists the lexicographic rank of each covered t-subset,
-built from two tables of half-subset sums, a tile of at most
+Each code holds its 2^k codewords as one read-only int64 array, cached for
+the last few codes (``codewords``): shells, the weight distribution, the
+minimum weight and the harmonic weight enumerators all read it, so every
+shell lists its blocks in the same Gray-code order.  A block family is one
+read-only array of masks too, checked by array operations.  Lambda counting
+takes block sizes by ``np.bitwise_count`` and each size group's supports
+from one incidence table, lists the lexicographic rank of each covered
+t-subset, built from two tables of half-subset sums, a tile of at most
 ``_LAMBDA_TILE`` ranks at a time in two buffers reused from tile to tile,
-and counts them in place in one table over all C(n,t) ranks, or by one
-sort when fewer than C(n,t) are listed, so it holds min(listed, C(n,t))
-counts and one tile.
+and counts them in place in one table over all C(n,t) ranks, or by one sort
+when fewer than C(n,t) are listed, so it holds min(listed, C(n,t)) counts
+and one tile.
 """
 
 from __future__ import annotations
@@ -124,10 +124,11 @@ def code_from_text(text: str, name: str = "") -> BinaryCode:
     return code_from_rows(n, rows, name)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)     # 128 MiB a code at the cap
 def codewords(code: BinaryCode) -> np.ndarray:
-    """All 2^k codewords as one read-only int64 array of bitmasks, cached,
-    in Gray-code order: word i is the sum of the generators at the set bits
+    """All 2^k codewords as one read-only int64 array of bitmasks, held
+    for the last four codes asked (room for the three bundled ones), in
+    Gray-code order: word i is the sum of the generators at the set bits
     of i ^ (i >> 1).  The array doubles once per generator j, its first
     2^j words followed by the same words in reverse order plus generator j,
     which is the reflected Gray code."""

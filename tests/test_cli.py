@@ -1054,6 +1054,31 @@ PINNED_TEXT = {
         "theta of E8 with poly zonal:8:1,1,0,0,0,0,0,0, norms <= 8 "
         "(exponent = norm):\n"
         "  -384*q^(2) + 9216*q^(4) - 96768*q^(6) + 565248*q^(8)\n",
+    ("code-design", "--code", "golay24", "--weight", "8", "--t", "5"):
+        "golay24 weight-8 family (759 blocks): 5-design, lambda=1\n",
+    ("code-design", "--code", "hamming8", "--weight", "4", "--t", "4"):
+        "hamming8 weight-4 family: not a 4-design\n"
+        "  witness: (0, 1, 2, 4) covered 0 times, (1, 2, 4, 7) covered 1 "
+        "times\n",
+    ("code-design", "--code", "hamming8", "--weights", "4,4", "--Tset",
+     "1,2,3", "--max-degree", "3"):
+        "hamming8 weights (4, 4) union (14 blocks): pass at degrees "
+        "[1, 2, 3]\n",
+    ("lattice-design", "--lattice", "E8", "--norm", "4", "--t", "7",
+     "--criterion", "moment"):
+        "E8 norm 4 (2160 vectors, moment): strength 7\n",
+    ("lattice-design", "--lattice", "E8", "--norm", "2", "--t", "8",
+     "--criterion", "zonal"):
+        "E8 norm 2 (240 vectors, zonal): strength 7, first failure at "
+        "degree 8\n",
+    ("voa-strength", "--c", "16", "--ell", "1"):
+        "c=16 ell=1: coefficient 1 -> not a degree-4 design; strength 3\n",
+    ("voa-strength", "--c", "16", "--scan-to", "20"):
+        "c=16, ell=1..20: strengths {'3': 13, '7': 7}\n"
+        "  design at the contested degree for ell in "
+        "[4, 8, 12, 14, 16, 19, 20]\n",
+    ("remark4", "--prec", "20"):
+        "closed-form trace to exponent 20: no vanishing coefficients\n",
 }
 
 

@@ -187,6 +187,25 @@ def test_shells_list_the_gray_order_block_by_block(make):
         assert blocks.tolist() == [u for u in words if u.bit_count() == w], w
 
 
+def test_codewords_are_held_for_the_last_few_codes():
+    # 2^k words a code: a process that meets many codes holds a bounded
+    # number of arrays, and a cycle over the three bundled codes is served
+    # from the cache after its first round
+    bound = codewords.cache_info().maxsize
+    assert bound >= 3
+    rng = random.Random(32)
+    for _ in range(2 * bound):
+        codewords(code_from_rows(20, [rng.getrandbits(20) for _ in range(8)]))
+        assert codewords.cache_info().currsize <= bound
+    bundled = (hamming_e8(), d16_plus(), golay_g24())
+    held = [codewords(code) for code in bundled]
+    misses = codewords.cache_info().misses
+    for _ in range(2):
+        assert all(codewords(code) is words
+                   for code, words in zip(bundled, held))
+    assert codewords.cache_info().misses == misses
+
+
 def test_weight_distribution_and_min_weight_match_the_brute_span():
     rng = random.Random(35)
     codes_ = [hamming_e8(), d16_plus(), golay_g24()]
@@ -544,19 +563,6 @@ def test_wide_families_hold_python_int_masks():
         oracle_verdicts(closed, [1, 2])
 
 
-def test_block_family_guards_run_under_optimize(run_optimized):
-    script = (
-        "from designlab.codes import BlockFamily as B\n"
-        "for make in (lambda: B(8, (3, 3)), lambda: B(8, (1 << 8,)),\n"
-        "             lambda: B(8, (3,)).union(B(9, (5,)))):\n"
-        "    try:\n"
-        "        make()\n"
-        "    except ValueError:\n"
-        "        continue\n"
-        "    raise SystemExit(1)\n")
-    assert run_optimized(script) == 0
-
-
 # -- discrete harmonics --------------------------------------------------------
 
 def test_harm_dim_formula():
@@ -660,30 +666,6 @@ def test_harm_basis_certification_rejects_corrupt_pair_system(monkeypatch):
                         lambda n, k: [x[1:] for x in TABLEAU_PAIRS(n, k)])
     with pytest.raises(InternalCheckError, match="count"):
         build(8, 3)
-
-
-def test_harm_basis_checks_run_under_optimize(run_optimized):
-    script = (
-        "import designlab.codes as C\n"
-        "from designlab.errors import InternalCheckError\n"
-        "make = C._tableau_pairs\n"
-        "def reuse_a_point(a, b, n): a[-1, 0] = b[-1, -1]\n"
-        "def pair_a_point_with_itself(a, b, n): a[-1, 0] = b[-1, 0]\n"
-        "def leave_the_range(a, b, n): b[-1, -1] = n\n"
-        "for corrupt in (reuse_a_point, pair_a_point_with_itself,\n"
-        "                leave_the_range):\n"
-        "    def corrupted(n, k, corrupt=corrupt):\n"
-        "        a, b = make(n, k)\n"
-        "        corrupt(a, b, n)\n"
-        "        return a, b\n"
-        "    C._tableau_pairs = corrupted\n"
-        "    for n, k in ((8, 3), (24, 5)):\n"
-        "        try:\n"
-        "            C.harm_basis.__wrapped__(n, k)\n"
-        "        except InternalCheckError:\n"
-        "            continue\n"
-        "        raise SystemExit(1)\n")
-    assert run_optimized(script) == 0
 
 
 def test_harm_basis_is_independent_mod_p():
@@ -1021,17 +1003,6 @@ def test_the_decision_folds_a_closed_family_once(monkeypatch):
     assert full == [2 * s for s in sums(basis, BlockFamily(8, check(ham)))]
     assert any(full)
     assert checks == [1518]
-
-
-def test_complement_check_runs_under_optimize(run_optimized):
-    # the hamming8 weight-4 shell less one block is no 1-design
-    script = (
-        "from designlab.codes import BlockFamily, delsarte_design_check,\\\n"
-        "    hamming_e8, shell\n"
-        "blocks = shell(hamming_e8(), 4).blocks[1:]\n"
-        "ok, bad = delsarte_design_check(BlockFamily(8, blocks), [1])[1]\n"
-        "raise SystemExit(0 if not ok and bad is not None else 1)\n")
-    assert run_optimized(script) == 0
 
 
 # -- two-weight checks ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from designlab import _grow
 from designlab._grow import grow_once
 
 
@@ -46,3 +47,24 @@ def test_a_build_that_raises_leaves_the_held_value():
     with pytest.raises(ValueError):
         table("other", 99)
     assert table.cache_info()[1:] == (3, 64, 1)
+
+
+def test_the_least_recently_used_key_goes_first(monkeypatch):
+    monkeypatch.setattr(_grow, "MAXSIZE", 2)
+    log = []
+    table = counting_table(log)
+
+    def call(key, size):
+        value = table(key, size)
+        assert table.cache_info().currsize <= 2
+        return value
+
+    held = {key: call(key, 3) for key in "ab"}
+    call("a", 2)                # a hit makes "a" the newest key,
+    call("c", 3)                # so "b", the oldest, goes
+    assert call("a", 3) is held["a"]
+    builds = log.count(("build", 3))
+    call("b", 3)                # built again; "c" goes
+    call("c", 3)                # built again; "a" goes
+    assert log.count(("build", 3)) == builds + 2
+    assert table.cache_info() == (2, 5, 2, 2)

@@ -479,27 +479,25 @@ def test_corrupted_lll_transforms_are_refused(monkeypatch):
             row[0] *= 2
         return u, r2
 
-    # an earlier test may have cached this Gram matrix, and a cached
-    # reduced basis, or a ball held at any bound, would never call the
-    # patched _lll
-    lattices._reduced_basis.cache_clear()
-    _vectors_by_doubled_norm.cache_clear()
-    monkeypatch.setattr(lattices, "_lll", scaled)
+    lll = lattices._lll
+
+    def skewed(g2):
+        # U off by one entry: U G2 U^T is no longer the reduced matrix
+        u, r2 = lll(g2)
+        u[0][-1] += 1
+        return u, r2
+
     a2 = Lattice(((F(2), F(1)), (F(1), F(2))))
-    with pytest.raises(InternalCheckError, match="unimodular"):
-        shell_enum(a2, 2)
-
-
-def test_corrupted_lll_transform_refused_under_optimize(refused_under_optimize):
-    assert refused_under_optimize(
-        "import designlab.lattices as L\n"
-        "lll = L._lll\n"
-        "def corrupted(g2):\n"
-        "    u, r2 = lll(g2)\n"
-        "    u[0][-1] += 1\n"
-        "    return u, r2\n"
-        "L._lll = corrupted\n"
-        "L.shell_enum(L.lattice_e8(), 2)")
+    for corrupt, lat, why in ((scaled, a2, "unimodular"),
+                              (skewed, lattice_e8(), "reduced Gram matrix")):
+        # an earlier test may have cached this Gram matrix, and a cached
+        # reduced basis, or a ball held at any bound, would never call the
+        # patched _lll
+        lattices._reduced_basis.cache_clear()
+        _vectors_by_doubled_norm.cache_clear()
+        monkeypatch.setattr(lattices, "_lll", corrupt)
+        with pytest.raises(InternalCheckError, match=why):
+            shell_enum(lat, 2)
 
 
 # the shell functions read SHELL_CAP; the vector table takes the cap, so
@@ -681,14 +679,6 @@ def test_antipodality_is_checked_block_by_block(monkeypatch):
             build(e8, 4, SHELL_CAP, 1)
 
 
-def test_antipodality_guard_runs_under_optimize(refused_under_optimize):
-    assert refused_under_optimize(
-        "import numpy as np\n"
-        "import designlab.lattices as L\n"
-        "L._sorted_ball = lambda *a: ({2: 2}, np.array([[0, 1], [1, 0]]))\n"
-        "L.shell_enum(L.lattice_zn(2), 1)")
-
-
 # (lattice, largest doubled norm): every smaller bound is served from the
 # one ball built there; the last is Z2 scaled by 2^62, whose doubled norms
 # are multiples of 2^63
@@ -794,15 +784,6 @@ def test_half_ball_with_a_vector_and_its_negation_is_refused(monkeypatch):
                             lambda *a, rows=emitted: iter([np.array(rows)]))
         with pytest.raises(InternalCheckError, match="twice or with -row"):
             lattices._sorted_ball(lattice_zn(2), 2, SHELL_CAP)
-
-
-def test_half_ball_repeat_guard_runs_under_optimize(refused_under_optimize):
-    assert refused_under_optimize(
-        "import numpy as np\n"
-        "import designlab.lattices as L\n"
-        "rows = np.array([[1, 0], [-1, 0]])\n"
-        "L._search_candidates = lambda *a: iter([rows])\n"
-        "L.shell_enum(L.lattice_zn(2), 1)")
 
 
 def python_products(rows, mat):

@@ -17,8 +17,8 @@ from designlab.lattices import (harmonic_theta, lattice_e8,
                                 zonal_harmonic_coords)
 from designlab import modforms, qseries
 from designlab.errors import CapExceededError, InternalCheckError
-from designlab.modforms import (SERIES_CAP, _euler_power, _monomials,
-                                cusp_monomials, echelon_rows)
+from designlab.modforms import (SERIES_CAP, ModFormSpace, _euler_power,
+                                _monomials, cusp_monomials, echelon_rows)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -197,15 +197,11 @@ def test_theta_eta_quotients_to_3000(factors, sign):
     assert f.int_list(3001) == expect
 
 
-def test_power_recurrence_remainder_is_refused(refused_under_optimize):
+def test_power_recurrence_remainder_is_refused():
     # a non-integral exponent leaves a remainder at q^1, which the exact
     # division check refuses
     with pytest.raises(InternalCheckError):
         _euler_power(Fraction(1, 2), 5)
-    assert refused_under_optimize(
-        "from fractions import Fraction\n"
-        "from designlab.modforms import _euler_power\n"
-        "_euler_power(Fraction(1, 2), 5)")
 
 
 # -- eisenstein ------------------------------------------------------------
@@ -529,17 +525,16 @@ def test_echelon_rows_refuse_rows_off_the_grid():
         echelon_rows([QSeries.one(4).shift24(-24)], 2)
 
 
-def test_echelon_guards_run_under_optimize(refused_under_optimize):
-    space = ("from designlab.modforms import ModFormSpace\n"
-             "from designlab.qseries import QSeries\n")
-    assert refused_under_optimize(
-        space + "ModFormSpace(4, 2, 4, [QSeries.one(4)])")
-    assert refused_under_optimize(
-        space + "ModFormSpace(4, 1, 4, [QSeries.one(4).shift24(24)])")
-    assert refused_under_optimize(
-        "import designlab.modforms as M\n"
-        "M.echelon_rows = lambda rows, prec: rows[:1]\n"
-        "M.mf_basis(12, 4)")
+def test_echelon_bases_must_lead_at_0_to_dim_minus_1(monkeypatch):
+    # one row short of the dimension, a row leading at q^1 instead of q^0,
+    # and a basis whose reduction lost a row
+    one = QSeries.one(4)
+    for dim, basis in ((2, [one]), (1, [one.shift24(24)])):
+        with pytest.raises(InternalCheckError, match="lead at exponents"):
+            ModFormSpace(4, dim, 4, basis)
+    monkeypatch.setattr(modforms, "echelon_rows", lambda rows, prec: rows[:1])
+    with pytest.raises(InternalCheckError, match="lead at exponents"):
+        mf_basis(12, 4)
 
 
 # -- integer helpers -------------------------------------------------------

@@ -479,23 +479,24 @@ def test_certified_zonal_trace_tries_the_direction_policy(monkeypatch):
     assert tried == theta_directions(16)
 
 
-def test_trace_guards_run_under_optimize(refused_under_optimize):
-    voa = "import designlab.voa as V\n"
-    assert refused_under_optimize(
-        voa + "from designlab.lattices import constant_poly, lattice_e8\n"
-        "V._over_eta_rank = lambda form, rank: form.shift24(1)\n"
-        "V.graded_trace(lattice_e8(), constant_poly(8), 2)")
-    assert refused_under_optimize(
-        voa + "from designlab.qseries import QSeries\n"
-        "V.eta_quotient = lambda factors, prec: QSeries.one(prec)\n"
-        "V.remark4_series(5)")
-    assert refused_under_optimize(
-        voa + "V._EXPECTED_T[8] = frozenset({1, 3})\n"
-        "V.conformal_T_set(8)")
-    assert refused_under_optimize(
-        voa + "V.ramanujan_tau = lambda n: 0\n"
-        "V.lehmer_scan(1, shells_to=1)")
-    assert refused_under_optimize(voa + "V._witness_trace(24, 12, 16)")
+def test_trace_guards_refuse_planted_faults(monkeypatch):
+    # a trace off the -c/24 grid, a closed form at the wrong offset, an
+    # expected T-set the obstruction count does not re-derive, and a tau
+    # that disagrees with the degree-8 shell sums
+    faults = [
+        ("_over_eta_rank", lambda form, rank: form.shift24(1),
+         lambda: graded_trace(lattice_e8(), constant_poly(8), 2), "grid"),
+        ("eta_quotient", lambda factors, prec: QSeries.one(prec),
+         lambda: remark4_series(5), "23/24"),
+        ("_EXPECTED_T", {**voa._EXPECTED_T, 8: frozenset({1, 3})},
+         lambda: conformal_T_set.__wrapped__(8), "expected T-set"),
+        ("ramanujan_tau", lambda n: 0,
+         lambda: lehmer_scan(1, shells_to=1), "disagree")]
+    for name, planted, call, why in faults:
+        with monkeypatch.context() as m:
+            m.setattr(voa, name, planted)
+            with pytest.raises(InternalCheckError, match=why):
+                call()
 
 
 # -- scans and closed forms ------------------------------------------------------------
