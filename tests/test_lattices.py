@@ -479,6 +479,20 @@ def test_corrupted_lll_transforms_are_refused(monkeypatch):
             row[0] *= 2
         return u, r2
 
+    # an earlier test may have cached this Gram matrix, and a cached
+    # reduced basis, or a ball held at any bound, would never call the
+    # patched _lll
+    lattices._reduced_basis.cache_clear()
+    _vectors_by_doubled_norm.cache_clear()
+    monkeypatch.setattr(lattices, "_lll", scaled)
+    a2 = Lattice(((F(2), F(1)), (F(1), F(2))))
+    with pytest.raises(InternalCheckError, match="unimodular"):
+        shell_enum(a2, 2)
+
+
+def test_corrupted_lll_transform_refused_under_optimize(monkeypatch):
+    # the product check in _reduced_basis is a plain raise, so it holds
+    # under python -O too (test_every_guard_runs_under_optimize)
     lll = lattices._lll
 
     def skewed(g2):
@@ -487,17 +501,11 @@ def test_corrupted_lll_transforms_are_refused(monkeypatch):
         u[0][-1] += 1
         return u, r2
 
-    a2 = Lattice(((F(2), F(1)), (F(1), F(2))))
-    for corrupt, lat, why in ((scaled, a2, "unimodular"),
-                              (skewed, lattice_e8(), "reduced Gram matrix")):
-        # an earlier test may have cached this Gram matrix, and a cached
-        # reduced basis, or a ball held at any bound, would never call the
-        # patched _lll
-        lattices._reduced_basis.cache_clear()
-        _vectors_by_doubled_norm.cache_clear()
-        monkeypatch.setattr(lattices, "_lll", corrupt)
-        with pytest.raises(InternalCheckError, match=why):
-            shell_enum(lat, 2)
+    lattices._reduced_basis.cache_clear()
+    _vectors_by_doubled_norm.cache_clear()
+    monkeypatch.setattr(lattices, "_lll", skewed)
+    with pytest.raises(InternalCheckError, match="reduced Gram matrix"):
+        shell_enum(lattice_e8(), 2)
 
 
 # the shell functions read SHELL_CAP; the vector table takes the cap, so
