@@ -29,11 +29,11 @@ smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
 moments give the cumulative strength-t criterion, and the zonal kernel
 (the monic Gegenbauer recurrence in integers, ``_zonal_sums``) per-degree
-verdicts; fitted weighted thetas decide even unimodular shells past
-enumeration (``theta_design_report``).  A harmonic polynomial is the
-constant 1 or a zonal harmonic along a lattice coordinate row, summed over
-a shell by the same kernel on the histogram of its inner products with
-the row.  Every degree passes one ``DEGREE_CAP`` check (``_degree_list``).
+verdicts; weighted thetas, refused first and fitted in one predicted space
+per degree (``_theta_fits``), decide even unimodular shells past
+enumeration (``theta_design_report``).  A harmonic polynomial, 1 or a zonal
+harmonic along a lattice coordinate row, is summed over a shell by the same
+kernel.  Every degree passes one ``DEGREE_CAP`` check (``_degree_list``).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from ._grow import grow_once
 from .codes import (BinaryCode, _int_dtype, _read_only, is_doubly_even,
                     is_self_dual)
 from .errors import CapExceededError, InternalCheckError
-from .modforms import (_check_prec, cusp_monomials, fit_in_space, mf_basis,
-                       mf_dim)
+from .modforms import (FitResult, ModFormSpace, _check_prec, cusp_monomials,
+                       fit_in_space, mf_basis, mf_dim)
 from .qseries import QSeries, exact_str
 
 __all__ = [
@@ -965,31 +965,37 @@ class MembershipReport:
     series: QSeries             # the theta fitted, exponent = norm
 
 
-def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
-                           prec_norm: int = 8) -> MembershipReport:
-    """Fit the modular-q theta into M_k, k = n/2 + degree, in the echelon
-    basis ``mf_basis(k)``; ``mf_basis(k, prec).element(coords)`` extends
-    the fitted form to any precision.  ``with_e6_factor`` records
-    k = 2 (mod 4), where every monomial E4^a E6^b has b odd, so
-    M_k = E6 * M_{k-6}.  Every enumerated coefficient beyond the space
-    dimension cross-checks the fit.
-    """
+def _theta_fits(lat: Lattice, degree: int, polys, prec_norm: int, prec: int
+                ) -> Iterator[tuple[QSeries, FitResult, ModFormSpace]]:
+    """Refuse first, once (degree cap, even unimodular lattice, even degree,
+    depth ``theta_fit_norm``); then fit each polynomial's theta, q-halved,
+    in one canonical echelon basis of M_k, k = n/2 + degree, exact through
+    max(prec, prec_norm // 2): its pivots 0..dim-1 give the coordinates and
+    the theta's later terms check them.  Yield (theta, fit, space)."""
+    _degree_list((degree,))
     require_even_unimodular(lat, "membership prediction")
-    if p.degree % 2:
+    if degree % 2:
         raise ValueError("harmonic degree must be even here")
-    needed = theta_fit_norm(lat.rank, p.degree)
-    if prec_norm < needed:
+    if prec_norm < (needed := theta_fit_norm(lat.rank, degree)):
         raise ValueError("not enough theta coefficients for a meaningful fit: "
                          f"enumerate to norm {needed} at least")
-    weight = lat.rank // 2 + p.degree
-    series = harmonic_theta(lat, p, prec_norm)
-    theta = to_modular_q(series)
-    ltop = theta.offset24 // 24 + theta.prec   # highest known exponent
-    space = mf_basis(weight, ltop)
-    fit = fit_in_space(theta, space, margin=ltop + 1 - space.dim)
-    return MembershipReport(weight, weight % 4 == 2, fit.ok,
-                            fit.coords if fit.ok else None,
-                            fit.mismatch_exponent, series)
+    _check_prec(prec)
+    space = None
+    for p in polys:
+        theta = harmonic_theta(lat, p, prec_norm)   # its refusals come first
+        space = space or mf_basis(lat.rank // 2 + degree,
+                                  max(prec, prec_norm // 2))
+        yield theta, fit_in_space(to_modular_q(theta), space, margin=1), space
+
+
+def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
+                           prec_norm: int = 8) -> MembershipReport:
+    """Fit the theta of ``p`` into M_k, k = n/2 + degree (``_theta_fits``);
+    ``mf_basis(k, prec).element(coords)`` extends it to any precision.
+    ``with_e6_factor`` records k = 2 (mod 4): M_k = E6 * M_{k-6}."""
+    (series, fit, space), = _theta_fits(lat, p.degree, [p], prec_norm, 0)
+    return MembershipReport(space.weight, space.weight % 4 == 2, fit.ok,
+                            fit.coords, fit.mismatch_exponent, series)
 
 
 def theta_fit_norm(rank: int, degree: int) -> int:
@@ -1011,19 +1017,18 @@ def theta_directions(rank: int) -> list[tuple[int, ...]]:
 def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int
                      ) -> Iterator[tuple[tuple, tuple[Fraction, ...], QSeries]]:
     """Fit the degree-``degree`` zonal theta along each direction of
-    ``theta_directions``; yield (direction, coords, form), the form rebuilt
-    through q^prec.  Membership is a theorem for even unimodular lattices,
-    so a failed fit is an internal error."""
-    _degree_list((degree,))             # the cap refuses before any form
-    space = mf_basis(lat.rank // 2 + degree, prec)
-    for u in theta_directions(lat.rank):
-        rep = theta_membership_check(lat, zonal_harmonic_coords(lat, degree, u),
-                                     prec_norm)
-        if not rep.fit_ok:
+    ``theta_directions`` in one space (``_theta_fits``); yield (direction,
+    coords, form), the form exact through q^max(prec, prec_norm // 2).  A
+    failed fit is an internal error: membership is a theorem here."""
+    dirs = theta_directions(lat.rank)
+    fits = _theta_fits(lat, degree, (zonal_harmonic_coords(lat, degree, u)
+                                     for u in dirs), prec_norm, prec)
+    for u, (_, fit, space) in zip(dirs, fits):
+        if not fit.ok:
             raise InternalCheckError(
-                f"degree-{degree} theta along {tuple(u)} escaped M_"
-                f"{rep.weight}: mismatch at q^{rep.mismatch_exponent}")
-        yield tuple(u), rep.coords, space.element(rep.coords)
+                f"degree-{degree} theta along {u} escaped M_{space.weight}: "
+                f"mismatch at q^{fit.mismatch_exponent}")
+        yield u, fit.coords, space.element(fit.coords)
 
 
 @dataclass(frozen=True)

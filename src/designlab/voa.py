@@ -23,8 +23,7 @@ from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
 from .lattices import (HarmonicPolynomial, Lattice, gegenbauer_component_sums,
                        harmonic_theta, lattice_e8, require_even_unimodular,
-                       shell_enum, theta_fit_norm, to_modular_q,
-                       zonal_theta_fits)
+                       shell_enum, to_modular_q, zonal_theta_fits)
 from .modforms import (cusp_monomials, eisenstein, eta_quotient, factorize,
                        mf_dim, ramanujan_tau)
 from .qseries import QSeries
@@ -335,25 +334,21 @@ def certified_zonal_trace(lat: Lattice, degree: int, reference: TraceSeries,
                           prec_norm: int = 8) -> ProportionalityCertificate:
     """Certify graded_trace(lat, zonal) = ratio * reference to >= 50 terms.
 
-    ``zonal_theta_fits`` fits the zonal theta along each direction of
-    ``theta_directions`` in the predicted weight-(rank/2 + degree) space,
-    where the enumerated coefficients overdetermine its coordinates, and
-    rebuilds it through the precision of the reference.  Dividing by
+    ``zonal_theta_fits`` refuses a bad request (``ValueError``) before any
+    shell or space, then fits the zonal theta along each direction of
+    ``theta_directions`` in the predicted weight-(rank/2 + degree) space
+    and rebuilds it through the precision of the reference.  Dividing by
     eta^rank then certifies the proportionality far beyond enumeration
     range, on every coefficient the reference knows.  Directions whose
     coordinates all vanish have the zero theta and are skipped.
     """
-    rank = lat.rank
-    if prec_norm < theta_fit_norm(rank, degree):
-        raise PrecisionError(f"enumeration to norm {prec_norm} underdetermines "
-                             f"the degree-{degree} theta fit")
     nonzero = False
     for w, coords, form in zonal_theta_fits(lat, degree, prec_norm,
                                             reference.series.prec):
         if not any(coords):
             continue                    # the zero theta
         nonzero = True
-        trace = _over_eta_rank(form, rank)
+        trace = _over_eta_rank(form, lat.rank)
         if trace.offset24 != reference.series.offset24:
             raise OffsetError("trace sits on a different exponent grid "
                               f"than {reference.source}")

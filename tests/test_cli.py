@@ -22,6 +22,7 @@ from designlab import cli, lattices
 from designlab._fixtures import fixture_text
 from designlab.cli import main
 from designlab.codes import d16_plus, golay_g24
+from designlab.errors import FixtureError
 from designlab.lattices import (Lattice, _int_dtype, construction_a,
                                 lattice_e8, shell_enum, shell_sizes_up_to,
                                 theta_design_report, theta_fit_norm)
@@ -425,6 +426,8 @@ def test_fixture_dir_leaves_bundled_fixtures_alone(tmp_path, monkeypatch):
     bundled = Path(designlab.__file__).parent / "fixtures"
     assert fixture_text("codes", "golay24.txt") == \
         (bundled / "codes" / "golay24.txt").read_text()
+    with pytest.raises(FixtureError, match="fixture not found"):
+        fixture_text("codes", "rep2.txt")
     # the built-ins are cached per process: rebuild them under the variable
     golay_g24.cache_clear()
     lattice_e8.cache_clear()
@@ -484,13 +487,19 @@ def test_zero_sphere_criteria_agree(norm):
      "1,2,3,4,5,6", "--max-degree", "6"],
     # the theta criterion rebuilds its forms through q^(norm/2)
     ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "8",
-     "--criterion", "theta"]])
+     "--criterion", "theta"],
+    # 2^25 codewords, refused before the word array is built
+    ["code-design", "--code", "{tall}", "--weight", "1", "--t", "1"]])
 def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, monkeypatch,
-                                                             capsys):
+                                                             tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("the ball was enumerated")
 
     monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
+    tall = tmp_path / "tall.txt"            # the 25 x 25 identity
+    tall.write_text("".join("0" * i + "1" + "0" * (24 - i) + "\n"
+                            for i in range(25)))
+    argv = [x.format(tall=tall) for x in argv]
     start = time.perf_counter()
     assert run(["--format", "json"] + argv) == (1, "")
     assert time.perf_counter() - start < 1.0
@@ -675,7 +684,12 @@ def test_parser_refusals_follow_the_json_contract(argv, capsys):
     (["lattice-design", "--lattice", "E8", "--norm", "2", "--t", "3",
       "--criterion", "zonal", "--prec-norm", "-5"], "--prec-norm applies"),
     (["code-design", "--code", "golay24", "--weight", "8", "--t", "2",
-      "--max-degree", "9"], "--max-degree applies")])
+      "--max-degree", "9"], "--max-degree applies"),
+    (["code-design", "--code", "golay24", "--t", "2"], "--t needs --weight"),
+    (["code-design", "--code", "golay24", "--Tset", "1"],
+     "--Tset needs --weights"),
+    (["code-design", "--code", "golay24", "--weights", "8,16", "--Tset",
+      "2,4", "--max-degree", "3"], "--Tset degrees must lie in 1..max")])
 def test_options_the_mode_ignores_are_refused(argv, message, capsys):
     assert run(argv) == (2, "")
     error = one_error(capsys)
@@ -694,13 +708,20 @@ def test_options_the_mode_ignores_are_refused(argv, message, capsys):
      "--max-degree", "1"],
     # a theta depth too shallow for the deepest fit
     ["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
-     str(10 ** 12), "--criterion", "theta"]])
+     str(10 ** 12), "--criterion", "theta"],
+    # a code of length 33
+    ["code-design", "--code", "{wide}", "--weight", "1", "--t", "1"],
+    # E8 has no vector of norm 1
+    ["lattice-design", "--lattice", "E8", "--norm", "1", "--t", "2",
+     "--criterion", "zonal"]])
 def test_library_refusals_are_usage_errors(argv, tmp_path, capsys):
     # a ValueError raised by the library for a bad request exits 2
     gram, code = tmp_path / "gram.txt", tmp_path / "code.txt"
     gram.write_text("1 2\n2 1\n")         # not positive definite
     code.write_text("1100\n")              # not doubly even
-    argv = [x.format(gram=gram, code=code) for x in argv]
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1" * 33 + "\n")
+    argv = [x.format(gram=gram, code=code, wide=wide) for x in argv]
     assert run(argv)[0] == 2
     assert one_error(capsys)["type"] == "usage"
 

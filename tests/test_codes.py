@@ -233,6 +233,11 @@ def test_codeword_arrays_refuse_writes():
             fam.blocks[0] = 5
 
 
+def test_generator_rows_past_the_length_are_refused():
+    with pytest.raises(ValueError, match="exceeds code length"):
+        code_from_rows(4, [0b10000])
+
+
 def test_not_self_dual_examples():
     rep = code_from_rows(4, [0b1111])
     assert not is_self_dual(rep)

@@ -906,6 +906,16 @@ def test_sphere_moments_match_wallis_integrals():
         assert sphere_moment(n, 3) == 0
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: sphere_moment(0, 2), "need n >= 1"),
+    (lambda: gegenbauer_component_sums(shell_enum(lattice_e8(), 1), [2]),
+     "nonempty positive-norm shell"),
+    (lambda: to_modular_q(QSeries(12, 4, {0: 1})), "whole-exponent")])
+def test_malformed_sphere_and_theta_requests_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_sphere_moment_even_dimension_against_quadrature():
     nodes, weights = np.polynomial.legendre.leggauss(400)
     dens = (1 - nodes ** 2) ** 2.5          # (n-3)/2 for n = 8

@@ -548,6 +548,17 @@ def test_factorize_and_sigma():
             assert sigma(n, k) == sum(d ** k for d in divisors(n))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: factorize(0), ValueError, "positive integer"),
+    (lambda: ramanujan_tau(0), ValueError, "indexed from 1"),
+    (lambda: mf_basis(12, 0), PrecisionError, "cannot hold 2"),
+    (lambda: fit_in_space(QSeries(12, 4, {0: 1}), mf_basis(4, 4)),
+     OffsetError, "fractional exponent grid")])
+def test_malformed_form_requests_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_ord_p():
     assert ord_p(48, 2) == 4
     assert ord_p(48, 3) == 1

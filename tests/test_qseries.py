@@ -230,6 +230,21 @@ def test_truncate_only_shrinks():
         f.truncate(5)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: QSeries(0, -1, {}), PrecisionError, "negative precision"),
+    (lambda: QSeries(0, 2, {3: 1}), ValueError, "outside 0..prec"),
+    (lambda: QSeries.one(3).truncate(-1), PrecisionError,
+     "negative precision"),
+    (lambda: QSeries.one(2).int_list(4), PrecisionError,
+     "index 3 beyond known precision 2"),
+    (lambda: QSeries(0, 1, {0: 1, 1: Fraction(1, 2)}).int_list(2), ValueError,
+     "index 1 is not integral"),
+    (lambda: QSeries.zero(3).leading(), ValueError, "no leading term")])
+def test_malformed_series_requests_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_pow_and_div_are_inverse():
     f = QSeries.from_int_list(2, [1, -3, 5, 7, -2, 1])
     cube = f.pow(3)

@@ -450,10 +450,50 @@ def test_certified_zonal_trace_d16_and_golay():
 
 
 def test_certified_zonal_trace_guards():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(ValueError, match="not enough theta coefficients"):
         certified_zonal_trace(lattice_e8(), 8, a_series(60), prec_norm=2)
     with pytest.raises(OffsetError):
         certified_zonal_trace(lattice_e8(), 8, b_series(60), prec_norm=8)
+    with pytest.raises(PrecisionError, match="at least 50"):
+        certified_zonal_trace(lattice_e8(), 8, a_series(40))
+
+
+def test_theta_fit_refusals_come_before_any_shell_or_space(monkeypatch):
+    # Z8 was refused only after mf_basis(12, 20000) was built: 2 s
+    def never(*args):
+        raise AssertionError("a shell or space was built before the refusal")
+
+    monkeypatch.setattr(lattices, "mf_basis", never)
+    monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", never)
+    reference = a_series(60)
+    for lat, degree, prec_norm, message in (
+            (lattice_zn(8), 8, 8, "even unimodular"),
+            (lattice_e8(), 7, 8, "must be even"),
+            (lattice_e8(), 8, 2, "not enough theta coefficients")):
+        with pytest.raises(ValueError, match=message):
+            next(lattices.zonal_theta_fits(lat, degree, prec_norm, 20000))
+        with pytest.raises(ValueError, match=message):
+            certified_zonal_trace(lat, degree, reference, prec_norm)
+
+
+def test_one_predicted_space_per_fitted_degree(monkeypatch):
+    built = []
+
+    def spy(k, prec):
+        built.append(k)
+        return modforms.mf_basis(k, prec)
+
+    monkeypatch.setattr(lattices, "mf_basis", spy)
+    # E8 fits degrees 8 and 12 (weights 12 and 16) up to t = 12
+    lattices.theta_design_report(lattice_e8(), 1000, 12)
+    assert built == [12, 16]
+    built.clear()
+    assert certified_zonal_trace(lattice_e8(), 8, a_series(60)).ratio == 144
+    assert built == [12]
+    built.clear()
+    # all ten directions of E8, fitted in one weight-12 space
+    assert len(list(lattices.zonal_theta_fits(lattice_e8(), 8, 8, 60))) == 10
+    assert built == [12]
 
 
 
