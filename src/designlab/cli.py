@@ -27,8 +27,8 @@ import numpy as np
 # unused here; loaded because bench/run.py and bench/spans.py read it
 from . import _parallel
 from ._fixtures import user_fixture_path
-from .codes import (BinaryCode, code_from_text, d16_plus, design_lambda,
-                    golay_g24, hamming_e8, shell, two_weight_design_check)
+from .codes import (BinaryCode, code_from_text, d16_plus, golay_g24,
+                    hamming_e8, shell_design_report, two_weight_design_check)
 from .errors import DesignLabError
 from .lattices import (Lattice, _degree_list, constant_poly, construction_a,
                        gram_from_text, harmonic_theta, lattice_a2, lattice_e8,
@@ -131,7 +131,7 @@ def _resolve_code(name: str) -> BinaryCode:
     if p is None:
         raise ValueError(f"unknown code fixture {name!r} "
                          f"(known: {', '.join(sorted(_CODES))}, or a path)")
-    return code_from_text(p.read_text(), p.stem)
+    return code_from_text(p.read_text(), name)
 
 
 def _resolve_lattice(name: str) -> Lattice:
@@ -228,17 +228,14 @@ def cmd_code_design(a, out):
     if a.t is not None:
         if a.weight is None or a.weights is not None:
             raise ValueError("--t needs --weight (single shell)")
-        fam = shell(code, a.weight)
-        if not len(fam.blocks):
-            raise ValueError(f"{a.code} has no codewords of weight "
-                             f"{a.weight}")
-        res = design_lambda(fam, a.t)
+        rep = shell_design_report(code, a.weight, a.t)
+        res = rep.result
 
         def documents():
             payload = {"code": a.code, "weights": [a.weight], "t": a.t,
-                       "blocks": len(fam.blocks), "lambda": res.lam,
+                       "blocks": rep.blocks, "lambda": res.lam,
                        "verdict": ("design" if res.is_design
-                                   else "not a design")}
+                                   else "not a design"), "mode": rep.mode}
             if not res.is_design:
                 s1, c1, s2, c2 = res.witness
                 payload["witness"] = {"subset_a": list(s1), "count_a": c1,
@@ -248,7 +245,7 @@ def cmd_code_design(a, out):
         def text():
             family = f"{a.code} weight-{a.weight} family"
             if res.is_design:
-                return [f"{family} ({len(fam.blocks)} blocks): {a.t}-design, "
+                return [f"{family} ({rep.blocks} blocks): {a.t}-design, "
                         f"lambda={res.lam}"]
             s1, c1, s2, c2 = res.witness
             return [f"{family}: not a {a.t}-design", f"  witness: {s1} "

@@ -30,6 +30,15 @@ t-subset, built from two tables of half-subset sums, a tile of at most
 and counts them in place in one table over all C(n,t) ranks, or by one sort
 when fewer than C(n,t) are listed, so it holds min(listed, C(n,t)) counts
 and one tile.
+
+A code shell is first offered to the Assmus-Mattson theorem, which needs
+only two weight distributions: the code's, and its dual's from the
+MacWilliams transform (``macwilliams``, Krawtchouk values by their
+three-term recurrence in exact integers).  When it proves the asked
+strength t, lambda = A_w C(w,t) / C(n,t) follows with no block family built
+and no subset listed (``shell_design_report``); only the other requests are
+listed, so ``LAMBDA_CAP`` bounds listings alone.  The minimum distance d is
+read from the weight distribution, by ``min_weight`` and the theorem alike.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ __all__ = [
     "hamming_e8", "golay_g24", "d16_plus", "direct_sum",
     "is_doubly_even", "is_self_dual", "min_weight", "weight_distribution",
     "shell", "design_lambda", "LambdaResult",
+    "macwilliams", "assmus_mattson", "shell_design_report",
+    "ShellDesignReport",
     "harm_dim", "harm_basis", "harmonic_family_sums",
     "delsarte_design_check", "two_weight_design_check", "TwoWeightReport",
     "harmonic_weight_enumerator", "antisymmetry_check", "AntisymmetryReport",
@@ -200,8 +211,13 @@ def weight_distribution(code: BinaryCode) -> list[int]:
 
 
 def min_weight(code: BinaryCode) -> int:
-    # the zero word comes first in Gray-code order
-    return int(np.bitwise_count(codewords(code)[1:]).min())
+    """The minimum distance d: the least nonzero weight of the weight
+    distribution.  A zero-dimensional code has none (``ValueError``)."""
+    dist = weight_distribution(code)
+    d = next((i for i in range(1, len(dist)) if dist[i]), None)
+    if d is None:
+        raise ValueError("a zero-dimensional code has no minimum weight")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +523,82 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     most = int(counts.max())
     return LambdaResult(False, None, (_unrank(missing, n, t), 0,
                                       first(most), most))
+
+
+# ---------------------------------------------------------------------------
+# the MacWilliams transform and the Assmus-Mattson theorem
+# ---------------------------------------------------------------------------
+
+def macwilliams(code: BinaryCode) -> list[int]:
+    """The weight distribution B_0..B_n of the dual code, from the code's
+    own A_i: B_j = 2^-k sum_i A_i K_j(i).  The Krawtchouk values K_j(i) are
+    built in exact integers by their three-term recurrence
+    (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i), from K_0 = 1, for
+    the weights i of some codeword.  Every sum must be divisible by 2^k."""
+    n = code.n
+    sums = [0] * (n + 1)
+    for i, a in enumerate(weight_distribution(code)):
+        if not a:
+            continue
+        before, k_j = 0, 1
+        for j in range(n + 1):
+            sums[j] += a * k_j
+            before, k_j = k_j, ((n - 2 * i) * k_j
+                                - (n - j + 1) * before) // (j + 1)
+    dual = [divmod(s, 1 << code.k) for s in sums]
+    if any(rest for _, rest in dual):
+        raise InternalCheckError(f"a MacWilliams sum is not divisible by "
+                                 f"2^{code.k}: not a code's distribution")
+    return [b for b, _ in dual]
+
+
+@functools.lru_cache(maxsize=4)
+def assmus_mattson(code: BinaryCode) -> int:
+    """The largest t < d such that at most d - t of the weights
+    0 < i <= n - t have B_i != 0 (``macwilliams``), else 0.  By the
+    Assmus-Mattson theorem every shell of the code is then a t-design.  It
+    is held for the last four codes asked, as ``codewords`` is."""
+    d, dual = min_weight(code), macwilliams(code)
+    return next((t for t in range(d - 1, 0, -1)
+                 if sum(map(bool, dual[1:code.n - t + 1])) <= d - t), 0)
+
+
+@dataclass(frozen=True)
+class ShellDesignReport:
+    """The verdict on one code shell at one t: ``blocks`` counts the
+    weight-w codewords, and ``mode`` says how it was decided."""
+    blocks: int
+    result: LambdaResult
+    mode: str                   # "Assmus-Mattson" or "listing"
+
+
+def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
+    """Whether the weight-w shell of a code is a t-design, and its lambda.
+
+    A shell with no codewords is refused first, then t outside 0..n (both
+    ``ValueError``).  When the Assmus-Mattson theorem proves it
+    (1 <= t <= ``assmus_mattson``), lambda = A_w C(w,t) / C(n,t) with no
+    block family built and no subset listed.  Any other request is listed
+    by ``design_lambda`` over ``shell``, its cap refusal included.
+    """
+    dist = weight_distribution(code)
+    if not 0 <= w <= code.n or not dist[w]:
+        raise ValueError(f"{code.name or 'the code'} has no codewords of "
+                         f"weight {w}")
+    if not 0 <= t <= code.n:
+        raise ValueError(f"t must lie in 0..{code.n}")
+    # a zero-dimensional code has only the empty block, and no d
+    if code.k and 1 <= t <= assmus_mattson(code):
+        lam, rest = divmod(dist[w] * comb(w, t), comb(code.n, t))
+        if rest:
+            raise InternalCheckError(
+                f"{dist[w]} blocks of size {w} give no integral lambda at "
+                f"t = {t}, which Assmus-Mattson proved")
+        return ShellDesignReport(dist[w], LambdaResult(True, lam, None),
+                                 "Assmus-Mattson")
+    family = shell(code, w)
+    return ShellDesignReport(len(family.blocks), design_lambda(family, t),
+                             "listing")
 
 
 # ---------------------------------------------------------------------------

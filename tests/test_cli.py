@@ -299,6 +299,24 @@ def test_hamming_weight4_not_4_design():
     assert len(w["subset_a"]) == 4 and len(w["subset_b"]) == 4
 
 
+@pytest.mark.parametrize("t, mode, lines", [
+    (5, "Assmus-Mattson",
+     "golay24 weight-12 family (2576 blocks): 5-design, lambda=48\n"),
+    (6, "listing",
+     "golay24 weight-12 family: not a 6-design\n"
+     "  witness: (0, 1, 2, 3, 4, 6) covered 16 times, (0, 1, 2, 3, 4, 5) "
+     "covered 18 times\n")])
+def test_code_design_names_its_route(t, mode, lines):
+    argv = ["code-design", "--code", "golay24", "--weight", "12", "--t",
+            str(t)]
+    got = run_json(argv)
+    assert got.pop("mode") == mode
+    assert (got["blocks"], got["verdict"]) == \
+        (2576, "design" if t == 5 else "not a design")
+    # the text names no route: the same lines whichever decided
+    assert run(["--format", "text"] + argv) == (0, lines)
+
+
 def test_golay_two_weight_odd_degrees():
     got = run_json(["code-design", "--code", "golay24", "--weights", "8,16",
                     "--Tset", "odd", "--max-degree", "5"])

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from designlab import cli, codes
 from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
-                             code_from_rows, code_from_text, codewords,
-                             d16_plus, delsarte_design_check,
+                             assmus_mattson, code_from_rows, code_from_text,
+                             codewords, d16_plus, delsarte_design_check,
                              design_lambda, direct_sum,
                              divisibility_structure_check, golay_g24,
                              hamming_e8, harm_basis, harm_dim,
                              harmonic_family_sums, harmonic_weight_enumerator,
-                             is_doubly_even, is_self_dual, min_weight, shell,
+                             is_doubly_even, is_self_dual, macwilliams,
+                             min_weight, shell, shell_design_report,
                              two_weight_design_check, weight_distribution)
 from designlab.errors import CapExceededError, InternalCheckError
 
@@ -47,6 +48,20 @@ def gray_codewords(gens):
                 word ^= g
         words.append(word)
     return words
+
+
+def brute_dual_distribution(code):
+    """Weights of every vector of GF(2)^n orthogonal to each generator,
+    read off all 2^n vectors a chunk at a time."""
+    dist = np.zeros(code.n + 1, dtype=np.int64)
+    for lo in range(0, 1 << code.n, 1 << 18):
+        x = np.arange(lo, min(lo + (1 << 18), 1 << code.n), dtype=np.int64)
+        odd = np.zeros(len(x), dtype=np.uint8)
+        for g in code.gens:
+            odd |= np.bitwise_count(x & g) & 1
+        dist += np.bincount(np.bitwise_count(x[odd == 0]),
+                            minlength=code.n + 1)
+    return dist.tolist()
 
 
 def brute_gamma(n, k, values):
@@ -220,6 +235,19 @@ def test_weight_distribution_and_min_weight_match_the_brute_span():
         if code.k:
             assert min_weight(code) == min(u.bit_count() for u in words if u)
             assert type(min_weight(code)) is int
+
+
+def test_a_zero_dimensional_code_has_no_minimum_weight():
+    zero = code_from_rows(8, [0])
+    assert zero.k == 0 and weight_distribution(zero) == [1] + [0] * 8
+    for fn in (min_weight, assmus_mattson):
+        with pytest.raises(ValueError, match="zero-dimensional code has no "
+                                             "minimum weight"):
+            fn(zero)
+    # its one shell, the empty block, is still listed: lambda 0 at t >= 1
+    rep = shell_design_report(zero, 0, 3)
+    assert rep == codes.ShellDesignReport(1, LambdaResult(True, 0, None),
+                                          "listing")
 
 
 def test_codeword_arrays_refuse_writes():
@@ -504,6 +532,147 @@ def test_lambda_listing_over_the_cap_is_refused_first(tmp_path, monkeypatch,
     assert status == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "CapExceededError"
+
+
+# -- the MacWilliams transform and Assmus-Mattson ----------------------------
+
+def hamming7():
+    """The [7,4,3] cyclic Hamming code, generated by 1 + x + x^3."""
+    return code_from_rows(7, [0b1011 << s for s in range(4)], "hamming7")
+
+
+def reed_muller_1_4():
+    """RM(1,4), [16,5,8]: the all-ones word and the four coordinate
+    functions on the points 0..15 of GF(2)^4."""
+    rows = [sum(1 << p for p in range(16) if p >> b & 1) for b in range(4)]
+    return code_from_rows(16, rows + [(1 << 16) - 1], "rm14")
+
+
+def seeded_codes():
+    rng = random.Random(43)
+    out = [code_from_rows(6, [0])]
+    for n in (5, 9, 12, 16):
+        for k in (1, n // 3, n // 2, n - 1):
+            out.append(code_from_rows(n, [rng.getrandbits(n)
+                                          for _ in range(k)]))
+    return out
+
+
+def test_macwilliams_matches_the_brute_dual():
+    bundled = [hamming_e8(), d16_plus(), golay_g24()]
+    for code in bundled + [hamming7(), reed_muller_1_4()] + seeded_codes():
+        assert macwilliams(code) == brute_dual_distribution(code), code
+
+
+@pytest.mark.parametrize("code, t", [
+    (hamming_e8(), 3), (d16_plus(), 1), (golay_g24(), 5),
+    (direct_sum(hamming_e8(), d16_plus()), 0),
+    (hamming7(), 2), (reed_muller_1_4(), 3)])
+def test_assmus_mattson_strengths(code, t):
+    assert assmus_mattson(code) == t
+
+
+def test_every_shell_is_a_design_up_to_the_assmus_mattson_t():
+    bundled = [hamming_e8(), d16_plus(), golay_g24()]
+    proved = 0
+    for code in bundled + [hamming7(), reed_muller_1_4()] + seeded_codes():
+        if not code.k:
+            continue
+        dist = weight_distribution(code)
+        for w in np.flatnonzero(dist).tolist():
+            for t in range(1, assmus_mattson(code) + 1):
+                listed = design_lambda(shell(code, w), t)
+                assert listed.is_design, (code, w, t)
+                rep = shell_design_report(code, w, t)
+                assert rep == codes.ShellDesignReport(
+                    dist[w], listed, "Assmus-Mattson"), (code, w, t)
+                proved += 1
+    # 9 + 5 + 25 + 8 + 9 from the structured codes; the seeded ones have d
+    # too small for the theorem to prove any t
+    assert proved == 56
+
+
+def test_a_shell_past_the_assmus_mattson_t_is_listed(monkeypatch):
+    calls = []
+    listing = codes.design_lambda
+
+    def spy(family, t):
+        calls.append(t)
+        return listing(family, t)
+    monkeypatch.setattr(codes, "design_lambda", spy)
+    assert shell_design_report(hamming_e8(), 4, 3).mode == "Assmus-Mattson"
+    assert calls == []
+    for t in (0, 4):
+        rep = shell_design_report(hamming_e8(), 4, t)
+        assert rep.mode == "listing" and rep.blocks == 14
+        assert rep.result == listing(shell(hamming_e8(), 4), t)
+    assert calls == [0, 4]
+    # refused in the order the listing route always had: the empty shell
+    # first, then t out of range
+    for w, t, message in ((6, 1, "hamming8 has no codewords of weight 6"),
+                          (6, 9, "hamming8 has no codewords of weight 6"),
+                          (-4, 1, "hamming8 has no codewords of weight -4"),
+                          (9, 1, "hamming8 has no codewords of weight 9"),
+                          (4, 9, "t must lie in 0..8"),
+                          (4, -1, "t must lie in 0..8")):
+        with pytest.raises(ValueError, match=message):
+            shell_design_report(hamming_e8(), w, t)
+
+
+def qr32_text():
+    """The extended quadratic-residue code of length 32 as generator rows:
+    the cyclic shifts of the indicator of {0} and the squares mod 31, each
+    with a parity bit, and the all-ones row."""
+    squares = {x * x % 31 for x in range(1, 31)}
+    base = "".join("1" if i == 0 or i in squares else "0" for i in range(31))
+    rows = []
+    for s in range(31):
+        row = base[-s:] + base[:-s] if s else base
+        rows.append(row + str(row.count("1") % 2))
+    return "\n".join(rows + ["1" * 32]) + "\n"
+
+
+def test_qr32_weight_16_is_a_3_design_with_no_listing(tmp_path, monkeypatch,
+                                                      capsys):
+    def no_arrays(*args):
+        raise AssertionError("built an array for a proved shell")
+    monkeypatch.setattr(codes, "_points", no_arrays)
+    monkeypatch.setattr(codes, "_subset_ranks", no_arrays)
+    path = tmp_path / "qr32.txt"
+    path.write_text(qr32_text())
+    code = code_from_text(path.read_text())
+    assert (code.n, code.k, min_weight(code)) == (32, 16, 8)
+    assert assmus_mattson(code) == 3
+    # a listing would take 36,518 C(16,3) = 20,450,080 subsets, over the cap
+    assert 36518 * comb(16, 3) > codes.LAMBDA_CAP
+    out = io.StringIO()
+    assert cli.main(["--format", "json", "code-design", "--code", str(path),
+                     "--weight", "16", "--t", "3"], out=out) == 0
+    got = json.loads(out.getvalue())
+    assert (got["verdict"], got["lambda"], got["blocks"], got["mode"]) == \
+        ("design", 4123, 36518, "Assmus-Mattson")
+    # t = 4 is past the theorem: the listing is refused before any array
+    assert cli.main(["--format", "json", "code-design", "--code", str(path),
+                     "--weight", "16", "--t", "4"], out=io.StringIO()) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "CapExceededError"
+    assert error["message"].startswith(f"{36518 * comb(16, 4)} listed")
+
+
+def test_assmus_mattson_guards_refuse_planted_distributions(monkeypatch):
+    real = weight_distribution(golay_g24())
+    assert assmus_mattson(golay_g24()) == 5     # held from here on
+    # one codeword short: the sums are no longer multiples of 2^4
+    monkeypatch.setattr(codes, "weight_distribution",
+                        lambda code: [1, 0, 0, 0, 13, 0, 0, 0, 1])
+    with pytest.raises(InternalCheckError, match=r"not divisible by 2\^4"):
+        macwilliams(hamming_e8())
+    # one dodecad too many after the theorem was proved: 2577 C(12,5) is
+    # no multiple of C(24,5)
+    planted = real[:12] + [real[12] + 1] + real[13:]
+    monkeypatch.setattr(codes, "weight_distribution", lambda code: planted)
+    with pytest.raises(InternalCheckError, match="no integral lambda"):
+        shell_design_report(golay_g24(), 12, 5)
 
 
 def test_block_family_guards():
