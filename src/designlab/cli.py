@@ -30,9 +30,9 @@ from ._fixtures import user_fixture_path
 from .codes import (BinaryCode, code_from_text, d16_plus, golay_g24,
                     hamming_e8, shell_design_report, two_weight_design_check)
 from .errors import DesignLabError
-from .lattices import (Lattice, _degree_list, constant_poly, construction_a,
-                       gram_from_text, harmonic_theta, lattice_a2, lattice_e8,
-                       lattice_zn, moment_design_test, shell_enum,
+from .lattices import (Lattice, constant_poly, construction_a, gram_from_text,
+                       harmonic_theta, lattice_a2, lattice_e8, lattice_zn,
+                       moment_design_report, shell_enum,
                        spherical_T_design_report, theta_design_report,
                        theta_membership_check, zonal_harmonic_coords)
 from .modforms import eta_quotient
@@ -284,19 +284,15 @@ def cmd_lattice_design(a, out):
     lat = _resolve_lattice(a.lattice)
     if a.criterion == "theta":
         rep = theta_design_report(lat, a.norm, a.t, a.prec_norm or 0)
-        per = rep.verdicts
     elif a.criterion == "moment":
-        _degree_list(range(1, a.t + 1))     # refused before the search
-        rep = moment_design_test(shell_enum(lat, a.norm), a.t)
-        per = rep.per_k
+        rep = moment_design_report(lat, a.norm, a.t)
     else:
         rep = spherical_T_design_report(lat, a.norm, range(1, a.t + 1))
-        per = rep.verdicts
 
     def documents():
         payload = {"lattice": a.lattice, "norm": _frac(a.norm),
                    "criterion": a.criterion, "strength": rep.strength,
-                   "per_degree": {str(j): v for j, v in per.items()}}
+                   "per_degree": {str(j): v for j, v in rep.verdicts.items()}}
         if a.criterion == "theta":
             payload.update(prec_norm=rep.prec_norm,
                            directions_tested=rep.directions_tested,
@@ -309,7 +305,7 @@ def cmd_lattice_design(a, out):
         if a.criterion == "theta":
             return [f"{a.lattice} norm {a.norm} (theta criterion, enumeration "
                     f"to norm {rep.prec_norm}): strength {rep.strength}"] + [
-                f"  degree {j}: " + ("pass" if per[j] else "FAIL")
+                f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
                 + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
         return [f"{a.lattice} norm {a.norm} ({rep.size} vectors, "
                 f"{a.criterion}): strength {rep.strength}"

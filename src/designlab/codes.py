@@ -807,7 +807,7 @@ class TwoWeightReport:
     weights: tuple[int, int]
     family_size: int
     verdicts: dict[int, tuple[bool, int | None]]
-    modes: dict[int, str]       # "complement" or "harmonic sums", per degree
+    modes: dict[int, str]       # "constant", "complement" or "harmonic sums"
 
     def passes(self, degrees) -> bool:
         return all(self.verdicts[j][0] for j in degrees)
@@ -819,7 +819,8 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     The degree-1 verdict is exactly the statement that all points are
     covered equally often by the union family.  The union is closed under
     complement when the code holds the all-ones word; then its odd degrees
-    pass by the complement (mode "complement"), and every other degree is
+    pass by the complement (mode "complement").  Degree 0, the constants,
+    passes with no sum taken (mode "constant"), and every other degree is
     decided by the harmonic sums.  A pair with no codewords is refused
     (``ValueError``) before any basis is built.
     """
@@ -830,8 +831,8 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
         raise ValueError(f"no codewords of weight {ell} or {code.n - ell}")
     verdicts = delsarte_design_check(fam, degrees)
     closed = _complement_half(fam) is not None
-    modes = {j: "complement" if closed and j % 2 else "harmonic sums"
-             for j in verdicts}
+    modes = {j: "constant" if j == 0 else "complement" if closed and j % 2
+             else "harmonic sums" for j in verdicts}
     return TwoWeightReport((ell, code.n - ell), len(fam.blocks), verdicts,
                            modes)
 

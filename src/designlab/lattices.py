@@ -31,9 +31,12 @@ moments give the cumulative strength-t criterion, and the zonal kernel
 (the monic Gegenbauer recurrence in integers, ``_zonal_sums``) per-degree
 verdicts; weighted thetas, refused first and fitted in one predicted space
 per degree (``_theta_fits``), decide even unimodular shells past
-enumeration (``theta_design_report``).  A harmonic polynomial, 1 or a zonal
-harmonic along a lattice coordinate row, is summed over a shell by the same
-kernel.  Every degree passes one ``DEGREE_CAP`` check (``_degree_list``).
+enumeration.  Each criterion is one report, ``moment_design_report``,
+``spherical_T_design_report`` or ``theta_design_report``, and each checks
+its degrees first, before any other refusal and before enumerating.  A
+harmonic polynomial, 1 or a zonal harmonic along a lattice coordinate row,
+is summed over a shell by the same kernel.  Every degree passes one
+``DEGREE_CAP`` check (``_degree_list``).
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ __all__ = [
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
     "construction_a", "determinant", "is_even", "require_even_unimodular",
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP", "DEGREE_CAP",
-    "sphere_moment", "MomentReport", "moment_design_test", "prefix_strength",
+    "sphere_moment", "MomentReport", "moment_design_test",
+    "moment_design_report", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
     "zonal_harmonic_coords", "zonal_shell_sum",
     "constant_poly",
@@ -735,7 +739,7 @@ def _shell_pair_histogram(shell: Shell) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class MomentReport:
     size: int
-    per_k: dict[int, bool]
+    verdicts: dict[int, bool]
     strength: int
 
 
@@ -751,13 +755,21 @@ def moment_design_test(shell: Shell, t: int) -> MomentReport:
     degrees = _degree_list(range(1, t + 1))
     hist = _shell_pair_histogram(shell)
     size = len(shell)
-    per_k: dict[int, bool] = {}
+    verdicts: dict[int, bool] = {}
     for k in degrees:
         lhs = sum(cnt * w ** k for w, cnt in hist)   # sum (2 x.y)^k
         rhs = (size * size * (2 * shell.norm) ** k
                * sphere_moment(shell.lattice.rank, k))
-        per_k[k] = lhs == rhs
-    return MomentReport(size, per_k, prefix_strength(per_k))
+        verdicts[k] = lhs == rhs
+    return MomentReport(size, verdicts, prefix_strength(verdicts))
+
+
+def moment_design_report(lat: Lattice, norm, t: int) -> MomentReport:
+    """The moment criterion on one shell (``moment_design_test``); degrees
+    1..t are checked against ``DEGREE_CAP`` before the shell is enumerated.
+    """
+    _degree_list(range(1, t + 1))
+    return moment_design_test(shell_enum(lat, norm), t)
 
 
 def prefix_strength(verdicts: dict[int, bool]) -> int:
@@ -845,8 +857,6 @@ def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
     """
     degrees = _degree_list(degrees)
     shell = shell_enum(lat, norm)
-    if not len(shell):
-        raise ValueError("empty shell")
     sums = gegenbauer_component_sums(shell, degrees)
     verdicts = {j: v == 0 for j, v in sums.items()}
     return TDesignReport(len(shell), verdicts, sums, prefix_strength(verdicts))
@@ -1044,7 +1054,8 @@ def theta_design_report(lat: Lattice, norm, t: int,
                         prec_norm: int = 0) -> ThetaDesignReport:
     """Verdicts and deciding modes for degrees 1..t on the shell of a
     positive even norm of an even unimodular lattice, from an enumeration to
-    ``prec_norm`` (0: norm 8 up to rank 8, else 4); every refusal comes first.
+    ``prec_norm`` (0: norm 8 up to rank 8, else 4); every refusal comes
+    first, the ``DEGREE_CAP`` check on degrees 1..t before all others.
 
     Odd degrees hold by antipodality.  An even degree's weighted theta lies
     in the weight-(rank/2 + degree) forms vanishing at q = 0; when that space
@@ -1053,6 +1064,7 @@ def theta_design_report(lat: Lattice, norm, t: int,
     fitted form's coefficient at the norm is read: a nonzero disproves, and
     zeros mean no obstruction along the tested directions.
     """
+    _degree_list(range(1, t + 1))
     require_even_unimodular(lat, "theta criterion")
     norm = Fraction(norm)
     if norm <= 0 or norm.denominator != 1 or int(norm) % 2:

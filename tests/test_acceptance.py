@@ -192,7 +192,7 @@ def _moment_matches_kernel(lat, norm, t):
     for k in range(1, t + 1):
         same_parity = all(zon.verdicts[j]
                           for j in range(2 - (k % 2), k + 1, 2))
-        assert mom.per_k[k] == same_parity, (lat.label, norm, k)
+        assert mom.verdicts[k] == same_parity, (lat.label, norm, k)
 
 
 def test_criterion_13_property_suite():

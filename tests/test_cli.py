@@ -507,7 +507,13 @@ def test_zero_sphere_criteria_agree(norm):
     ["lattice-design", "--lattice", "E8", "--norm", "1e400", "--t", "8",
      "--criterion", "theta"],
     # 2^25 codewords, refused before the word array is built
-    ["code-design", "--code", "{tall}", "--weight", "1", "--t", "1"]])
+    ["code-design", "--code", "{tall}", "--weight", "1", "--t", "1"],
+    # the degree cap comes before the theta depth check and the search
+    ["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
+     str(lattices.DEGREE_CAP + 1), "--criterion", "theta"],
+    ["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
+     str(lattices.DEGREE_CAP + 1), "--criterion", "theta", "--prec-norm",
+     "168"]])
 def test_over_cap_degrees_and_precisions_are_refused_at_once(argv, monkeypatch,
                                                              tmp_path, capsys):
     def refuse(*args):
@@ -585,7 +591,7 @@ def test_theta_depth_matches_the_per_degree_loop(lattice, rank, capsys):
 
 
 def test_theta_depth_refusal_at_any_t_is_immediate(capsys):
-    t = 10 ** 12
+    t = lattices.DEGREE_CAP         # the largest t the degree cap lets through
     start = time.perf_counter()
     assert run(["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
                 str(t), "--criterion", "theta"]) == (2, "")
@@ -725,8 +731,8 @@ def test_options_the_mode_ignores_are_refused(argv, message, capsys):
     ["code-design", "--code", "golay24", "--weights", "4,20", "--Tset", "1",
      "--max-degree", "1"],
     # a theta depth too shallow for the deepest fit
-    ["lattice-design", "--lattice", "E8", "--norm", "2", "--t",
-     str(10 ** 12), "--criterion", "theta"],
+    ["lattice-design", "--lattice", "E8", "--norm", "2", "--t", "1000",
+     "--criterion", "theta"],
     # a code of length 33
     ["code-design", "--code", "{wide}", "--weight", "1", "--t", "1"],
     # E8 has no vector of norm 1

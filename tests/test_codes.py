@@ -1192,6 +1192,13 @@ def test_golay_two_weight_odd_degrees():
     assert rep.passes([1, 2, 3, 4, 5])   # both shells are 5-designs
 
 
+def test_two_weight_degree_zero_is_the_constant():
+    # no sum is taken for degree 0: the constant's sum is the family size
+    rep = two_weight_design_check(golay_g24(), 8, [0, 1, 2])
+    assert rep.modes == {0: "constant", 1: "complement", 2: "harmonic sums"}
+    assert rep.verdicts[0] == (True, None)
+
+
 def test_d16plus_two_weight_T_design():
     # odd degrees pass by antisymmetry; even degrees genuinely fail here
     rep = two_weight_design_check(d16_plus(), 4, [1, 2, 3, 4, 5])

@@ -28,7 +28,7 @@ from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
                                 construction_a, determinant,
                                 gegenbauer_component_sums, gram_from_text,
                                 harmonic_theta, is_even, lattice_a2,
-                                lattice_e8, lattice_zn,
+                                lattice_e8, lattice_zn, moment_design_report,
                                 moment_design_test, prefix_strength,
                                 shell_enum, shell_sizes_up_to, sphere_moment,
                                 spherical_T_design_report,
@@ -393,7 +393,8 @@ def test_huge_gram_entries_stay_exact():
     assert sh.vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
     z2 = lattice_zn(2)
     unit = shell_enum(z2, 1)
-    assert moment_design_test(sh, 4).per_k == moment_design_test(unit, 4).per_k
+    assert moment_design_test(sh, 4).verdicts == \
+        moment_design_test(unit, 4).verdicts
     assert gegenbauer_component_sums(sh, [2, 4]) == \
         gegenbauer_component_sums(unit, [2, 4])
     assert zonal_shell_sum(big, sh, 4, (1, 0)) == \
@@ -930,8 +931,8 @@ def test_sphere_moment_even_dimension_against_quadrature():
 def test_moment_report_square_in_plane():
     rep = moment_design_test(shell_enum(lattice_zn(2), 1), 5)
     assert rep.size == 4 and rep.strength == 3
-    assert not rep.per_k[rep.strength + 1]
-    assert rep.per_k == {1: True, 2: True, 3: True, 4: False, 5: True}
+    assert not rep.verdicts[rep.strength + 1]
+    assert rep.verdicts == {1: True, 2: True, 3: True, 4: False, 5: True}
 
 
 def test_moment_strengths_z2_and_a2_samples():
@@ -946,7 +947,7 @@ def test_moment_strengths_z2_and_a2_samples():
 def test_e8_root_shell_is_a_seven_design_failing_degree_eight():
     e8 = lattice_e8()
     rep = moment_design_test(shell_enum(e8, 2), 8)
-    assert rep.strength == 7 and not rep.per_k[rep.strength + 1]
+    assert rep.strength == 7 and not rep.verdicts[rep.strength + 1]
     tre = spherical_T_design_report(e8, 2, range(1, 13))
     expect = {j: j != 8 and j != 12 for j in range(1, 13)}
     assert tre.verdicts == expect
@@ -1029,6 +1030,12 @@ def test_degree_cap_refuses_before_any_work(monkeypatch):
     for call in (lambda: moment_design_test(sh, DEGREE_CAP + 1),
                  lambda: gegenbauer_component_sums(sh, [2, DEGREE_CAP + 1]),
                  lambda: spherical_T_design_report(e8, 8, range(1, 10 ** 12)),
+                 lambda: moment_design_report(e8, 2, DEGREE_CAP + 1),
+                 # before the theta depth, lattice and norm checks too
+                 lambda: theta_design_report(e8, 2, DEGREE_CAP + 1),
+                 lambda: theta_design_report(e8, 2, DEGREE_CAP + 1, 168),
+                 lambda: theta_design_report(lattice_a2(), 3, DEGREE_CAP + 1,
+                                             -1),
                  # a zonal degree is refused where its polynomial is built,
                  # before any theta, and by the shell sum, even when empty
                  lambda: zonal_harmonic_coords(e8, DEGREE_CAP + 1, row),
@@ -1040,6 +1047,15 @@ def test_degree_cap_refuses_before_any_work(monkeypatch):
             call()
     with pytest.raises(ValueError, match="nonnegative"):
         gegenbauer_component_sums(sh, [-2])
+
+
+@pytest.mark.parametrize("label, norm", [
+    ("Z2", 5), ("A2", 26), ("E8", 4), ("CA:d16plus", 2)])
+def test_moment_design_report_is_the_test_on_the_shell(label, norm):
+    lat = {"Z2": lambda: lattice_zn(2), "A2": lattice_a2, "E8": lattice_e8,
+           "CA:d16plus": lambda: construction_a(d16_plus())}[label]()
+    assert moment_design_report(lat, norm, 8) == \
+        moment_design_test(shell_enum(lat, norm), 8)
 
 
 def test_harmonic_theta_checks_the_series_cap_first(monkeypatch):
@@ -1100,7 +1116,7 @@ def test_theta_design_report_keeps_the_cli_payload(key):
 
 @pytest.mark.parametrize("lat, norm, t, prec_norm, message", [
     (lattice_e8(), 2, 8, 2, "too shallow"),
-    (lattice_e8(), 2, 10 ** 12, 0, "use at least 166666666668"),
+    (lattice_e8(), 2, DEGREE_CAP, 0, "use at least 168"),
     (lattice_e8(), 3, 4, 0, "even integer norm"),
     (lattice_e8(), F(1, 2), 4, 0, "even integer norm"),
     (lattice_e8(), 2, 4, -4, "nonnegative"),

@@ -83,7 +83,7 @@ def _criteria_agree(lat, norm, t):
     for k in range(1, t + 1):
         same_parity = all(zon.verdicts[j]
                           for j in range(2 - (k % 2), k + 1, 2))
-        assert mom.per_k[k] == same_parity, (lat.label, norm, k)
+        assert mom.verdicts[k] == same_parity, (lat.label, norm, k)
     zs = 0
     while zs < t and zon.verdicts[zs + 1]:
         zs += 1

@@ -417,6 +417,7 @@ def test_shell_theta_and_trace_signatures():
     want = {
         lattices.shell_enum: "lat, norm",
         lattices.shell_sizes_up_to: "lat, max_norm",
+        lattices.moment_design_report: "lat, norm, t",
         lattices.spherical_T_design_report: "lat, norm, degrees",
         lattices.theta_membership_check: "lat, p, prec_norm=8",
         lattices.zonal_theta_fits: "lat, degree, prec_norm, prec",
