@@ -22,8 +22,6 @@ from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
 
-import numpy as np
-
 # unused here; loaded because bench/run.py and bench/spans.py read it
 from . import _parallel
 from ._fixtures import user_fixture_path
@@ -97,6 +95,7 @@ def _format_rows(rows: np.ndarray, layout: tuple[str, str, str, str]):
     row is cut.  Values spanning ``_TOKEN_SPAN`` or more integers, or held
     as Python ints, are formatted one by one instead.
     """
+    import numpy as np
     start, sep, end, between = layout
     if not len(rows):
         return

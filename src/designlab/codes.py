@@ -29,7 +29,8 @@ t-subset, built from two tables of half-subset sums, a tile of at most
 ``_LAMBDA_TILE`` ranks at a time in two buffers reused from tile to tile,
 and counts them in place in one table over all C(n,t) ranks, or by one sort
 when fewer than C(n,t) are listed, so it holds min(listed, C(n,t)) counts
-and one tile.
+and one tile.  Each function that runs array code imports numpy itself, so
+importing this module does not load it.
 
 A code shell is first offered to the Assmus-Mattson theorem, which needs
 only two weight distributions: the code's, and its dual's from the
@@ -49,8 +50,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import numpy as np
 
 from ._fixtures import fixture_text
 from .errors import CapExceededError, InternalCheckError
@@ -143,6 +142,7 @@ def codewords(code: BinaryCode) -> np.ndarray:
     of i ^ (i >> 1).  The array doubles once per generator j, its first
     2^j words followed by the same words in reverse order plus generator j,
     which is the reflected Gray code."""
+    import numpy as np
     if code.k > WORD_CAP_LOG2:
         raise CapExceededError(
             f"2^{code.k} codewords exceed the enumeration cap")
@@ -206,6 +206,7 @@ def is_self_dual(code: BinaryCode) -> bool:
 
 
 def weight_distribution(code: BinaryCode) -> list[int]:
+    import numpy as np
     weights = np.bitwise_count(codewords(code))
     return np.bincount(weights, minlength=code.n + 1).tolist()
 
@@ -227,19 +228,23 @@ def min_weight(code: BinaryCode) -> int:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A copy of an array over an immutable ``bytes`` buffer: unlike a
     read-only flag, no caller can turn it, a view or its base writeable."""
+    import numpy as np
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
-_INT_WIDTHS = tuple((int(np.iinfo(dt).max), np.dtype(dt))
-                    for dt in (np.int8, np.int16, np.int32, np.int64))
+# the largest value of each integer width, constants so that importing
+# this module needs no numpy
+_INT_WIDTHS = ((2 ** 7 - 1, "int8"), (2 ** 15 - 1, "int16"),
+               (2 ** 31 - 1, "int32"), (2 ** 63 - 1, "int64"))
 
 
 def _int_dtype(bound: int) -> np.dtype:
     """The one integer-width rule: the narrowest of int8 to int64 holding
     every value in [-bound, bound], else Python ints (object)."""
-    for top, dt in _INT_WIDTHS:
+    import numpy as np
+    for top, name in _INT_WIDTHS:
         if bound <= top:
-            return dt
+            return np.dtype(name)
     return np.dtype(object)
 
 
@@ -249,6 +254,7 @@ def _combinations(n: int, k: int) -> np.ndarray:
     by every point after its last one that leaves room for the columns
     still to come.
     """
+    import numpy as np
     rows = np.zeros((1, 0), dtype=np.intp)
     for i in range(k):
         start = rows[:, -1] + 1 if i else np.zeros(1, dtype=np.intp)
@@ -268,6 +274,7 @@ _SCAN = 1 << 16             # entries per chunk of a scan
 
 def _points(masks, n: int) -> np.ndarray:
     """Transposed incidence, points x masks: row p holds [p in u] as int8."""
+    import numpy as np
     arr = np.array(masks, dtype=_int_dtype((1 << n) - 1))
     out = np.empty((n, len(arr)), dtype=np.int8)
     shifts = np.arange(n, dtype=arr.dtype)[:, None]
@@ -276,20 +283,18 @@ def _points(masks, n: int) -> np.ndarray:
     return out
 
 
-_AS_INT = np.frompyfunc(operator.index, 1, 1)
-
-
 def _mask_array(blocks, n: int) -> np.ndarray:
     """Bitmasks of distinct subsets of range(n) as one read-only array:
     int64 when every subset fits (n < 64), else Python ints (object).  An
     integer array is read as it is, anything else as Python integers (a
     ``TypeError`` for any other value)."""
+    import numpy as np
     raw = (blocks if isinstance(blocks, np.ndarray)
            else np.asarray(blocks, dtype=object))
     if raw.ndim != 1 or raw.dtype.kind not in "iuO":
         raise ValueError("blocks are one sequence of integer bitmasks")
     if raw.dtype == object:
-        raw = _AS_INT(raw)
+        raw = np.frompyfunc(operator.index, 1, 1)(raw)
     try:
         masks = np.array(raw, dtype=np.int64 if n < 64 else object)
     except OverflowError:
@@ -318,6 +323,7 @@ class BlockFamily:
         object.__setattr__(self, "blocks", _mask_array(self.blocks, self.n))
 
     def union(self, other: "BlockFamily") -> "BlockFamily":
+        import numpy as np
         if self.n != other.n:
             raise ValueError(f"families on {self.n} and {other.n} points")
         return BlockFamily(self.n, np.concatenate((self.blocks, other.blocks)))
@@ -325,6 +331,7 @@ class BlockFamily:
 
 def shell(code: BinaryCode, w: int) -> BlockFamily:
     """Supports of the weight-w codewords, in codeword order."""
+    import numpy as np
     words = codewords(code)
     return BlockFamily(code.n, words[np.bitwise_count(words) == w])
 
@@ -362,6 +369,7 @@ def _subset_ranks(support: np.ndarray, n: int, t: int, dtype: np.dtype):
     head and tail indices are built once for a whole block, or per tile for
     a block split across tiles.
     """
+    import numpy as np
     w, h = support.shape[1], t // 2
     # the i-th point of a subset is at least i, so only C(x, t-i) with
     # x <= n-1-i is read, and that is at most C(n, t): it fits the dtype
@@ -439,6 +447,7 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     a listing of more than ``LAMBDA_CAP`` subsets is refused from them,
     before the incidence (``_points``) or any rank is built.
     """
+    import numpy as np
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
     if t == 0:
@@ -609,6 +618,7 @@ def _distinct_in_range(pairs: np.ndarray, n: int) -> bool:
     """Whether every pair system of a (len, k, 2) array has 2k distinct
     points in range(n): the one condition under which its difference
     product lies in ker gamma and ``_tilde_sums`` reads it exactly."""
+    import numpy as np
     flat = np.sort(pairs.reshape(len(pairs), 2 * pairs.shape[1]), axis=1)
     return bool((flat[:, :1] >= 0).all() and (flat[:, -1:] < n).all()
                 and (flat[:, 1:] != flat[:, :-1]).all())
@@ -623,6 +633,7 @@ class DiscreteHarmonic:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        import numpy as np
         pairs = np.array(self.pairs, dtype=object).reshape(1, self.degree, 2)
         if not _distinct_in_range(pairs, self.n):
             raise ValueError(f"a pair system needs {2 * self.degree} "
@@ -660,6 +671,7 @@ def harm_dim(n: int, k: int) -> int:
 def _tableau_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair systems (a, b): b holds the rows c of combinations(range(n), k)
     with c_i >= 2i+1, a the k smallest points outside each (all below 2k)."""
+    import numpy as np
     b = _combinations(n, k)
     b = b[(b >= 2 * np.arange(k) + 1).all(axis=1)]
     member = np.zeros((len(b), 2 * k + 1), dtype=bool)
@@ -700,6 +712,7 @@ def harm_basis(n: int, k: int) -> Sequence[DiscreteHarmonic]:
     its 2k points are distinct and lie in range(n).  The degree passes
     ``_harm_degree`` first.
     """
+    import numpy as np
     _harm_degree(n, k)
     a, b = _tableau_pairs(n, k)
     if len(b) != harm_dim(n, k):
@@ -721,6 +734,7 @@ _KERNEL_CELLS = 1 << 20     # int8 cells per chunk of the product table
 def _pair_array(basis) -> np.ndarray:
     """The (len, k, 2) pair array of harmonics of one degree k; a
     ``harm_basis`` result holds its own."""
+    import numpy as np
     if isinstance(basis, _HarmBasis):
         return basis.pairs
     k = basis[0].degree if len(basis) else 0
@@ -734,6 +748,7 @@ def _tilde_sums(pairs: np.ndarray, points: np.ndarray) -> np.ndarray:
     [a_i in u] in {-1, 0, 1}, exact in int8, summed in int64.  The chunks
     reuse buffers allocated once per call, so its page faults do not
     depend on what earlier calls freed."""
+    import numpy as np
     a, b = pairs[:, :, 0], pairs[:, :, 1]
     out = np.empty(len(pairs), dtype=np.int64)
     step = max(1, min(len(pairs), _KERNEL_CELLS // max(1, points.shape[1])))
@@ -753,6 +768,7 @@ def _tilde_sums(pairs: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _complement_half(family: BlockFamily) -> np.ndarray | None:
     """The blocks u < u-bar of a family closed under complement, u-bar =
     u ^ (2^n - 1), in family order; None when some complement is missing."""
+    import numpy as np
     blocks = family.blocks
     bars = blocks ^ ((1 << family.n) - 1)
     # np.isin would sort through np.unique, which imports numpy.ma
@@ -852,6 +868,7 @@ def harmonic_weight_enumerator(code: BinaryCode, f: DiscreteHarmonic) -> tuple[F
 
 def _hwe_batch(code: BinaryCode, pairs: np.ndarray) -> np.ndarray:
     """Stacked harmonic weight enumerators, one row per pair system."""
+    import numpy as np
     words = codewords(code)
     points = _points(words, code.n)
     weights = np.bitwise_count(words)
@@ -876,6 +893,7 @@ def antisymmetry_check(code: BinaryCode, k: int) -> AntisymmetryReport:
     degree k, over the full Harm_k basis: antisymmetry is linear, so the
     verdict is a proof for all of Harm_k.
     """
+    import numpy as np
     if k % 2 == 0:
         raise ValueError("antisymmetry concerns odd degrees")
     basis = harm_basis(code.n, k)

@@ -36,7 +36,8 @@ enumeration.  Each criterion is one report, ``moment_design_report``,
 its degrees first, before any other refusal and before enumerating.  A
 harmonic polynomial, 1 or a zonal harmonic along a lattice coordinate row,
 is summed over a shell by the same kernel.  Every degree passes one
-``DEGREE_CAP`` check (``_degree_list``).
+``DEGREE_CAP`` check (``_degree_list``).  Each function that runs array
+code imports numpy itself, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-
-import numpy as np
 
 from ._fixtures import fixture_text
 from ._grow import grow_once
@@ -245,6 +244,7 @@ class Shell:
     rows: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         rows = self.rows
         if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
                 and not rows.flags.writeable
@@ -263,6 +263,7 @@ class Shell:
         return hash((self.lattice, len(self.rows)))
 
     def __eq__(self, other):
+        import numpy as np
         if not isinstance(other, Shell):
             return NotImplemented
         return (self.lattice == other.lattice and self.norm == other.norm
@@ -362,6 +363,7 @@ def _reduced_basis(g2) -> tuple[tuple[tuple[int, ...], ...],
 def _ints(values) -> np.ndarray:
     """An integer array as it is; nested Python ints as an object array,
     so that entries in [2^63, 2^64) do not turn into uint64."""
+    import numpy as np
     return values if isinstance(values, np.ndarray) else np.array(
         values, dtype=object)
 
@@ -374,6 +376,7 @@ def _coordinates(values) -> np.ndarray:
     """Integer coordinate rows in ``_int_dtype`` of their largest magnitude.
     Rows past int64 are refused, so no negation of a row can wrap, and so
     are rows that are not integers."""
+    import numpy as np
     arr = _ints(values)
     dtype = _int_dtype(_max_abs(arr))
     if dtype == object:
@@ -390,6 +393,7 @@ def _int_matmul(a, b) -> np.ndarray:
     sum.  Below 2^53 float64 BLAS is exact, in tiles of at most
     ``_BLAS_SERIAL`` multiply-adds (one OpenBLAS thread); else both
     operands take that dtype, int64 or Python ints."""
+    import numpy as np
     a, b = _ints(a), _ints(b)
     bound = len(b) * _max_abs(a) * _max_abs(b)
     dtype = _int_dtype(bound)
@@ -437,6 +441,7 @@ def _search_candidates(g2, bound2: int, cap: int) -> Iterator[np.ndarray]:
     4*cap + 64, before the caller has built anything from them, or at
     once, before any float, if one basis vector's multiples in the ball do.
     """
+    import numpy as np
     n = len(g2)
     if any(2 * math.isqrt(bound2 // g2[j][j]) + 1 > 4 * cap + 64
            for j in range(n)):
@@ -512,6 +517,7 @@ def _regroup(pieces):
 
 
 def _merge(pieces):
+    import numpy as np
     if len(pieces) == 1:
         return pieces[0]
     return (np.concatenate([cols for cols, _ in pieces], axis=1),
@@ -537,6 +543,7 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     and negation reverses the order, so each shell is its sorted half H as
     -reverse(H) then H, in an immutable buffer (``_read_only``).
     """
+    import numpy as np
     u, g2 = _reduced_basis(lat.g2)
     tally: dict[int, int] = {}
     kept_rows, kept_norms = [], []
@@ -589,6 +596,7 @@ def _is_antipodal(rows: np.ndarray) -> bool:
     """Whether the rows equal their own negation read backwards, as a sorted
     antipodal shell does; compared ``_CHUNK`` rows of the first half at a
     time, so no copy of the whole shell is made."""
+    import numpy as np
     n = len(rows)
     half = (n + 1) // 2
     for lo in range(0, half, _CHUNK):
@@ -634,6 +642,7 @@ def shell_enum(lat: Lattice, norm) -> Shell:
     integer arithmetic on the doubled Gram matrix, and the shell comes from
     the vector table, which checks antipodality on its arrays.
     """
+    import numpy as np
     norm = Fraction(norm)
     if norm < 0:
         raise ValueError("norm must be nonnegative")
@@ -684,6 +693,7 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
     histogram take 0.09 to 0.45 s.  Other inputs take ``_int_matmul``
     products and ``np.unique``.
     """
+    import numpy as np
     arr = shell.rows
     fold = len(arr) % 2 == 0 and _is_antipodal(arr)
     if fold:
@@ -903,6 +913,7 @@ def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     histogram of v = 2 scale (x.u), with D^2 = (2 scale)^2 r^2 |u|^2, an
     integer since 2r^2 is one; the sum is divided by (2 scale)^k.  The
     shell must be one of ``lat``'s: another Gram matrix is refused."""
+    import numpy as np
     wanted = _degree_list((k,))
     if shell.lattice.g2 != lat.g2:
         raise ValueError("the shell belongs to another Gram matrix")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from ._grow import grow_once
 from .errors import (CapExceededError, InternalCheckError, OffsetError,
@@ -128,12 +129,30 @@ def eta_quotient(factors: list[tuple[int, int]], prec: int) -> QSeries:
 
 
 def _sigma_sieve(power: int, bound: int) -> list[int]:
-    """sigma_power(n) for n = 0..bound (index 0 unused)."""
-    out = [0] * (bound + 1)
-    for d in range(1, bound + 1):
-        dk = d ** power
-        for m in range(d, bound + 1, d):
-            out[m] += dk
+    """sigma_power(n) for n = 0..bound (index 0 unused), by a multiplicative
+    sieve.  ``spf[n]`` is the smallest prime factor of n: for d from
+    isqrt(bound) down to 2 a slice writes d to its multiples from d*d on,
+    so the last to write a composite is its smallest divisor above 1, and a
+    prime keeps itself.  With n = p*m, p = spf[n], and r = n with every
+    factor p removed, sigma(n) = sigma(m)*(p^k + 1) when p does not divide
+    m, else sigma(m)*p^k + sigma(r)."""
+    spf = list(range(bound + 1))
+    for d in range(isqrt(bound), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, bound + 1, d))
+    out, rest, pk = [0] * (bound + 1), [1] * (bound + 1), [0] * (bound + 1)
+    if bound:
+        out[1] = 1
+    for n in range(2, bound + 1):
+        p = spf[n]
+        if p == n:
+            pk[n] = n ** power
+        m = n // p
+        if spf[m] == p:
+            r = rest[n] = rest[m]
+            out[n] = out[m] * pk[p] + out[r]
+        else:
+            rest[n] = m
+            out[n] = out[m] * (pk[p] + 1)
     return out
 
 

@@ -1132,11 +1132,14 @@ def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
     # fresh process; one request of each command, in one fresh interpreter.
     # No request compiles a regex (every module-level re call goes through
     # re._compile), none formats text under --format json, and the text
-    # of eta and theta is the pinned text, built without a JSON series
+    # of eta and theta is the pinned text, built without a JSON series.
+    # numpy loads with the first array request and compiles regexes as it
+    # does, so the script imports it before it refuses re._compile
     script = tmp_path / "requests.py"
     script.write_text(
         "import io, re, sys\n"
         "from designlab import cli\n"
+        "import numpy\n"
         "def refuse(what):\n"
         "    def refused(*args, **kwargs):\n"
         "        raise RuntimeError(what)\n"
@@ -1179,6 +1182,41 @@ def test_requests_import_neither_argparse_nor_numpy_ma(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_series_commands_never_load_numpy():
+    # the q-series commands run on exact integers: neither importing the
+    # package and its CLI nor any eta, voa-strength or remark4 request, in
+    # JSON or in text, loads numpy; the first lattice request does
+    script = (
+        "import io, sys\n"
+        "import designlab, designlab.cli\n"
+        "def check(where):\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit(f'numpy loaded by {where}')\n"
+        "check('import')\n"
+        "for argv in (['eta', '--spec', '1:-24', '--prec', '50'],\n"
+        "             ['voa-strength', '--c', '24', '--ell', '5'],\n"
+        "             ['voa-strength', '--c', '8', '--scan-to', '20'],\n"
+        "             ['remark4', '--prec', '20']):\n"
+        "    for fmt in ('json', 'text'):\n"
+        "        status = designlab.cli.main(['--format', fmt, *argv],\n"
+        "                                    io.StringIO())\n"
+        "        if status:\n"
+        "            sys.exit(f'{argv} {fmt}: status {status}')\n"
+        "        check(f'{argv} {fmt}')\n"
+        "out = io.StringIO()\n"
+        "status = designlab.cli.main(['shell', '--lattice', 'E8', '--norm',\n"
+        "                             '2'], out)\n"
+        "if status or not out.getvalue().startswith('E8 norm 2: 240 vectors'):\n"
+        "    sys.exit(f'shell: status {status}, {out.getvalue()[:80]!r}')\n"
+        "if 'numpy' not in sys.modules:\n"
+        "    sys.exit('shell ran without numpy')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(designlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

@@ -828,6 +828,11 @@ def test_int_dtype_is_the_narrowest_symmetric_range():
     assert [lattices._int_dtype(b) for b in bounds] == [
         np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int64),
         np.dtype(object)]
+    # the width bounds are constants: each is numpy's largest value
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        top = int(np.iinfo(dt).max)
+        assert lattices._int_dtype(top) == np.dtype(dt)
+        assert lattices._int_dtype(top + 1) != np.dtype(dt)
 
 
 def test_int_matmul_reads_nested_ints_past_int64_as_python_ints():

@@ -220,6 +220,26 @@ def test_e6_first_coefficients_from_divisor_sums():
         assert f[n] == -504 * sum(d ** 5 for d in divisors(n))
 
 
+def additive_sigma_sieve(power, bound):
+    """The divisor-sum oracle: d^power added to every multiple of d."""
+    out = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        dk = d ** power
+        for m in range(d, bound + 1, d):
+            out[m] += dk
+    return out
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3, 5, 7, 11])
+def test_sigma_sieve_matches_the_additive_sieve(power):
+    # the multiplicative sieve against adding d^power to each multiple of d,
+    # at every bound from 0 to 40 and at bounds past a prime square and a
+    # prime power (2^12 = 4096), up to a few thousand
+    for bound in [*range(41), 121, 1024, 3000, 4099]:
+        assert modforms._sigma_sieve(power, bound) == \
+            additive_sigma_sieve(power, bound), bound
+
+
 def test_eisenstein_rejects_other_weights():
     with pytest.raises(ValueError):
         eisenstein(8, 10)

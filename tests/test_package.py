@@ -43,3 +43,35 @@ def test_every_guard_runs_under_optimize():
         assert compile(text, str(path), "exec", optimize=0) == \
             compile(text, str(path), "exec", optimize=1), path
         assert "AssertionError" not in raised_names(ast.parse(text)), path
+
+
+def module_level_statements(body):
+    """The statements run at import: the module body, and the bodies of
+    its module-level ``if`` and ``try`` blocks, however deeply nested."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            blocks = [node.body, node.orelse]
+            if isinstance(node, ast.Try):
+                blocks += [node.finalbody, *(h.body for h in node.handlers)]
+            for block in blocks:
+                yield from module_level_statements(block)
+
+
+def imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and \
+        node.module.split(".")[0] == "numpy"
+
+
+def test_no_module_imports_numpy_at_import():
+    # numpy loads inside the functions that run array code, so importing
+    # the package, and every q-series command, runs without it
+    paths = sorted(Path(designlab.__file__).parent.rglob("*.py"))
+    assert {"codes.py", "lattices.py", "cli.py"} <= {p.name for p in paths}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node.lineno for node in module_level_statements(tree.body)
+                 if imports_numpy(node)]
+        assert not found, (path, found)
