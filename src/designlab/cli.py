@@ -228,25 +228,25 @@ def cmd_code_design(a, out):
         if a.weight is None or a.weights is not None:
             raise ValueError("--t needs --weight (single shell)")
         rep = shell_design_report(code, a.weight, a.t)
-        res = rep.result
+        v = rep.verdicts[a.t]
 
         def documents():
             payload = {"code": a.code, "weights": [a.weight], "t": a.t,
-                       "blocks": rep.blocks, "lambda": res.lam,
-                       "verdict": ("design" if res.is_design
-                                   else "not a design"), "mode": rep.mode}
-            if not res.is_design:
-                s1, c1, s2, c2 = res.witness
+                       "blocks": rep.blocks, "lambda": rep.lam,
+                       "verdict": "design" if v.holds else "not a design",
+                       "mode": v.mode}
+            if not v.holds:
+                s1, c1, s2, c2 = v.witness
                 payload["witness"] = {"subset_a": list(s1), "count_a": c1,
                                       "subset_b": list(s2), "count_b": c2}
             return [payload]
 
         def text():
             family = f"{a.code} weight-{a.weight} family"
-            if res.is_design:
+            if v.holds:
                 return [f"{family} ({rep.blocks} blocks): {a.t}-design, "
-                        f"lambda={res.lam}"]
-            s1, c1, s2, c2 = res.witness
+                        f"lambda={rep.lam}"]
+            s1, c1, s2, c2 = v.witness
             return [f"{family}: not a {a.t}-design", f"  witness: {s1} "
                     f"covered {c1} times, {s2} covered {c2} times"]
         return documents, text
@@ -270,8 +270,8 @@ def cmd_code_design(a, out):
     return lambda: [{
         "code": a.code, "weights": list(rep.weights), "T": degrees,
         "blocks": rep.family_size,
-        "per_degree": {str(j): rep.verdicts[j][0] for j in degrees},
-        "modes": {str(j): m for j, m in rep.modes.items()},
+        "per_degree": {str(j): rep.verdicts[j].holds for j in degrees},
+        "modes": {str(j): v.mode for j, v in rep.verdicts.items()},
         "verdict": verdict}], lambda: [
         f"{a.code} weights {rep.weights} union ({rep.family_size} blocks): "
         f"{verdict} at degrees {degrees}"]
@@ -291,11 +291,13 @@ def cmd_lattice_design(a, out):
     def documents():
         payload = {"lattice": a.lattice, "norm": _frac(a.norm),
                    "criterion": a.criterion, "strength": rep.strength,
-                   "per_degree": {str(j): v for j, v in rep.verdicts.items()}}
+                   "per_degree": {str(j): v.holds
+                                  for j, v in rep.verdicts.items()}}
         if a.criterion == "theta":
             payload.update(prec_norm=rep.prec_norm,
                            directions_tested=rep.directions_tested,
-                           modes={str(j): m for j, m in rep.modes.items()})
+                           modes={str(j): v.mode
+                                  for j, v in rep.verdicts.items()})
         else:
             payload["size"] = rep.size
         return [payload]
@@ -304,8 +306,8 @@ def cmd_lattice_design(a, out):
         if a.criterion == "theta":
             return [f"{a.lattice} norm {a.norm} (theta criterion, enumeration "
                     f"to norm {rep.prec_norm}): strength {rep.strength}"] + [
-                f"  degree {j}: " + ("pass" if rep.verdicts[j] else "FAIL")
-                + f" ({rep.modes[j]})" for j in range(2, a.t + 1, 2)]
+                f"  degree {j}: {'pass' if v.holds else 'FAIL'} ({v.mode})"
+                for j, v in rep.verdicts.items() if j % 2 == 0]
         return [f"{a.lattice} norm {a.norm} ({rep.size} vectors, "
                 f"{a.criterion}): strength {rep.strength}"
                 + ("" if rep.strength >= a.t else
@@ -345,14 +347,14 @@ def cmd_theta(a, out):
 
 
 def _strength_payload(rep) -> dict:
+    # the first degree read is the contested one, any later ones are extra
+    (contested, v), *extra = rep.verdicts.items()
     return {"central_charge": rep.central_charge, "ell": rep.ell,
-            "base_T": sorted(rep.base_T),
-            "contested_degree": rep.contested_degree,
-            "coefficient": _frac(rep.contested_coefficient),
-            "verdict": ("design" if rep.is_design_at_contested
-                        else "not a design"),
-            "extra": {str(k): [v[0], _frac(v[1])]
-                      for k, v in rep.extra.items()},
+            "base_T": sorted(rep.base_T), "contested_degree": contested,
+            "coefficient": _frac(v.witness or 0),
+            "verdict": "design" if v.holds else "not a design",
+            "extra": {str(k): [x.holds, _frac(x.witness or 0)]
+                      for k, x in extra},
             "strength": rep.strength}
 
 
@@ -365,12 +367,14 @@ def cmd_voa_strength(a, out):
     def text():
         if a.ell is not None:
             rep = reps[0]
-            tail = "" if rep.is_design_at_contested else "not a "
+            contested, v = next(iter(rep.verdicts.items()))
+            tail = "" if v.holds else "not a "
             return [f"c={rep.central_charge} ell={rep.ell}: coefficient "
-                    f"{rep.contested_coefficient} -> {tail}degree-"
-                    f"{rep.contested_degree} design; strength {rep.strength}"]
+                    f"{v.witness or 0} -> {tail}degree-{contested} design; "
+                    f"strength {rep.strength}"]
         strengths = dict(Counter(str(rep.strength) for rep in reps))
-        notable = [rep.ell for rep in reps if rep.is_design_at_contested]
+        notable = [rep.ell for rep in reps
+                   if next(iter(rep.verdicts.values())).holds]
         lines = [f"c={a.c}, ell=1..{a.scan_to}: strengths {strengths}"]
         if notable:
             lines.append(f"  design at the contested degree for ell in "

@@ -50,6 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from ._fixtures import fixture_text
 from .errors import CapExceededError, InternalCheckError
@@ -62,7 +63,7 @@ __all__ = [
     "is_doubly_even", "is_self_dual", "min_weight", "weight_distribution",
     "shell", "design_lambda", "LambdaResult",
     "macwilliams", "assmus_mattson", "shell_design_report",
-    "ShellDesignReport",
+    "ShellDesignReport", "Verdict",
     "harm_dim", "harm_basis", "harmonic_family_sums",
     "delsarte_design_check", "two_weight_design_check", "TwoWeightReport",
     "harmonic_weight_enumerator", "antisymmetry_check", "AntisymmetryReport",
@@ -572,13 +573,26 @@ def assmus_mattson(code: BinaryCode) -> int:
                  if sum(map(bool, dual[1:code.n - t + 1])) <= d - t), 0)
 
 
+class Verdict(NamedTuple):
+    """The verdict at one degree: whether it ``holds``, the ``mode`` that
+    decided it and, on a failure, what that route computed (``witness``,
+    None on a pass).  It has no truth value: a read names ``.holds``."""
+    holds: bool
+    mode: str
+    witness: object = None
+
+    def __bool__(self):
+        raise TypeError("a Verdict has no truth value; read .holds")
+
+
 @dataclass(frozen=True)
 class ShellDesignReport:
-    """The verdict on one code shell at one t: ``blocks`` counts the
-    weight-w codewords, and ``mode`` says how it was decided."""
+    """One code shell at one t: ``blocks`` counts the weight-w codewords,
+    ``lam`` is lambda or None, and ``verdicts`` holds t's ``Verdict``, mode
+    "Assmus-Mattson" or "listing" (witness: ``LambdaResult.witness``)."""
     blocks: int
-    result: LambdaResult
-    mode: str                   # "Assmus-Mattson" or "listing"
+    lam: int | None
+    verdicts: dict[int, Verdict]
 
 
 def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
@@ -603,11 +617,12 @@ def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
             raise InternalCheckError(
                 f"{dist[w]} blocks of size {w} give no integral lambda at "
                 f"t = {t}, which Assmus-Mattson proved")
-        return ShellDesignReport(dist[w], LambdaResult(True, lam, None),
-                                 "Assmus-Mattson")
+        return ShellDesignReport(dist[w], lam,
+                                 {t: Verdict(True, "Assmus-Mattson")})
     family = shell(code, w)
-    return ShellDesignReport(len(family.blocks), design_lambda(family, t),
-                             "listing")
+    res = design_lambda(family, t)
+    return ShellDesignReport(len(family.blocks), res.lam, {t: Verdict(
+        res.is_design, "listing", res.witness)})
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +806,18 @@ def harmonic_family_sums(basis, family: BlockFamily) -> list[int]:
                        _points(family.blocks, family.n)).tolist()
 
 
-def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool, int | None]]:
+def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, Verdict]:
     """Harmonic-sum criterion per degree: zero sums across a Harm_j basis.
 
-    Returns {j: (passes, witness basis index or None)}.  Every degree
-    meets ``harm_basis``'s rule (``_harm_degree``) before any work, odd ones
-    on a closed family included.  A difference product of degree j has
-    f-tilde(u-bar) = (-1)^j f-tilde(u), so on a family closed under
-    complement every odd degree passes with no basis built, and an even
-    degree's sums are twice those over one block of each complement pair
-    (``_complement_half``): the same zero test and the same witness.
+    Returns {j: Verdict}, mode "harmonic sums" unless noted, a failure's
+    witness its first basis index with a nonzero sum.  Every degree meets
+    ``harm_basis``'s rule (``_harm_degree``) before any work, odd ones on a
+    closed family included; degree 0 passes (mode "constant").  A
+    difference product of degree j has f-tilde(u-bar) = (-1)^j f-tilde(u),
+    so on a family closed under complement every odd degree passes with no
+    basis built (mode "complement"), and an even degree's sums are twice
+    those over one block of each complement pair (``_complement_half``):
+    the same zero test and the same witness.
     """
     degrees = sorted(set(degrees))
     for j in degrees:
@@ -809,12 +826,14 @@ def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool,
     summed = family if half is None else BlockFamily(family.n, half)
     out = {}
     for j in degrees:
-        if j == 0 or half is not None and j % 2:
-            out[j] = (True, None)
-            continue
-        sums = harmonic_family_sums(harm_basis(family.n, j), summed)
-        bad = next((i for i, s in enumerate(sums) if s != 0), None)
-        out[j] = (bad is None, bad)
+        if j == 0:
+            out[j] = Verdict(True, "constant")
+        elif half is not None and j % 2:
+            out[j] = Verdict(True, "complement")
+        else:
+            sums = harmonic_family_sums(harm_basis(family.n, j), summed)
+            bad = next((i for i, s in enumerate(sums) if s != 0), None)
+            out[j] = Verdict(bad is None, "harmonic sums", bad)
     return out
 
 
@@ -822,11 +841,10 @@ def delsarte_design_check(family: BlockFamily, degrees) -> dict[int, tuple[bool,
 class TwoWeightReport:
     weights: tuple[int, int]
     family_size: int
-    verdicts: dict[int, tuple[bool, int | None]]
-    modes: dict[int, str]       # "constant", "complement" or "harmonic sums"
+    verdicts: dict[int, Verdict]
 
     def passes(self, degrees) -> bool:
-        return all(self.verdicts[j][0] for j in degrees)
+        return all(self.verdicts[j].holds for j in degrees)
 
 
 def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightReport:
@@ -835,22 +853,17 @@ def two_weight_design_check(code: BinaryCode, ell: int, degrees) -> TwoWeightRep
     The degree-1 verdict is exactly the statement that all points are
     covered equally often by the union family.  The union is closed under
     complement when the code holds the all-ones word; then its odd degrees
-    pass by the complement (mode "complement").  Degree 0, the constants,
-    passes with no sum taken (mode "constant"), and every other degree is
-    decided by the harmonic sums.  A pair with no codewords is refused
-    (``ValueError``) before any basis is built.
+    pass by the complement.  Each degree's ``Verdict`` and mode come from
+    ``delsarte_design_check``, which checks closure once.  A pair with no
+    codewords is refused (``ValueError``) before any basis is built.
     """
     fam = shell(code, ell)
     if 2 * ell != code.n:       # the middle shell is its own complement
         fam = fam.union(shell(code, code.n - ell))
     if not len(fam.blocks):
         raise ValueError(f"no codewords of weight {ell} or {code.n - ell}")
-    verdicts = delsarte_design_check(fam, degrees)
-    closed = _complement_half(fam) is not None
-    modes = {j: "constant" if j == 0 else "complement" if closed and j % 2
-             else "harmonic sums" for j in verdicts}
-    return TwoWeightReport((ell, code.n - ell), len(fam.blocks), verdicts,
-                           modes)
+    return TwoWeightReport((ell, code.n - ell), len(fam.blocks),
+                           delsarte_design_check(fam, degrees))
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ moments give the cumulative strength-t criterion, and the zonal kernel
 verdicts; weighted thetas, refused first and fitted in one predicted space
 per degree (``_theta_fits``), decide even unimodular shells past
 enumeration.  Each criterion is one report, ``moment_design_report``,
-``spherical_T_design_report`` or ``theta_design_report``, and each checks
-its degrees first, before any other refusal and before enumerating.  A
-harmonic polynomial, 1 or a zonal harmonic along a lattice coordinate row,
-is summed over a shell by the same kernel.  Every degree passes one
-``DEGREE_CAP`` check (``_degree_list``).  Each function that runs array
-code imports numpy itself, so importing this module does not load it.
+``spherical_T_design_report`` or ``theta_design_report``, holding one
+``codes.Verdict`` per degree, and each checks its degrees first, before
+any other refusal and before enumerating.  A harmonic polynomial, 1 or a
+zonal harmonic along a lattice coordinate row, is summed over a shell by
+the same kernel.  Every degree passes one ``DEGREE_CAP`` check
+(``_degree_list``).  Each function that runs array code imports numpy
+itself, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from types import MappingProxyType
 
 from ._fixtures import fixture_text
 from ._grow import grow_once
-from .codes import (BinaryCode, _int_dtype, _read_only, is_doubly_even,
-                    is_self_dual)
+from .codes import (BinaryCode, Verdict, _int_dtype, _read_only,
+                    is_doubly_even, is_self_dual)
 from .errors import CapExceededError, InternalCheckError
 from .modforms import (FitResult, ModFormSpace, _check_prec, cusp_monomials,
                        fit_in_space, mf_basis, mf_dim)
@@ -64,7 +65,7 @@ __all__ = [
     "gram_from_text", "lattice_zn", "lattice_a2", "lattice_e8",
     "construction_a", "determinant", "is_even", "require_even_unimodular",
     "shell_enum", "shell_sizes_up_to", "SHELL_CAP", "DEGREE_CAP",
-    "sphere_moment", "MomentReport", "moment_design_test",
+    "sphere_moment", "moment_design_test",
     "moment_design_report", "prefix_strength",
     "gegenbauer_component_sums", "spherical_T_design_report", "TDesignReport",
     "zonal_harmonic_coords", "zonal_shell_sum",
@@ -747,34 +748,37 @@ def _shell_pair_histogram(shell: Shell) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class MomentReport:
+class TDesignReport:
     size: int
-    verdicts: dict[int, bool]
+    verdicts: dict[int, Verdict]
     strength: int
 
+    def passes(self, degrees) -> bool:
+        return all(self.verdicts[j].holds for j in degrees)
 
-def moment_design_test(shell: Shell, t: int) -> MomentReport:
+
+def moment_design_test(shell: Shell, t: int) -> TDesignReport:
     """Cumulative strength test via exact power moments of inner products.
 
     For each k <= t compares sum over X x X of (x.y)^k with the spherical
-    average |X|^2 r^{2k} m_k.  The shell is a spherical s-design exactly
-    when the identity holds for all k <= s.
+    average |X|^2 r^{2k} m_k (mode "power moments").  The shell is a
+    spherical s-design exactly when the identity holds for all k <= s.
     """
     if not len(shell) or shell.norm <= 0:
         raise ValueError("moment test needs a nonempty positive-norm shell")
     degrees = _degree_list(range(1, t + 1))
     hist = _shell_pair_histogram(shell)
     size = len(shell)
-    verdicts: dict[int, bool] = {}
+    verdicts: dict[int, Verdict] = {}
     for k in degrees:
         lhs = sum(cnt * w ** k for w, cnt in hist)   # sum (2 x.y)^k
         rhs = (size * size * (2 * shell.norm) ** k
                * sphere_moment(shell.lattice.rank, k))
-        verdicts[k] = lhs == rhs
-    return MomentReport(size, verdicts, prefix_strength(verdicts))
+        verdicts[k] = Verdict(lhs == rhs, "power moments")
+    return TDesignReport(size, verdicts, prefix_strength(verdicts))
 
 
-def moment_design_report(lat: Lattice, norm, t: int) -> MomentReport:
+def moment_design_report(lat: Lattice, norm, t: int) -> TDesignReport:
     """The moment criterion on one shell (``moment_design_test``); degrees
     1..t are checked against ``DEGREE_CAP`` before the shell is enumerated.
     """
@@ -782,9 +786,10 @@ def moment_design_report(lat: Lattice, norm, t: int) -> MomentReport:
     return moment_design_test(shell_enum(lat, norm), t)
 
 
-def prefix_strength(verdicts: dict[int, bool]) -> int:
-    """Largest s such that degrees 1..s all pass."""
-    return next(s for s in itertools.count() if not verdicts.get(s + 1))
+def prefix_strength(verdicts: dict[int, Verdict]) -> int:
+    """Largest s such that degrees 1..s all hold."""
+    return next(s for s in itertools.count()
+                if s + 1 not in verdicts or not verdicts[s + 1].holds)
 
 
 def _degree_list(degrees) -> list[int]:
@@ -846,30 +851,20 @@ def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
     return {j: s / d ** j for j, s in sums.items()}
 
 
-@dataclass(frozen=True)
-class TDesignReport:
-    size: int
-    verdicts: dict[int, bool]
-    component_sums: dict[int, Fraction]
-    strength: int
-
-    def passes(self, degrees) -> bool:
-        return all(self.verdicts[j] for j in degrees)
-
-
 def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
     """Per-degree design verdicts for one shell.
 
-    Even degrees are decided by the exact kernel sums; odd degrees hold for
-    every antipodal shell, and antipodality is asserted at enumeration, but
-    the odd sums are computed anyway rather than assumed.  The degrees are
+    Even degrees are decided by the exact kernel sums (mode "kernel sums",
+    a failure's witness its nonzero sum); odd degrees hold for every
+    antipodal shell, and antipodality is asserted at enumeration, but the
+    odd sums are computed anyway rather than assumed.  The degrees are
     checked against ``DEGREE_CAP`` before the shell is enumerated.
     """
     degrees = _degree_list(degrees)
     shell = shell_enum(lat, norm)
-    sums = gegenbauer_component_sums(shell, degrees)
-    verdicts = {j: v == 0 for j, v in sums.items()}
-    return TDesignReport(len(shell), verdicts, sums, prefix_strength(verdicts))
+    verdicts = {j: Verdict(v == 0, "kernel sums", v or None) for j, v in
+                gegenbauer_component_sums(shell, degrees).items()}
+    return TDesignReport(len(shell), verdicts, prefix_strength(verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,14 +1051,13 @@ def zonal_theta_fits(lat: Lattice, degree: int, prec_norm: int, prec: int
 class ThetaDesignReport:
     prec_norm: int
     directions_tested: int
-    verdicts: dict[int, bool]
-    modes: dict[int, str]
+    verdicts: dict[int, Verdict]
     strength: int
 
 
 def theta_design_report(lat: Lattice, norm, t: int,
                         prec_norm: int = 0) -> ThetaDesignReport:
-    """Verdicts and deciding modes for degrees 1..t on the shell of a
+    """A ``Verdict`` for each degree 1..t on the shell of a
     positive even norm of an even unimodular lattice, from an enumeration to
     ``prec_norm`` (0: norm 8 up to rank 8, else 4); every refusal comes
     first, the ``DEGREE_CAP`` check on degrees 1..t before all others.
@@ -1096,15 +1090,15 @@ def theta_design_report(lat: Lattice, norm, t: int,
     target = int(norm) // 2
     prec = max(target, needed)          # rebuild the fitted forms through here
     dirs = theta_directions(lat.rank)
-    modes: dict[int, str] = {}
+    verdicts: dict[int, Verdict] = {}
     for j in range(1, t + 1):
         if not fitted(j):
-            modes[j] = "antipodal" if j % 2 else "cusp space zero"
+            verdicts[j] = Verdict(True, "antipodal" if j % 2
+                                  else "cusp space zero")
         elif all(form[target - form.offset24 // 24] == 0 for _, _, form in
                  zonal_theta_fits(lat, j, prec_norm, prec)):
-            modes[j] = f"fit along {len(dirs)} directions"
+            verdicts[j] = Verdict(True, f"fit along {len(dirs)} directions")
         else:
-            modes[j] = "nonzero fitted coefficient"
-    verdicts = {j: m != "nonzero fitted coefficient" for j, m in modes.items()}
-    return ThetaDesignReport(prec_norm, len(dirs), verdicts, modes,
+            verdicts[j] = Verdict(False, "nonzero fitted coefficient")
+    return ThetaDesignReport(prec_norm, len(dirs), verdicts,
                              prefix_strength(verdicts))

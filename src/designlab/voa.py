@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._grow import grow_once
+from .codes import Verdict
 from .errors import (DesignLabError, InternalCheckError, OffsetError,
                      PrecisionError)
 from .lattices import (HarmonicPolynomial, Lattice, gegenbauer_component_sums,
@@ -212,11 +213,8 @@ class StrengthReport:
     central_charge: int
     ell: int
     base_T: frozenset[int]
-    contested_degree: int
-    contested_coefficient: Fraction
-    is_design_at_contested: bool
-    extra: dict[int, tuple[bool, Fraction]] = field(default_factory=dict)
-    strength: int | str = 0
+    verdicts: dict[int, Verdict]
+    strength: int | str
 
 
 # the (central charge, even degree) pairs whose witness traces the paper reads
@@ -229,9 +227,10 @@ def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
     Walks the even degrees s = 2, 4, ...: where the modular obstruction
     count forces the weight-(c/2 + s) trace to vanish, degree s holds for
     every ell.  At a surviving degree the witness trace decides: a nonzero
-    coefficient at ell gives strength s - 1.  The first degree read is the
-    contested one, later ones go into ``extra``; past the last witness the
-    strength is only a lower bound.
+    coefficient at ell, the ``Verdict``'s witness, gives strength s - 1.
+    ``verdicts`` holds the degrees read, in reading order, each in mode
+    "witness trace"; the first is the contested one.  Past the last witness
+    the strength is only a lower bound.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -239,21 +238,19 @@ def strength_at(c: int, ell: int, prec: int | None = None) -> StrengthReport:
     if ell > prec:
         raise PrecisionError("requested index beyond the computed range")
     tset = conformal_T_set(c)
-    read: dict[int, Fraction] = {}
+    verdicts: dict[int, Verdict] = {}
     for s in itertools.count(2, 2):
         if modular_obstruction(c, s).forced:
             continue
         if (c, s) not in _WITNESSES:
             strength: int | str = f"≥ {s - 1} (bounded scan)"
             break
-        read[s] = _witness_trace(c, s, prec).coeff(ell)
-        if read[s]:
+        coeff = _witness_trace(c, s, prec).coeff(ell)
+        verdicts[s] = Verdict(coeff == 0, "witness trace", coeff or None)
+        if coeff:
             strength = s - 1
             break
-    contested, coeff = next(iter(read.items()))
-    extra = {s: (v == 0, v) for s, v in read.items() if s != contested}
-    return StrengthReport(c, ell, tset.explicit, contested, coeff, coeff == 0,
-                          extra, strength)
+    return StrengthReport(c, ell, tset.explicit, verdicts, strength)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_05_rank24_strength_3_everywhere():
             assert c.coeff(ell) > 0, ell
         for ell in range(1, 1_001):
             rep = strength_at(24, ell, prec=1_001)
-            assert rep.strength == 3 and not rep.is_design_at_contested
+            assert rep.strength == 3 and not rep.verdicts[4].holds
 
 
 def test_criterion_06_fixture_block_designs():
@@ -137,9 +137,10 @@ def test_criterion_09_rank8_roots_and_certified_trace():
                           "certified trace ratio"):
         e8 = lattice_e8()
         rep = spherical_T_design_report(e8, 2, range(1, 9))
-        assert rep.passes(range(1, 8)) and not rep.verdicts[8]
-        # the degree-8 obstruction carries the tau(1) != 0 statement
-        assert (rep.component_sums[8] != 0) == (ramanujan_tau(1) != 0)
+        assert rep.passes(range(1, 8)) and not rep.verdicts[8].holds
+        # the degree-8 obstruction, the failure's nonzero kernel sum,
+        # carries the tau(1) != 0 statement
+        assert ((rep.verdicts[8].witness or 0) != 0) == (ramanujan_tau(1) != 0)
         cert = certified_zonal_trace(e8, 8, a_series(60))
         assert cert.coefficients_checked >= 50
         assert cert.ratio == zonal_shell_sum(e8, shell_enum(e8, 2), 8,
@@ -157,7 +158,7 @@ def test_criterion_10_rank16_shells_and_traces():
             rep = spherical_T_design_report(lat, 2, range(1, 8))
             assert rep.passes((1, 2, 3, 5, 6, 7))
             # norm-2 shell matches trace index 1
-            deg4 = rep.component_sums[4]
+            deg4 = rep.verdicts[4].witness or 0     # the kernel sum
             assert (deg4 == 0) == (b.coeff(1) == 0)
             assert deg4 != 0
             cert = certified_zonal_trace(lat, 4, b, prec_norm=4)
@@ -190,9 +191,9 @@ def _moment_matches_kernel(lat, norm, t):
     mom = moment_design_test(shell_enum(lat, norm), t)
     zon = spherical_T_design_report(lat, norm, range(1, t + 1))
     for k in range(1, t + 1):
-        same_parity = all(zon.verdicts[j]
+        same_parity = all(zon.verdicts[j].holds
                           for j in range(2 - (k % 2), k + 1, 2))
-        assert mom.verdicts[k] == same_parity, (lat.label, norm, k)
+        assert mom.verdicts[k].holds == same_parity, (lat.label, norm, k)
 
 
 def test_criterion_13_property_suite():
@@ -219,6 +220,6 @@ def test_criterion_13_property_suite():
                 for t in range(1, min(5, w) + 1):
                     brute = design_lambda(fam, t).is_design
                     harmonic = all(
-                        ok for ok, _ in
+                        v.holds for v in
                         delsarte_design_check(fam, range(1, t + 1)).values())
                     assert brute == harmonic, (code.name, w, t)

@@ -21,14 +21,15 @@ import designlab
 from designlab import cli, lattices
 from designlab._fixtures import fixture_text
 from designlab.cli import main
-from designlab.codes import d16_plus, golay_g24
+from designlab.codes import (Verdict, d16_plus, golay_g24, hamming_e8,
+                             shell_design_report, two_weight_design_check)
 from designlab.errors import FixtureError
 from designlab.lattices import (Lattice, _int_dtype, construction_a,
                                 lattice_e8, shell_enum, shell_sizes_up_to,
                                 theta_design_report, theta_fit_norm)
 from designlab.modforms import FitResult, eta_quotient
 from designlab.qseries import QSeries
-from designlab.voa import modular_obstruction
+from designlab.voa import modular_obstruction, strength_at
 
 import parse_oracle
 
@@ -644,8 +645,8 @@ def test_theta_criterion_passes_every_fitted_degree_of_the_leech_shell(
     modes.update({j: "fit along 5 directions" for j in (4, 6, 8, 10)})
     for norm in (4, 100):
         rep = theta_design_report(leech, norm, 11, 4)
-        assert (rep.modes, rep.strength) == (modes, 11), norm
-        assert all(rep.verdicts.values())
+        assert (rep.verdicts, rep.strength) == (
+            {j: Verdict(True, m) for j, m in modes.items()}, 11), norm
     path = tmp_path / "leech.txt"
     path.write_text("".join(" ".join(str(x) for x in row) + "\n"
                             for row in gram))
@@ -658,6 +659,60 @@ def test_theta_criterion_passes_every_fitted_degree_of_the_leech_shell(
     # degree 12 is fitted from an enumeration to norm 6
     assert run(request + ["12"]) == (2, "")
     assert one_error(capsys)["message"].endswith("use at least 6")
+
+
+# -- one verdict record per degree -------------------------------------
+
+# each route the CLI formats: its reports, then each mode they may give,
+# mapped to the verdicts seen in it (a pass and a failure wherever the route
+# can fail), then whether ``strength`` is the prefix of the verdicts
+VERDICT_ROUTES = {
+    "moment": (lambda: [lattices.moment_design_test(
+        shell_enum(lattice_e8(), 2), 8)],
+        {"power moments": {True, False}}, True),
+    "zonal": (lambda: [lattices.spherical_T_design_report(
+        lattice_e8(), 2, range(1, 9))],
+        {"kernel sums": {True, False}}, True),
+    "theta": (lambda: [theta_design_report(lattice_e8(), 2, 8),
+                       theta_design_report(Lattice(leech_gram()), 4, 11, 4)],
+              {"antipodal": {True}, "cusp space zero": {True},
+               "fit along 5 directions": {True},
+               "nonzero fitted coefficient": {False}}, True),
+    "two-weight": (lambda: [two_weight_design_check(golay_g24(), 8,
+                                                    range(6)),
+                            two_weight_design_check(d16_plus(), 4,
+                                                    range(1, 6))],
+                   {"constant": {True}, "complement": {True},
+                    "harmonic sums": {True, False}}, False),
+    "assmus-mattson": (lambda: [shell_design_report(hamming_e8(), 4, 3),
+                                shell_design_report(golay_g24(), 8, 5)],
+                       {"Assmus-Mattson": {True}}, False),
+    "listing": (lambda: [shell_design_report(hamming_e8(), 4, t)
+                         for t in (0, 4)],
+                {"listing": {True, False}}, False),
+    "witness-trace": (lambda: [strength_at(16, 4), strength_at(8, 1)],
+                      {"witness trace": {True, False}}, False),
+}
+
+
+@pytest.mark.parametrize("route", VERDICT_ROUTES)
+def test_every_report_holds_one_verdict_record_per_degree(route):
+    build, modes, prefix = VERDICT_ROUTES[route]
+    seen = {}
+    for rep in build():
+        for v in rep.verdicts.values():
+            assert type(v) is Verdict
+            # a record has no truth value, so a read of it as a bool fails
+            with pytest.raises(TypeError, match=r"read \.holds"):
+                bool(v)
+            # a pass has no witness; a failure has the one its route
+            # computes, where it computes one
+            silent = v.mode in ("power moments", "nonzero fitted coefficient")
+            assert (v.witness is None) == (v.holds or silent), v
+            seen.setdefault(v.mode, set()).add(v.holds)
+        if prefix:
+            assert rep.strength == lattices.prefix_strength(rep.verdicts)
+    assert seen == modes
 
 
 def test_failed_theta_fit_is_a_runtime_error(monkeypatch, capsys):
@@ -1116,8 +1171,18 @@ PINNED_TEXT = {
      "--criterion", "zonal"):
         "E8 norm 2 (240 vectors, zonal): strength 7, first failure at "
         "degree 8\n",
+    ("lattice-design", "--lattice", "E8", "--norm", "2", "--t", "8",
+     "--criterion", "theta"):
+        "E8 norm 2 (theta criterion, enumeration to norm 8): strength 7\n"
+        "  degree 2: pass (cusp space zero)\n"
+        "  degree 4: pass (cusp space zero)\n"
+        "  degree 6: pass (cusp space zero)\n"
+        "  degree 8: FAIL (nonzero fitted coefficient)\n",
     ("voa-strength", "--c", "16", "--ell", "1"):
         "c=16 ell=1: coefficient 1 -> not a degree-4 design; strength 3\n",
+    # passes at the contested degree: a zero coefficient, printed as 0
+    ("voa-strength", "--c", "16", "--ell", "4"):
+        "c=16 ell=4: coefficient 0 -> degree-4 design; strength 7\n",
     ("voa-strength", "--c", "16", "--scan-to", "20"):
         "c=16, ell=1..20: strengths {'3': 13, '7': 7}\n"
         "  design at the contested degree for ell in "

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designlab import cli, codes
-from designlab.codes import (BlockFamily, LambdaResult, antisymmetry_check,
-                             assmus_mattson, code_from_rows, code_from_text,
-                             codewords, d16_plus, delsarte_design_check,
+from designlab.codes import (BlockFamily, LambdaResult, Verdict,
+                             antisymmetry_check, assmus_mattson,
+                             code_from_rows, code_from_text, codewords,
+                             d16_plus, delsarte_design_check,
                              design_lambda, direct_sum,
                              divisibility_structure_check, golay_g24,
                              hamming_e8, harm_basis, harm_dim,
@@ -246,8 +247,7 @@ def test_a_zero_dimensional_code_has_no_minimum_weight():
             fn(zero)
     # its one shell, the empty block, is still listed: lambda 0 at t >= 1
     rep = shell_design_report(zero, 0, 3)
-    assert rep == codes.ShellDesignReport(1, LambdaResult(True, 0, None),
-                                          "listing")
+    assert rep == codes.ShellDesignReport(1, 0, {3: Verdict(True, "listing")})
 
 
 def test_codeword_arrays_refuse_writes():
@@ -585,7 +585,8 @@ def test_every_shell_is_a_design_up_to_the_assmus_mattson_t():
                 assert listed.is_design, (code, w, t)
                 rep = shell_design_report(code, w, t)
                 assert rep == codes.ShellDesignReport(
-                    dist[w], listed, "Assmus-Mattson"), (code, w, t)
+                    dist[w], listed.lam, {t: Verdict(True, "Assmus-Mattson")}
+                ), (code, w, t)
                 proved += 1
     # 9 + 5 + 25 + 8 + 9 from the structured codes; the seeded ones have d
     # too small for the theorem to prove any t
@@ -600,12 +601,14 @@ def test_a_shell_past_the_assmus_mattson_t_is_listed(monkeypatch):
         calls.append(t)
         return listing(family, t)
     monkeypatch.setattr(codes, "design_lambda", spy)
-    assert shell_design_report(hamming_e8(), 4, 3).mode == "Assmus-Mattson"
+    assert shell_design_report(hamming_e8(), 4, 3).verdicts == {
+        3: Verdict(True, "Assmus-Mattson")}
     assert calls == []
     for t in (0, 4):
         rep = shell_design_report(hamming_e8(), 4, t)
-        assert rep.mode == "listing" and rep.blocks == 14
-        assert rep.result == listing(shell(hamming_e8(), 4), t)
+        res = listing(shell(hamming_e8(), 4), t)
+        assert rep == codes.ShellDesignReport(14, res.lam, {t: Verdict(
+            res.is_design, "listing", res.witness)})
     assert calls == [0, 4]
     # refused in the order the listing route always had: the empty shell
     # first, then t out of range
@@ -1039,8 +1042,9 @@ def test_delsarte_agrees_with_brute_force_on_random_families():
         fam = BlockFamily(n, tuple(sum(1 << i for i in sub) for sub in picks))
         for t in range(1, min(w, 4) + 1):
             brute = design_lambda(fam, t).is_design
-            harmonic = all(v[0] for j, v in
-                           delsarte_design_check(fam, range(1, t + 1)).items())
+            harmonic = all(
+                v.holds for v in
+                delsarte_design_check(fam, range(1, t + 1)).values())
             assert brute == harmonic, (trial, n, w, t)
 
 
@@ -1049,7 +1053,22 @@ def test_complete_uniform_family_is_design_of_every_degree():
     fam = BlockFamily(n, tuple(sum(1 << i for i in sub)
                                for sub in itertools.combinations(range(n), w)))
     checks = delsarte_design_check(fam, [1, 2, 3])
-    assert all(ok for ok, _ in checks.values())
+    assert checks == {j: Verdict(True, "harmonic sums") for j in (1, 2, 3)}
+
+
+def test_index_0_of_a_verdict_is_the_pass_bool():
+    # bench/gen_expected.py checks each counted verdict against the harmonic
+    # sums by reading delsarte_design_check(family, [j])[j][0] as the pass
+    # bool; were a mode string first, that read would always be truthy
+    d16 = shell(d16_plus(), 4)
+    assert delsarte_design_check(d16, [1])[1][0] is True
+    assert delsarte_design_check(d16, [2])[2][0] is False
+    assert delsarte_design_check(d16, [1, 2]) == {
+        1: Verdict(True, "harmonic sums"),
+        2: Verdict(False, "harmonic sums", 13)}
+    # a witness index of 0 is falsy too: index 0 must not be the witness
+    ham = delsarte_design_check(shell(hamming_e8(), 4), [4])[4]
+    assert ham[0] is False and ham == Verdict(False, "harmonic sums", 0)
 
 
 # -- the complement fold ---------------------------------------------------------
@@ -1061,11 +1080,17 @@ def unfolded_sums(basis, fam):
 
 
 def oracle_verdicts(fam, degrees):
+    """The verdicts from unfolded sums, with the mode each degree's route
+    names: closure is read off a set of the blocks and their complements."""
+    blocks = set(fam.blocks.tolist())
+    closed = {u ^ ((1 << fam.n) - 1) for u in blocks} == blocks
     out = {}
     for k in degrees:
         sums = unfolded_sums(harm_basis(fam.n, k), fam) if k else []
         bad = next((i for i, s in enumerate(sums) if s), None)
-        out[k] = (bad is None, bad)
+        mode = ("constant" if k == 0 else "complement" if closed and k % 2
+                else "harmonic sums")
+        out[k] = Verdict(bad is None, mode, bad)
     return out
 
 
@@ -1124,12 +1149,14 @@ def test_families_not_closed_take_the_full_path(monkeypatch):
             assert columns == [len(fam.blocks)] * 2
         assert (delsarte_design_check(fam, degrees)
                 == oracle_verdicts(fam, degrees))
-    assert two_weight_design_check(code, w, [1]).modes == {1: "harmonic sums"}
+    assert two_weight_design_check(code, w, [1]).verdicts[1].mode == \
+        "harmonic sums"
     # a fold would pass it: one missing block makes degree 1 fail
-    assert not delsarte_design_check(families[0], [1])[1][0]
+    assert not delsarte_design_check(families[0], [1])[1].holds
     # the decision on a closed family reads half its blocks at an even degree
     del columns[:]
-    assert delsarte_design_check(ham, [2]) == {2: (True, None)}
+    assert delsarte_design_check(ham, [2]) == {2: Verdict(True,
+                                                          "harmonic sums")}
     assert columns == [len(ham.blocks) // 2]
 
 
@@ -1146,13 +1173,14 @@ def test_odd_degrees_of_a_closed_family_build_nothing(monkeypatch):
     monkeypatch.setattr(codes, "harm_basis", spy)
     monkeypatch.setattr(codes, "_tilde_sums", kernel)
     assert (delsarte_design_check(fam, [1, 3, 5])
-            == {1: (True, None), 3: (True, None), 5: (True, None)})
+            == {j: Verdict(True, "complement") for j in (1, 3, 5)})
     assert asked == []
 
 
 def test_the_decision_folds_a_closed_family_once(monkeypatch):
     # golay24's 8/16 pair is closed: one closure check for the whole call,
-    # and each even degree sums one block of each of its 759 pairs
+    # a two-weight call included, and each even degree sums one block of
+    # each of its 759 pairs
     fam = shell_pair(golay_g24(), 8)
     checks, summed = [], []
     check, sums = codes._complement_half, codes.harmonic_family_sums
@@ -1167,7 +1195,8 @@ def test_the_decision_folds_a_closed_family_once(monkeypatch):
     monkeypatch.setattr(codes, "_complement_half", check_spy)
     monkeypatch.setattr(codes, "harmonic_family_sums", sums_spy)
     verdicts = delsarte_design_check(fam, [1, 2, 3, 4])
-    assert verdicts == {j: (True, None) for j in (1, 2, 3, 4)}
+    assert verdicts == {j: Verdict(True, "complement" if j % 2
+                                   else "harmonic sums") for j in (1, 2, 3, 4)}
     assert checks == [1518]
     assert summed == [(harm_dim(24, 2), 759), (harm_dim(24, 4), 759)]
     # a direct call sums every block it is given, to the same exact numbers
@@ -1177,6 +1206,11 @@ def test_the_decision_folds_a_closed_family_once(monkeypatch):
     assert full == [2 * s for s in sums(basis, BlockFamily(8, check(ham)))]
     assert any(full)
     assert checks == [1518]
+    # the two-weight report names its modes from those verdicts, with no
+    # second closure check
+    del checks[:]
+    rep = two_weight_design_check(golay_g24(), 8, [1, 2, 3, 4])
+    assert rep.verdicts == verdicts and checks == [1518]
 
 
 # -- two-weight checks ---------------------------------------------------------
@@ -1186,25 +1220,26 @@ def test_golay_two_weight_odd_degrees():
     assert rep.family_size == 1518
     # golay24 holds the all-ones word: its 8/16 union is closed under
     # complement, so odd degrees pass by the complement
-    assert rep.modes == {1: "complement", 2: "harmonic sums",
-                         3: "complement", 4: "harmonic sums",
-                         5: "complement"}
+    assert rep.verdicts == {j: Verdict(True, "complement" if j % 2
+                                       else "harmonic sums")
+                            for j in range(1, 6)}
     assert rep.passes([1, 2, 3, 4, 5])   # both shells are 5-designs
 
 
 def test_two_weight_degree_zero_is_the_constant():
     # no sum is taken for degree 0: the constant's sum is the family size
     rep = two_weight_design_check(golay_g24(), 8, [0, 1, 2])
-    assert rep.modes == {0: "constant", 1: "complement", 2: "harmonic sums"}
-    assert rep.verdicts[0] == (True, None)
+    assert rep.verdicts == {0: Verdict(True, "constant"),
+                            1: Verdict(True, "complement"),
+                            2: Verdict(True, "harmonic sums")}
 
 
 def test_d16plus_two_weight_T_design():
     # odd degrees pass by antisymmetry; even degrees genuinely fail here
     rep = two_weight_design_check(d16_plus(), 4, [1, 2, 3, 4, 5])
     assert rep.passes([1, 3, 5])
-    assert not rep.verdicts[2][0]
-    assert not rep.verdicts[4][0]
+    assert not rep.verdicts[2].holds
+    assert not rep.verdicts[4].holds
     # brute-force cross-check of the degree-2 failure
     fam = shell(d16_plus(), 4).union(shell(d16_plus(), 12))
     res = design_lambda(fam, 2)

@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designlab import lattices
-from designlab.codes import (_read_only, code_from_rows, codewords, d16_plus,
-                             golay_g24, hamming_e8)
+from designlab.codes import (Verdict, _read_only, code_from_rows, codewords,
+                             d16_plus, golay_g24, hamming_e8)
 from designlab.errors import (CapExceededError, InternalCheckError,
                               PrecisionError)
 from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
@@ -936,8 +936,9 @@ def test_sphere_moment_even_dimension_against_quadrature():
 def test_moment_report_square_in_plane():
     rep = moment_design_test(shell_enum(lattice_zn(2), 1), 5)
     assert rep.size == 4 and rep.strength == 3
-    assert not rep.verdicts[rep.strength + 1]
-    assert rep.verdicts == {1: True, 2: True, 3: True, 4: False, 5: True}
+    assert not rep.verdicts[rep.strength + 1].holds
+    assert rep.verdicts == {j: Verdict(j != 4, "power moments")
+                            for j in range(1, 6)}
 
 
 def test_moment_strengths_z2_and_a2_samples():
@@ -952,11 +953,12 @@ def test_moment_strengths_z2_and_a2_samples():
 def test_e8_root_shell_is_a_seven_design_failing_degree_eight():
     e8 = lattice_e8()
     rep = moment_design_test(shell_enum(e8, 2), 8)
-    assert rep.strength == 7 and not rep.verdicts[rep.strength + 1]
+    assert rep.strength == 7 and not rep.verdicts[rep.strength + 1].holds
     tre = spherical_T_design_report(e8, 2, range(1, 13))
     expect = {j: j != 8 and j != 12 for j in range(1, 13)}
-    assert tre.verdicts == expect
-    assert tre.component_sums[8] > 0 and tre.component_sums[12] > 0
+    assert {j: v.holds for j, v in tre.verdicts.items()} == expect
+    # a failure's witness is its kernel sum
+    assert tre.verdicts[8].witness > 0 and tre.verdicts[12].witness > 0
 
 
 def test_component_sums_locate_the_first_moment_failure():
@@ -1114,9 +1116,9 @@ def test_theta_design_report_keeps_the_cli_payload(key):
     rep = theta_design_report(lat, norm, t, prec_norm)
     assert (rep.prec_norm, rep.directions_tested, rep.strength) == \
         (depth, dirs, strength)
-    assert rep.verdicts == {j: j not in fails for j in range(1, t + 1)}
-    assert rep.modes == {j: even_modes.get(j, "antipodal")
-                         for j in range(1, t + 1)}
+    assert rep.verdicts == {
+        j: Verdict(j not in fails, even_modes.get(j, "antipodal"))
+        for j in range(1, t + 1)}
 
 
 @pytest.mark.parametrize("lat, norm, t, prec_norm, message", [
@@ -1424,5 +1426,6 @@ def test_T_design_report_for_d16():
     rep = spherical_T_design_report(d16, 2, range(1, 8))
     assert rep.size == 480
     assert rep.passes({1, 2, 3, 5, 6, 7}) and not rep.passes({4})
-    assert rep.component_sums[4] != 0
+    assert rep.verdicts[4].witness == gegenbauer_component_sums(
+        shell_enum(d16, 2), [4])[4] != 0
     assert rep.strength == prefix_strength(rep.verdicts) == 3

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlab.codes import (codewords, d16_plus, delsarte_design_check,
-                             design_lambda, direct_sum, golay_g24, hamming_e8,
-                             harm_basis, harmonic_weight_enumerator, shell,
+from designlab.codes import (Verdict, codewords, d16_plus,
+                             delsarte_design_check, design_lambda, direct_sum,
+                             golay_g24, hamming_e8, harm_basis,
+                             harmonic_weight_enumerator, shell,
                              weight_distribution)
 from designlab.lattices import (Lattice, constant_poly, construction_a,
                                 determinant, harmonic_theta, is_even,
@@ -81,11 +82,11 @@ def _criteria_agree(lat, norm, t):
     mom = moment_design_test(sh, t)
     zon = spherical_T_design_report(lat, norm, range(1, t + 1))
     for k in range(1, t + 1):
-        same_parity = all(zon.verdicts[j]
+        same_parity = all(zon.verdicts[j].holds
                           for j in range(2 - (k % 2), k + 1, 2))
-        assert mom.verdicts[k] == same_parity, (lat.label, norm, k)
+        assert mom.verdicts[k].holds == same_parity, (lat.label, norm, k)
     zs = 0
-    while zs < t and zon.verdicts[zs + 1]:
+    while zs < t and zon.verdicts[zs + 1].holds:
         zs += 1
     assert mom.strength == zs, (lat.label, norm)
     return mom.strength
@@ -200,7 +201,7 @@ def test_lambda_counting_matches_harmonic_criterion(maker, w):
     fam = shell(maker(), w)
     for t in range(1, 5):
         brute = design_lambda(fam, t).is_design
-        harmonic = all(v for v, _ in
+        harmonic = all(v.holds for v in
                        delsarte_design_check(fam, range(1, t + 1)).values())
         assert brute == harmonic, (maker.__name__, w, t)
 
@@ -260,12 +261,16 @@ def test_all_odd_degrees_below_bound_are_guaranteed():
 def test_strength_report_is_internally_consistent(c, expected_when_nonzero):
     for ell in range(1, 41):
         rep = strength_at(c, ell)
-        assert rep.is_design_at_contested == (rep.contested_coefficient == 0)
         assert sorted(rep.base_T) == sorted(conformal_T_set(c).explicit)
-        if not rep.is_design_at_contested and not rep.extra:
+        # each degree read holds exactly when its witness coefficient at ell
+        # vanishes, and a failure carries that coefficient
+        for s, v in rep.verdicts.items():
+            coeff = _witness_trace(c, s, max(ell + 2, 16)).coeff(ell)
+            assert v == Verdict(coeff == 0, "witness trace", coeff or None)
+        # a failure at the contested degree, the first read, ends the walk
+        if not next(iter(rep.verdicts.values())).holds:
+            assert len(rep.verdicts) == 1
             assert rep.strength == expected_when_nonzero
-        for deg, (ok, coeff) in rep.extra.items():
-            assert ok == (coeff == 0)
 
 
 def test_trace_offsets_encode_central_charge():

@@ -20,7 +20,7 @@ from designlab.lattices import (constant_poly, construction_a, lattice_a2,
                                 lattice_e8, lattice_zn, shell_enum,
                                 theta_directions, zonal_harmonic_coords,
                                 zonal_shell_sum)
-from designlab.codes import d16_plus, golay_g24
+from designlab.codes import Verdict, d16_plus, golay_g24
 from designlab.modforms import sigma
 from designlab.qseries import QSeries
 from designlab.voa import (TraceSeries, _witness_trace, a_series, b_series,
@@ -277,18 +277,21 @@ def test_modular_obstruction_classification():
 def test_strength_reports_charge_8():
     for ell in range(1, 30):
         rep = strength_at(8, ell)
-        assert rep.contested_degree == 8
-        assert rep.contested_coefficient == a_series(32).coeff(ell)
-        assert rep.strength == 7 and not rep.is_design_at_contested
+        # one degree read, 8, failing with its nonzero coefficient a(ell)
+        assert rep.verdicts == {
+            8: Verdict(False, "witness trace", a_series(32).coeff(ell))}
+        assert rep.strength == 7
 
 
 def test_strength_reports_charge_16():
     assert strength_at(16, 1).strength == 3
     rep = strength_at(16, 4)
-    assert rep.is_design_at_contested and rep.strength == 7
-    assert rep.extra[8] == (False, F(-5760))
+    assert list(rep.verdicts.items()) == [
+        (4, Verdict(True, "witness trace")),
+        (8, Verdict(False, "witness trace", F(-5760)))]
+    assert rep.strength == 7
     rep8 = strength_at(16, 8)
-    assert rep8.is_design_at_contested and rep8.strength == 7
+    assert rep8.verdicts[4].holds and rep8.strength == 7
     for ell in (2, 3, 5, 6, 7, 9):
         assert strength_at(16, ell).strength == 3
 
@@ -296,9 +299,9 @@ def test_strength_reports_charge_16():
 def test_strength_reports_charge_24():
     for ell in range(1, 60):
         rep = strength_at(24, ell)
-        assert rep.strength == 3 and rep.contested_degree == 4
+        assert rep.strength == 3 and list(rep.verdicts) == [4]
         if ell >= 2:
-            assert rep.contested_coefficient == 240 * sigma(ell - 1, 3)
+            assert rep.verdicts[4].witness == 240 * sigma(ell - 1, 3)
     with pytest.raises(ValueError):
         strength_at(24, 0)
     with pytest.raises(PrecisionError):
@@ -310,14 +313,14 @@ def test_strength_reports_charge_24():
 def strength_oracle(c, ell, prec=None,
                     series=(eta16, eta8, e4, e4_eta8)):
     """strength_at with one branch per charge, as the paper states it, on
-    the closed-form traces a, b, c, d: (contested degree, coefficient,
-    verdict, extra, strength)."""
+    the closed-form traces a, b, c, d: (the (degree, verdict) pairs read,
+    the contested degree first, strength)."""
     a, b, c_, d = series
     prec = prec if prec is not None else max(ell + 2, 16)
     contested = {8: 8, 16: 4, 24: 4}[c]
     coeff = {8: a, 16: b, 24: c_}[c](prec).coeff(ell)
     passes = coeff == 0
-    extra = {}
+    read = [(contested, Verdict(passes, "witness trace", coeff or None))]
     if c == 8:
         strength = "≥ 11 (bounded scan)" if passes else 7
     elif c == 16:
@@ -325,16 +328,16 @@ def strength_oracle(c, ell, prec=None,
             strength = 3
         else:
             dcoef = d(prec).coeff(ell)
-            extra[8] = (dcoef == 0, dcoef)
+            read.append((8, Verdict(dcoef == 0, "witness trace",
+                                    dcoef or None)))
             strength = "≥ 9 (bounded scan)" if dcoef == 0 else 7
     else:
         strength = "≥ 5 (bounded scan)" if passes else 3
-    return contested, coeff, passes, extra, strength
+    return read, strength
 
 
 def report_fields(rep):
-    return (rep.contested_degree, rep.contested_coefficient,
-            rep.is_design_at_contested, rep.extra, rep.strength)
+    return list(rep.verdicts.items()), rep.strength
 
 
 @pytest.mark.parametrize("c", [8, 16, 24])
@@ -363,7 +366,8 @@ def test_strength_past_the_last_witness_is_a_bounded_scan(monkeypatch):
     assert got == {8: "≥ 11 (bounded scan)", 16: "≥ 9 (bounded scan)",
                    24: "≥ 5 (bounded scan)"}
     # only c = 16 reads a second degree
-    assert strength_at(16, 5).extra == {8: (True, F(0))}
+    assert strength_at(16, 5).verdicts == {4: Verdict(True, "witness trace"),
+                                           8: Verdict(True, "witness trace")}
 
 
 # -- graded traces -------------------------------------------------------------------
