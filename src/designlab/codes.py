@@ -19,27 +19,27 @@ Sums of f-tilde over word supports are products of factors in {-1, 0, 1},
 exact in one int8 kernel, which makes Delsarte-style checks cheap.
 
 Each code holds its 2^k codewords as one read-only int64 array, cached for
-the last few codes (``codewords``): shells, the weight distribution, the
-minimum weight and the harmonic weight enumerators all read it, so every
-shell lists its blocks in the same Gray-code order.  A block family is one
-read-only array of masks too, checked by array operations.  Lambda counting
-takes block sizes by ``np.bitwise_count`` and each size group's supports
-from one incidence table, lists the lexicographic rank of each covered
-t-subset, built from two tables of half-subset sums, a tile of at most
-``_LAMBDA_TILE`` ranks at a time in two buffers reused from tile to tile,
-and counts them in place in one table over all C(n,t) ranks, or by one sort
-when fewer than C(n,t) are listed, so it holds min(listed, C(n,t)) counts
-and one tile.  Each function that runs array code imports numpy itself, so
-importing this module does not load it.
+the last few codes (``codewords``): shells, the weight distribution and the
+harmonic weight enumerators all read it, so every shell lists its blocks in
+the same Gray-code order.  A block family is one read-only array of masks
+too, checked by array operations.  Lambda counting takes block sizes by
+``np.bitwise_count`` and each size group's supports from one incidence
+table, lists the lexicographic rank of each covered t-subset, built from two
+tables of half-subset sums, a tile of at most ``_LAMBDA_TILE`` ranks at a
+time in two buffers reused from tile to tile, and counts them in place in
+one table over all C(n,t) ranks, or by one sort when fewer than C(n,t) are
+listed, so it holds min(listed, C(n,t)) counts and one tile.  Each function
+that runs array code imports numpy itself, so importing this module does not
+load it.
 
-A code shell is first offered to the Assmus-Mattson theorem, which needs
-only two weight distributions: the code's, and its dual's from the
-MacWilliams transform (``macwilliams``, Krawtchouk values by their
-three-term recurrence in exact integers).  When it proves the asked
-strength t, lambda = A_w C(w,t) / C(n,t) follows with no block family built
-and no subset listed (``shell_design_report``); only the other requests are
-listed, so ``LAMBDA_CAP`` bounds listings alone.  The minimum distance d is
-read from the weight distribution, by ``min_weight`` and the theorem alike.
+A code shell is first offered to the Assmus-Mattson theorem, which reads
+only the code's weight distribution, counted once per request, and its
+dual's by the MacWilliams transform (``macwilliams``, Krawtchouk values by
+their three-term recurrence in exact integers); ``assmus_mattson`` and
+``min_weight`` take a distribution A_0..A_n too, not a code (``_code_size``
+refuses one that no linear code has).  A proved strength t gives
+lambda = A_w C(w,t) / C(n,t) with no block family built and no subset listed
+(``shell_design_report``); only the other requests are listed.
 """
 
 from __future__ import annotations
@@ -212,10 +212,21 @@ def weight_distribution(code: BinaryCode) -> list[int]:
     return np.bincount(weights, minlength=code.n + 1).tolist()
 
 
-def min_weight(code: BinaryCode) -> int:
-    """The minimum distance d: the least nonzero weight of the weight
-    distribution.  A zero-dimensional code has none (``ValueError``)."""
-    dist = weight_distribution(code)
+def _code_size(dist: Sequence[int]) -> int:
+    """|C| = sum A_i of a weight distribution A_0..A_n (n = len - 1),
+    refused (``ValueError``) when no linear code has it: A_0 must be 1, no
+    A_i negative, and the sum a power of two."""
+    size = sum(dist)
+    if not dist or dist[0] != 1 or min(dist) < 0 or size & (size - 1):
+        raise ValueError("not a linear code's weight distribution: A_0 must "
+                         "be 1, no A_i negative and the sum a power of 2")
+    return size
+
+
+def min_weight(dist: Sequence[int]) -> int:
+    """The minimum distance d, the least nonzero weight of a distribution
+    (``_code_size``); a zero-dimensional code has none (``ValueError``)."""
+    _code_size(dist)
     d = next((i for i in range(1, len(dist)) if dist[i]), None)
     if d is None:
         raise ValueError("a zero-dimensional code has no minimum weight")
@@ -539,15 +550,15 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
 # the MacWilliams transform and the Assmus-Mattson theorem
 # ---------------------------------------------------------------------------
 
-def macwilliams(code: BinaryCode) -> list[int]:
+def macwilliams(dist: Sequence[int]) -> list[int]:
     """The weight distribution B_0..B_n of the dual code, from the code's
-    own A_i: B_j = 2^-k sum_i A_i K_j(i).  The Krawtchouk values K_j(i) are
-    built in exact integers by their three-term recurrence
+    own A_i (``_code_size``): B_j = |C|^-1 sum_i A_i K_j(i).  The values
+    K_j(i) are built in exact integers by the Krawtchouk recurrence
     (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i), from K_0 = 1, for
-    the weights i of some codeword.  Every sum must be divisible by 2^k."""
-    n = code.n
+    the weights i of some codeword.  Every sum must be divisible by |C|."""
+    size, n = _code_size(dist), len(dist) - 1
     sums = [0] * (n + 1)
-    for i, a in enumerate(weight_distribution(code)):
+    for i, a in enumerate(dist):
         if not a:
             continue
         before, k_j = 0, 1
@@ -555,22 +566,21 @@ def macwilliams(code: BinaryCode) -> list[int]:
             sums[j] += a * k_j
             before, k_j = k_j, ((n - 2 * i) * k_j
                                 - (n - j + 1) * before) // (j + 1)
-    dual = [divmod(s, 1 << code.k) for s in sums]
+    dual = [divmod(s, size) for s in sums]
     if any(rest for _, rest in dual):
         raise InternalCheckError(f"a MacWilliams sum is not divisible by "
-                                 f"2^{code.k}: not a code's distribution")
+                                 f"|C| = {size}: not a code's distribution")
     return [b for b, _ in dual]
 
 
-@functools.lru_cache(maxsize=4)
-def assmus_mattson(code: BinaryCode) -> int:
+def assmus_mattson(dist: Sequence[int]) -> int:
     """The largest t < d such that at most d - t of the weights
-    0 < i <= n - t have B_i != 0 (``macwilliams``), else 0.  By the
-    Assmus-Mattson theorem every shell of the code is then a t-design.  It
-    is held for the last four codes asked, as ``codewords`` is."""
-    d, dual = min_weight(code), macwilliams(code)
+    0 < i <= n - t have B_i != 0 (``macwilliams``), else 0, from a code's
+    weight distribution A_0..A_n alone.  By the Assmus-Mattson theorem
+    every shell of the code is then a t-design."""
+    d, dual = min_weight(dist), macwilliams(dist)
     return next((t for t in range(d - 1, 0, -1)
-                 if sum(map(bool, dual[1:code.n - t + 1])) <= d - t), 0)
+                 if sum(map(bool, dual[1:len(dist) - t])) <= d - t), 0)
 
 
 class Verdict(NamedTuple):
@@ -598,7 +608,8 @@ class ShellDesignReport:
 def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
     """Whether the weight-w shell of a code is a t-design, and its lambda.
 
-    A shell with no codewords is refused first, then t outside 0..n (both
+    The code's weight distribution is counted once, for every step.  A
+    shell with no codewords is refused first, then t outside 0..n (both
     ``ValueError``).  When the Assmus-Mattson theorem proves it
     (1 <= t <= ``assmus_mattson``), lambda = A_w C(w,t) / C(n,t) with no
     block family built and no subset listed.  Any other request is listed
@@ -611,7 +622,7 @@ def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
     if not 0 <= t <= code.n:
         raise ValueError(f"t must lie in 0..{code.n}")
     # a zero-dimensional code has only the empty block, and no d
-    if code.k and 1 <= t <= assmus_mattson(code):
+    if code.k and 1 <= t <= assmus_mattson(dist):
         lam, rest = divmod(dist[w] * comb(w, t), comb(code.n, t))
         if rest:
             raise InternalCheckError(

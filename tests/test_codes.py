@@ -184,9 +184,9 @@ def test_weight_distributions():
 
 
 def test_min_weights():
-    assert min_weight(hamming_e8()) == 4
-    assert min_weight(golay_g24()) == 8
-    assert min_weight(d16_plus()) == 4
+    assert min_weight(weight_distribution(hamming_e8())) == 4
+    assert min_weight(weight_distribution(golay_g24())) == 8
+    assert min_weight(weight_distribution(d16_plus())) == 4
 
 
 # -- the codeword array -----------------------------------------------------------
@@ -234,8 +234,8 @@ def test_weight_distribution_and_min_weight_match_the_brute_span():
             dist[u.bit_count()] += 1
         assert weight_distribution(code) == dist
         if code.k:
-            assert min_weight(code) == min(u.bit_count() for u in words if u)
-            assert type(min_weight(code)) is int
+            assert min_weight(dist) == min(u.bit_count() for u in words if u)
+            assert type(min_weight(weight_distribution(code))) is int
 
 
 def test_a_zero_dimensional_code_has_no_minimum_weight():
@@ -244,7 +244,7 @@ def test_a_zero_dimensional_code_has_no_minimum_weight():
     for fn in (min_weight, assmus_mattson):
         with pytest.raises(ValueError, match="zero-dimensional code has no "
                                              "minimum weight"):
-            fn(zero)
+            fn(weight_distribution(zero))
     # its one shell, the empty block, is still listed: lambda 0 at t >= 1
     rep = shell_design_report(zero, 0, 3)
     assert rep == codes.ShellDesignReport(1, 0, {3: Verdict(True, "listing")})
@@ -561,7 +561,8 @@ def seeded_codes():
 def test_macwilliams_matches_the_brute_dual():
     bundled = [hamming_e8(), d16_plus(), golay_g24()]
     for code in bundled + [hamming7(), reed_muller_1_4()] + seeded_codes():
-        assert macwilliams(code) == brute_dual_distribution(code), code
+        assert macwilliams(weight_distribution(code)) == \
+            brute_dual_distribution(code), code
 
 
 @pytest.mark.parametrize("code, t", [
@@ -569,7 +570,7 @@ def test_macwilliams_matches_the_brute_dual():
     (direct_sum(hamming_e8(), d16_plus()), 0),
     (hamming7(), 2), (reed_muller_1_4(), 3)])
 def test_assmus_mattson_strengths(code, t):
-    assert assmus_mattson(code) == t
+    assert assmus_mattson(weight_distribution(code)) == t
 
 
 def test_every_shell_is_a_design_up_to_the_assmus_mattson_t():
@@ -580,7 +581,7 @@ def test_every_shell_is_a_design_up_to_the_assmus_mattson_t():
             continue
         dist = weight_distribution(code)
         for w in np.flatnonzero(dist).tolist():
-            for t in range(1, assmus_mattson(code) + 1):
+            for t in range(1, assmus_mattson(dist) + 1):
                 listed = design_lambda(shell(code, w), t)
                 assert listed.is_design, (code, w, t)
                 rep = shell_design_report(code, w, t)
@@ -644,8 +645,9 @@ def test_qr32_weight_16_is_a_3_design_with_no_listing(tmp_path, monkeypatch,
     path = tmp_path / "qr32.txt"
     path.write_text(qr32_text())
     code = code_from_text(path.read_text())
-    assert (code.n, code.k, min_weight(code)) == (32, 16, 8)
-    assert assmus_mattson(code) == 3
+    dist = weight_distribution(code)
+    assert (code.n, code.k, min_weight(dist)) == (32, 16, 8)
+    assert assmus_mattson(dist) == 3
     # a listing would take 36,518 C(16,3) = 20,450,080 subsets, over the cap
     assert 36518 * comb(16, 3) > codes.LAMBDA_CAP
     out = io.StringIO()
@@ -663,19 +665,69 @@ def test_qr32_weight_16_is_a_3_design_with_no_listing(tmp_path, monkeypatch,
 
 
 def test_assmus_mattson_guards_refuse_planted_distributions(monkeypatch):
-    real = weight_distribution(golay_g24())
-    assert assmus_mattson(golay_g24()) == 5     # held from here on
-    # one codeword short: the sums are no longer multiples of 2^4
-    monkeypatch.setattr(codes, "weight_distribution",
-                        lambda code: [1, 0, 0, 0, 13, 0, 0, 0, 1])
-    with pytest.raises(InternalCheckError, match=r"not divisible by 2\^4"):
-        macwilliams(hamming_e8())
-    # one dodecad too many after the theorem was proved: 2577 C(12,5) is
-    # no multiple of C(24,5)
-    planted = real[:12] + [real[12] + 1] + real[13:]
-    monkeypatch.setattr(codes, "weight_distribution", lambda code: planted)
+    # no linear code has these: one word short of hamming8 (sum 15), A_0 = 0,
+    # a negative A_i, no entries at all
+    for fn in (macwilliams, min_weight, assmus_mattson):
+        for planted in ([1, 0, 0, 0, 13, 0, 0, 0, 1], [0, 0, 0, 0, 16],
+                        [1, 0, -1, 0, 16, 0, 0, 0, 0], []):
+            with pytest.raises(ValueError, match="not a linear code's"):
+                fn(planted)
+    # 16 words whose dual sums are not multiples of 16
+    with pytest.raises(InternalCheckError, match=r"divisible by \|C\| = 16"):
+        macwilliams([1, 0, 0, 1, 12, 1, 0, 0, 1])
+    # one dodecad too many, which the theorem would refuse, "proved" t = 5:
+    # 2577 C(12,5) is no multiple of C(24,5)
+    words = codewords(golay_g24())
+    planted = np.append(words, words[np.bitwise_count(words) == 12][:1])
+    monkeypatch.setattr(codes, "codewords", lambda code: planted)
+    monkeypatch.setattr(codes, "assmus_mattson", lambda dist: 5)
+    assert weight_distribution(golay_g24())[12] == 2577
     with pytest.raises(InternalCheckError, match="no integral lambda"):
         shell_design_report(golay_g24(), 12, 5)
+
+
+def extremal_type_ii(n, shells):
+    """The weight distribution of an extremal Type II code of length n from
+    its shells below n/2, {w: A_w}, mirrored by A_w = A_{n-w}."""
+    dist = [0] * (n + 1)
+    dist[0] = dist[n] = 1
+    for w, count in shells.items():
+        dist[w] = dist[n - w] = count
+    return dist
+
+
+def test_extremal_distributions_need_no_code(monkeypatch):
+    def no_words(code):
+        raise AssertionError("enumerated a code")
+    monkeypatch.setattr(codes, "codewords", no_words)
+    # length 48 is past BinaryCode's n <= 32: the distribution alone
+    for n, shells, size, d, t in (
+            (32, {8: 620, 12: 13888, 16: 36518}, 1 << 16, 8, 3),
+            (48, {12: 17296, 16: 535095, 20: 3995376, 24: 7681680},
+             1 << 24, 12, 5)):
+        dist = extremal_type_ii(n, shells)
+        assert sum(dist) == size
+        assert macwilliams(dist) == dist        # self-dual
+        assert min_weight(dist) == d
+        assert assmus_mattson(dist) == t
+
+
+@pytest.mark.parametrize("make, w, t, mode", [
+    (golay_g24, 12, 5, "Assmus-Mattson"), (d16_plus, 8, 4, "listing")])
+def test_a_shell_report_counts_the_weight_distribution_once(
+        make, w, t, mode, monkeypatch):
+    # the fixture's rows under a new name, which no cache holds: every count
+    # the report needs is made in this call
+    code = code_from_rows(make().n, list(make().gens), "spied")
+    calls = []
+    count = codes.weight_distribution
+
+    def spy(c):
+        calls.append(c)
+        return count(c)
+    monkeypatch.setattr(codes, "weight_distribution", spy)
+    assert shell_design_report(code, w, t).verdicts[t].mode == mode
+    assert calls == [code]
 
 
 def test_block_family_guards():
