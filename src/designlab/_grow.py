@@ -7,7 +7,7 @@ at exactly that size and holds the result in place of the smaller one (a
 miss); a build that raises leaves what was held.  Callers share what is
 held, so every held value is immutable.  At most ``MAXSIZE`` keys are
 held, the least recently used dropped first.  Held this way: the vector
-tables of ``lattices`` (a read-only map of read-only arrays, per lattice),
+tables of ``lattices`` (a read-only map of ``Shell``s, per lattice),
 the eta-power coefficient tuples of ``modforms`` (per exponent, read also
 as the tau table) and the witness traces of ``voa`` (per charge and
 degree).

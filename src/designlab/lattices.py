@@ -17,13 +17,15 @@ arithmetic, so the enumerated shells are exact.  Integer width has one
 rule, from a bound on every partial sum: float64 BLAS below 2^53, else the
 narrowest integer dtype, else Python ints (``_int_matmul``,
 ``_int_dtype``); shell coordinates past int64 are refused, so negating a
-row never wraps.  A shell is a slice of the ball's sorted integer
-array, held in an immutable buffer so no caller can write to it; Python
-tuples of its vectors are built only on demand.  One ball is kept per
-lattice (and cap), the largest asked, and a smaller bound is served its
-prefix of shells, so a warm process enumerates a lattice again only past
-its largest bound so far.  Size caps are checked on counts, before any
-row is mapped back to the caller's basis: the search stops once the
+row never wraps.  The ball is held as one ``Shell`` per doubled norm,
+each built once with the ball: its sorted rows, copied into an immutable
+buffer so no caller can write to them.  A shell derives its pair
+histogram and Python tuples of its vectors on first use and holds them.
+One ball is kept per lattice (and cap), the largest asked, and a smaller
+bound is served its prefix of those shells, so a warm process enumerates
+a lattice again only past its largest bound so far, and builds each
+shell's pair histogram once.  Size caps are checked on counts, before
+any row is mapped back to the caller's basis: the search stops once the
 ball's candidates pass 4*cap + 64, and the per-norm tallies refuse the
 smallest norm whose shell is larger than the cap.
 Design tests run off the histogram of pairwise inner products: raw power
@@ -230,32 +232,36 @@ def construction_a(code: BinaryCode, label: str = "") -> Lattice:
 class Shell:
     """All lattice vectors of one exact norm, in sorted coordinate order.
 
-    ``rows`` is a sorted integer array, one vector per row, that refuses
-    writes.  Every input meets one width check: a read-only integer array
-    whose dtype holds the ``_int_dtype`` of its largest magnitude is kept
-    as it is, so a cached table slice stays itself and is never narrowed;
-    any other input, tuples, a writeable array or a too narrow one, is
-    copied in that ``_int_dtype`` (``_coordinates``) into an immutable
-    buffer (``_read_only``).  ``vectors`` is the same shell as a tuple of
-    coordinate tuples, built on first use.  Length, hash and equality read
-    only the array.
+    ``rows`` is an integer array, one vector of ``lattice.rank``
+    coordinates per row, built by one rule from any input, tuples or an
+    array: copied once in the ``_int_dtype`` of its largest magnitude
+    (``_coordinates``) into an immutable buffer (``_read_only``); rows of
+    another width are refused.  What is derived from the rows is held on
+    first use: ``vectors``, the same shell as a tuple of coordinate tuples,
+    and ``_histogram``, the items of the pair histogram
+    (``_pair_histogram``).  Length reads the rows, the hash the lattice
+    and the length, and equality the lattice, norm and rows.
     """
     lattice: Lattice
     norm: Fraction
     rows: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-        rows = self.rows
-        if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
-                and not rows.flags.writeable
-                and np.can_cast(_int_dtype(_max_abs(rows)), rows.dtype)):
-            rows = _coordinates(rows).reshape(len(rows), self.lattice.rank)
-            object.__setattr__(self, "rows", _read_only(rows))
+        rank = self.lattice.rank
+        rows = _ints(self.rows)
+        if len(rows) and (rows.ndim != 2 or rows.shape[1] != rank):
+            raise ValueError(f"shell rows must each hold {rank} coordinates, "
+                             "one per basis vector of the lattice")
+        rows = _coordinates(rows).reshape(len(rows), rank)
+        object.__setattr__(self, "rows", _read_only(rows))
 
     @functools.cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.rows.tolist()))
+
+    @functools.cached_property
+    def _histogram(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_pair_histogram(self).items())
 
     def __len__(self):
         return len(self.rows)
@@ -542,7 +548,8 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     search emitted v twice, or v and -v) is refused.
     Vectors with a negative first nonzero coordinate sort before the rest,
     and negation reverses the order, so each shell is its sorted half H as
-    -reverse(H) then H, in an immutable buffer (``_read_only``).
+    -reverse(H) then H.  The array is a transient: each ``Shell`` copies
+    its own slice.
     """
     import numpy as np
     u, g2 = _reduced_basis(lat.g2)
@@ -590,7 +597,7 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
         np.negative(h[::-1], out=rows[start:start + size // 2])
         rows[start + size // 2:start + size] = h
         start += size
-    return sizes, _read_only(rows)
+    return sizes, rows
 
 
 def _is_antipodal(rows: np.ndarray) -> bool:
@@ -609,18 +616,18 @@ def _is_antipodal(rows: np.ndarray) -> bool:
 
 @grow_once(lambda lat, bound2, cap, workers: ((lat, cap), bound2),
            lambda table, bound2: MappingProxyType(
-               {w: rows for w, rows in table.items() if w <= bound2}))
+               {w: shell for w, shell in table.items() if w <= bound2}))
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
                              workers: int) -> MappingProxyType:
-    """Bucket all vectors with 0 < 2*Q(v) <= bound2 by exact doubled norm
-    (``_sorted_ball``) in a read-only map: every shell is a slice of the
-    one sorted array, which lives in an immutable buffer, checked antipodal
-    before any slice is handed out.  One ball is held per (lattice, cap),
-    the largest asked (``_grow.grow_once``): a smaller bound is served its
-    prefix of doubled norms, equal to the shells a build there would give,
-    since every smaller ball passes the cap when the larger one did.
-    ``workers`` changes nothing and stays because ``bench/spans.py`` reads
-    the table with four arguments.
+    """All vectors with 0 < 2*Q(v) <= bound2 (``_sorted_ball``), one
+    ``Shell`` per exact doubled norm in a read-only map, each checked
+    antipodal before any is handed out.  One ball is held per (lattice,
+    cap), the largest asked (``_grow.grow_once``): a smaller bound is served
+    its prefix of doubled norms, the same ``Shell`` objects, equal to the
+    shells a build there would give, since every smaller ball passes the
+    cap when the larger one did.  A held shell's ``lattice`` is the object
+    that built the ball.  ``workers`` changes nothing and stays because
+    ``bench/spans.py`` reads the table with four arguments.
     """
     if bound2 < 0:
         return MappingProxyType({})
@@ -628,8 +635,8 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
     out = {}
     start = 0
     for w, size in sizes.items():
-        shell = rows[start:start + size]
-        if not _is_antipodal(shell):
+        shell = Shell(lat, Fraction(w, 2), rows[start:start + size])
+        if not _is_antipodal(shell.rows):
             raise InternalCheckError(f"shell at doubled norm {w} not antipodal")
         out[w] = shell
         start += size
@@ -637,11 +644,13 @@ def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
 
 
 def shell_enum(lat: Lattice, norm) -> Shell:
-    """All vectors of the exact given norm, antipodal and sorted.
+    """All vectors of the exact given norm, antipodal and sorted: the held
+    ``Shell`` itself (``_vectors_by_doubled_norm``), or a new empty one
+    for a norm with no vectors.
 
     Float pruning only widens the search box; acceptance is by exact
-    integer arithmetic on the doubled Gram matrix, and the shell comes from
-    the vector table, which checks antipodality on its arrays.
+    integer arithmetic on the doubled Gram matrix, and the vector table
+    checks every shell antipodal.
     """
     import numpy as np
     norm = Fraction(norm)
@@ -651,13 +660,14 @@ def shell_enum(lat: Lattice, norm) -> Shell:
     if norm == 0 or doubled.denominator != 1:
         return Shell(lat, norm, np.zeros((int(norm == 0), lat.rank), np.int8))
     table = _vectors_by_doubled_norm(lat, int(doubled), SHELL_CAP, 1)
-    return Shell(lat, norm, table.get(int(doubled), ()))
+    shell = table.get(int(doubled))
+    return Shell(lat, norm, ()) if shell is None else shell
 
 
 def shell_sizes_up_to(lat: Lattice, max_norm) -> dict[Fraction, int]:
     doubled = int(2 * Fraction(max_norm))
     table = _vectors_by_doubled_norm(lat, doubled, SHELL_CAP, 1)
-    return {Fraction(w, 2): len(vs) for w, vs in sorted(table.items())}
+    return {Fraction(w, 2): len(shell) for w, shell in sorted(table.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +751,6 @@ def _pair_histogram(shell: Shell) -> dict[int, int]:
             for v in sorted(hist.keys() | {-v for v in hist})}
 
 
-@functools.lru_cache(maxsize=16)
-def _shell_pair_histogram(shell: Shell) -> tuple[tuple[int, int], ...]:
-    """The ``_pair_histogram`` items of a shell, computed once, read-only."""
-    return tuple(_pair_histogram(shell).items())
-
-
 @dataclass(frozen=True)
 class TDesignReport:
     size: int
@@ -767,7 +771,7 @@ def moment_design_test(shell: Shell, t: int) -> TDesignReport:
     if not len(shell) or shell.norm <= 0:
         raise ValueError("moment test needs a nonempty positive-norm shell")
     degrees = _degree_list(range(1, t + 1))
-    hist = _shell_pair_histogram(shell)
+    hist = shell._histogram
     size = len(shell)
     verdicts: dict[int, Verdict] = {}
     for k in degrees:
@@ -844,7 +848,7 @@ def gegenbauer_component_sums(shell: Shell, degrees) -> dict[int, Fraction]:
     if not len(shell) or shell.norm <= 0:
         raise ValueError("component sums need a nonempty positive-norm shell")
     wanted = _degree_list(degrees)
-    hist = _shell_pair_histogram(shell)
+    hist = shell._histogram
     d, e = (2 * shell.norm).numerator, (2 * shell.norm).denominator
     sums = _zonal_sums(shell.lattice.rank, [e * w for w, _ in hist],
                        [cnt for _, cnt in hist], d * d, wanted)
@@ -946,12 +950,12 @@ def harmonic_theta(lat: Lattice, p: HarmonicPolynomial, prec_norm: int,
     even = is_even(lat)
     table = _vectors_by_doubled_norm(lat, 2 * prec_norm, cap, workers)
     coeffs: dict[int, Fraction] = {0: Fraction(1)} if p.degree == 0 else {}
-    for w, rows in table.items():
+    for w, shell in table.items():
         norm = w // 2
         if even and norm % 2:
             raise InternalCheckError("odd norm on an even lattice")
-        val = len(rows) if p.degree == 0 else zonal_shell_sum(
-            lat, Shell(lat, Fraction(norm), rows), p.degree, p.direction)
+        val = len(shell) if p.degree == 0 else zonal_shell_sum(
+            lat, shell, p.degree, p.direction)
         if val:
             coeffs[norm] = val
     return QSeries(0, prec_norm, coeffs)

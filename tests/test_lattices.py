@@ -6,9 +6,11 @@ dimension), and the E8 zonal sums against an explicit coordinate model of
 the root system built without any of the lattice machinery.
 """
 
+import importlib.util
 import math
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,8 +201,8 @@ def dfs_shells(lat, bound2):
 
 
 def tuple_table(table):
-    """A vector table with every shell array turned into sorted tuples."""
-    return {w: tuple(map(tuple, rows.tolist())) for w, rows in table.items()}
+    """A vector table with every shell's rows turned into sorted tuples."""
+    return {w: tuple(map(tuple, sh.rows.tolist())) for w, sh in table.items()}
 
 
 def brute_pair_histogram(lat, vectors):
@@ -572,20 +574,30 @@ def test_read_only_rows_meet_the_width_check():
     assert sh.rows.dtype == np.int16 and not sh.rows.flags.writeable
     assert (_pair_histogram(sh) == brute_pair_histogram(z2, sh.vectors)
             == {2 * 128 ** 2: 4})
-    # read-only rows wide enough are kept as they are, never narrowed
+    # every input takes the one rule: a read-only int64 array is copied
+    # in the dtype of its largest magnitude, like tuples or writeable rows
     wide = _read_only(np.array([[-1, 0], [0, 1]], dtype=np.int64))
-    assert Shell(z2, F(1), wide).rows is wide
+    sh = Shell(z2, F(1), wide)
+    assert sh.rows is not wide and sh.rows.dtype == np.int8
+    assert np.array_equal(sh.rows, wide) and not sh.rows.flags.writeable
     with pytest.raises(ValueError, match="integers"):
         Shell(z2, F(1, 4), _read_only(np.array([[0.5, 0.0]])))
+    # rows of another width, read-only or not, 1-D, tuples or ragged, are
+    # refused by the rank, not left to fail inside a product or a reshape
+    for rows in (_read_only(np.array([[1, 0, 0], [-1, 0, 0]])),
+                 _read_only(np.array([1, 0, -1, 0])),
+                 ((1, 0, 0), (-1, 0, 0)), ((1, 0), (-1,))):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            Shell(z2, F(1), rows)
 
 
 def test_odd_norm_on_an_even_lattice_is_an_internal_fault(monkeypatch):
     # the enumerator never puts an odd norm into an even lattice's table;
     # one that did would be a fault of the program, not of the request
     e8 = lattice_e8()
-    rows = shell_enum(e8, 2).rows
+    roots = shell_enum(e8, 2)
     monkeypatch.setattr(lattices, "_vectors_by_doubled_norm",
-                        lambda *args: {6: rows})
+                        lambda *args: {6: roots})
     with pytest.raises(InternalCheckError, match="odd norm"):
         harmonic_theta(e8, constant_poly(8), 3)
 
@@ -626,7 +638,8 @@ def test_moment_and_zonal_criteria_share_one_pair_histogram(monkeypatch):
         return _pair_histogram(shell)
 
     monkeypatch.setattr(lattices, "_pair_histogram", counted)
-    lattices._shell_pair_histogram.cache_clear()
+    # an earlier test may have built the held shell's histogram already
+    _vectors_by_doubled_norm.cache_clear()
     e8 = lattice_e8()
     # E8 norm 4: tau(2) != 0, so a 7-design and not an 8-design
     assert moment_design_test(shell_enum(e8, 4), 8).strength == 7
@@ -640,7 +653,7 @@ def test_shell_arrays_refuse_writes():
     table = _vectors_by_doubled_norm(e8, 8, SHELL_CAP, 1)
     sh = shell_enum(e8, 2)
     hand = Shell(lattice_zn(2), F(1), np.array([[0, 1], [1, 0]]))
-    for rows in (table[4], table[8], sh.rows, hand.rows):
+    for rows in (table[4].rows, table[8].rows, sh.rows, hand.rows):
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 7
         # the buffer underneath is immutable: neither the array, nor a view
@@ -648,9 +661,8 @@ def test_shell_arrays_refuse_writes():
         for arr in (rows, rows[1:], rows.base):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 arr.setflags(write=True)
-    # the shell hands out the cached slice itself, and builds its tuples once
-    assert sh.rows is _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4]
-    assert np.array_equal(sh.rows, table[4])
+    # the held shell itself is handed out, and builds its tuples once
+    assert sh is _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4] is table[4]
     assert sh.vectors is sh.vectors and len(sh.vectors) == len(sh) == 240
 
 
@@ -661,10 +673,8 @@ def test_equal_sized_shells_do_not_share_a_histogram():
     lopsided = Shell(z2, F(1), ((-1, 0), (0, 1), (0, 1), (1, 0)))
     assert hash(unit) == hash(lopsided) and unit != lopsided
     assert unit == Shell(z2, F(1), unit.vectors)
-    lattices._shell_pair_histogram.cache_clear()
     for sh in (unit, lopsided):
-        assert dict(lattices._shell_pair_histogram(sh)) == \
-            brute_pair_histogram(z2, sh.vectors)
+        assert dict(sh._histogram) == brute_pair_histogram(z2, sh.vectors)
     assert moment_design_test(unit, 3).strength == 3
     assert moment_design_test(lopsided, 3).strength == 0
 
@@ -712,11 +722,12 @@ def test_smaller_bounds_are_served_from_the_largest_ball(lat, top):
         served = table(lat, bound2, SHELL_CAP, 1)
         built = table.__wrapped__(lat, bound2, SHELL_CAP, 1)
         assert list(served) == list(built), bound2
-        for w, rows in served.items():
-            assert rows is held[w]          # a slice of the one ball
-            assert rows.dtype == built[w].dtype
-            assert np.array_equal(rows, built[w])
-            assert not rows.flags.writeable and not rows.base.flags.writeable
+        for w, shell in served.items():
+            assert shell is held[w]         # a shell of the one ball
+            assert shell == built[w] and shell.norm == F(w, 2)
+            assert shell.rows.dtype == built[w].rows.dtype
+            assert not shell.rows.flags.writeable
+            assert not shell.rows.base.flags.writeable
     assert table.cache_info()[:2] == (len(bounds), 1)
 
 
@@ -732,9 +743,9 @@ def test_the_held_vector_table_cannot_be_written():
             served[12] = held[4]
         with pytest.raises(TypeError):
             del served[4]
-        for rows in served.values():
+        for shell in served.values():
             with pytest.raises(ValueError):
-                rows[0, 0] = 1
+                shell.rows[0, 0] = 1
     assert dict(table(e8, 4, SHELL_CAP, 1)) == {4: held[4]}
 
 
@@ -783,6 +794,82 @@ def test_the_plane_strength_loop_builds_one_ball(monkeypatch):
         assert strengths == {t - 1}
     assert balls == [(lattice_zn(2), 100), (lattice_a2(), 100)]
     assert _vectors_by_doubled_norm.cache_info().misses == 2
+
+
+def _bench_harness():
+    path = Path(__file__).resolve().parent.parent / "bench" / "harness.py"
+    spec = importlib.util.spec_from_file_location("bench_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_held_norm_is_one_shell_object():
+    _vectors_by_doubled_norm.cache_clear()
+    e8 = lattice_e8()
+    roots = shell_enum(e8, 2)
+    assert shell_enum(e8, 2) is roots is shell_enum(e8, F(2))
+    assert _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4] is roots
+    # one Gram matrix under two labels is one lattice, one ball, one shell
+    d16 = construction_a(d16_plus())
+    relabeled = Lattice._from_g2(d16.g2, "CA:d16plus")
+    assert shell_enum(relabeled, 2) is shell_enum(d16, 2)
+    assert shell_enum(d16, 2).lattice == d16 == relabeled
+    # a norm with no vectors is a new empty shell each time
+    assert len(shell_enum(e8, 3)) == 0 and shell_enum(e8, 3) is not \
+        shell_enum(e8, 3)
+
+
+def test_harmonic_theta_builds_no_shell_for_a_held_norm(monkeypatch):
+    e8 = lattice_e8()
+    held = shell_sizes_up_to(e8, 8)
+    built = []
+    post_init = Shell.__post_init__
+
+    def spy(self):
+        built.append(self.norm)
+        post_init(self)
+
+    monkeypatch.setattr(Shell, "__post_init__", spy)
+    zonal = zonal_harmonic_coords(e8, 4, (1,) + (0,) * 7)
+    for prec in (8, 4):
+        for p in (constant_poly(8), zonal):
+            assert harmonic_theta(e8, p, prec)[2] == (240 if p.degree == 0
+                                                     else F(0))
+    for norm, size in held.items():
+        assert len(shell_enum(e8, norm)) == size
+    assert built == []
+
+
+def test_plane_strengths_build_each_histogram_once(monkeypatch):
+    # the bench's lib:plane_strengths_z2 request reads 24 Z2 shells; a
+    # repeat in the same process reads every histogram its shells hold
+    harness = _bench_harness()
+    runs = []
+
+    def counted(shell):
+        runs.append(shell.norm)
+        return pair_histogram(shell)
+
+    pair_histogram = lattices._pair_histogram
+    monkeypatch.setattr(lattices, "_pair_histogram", counted)
+    _vectors_by_doubled_norm.cache_clear()
+    first = harness._plane_strengths(lattice_zn(2), 4, 0)
+    assert len(first) == len(runs) == 24 == len(set(runs))
+    assert harness._plane_strengths(lattice_zn(2), 4, 0) == first
+    assert len(runs) == 24
+
+
+def test_a_grown_ball_serves_its_own_shells():
+    table = _vectors_by_doubled_norm
+    table.cache_clear()
+    e8 = lattice_e8()
+    old = table(e8, 4, SHELL_CAP, 1)[4]
+    grown = table(e8, 8, SHELL_CAP, 1)
+    assert grown[4] is not old and grown[4] == old
+    for served in (table(e8, 4, SHELL_CAP, 1)[4], shell_enum(e8, 2)):
+        assert served is grown[4]
+    assert shell_enum(e8, 4) is grown[8]
 
 
 def test_half_ball_with_a_vector_and_its_negation_is_refused(monkeypatch):
@@ -1002,7 +1089,7 @@ KERNEL_SHELLS = [
                               for lat, norm in KERNEL_SHELLS])
 def test_component_sums_match_the_gram_schmidt_oracle(lat, norm):
     sh = shell_enum(lat, norm)
-    hist = lattices._shell_pair_histogram(sh)
+    hist = sh._histogram
     assert gegenbauer_component_sums(sh, range(1, 13)) == \
         kernel_sums(hist, lat.rank, norm, range(1, 13))
 
@@ -1033,9 +1120,11 @@ def test_degree_cap_refuses_before_any_work(monkeypatch):
 
     monkeypatch.setattr(lattices, "_pair_histogram", refuse)
     monkeypatch.setattr(lattices, "_vectors_by_doubled_norm", refuse)
-    lattices._shell_pair_histogram.cache_clear()
-    for call in (lambda: moment_design_test(sh, DEGREE_CAP + 1),
-                 lambda: gegenbauer_component_sums(sh, [2, DEGREE_CAP + 1]),
+    # ``sh`` holds its histogram now: a new shell of its rows holds none
+    fresh = Shell(e8, sh.norm, sh.rows)
+    for call in (lambda: moment_design_test(fresh, DEGREE_CAP + 1),
+                 lambda: gegenbauer_component_sums(fresh,
+                                                   [2, DEGREE_CAP + 1]),
                  lambda: spherical_T_design_report(e8, 8, range(1, 10 ** 12)),
                  lambda: moment_design_report(e8, 2, DEGREE_CAP + 1),
                  # before the theta depth, lattice and norm checks too
