@@ -238,9 +238,16 @@ def min_weight(dist: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A copy of an array over an immutable ``bytes`` buffer: unlike a
-    read-only flag, no caller can turn it, a view or its base writeable."""
+    """The array over an immutable ``bytes`` buffer: unlike a read-only
+    flag, no caller can turn it, a view or its base writeable.  An array
+    already over such a buffer, a view of one included, is returned as it
+    is; any other is copied into one."""
     import numpy as np
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes):
+        return arr
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 

@@ -18,9 +18,9 @@ rule, from a bound on every partial sum: float64 BLAS below 2^53, else the
 narrowest integer dtype, else Python ints (``_int_matmul``,
 ``_int_dtype``); shell coordinates past int64 are refused, so negating a
 row never wraps.  The ball is held as one ``Shell`` per doubled norm,
-each built once with the ball: its sorted rows, copied into an immutable
-buffer so no caller can write to them.  A shell derives its pair
-histogram and Python tuples of its vectors on first use and holds them.
+each built once with the ball: its sorted rows, a view of the ball's
+one immutable buffer, so no caller can write to them.  A shell derives
+its pair histogram on first use and holds it.
 One ball is kept per lattice (and cap), the largest asked, and a smaller
 bound is served its prefix of those shells, so a warm process enumerates
 a lattice again only past its largest bound so far, and builds each
@@ -37,8 +37,8 @@ enumeration.  Each criterion is one report, ``moment_design_report``,
 ``spherical_T_design_report`` or ``theta_design_report``, holding one
 ``codes.Verdict`` per degree, and each checks its degrees first, before
 any other refusal and before enumerating.  A harmonic polynomial, 1 or a
-zonal harmonic along a lattice coordinate row, is summed over a shell by
-the same kernel.  Every degree passes one ``DEGREE_CAP`` check
+zonal harmonic along an integer lattice coordinate row, is summed over
+a shell by the same kernel.  Every degree passes one ``DEGREE_CAP`` check
 (``_degree_list``).  Each function that runs array code imports numpy
 itself, so importing this module does not load it.
 """
@@ -234,13 +234,13 @@ class Shell:
 
     ``rows`` is an integer array, one vector of ``lattice.rank``
     coordinates per row, built by one rule from any input, tuples or an
-    array: copied once in the ``_int_dtype`` of its largest magnitude
-    (``_coordinates``) into an immutable buffer (``_read_only``); rows of
-    another width are refused.  What is derived from the rows is held on
-    first use: ``vectors``, the same shell as a tuple of coordinate tuples,
-    and ``_histogram``, the items of the pair histogram
-    (``_pair_histogram``).  Length reads the rows, the hash the lattice
-    and the length, and equality the lattice, norm and rows.
+    array: held in the ``_int_dtype`` of its largest magnitude
+    (``_coordinates``) over an immutable buffer (``_read_only``), so rows
+    already of that width over such a buffer, a held ball's slices, are
+    kept as they are and any other input is copied once; rows of another
+    width are refused.  The items of the pair histogram (``_pair_histogram``)
+    are held on first use, as ``_histogram``.  Length reads the rows;
+    equality and hashing are by identity.
     """
     lattice: Lattice
     norm: Fraction
@@ -256,26 +256,11 @@ class Shell:
         object.__setattr__(self, "rows", _read_only(rows))
 
     @functools.cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.rows.tolist()))
-
-    @functools.cached_property
     def _histogram(self) -> tuple[tuple[int, int], ...]:
         return tuple(_pair_histogram(self).items())
 
     def __len__(self):
         return len(self.rows)
-
-    def __hash__(self):
-        return hash((self.lattice, len(self.rows)))
-
-    def __eq__(self, other):
-        import numpy as np
-        if not isinstance(other, Shell):
-            return NotImplemented
-        return (self.lattice == other.lattice and self.norm == other.norm
-                and (self.rows is other.rows
-                     or np.array_equal(self.rows, other.rows)))
 
 
 def _lll(g2) -> tuple[list[list[int]], list[list[int]]]:
@@ -548,8 +533,7 @@ def _sorted_ball(lat: Lattice, bound2: int, cap: int
     search emitted v twice, or v and -v) is refused.
     Vectors with a negative first nonzero coordinate sort before the rest,
     and negation reverses the order, so each shell is its sorted half H as
-    -reverse(H) then H.  The array is a transient: each ``Shell`` copies
-    its own slice.
+    -reverse(H) then H.
     """
     import numpy as np
     u, g2 = _reduced_basis(lat.g2)
@@ -619,19 +603,22 @@ def _is_antipodal(rows: np.ndarray) -> bool:
                {w: shell for w, shell in table.items() if w <= bound2}))
 def _vectors_by_doubled_norm(lat: Lattice, bound2: int, cap: int,
                              workers: int) -> MappingProxyType:
-    """All vectors with 0 < 2*Q(v) <= bound2 (``_sorted_ball``), one
-    ``Shell`` per exact doubled norm in a read-only map, each checked
+    """All vectors with 0 < 2*Q(v) <= bound2 (``_sorted_ball``), copied
+    once into an immutable buffer (``_read_only``), one ``Shell`` per exact
+    doubled norm in a read-only map, each a view of that buffer (a copy
+    only where its rows fit a narrower dtype than the ball's) and checked
     antipodal before any is handed out.  One ball is held per (lattice,
     cap), the largest asked (``_grow.grow_once``): a smaller bound is served
-    its prefix of doubled norms, the same ``Shell`` objects, equal to the
-    shells a build there would give, since every smaller ball passes the
-    cap when the larger one did.  A held shell's ``lattice`` is the object
-    that built the ball.  ``workers`` changes nothing and stays because
-    ``bench/spans.py`` reads the table with four arguments.
+    its prefix of doubled norms, the same ``Shell`` objects, with the rows
+    of the shells a build there would give, since every smaller ball
+    passes the cap when the larger one did.  A held shell's ``lattice`` is
+    the object that built the ball.  ``workers`` changes nothing and stays
+    because ``bench/spans.py`` reads the table with four arguments.
     """
     if bound2 < 0:
         return MappingProxyType({})
     sizes, rows = _sorted_ball(lat, bound2, cap)
+    rows = _read_only(rows)
     out = {}
     start = 0
     for w, size in sizes.items():
@@ -879,22 +866,27 @@ def spherical_T_design_report(lat: Lattice, norm, degrees) -> TDesignReport:
 class HarmonicPolynomial:
     """Homogeneous polynomial with zero Laplacian on a rank-n lattice: the
     constant 1 (degree 0, no direction) or the degree-k zonal harmonic
-    along ``direction``, a nonzero lattice coordinate row (on Z^n, a
-    Euclidean direction).  Its shell sums go through the Gram matrix only
-    (``zonal_shell_sum``), so they are exact even where Euclidean
-    coordinates are not."""
+    along ``direction``, a nonzero integer lattice coordinate row (on Z^n,
+    a Euclidean direction), held as ints; a non-integer entry is refused.
+    Its shell sums go through the Gram matrix only (``zonal_shell_sum``),
+    so they are exact even where Euclidean coordinates are not."""
     n: int
     degree: int
-    direction: tuple[Fraction, ...] | None = None
+    direction: tuple[int, ...] | None = None
 
     def __post_init__(self):
         u = self.direction
         _degree_list((self.degree,))      # nonnegative, at most DEGREE_CAP
         if u is None and self.degree != 0:
             raise ValueError("only the constant 1 has no direction")
-        if u is not None and (len(u) != self.n or not any(u)):
-            raise ValueError(f"direction must be a nonzero row of {self.n} "
-                             "coordinates")
+        if u is not None:
+            ints = tuple(map(int, u))
+            if ints != tuple(u):
+                raise ValueError("direction entries must be integers")
+            if len(ints) != self.n or not any(ints):
+                raise ValueError(f"direction must be a nonzero row of "
+                                 f"{self.n} coordinates")
+            object.__setattr__(self, "direction", ints)
 
 
 def constant_poly(n: int) -> HarmonicPolynomial:
@@ -902,30 +894,29 @@ def constant_poly(n: int) -> HarmonicPolynomial:
 
 
 def zonal_harmonic_coords(lat: Lattice, k: int, direction) -> HarmonicPolynomial:
-    """Zonal harmonic whose direction is a lattice coordinate row."""
-    return HarmonicPolynomial(lat.rank, k, tuple(map(Fraction, direction)))
+    """Zonal harmonic whose direction is an integer lattice coordinate row."""
+    return HarmonicPolynomial(lat.rank, k, direction)
 
 
 def zonal_shell_sum(lat: Lattice, shell: Shell, k: int, direction) -> Fraction:
     """Exact sum over the shell of the degree-k zonal harmonic along the
-    lattice-coordinate row u: the zonal kernel (``_zonal_sums``) at the
-    histogram of v = 2 scale (x.u), with D^2 = (2 scale)^2 r^2 |u|^2, an
-    integer since 2r^2 is one; the sum is divided by (2 scale)^k.  The
-    shell must be one of ``lat``'s: another Gram matrix is refused."""
+    lattice-coordinate row u, checked as a ``HarmonicPolynomial`` direction:
+    the zonal kernel (``_zonal_sums``) at the histogram of v = 2 (x.u),
+    with D^2 = 4 r^2 |u|^2 = (2 r^2)(2 |u|^2), an integer; the sum is
+    divided by 2^k.  The shell must be one of ``lat``'s: another Gram
+    matrix is refused."""
     import numpy as np
-    wanted = _degree_list((k,))
+    u = HarmonicPolynomial(lat.rank, k, direction).direction
     if shell.lattice.g2 != lat.g2:
         raise ValueError("the shell belongs to another Gram matrix")
     if not len(shell):
         return Fraction(0)
-    scale = math.lcm(*(Fraction(x).denominator for x in direction))
-    w = [int(Fraction(x) * scale) for x in direction]   # scale * u
-    gw = [[sum(gij * y for gij, y in zip(row, w))] for row in lat.g2]
-    dots2 = _int_matmul(shell.rows, gw)[:, 0]          # 2*scale*(x.u)
+    gu = [[sum(gij * y for gij, y in zip(row, u))] for row in lat.g2]
+    dots2 = _int_matmul(shell.rows, gu)[:, 0]          # 2 (x.u)
     vals, counts = np.unique(dots2, return_counts=True)
-    d2 = int(2 * shell.norm) * sum(x * g[0] for x, g in zip(w, gw))
+    d2 = int(2 * shell.norm) * sum(x * g[0] for x, g in zip(u, gu))
     return _zonal_sums(lat.rank, vals.tolist(), counts.tolist(), d2,
-                       wanted)[k] / (2 * scale) ** k
+                       [k])[k] / 2 ** k
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +996,7 @@ def _theta_fits(lat: Lattice, degree: int, polys, prec_norm: int, prec: int
         theta = harmonic_theta(lat, p, prec_norm)   # its refusals come first
         space = space or mf_basis(lat.rank // 2 + degree,
                                   max(prec, prec_norm // 2))
-        yield theta, fit_in_space(to_modular_q(theta), space, margin=1), space
+        yield theta, fit_in_space(to_modular_q(theta), space), space
 
 
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,

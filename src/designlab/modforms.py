@@ -355,13 +355,14 @@ class FitResult:
         return self.ok
 
 
-def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult:
+def fit_in_space(f: QSeries, space: ModFormSpace) -> FitResult:
     """Exact coordinates of f in the space, or the first failing exponent.
 
-    Insufficient precision raises; non-membership is an ordinary result.
-    The margin demands that many checkable coefficients beyond the ones that
-    merely determine the coordinates.  These are f's coefficients at the
-    echelon pivots 0..dim-1; a mismatch leads f - space.element(coords).
+    The coordinates are f's coefficients at the echelon pivots 0..dim-1,
+    and at least one known coefficient past them checks the fit: fewer
+    than dim + 1 known coefficients raise ``PrecisionError``, while
+    non-membership is an ordinary result, led by the first exponent where
+    f - space.element(coords) is nonzero.
     """
     if f.offset24 % 24 != 0:
         raise OffsetError("candidate lives on a fractional exponent grid")
@@ -369,9 +370,9 @@ def fit_in_space(f: QSeries, space: ModFormSpace, margin: int = 10) -> FitResult
     if not f.is_zero() and e0 < 0:
         return FitResult(False, None, e0)
     top = e0 + f.prec          # exponents 0..top are all known
-    if top + 1 < space.dim + margin:
+    if top < space.dim:
         raise PrecisionError(
-            f"need {space.dim + margin} known coefficients, have {top + 1}")
+            f"need {space.dim + 1} known coefficients, have {top + 1}")
     coords = tuple(f[e - e0] for e in range(space.dim))
     diff = f - space.element(coords)
     if diff.is_zero():

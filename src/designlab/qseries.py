@@ -22,12 +22,12 @@ inverses directly in 0.3-0.4 s.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
-from types import MappingProxyType
 
 from .errors import OffsetError, PrecisionError
 
@@ -118,10 +118,12 @@ class QSeries:
     Attributes:
         offset24: leading exponent times 24 (may be negative).
         prec: largest stored index; coefficients are exact for 0..prec.
-        coeffs: read-only map index -> nonzero Fraction.
+
+    Coefficients are read as ``Fraction``s, by index (``s[i]``) or over
+    the nonzero known terms (``nonzero_terms``).
     """
 
-    __slots__ = ("offset24", "prec", "_num", "_den", "_coeffs")
+    __slots__ = ("offset24", "prec", "_num", "_den")
 
     def __init__(self, offset24: int, prec: int, coeffs: dict[int, Fraction]):
         if prec < 0:
@@ -166,7 +168,6 @@ class QSeries:
         self.prec = prec
         self._num = tuple(num)
         self._den = den
-        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
@@ -183,13 +184,6 @@ class QSeries:
         return cls._from_ints(offset24, len(ints) - 1, [int(c) for c in ints])
 
     # -- basic access ------------------------------------------------------
-
-    @property
-    def coeffs(self) -> MappingProxyType:
-        """Read-only map index -> Fraction of the nonzero known terms."""
-        if self._coeffs is None:
-            self._coeffs = MappingProxyType(dict(self.nonzero_terms()))
-        return self._coeffs
 
     def nonzero_terms(self) -> Iterator[tuple[int, Fraction]]:
         """(index, Fraction) of the nonzero known terms in index order; each
@@ -444,11 +438,9 @@ class QSeries:
         return cls(int(obj["offset24"]), int(obj["prec"]), coeffs)
 
     def __repr__(self) -> str:
-        terms = []
-        for i in sorted(self.coeffs)[:6]:
-            c = exact_str(self.coeffs[i])
-            terms.append(f"{c}*q^({self.exponent(i)})")
-        body = " + ".join(terms) if terms else "0"
-        if len(self.coeffs) > 6:
+        head = list(itertools.islice(self.nonzero_terms(), 7))
+        body = " + ".join(f"{exact_str(c)}*q^({self.exponent(i)})"
+                          for i, c in head[:6]) or "0"
+        if len(head) > 6:
             body += " + ..."
         return f"QSeries({body}; prec={self.prec})"

@@ -128,7 +128,7 @@ def graded_trace(lat: Lattice, p: HarmonicPolynomial,
 
 def _over_eta_rank(form: QSeries, rank: int) -> QSeries:
     """form / eta^rank, exact through the precision of ``form``."""
-    return form * eta_quotient([(1, -rank)], form.prec + rank // 24 + 2)
+    return form * eta_quotient([(1, -rank)], form.prec)
 
 
 # ---------------------------------------------------------------------------

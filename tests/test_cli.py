@@ -93,19 +93,20 @@ def test_eta_coefficients_past_the_int_str_limit():
 
 
 def pretty_from_coeffs(s, max_terms=10):
-    """The text form of a series read off the whole ``coeffs`` map."""
+    """The text form of a series read off all its nonzero terms."""
     if s.is_zero():
         return "0"
     out = []
-    for i in sorted(s.coeffs)[:max_terms]:
-        c, e = s.coeffs[i], s.exponent(i)
+    coeffs = dict(s.nonzero_terms())
+    for i in sorted(coeffs)[:max_terms]:
+        c, e = coeffs[i], s.exponent(i)
         estr = "" if e == 0 else ("q" if e == 1 else f"q^({e})")
         body = f"{abs(c)}*{estr}" if estr and abs(c) != 1 else (estr or str(abs(c)))
         if out:
             out.append(f" {'-' if c < 0 else '+'} {body}")
         else:
             out.append(f"-{body}" if c < 0 else body)
-    return "".join(out) + (" + ..." if len(s.coeffs) > max_terms else "")
+    return "".join(out) + (" + ..." if len(coeffs) > max_terms else "")
 
 
 def test_pretty_series_reads_only_its_head():
@@ -719,7 +720,7 @@ def test_failed_theta_fit_is_a_runtime_error(monkeypatch, capsys):
     # membership is a theorem for even unimodular lattices, so a fit that
     # fails is a fault of the program, reported like any runtime failure
     monkeypatch.setattr(lattices, "fit_in_space",
-                        lambda f, space, margin: FitResult(False, None, 3))
+                        lambda f, space: FitResult(False, None, 3))
     code, _ = run(["--format", "json", "lattice-design", "--lattice", "E8",
                    "--norm", "10", "--t", "8", "--criterion", "theta"])
     assert code == 1
@@ -969,10 +970,10 @@ def test_shell_csv():
 
 
 def tuple_shell_output(fmt, lattice, norm):
-    """The shell command's output built from the tuples of Shell.vectors,
+    """The shell command's output built from the rows as Python lists,
     one json.dumps document or one print per row."""
     sh = shell_enum(cli._resolve_lattice(lattice), Fraction(norm))
-    vectors = sh.vectors
+    vectors = sh.rows.tolist()
     if fmt == "json":
         return json.dumps({"schema": "v1", "command": "shell",
                            "lattice": lattice, "norm": cli._frac(sh.norm),

@@ -200,9 +200,14 @@ def dfs_shells(lat, bound2):
     return {w: tuple(sorted(vs)) for w, vs in table.items()}
 
 
+def tuples(shell):
+    """A shell's rows as a tuple of coordinate tuples, in their order."""
+    return tuple(map(tuple, shell.rows.tolist()))
+
+
 def tuple_table(table):
     """A vector table with every shell's rows turned into sorted tuples."""
-    return {w: tuple(map(tuple, sh.rows.tolist())) for w, sh in table.items()}
+    return {w: tuples(sh) for w, sh in table.items()}
 
 
 def brute_pair_histogram(lat, vectors):
@@ -330,9 +335,9 @@ def test_z2_shells_match_box_oracle():
     assert {int(k): v for k, v in sizes.items()} == \
         {q: len(vs) for q, vs in brute.items()}
     for norm in (1, 2, 5, 25):
-        assert set(shell_enum(z2, norm).vectors) == brute[norm]
-    assert shell_enum(z2, 3).vectors == ()
-    assert shell_enum(z2, 7).vectors == ()
+        assert set(tuples(shell_enum(z2, norm))) == brute[norm]
+    assert tuples(shell_enum(z2, 3)) == ()
+    assert tuples(shell_enum(z2, 7)) == ()
 
 
 def test_a2_shells_match_box_oracle():
@@ -343,9 +348,9 @@ def test_a2_shells_match_box_oracle():
     assert {int(k): v for k, v in sizes.items()} == \
         {q: len(vs) for q, vs in brute.items()}
     for norm in (2, 6, 8, 14):
-        assert set(shell_enum(a2, norm).vectors) == brute[norm]
+        assert set(tuples(shell_enum(a2, norm))) == brute[norm]
     assert len(shell_enum(a2, 14)) == 12
-    assert shell_enum(a2, 4).vectors == ()
+    assert tuples(shell_enum(a2, 4)) == ()
 
 
 def test_z3_shell_sizes_are_sum_of_three_squares_counts():
@@ -355,7 +360,7 @@ def test_z3_shell_sizes_are_sum_of_three_squares_counts():
     assert {int(k): v for k, v in sizes.items()} == \
         {q: len(vs) for q, vs in brute.items()}
     assert 7 not in {int(k) for k in sizes}      # no three squares sum to 7
-    assert shell_enum(z3, 7).vectors == ()
+    assert tuples(shell_enum(z3, 7)) == ()
 
 
 def test_e8_shell_sizes_track_sigma3():
@@ -371,14 +376,14 @@ def test_shells_are_exact_antipodal_and_sorted():
     e8 = lattice_e8()
     sh = shell_enum(e8, 4)
     g = e8.gram
-    vset = set(sh.vectors)
-    for v in sh.vectors:
+    vset = set(tuples(sh))
+    for v in tuples(sh):
         q = sum(g[i][j] * v[i] * v[j] for i in range(8) for j in range(8))
         assert q == 4
         assert tuple(-x for x in v) in vset
-    assert list(sh.vectors) == sorted(sh.vectors)
-    assert shell_enum(e8, 0).vectors == ((0,) * 8,)
-    assert shell_enum(e8, F(1, 2)).vectors == ()
+    assert list(tuples(sh)) == sorted(tuples(sh))
+    assert tuples(shell_enum(e8, 0)) == ((0,) * 8,)
+    assert tuples(shell_enum(e8, F(1, 2))) == ()
     with pytest.raises(ValueError):
         shell_enum(e8, -2)
 
@@ -386,13 +391,13 @@ def test_shells_are_exact_antipodal_and_sorted():
 def test_huge_gram_entries_stay_exact():
     g = 2 ** 61
     lat = Lattice(((F(g), F(0)), (F(0), F(g))))
-    assert shell_enum(lat, 4 * g).vectors == ((-2, 0), (0, -2), (0, 2), (2, 0))
+    assert tuples(shell_enum(lat, 4 * g)) == ((-2, 0), (0, -2), (0, 2), (2, 0))
     assert shell_sizes_up_to(lat, 5 * g) == {g: 4, 2 * g: 4, 4 * g: 4, 5 * g: 8}
     # doubled Gram entries beyond int64: a scaled copy of Z2
     s = 2 ** 62
     big = Lattice(((F(s), F(0)), (F(0), F(s))))
     sh = shell_enum(big, s)
-    assert sh.vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    assert tuples(sh) == ((-1, 0), (0, -1), (0, 1), (1, 0))
     z2 = lattice_zn(2)
     unit = shell_enum(z2, 1)
     assert moment_design_test(sh, 4).verdicts == \
@@ -572,7 +577,7 @@ def test_read_only_rows_meet_the_width_check():
     rows = _read_only(np.array([[-128, 0], [-128, 0]], dtype=np.int8))
     sh = Shell(z2, F(128 ** 2), rows)
     assert sh.rows.dtype == np.int16 and not sh.rows.flags.writeable
-    assert (_pair_histogram(sh) == brute_pair_histogram(z2, sh.vectors)
+    assert (_pair_histogram(sh) == brute_pair_histogram(z2, tuples(sh))
             == {2 * 128 ** 2: 4})
     # every input takes the one rule: a read-only int64 array is copied
     # in the dtype of its largest magnitude, like tuples or writeable rows
@@ -611,7 +616,7 @@ def test_pair_histogram_matches_brute_force(monkeypatch, block):
              (lattice_e8(), 2), (big, 2 ** 52)]
     for lat, norm in cases:
         sh = shell_enum(lat, norm)
-        assert _pair_histogram(sh) == brute_pair_histogram(lat, sh.vectors)
+        assert _pair_histogram(sh) == brute_pair_histogram(lat, tuples(sh))
     # hand-built shells that are not antipodal take the full X x X path
     for vectors in (((0, 1), (1, 0)), ((0, 1), (1, 0), (0, -1)),
                     ((1, 0), (0, 1), (-1, 0), (0, 1)), ((0, 0),)):
@@ -661,34 +666,57 @@ def test_shell_arrays_refuse_writes():
         for arr in (rows, rows[1:], rows.base):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 arr.setflags(write=True)
-    # the held shell itself is handed out, and builds its tuples once
+    # the held shell itself is handed out, and the held shells are views
+    # of the ball's one immutable buffer, not copies of their own
     assert sh is _vectors_by_doubled_norm(e8, 4, SHELL_CAP, 1)[4] is table[4]
-    assert sh.vectors is sh.vectors and len(sh.vectors) == len(sh) == 240
+    ball = table[4].rows.base
+    assert ball is table[8].rows.base and isinstance(ball.base, bytes)
+    assert np.shares_memory(ball, table[4].rows)
+    assert np.shares_memory(ball, table[8].rows)
+
+
+def test_read_only_keeps_an_immutable_buffer_and_copies_the_rest():
+    fixed = _read_only(np.arange(6, dtype=np.int16).reshape(3, 2))
+    assert isinstance(fixed.base.base, bytes)
+    # an array over an immutable bytes buffer, or a view of one, as it is
+    for arr in (fixed, fixed[1:], fixed[::2], fixed.reshape(2, 3)):
+        assert _read_only(arr) is arr
+    # a writeable array, or a read-only flag over a writeable buffer, is
+    # copied, and a write to the source then leaves the copy as it was
+    for make in (lambda a: a, lambda a: a[:, :1],
+                 lambda a: np.lib.stride_tricks.as_strided(a)):
+        src = np.arange(6, dtype=np.int16).reshape(3, 2)
+        arr = make(src)
+        if arr is not src:
+            arr.flags.writeable = False
+        out = _read_only(arr)
+        assert out is not arr and np.array_equal(out, arr)
+        assert out.dtype == arr.dtype and not out.flags.writeable
+        src[0, 0] = 9
+        assert out[0, 0] == 0
 
 
 def test_equal_sized_shells_do_not_share_a_histogram():
-    # same lattice, norm and size, so the same hash: only the rows differ
+    # same lattice, norm and size: only the rows differ
     z2 = lattice_zn(2)
     unit = shell_enum(z2, 1)
     lopsided = Shell(z2, F(1), ((-1, 0), (0, 1), (0, 1), (1, 0)))
-    assert hash(unit) == hash(lopsided) and unit != lopsided
-    assert unit == Shell(z2, F(1), unit.vectors)
     for sh in (unit, lopsided):
-        assert dict(sh._histogram) == brute_pair_histogram(z2, sh.vectors)
+        assert dict(sh._histogram) == brute_pair_histogram(z2, tuples(sh))
     assert moment_design_test(unit, 3).strength == 3
     assert moment_design_test(lopsided, 3).strength == 0
 
 
 def test_antipodality_is_checked_block_by_block(monkeypatch):
     # a tiny block splits the first half of the 240 roots into 18 blocks;
-    # the check reads the sorted array, before any tuple is built
+    # the check reads the sorted array
     monkeypatch.setattr(lattices, "_CHUNK", 7)
     e8 = lattice_e8()
-    roots = np.array(shell_enum(e8, 2).vectors)
+    roots = shell_enum(e8, 2).rows
     assert len(roots) == 240
     build = _vectors_by_doubled_norm.__wrapped__
     assert tuple_table(build(e8, 4, SHELL_CAP, 1)) == \
-        {4: shell_enum(e8, 2).vectors}
+        {4: tuples(shell_enum(e8, 2))}
     for i in (0, 7, 64, 119, 120, 239):     # first, inner and last blocks
         bad = roots.copy()
         bad[i] = -bad[i]
@@ -724,7 +752,9 @@ def test_smaller_bounds_are_served_from_the_largest_ball(lat, top):
         assert list(served) == list(built), bound2
         for w, shell in served.items():
             assert shell is held[w]         # a shell of the one ball
-            assert shell == built[w] and shell.norm == F(w, 2)
+            assert shell.lattice == built[w].lattice
+            assert shell.norm == built[w].norm == F(w, 2)
+            assert np.array_equal(shell.rows, built[w].rows)
             assert shell.rows.dtype == built[w].rows.dtype
             assert not shell.rows.flags.writeable
             assert not shell.rows.base.flags.writeable
@@ -866,7 +896,7 @@ def test_a_grown_ball_serves_its_own_shells():
     e8 = lattice_e8()
     old = table(e8, 4, SHELL_CAP, 1)[4]
     grown = table(e8, 8, SHELL_CAP, 1)
-    assert grown[4] is not old and grown[4] == old
+    assert grown[4] is not old and np.array_equal(grown[4].rows, old.rows)
     for served in (table(e8, 4, SHELL_CAP, 1)[4], shell_enum(e8, 2)):
         assert served is grown[4]
     assert shell_enum(e8, 4) is grown[8]
@@ -1288,6 +1318,13 @@ def test_zonal_inputs_validated():
     for direction in ((F(0),) * 3, (F(1), F(0)), (F(1),) * 4):
         with pytest.raises(ValueError, match="nonzero row of 3"):
             HarmonicPolynomial(3, 2, direction)
+    # a direction is an integer row, held as ints whatever their type
+    for direction in ((F(1, 2), 0, 0), (0.5, 1, 0), (1, 0, F(-7, 3))):
+        with pytest.raises(ValueError, match="must be integers"):
+            HarmonicPolynomial(3, 2, direction)
+    p = HarmonicPolynomial(3, 2, (F(2), 1.0, np.int64(-1)))
+    assert p.direction == (2, 1, -1)
+    assert all(type(x) is int for x in p.direction)
     with pytest.raises(ValueError, match="nonnegative"):
         zonal_harmonic_coords(z3, -2, (1, 0, 0))
     assert HarmonicPolynomial(3, 0).direction is None
@@ -1315,34 +1352,43 @@ def test_zonal_gram_route_matches_direct_evaluation_on_z4():
         for k in (2, 4, 6):
             u2 = sum(x * x for x in direction)      # Euclidean on Z^4
             terms = zonal_terms(4, k, direction, ladder(4, k, u2))
-            direct = sum(evaluate(terms, v) for v in sh.vectors)
+            direct = sum(evaluate(terms, v) for v in tuples(sh))
             assert zonal_shell_sum(z4, sh, k, direction) == direct
 
 
 @pytest.mark.parametrize("factor,norms", [(1, (2, 6, 14)), (F(1, 2), (1, 3, 7))])
 def test_zonal_sums_along_fractional_directions_on_a2(factor, norms):
     # A2 and A2 scaled by 1/2, whose Gram matrix has halves, along
-    # directions with denominators up to 6: the kernel reads integers
-    # 2 scale (x.u), the oracle the ladder at the Fraction values x.G.u
+    # directions with denominators up to 6: a direction is an integer row,
+    # so each is refused and summed as its integer multiple s*u, whose sum
+    # is s^k times the one along u.  The kernel reads the integers
+    # 2 (x.su), the oracle the ladder at the Fraction values x.G.u
     a2 = Lattice([[factor * x for x in row] for row in lattice_a2().gram])
     gram = a2.gram
     for direction in ((F(1, 3), F(1, 2)), (F(2, 3), F(-5, 2)), (1, F(1, 2))):
         u = [F(x) for x in direction]
+        s = math.lcm(*(x.denominator for x in u))
+        row = tuple(int(x * s) for x in u)
+        for call in (lambda: zonal_harmonic_coords(a2, 2, direction),
+                     lambda: zonal_shell_sum(a2, shell_enum(a2, norms[0]), 2,
+                                             direction)):
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
         u2 = sum(u[i] * gram[i][j] * u[j] for i in range(2) for j in range(2))
         for norm in norms:
             sh = shell_enum(a2, norm)
             assert len(sh) in (6, 12)
             dots = [sum(x[i] * gram[i][j] * u[j] for i in range(2)
-                        for j in range(2)) for x in sh.vectors]
+                        for j in range(2)) for x in tuples(sh)]
             for k in range(9):
                 cs = ladder(2, k, u2)
                 want = sum(sum(c * a ** (k - 2 * j) * F(norm) ** j
                                for j, c in enumerate(cs)) for a in dots)
-                assert zonal_shell_sum(a2, sh, k, direction) == want
+                assert zonal_shell_sum(a2, sh, k, row) == s ** k * want
         # the minimal hexagon is a 5-design but not a 6-design
         sh = shell_enum(a2, norms[0])
-        assert zonal_shell_sum(a2, sh, 4, direction) == 0
-        assert zonal_shell_sum(a2, sh, 6, direction) != 0
+        assert zonal_shell_sum(a2, sh, 4, row) == 0
+        assert zonal_shell_sum(a2, sh, 6, row) != 0
 
 
 def test_e8_zonal_sums_match_the_euclidean_root_model():

@@ -57,14 +57,14 @@ def pow_newton_eta_quotient(factors, prec):
     return num.div(den)
 
 
-def fit_oracle(f, space, margin=10):
+def fit_oracle(f, space):
     """fit_in_space re-summed exponent by exponent in Fractions: (ok,
     coords, mismatch exponent), or "precision" where the fit must raise."""
     e0 = f.offset24 // 24
     if not f.is_zero() and e0 < 0:
         return False, None, e0
     top = e0 + f.prec
-    if top + 1 < space.dim + margin:
+    if top < space.dim:        # no known coefficient past the pivots
         return "precision"
 
     def coeff_at(g, e):
@@ -469,10 +469,14 @@ def test_fit_flags_first_bad_exponent():
 
 
 def test_fit_distinguishes_low_precision_from_nonmembership():
-    space = mf_basis(12, 18)
-    shallow = eisenstein(4, 8).pow(3)    # only 9 coefficients known
-    with pytest.raises(PrecisionError):
+    space = mf_basis(12, 18)             # dim 2: pivots at q^0 and q^1
+    shallow = eisenstein(4, 1).pow(3)    # only 2 coefficients known
+    with pytest.raises(PrecisionError, match="need 3 known coefficients"):
         fit_in_space(shallow, space)
+    # one coefficient past the pivots checks the fit
+    assert fit_in_space(eisenstein(4, 2).pow(3), space).ok
+    wrong = eisenstein(4, 2).pow(3) + QSeries.from_int_list(48, [1])
+    assert fit_in_space(wrong, space).mismatch_exponent == 2
 
 
 def test_fit_zero_space_accepts_only_zero():
@@ -500,13 +504,12 @@ def test_fit_in_space_matches_per_exponent_oracle(data):
         f = f + QSeries(0, top, {poke: data.draw(small.filter(bool))})
     shift = data.draw(st.integers(-2, 3), label="shift")
     f = f.shift24(24 * shift)
-    margin = data.draw(st.integers(0, 12), label="margin")
     try:
-        res = fit_in_space(f, space, margin)
+        res = fit_in_space(f, space)
         got = res.ok, res.coords, res.mismatch_exponent
     except PrecisionError:
         got = "precision"
-    assert got == fit_oracle(f, space, margin)
+    assert got == fit_oracle(f, space)
     if got != "precision" and shift == 0 and poke is not None \
             and dim <= poke <= space.prec:
         assert got == (False, None, poke)    # the poke is the first mismatch

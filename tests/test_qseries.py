@@ -128,12 +128,13 @@ def test_zero_series_hash_agrees_with_eq():
     assert half == same and hash(half) == hash(same)
 
 
-def test_coeffs_is_read_only_fraction_map():
+def test_coefficients_are_read_as_fractions():
     f = QSeries(0, 3, {0: Fraction(1, 2), 2: 3})
-    assert dict(f.coeffs) == {0: Fraction(1, 2), 2: Fraction(3)}
+    assert dict(f.nonzero_terms()) == {0: Fraction(1, 2), 2: Fraction(3)}
+    assert all(isinstance(c, Fraction) for _, c in f.nonzero_terms())
     assert isinstance(f[2], Fraction) and isinstance(f[1], Fraction)
-    with pytest.raises(TypeError):
-        f.coeffs[1] = Fraction(1)
+    # the series keeps no coefficient map beside its integer numerators
+    assert not hasattr(f, "coeffs") and not hasattr(f, "__dict__")
 
 
 def test_kronecker_multiply_matches_schoolbook():
@@ -297,7 +298,7 @@ def test_dict_payload_is_the_json_document():
 
 def test_nonzero_terms_are_read_lazily():
     f = QSeries(0, 5, {0: Fraction(1, 2), 3: -1, 5: 4})
-    assert list(f.nonzero_terms()) == sorted(f.coeffs.items())
+    assert list(f.nonzero_terms()) == [(0, Fraction(1, 2)), (3, -1), (5, 4)]
     terms = QSeries.from_int_list(0, [1] * 10**5).nonzero_terms()
     assert next(terms) == (0, 1) and next(terms) == (1, 1)
 

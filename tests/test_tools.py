@@ -11,10 +11,15 @@ import designlab.cli
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 
-def test_output_digests_smoke(monkeypatch, capsys):
+def load_tool():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digests_smoke(monkeypatch, capsys):
+    tool = load_tool()
     reqs = tool.cli_requests()[:3]
     monkeypatch.setattr(tool, "cli_requests", lambda: reqs)
     src = Path(designlab.__file__).resolve().parent.parent
@@ -31,3 +36,23 @@ def test_output_digests_smoke(monkeypatch, capsys):
                                             ["--format", fmt, *req])
     # the two formats of one request differ, and so do two requests
     assert len({line.split()[0] for line in lines}) == 6
+
+
+def test_output_digests_exit_1_when_a_child_crashes(monkeypatch, capsys):
+    tool = load_tool()
+    reqs = tool.cli_requests()[:2]
+    monkeypatch.setattr(tool, "cli_requests", lambda: reqs)
+    real = tool.output_digest
+
+    def crash_on_text(cli, argv):
+        if argv[1] == "text":
+            raise RuntimeError("a broken checkout")
+        return real(cli, argv)
+
+    monkeypatch.setattr(tool, "output_digest", crash_on_text)
+    src = Path(designlab.__file__).resolve().parent.parent
+    assert tool.main([str(src)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # every request is still run and printed; only the crashed ones say so
+    assert [line.split(" ", 1)[0] == "crashed" for line in lines] == \
+        [False, True, False, True]

@@ -12,8 +12,10 @@ calls left out) runs once per output format, ``--format json`` then
 with empty caches, as the benchmark runs requests.  Each output line is
 ``sha256 format request``: the hash of the child's exit status, stdout
 and stderr; a child that crashes or runs past ``TIMEOUT`` seconds prints
-``crashed`` in place of the hash.  Two checkouts give the same output on
-every request exactly when ``diff`` of their two runs is empty.
+``crashed`` in place of the hash, and the script then exits 1, so two
+equally broken checkouts cannot pass as equal.  Two checkouts give the
+same output on every request exactly when ``diff`` of their two runs is
+empty and neither exits 1.
 """
 
 from __future__ import annotations
@@ -87,15 +89,16 @@ def main(argv=None) -> int:
     a = ap.parse_args(argv)
     cli = load_cli(a.src)
     import numpy  # noqa: F401  (loaded once, before the children fork)
+    crashed = False
     with tempfile.TemporaryDirectory() as scratch:
         for req in cli_requests():
             for fmt in FORMATS:
                 digest = harness.in_child(lambda: output_digest(
                     cli, ["--format", fmt, *req]), TIMEOUT, Path(scratch))
                 if not isinstance(digest, str):
-                    digest = "crashed"
+                    digest, crashed = "crashed", True
                 print(digest, fmt, " ".join(req), flush=True)
-    return 0
+    return int(crashed)
 
 
 if __name__ == "__main__":
