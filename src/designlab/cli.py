@@ -328,10 +328,10 @@ def cmd_theta(a, out):
         if rep is not None:
             payload["membership"] = {
                 "weight": rep.weight, "with_e6_factor": rep.with_e6_factor,
-                "fit_ok": rep.fit_ok,
-                "coords": [_frac(c) for c in rep.coords] if rep.coords
-                else None,
-                "mismatch_exponent": rep.mismatch_exponent}
+                "fit_ok": rep.fit.ok,
+                "coords": [_frac(c) for c in rep.fit.coords]
+                if rep.fit.coords else None,
+                "mismatch_exponent": rep.fit.mismatch_exponent}
         return [payload]
 
     def text():
@@ -339,9 +339,9 @@ def cmd_theta(a, out):
                  f"{a.prec} (exponent = norm):", f"  {_pretty_series(series)}"]
         if rep is not None:
             lines.append(f"  weight-{rep.weight} membership: "
-                         + ("coords " + str([str(c) for c in rep.coords])
-                            if rep.fit_ok else
-                            f"FAILED at exponent {rep.mismatch_exponent}"))
+                         + ("coords " + str([str(c) for c in rep.fit.coords])
+                            if rep.fit.ok else
+                            f"FAILED at exponent {rep.fit.mismatch_exponent}"))
         return lines
     return documents, text
 

@@ -61,7 +61,7 @@ __all__ = [
     "code_from_rows", "code_from_text",
     "hamming_e8", "golay_g24", "d16_plus", "direct_sum",
     "is_doubly_even", "is_self_dual", "min_weight", "weight_distribution",
-    "shell", "design_lambda", "LambdaResult",
+    "shell", "design_lambda",
     "macwilliams", "assmus_mattson", "shell_design_report",
     "ShellDesignReport", "Verdict",
     "harm_dim", "harm_basis", "harmonic_family_sums",
@@ -355,13 +355,6 @@ def shell(code: BinaryCode, w: int) -> BlockFamily:
     return BlockFamily(code.n, words[np.bitwise_count(words) == w])
 
 
-@dataclass(frozen=True)
-class LambdaResult:
-    is_design: bool
-    lam: int | None
-    witness: tuple[tuple[int, ...], int, tuple[int, ...], int] | None
-
-
 _LAMBDA_TILE = 1 << 15      # most ranks per tile of a lambda listing
 
 
@@ -445,7 +438,7 @@ def _unrank(rank: int, n: int, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
+def design_lambda(family: BlockFamily, t: int) -> ShellDesignReport:
     """Brute-force t-design check: count blocks over every t-subset.
 
     The covered t-subsets are listed by their lexicographic ranks, size
@@ -457,11 +450,12 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     one tile at a time (``np.bincount`` when C(n,t) fits a tile, else
     ``np.add.at``); a shorter one leaves some subset uncovered and is
     written into one array and sorted.  Either way no more than
-    min(listed, C(n,t)) counts and a tile are held.  Returns the common
-    count lambda, or a witness pair with different counts: the first listed
-    subsets with the least and the largest count, found by listing again up
-    to the first hit in each size group, or the lexicographically first
-    uncovered subset in place of the least.  Any family is counted, mixed
+    min(listed, C(n,t)) counts and a tile are held.  Returns the family's
+    ``ShellDesignReport``: lambda, or None and a failed "listing" verdict
+    whose witness (subset_a, count_a, subset_b, count_b) names the first
+    listed subsets with the least and the largest count, found by listing
+    again up to the first hit in each size group, or the lexicographically
+    first uncovered subset in place of the least.  Any family is counted, mixed
     block sizes included.  Block sizes come from ``np.bitwise_count``, and
     a listing of more than ``LAMBDA_CAP`` subsets is refused from them,
     before the incidence (``_points``) or any rank is built.
@@ -469,8 +463,13 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     import numpy as np
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
+
+    def report(lam, witness=None) -> ShellDesignReport:
+        return ShellDesignReport(len(family.blocks), lam, {t: Verdict(
+            lam is not None, "listing", witness)})
+
     if t == 0:
-        return LambdaResult(True, len(family.blocks), None)
+        return report(len(family.blocks))
     n, total = family.n, comb(family.n, t)
     sizes = np.bitwise_count(family.blocks).astype(np.intp)
     per_size = np.bincount(sizes).tolist()
@@ -479,7 +478,7 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
         raise CapExceededError(
             f"{listed} listed {t}-subsets exceed the cap {LAMBDA_CAP}")
     if not listed:
-        return LambdaResult(True, 0, None)
+        return report(0)
     # one listing per block size, so each tile holds one size's subsets;
     # nonzero reads a group's incidence rows in order, each row's points
     # ascending, which are the group's supports
@@ -524,10 +523,10 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
 
         least, most = int(table.min()), int(table.max())
         if least == most:
-            return LambdaResult(True, least, None)
+            return report(least)
         # the first zero entry is the first uncovered subset
         low = _unrank(int(table.argmin()), n, t) if not least else first(least)
-        return LambdaResult(False, None, (low, least, first(most), most))
+        return report(None, (low, least, first(most), most))
     # fewer listed subsets than C(n,t): some subset is uncovered
     ordered, at = np.empty(listed, dtype), 0
     for _, tiles in listing():
@@ -549,8 +548,7 @@ def design_lambda(family: BlockFamily, t: int) -> LambdaResult:
     gap = np.flatnonzero(keys != np.arange(len(keys)))
     missing = int(gap[0]) if len(gap) else len(keys)
     most = int(counts.max())
-    return LambdaResult(False, None, (_unrank(missing, n, t), 0,
-                                      first(most), most))
+    return report(None, (_unrank(missing, n, t), 0, first(most), most))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +602,10 @@ class Verdict(NamedTuple):
 
 @dataclass(frozen=True)
 class ShellDesignReport:
-    """One code shell at one t: ``blocks`` counts the weight-w codewords,
-    ``lam`` is lambda or None, and ``verdicts`` holds t's ``Verdict``, mode
-    "Assmus-Mattson" or "listing" (witness: ``LambdaResult.witness``)."""
+    """One code shell, or any block family, at one t: ``blocks`` counts its
+    blocks, ``lam`` is lambda or None, and ``verdicts`` holds t's
+    ``Verdict``, mode "Assmus-Mattson" or "listing" (``design_lambda``,
+    whose witness is two t-subsets with different counts)."""
     blocks: int
     lam: int | None
     verdicts: dict[int, Verdict]
@@ -619,8 +618,9 @@ def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
     shell with no codewords is refused first, then t outside 0..n (both
     ``ValueError``).  When the Assmus-Mattson theorem proves it
     (1 <= t <= ``assmus_mattson``), lambda = A_w C(w,t) / C(n,t) with no
-    block family built and no subset listed.  Any other request is listed
-    by ``design_lambda`` over ``shell``, its cap refusal included.
+    block family built and no subset listed.  Any other request is listed:
+    the answer is ``design_lambda``'s report on ``shell``, its cap refusal
+    included.
     """
     dist = weight_distribution(code)
     if not 0 <= w <= code.n or not dist[w]:
@@ -637,10 +637,7 @@ def shell_design_report(code: BinaryCode, w: int, t: int) -> ShellDesignReport:
                 f"t = {t}, which Assmus-Mattson proved")
         return ShellDesignReport(dist[w], lam,
                                  {t: Verdict(True, "Assmus-Mattson")})
-    family = shell(code, w)
-    res = design_lambda(family, t)
-    return ShellDesignReport(len(family.blocks), res.lam, {t: Verdict(
-        res.is_design, "listing", res.witness)})
+    return design_lambda(shell(code, w), t)
 
 
 # ---------------------------------------------------------------------------

@@ -970,9 +970,7 @@ def to_modular_q(series: QSeries) -> QSeries:
 class MembershipReport:
     weight: int
     with_e6_factor: bool
-    fit_ok: bool
-    coords: tuple[Fraction, ...] | None
-    mismatch_exponent: int | None
+    fit: FitResult              # as fit_in_space returned it
     series: QSeries             # the theta fitted, exponent = norm
 
 
@@ -1002,11 +1000,11 @@ def _theta_fits(lat: Lattice, degree: int, polys, prec_norm: int, prec: int
 def theta_membership_check(lat: Lattice, p: HarmonicPolynomial,
                            prec_norm: int = 8) -> MembershipReport:
     """Fit the theta of ``p`` into M_k, k = n/2 + degree (``_theta_fits``);
-    ``mf_basis(k, prec).element(coords)`` extends it to any precision.
-    ``with_e6_factor`` records k = 2 (mod 4): M_k = E6 * M_{k-6}."""
+    ``mf_basis(k, prec).element(report.fit.coords)`` extends it to any
+    precision.  ``with_e6_factor`` records k = 2 (mod 4):
+    M_k = E6 * M_{k-6}."""
     (series, fit, space), = _theta_fits(lat, p.degree, [p], prec_norm, 0)
-    return MembershipReport(space.weight, space.weight % 4 == 2, fit.ok,
-                            fit.coords, fit.mismatch_exponent, series)
+    return MembershipReport(space.weight, space.weight % 4 == 2, fit, series)
 
 
 def theta_fit_norm(rank: int, degree: int) -> int:

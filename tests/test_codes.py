@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designlab import cli, codes
-from designlab.codes import (BlockFamily, LambdaResult, Verdict,
+from designlab.codes import (BlockFamily, ShellDesignReport, Verdict,
                              antisymmetry_check, assmus_mattson,
                              code_from_rows, code_from_text, codewords,
                              d16_plus, delsarte_design_check,
@@ -76,12 +76,18 @@ def brute_gamma(n, k, values):
     return acc
 
 
+def listed(family, t, lam, witness=None):
+    """The report of a listing at t: lambda, or None and a witness."""
+    return ShellDesignReport(len(family.blocks), lam,
+                             {t: Verdict(lam is not None, "listing", witness)})
+
+
 def oracle_design_lambda(family, t):
     """Dict-loop lambda counting: count every t-subset of every block."""
     if not 0 <= t <= family.n:
         raise ValueError(f"t must lie in 0..{family.n}")
     if t == 0:
-        return LambdaResult(True, len(family.blocks), None)
+        return listed(family, t, len(family.blocks))
     counts = {}
     for b in family.blocks:
         support = [i for i in range(family.n) if b >> i & 1]
@@ -89,17 +95,17 @@ def oracle_design_lambda(family, t):
             counts[sub] = counts.get(sub, 0) + 1
     total = comb(family.n, t)
     if not counts:
-        return LambdaResult(True, 0, None)
+        return listed(family, t, 0)
     values = set(counts.values())
     if len(values) == 1 and len(counts) == total:
-        return LambdaResult(True, values.pop(), None)
+        return listed(family, t, values.pop())
     lo = min(counts, key=counts.get)
     hi = max(counts, key=counts.get)
     if len(counts) < total:
         for sub in itertools.combinations(range(family.n), t):
             if sub not in counts:
-                return LambdaResult(False, None, (sub, 0, hi, counts[hi]))
-    return LambdaResult(False, None, (lo, counts[lo], hi, counts[hi]))
+                return listed(family, t, None, (sub, 0, hi, counts[hi]))
+    return listed(family, t, None, (lo, counts[lo], hi, counts[hi]))
 
 
 def oracle_harm_pairs(n, k):
@@ -279,33 +285,29 @@ def test_not_self_dual_examples():
 def test_golay_weight8_is_steiner_system():
     fam = shell(golay_g24(), 8)
     assert len(fam.blocks) == 759
-    res = design_lambda(fam, 5)
-    assert res.is_design and res.lam == 1
+    assert design_lambda(fam, 5) == listed(fam, 5, 1)
 
 
 def test_golay_lambda_chain():
     # 5-(24,8,1) forces lambda_t = C(24-t,5-t)/C(8-t,5-t) for t <= 5
     fam = shell(golay_g24(), 8)
     for t in range(6):
-        res = design_lambda(fam, t)
-        assert res.is_design
-        assert res.lam == comb(24 - t, 5 - t) // comb(8 - t, 5 - t)
+        assert design_lambda(fam, t) == \
+            listed(fam, t, comb(24 - t, 5 - t) // comb(8 - t, 5 - t))
 
 
 def test_hamming_weight4_is_3_design():
     fam = shell(hamming_e8(), 4)
     assert len(fam.blocks) == 14
     for t, lam in {1: 7, 2: 3, 3: 1}.items():
-        res = design_lambda(fam, t)
-        assert res.is_design and res.lam == lam
+        assert design_lambda(fam, t) == listed(fam, t, lam)
 
 
 def test_design_lambda_strength_range():
     fam = shell(hamming_e8(), 4)
     # t between the block size and n: no t-subset is covered, lambda = 0
     for t in (5, 8):
-        res = design_lambda(fam, t)
-        assert res.is_design and res.lam == 0
+        assert design_lambda(fam, t) == listed(fam, t, 0)
     for t in (-1, 9):
         with pytest.raises(ValueError):
             design_lambda(fam, t)
@@ -314,8 +316,8 @@ def test_design_lambda_strength_range():
 def test_design_lambda_witness_on_failure():
     fam = shell(d16_plus(), 4)
     res = design_lambda(fam, 2)
-    assert not res.is_design
-    t1, c1, t2, c2 = res.witness
+    assert res.lam is None and not res.verdicts[2].holds
+    t1, c1, t2, c2 = res.verdicts[2].witness
     assert c1 != c2
     # recount the witness subsets directly
     for sub, cnt in ((t1, c1), (t2, c2)):
@@ -327,8 +329,7 @@ def test_design_lambda_counts_mixed_sizes():
     fam = shell(golay_g24(), 8).union(shell(golay_g24(), 16))
     # 759 * 8 + 759 * 16 incidences spread over 24 points
     res = design_lambda(fam, 1)
-    assert res.is_design and res.lam == 759
-    assert res == oracle_design_lambda(fam, 1)
+    assert res == listed(fam, 1, 759) == oracle_design_lambda(fam, 1)
 
 
 @st.composite
@@ -395,8 +396,8 @@ FIXTURE_WITNESSES = [
 def test_design_lambda_fixture_witnesses(code, w, t, witness):
     # golay24 weight 16 at t = 8 lists 9,768,330 subsets, the largest
     # fixture listing, and stays under LAMBDA_CAP
-    assert design_lambda(shell(code(), w), t) == \
-        LambdaResult(False, None, witness)
+    fam = shell(code(), w)
+    assert design_lambda(fam, t) == listed(fam, t, None, witness)
 
 
 TILE_SHAPES = {
@@ -445,7 +446,7 @@ def test_design_lambda_across_tile_boundaries(monkeypatch, tile):
     # the least count is first met in a later block, a later tile
     fam = BlockFamily(4, (0b0011, 0b0101, 0b1001, 0b0110))
     assert design_lambda(fam, 1) == oracle_design_lambda(fam, 1) == \
-        LambdaResult(False, None, ((3,), 1, (0,), 3))
+        listed(fam, 1, None, ((3,), 1, (0,), 3))
 
 
 def test_design_lambda_across_split_blocks(monkeypatch):
@@ -477,7 +478,7 @@ def test_witness_scans_stop_at_their_hit(monkeypatch):
     subset_ranks = codes._subset_ranks
     monkeypatch.setattr(codes, "_subset_ranks", spy)
     fam = shell(golay_g24(), 16)
-    low, least, high, most = design_lambda(fam, 6).witness
+    low, least, high, most = design_lambda(fam, 6).verdicts[6].witness
 
     def first_tile(sub):
         m = sum(1 << i for i in sub)
@@ -582,11 +583,11 @@ def test_every_shell_is_a_design_up_to_the_assmus_mattson_t():
         dist = weight_distribution(code)
         for w in np.flatnonzero(dist).tolist():
             for t in range(1, assmus_mattson(dist) + 1):
-                listed = design_lambda(shell(code, w), t)
-                assert listed.is_design, (code, w, t)
+                listing = design_lambda(shell(code, w), t)
+                assert listing.verdicts[t].holds, (code, w, t)
                 rep = shell_design_report(code, w, t)
-                assert rep == codes.ShellDesignReport(
-                    dist[w], listed.lam, {t: Verdict(True, "Assmus-Mattson")}
+                assert rep == ShellDesignReport(
+                    dist[w], listing.lam, {t: Verdict(True, "Assmus-Mattson")}
                 ), (code, w, t)
                 proved += 1
     # 9 + 5 + 25 + 8 + 9 from the structured codes; the seeded ones have d
@@ -607,9 +608,7 @@ def test_a_shell_past_the_assmus_mattson_t_is_listed(monkeypatch):
     assert calls == []
     for t in (0, 4):
         rep = shell_design_report(hamming_e8(), 4, t)
-        res = listing(shell(hamming_e8(), 4), t)
-        assert rep == codes.ShellDesignReport(14, res.lam, {t: Verdict(
-            res.is_design, "listing", res.witness)})
+        assert rep == listing(shell(hamming_e8(), 4), t)
     assert calls == [0, 4]
     # refused in the order the listing route always had: the empty shell
     # first, then t out of range
@@ -621,6 +620,19 @@ def test_a_shell_past_the_assmus_mattson_t_is_listed(monkeypatch):
                           (4, -1, "t must lie in 0..8")):
         with pytest.raises(ValueError, match=message):
             shell_design_report(hamming_e8(), w, t)
+
+
+@pytest.mark.parametrize("maker", [hamming_e8, d16_plus, golay_g24])
+def test_a_listed_shell_report_is_the_listing_itself(maker):
+    # past the Assmus-Mattson t, the report is design_lambda's own answer
+    code = maker()
+    dist = weight_distribution(code)
+    cases = [(w, t) for w in np.flatnonzero(dist).tolist()
+             for t in range(assmus_mattson(dist) + 1, 7)]
+    for w, t in cases:
+        assert design_lambda(shell(code, w), t) == \
+            shell_design_report(code, w, t), (code.name, w, t)
+    assert len(cases) == {"hamming8": 9, "d16plus": 25, "golay24": 5}[code.name]
 
 
 def qr32_text():
@@ -1093,7 +1105,7 @@ def test_delsarte_agrees_with_brute_force_on_random_families():
         picks = rng.sample(pool, min(nblocks, len(pool)))
         fam = BlockFamily(n, tuple(sum(1 << i for i in sub) for sub in picks))
         for t in range(1, min(w, 4) + 1):
-            brute = design_lambda(fam, t).is_design
+            brute = design_lambda(fam, t).verdicts[t].holds
             harmonic = all(
                 v.holds for v in
                 delsarte_design_check(fam, range(1, t + 1)).values())
@@ -1294,10 +1306,9 @@ def test_d16plus_two_weight_T_design():
     assert not rep.verdicts[4].holds
     # brute-force cross-check of the degree-2 failure
     fam = shell(d16_plus(), 4).union(shell(d16_plus(), 12))
-    res = design_lambda(fam, 2)
-    assert not res.is_design
+    assert not design_lambda(fam, 2).verdicts[2].holds
     # ... and the weight-4 shell alone is not a 2-design either
-    assert not design_lambda(shell(d16_plus(), 4), 2).is_design
+    assert not design_lambda(shell(d16_plus(), 4), 2).verdicts[2].holds
 
 
 def test_self_complementary_shell_is_not_doubled():

@@ -38,7 +38,7 @@ from designlab.lattices import (_SLACK, DEGREE_CAP, SHELL_CAP,
                                 theta_fit_norm, theta_membership_check,
                                 to_modular_q, zonal_harmonic_coords,
                                 zonal_shell_sum)
-from designlab.modforms import SERIES_CAP, delta_eta, eisenstein
+from designlab.modforms import SERIES_CAP, FitResult, delta_eta, eisenstein
 from designlab.qseries import QSeries
 from kernel_oracle import kernel_sums, moment_inner, orthogonal_kernel_polys
 from poly_oracle import (evaluate, ladder, laplacian, recurrence_terms,
@@ -1490,7 +1490,8 @@ def test_to_modular_q_halves_exponents():
 def test_e8_membership_across_degrees():
     e8 = lattice_e8()
     rep = theta_membership_check(e8, constant_poly(8), prec_norm=8)
-    assert (rep.weight, rep.with_e6_factor, rep.coords) == (4, False, (F(1),))
+    assert (rep.weight, rep.with_e6_factor, rep.fit) == \
+        (4, False, FitResult(True, (F(1),), None))
     root = (1, 0, 0, 0, 0, 0, 0, 0)
     for deg, weight, odd_half, coords in (
             (2, 6, True, (F(0),)),
@@ -1500,22 +1501,21 @@ def test_e8_membership_across_degrees():
             (10, 14, True, (F(0),))):
         p = zonal_harmonic_coords(e8, deg, root)
         rep = theta_membership_check(e8, p, prec_norm=8)
-        assert rep.fit_ok
-        assert (rep.weight, rep.with_e6_factor, rep.coords) == \
-            (weight, odd_half, coords)
+        assert (rep.weight, rep.with_e6_factor, rep.fit) == \
+            (weight, odd_half, FitResult(True, coords, None))
 
 
 def test_membership_for_construction_a_fixtures():
     d16 = construction_a(d16_plus(), "d16plus")
     p4 = zonal_harmonic_coords(d16, 4, tuple([0] * 15 + [1]))
     rep = theta_membership_check(d16, p4, prec_norm=4)
-    assert rep.fit_ok and rep.weight == 12 and rep.coords == (0, 64)
+    assert rep.weight == 12 and rep.fit == FitResult(True, (0, 64), None)
 
     g24 = construction_a(golay_g24(), "CA(golay)")
     p6 = zonal_harmonic_coords(g24, 6, tuple([0] * 23 + [1]))
     rep6 = theta_membership_check(g24, p6, prec_norm=4)
-    assert rep6.fit_ok and rep6.weight == 18 and rep6.with_e6_factor
-    assert rep6.coords == (0, F(506, 7))
+    assert rep6.weight == 18 and rep6.with_e6_factor
+    assert rep6.fit == FitResult(True, (0, F(506, 7)), None)
 
 
 def test_membership_rejections():

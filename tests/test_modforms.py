@@ -435,7 +435,7 @@ def test_weight_2_mod_4_spaces_are_e6_multiples():
 def test_element_extends_the_fitted_theta():
     e8 = lattice_e8()
     p = zonal_harmonic_coords(e8, 8, (1, 0, 0, 0, 0, 0, 0, 0))
-    coords = theta_membership_check(e8, p, prec_norm=8).coords
+    coords = theta_membership_check(e8, p, prec_norm=8).fit.coords
     assert coords == (0, 144)
     form = mf_basis(12, 60).element(coords)
     assert form.prec + form.offset24 // 24 == 60

@@ -200,7 +200,7 @@ _FIXTURE_SHELLS = [
 def test_lambda_counting_matches_harmonic_criterion(maker, w):
     fam = shell(maker(), w)
     for t in range(1, 5):
-        brute = design_lambda(fam, t).is_design
+        brute = design_lambda(fam, t).verdicts[t].holds
         harmonic = all(v.holds for v in
                        delsarte_design_check(fam, range(1, t + 1)).values())
         assert brute == harmonic, (maker.__name__, w, t)
